@@ -20,28 +20,13 @@ func main() {
 	fig := flag.String("fig", "", "figure to regenerate: 1a, 1b, 1c (empty with -all unset: all)")
 	table := flag.Int("table", 0, "table to print: 1 or 2")
 	ablations := flag.Bool("ablations", false, "run the DESIGN.md ablations")
-	stats := flag.Bool("stats", false, "run the kstats workload: combiner batch-size histogram + per-opcode syscall latency percentiles")
-	ring := flag.Bool("ring", false, "compare the batched submission ring against the per-call syscall loop")
-	walBench := flag.Bool("wal", false, "compare journal group commit against per-op commit, plus recovery-time and shard-scaling series")
-	walRounds := flag.Int("walrounds", 500, "commit rounds per configuration for the -wal shard series")
-	walJSON := flag.String("waljson", "", "write the -wal shard series (rates, speedups, commit counters, recovery times) to this JSON file")
-	shard := flag.Bool("shard", false, "run the read-path scaling series: pcache preads at 1/2/4 shards against single-NR logged reads")
-	shardOps := flag.Int("shardops", 400000, "read syscalls per configuration for the -shard series")
-	shardJSON := flag.String("shardjson", "", "write the -shard series (rates, speedups, pcache counters) to this JSON file")
-	netBench := flag.Bool("net", false, "run the networked syscall-path workload: concurrent echo clients against a sharded two-machine wire")
-	netClients := flag.Int("netclients", 1000, "concurrent simulated clients for -net")
-	netMsgs := flag.Int("netmsgs", 20, "request/reply round trips per client for -net")
-	lat := flag.Bool("lat", false, "run the request-latency workload: mixed open/read/write/sync batches, p50/p99/p999 per wait mode (spin/block/poll)")
-	latClients := flag.Int("latclients", 8, "concurrent simulated clients for -lat")
-	latReqs := flag.Int("latreqs", 300, "requests per client for -lat")
 	all := flag.Bool("all", false, "run everything")
-	ops := flag.Int("ops", 200, "operations per core for figures 1b/1c and the kstats workload")
-	batch := flag.Int("batch", 32, "submission-queue depth for the -ring comparison")
+	ops := flag.Int("ops", 200, "operations per core for figures 1b/1c")
 	cores := flag.String("cores", "1,8,16,24,28", "comma-separated core counts")
 	seed := flag.Int64("seed", 2026, "VC seed for figure 1a")
 	flag.Parse()
 
-	if *fig == "" && *table == 0 && !*ablations && !*stats && !*ring && !*walBench && !*shard && !*netBench && !*lat {
+	if *fig == "" && *table == 0 && !*ablations {
 		*all = true
 	}
 	coreCounts, err := parseCores(*cores)
@@ -94,57 +79,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Print(out)
-	}
-	if *all || *stats {
-		// The most contended configuration shows the combiner batching
-		// best: one worker per core on the largest requested core count.
-		c := coreCounts[len(coreCounts)-1]
-		if *all {
-			fmt.Println()
-		}
-		if err := runStats(c, c, *ops); err != nil {
-			fatal(err)
-		}
-	}
-	if *all || *ring {
-		if *all {
-			fmt.Println()
-		}
-		if err := runRing(2, *batch, 200); err != nil {
-			fatal(err)
-		}
-	}
-	if *all || *walBench {
-		if *all {
-			fmt.Println()
-		}
-		if err := runWal(2, *batch, 200, *walRounds, *walJSON); err != nil {
-			fatal(err)
-		}
-	}
-	if *all || *shard {
-		if *all {
-			fmt.Println()
-		}
-		if err := runShard(*shardOps, *shardJSON); err != nil {
-			fatal(err)
-		}
-	}
-	if *all || *netBench {
-		if *all {
-			fmt.Println()
-		}
-		if err := runNet(4, *netClients, *netMsgs); err != nil {
-			fatal(err)
-		}
-	}
-	if *all || *lat {
-		if *all {
-			fmt.Println()
-		}
-		if err := runLat(4, *latClients, *latReqs); err != nil {
-			fatal(err)
-		}
 	}
 }
 

@@ -277,3 +277,53 @@ func TestShardedReadsSeeWrites(t *testing.T) {
 		t.Fatalf("read through second fd: %q %v", got[:n], e)
 	}
 }
+
+// A zero-length write past EOF is a no-op on both kernels, per call and
+// in a batch (where checkBatch's splice model has to agree with fs), and
+// does not reposition an OAppend descriptor.
+func TestZeroLengthWritePastEOF(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		s, initSys := bootSharded(t, 2, shards)
+		fd, e := initSys.Open("/f", fs.OCreate|fs.ORdWr)
+		if e != sys.EOK {
+			t.Fatalf("shards=%d open: %v", shards, e)
+		}
+		if _, e := initSys.Write(fd, []byte("0123456789")); e != sys.EOK {
+			t.Fatalf("shards=%d write: %v", shards, e)
+		}
+		if _, e := initSys.Seek(fd, 88, fs.SeekSet); e != sys.EOK {
+			t.Fatalf("shards=%d seek: %v", shards, e)
+		}
+		if n, e := initSys.Write(fd, nil); e != sys.EOK || n != 0 {
+			t.Fatalf("shards=%d write(nil) = %d, %v", shards, n, e)
+		}
+		comps, e := initSys.SubmitWait([]sys.Op{
+			sys.OpWrite(fd, nil), sys.OpSeek(fd, 34, fs.SeekSet), sys.OpRead(fd, 25),
+		})
+		if e != sys.EOK || comps[0].Errno != sys.EOK || comps[0].Val != 0 {
+			t.Fatalf("shards=%d batch: %v %+v", shards, e, comps)
+		}
+		if comps[2].Errno != sys.EOK || comps[2].Val != 0 {
+			t.Fatalf("shards=%d read at 34 of a 10-byte file = %d bytes (%v), want EOF", shards, comps[2].Val, comps[2].Errno)
+		}
+		afd, e := initSys.Open("/f", fs.OWrOnly|fs.OAppend)
+		if e != sys.EOK {
+			t.Fatalf("shards=%d open append: %v", shards, e)
+		}
+		if n, e := initSys.Write(afd, nil); e != sys.EOK || n != 0 {
+			t.Fatalf("shards=%d append write(nil) = %d, %v", shards, n, e)
+		}
+		if pos, e := initSys.Seek(afd, 0, fs.SeekCur); e != sys.EOK || pos != 0 {
+			t.Fatalf("shards=%d zero-length append moved the offset to %d (%v)", shards, pos, e)
+		}
+		if st, e := initSys.Stat("/f"); e != sys.EOK || st.Size != 10 {
+			t.Fatalf("shards=%d stat: %+v %v", shards, st, e)
+		}
+		if err := initSys.ContractErr(); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if err := s.CheckReplicaAgreement(); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+	}
+}

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"github.com/verified-os/vnros/internal/netstack"
+	"github.com/verified-os/vnros/internal/obs"
 	"github.com/verified-os/vnros/internal/proc"
 	"github.com/verified-os/vnros/internal/sys"
 )
@@ -356,93 +358,142 @@ func TestSockBindCloseStress(t *testing.T) {
 }
 
 // The cross-machine echo of TestNetworkBetweenSystems, but with both
-// machines running sharded kernels: the table ops route through the
-// owner shard and the namespace on shard 0 while datagrams cross the
-// virtual wire and wake doorbell-parked receivers.
+// machines running sharded kernels, at scale: 256 clients over four
+// processes of one machine, each parked in SockRecvBlocking between
+// round trips, against eight parked workers on the other. Client sends
+// go through the ring and server replies per call, so the table ops
+// route through the owner shard and the namespace on shard 0 both ways
+// while datagrams cross the virtual wire and wake doorbell-parked
+// receivers. Every echo must match and nothing may be shed: the receive
+// budget covers every client having a request in flight, so any
+// net.rx_drop_* count is a lost or misrouted datagram, not backpressure.
 func TestSockShardedCrossMachineEcho(t *testing.T) {
+	const (
+		clients     = 256
+		clientProcs = 4
+		workers     = 8
+		rounds      = 3
+		serverPort  = 7200
+	)
 	wire := netstack.NewNetwork()
-	sa, err := Boot(Config{Cores: 4, MemBytes: 256 << 20, NICAddr: 0xA, Network: wire, Shards: 2})
+	server, err := Boot(Config{Cores: 4, MemBytes: 256 << 20, NICAddr: 0xA, Network: wire, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := Boot(Config{Cores: 4, MemBytes: 256 << 20, NICAddr: 0xB, Network: wire, Shards: 2})
+	client, err := Boot(Config{Cores: 4, MemBytes: 256 << 20, NICAddr: 0xB, Network: wire, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	initA, err := sa.Init()
+	serverInit, err := server.Init()
 	if err != nil {
 		t.Fatal(err)
 	}
-	initB, err := sb.Init()
+	clientInit, err := client.Init()
 	if err != nil {
 		t.Fatal(err)
 	}
-	const rounds = 10
-	ready := make(chan sys.SockID, 1)
-	serverErr := make(chan error, 1)
-	_, err = sb.Run(initB, "echo", func(p *Process) int {
-		sock, e := p.Sys.SockBind(7100)
+	obs.Reset()
+	obs.Enable()
+	defer obs.Disable()
+
+	stop := make(chan struct{})
+	bound := make(chan sys.Errno, 1)
+	if _, err := server.Run(serverInit, "echosrv", func(p *Process) int {
+		sock, e := p.Sys.SockBindBudget(serverPort, 2*clients+workers)
+		bound <- e
 		if e != sys.EOK {
-			ready <- 0
-			serverErr <- fmt.Errorf("bind: %v", e)
 			return 1
 		}
-		ready <- sock
-		for i := 0; i < rounds; i++ {
-			payload, from, port, e := p.Sys.SockRecvBlocking(sock)
-			if e != sys.EOK {
-				serverErr <- fmt.Errorf("recv %d: %v", i, e)
-				return 1
-			}
-			if _, e := p.Sys.SockSend(sock, from, port, payload); e != sys.EOK {
-				serverErr <- fmt.Errorf("send %d: %v", i, e)
-				return 1
-			}
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					payload, from, port, e := p.Sys.SockRecvBlocking(sock)
+					if e != sys.EOK {
+						return // EBADF: closed below, test over
+					}
+					_, _ = p.Sys.SockSend(sock, from, port, payload)
+				}
+			}()
 		}
-		serverErr <- nil
+		<-stop
+		_ = p.Sys.SockClose(sock) // the doorbell wakes every parked worker
+		wg.Wait()
 		return 0
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if <-ready == 0 {
-		t.Fatal(<-serverErr)
+	if e := <-bound; e != sys.EOK {
+		t.Fatalf("server bind: %v", e)
 	}
-	clientErr := make(chan error, 1)
-	_, err = sa.Run(initA, "client", func(p *Process) int {
-		sock, e := p.Sys.SockBind(0)
-		if e != sys.EOK {
-			clientErr <- fmt.Errorf("client bind: %v", e)
-			return 1
+
+	errs := make(chan error, clients)
+	for cp := 0; cp < clientProcs; cp++ {
+		if _, err := client.Run(clientInit, fmt.Sprintf("clients%d", cp), func(p *Process) int {
+			var wg sync.WaitGroup
+			for g := 0; g < clients/clientProcs; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					sock, e := p.Sys.SockBind(0)
+					if e != sys.EOK {
+						errs <- fmt.Errorf("client bind: %v", e)
+						return
+					}
+					defer p.Sys.SockClose(sock)
+					req := []byte(fmt.Sprintf("echo %d/%d", cp, g))
+					for m := 0; m < rounds; m++ {
+						comps, e := p.Sys.SubmitWait([]sys.Op{sys.OpSockSend(sock, 0xA, serverPort, req)})
+						if e != sys.EOK || comps[0].Errno != sys.EOK {
+							errs <- fmt.Errorf("client send: %v/%v", e, comps)
+							return
+						}
+						reply, _, _, e := p.Sys.SockRecvBlocking(sock)
+						if e != sys.EOK {
+							errs <- fmt.Errorf("client recv: %v", e)
+							return
+						}
+						if string(reply) != string(req) {
+							errs <- fmt.Errorf("reply %q != request %q", reply, req)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			return 0
+		}); err != nil {
+			t.Fatal(err)
 		}
-		for i := 0; i < rounds; i++ {
-			msg := []byte(fmt.Sprintf("sharded-round-%d", i))
-			if _, e := p.Sys.SockSend(sock, 0xB, 7100, msg); e != sys.EOK {
-				clientErr <- fmt.Errorf("client send %d: %v", i, e)
-				return 1
-			}
-			echo, _, _, e := p.Sys.SockRecvBlocking(sock)
-			if e != sys.EOK {
-				clientErr <- fmt.Errorf("client recv %d: %v", i, e)
-				return 1
-			}
-			if string(echo) != string(msg) {
-				clientErr <- fmt.Errorf("round %d: echoed %q", i, echo)
-				return 1
-			}
+	}
+	client.WaitAll()
+	close(stop)
+	server.WaitAll()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if got := obs.NetRxDelivered.Load(); got != 2*clients*rounds {
+		t.Errorf("net.rx_delivered = %d, want %d", got, 2*clients*rounds)
+	}
+	for _, c := range []*obs.Counter{
+		obs.NetRxDropOverflow, obs.NetRxDropClosed, obs.NetRxDropNoListener,
+		obs.NetRxDropBadSum, obs.NetRxDropBadFrame,
+	} {
+		if n := c.Load(); n != 0 {
+			t.Errorf("%s = %d, want 0", c.Name(), n)
 		}
-		clientErr <- nil
-		return 0
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if err := <-clientErr; err != nil {
-		t.Fatal(err)
+	for _, s := range []*sys.Sys{serverInit, clientInit} {
+		if err := s.ContractErr(); err != nil {
+			t.Error(err)
+		}
 	}
-	if err := <-serverErr; err != nil {
-		t.Fatal(err)
+	for _, s := range []*System{server, client} {
+		if err := s.CheckReplicaAgreement(); err != nil {
+			t.Error(err)
+		}
 	}
-	sa.WaitAll()
-	sb.WaitAll()
 }

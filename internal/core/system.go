@@ -692,8 +692,8 @@ func (h *handler) syscall(frame marshal.SyscallFrame, payload []byte) (marshal.R
 // other op of the batch has been applied — the journal flush then
 // covers the entire batch, however many sync markers it carried. This
 // is the "drain whole submission-ring batches into one journal flush"
-// path; per-op commit (Write+Sync round trips) exists only as the
-// baseline vnros-bench compares against.
+// path (bench/'s ring_sync workload); per-op commit is a Write+Sync
+// round trip each.
 func (h *handler) batch(frame marshal.SyscallFrame, payload []byte) (marshal.RetFrame, []byte) {
 	t0 := obs.Start()
 	ops, err := sys.DecodeBatch(frame, payload)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/verified-os/vnros/internal/fs"
+	"github.com/verified-os/vnros/internal/obs"
 	"github.com/verified-os/vnros/internal/sys"
 )
 
@@ -180,5 +181,65 @@ func TestShardedSaveFS(t *testing.T) {
 	}
 	if string(got) != "checkpointed" {
 		t.Fatalf("restored %q", got)
+	}
+}
+
+// TestShardedWALCommitsReachSeveralShards pins that a Sync on the
+// sharded kernel reaches the cross-shard group committer and that the
+// committer spreads the prepare flushes: after concurrent writers, each
+// on its own file, have written and synced, the wal.shard.commit stats
+// show flushes on at least two shard slots and wal.shard.rounds counts
+// the rounds. A Sync that fell back to one journal, or a router that
+// sent every inode to one shard, shows up as one slot or zero rounds.
+func TestShardedWALCommitsReachSeveralShards(t *testing.T) {
+	const writers, rounds = 8, 4
+	s, err := Boot(Config{Cores: 4, Shards: 4, WAL: true, MemBytes: 256 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	initSys, err := s.Init()
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs.Reset()
+	obs.Enable()
+	defer obs.Disable()
+
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		if _, err := s.Run(initSys, fmt.Sprintf("writer%d", w), func(p *Process) int {
+			fd, e := p.Sys.Open(fmt.Sprintf("/wal%d", w), fs.OCreate|fs.ORdWr)
+			if e != sys.EOK {
+				errs <- fmt.Errorf("writer %d open: %v", w, e)
+				return 1
+			}
+			for r := 0; r < rounds; r++ {
+				if _, e := p.Sys.Write(fd, []byte("sixteen bytes!!!")); e != sys.EOK {
+					errs <- fmt.Errorf("writer %d write: %v", w, e)
+					return 1
+				}
+				if e := p.Sys.Sync(); e != sys.EOK {
+					errs <- fmt.Errorf("writer %d sync: %v", w, e)
+					return 1
+				}
+			}
+			errs <- p.Sys.ContractErr()
+			return 0
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for w := 0; w < writers; w++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	s.WaitAll()
+
+	if n := obs.WalShardRounds.Load(); n == 0 {
+		t.Error("wal.shard.rounds = 0: Sync is not reaching the group committer")
+	}
+	if slots := obs.WalShardCommits.Snapshot(); len(slots) < 2 {
+		t.Errorf("wal.shard.commit recorded flushes on %d shard slots, want >= 2: %+v", len(slots), slots)
 	}
 }

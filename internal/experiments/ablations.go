@@ -87,37 +87,45 @@ func AblationNRvsMutex(cores, opsPerCore int) (nrMean, mutexMean time.Duration, 
 // AblationTLB measures translation latency with the TLB enabled vs a
 // 1-entry TLB that thrashes, over a strided access pattern.
 func AblationTLB(translations int) (warm, cold time.Duration, err error) {
-	run := func(tlbSize int) (time.Duration, error) {
-		pm := mem.New(256 << 20)
-		src := pt.NewSimpleFrameSource(pm, 0x1000, 64<<20)
-		as, err := pt.NewVerified(pm, src, nil)
-		if err != nil {
-			return 0, err
-		}
-		const pages = 32
-		base := mmu.VAddr(0x4000_0000)
-		for i := 0; i < pages; i++ {
-			if err := as.Map(base+mmu.VAddr(i*mmu.L1PageSize), mem.PAddr(0x100_0000+i*mmu.L1PageSize),
-				mmu.L1PageSize, mmu.Flags{Writable: true}); err != nil {
-				return 0, err
-			}
-		}
-		u := mmu.NewWithTLB(pm, mmu.NewTLB(tlbSize))
-		u.SetRoot(as.Root(), 1)
-		t0 := time.Now()
-		for i := 0; i < translations; i++ {
-			va := base + mmu.VAddr((i%pages)*mmu.L1PageSize) + mmu.VAddr(i%4096)
-			if _, f := u.Translate(va, mmu.AccessRead); f != nil {
-				return 0, fmt.Errorf("translate: %v", f)
-			}
-		}
-		return time.Duration(int64(time.Since(t0)) / int64(translations)), nil
-	}
-	if warm, err = run(mmu.DefaultTLBSize); err != nil {
+	if warm, _, err = tlbRun(mmu.DefaultTLBSize, translations); err != nil {
 		return
 	}
-	cold, err = run(1)
+	cold, _, err = tlbRun(1, translations)
 	return
+}
+
+// tlbStridePages is the stride of the TLB ablation's access pattern.
+const tlbStridePages = 32
+
+// tlbRun translates round-robin over tlbStridePages mapped pages through
+// a TLB of tlbSize entries, returning the mean latency and the TLB's
+// hit count.
+func tlbRun(tlbSize, translations int) (perOp time.Duration, hits uint64, err error) {
+	pm := mem.New(256 << 20)
+	src := pt.NewSimpleFrameSource(pm, 0x1000, 64<<20)
+	as, err := pt.NewVerified(pm, src, nil)
+	if err != nil {
+		return 0, 0, err
+	}
+	base := mmu.VAddr(0x4000_0000)
+	for i := 0; i < tlbStridePages; i++ {
+		if err := as.Map(base+mmu.VAddr(i*mmu.L1PageSize), mem.PAddr(0x100_0000+i*mmu.L1PageSize),
+			mmu.L1PageSize, mmu.Flags{Writable: true}); err != nil {
+			return 0, 0, err
+		}
+	}
+	u := mmu.NewWithTLB(pm, mmu.NewTLB(tlbSize))
+	u.SetRoot(as.Root(), 1)
+	t0 := time.Now()
+	for i := 0; i < translations; i++ {
+		va := base + mmu.VAddr((i%tlbStridePages)*mmu.L1PageSize) + mmu.VAddr(i%4096)
+		if _, f := u.Translate(va, mmu.AccessRead); f != nil {
+			return 0, 0, fmt.Errorf("translate: %v", f)
+		}
+	}
+	perOp = time.Duration(int64(time.Since(t0)) / int64(translations))
+	hits, _ = u.TLB().HitRate()
+	return perOp, hits, nil
 }
 
 // kvDS is a trivial NR payload for the sharding ablation.

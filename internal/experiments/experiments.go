@@ -1,8 +1,7 @@
 // Package experiments regenerates every table and figure from the
-// paper's evaluation (§5), plus the ablations DESIGN.md calls out. Both
-// cmd/vnros-bench and the root benchmark suite drive these functions,
-// so the printed rows and the testing.B numbers come from the same
-// code.
+// paper's evaluation (§5), plus the ablations DESIGN.md calls out.
+// cmd/vnros-bench prints them; everything this repository measures
+// beyond the paper's artifacts lives in bench/.
 package experiments
 
 import (

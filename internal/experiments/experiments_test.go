@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/verified-os/vnros/internal/hw/mmu"
 	"github.com/verified-os/vnros/internal/pt"
 	"github.com/verified-os/vnros/internal/verifier"
 )
@@ -67,15 +68,24 @@ func TestAblationNRvsMutex(t *testing.T) {
 	}
 }
 
+// The ablation's claim in counts, not wall-clock: the default TLB misses
+// once per page of the stride and hits ever after; a 1-entry TLB is
+// evicted before any page comes round again and never hits.
 func TestAblationTLB(t *testing.T) {
-	warm, cold, err := AblationTLB(2000)
+	const translations = 2000
+	_, warmHits, err := tlbRun(mmu.DefaultTLBSize, translations)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold <= warm/2 {
-		// The thrashing TLB forces a 4-level walk per access; it cannot
-		// plausibly be faster than the warm path by 2x.
-		t.Fatalf("warm %v vs cold %v implausible", warm, cold)
+	if warmHits < translations-tlbStridePages {
+		t.Errorf("warm TLB: %d hits in %d translations over %d pages", warmHits, translations, tlbStridePages)
+	}
+	_, coldHits, err := tlbRun(1, translations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if coldHits != 0 {
+		t.Errorf("1-entry TLB: %d hits on a %d-page stride", coldHits, tlbStridePages)
 	}
 }
 

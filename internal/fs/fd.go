@@ -154,7 +154,7 @@ func (t *FDTable) Write(fd FD, buffer []byte) (uint64, error) {
 	if of.Flags&(OWrOnly|ORdWr|OAppend) == 0 {
 		return 0, fmt.Errorf("%w: write on read-only fd", ErrPermission)
 	}
-	if of.Flags&OAppend != 0 {
+	if of.Flags&OAppend != 0 && len(buffer) > 0 {
 		st, err := t.fs.StatIno(of.Ino)
 		if err != nil {
 			return 0, err

@@ -455,6 +455,11 @@ func (f *FS) WriteAt(ino Ino, off uint64, p []byte) (int, error) {
 	if n.Kind != KindFile {
 		return 0, fmt.Errorf("%w: inode %d", ErrIsDir, ino)
 	}
+	if len(p) == 0 {
+		// POSIX write(2): a zero-length write has no other results — it
+		// must not grow the file to off, journal, or invalidate.
+		return 0, nil
+	}
 	oldSize := uint64(len(n.Data))
 	end := off + uint64(len(p))
 	if end > oldSize {

@@ -106,7 +106,7 @@ func ReadSpec(pre, post SpecState, fd FD, bufferLen uint64, gotBuffer []byte, re
 // in contents at the effective offset — the pre offset, or EOF when the
 // descriptor carries OAppend (zero-filling any gap) — the offset
 // advances to the end of the written segment, everything else is
-// unchanged.
+// unchanged. A zero-length write changes nothing at all.
 func WriteSpec(pre, post SpecState, fd FD, data []byte, wrote uint64) error {
 	pf, ok := pre.Files[fd]
 	if !ok {
@@ -121,6 +121,17 @@ func WriteSpec(pre, post SpecState, fd FD, data []byte, wrote uint64) error {
 	qf, ok := post.Files[fd]
 	if !ok {
 		return fmt.Errorf("write_spec: fd %d not open in post", fd)
+	}
+	if wrote == 0 {
+		// POSIX write(2): a zero-length write has no other results — no
+		// growth to an offset past EOF, no append repositioning.
+		if qf.Offset != pf.Offset {
+			return fmt.Errorf("write_spec: zero-length write moved offset %d to %d", pf.Offset, qf.Offset)
+		}
+		if !bytes.Equal(qf.Contents, pf.Contents) {
+			return fmt.Errorf("write_spec: zero-length write changed contents (size %d -> %d)", pf.Size(), qf.Size())
+		}
+		return nil
 	}
 	wOff := pf.Offset
 	if pf.Append {

@@ -328,6 +328,59 @@ func TestReadSpecHoldsOnImplementation(t *testing.T) {
 	}
 }
 
+// sinkCounter counts journal records and invalidations.
+type sinkCounter struct{ records, invals int }
+
+func (c *sinkCounter) Record(Mutation)                     { c.records++ }
+func (c *sinkCounter) InvalidateRange(Ino, uint64, uint64) { c.invals++ }
+func (c *sinkCounter) InvalidateIno(Ino)                   { c.invals++ }
+
+// A zero-length write past EOF is a no-op (POSIX write(2)): the file
+// does not grow to the offset, nothing is journaled or invalidated, an
+// OAppend descriptor is not repositioned, and WriteSpec rejects a post
+// state that grew.
+func TestZeroLengthWriteIsNoOp(t *testing.T) {
+	f := New()
+	tb := NewFDTable(f)
+	fd, _ := tb.Open("/f", OCreate|ORdWr)
+	_ = tb.Lock(fd)
+	_, _ = tb.Write(fd, []byte("0123456789"))
+	_, _ = tb.Seek(fd, 88, SeekSet)
+	afd, _ := tb.Open("/f", OWrOnly|OAppend)
+	_ = tb.Lock(afd)
+	var sink sinkCounter
+	f.SetJournal(&sink)
+	f.SetInvalidator(&sink)
+
+	for _, d := range []FD{fd, afd} {
+		pre := AbstractFDs(tb)
+		n, err := tb.Write(d, nil)
+		if err != nil || n != 0 {
+			t.Fatalf("fd %d: write(nil) = %d, %v", d, n, err)
+		}
+		post := AbstractFDs(tb)
+		if err := WriteSpec(pre, post, d, nil, n); err != nil {
+			t.Fatal(err)
+		}
+		if got := post.Files[d]; got.Size() != 10 || got.Offset != pre.Files[d].Offset {
+			t.Fatalf("fd %d: size %d offset %d after a zero-length write", d, got.Size(), got.Offset)
+		}
+		grown := post.Files[d]
+		grown.Contents = make([]byte, 88)
+		post.Files[d] = grown
+		if err := WriteSpec(pre, post, d, nil, n); err == nil {
+			t.Errorf("fd %d: WriteSpec accepted a zero-length write that grew the file", d)
+		}
+	}
+	if sink.records != 0 || sink.invals != 0 {
+		t.Fatalf("zero-length writes journaled %d records, invalidated %d times", sink.records, sink.invals)
+	}
+	_, _ = tb.Seek(fd, 34, SeekSet)
+	if n, _ := tb.Read(fd, make([]byte, 25)); n != 0 {
+		t.Fatalf("read at 34 of a 10-byte file = %d bytes, want EOF", n)
+	}
+}
+
 func TestReadSpecRejectsWrongBehavior(t *testing.T) {
 	pre := SpecState{Files: map[FD]SpecFile{3: {Contents: []byte("abcdef"), Offset: 2, Locked: true}}}
 	post := pre.CloneSpec()

@@ -19,8 +19,8 @@
 //     (each individual cell is read atomically).
 //
 // The global gate defaults to off, so the subsystem costs one predicted
-// branch per instrumentation site unless a tool (cmd/vnros-bench,
-// `vnros stats`) turns it on.
+// branch per instrumentation site unless a tool (`vnros stats`, the
+// benchmark's obs.enable_overhead_ratio probe) turns it on.
 //
 // Even enabled, the expensive recordings — anything that needs a clock
 // read (latency tokens), a histogram bucket update, or a trace-ring
@@ -164,7 +164,7 @@ func TakeSnapshot() Snapshot {
 }
 
 // Reset zeroes every registered metric and clears trace rings. Used by
-// benches between phases.
+// bench/ between phases.
 func Reset() {
 	registry.mu.Lock()
 	defer registry.mu.Unlock()

@@ -37,7 +37,9 @@ func (l *lockedHandler) ViewFDs(pid proc.PID) (fs.SpecState, bool) {
 // the unsynchronized viewer write: EnableContract used to store
 // s.viewer with plain assignment while concurrent syscalls read it in
 // view(), a data race once a contract is attached after goroutines
-// start. Run under -race.
+// start. Run under -race. Its four workers share one handle, so it also
+// pins that the handle serializes them: a seek or read landing between
+// another call's pre and post views is a spurious spec violation.
 func TestEnableContractConcurrentWithSyscalls(t *testing.T) {
 	k := newTestKernel()
 	h := &lockedHandler{h: directHandler{k: k}}

@@ -408,7 +408,7 @@ func checkBatch(pre, post fs.SpecState, ops []WriteOp, comps []Completion) error
 			wOff := m.off
 			if trusted {
 				cur := contents[m.ino]
-				if m.app {
+				if m.app && len(op.Data) > 0 {
 					wOff = uint64(len(cur)) // append resolves at the model's EOF
 				}
 				next := spliceWrite(cur, wOff, op.Data)
@@ -493,12 +493,15 @@ func checkBatch(pre, post fs.SpecState, ops []WriteOp, comps []Completion) error
 }
 
 // spliceWrite applies WriteSpec's expected contents transition: data
-// lands at off, zero-filling any gap beyond old EOF. The model owns cur
-// (it is seeded as a private copy and truncate replaces it wholesale),
-// so the splice mutates in place, reallocating only on growth past
-// capacity — the pre-state slice header the caller still holds keeps
-// the correct old length either way.
+// lands at off, zero-filling any gap beyond old EOF; empty data changes
+// nothing. The model owns cur (it is seeded as a private copy and
+// truncate replaces it wholesale), so the splice mutates in place,
+// reallocating only on growth past capacity — the pre-state slice
+// header the caller still holds keeps the correct old length either way.
 func spliceWrite(cur []byte, off uint64, data []byte) []byte {
+	if len(data) == 0 {
+		return cur // a zero-length write does not extend to off
+	}
 	end := off + uint64(len(data))
 	switch {
 	case end <= uint64(len(cur)):

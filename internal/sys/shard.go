@@ -201,7 +201,7 @@ func (k *Kernel) dispatchShardWrite(op WriteOp) Resp {
 
 	case NumFsWriteAt:
 		off := uint64(op.Off)
-		if op.Flags&fs.OAppend != 0 {
+		if op.Flags&fs.OAppend != 0 && len(op.Data) > 0 {
 			// Append resolves EOF at apply time on the data owner — the
 			// one place the size is authoritative — so concurrent
 			// appends through different descriptors cannot overlap.

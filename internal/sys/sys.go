@@ -28,6 +28,18 @@ type Viewer interface {
 // each user program goroutine) holds one. When a Viewer is attached,
 // every file syscall is checked against its spec relation, making the
 // paper's `ensures` clauses executable.
+//
+// One handle is one thread of control. The paper's Sys methods take
+// `&mut self`, so two calls on one handle can never overlap and a
+// spec's pre and post states are adjacent by construction. Go cannot
+// say that statically, so the handle enforces it where the contract
+// depends on it: Read, Write, Seek and Pread hold the handle across
+// pre view → syscall → post view, and calls from other goroutines on the
+// same handle queue behind it. They hold it with the contract off too,
+// or a call that started unchecked would land between the views of the
+// first checked one after EnableContract. Two *handles* for one PID can
+// still interleave between each other's views; closing that is the
+// ROADMAP item "capture views at the linearization point".
 type Sys struct {
 	pid proc.PID
 	h   Handler
@@ -46,6 +58,9 @@ type Sys struct {
 	mu     sync.Mutex
 	viewer Viewer
 	cerr   error
+	// call is held by Read, Write, Seek and Pread from pre view to post
+	// view (see the type comment).
+	call sync.Mutex
 }
 
 // CorePinned is implemented by handlers that pin the handle to one
@@ -151,6 +166,8 @@ func (s *Sys) Close(fd fs.FD) Errno {
 // returning the count — the paper's worked example. In contract mode
 // the call is checked against read_spec through the view abstraction.
 func (s *Sys) Read(fd fs.FD, buffer []byte) (uint64, Errno) {
+	s.call.Lock()
+	defer s.call.Unlock()
 	pre, checking := s.view()
 	r := s.callWrite(WriteOp{Num: NumRead, FD: fd, Len: uint64(len(buffer))})
 	if r.Errno != EOK {
@@ -180,6 +197,8 @@ func (s *Sys) Read(fd fs.FD, buffer []byte) (uint64, Errno) {
 // result is checked against the pre view's contents (a positioned
 // read_spec: same bytes, offset untouched).
 func (s *Sys) Pread(fd fs.FD, buffer []byte, off uint64) (uint64, Errno) {
+	s.call.Lock()
+	defer s.call.Unlock()
 	pre, checking := s.view()
 	r := s.callRead(ReadOp{Num: NumPread, FD: fd, Len: uint64(len(buffer)), Off: off})
 	if r.Errno != EOK {
@@ -259,6 +278,8 @@ func (s *Sys) PreadUnmap(va mmu.VAddr) Errno {
 
 // Write writes data at the descriptor's offset.
 func (s *Sys) Write(fd fs.FD, data []byte) (uint64, Errno) {
+	s.call.Lock()
+	defer s.call.Unlock()
 	pre, checking := s.view()
 	r := s.callWrite(WriteOp{Num: NumWrite, FD: fd, Data: data})
 	if r.Errno != EOK {
@@ -279,6 +300,8 @@ func (s *Sys) Write(fd fs.FD, data []byte) (uint64, Errno) {
 
 // Seek repositions the descriptor offset.
 func (s *Sys) Seek(fd fs.FD, off int64, whence int) (uint64, Errno) {
+	s.call.Lock()
+	defer s.call.Unlock()
 	pre, checking := s.view()
 	r := s.callWrite(WriteOp{Num: NumSeek, FD: fd, Off: off, Whence: whence})
 	if r.Errno != EOK {

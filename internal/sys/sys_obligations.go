@@ -185,7 +185,7 @@ func RegisterObligations(g *verifier.Registry) {
 			}},
 		verifier.Obligation{Module: "sys", Name: "mmap-memory-semantics", Kind: verifier.KindRefinement,
 			Check: func(r *rand.Rand) error {
-				k := newTestKernel()
+				k, dataFrames := newTestKernelFrames()
 				s := NewSys(proc.InitPID, &directHandler{k: k})
 				pidResp := k.DispatchWrite(WriteOp{Num: NumSpawn, PID: proc.InitPID, Name: "user"})
 				if pidResp.Errno != EOK {
@@ -196,7 +196,7 @@ func RegisterObligations(g *verifier.Registry) {
 				_ = s
 
 				// mmap 4 pages with caller-provided frames (as core does).
-				frames := testFrames(k, 4)
+				frames := dataFrames.take(4)
 				resp := k.DispatchWrite(WriteOp{Num: NumMMap, PID: pid, Size: 4 * mmu.L1PageSize, Frames: frames})
 				if resp.Errno != EOK {
 					return fmt.Errorf("mmap: %v", resp.Errno)
@@ -232,10 +232,10 @@ func RegisterObligations(g *verifier.Registry) {
 			}},
 		verifier.Obligation{Module: "sys", Name: "exit-reclaims-process-memory", Kind: verifier.KindSafety,
 			Check: func(r *rand.Rand) error {
-				k := newTestKernel()
+				k, dataFrames := newTestKernelFrames()
 				pidResp := k.DispatchWrite(WriteOp{Num: NumSpawn, PID: proc.InitPID, Name: "leaky"})
 				pid := proc.PID(pidResp.Val)
-				frames := testFrames(k, 8)
+				frames := dataFrames.take(8)
 				resp := k.DispatchWrite(WriteOp{Num: NumMMap, PID: pid, Size: 8 * mmu.L1PageSize, Frames: frames})
 				if resp.Errno != EOK {
 					return fmt.Errorf("mmap: %v", resp.Errno)
@@ -258,26 +258,28 @@ func RegisterObligations(g *verifier.Registry) {
 // newTestKernel builds a kernel over fresh memory with a simple frame
 // source.
 func newTestKernel() *Kernel {
-	pmem := mem.New(128 << 20)
-	tables := pt.NewSimpleFrameSource(pmem, 0x10_0000, 16<<20)
-	return NewKernel(pmem, tables)
+	k, _ := newTestKernelFrames()
+	return k
 }
 
-// testFrames allocates n data frames from a region above the table
-// area (standing in for core's shared data allocator).
-var testFrameNext = map[*Kernel]mem.PAddr{}
+// newTestKernelFrames also returns the kernel's data-frame allocator
+// (standing in for core's shared data allocator). It belongs to the one
+// check that built the kernel, so verifier pool workers share nothing.
+func newTestKernelFrames() (*Kernel, *frameBump) {
+	pmem := mem.New(128 << 20)
+	tables := pt.NewSimpleFrameSource(pmem, 0x10_0000, 16<<20)
+	return NewKernel(pmem, tables), &frameBump{next: 32 << 20}
+}
 
-func testFrames(k *Kernel, n int) []mem.PAddr {
-	next, ok := testFrameNext[k]
-	if !ok {
-		next = 32 << 20
+// frameBump hands out data frames from the region above the table area.
+type frameBump struct{ next mem.PAddr }
+
+func (b *frameBump) take(n int) []mem.PAddr {
+	out := make([]mem.PAddr, n)
+	for i := range out {
+		out[i] = b.next
+		b.next += mem.PageSize
 	}
-	var out []mem.PAddr
-	for i := 0; i < n; i++ {
-		out = append(out, next)
-		next += mem.PageSize
-	}
-	testFrameNext[k] = next
 	return out
 }
 

@@ -164,7 +164,7 @@ func registerMoreObligations(g *verifier.Registry) {
 			}},
 		verifier.Obligation{Module: "sys", Name: "mmap-regions-never-overlap", Kind: verifier.KindInvariant,
 			Check: func(r *rand.Rand) error {
-				k := newTestKernel()
+				k, dataFrames := newTestKernelFrames()
 				pid := proc.PID(k.DispatchWrite(WriteOp{Num: NumSpawn, PID: proc.InitPID, Name: "m"}).Val)
 				type region struct {
 					base mmu.VAddr
@@ -175,7 +175,7 @@ func registerMoreObligations(g *verifier.Registry) {
 					if r.Intn(2) == 0 || len(regions) == 0 {
 						pages := uint64(1 + r.Intn(8))
 						resp := k.DispatchWrite(WriteOp{Num: NumMMap, PID: pid,
-							Size: pages * mmu.L1PageSize, Frames: testFrames(k, int(pages))})
+							Size: pages * mmu.L1PageSize, Frames: dataFrames.take(int(pages))})
 						if resp.Errno != EOK {
 							return fmt.Errorf("mmap: %v", resp.Errno)
 						}

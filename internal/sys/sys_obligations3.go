@@ -69,7 +69,7 @@ func registerEvenMoreObligations(g *verifier.Registry) {
 							return fmt.Errorf("write: %v", e)
 						}
 						offset += n
-						if offset > size {
+						if n > 0 && offset > size { // a zero-length write past EOF does not grow
 							size = offset
 						}
 					case 1:

@@ -12,10 +12,16 @@ import (
 
 func newSysPair(t *testing.T) (*Kernel, *Sys) {
 	t.Helper()
-	k := newTestKernel()
+	k, s, _ := newSysPairFrames(t)
+	return k, s
+}
+
+func newSysPairFrames(t *testing.T) (*Kernel, *Sys, *frameBump) {
+	t.Helper()
+	k, frames := newTestKernelFrames()
 	s := NewSys(proc.InitPID, &directHandler{k: k})
 	s.EnableContract(k)
-	return k, s
+	return k, s, frames
 }
 
 func TestFileSyscallFlow(t *testing.T) {
@@ -132,9 +138,9 @@ func TestProcessSyscalls(t *testing.T) {
 }
 
 func TestKillSIGKILLTearsDown(t *testing.T) {
-	k, s := newSysPair(t)
+	k, s, dataFrames := newSysPairFrames(t)
 	pid, _ := s.Spawn("victim")
-	frames := testFrames(k, 2)
+	frames := dataFrames.take(2)
 	resp := k.DispatchWrite(WriteOp{Num: NumMMap, PID: pid, Size: 2 * mmu.L1PageSize, Frames: frames})
 	if resp.Errno != EOK {
 		t.Fatal(resp.Errno)
@@ -152,7 +158,7 @@ func TestKillSIGKILLTearsDown(t *testing.T) {
 }
 
 func TestMMapThroughSys(t *testing.T) {
-	k, s := newSysPair(t)
+	k, s, dataFrames := newSysPairFrames(t)
 	pid, _ := s.Spawn("mapper")
 	su := NewSys(pid, s.h)
 	// Sys.MMap without frames fails EINVAL (core provides frames); the
@@ -161,7 +167,7 @@ func TestMMapThroughSys(t *testing.T) {
 	if _, e := su.MMap(mmu.L1PageSize); e != EINVAL {
 		t.Fatalf("frameless mmap: %v", e)
 	}
-	frames := testFrames(k, 1)
+	frames := dataFrames.take(1)
 	resp := k.DispatchWrite(WriteOp{Num: NumMMap, PID: pid, Size: mmu.L1PageSize, Frames: frames})
 	if resp.Errno != EOK {
 		t.Fatal(resp.Errno)
@@ -183,11 +189,11 @@ func TestMMapThroughSys(t *testing.T) {
 }
 
 func TestUserMemoryIsolation(t *testing.T) {
-	k, s := newSysPair(t)
+	k, s, dataFrames := newSysPairFrames(t)
 	p1, _ := s.Spawn("a")
 	p2, _ := s.Spawn("b")
-	f1 := testFrames(k, 1)
-	f2 := testFrames(k, 1)
+	f1 := dataFrames.take(1)
+	f2 := dataFrames.take(1)
 	r1 := k.DispatchWrite(WriteOp{Num: NumMMap, PID: p1, Size: mmu.L1PageSize, Frames: f1})
 	r2 := k.DispatchWrite(WriteOp{Num: NumMMap, PID: p2, Size: mmu.L1PageSize, Frames: f2})
 	if r1.Errno != EOK || r2.Errno != EOK {
@@ -278,11 +284,17 @@ func TestErrnoStrings(t *testing.T) {
 	}
 }
 
+// TestObligationsAllPass discharges module sys on four verifier workers,
+// a few times over. The mmap VCs used to bump a package-level map keyed
+// by kernel from their checks — a concurrent map write as soon as two of
+// them land on different workers — so CI also runs this under -race.
 func TestObligationsAllPass(t *testing.T) {
-	g := &verifier.Registry{}
-	RegisterObligations(g)
-	rep := g.Run(verifier.Options{Seed: 61})
-	for _, f := range rep.Failed() {
-		t.Errorf("VC %s failed: %v", f.Obligation.ID(), f.Err)
+	for seed := int64(61); seed < 69; seed++ {
+		g := &verifier.Registry{}
+		RegisterObligations(g)
+		rep := g.Run(verifier.Options{Seed: seed, Jobs: 4})
+		for _, f := range rep.Failed() {
+			t.Errorf("seed %d: VC %s failed: %v", seed, f.Obligation.ID(), f.Err)
+		}
 	}
 }

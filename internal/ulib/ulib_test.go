@@ -331,13 +331,20 @@ func TestMutexUnlockOfUnlocked(t *testing.T) {
 }
 
 func TestObligationsAllPass(t *testing.T) {
-	g := &verifier.Registry{}
-	core.RegisterAllObligations(g)
-	rep := g.Run(verifier.Options{Seed: 71, Module: "ulib"})
-	for _, f := range rep.Failed() {
-		t.Errorf("VC %s failed: %v", f.Obligation.ID(), f.Err)
-	}
-	if len(rep.Results) < 5 {
-		t.Fatalf("only %d ulib VCs ran", len(rep.Results))
+	// On the second seed stdio-equals-direct-syscalls draws `seek 88;
+	// read; write 0 bytes; seek 34; read 25`: while fs let a zero-length
+	// write past EOF grow the file, the direct descriptor read 25 zero
+	// bytes where the buffered one (which never flushes an empty buffer)
+	// read EOF.
+	for _, seed := range []int64{71, 1835415043962272479} {
+		g := &verifier.Registry{}
+		core.RegisterAllObligations(g)
+		rep := g.Run(verifier.Options{Seed: seed, Module: "ulib"})
+		for _, f := range rep.Failed() {
+			t.Errorf("seed %d: VC %s failed: %v", seed, f.Obligation.ID(), f.Err)
+		}
+		if len(rep.Results) < 5 {
+			t.Fatalf("seed %d: only %d ulib VCs ran", seed, len(rep.Results))
+		}
 	}
 }
