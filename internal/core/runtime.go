@@ -84,9 +84,12 @@ func (s *System) Init() (*sys.Sys, error) {
 	return sh, nil
 }
 
-// replicaViewer adapts one replica's view() for the contract checker.
-// The snapshot syncs the replica to the log tail first, so pre/post
-// views bracket the checked syscall exactly.
+// replicaViewer adapts one replica's view() for the two contract checks
+// that bracket a window with a view pair — a drained batch and Pread;
+// Read, Write and Seek are checked against a witness taken in the apply
+// instead. Each view syncs the replica to the log tail first, so the
+// pair brackets everything the window's crossing applied, and is an O(1)
+// immutable snapshot (fs.AbstractFDs / FS.Contents).
 type replicaViewer struct {
 	s    *System
 	core int

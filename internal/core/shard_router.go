@@ -37,6 +37,10 @@ import (
 //     absolute offset. A locked descriptor makes concurrent syscalls
 //     retry (EAGAIN from the shard, spun here with Gosched), which is
 //     the sharded equivalent of the monolithic combiner's serialization.
+//   - Seek: SeekSet/SeekCur are one proc-shard transition that refuses a
+//     locked descriptor (retried like fdLock); SeekEnd locks the
+//     descriptor, reads the owner's size, and publishes size+off at
+//     unlock — so no seek lands inside a read or write protocol.
 //   - Append: the owner shard resolves EOF at apply time (NumFsWriteAt
 //     reads its own authoritative size), so two appends racing through
 //     different descriptors still serialize on the owner's log.
@@ -283,8 +287,10 @@ func (h *handler) fdLock(procShard int, pid proc.PID, fd fs.FD) sys.Resp {
 	}
 }
 
-func (h *handler) fdUnlock(procShard int, pid proc.PID, fd fs.FD, off uint64) {
-	_ = h.procExecOn(procShard, sys.WriteOp{Num: sys.NumFDUnlock, PID: pid, FD: fd, Len: off})
+// fdUnlock releases the descriptor, publishing off as its offset, and
+// returns the offset the proc shard stored.
+func (h *handler) fdUnlock(procShard int, pid proc.PID, fd fs.FD, off uint64) uint64 {
+	return h.procExecOn(procShard, sys.WriteOp{Num: sys.NumFDUnlock, PID: pid, FD: fd, Len: off}).Off
 }
 
 // shardOpen: flags check (pure), descriptor-table existence (proc
@@ -338,26 +344,53 @@ func (h *handler) shardOpen(op sys.WriteOp) sys.Resp {
 	return h.procExecOn(ps, sys.WriteOp{Num: sys.NumFDOpen, PID: op.PID, Ino: ino, Flags: op.Flags})
 }
 
+// composeWitness attaches the sharded kernel's witness to r when op
+// asks for one. The descriptor's scalars come from the fd-lock step lk
+// and the offset the unlock step stored (postOff, as fdUnlock returns
+// it); the contents pair comes from the owner shard's apply (cw, nil
+// when the protocol never reached the owner). The halves are adjacent
+// states of one descriptor because it stays locked from lk to the
+// unlock: no other read, write or seek can move its offset in between,
+// and the contents pair brackets exactly the data transition. A failed
+// fd-lock means the descriptor is absent on both sides.
+func composeWitness(op sys.WriteOp, lk sys.Resp, cw *sys.Witness, postOff uint64, r sys.Resp) sys.Resp {
+	if !op.Witness {
+		return r
+	}
+	w := &sys.Witness{}
+	if lk.Errno == sys.EOK {
+		f := fs.SpecFile{Offset: lk.Off, Append: lk.Val&fs.OAppend != 0, Ino: lk.Ino}
+		w.Pre, w.Post = f, f
+		w.PreOK, w.PostOK = true, true
+		w.Post.Offset = postOff
+		if cw != nil {
+			w.Pre.Contents, w.Post.Contents = cw.Pre.Contents, cw.Post.Contents
+		}
+	}
+	r.Witness = w
+	return r
+}
+
 // shardReadData: NumRead = FDLock → owner ReadAt → FDUnlock(new offset).
 func (h *handler) shardReadData(op sys.WriteOp) sys.Resp {
 	s := h.s
 	ps := s.ProcShardOf(op.PID)
 	lk := h.fdLock(ps, op.PID, op.FD)
 	if lk.Errno != sys.EOK {
-		return lk
+		return composeWitness(op, lk, nil, 0, lk)
 	}
 	ino, off, flags := lk.Ino, lk.Off, int(lk.Val)
 	if flags&fs.OWrOnly != 0 {
-		h.fdUnlock(ps, op.PID, op.FD, off)
-		return sys.Resp{Errno: sys.EPERM}
+		return composeWitness(op, lk, nil, h.fdUnlock(ps, op.PID, op.FD, off), sys.Resp{Errno: sys.EPERM})
 	}
-	r := h.fsReadOn(s.FsShardOf(ino), sys.ReadOp{Num: sys.NumFsReadAt, PID: op.PID, Ino: ino, Off: off, Len: op.Len})
+	r := h.fsReadOn(s.FsShardOf(ino), sys.ReadOp{
+		Num: sys.NumFsReadAt, PID: op.PID, Ino: ino, Off: off, Len: op.Len, Witness: op.Witness,
+	})
 	if r.Errno != sys.EOK {
-		h.fdUnlock(ps, op.PID, op.FD, off)
-		return r
+		return composeWitness(op, lk, r.Witness, h.fdUnlock(ps, op.PID, op.FD, off), sys.Resp{Errno: r.Errno})
 	}
-	h.fdUnlock(ps, op.PID, op.FD, off+r.Val)
-	return sys.Resp{Errno: sys.EOK, Val: r.Val, Data: r.Data}
+	return composeWitness(op, lk, r.Witness, h.fdUnlock(ps, op.PID, op.FD, off+r.Val),
+		sys.Resp{Errno: sys.EOK, Val: r.Val, Data: r.Data})
 }
 
 // shardWriteData: NumWrite = FDLock → owner WriteAt (append-aware) →
@@ -367,46 +400,57 @@ func (h *handler) shardWriteData(op sys.WriteOp) sys.Resp {
 	ps := s.ProcShardOf(op.PID)
 	lk := h.fdLock(ps, op.PID, op.FD)
 	if lk.Errno != sys.EOK {
-		return lk
+		return composeWitness(op, lk, nil, 0, lk)
 	}
 	ino, off, flags := lk.Ino, lk.Off, int(lk.Val)
 	if flags&(fs.OWrOnly|fs.ORdWr|fs.OAppend) == 0 {
-		h.fdUnlock(ps, op.PID, op.FD, off)
-		return sys.Resp{Errno: sys.EPERM}
+		return composeWitness(op, lk, nil, h.fdUnlock(ps, op.PID, op.FD, off), sys.Resp{Errno: sys.EPERM})
 	}
 	w := h.fsExecOn(s.FsShardOf(ino), sys.WriteOp{
 		Num: sys.NumFsWriteAt, PID: op.PID, Ino: ino,
-		Off: int64(off), Flags: uint64(flags), Data: op.Data,
+		Off: int64(off), Flags: uint64(flags), Data: op.Data, Witness: op.Witness,
 	})
 	if w.Errno != sys.EOK {
-		h.fdUnlock(ps, op.PID, op.FD, off)
-		return w
+		return composeWitness(op, lk, w.Witness, h.fdUnlock(ps, op.PID, op.FD, off), sys.Resp{Errno: w.Errno})
 	}
-	h.fdUnlock(ps, op.PID, op.FD, w.Off)
-	return sys.Resp{Errno: sys.EOK, Val: w.Val}
+	return composeWitness(op, lk, w.Witness, h.fdUnlock(ps, op.PID, op.FD, w.Off), sys.Resp{Errno: sys.EOK, Val: w.Val})
 }
 
-// shardSeek: SeekEnd prefetches the owner's size; the proc shard then
-// revalidates the descriptor and repositions atomically.
+// shardSeek: SeekSet/SeekCur are one transition on the proc shard, which
+// refuses a locked descriptor (retried here, like fdLock) so a seek
+// never lands inside another handle's read or write protocol. SeekEnd
+// needs the owner's size, so it takes the descriptor like a data op:
+// FDLock → owner stat → FDUnlock(size + off).
 func (h *handler) shardSeek(op sys.WriteOp) sys.Resp {
 	s := h.s
 	ps := s.ProcShardOf(op.PID)
-	var size uint64
-	if op.Whence == fs.SeekEnd {
-		g := h.procReadOn(ps, sys.ReadOp{Num: sys.NumFDGet, PID: op.PID, FD: op.FD})
-		if g.Errno != sys.EOK {
-			return g
+	if op.Whence != fs.SeekEnd {
+		for {
+			r := h.procExecOn(ps, sys.WriteOp{
+				Num: sys.NumFDSeek, PID: op.PID, FD: op.FD,
+				Whence: op.Whence, Off: op.Off, Witness: op.Witness,
+			})
+			if r.Errno != sys.EAGAIN {
+				return r
+			}
+			runtime.Gosched()
 		}
-		st := h.fsReadOn(s.FsShardOf(g.Ino), sys.ReadOp{Num: sys.NumFsStatIno, PID: op.PID, Ino: g.Ino})
-		if st.Errno != sys.EOK {
-			return st
-		}
-		size = st.Val
 	}
-	return h.procExecOn(ps, sys.WriteOp{
-		Num: sys.NumFDSeek, PID: op.PID, FD: op.FD,
-		Whence: op.Whence, Off: op.Off, Size: size,
+	lk := h.fdLock(ps, op.PID, op.FD)
+	if lk.Errno != sys.EOK {
+		return composeWitness(op, lk, nil, 0, lk)
+	}
+	st := h.fsReadOn(s.FsShardOf(lk.Ino), sys.ReadOp{
+		Num: sys.NumFsStatIno, PID: op.PID, Ino: lk.Ino, Witness: op.Witness,
 	})
+	n := int64(st.Val) + op.Off
+	if st.Errno != sys.EOK || n < 0 {
+		if st.Errno == sys.EOK {
+			st.Errno = sys.EINVAL
+		}
+		return composeWitness(op, lk, st.Witness, h.fdUnlock(ps, op.PID, op.FD, lk.Off), sys.Resp{Errno: st.Errno})
+	}
+	return composeWitness(op, lk, st.Witness, h.fdUnlock(ps, op.PID, op.FD, uint64(n)), sys.Resp{Errno: sys.EOK, Val: uint64(n)})
 }
 
 // shardTruncate: resolve the descriptor's inode, truncate on the owner.

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/verified-os/vnros/internal/dev"
 	"github.com/verified-os/vnros/internal/fs"
@@ -540,7 +541,15 @@ type handler struct {
 	// cross-shard protocols through these under ctxMu.
 	procCtx *nr.ShardedThread[sys.ReadOp, sys.WriteOp, sys.Resp]
 	fsCtx   *nr.ShardedThread[sys.ReadOp, sys.WriteOp, sys.Resp]
+
+	// witness is the last witnessed op's Resp.Witness, kept for the one
+	// Sys handle this handler serves: it points into kernel memory, so it
+	// does not cross the boundary as bytes (TakeWitness).
+	witness atomic.Pointer[sys.Witness]
 }
+
+// TakeWitness implements sys.Witnesser.
+func (h *handler) TakeWitness() *sys.Witness { return h.witness.Swap(nil) }
 
 func (h *handler) execute(op sys.WriteOp) sys.Resp {
 	h.ctxMu.Lock()
@@ -639,7 +648,11 @@ func (h *handler) syscall(frame marshal.SyscallFrame, payload []byte) (marshal.R
 		return sys.EncodeResp(h.preadUnmap(op))
 	}
 	if s.sharded() {
-		return sys.EncodeResp(h.shardWriteSyscall(op))
+		resp := h.shardWriteSyscall(op)
+		if op.Witness {
+			h.witness.Store(resp.Witness)
+		}
+		return sys.EncodeResp(resp)
 	}
 
 	// mmap: attach data frames from the shared pool before logging, so
@@ -661,6 +674,9 @@ func (h *handler) syscall(frame marshal.SyscallFrame, payload []byte) (marshal.R
 	}
 
 	resp := h.execute(op)
+	if op.Witness {
+		h.witness.Store(resp.Witness)
+	}
 	// munmap/exit return the data frames they released; give them back
 	// to the shared pool exactly once (here, on the calling path).
 	// Cache-owned frames behind pread mappings come back separately in

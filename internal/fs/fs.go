@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"github.com/verified-os/vnros/internal/obs"
 )
@@ -61,6 +62,30 @@ type Inode struct {
 	Data     []byte         // file contents
 	Children map[string]Ino // directory entries
 	Nlink    int
+
+	// shared is set once Data's backing array has been handed out as a
+	// view (AbstractFDs, AbstractFD, Contents): from then on the array is
+	// immutable, and WriteAt's overwrite branch clones before mutating.
+	// Views are taken under the replica read lock, possibly by several
+	// readers at once, hence atomic; only a mutator (replica write lock)
+	// clears it, when it installs a fresh array no view aliases.
+	shared atomic.Bool
+}
+
+// view returns the file's contents as an immutable snapshot: the Data
+// slice itself, zero copy, with the inode marked shared so no later
+// mutation writes through it.
+func (n *Inode) view() []byte {
+	if len(n.Data) > 0 && !n.shared.Load() {
+		n.shared.Store(true)
+	}
+	return n.Data
+}
+
+// setData installs a freshly allocated array as the file's contents.
+func (n *Inode) setData(fresh []byte) {
+	n.Data = fresh
+	n.shared.Store(false)
 }
 
 // FS is the filesystem state. It is a sequential structure: no internal
@@ -462,10 +487,18 @@ func (f *FS) WriteAt(ino Ino, off uint64, p []byte) (int, error) {
 	}
 	oldSize := uint64(len(n.Data))
 	end := off + uint64(len(p))
-	if end > oldSize {
+	switch {
+	case end > oldSize:
 		grown := make([]byte, end)
 		copy(grown, n.Data)
-		n.Data = grown
+		n.setData(grown)
+	case n.shared.Load():
+		// Copy-on-write: a view aliases this array, so the overwrite goes
+		// to a private clone — the pre-image write_spec's frame clause
+		// compares against stays intact in every view that holds it.
+		n.setData(append([]byte(nil), n.Data...))
+		obs.FSCowClones.Add(f.obsShard, 1)
+		obs.FSCowCloneBytes.Add(f.obsShard, oldSize)
 	}
 	copy(n.Data[off:end], p)
 	obs.FSWriteLatency.Since(f.obsShard, t0)
@@ -494,11 +527,14 @@ func (f *FS) Truncate(ino Ino, size uint64) error {
 	oldSize := uint64(len(n.Data))
 	switch {
 	case size < oldSize:
+		// Reslice only: a view keeps its own longer header over the same
+		// array, and shared stays set so a later overwrite inside the old
+		// capacity still clones.
 		n.Data = n.Data[:size]
 	case size > oldSize:
 		grown := make([]byte, size)
 		copy(grown, n.Data)
-		n.Data = grown
+		n.setData(grown)
 	}
 	f.record(Mutation{Kind: MutTruncate, Ino: ino, Size: size})
 	if size != oldSize {

@@ -14,6 +14,7 @@ import (
 func RegisterObligations(g *verifier.Registry) {
 	registerMoreObligations(g)
 	registerEvenMoreObligations(g)
+	registerViewObligations(g)
 	g.Register(
 		verifier.Obligation{Module: "fs", Name: "read-spec-refinement", Kind: verifier.KindRefinement,
 			Check: func(r *rand.Rand) error { return checkRWSpecTrace(r, 600) }},

@@ -225,20 +225,36 @@ func SeekSpec(pre, post SpecState, fd FD, off int64, whence int, result uint64) 
 }
 
 // AbstractFDs computes the abstraction of an FDTable: the paper's
-// `view()` function from runtime values to the mathematical State.
+// `view()` function from runtime values to the mathematical State. The
+// view is an immutable snapshot at zero copy: Contents is the inode's
+// own array, marked shared so the filesystem never writes through it
+// again (see Inode.view). Callers must not write through it either.
 func AbstractFDs(t *FDTable) SpecState {
 	out := SpecState{Files: make(map[FD]SpecFile, len(t.open))}
 	for fd, of := range t.open {
-		n := t.fs.inodes[of.Ino]
-		var contents []byte
-		if n != nil {
-			contents = make([]byte, len(n.Data))
-			copy(contents, n.Data)
-		}
-		out.Files[fd] = SpecFile{Contents: contents, Offset: of.Offset, Locked: of.Locked,
-			Append: of.Flags&OAppend != 0, Ino: of.Ino}
+		out.Files[fd] = t.abstract(of)
 	}
 	return out
+}
+
+// AbstractFD is view() restricted to one descriptor — what a single
+// read/write/seek transition can observe or change — or ok=false if fd
+// is not open.
+func AbstractFD(t *FDTable, fd FD) (SpecFile, bool) {
+	of := t.open[fd]
+	if of == nil {
+		return SpecFile{}, false
+	}
+	return t.abstract(of), true
+}
+
+func (t *FDTable) abstract(of *OpenFile) SpecFile {
+	var contents []byte
+	if n := t.fs.inodes[of.Ino]; n != nil {
+		contents = n.view()
+	}
+	return SpecFile{Contents: contents, Offset: of.Offset, Locked: of.Locked,
+		Append: of.Flags&OAppend != 0, Ino: of.Ino}
 }
 
 func min64(a, b uint64) uint64 {

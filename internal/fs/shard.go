@@ -29,16 +29,15 @@ func (t *FDTable) Snapshot() map[FD]OpenFile {
 	return out
 }
 
-// Contents returns a copy of a file's data, or ok=false if the inode
-// does not exist.
+// Contents returns a file's data as an immutable zero-copy snapshot
+// (see Inode.view; callers must not write through it), or ok=false if
+// the inode does not exist.
 func (f *FS) Contents(ino Ino) ([]byte, bool) {
 	n := f.inodes[ino]
 	if n == nil {
 		return nil, false
 	}
-	out := make([]byte, len(n.Data))
-	copy(out, n.Data)
-	return out, true
+	return n.view(), true
 }
 
 // InodesWithData lists the inodes holding file contents — on a

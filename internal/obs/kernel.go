@@ -55,6 +55,16 @@ var (
 	FSReadLatency  = NewHist("fs.read_latency", UnitNanos)
 	FSWriteLatency = NewHist("fs.write_latency", UnitNanos)
 	FSMetaOps      = NewCounter("fs.meta_ops") // create/unlink/mkdir/rmdir/link/rename
+	// Copy-on-write file contents: an overwrite that follows a view()
+	// clones the file once (the one copy the zero-copy views leave).
+	FSCowClones     = NewCounter("fs.cow_clones")
+	FSCowCloneBytes = NewCounter("fs.cow_clone_bytes")
+
+	// §3 contract checker (internal/sys), striped by the handle's core:
+	// per-call transitions checked against a witness captured in the
+	// apply, and violations recorded on any checked path.
+	ContractWitnessed  = NewCounter("sys.contract.witnessed")
+	ContractViolations = NewCounter("sys.contract.violations")
 
 	// Page cache (internal/pcache), striped by fs shard. Hits are served
 	// lock-free under an epoch pin; misses fall through to the

@@ -90,7 +90,7 @@ func EncodeWrite(op WriteOp) (marshal.SyscallFrame, []byte) {
 // encoders can be presized (exact for the fixed fields, exact for the
 // variable ones).
 func writeTailSize(op *WriteOp) int {
-	return 76 + // fixed-width fields
+	return 77 + // fixed-width fields
 		4 + len(op.Path) + 4 + len(op.Path2) + 4 + len(op.Name) +
 		4 + len(op.Data) + 8*len(op.Frames)
 }
@@ -120,6 +120,7 @@ func encodeWriteTail(e *marshal.Encoder, op *WriteOp) {
 	for _, f := range op.Frames {
 		e.U64(uint64(f))
 	}
+	e.Bool(op.Witness)
 }
 
 // decodeWriteTail is the inverse of encodeWriteTail. It does not call
@@ -145,6 +146,7 @@ func decodeWriteTail(d *marshal.Decoder, op *WriteOp) {
 	for i := uint32(0); i < n && d.Err() == nil; i++ {
 		op.Frames = append(op.Frames, mem.PAddr(d.U64()))
 	}
+	op.Witness = d.Bool()
 }
 
 // DecodeWrite unpacks a WriteOp on the kernel side.

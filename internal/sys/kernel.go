@@ -113,6 +113,47 @@ func (k *Kernel) fdTable(pid proc.PID) (*fs.FDTable, Errno) {
 // counts is exactly the replication amplification.
 func (k *Kernel) DispatchWrite(op WriteOp) Resp {
 	obs.KernelApplies.Count(op.Num, k.obsShard)
+	if op.Witness {
+		return k.witnessed(op)
+	}
+	return k.dispatchWrite(op)
+}
+
+// witnessed applies a transition with its §3 abstraction captured on
+// both sides, here inside the apply: no other operation on this replica
+// can land between Pre and Post. Only the ops a per-call contract check
+// is built from carry a witness — read, write, seek; on the sharded
+// kernel NumFDSeek (descriptor scalars, proc shard) and NumFsWriteAt
+// (the contents pair, owner shard), which core's router composes. The
+// bit is ignored on anything else.
+func (k *Kernel) witnessed(op WriteOp) Resp {
+	var view func() (fs.SpecFile, bool)
+	switch op.Num {
+	case NumRead, NumWrite, NumSeek, NumFDSeek:
+		view = func() (fs.SpecFile, bool) {
+			t := k.fds[op.PID]
+			if t == nil {
+				return fs.SpecFile{}, false
+			}
+			return fs.AbstractFD(t, op.FD)
+		}
+	case NumFsWriteAt:
+		view = func() (fs.SpecFile, bool) {
+			c, ok := k.fs.Contents(op.Ino)
+			return fs.SpecFile{Contents: c}, ok
+		}
+	default:
+		return k.dispatchWrite(op)
+	}
+	w := &Witness{}
+	w.Pre, w.PreOK = view()
+	r := k.dispatchWrite(op)
+	w.Post, w.PostOK = view()
+	r.Witness = w
+	return r
+}
+
+func (k *Kernel) dispatchWrite(op WriteOp) Resp {
 	switch op.Num {
 	case NumOpen:
 		// Re-validate the flag set kernel-side: Sys.Open already rejects

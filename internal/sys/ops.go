@@ -1,6 +1,7 @@
 package sys
 
 import (
+	"bytes"
 	"fmt"
 
 	"github.com/verified-os/vnros/internal/fs"
@@ -101,7 +102,7 @@ const (
 	NumFDOpen   // install a descriptor for a resolved inode (Ino, Flags)
 	NumFDLock   // lock fd for a data op; returns Ino/Offset/Flags
 	NumFDUnlock // unlock fd, setting the absolute offset from Len
-	NumFDSeek   // reposition offset; SeekEnd base prefetched in Size
+	NumFDSeek   // reposition offset (SeekSet/SeekCur); EAGAIN while locked
 
 	// Process-tree ops (pinned to process shard 0) and per-process
 	// resource ops (process shard owning the PID).
@@ -248,7 +249,13 @@ type WriteOp struct {
 	Sock uint64
 	Addr uint64
 	Port uint16
-	Word uint32
+	// Witness asks the kernel to capture the descriptor's §3 abstraction
+	// on both sides of this transition, inside the apply, and return it
+	// in Resp.Witness. Set by a contract-checked Sys.Read/Write/Seek; one
+	// bit on the wire. (It sits in Port's padding: every logged entry is
+	// a WriteOp, and the op must not grow for a bit.)
+	Witness bool
+	Word    uint32
 
 	// Ino addresses an inode directly — internal cross-shard ops only
 	// (the wire codec never carries it; internal ops never cross the
@@ -274,6 +281,55 @@ type ReadOp struct {
 	// Internal cross-shard read ops only (never marshalled).
 	Ino  fs.Ino
 	Sock uint64
+	// Witness on NumFsReadAt/NumFsStatIno returns the inode's contents
+	// snapshot beside the result (the owner shard's half of a witness).
+	Witness bool
+}
+
+// Witness is the §3 abstraction of the one descriptor a checked
+// read/write/seek names, on either side of that transition. The kernel
+// captures it inside the apply — under the same exclusion that makes the
+// transition atomic — so Pre and Post are adjacent states by
+// construction, however many handles share the process. Contents are
+// zero-copy snapshots (fs.AbstractFD); PreOK/PostOK say whether the
+// descriptor was open in that state.
+type Witness struct {
+	Pre, Post     fs.SpecFile
+	PreOK, PostOK bool
+}
+
+// States lifts the witness to the one-descriptor pre and post states
+// the fs spec relations take.
+func (w *Witness) States(fd fs.FD) (pre, post fs.SpecState) {
+	pre.Files = make(map[fs.FD]fs.SpecFile, 1)
+	post.Files = make(map[fs.FD]fs.SpecFile, 1)
+	if w.PreOK {
+		pre.Files[fd] = w.Pre
+	}
+	if w.PostOK {
+		post.Files[fd] = w.Post
+	}
+	return pre, post
+}
+
+// Unchanged is the contract of a failed transition: the descriptor is
+// exactly as it was — open or not, offset, lock, size and contents.
+// Equal snapshots share one array, so the contents clause is a pointer
+// comparison in the common case.
+func (w *Witness) Unchanged() error {
+	switch {
+	case w.PreOK != w.PostOK:
+		return fmt.Errorf("descriptor open %v -> %v", w.PreOK, w.PostOK)
+	case w.Pre.Offset != w.Post.Offset:
+		return fmt.Errorf("offset moved %d -> %d", w.Pre.Offset, w.Post.Offset)
+	case w.Pre.Locked != w.Post.Locked:
+		return fmt.Errorf("lock state changed %v -> %v", w.Pre.Locked, w.Post.Locked)
+	case w.Pre.Size() != w.Post.Size():
+		return fmt.Errorf("size changed %d -> %d", w.Pre.Size(), w.Post.Size())
+	case !bytes.Equal(w.Pre.Contents, w.Post.Contents):
+		return fmt.Errorf("contents changed")
+	}
+	return nil
 }
 
 // Resp is the kernel response for either kind.
@@ -307,6 +363,11 @@ type Resp struct {
 	// here would free memory the cache still serves reads from. Never
 	// marshalled: mapping teardown is core-internal.
 	Unpinned []mem.PAddr
+
+	// Witness answers WriteOp.Witness. Never marshalled — its contents
+	// are snapshots of kernel memory, not bytes to copy: the handler keeps
+	// it for its handle and Sys takes it through Witnesser.
+	Witness *Witness
 }
 
 // ok returns a success response with a value.

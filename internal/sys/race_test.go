@@ -24,6 +24,13 @@ func (l *lockedHandler) Syscall(frame marshal.SyscallFrame, payload []byte) (mar
 	return l.h.Syscall(frame, payload)
 }
 
+// TakeWitness implements Witnesser under the same lock.
+func (l *lockedHandler) TakeWitness() *Witness {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.h.TakeWitness()
+}
+
 // ViewFDs implements Viewer under the same lock, mirroring how core's
 // replicaViewer snapshots through Replica.Inspect (which holds the
 // replica read lock against the combiner).

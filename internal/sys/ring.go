@@ -14,10 +14,12 @@ import (
 // NR combiner round (one log reservation, one combine pass), and the
 // completions come back as an ordered completion queue.
 //
-// Contract checking stays on: instead of two view() snapshots per call,
-// the batch takes one pre and one post snapshot and *replays* the §3
-// spec relations op by op against a model it evolves from the pre view
-// — each ReadSpec/WriteSpec/SeekSpec is checked against the model's
+// Contract checking stays on. A scalar Read/Write/Seek is one transition
+// and is checked against a witness captured in its apply (sys.go); a
+// batch is a window of transitions, so it brackets the crossing with one
+// pre and one post view() — O(1) immutable snapshots — and *replays* the
+// §3 spec relations op by op against a model it evolves from the pre
+// view: each ReadSpec/WriteSpec/SeekSpec is checked against the model's
 // rolling state, and the model's endpoint must coincide with the real
 // post view. See checkBatch for the precise argument and its two
 // documented degradations.
@@ -160,9 +162,10 @@ func BatchCompletion(op WriteOp, r Resp) Completion {
 // most ringChunk ops through here.
 //
 // The chunk's contract check snapshots the process view once around the
-// whole segment, so — like the per-call checker — it assumes no
-// concurrent syscall on the same process mutates the descriptors the
-// segment touches while it is in flight.
+// whole segment, so — unlike the per-call checker, whose witness is
+// taken inside the apply — it assumes no concurrent syscall mutates the
+// descriptors or files the segment touches while it is in flight: the
+// client-side data-race-freedom obligation for a batch.
 func (s *Sys) submitChunk(ops []Op) ([]Completion, Errno) {
 	ws := make([]WriteOp, len(ops))
 	for i, op := range ops {

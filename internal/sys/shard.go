@@ -121,7 +121,9 @@ func (k *Kernel) dispatchShardWrite(op WriteOp) Resp {
 		}
 		of.Offset = op.Len
 		of.Locked = false
-		return ok(0)
+		// Off is the offset as stored — the post-state half of a composed
+		// witness, read back inside this apply.
+		return Resp{Errno: EOK, Off: of.Offset}
 
 	case NumFDSeek:
 		t, e := k.fdTable(op.PID)
@@ -132,15 +134,21 @@ func (k *Kernel) dispatchShardWrite(op WriteOp) Resp {
 		if err != nil {
 			return fail(err)
 		}
+		if of.Locked {
+			// A read or write protocol holds the descriptor and will
+			// publish its own offset at unlock; repositioning now would be
+			// overwritten. The router retries, like NumFDLock.
+			return Resp{Errno: EAGAIN}
+		}
 		var base uint64
 		switch op.Whence {
 		case fs.SeekSet:
 			base = 0
 		case fs.SeekCur:
 			base = of.Offset
-		case fs.SeekEnd:
-			base = op.Size // prefetched from the data owner by the router
 		default:
+			// SeekEnd needs the owner shard's size: the router composes it
+			// as lock → stat → unlock instead (shardSeek).
 			return fail(fs.ErrInval)
 		}
 		n := int64(base) + op.Off
@@ -300,6 +308,19 @@ func (k *Kernel) SnapshotFDs(pid proc.PID) (map[fs.FD]fs.OpenFile, bool) {
 	return t.Snapshot(), true
 }
 
+// contentsWitness attaches the owner shard's half of a read or seek
+// witness to r when op asks for one: the inode's contents as of this
+// read, the same snapshot on both sides (a read changes nothing).
+func (k *Kernel) contentsWitness(op ReadOp, r Resp) Resp {
+	if op.Witness {
+		w := &Witness{}
+		w.Pre.Contents, w.PreOK = k.fs.Contents(op.Ino)
+		w.Post.Contents, w.PostOK = w.Pre.Contents, w.PreOK
+		r.Witness = w
+	}
+	return r
+}
+
 // dispatchShardRead serves the internal read-only protocol ops
 // (DispatchRead's default arm).
 func (k *Kernel) dispatchShardRead(op ReadOp) Resp {
@@ -325,17 +346,17 @@ func (k *Kernel) dispatchShardRead(op ReadOp) Resp {
 	case NumFsStatIno:
 		st, err := k.fs.StatIno(op.Ino)
 		if err != nil {
-			return fail(err)
+			return k.contentsWitness(op, fail(err))
 		}
-		return Resp{Errno: EOK, Stat: st, Val: st.Size}
+		return k.contentsWitness(op, Resp{Errno: EOK, Stat: st, Val: st.Size})
 
 	case NumFsReadAt:
 		buf := make([]byte, op.Len)
 		n, err := k.fs.ReadAt(op.Ino, op.Off, buf)
 		if err != nil {
-			return fail(err)
+			return k.contentsWitness(op, fail(err))
 		}
-		return Resp{Errno: EOK, Val: uint64(n), Data: buf[:n]}
+		return k.contentsWitness(op, Resp{Errno: EOK, Val: uint64(n), Data: buf[:n]})
 
 	case NumProcHasTable:
 		if _, ok := k.fds[op.PID]; !ok {

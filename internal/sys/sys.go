@@ -1,12 +1,14 @@
 package sys
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
 	"github.com/verified-os/vnros/internal/fs"
 	"github.com/verified-os/vnros/internal/hw/mmu"
 	"github.com/verified-os/vnros/internal/marshal"
+	"github.com/verified-os/vnros/internal/obs"
 	"github.com/verified-os/vnros/internal/proc"
 )
 
@@ -17,10 +19,21 @@ type Handler interface {
 	Syscall(frame marshal.SyscallFrame, payload []byte) (marshal.RetFrame, []byte)
 }
 
-// Viewer exposes the kernel's view() abstraction for contract checking
-// (the paper's sys.view()); implemented by the kernel.
+// Viewer exposes the kernel's view() abstraction (the paper's
+// sys.view()) for the two contract checks that span a window rather than
+// one transition: a drained batch (checkBatch) and Pread. Views are O(1)
+// immutable snapshots (fs.AbstractFDs).
 type Viewer interface {
 	ViewFDs(pid proc.PID) (fs.SpecState, bool)
+}
+
+// Witnesser is implemented by handlers that can hand over the witness
+// of the op they just served (Resp.Witness travels unmarshalled: it is a
+// snapshot of kernel memory, not bytes). Read, Write and Seek are
+// checked against it.
+type Witnesser interface {
+	// TakeWitness returns and clears the last witnessed op's witness.
+	TakeWitness() *Witness
 }
 
 // Sys is the user-space handle encapsulating the syscall interface —
@@ -29,24 +42,32 @@ type Viewer interface {
 // every file syscall is checked against its spec relation, making the
 // paper's `ensures` clauses executable.
 //
+// What is captured where: a checked Read, Write or Seek sets
+// WriteOp.Witness, and the kernel captures the descriptor's abstraction
+// on both sides of the transition inside the apply (Kernel.witnessed; on
+// the sharded kernel composed across the fd lock, see core's
+// composeWitness). The spec relation is evaluated here, over that pair
+// and the buffer the caller received — one crossing, and pre and post
+// are adjacent however many handles or processes run beside this one.
+// A batch and Pread are windows, not single transitions: they bracket
+// the crossing with two Viewer snapshots instead.
+//
 // One handle is one thread of control. The paper's Sys methods take
-// `&mut self`, so two calls on one handle can never overlap and a
-// spec's pre and post states are adjacent by construction. Go cannot
-// say that statically, so the handle enforces it where the contract
-// depends on it: Read, Write, Seek and Pread hold the handle across
-// pre view → syscall → post view, and calls from other goroutines on the
-// same handle queue behind it. They hold it with the contract off too,
-// or a call that started unchecked would land between the views of the
-// first checked one after EnableContract. Two *handles* for one PID can
-// still interleave between each other's views; closing that is the
-// ROADMAP item "capture views at the linearization point".
+// `&mut self`, so two calls on one handle can never overlap. Go cannot
+// say that statically, so Read, Write, Seek and Pread hold the handle
+// for the whole call: the handler keeps one witness per handle, and
+// Pread's two views must not bracket a sibling call's offset change.
+// They hold it with the contract off too, so a call that started
+// unchecked cannot overlap the first checked one after EnableContract.
 type Sys struct {
 	pid proc.PID
 	h   Handler
+	// wit is h when it can witness (nil otherwise).
+	wit Witnesser
 
 	// core is the core the handle's kernel handler is pinned to (0 when
-	// the handler doesn't expose one) — the stripe for ring obs counters
-	// and the documentation of the per-core ring placement.
+	// the handler doesn't expose one) — the stripe for ring and contract
+	// obs counters and the documentation of the per-core ring placement.
 	core uint32
 	// ring is this handle's submission ring (see submit.go). The handler
 	// pins the handle to one core, so this is the per-core ring.
@@ -58,8 +79,8 @@ type Sys struct {
 	mu     sync.Mutex
 	viewer Viewer
 	cerr   error
-	// call is held by Read, Write, Seek and Pread from pre view to post
-	// view (see the type comment).
+	// call is held by Read, Write, Seek and Pread for the whole call (see
+	// the type comment).
 	call sync.Mutex
 }
 
@@ -76,6 +97,7 @@ func NewSys(pid proc.PID, h Handler) *Sys {
 	if cp, ok := h.(CorePinned); ok {
 		s.core = uint32(cp.Core())
 	}
+	s.wit, _ = h.(Witnesser)
 	return s
 }
 
@@ -84,9 +106,10 @@ func (s *Sys) PID() proc.PID { return s.pid }
 
 // EnableContract attaches a Viewer; from now on file syscalls are
 // checked against read_spec/write_spec/seek_spec. Safe to call while
-// other goroutines are issuing syscalls through this handle: syscalls
-// already past their view() snapshot complete unchecked, later ones
-// are checked.
+// other goroutines are issuing syscalls through this handle: a call
+// decides whether it is checked when it starts (Read, Write, Seek: when
+// it builds the op; a batch or Pread: at its pre view), so calls already
+// past that point complete unchecked and later ones are checked.
 func (s *Sys) EnableContract(v Viewer) {
 	s.mu.Lock()
 	s.viewer = v
@@ -101,11 +124,48 @@ func (s *Sys) ContractErr() error {
 }
 
 func (s *Sys) recordViolation(err error) {
+	obs.ContractViolations.Add(s.core, 1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.cerr == nil {
 		s.cerr = err
 	}
+}
+
+// checking reports whether a Viewer is attached (contract mode).
+func (s *Sys) checking() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.viewer != nil
+}
+
+// callWitnessed crosses the boundary with a read, write or seek. In
+// contract mode the op asks for a witness and the handler's is returned
+// beside the response; a kernel that delivers none has broken the
+// contract as surely as one that delivers wrong bytes.
+func (s *Sys) callWitnessed(op WriteOp) (Resp, *Witness) {
+	op.Witness = s.checking()
+	r := s.callWrite(op)
+	if !op.Witness {
+		return r, nil
+	}
+	var w *Witness
+	if s.wit != nil {
+		w = s.wit.TakeWitness()
+	}
+	if w == nil {
+		s.recordViolation(fmt.Errorf("%s(%d): kernel returned no witness", OpName(op.Num), op.FD))
+		return r, nil
+	}
+	obs.ContractWitnessed.Add(s.core, 1)
+	if r.Errno != EOK {
+		// A failed transition changes nothing.
+		if err := w.Unchanged(); err != nil {
+			s.recordViolation(fmt.Errorf("%s(%d) failed with %v but: %w", OpName(op.Num), op.FD, r.Errno, err))
+		}
+		return r, nil
+	}
+	return r, w
 }
 
 // callWrite crosses the boundary with a mutating op.
@@ -164,25 +224,22 @@ func (s *Sys) Close(fd fs.FD) Errno {
 
 // Read reads up to len(buffer) bytes at the descriptor's offset,
 // returning the count — the paper's worked example. In contract mode
-// the call is checked against read_spec through the view abstraction.
+// the call is checked against read_spec over the witnessed transition
+// and the bytes delivered into buffer.
 func (s *Sys) Read(fd fs.FD, buffer []byte) (uint64, Errno) {
 	s.call.Lock()
 	defer s.call.Unlock()
-	pre, checking := s.view()
-	r := s.callWrite(WriteOp{Num: NumRead, FD: fd, Len: uint64(len(buffer))})
+	r, w := s.callWitnessed(WriteOp{Num: NumRead, FD: fd, Len: uint64(len(buffer))})
 	if r.Errno != EOK {
 		return 0, r.Errno
 	}
 	n := copy(buffer, r.Data)
-	if checking {
-		post, _ := s.view()
+	if w != nil {
 		// The kernel acquires the descriptor lock as the first step of
 		// the atomic syscall transition; the spec's precondition sees
 		// that intermediate state.
-		if f, ok := pre.Files[fd]; ok {
-			f.Locked = true
-			pre.Files[fd] = f
-		}
+		w.Pre.Locked = true
+		pre, post := w.States(fd)
 		if err := fs.ReadSpec(pre, post, fd, uint64(len(buffer)), buffer, r.Val); err != nil {
 			s.recordViolation(fmt.Errorf("read(%d): %w", fd, err))
 		}
@@ -236,12 +293,8 @@ func preadCheck(pre, post fs.SpecState, fd fs.FD, off uint64, got []byte, n uint
 		if n != want {
 			return false
 		}
-		for i := uint64(0); i < n; i++ {
-			if got[i] != f.Contents[off+i] {
-				return false
-			}
-		}
-		return true
+		// n > 0 implies off+n <= size, so the window is in bounds.
+		return n == 0 || bytes.Equal(got[:n], f.Contents[off:off+n])
 	}
 	if !match(pre) && !match(post) {
 		return fmt.Errorf("pread at %d returned %d bytes matching neither pre nor post contents", off, n)
@@ -280,17 +333,13 @@ func (s *Sys) PreadUnmap(va mmu.VAddr) Errno {
 func (s *Sys) Write(fd fs.FD, data []byte) (uint64, Errno) {
 	s.call.Lock()
 	defer s.call.Unlock()
-	pre, checking := s.view()
-	r := s.callWrite(WriteOp{Num: NumWrite, FD: fd, Data: data})
+	r, w := s.callWitnessed(WriteOp{Num: NumWrite, FD: fd, Data: data})
 	if r.Errno != EOK {
 		return 0, r.Errno
 	}
-	if checking {
-		post, _ := s.view()
-		if f, ok := pre.Files[fd]; ok {
-			f.Locked = true
-			pre.Files[fd] = f
-		}
+	if w != nil {
+		w.Pre.Locked = true // as in Read
+		pre, post := w.States(fd)
 		if err := fs.WriteSpec(pre, post, fd, data, r.Val); err != nil {
 			s.recordViolation(fmt.Errorf("write(%d): %w", fd, err))
 		}
@@ -302,13 +351,12 @@ func (s *Sys) Write(fd fs.FD, data []byte) (uint64, Errno) {
 func (s *Sys) Seek(fd fs.FD, off int64, whence int) (uint64, Errno) {
 	s.call.Lock()
 	defer s.call.Unlock()
-	pre, checking := s.view()
-	r := s.callWrite(WriteOp{Num: NumSeek, FD: fd, Off: off, Whence: whence})
+	r, w := s.callWitnessed(WriteOp{Num: NumSeek, FD: fd, Off: off, Whence: whence})
 	if r.Errno != EOK {
 		return 0, r.Errno
 	}
-	if checking {
-		post, _ := s.view()
+	if w != nil {
+		pre, post := w.States(fd)
 		if err := fs.SeekSpec(pre, post, fd, off, whence, r.Val); err != nil {
 			s.recordViolation(fmt.Errorf("seek(%d): %w", fd, err))
 		}

@@ -286,6 +286,15 @@ func (b *frameBump) take(n int) []mem.PAddr {
 // directHandler dispatches through the codec to a single kernel.
 type directHandler struct {
 	k *Kernel
+	// witness is the last witnessed op's Resp.Witness (Witnesser).
+	witness *Witness
+}
+
+// TakeWitness implements Witnesser.
+func (h *directHandler) TakeWitness() *Witness {
+	w := h.witness
+	h.witness = nil
+	return w
 }
 
 // Syscall implements Handler.
@@ -316,7 +325,11 @@ func (h *directHandler) Syscall(frame marshal.SyscallFrame, payload []byte) (mar
 	if err != nil {
 		return EncodeResp(Resp{Errno: EINVAL})
 	}
-	return EncodeResp(h.k.DispatchWrite(op))
+	resp := h.k.DispatchWrite(op)
+	if op.Witness {
+		h.witness = resp.Witness
+	}
+	return EncodeResp(resp)
 }
 
 // corruptingHandler flips a byte in read results — the broken kernel
@@ -333,6 +346,23 @@ func (h *corruptingHandler) Syscall(frame marshal.SyscallFrame, payload []byte) 
 			resp.Data[0] ^= 0xff
 			return EncodeResp(resp)
 		}
+	}
+	return ret, out
+}
+
+// lyingHandler lets the kernel apply ops of one syscall number and then
+// reports them failed — from the client's side, a kernel that mutates
+// state on a transition it says did not happen.
+type lyingHandler struct {
+	directHandler
+	num   uint64
+	errno Errno
+}
+
+func (h *lyingHandler) Syscall(frame marshal.SyscallFrame, payload []byte) (marshal.RetFrame, []byte) {
+	ret, out := h.directHandler.Syscall(frame, payload)
+	if frame.Num == h.num && ret.Errno == 0 {
+		return EncodeResp(Resp{Errno: h.errno})
 	}
 	return ret, out
 }
@@ -369,6 +399,7 @@ func randomWriteOp(r *rand.Rand) WriteOp {
 	for i := 0; i < r.Intn(5); i++ {
 		op.Frames = append(op.Frames, mem.PAddr(r.Uint64()))
 	}
+	op.Witness = r.Intn(2) == 0
 	return op
 }
 

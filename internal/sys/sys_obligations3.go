@@ -14,6 +14,94 @@ import (
 // exactly the created names.
 func registerEvenMoreObligations(g *verifier.Registry) {
 	g.Register(
+		verifier.Obligation{Module: "sys", Name: "failed-transition-changes-nothing", Kind: verifier.KindSafety,
+			Check: func(r *rand.Rand) error {
+				// Honest failures pass: the witness shows the descriptor
+				// exactly as it was.
+				k := newTestKernel()
+				s := NewSys(proc.InitPID, &directHandler{k: k})
+				s.EnableContract(k)
+				fd, e := s.Open("/f", fs.OCreate|fs.ORdWr)
+				if e != EOK {
+					return fmt.Errorf("open: %v", e)
+				}
+				if _, e := s.Write(fd, randBytes(r, 1+r.Intn(200))); e != EOK {
+					return fmt.Errorf("write: %v", e)
+				}
+				ro, e := s.Open("/f", fs.ORdOnly)
+				if e != EOK {
+					return fmt.Errorf("open read-only: %v", e)
+				}
+				wo, e := s.Open("/f", fs.OWrOnly)
+				if e != EOK {
+					return fmt.Errorf("open write-only: %v", e)
+				}
+				if _, e := s.Seek(fd, -1-int64(r.Intn(100)), fs.SeekSet); e != EINVAL {
+					return fmt.Errorf("negative seek: %v, want EINVAL", e)
+				}
+				if _, e := s.Seek(fd, 0, 3+r.Intn(5)); e != EINVAL {
+					return fmt.Errorf("bad whence: %v, want EINVAL", e)
+				}
+				if _, e := s.Write(ro, []byte("x")); e != EPERM {
+					return fmt.Errorf("write on read-only fd: %v, want EPERM", e)
+				}
+				if _, e := s.Read(wo, make([]byte, 4)); e != EPERM {
+					return fmt.Errorf("read on write-only fd: %v, want EPERM", e)
+				}
+				if _, e := s.Read(fd+100, make([]byte, 4)); e != EBADF {
+					return fmt.Errorf("read on closed fd: %v, want EBADF", e)
+				}
+				if err := s.ContractErr(); err != nil {
+					return fmt.Errorf("honest failure flagged: %w", err)
+				}
+
+				// A kernel that moves the offset, or edits contents, and then
+				// reports failure is caught on the per-call path.
+				for _, lie := range []struct {
+					num  uint64
+					call func(s *Sys, fd fs.FD) Errno
+				}{
+					{NumSeek, func(s *Sys, fd fs.FD) Errno { _, e := s.Seek(fd, 1, fs.SeekSet); return e }},
+					{NumRead, func(s *Sys, fd fs.FD) Errno { _, e := s.Read(fd, make([]byte, 2)); return e }},
+					{NumWrite, func(s *Sys, fd fs.FD) Errno { _, e := s.Write(fd, []byte("zz")); return e }},
+				} {
+					h := &lyingHandler{directHandler: directHandler{k: newTestKernel()}, num: lie.num, errno: EIO}
+					s := NewSys(proc.InitPID, h)
+					s.EnableContract(h.k)
+					fd, e := s.Open("/g", fs.OCreate|fs.ORdWr)
+					if e != EOK {
+						return fmt.Errorf("open: %v", e)
+					}
+					// Seed contents and leave the offset at 0 without using
+					// the op under test.
+					if r := h.k.DispatchWrite(WriteOp{Num: NumWrite, PID: proc.InitPID, FD: fd, Data: []byte("abcdef")}); r.Errno != EOK {
+						return fmt.Errorf("seed write: %v", r.Errno)
+					}
+					if r := h.k.DispatchWrite(WriteOp{Num: NumSeek, PID: proc.InitPID, FD: fd, Whence: fs.SeekSet}); r.Errno != EOK {
+						return fmt.Errorf("seed seek: %v", r.Errno)
+					}
+					if err := s.ContractErr(); err != nil {
+						return fmt.Errorf("%s: violation before the lie: %w", OpName(lie.num), err)
+					}
+					if e := lie.call(s, fd); e != EIO {
+						return fmt.Errorf("%s: got %v, want the forged EIO", OpName(lie.num), e)
+					}
+					if s.ContractErr() == nil {
+						return fmt.Errorf("%s mutated the descriptor, reported failure, and passed the contract", OpName(lie.num))
+					}
+				}
+
+				// So is a handler that cannot produce a witness at all.
+				s = NewSys(proc.InitPID, &gatedBatchHandler{inner: &directHandler{k: k}})
+				s.EnableContract(k)
+				if _, e := s.Seek(fd, 0, fs.SeekSet); e != EOK {
+					return fmt.Errorf("seek: %v", e)
+				}
+				if s.ContractErr() == nil {
+					return fmt.Errorf("a checked call without a witness passed the contract")
+				}
+				return nil
+			}},
 		verifier.Obligation{Module: "sys", Name: "read-ops-are-pure", Kind: verifier.KindSafety,
 			Check: func(r *rand.Rand) error {
 				k := newTestKernel()
