@@ -105,6 +105,15 @@ func run(cores, shards int, tables, stats bool) error {
 			return 1
 		}
 		system.Printf("reader(pid %d): read %d bytes\n", p.PID, n)
+		// The positioned read goes through the page cache: the first fills
+		// the page, the second is a hit copied straight into buf.
+		for i := 0; i < 2; i++ {
+			if m, e := p.Sys.Pread(fd, buf, 0); e != vnros.EOK || m != n {
+				done <- fmt.Errorf("reader pread: %d bytes, %v", m, e)
+				return 1
+			}
+		}
+		system.Printf("reader(pid %d): pread the same %d bytes twice (one fill, one cache hit)\n", p.PID, n)
 		done <- nil
 		return 0
 	})

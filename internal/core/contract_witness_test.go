@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -114,6 +115,17 @@ func TestCrossHandleContractSoundness(t *testing.T) {
 type tamperHandler struct {
 	*handler
 	tamper func(num uint64, r *sys.Resp) bool
+	// into tampers with the destination crossing: the caller's buffer
+	// after the kernel wrote it, and the count in the reply frame.
+	into func(dst []byte, ret *marshal.RetFrame)
+}
+
+func (t *tamperHandler) SyscallInto(frame marshal.SyscallFrame, payload []byte, dst []byte) marshal.RetFrame {
+	ret := t.handler.SyscallInto(frame, payload, dst)
+	if t.into != nil && ret.OK() {
+		t.into(dst, &ret)
+	}
+	return ret
 }
 
 func (t *tamperHandler) Syscall(frame marshal.SyscallFrame, payload []byte) (marshal.RetFrame, []byte) {
@@ -132,11 +144,18 @@ func (t *tamperHandler) Syscall(frame marshal.SyscallFrame, payload []byte) (mar
 // kernel and the client. (A test rather than a VC: it boots a system per
 // fault, forty times the allocation of the average VC.)
 func TestWitnessedContractCatchesBrokenKernel(t *testing.T) {
+	untouched := func(uint64, *sys.Resp) bool { return false }
+	pread := func(s *sys.Sys, fd fs.FD) sys.Errno { _, e := s.Pread(fd, make([]byte, 6), 2); return e }
 	faults := []struct {
 		name   string
 		tamper func(num uint64, r *sys.Resp) bool
 		call   func(s *sys.Sys, fd fs.FD) sys.Errno
+		into   func(dst []byte, ret *marshal.RetFrame)
 	}{
+		{name: "wrong bytes in the pread destination", tamper: untouched, call: pread,
+			into: func(dst []byte, ret *marshal.RetFrame) { dst[0] ^= 0xff }},
+		{name: "short count from the pread destination crossing", tamper: untouched, call: pread,
+			into: func(dst []byte, ret *marshal.RetFrame) { ret.Value-- }},
 		{"corrupted read data",
 			func(num uint64, r *sys.Resp) bool {
 				if num != sys.NumRead || r.Errno != sys.EOK || len(r.Data) == 0 {
@@ -145,7 +164,7 @@ func TestWitnessedContractCatchesBrokenKernel(t *testing.T) {
 				r.Data[0] ^= 0xff
 				return true
 			},
-			func(s *sys.Sys, fd fs.FD) sys.Errno { _, e := s.Read(fd, make([]byte, 9)); return e }},
+			func(s *sys.Sys, fd fs.FD) sys.Errno { _, e := s.Read(fd, make([]byte, 9)); return e }, nil},
 		{"short write count",
 			func(num uint64, r *sys.Resp) bool {
 				if num != sys.NumWrite || r.Errno != sys.EOK || r.Val != 4 {
@@ -154,7 +173,7 @@ func TestWitnessedContractCatchesBrokenKernel(t *testing.T) {
 				r.Val--
 				return true
 			},
-			func(s *sys.Sys, fd fs.FD) sys.Errno { _, e := s.Write(fd, []byte("more")); return e }},
+			func(s *sys.Sys, fd fs.FD) sys.Errno { _, e := s.Write(fd, []byte("more")); return e }, nil},
 		{"seek applied but reported failed",
 			func(num uint64, r *sys.Resp) bool {
 				if num != sys.NumSeek || r.Errno != sys.EOK || r.Val != 5 {
@@ -168,7 +187,7 @@ func TestWitnessedContractCatchesBrokenKernel(t *testing.T) {
 					return sys.EINVAL
 				}
 				return sys.EOK
-			}},
+			}, nil},
 		{"write applied but reported failed",
 			func(num uint64, r *sys.Resp) bool {
 				if num != sys.NumWrite || r.Errno != sys.EOK || r.Val != 3 {
@@ -182,7 +201,7 @@ func TestWitnessedContractCatchesBrokenKernel(t *testing.T) {
 					return sys.EINVAL
 				}
 				return sys.EOK
-			}},
+			}, nil},
 	}
 	for _, shards := range []int{0, 2} {
 		for _, f := range faults {
@@ -194,7 +213,7 @@ func TestWitnessedContractCatchesBrokenKernel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sh := sys.NewSys(proc.InitPID, &tamperHandler{handler: h, tamper: f.tamper})
+			sh := sys.NewSys(proc.InitPID, &tamperHandler{handler: h, tamper: f.tamper, into: f.into})
 			sh.EnableContract(&replicaViewer{s: s, core: h.core})
 			fd, e := sh.Open("/x", sys.OCreate|sys.ORdWr)
 			if e != sys.EOK {
@@ -212,8 +231,10 @@ func TestWitnessedContractCatchesBrokenKernel(t *testing.T) {
 			if e := f.call(sh, fd); e != sys.EOK {
 				t.Errorf("shards=%d %s: the faulted call returned %v", shards, f.name, e)
 			}
-			if sh.ContractErr() == nil {
+			if err := sh.ContractErr(); err == nil {
 				t.Errorf("shards=%d: contract checker missed %s", shards, f.name)
+			} else if f.into != nil && !strings.Contains(err.Error(), "pread") {
+				t.Errorf("shards=%d %s: the violation does not name pread: %v", shards, f.name, err)
 			}
 		}
 	}

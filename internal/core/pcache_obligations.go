@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"github.com/verified-os/vnros/internal/fs"
+	"github.com/verified-os/vnros/internal/marshal"
 	"github.com/verified-os/vnros/internal/pcache"
 	"github.com/verified-os/vnros/internal/sys"
 	"github.com/verified-os/vnros/internal/verifier"
@@ -24,7 +25,10 @@ import (
 //     mapping is read-only and unmappable only through PreadUnmap.
 //   - pread-refines-sequential-read: Pread over the whole file agrees
 //     byte-for-byte with the logged Seek+Read path — the cache never
-//     invents, loses, or reorders bytes, in either kernel mode.
+//     invents, loses, or reorders bytes, in either kernel mode — and the
+//     two crossings agree: bytes delivered into the caller's buffer
+//     (sys.DestHandler) equal bytes returned in an encoded reply by a
+//     handler without that capability.
 func registerPCacheObligations(g *verifier.Registry) {
 	g.Register(
 		verifier.Obligation{Module: "core", Name: "read-mapping-refines-copy", Kind: verifier.KindRefinement,
@@ -186,9 +190,18 @@ func readMappingWorkload(r *rand.Rand, cfg Config) error {
 	return s.CheckKernelInvariants()
 }
 
+// replyOnly hides every optional capability of the handler it wraps:
+// a Sys over it crosses with encoded replies only.
+type replyOnly struct{ h sys.Handler }
+
+func (p replyOnly) Syscall(frame marshal.SyscallFrame, payload []byte) (marshal.RetFrame, []byte) {
+	return p.h.Syscall(frame, payload)
+}
+
 // preadAgreementWorkload writes a multi-page file, then checks random
 // (offset, length) Preads — including page-straddling and beyond-EOF
-// shapes — against the logged Seek+Read path byte for byte.
+// shapes — against the logged Seek+Read path byte for byte, through the
+// destination crossing and through the encoded reply.
 func preadAgreementWorkload(r *rand.Rand, cfg Config) error {
 	const fileLen = 5*pcache.PageSize + 119
 	s, err := Boot(cfg)
@@ -208,13 +221,34 @@ func preadAgreementWorkload(r *rand.Rand, cfg Config) error {
 	if _, e := initSys.Write(fd, contents); e != sys.EOK {
 		return fmt.Errorf("write: %v", e)
 	}
+	h, err := s.newHandler()
+	if err != nil {
+		return err
+	}
+	reply := sys.NewSys(initSys.PID(), replyOnly{h})
 	for i := 0; i < 40; i++ {
 		off := uint64(r.Intn(fileLen + pcache.PageSize)) // may start beyond EOF
 		ln := 1 + r.Intn(2*pcache.PageSize)
-		pbuf := make([]byte, ln)
+		if i%4 == 0 { // the whole-page shape that fills in place
+			off, ln = uint64(r.Intn(fileLen/pcache.PageSize+2))*pcache.PageSize, pcache.PageSize
+		}
+		pbuf := bytes.Repeat([]byte{0xee}, ln)
 		pn, e := initSys.Pread(fd, pbuf, off)
 		if e != sys.EOK {
 			return fmt.Errorf("pread off=%d len=%d: %v", off, ln, e)
+		}
+		for _, b := range pbuf[pn:] {
+			if b != 0xee {
+				return fmt.Errorf("pread(off=%d,len=%d) = %d bytes wrote the caller's buffer past its count", off, ln, pn)
+			}
+		}
+		qbuf := make([]byte, ln)
+		qn, e := reply.Pread(fd, qbuf, off)
+		if e != sys.EOK {
+			return fmt.Errorf("reply-form pread off=%d len=%d: %v", off, ln, e)
+		}
+		if pn != qn || !bytes.Equal(pbuf[:pn], qbuf[:qn]) {
+			return fmt.Errorf("pread(off=%d,len=%d) into the buffer = %d bytes diverges from the encoded reply = %d bytes", off, ln, pn, qn)
 		}
 		if _, e := initSys.Seek(fd, int64(off), fs.SeekSet); e != sys.EOK {
 			return fmt.Errorf("seek: %v", e)

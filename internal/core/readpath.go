@@ -3,6 +3,8 @@ package core
 import (
 	"github.com/verified-os/vnros/internal/fs"
 	"github.com/verified-os/vnros/internal/hw/mem"
+	"github.com/verified-os/vnros/internal/marshal"
+	"github.com/verified-os/vnros/internal/obs"
 	"github.com/verified-os/vnros/internal/pcache"
 	"github.com/verified-os/vnros/internal/proc"
 	"github.com/verified-os/vnros/internal/sys"
@@ -91,19 +93,22 @@ func (h *handler) preadResolve(pid proc.PID, fd fs.FD) (fs.Ino, int, sys.Resp) {
 	return g.Ino, int(g.Val), sys.Resp{Errno: sys.EOK}
 }
 
+// fsRead runs one replica-local read against the owner of op.Ino (the
+// authoritative contents and size).
+func (h *handler) fsRead(op sys.ReadOp) sys.Resp {
+	if !h.s.sharded() {
+		return h.executeRead(op)
+	}
+	h.ctxMu.Lock()
+	defer h.ctxMu.Unlock()
+	return h.fsReadOn(h.s.FsShardOf(op.Ino), op)
+}
+
 // preadFill returns the Filler backing cache misses: one ExecuteRead of
 // the page against the inode's owner (the authoritative contents).
 func (h *handler) preadFill(pid proc.PID) pcache.Filler {
 	return func(ino fs.Ino, off uint64, p []byte) (int, sys.Errno) {
-		op := sys.ReadOp{Num: sys.NumFsReadAt, PID: pid, Ino: ino, Off: off, Len: uint64(len(p))}
-		var r sys.Resp
-		if h.s.sharded() {
-			h.ctxMu.Lock()
-			r = h.fsReadOn(h.s.FsShardOf(ino), op)
-			h.ctxMu.Unlock()
-		} else {
-			r = h.executeRead(op)
-		}
+		r := h.fsRead(sys.ReadOp{Num: sys.NumFsReadAt, PID: pid, Ino: ino, Off: off, Len: uint64(len(p))})
 		if r.Errno != sys.EOK {
 			return 0, r.Errno
 		}
@@ -113,12 +118,18 @@ func (h *handler) preadFill(pid proc.PID) pcache.Filler {
 }
 
 // pread serves NumPread: descriptor resolve, permission check, then the
-// cache read. No descriptor lock is taken — a positioned read neither
-// reads nor writes the offset, so there is no descriptor state to race
-// on; concurrent writes to the same file are handled by the cache's
-// invalidation protocol (page-wise read atomicity, as documented on
-// pcache.ReadAt).
-func (h *handler) pread(op sys.ReadOp) sys.Resp {
+// cache read, delivered into dst — the caller's own buffer when the call
+// crossed through SyscallInto, so a hit is one copy, frame to buffer. A
+// nil dst is the reply form (an encoded reply, or a batch completion,
+// carries the bytes): the buffer is allocated here, and because op.Len
+// is then the only bound and comes from the frame, it is first clamped
+// to what the file can supply — one more replica-local read, which the
+// destination form never pays. No descriptor lock is taken — a
+// positioned read neither reads nor writes the offset, so there is no
+// descriptor state to race on; concurrent writes to the same file are
+// handled by the cache's invalidation protocol (page-wise read
+// atomicity, as documented on pcache.ReadAt).
+func (h *handler) pread(op sys.ReadOp, dst []byte) sys.Resp {
 	ino, flags, r := h.preadResolve(op.PID, op.FD)
 	if r.Errno != sys.EOK {
 		return r
@@ -126,12 +137,38 @@ func (h *handler) pread(op sys.ReadOp) sys.Resp {
 	if flags&fs.OWrOnly != 0 {
 		return sys.Resp{Errno: sys.EPERM}
 	}
-	buf := make([]byte, op.Len)
-	n, e := h.s.pcacheFor(ino).ReadAt(ino, op.Off, buf, h.preadFill(op.PID), h.core)
+	if dst == nil {
+		st := h.fsRead(sys.ReadOp{Num: sys.NumFsStatIno, PID: op.PID, Ino: ino})
+		if st.Errno != sys.EOK {
+			return sys.Resp{Errno: st.Errno}
+		}
+		dst = make([]byte, sys.ClampReadLen(op.Len, op.Off, st.Stat.Size))
+	}
+	n, e := h.s.pcacheFor(ino).ReadAt(ino, op.Off, dst, h.preadFill(op.PID), h.core)
 	if e != sys.EOK {
 		return sys.Resp{Errno: e}
 	}
-	return sys.Resp{Errno: sys.EOK, Val: uint64(n), Data: buf[:n]}
+	return sys.Resp{Errno: sys.EOK, Val: uint64(n), Data: dst[:n]}
+}
+
+// SyscallInto implements sys.DestHandler: the boundary crossing whose
+// result lands in the caller's buffer instead of a reply payload. Only
+// the positioned read has a destination; it gets the same interrupt
+// drain and kstat probe as Syscall.
+func (h *handler) SyscallInto(frame marshal.SyscallFrame, payload []byte, dst []byte) marshal.RetFrame {
+	t0 := obs.Start()
+	h.pollInterrupts()
+	r := sys.Resp{Errno: sys.EINVAL}
+	if op, err := sys.DecodeRead(frame, payload); err == nil && op.Num == sys.NumPread {
+		// The frame's length is the caller's word; the buffer is the bound.
+		// (An empty buffer degenerates to the reply form with nothing to
+		// carry: the descriptor is still checked.)
+		op.Len = min(op.Len, uint64(len(dst)))
+		r = h.pread(op, dst[:op.Len])
+	}
+	obs.Syscalls.Observe(frame.Num, uint32(h.core), t0)
+	obs.KernelTrace.Emit(obs.KindSyscall, frame.Num, uint64(h.core))
+	return marshal.RetFrame{Value: r.Val, Errno: uint64(r.Errno)}
 }
 
 // preadMap serves NumPreadMap, the zero-copy tier: pin the cached page

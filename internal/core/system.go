@@ -584,22 +584,27 @@ func (h *handler) Syscall(frame marshal.SyscallFrame, payload []byte) (marshal.R
 	return ret, out
 }
 
-// syscall is the uninstrumented dispatch body.
-func (h *handler) syscall(frame marshal.SyscallFrame, payload []byte) (marshal.RetFrame, []byte) {
+// pollInterrupts drains pending device interrupts before entering the
+// kernel proper (the simulation's interrupt delivery point). The calling
+// core is always polled; the all-core sweep — needed because the
+// interrupt controller load-balances lines round-robin and an idle
+// core's pending queue would otherwise starve — runs only when the
+// controller reports something pending anywhere (one atomic load), not
+// as an unconditional per-syscall cores-length scan.
+func (h *handler) pollInterrupts() {
 	s := h.s
-	// Drain pending device interrupts before entering the kernel proper
-	// (the simulation's interrupt delivery point). The calling core is
-	// always polled; the all-core sweep — needed because the interrupt
-	// controller load-balances lines round-robin and an idle core's
-	// pending queue would otherwise starve — runs only when the
-	// controller reports something pending anywhere (one atomic load),
-	// not as an unconditional per-syscall cores-length scan.
 	s.Dispatcher.Poll(h.core)
 	if s.Dispatcher.HasPending() {
 		for c := 0; c < s.cfg.Cores; c++ {
 			s.Dispatcher.Poll(c)
 		}
 	}
+}
+
+// syscall is the uninstrumented dispatch body.
+func (h *handler) syscall(frame marshal.SyscallFrame, payload []byte) (marshal.RetFrame, []byte) {
+	s := h.s
+	h.pollInterrupts()
 
 	// The internal cross-shard protocol ops never cross the user
 	// boundary; a hand-rolled frame carrying one is rejected here, in
@@ -619,7 +624,7 @@ func (h *handler) syscall(frame marshal.SyscallFrame, payload []byte) (marshal.R
 		// Pread goes through the page cache in both kernel modes: a
 		// cache hit never enters an NR instance (readpath.go).
 		if op.Num == sys.NumPread {
-			return sys.EncodeResp(h.pread(op))
+			return sys.EncodeResp(h.pread(op, nil))
 		}
 		if s.sharded() {
 			return sys.EncodeResp(h.shardReadDispatch(op))
@@ -802,7 +807,7 @@ func (h *handler) batch(frame marshal.SyscallFrame, payload []byte) (marshal.Ret
 			r := h.pread(sys.ReadOp{
 				Num: sys.NumPread, PID: ops[i].PID, FD: ops[i].FD,
 				Len: ops[i].Len, Off: uint64(ops[i].Off),
-			})
+			}, nil)
 			comps[i] = sys.BatchCompletion(ops[i], r)
 		} else {
 			comps[i] = sys.BatchCompletion(ops[i], h.preadMap(ops[i]))

@@ -70,11 +70,17 @@ var (
 	// lock-free under an epoch pin; misses fall through to the
 	// authoritative fs read. Invalidations count writer-published kills
 	// (one per overlapping write/truncate, however many pages died);
-	// evictions count capacity-pressure retirements.
+	// evictions count capacity-pressure retirements. copy_bytes is what
+	// the copying tier delivered into callers' buffers, hit or miss;
+	// resident is each cache's live page count (by fs shard, the
+	// monolith's one cache as fs0), so hit ratio x residency is readable
+	// from `vnros stats`.
 	PCacheHits          = NewCounter("pcache.hit")
 	PCacheMisses        = NewCounter("pcache.miss")
 	PCacheInvalidations = NewCounter("pcache.invalidations")
 	PCacheEvictions     = NewCounter("pcache.evictions")
+	PCacheCopyBytes     = NewCounter("pcache.copy_bytes")
+	PCacheResident      = newFsShardGauges("pcache.resident")
 
 	// NR read-path discipline (nr.ExecuteRead), striped by replica. A
 	// fast read found the replica already caught up to the log tail on
@@ -159,6 +165,16 @@ func ProcShardSlot(i int) uint64 { return uint64(i) }
 
 // FsShardSlot returns the metric slot for filesystem shard i.
 func FsShardSlot(i int) uint64 { return uint64(fsSlotBase + i) }
+
+// FsShardOfSlot is FsShardSlot's inverse: the filesystem shard a metric
+// slot belongs to. A slot outside the fs group (the monolith records
+// under slot 0) maps to shard 0.
+func FsShardOfSlot(slot uint64) int {
+	if slot < fsSlotBase || slot >= NumShardSlots {
+		return 0
+	}
+	return int(slot - fsSlotBase)
+}
 
 // ShardSlotName renders a shard slot ("proc3", "fs0") for RenderOps.
 func ShardSlotName(slot uint64) string {

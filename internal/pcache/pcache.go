@@ -33,6 +33,14 @@
 // every invalidation that completed before the insert — and a stale
 // page can exist only in the window where its write has not yet
 // returned, which any linearization may order either way.
+//
+// Residency is the write side's invariant, kept under mu: the eviction
+// order and the per-inode index hold exactly the resident pages — a page
+// enters both at insert and leaves both when it dies, whether by
+// invalidation or eviction. So maxPages bounds live pages (a working
+// set that fits is never evicted, however often writers kill and
+// readers refill it), and an invalidation visits only the index entries
+// of its own inode inside its range, never the whole cache.
 package pcache
 
 import (
@@ -88,12 +96,16 @@ type pageKey struct {
 // the lifecycle fields: dead flips once under invalidation, maps counts
 // live vspace aliases of the frame.
 type page struct {
+	key   pageKey
 	frame mem.PAddr
 	// n is the number of valid bytes in the frame ([0, PageSize]); the
 	// tail of a short (EOF) page is zeroed at fill.
 	n    uint32
 	dead atomic.Bool
 	maps atomic.Int64
+	// older and newer link the eviction order while the page is resident
+	// (nil once it died). Guarded by Cache.mu.
+	older, newer *page
 }
 
 // slot is one padded reader-pin slot: 0 when idle, otherwise the epoch
@@ -115,7 +127,10 @@ type Cache struct {
 	// shard is the obs slot counters record under (the owning fs
 	// shard's slot, or 0 on the monolith).
 	shard uint64
-	// maxPages bounds residency; eviction is FIFO over insert order.
+	// residentGauge is the shard's pcache.resident gauge.
+	residentGauge *obs.Gauge
+	// maxPages bounds the resident pages; eviction is FIFO over the
+	// insert order of the pages that are still resident.
 	maxPages int
 
 	// epoch is the global read epoch. Starts at 1 so a zero slot always
@@ -133,9 +148,18 @@ type Cache struct {
 	mu sync.Mutex
 	// versions is the per-inode fill validation counter.
 	versions map[fs.Ino]uint64
-	// fifo is the eviction order of resident keys (may contain stale
-	// entries for pages already invalidated; eviction skips those).
-	fifo []pageKey
+	// oldest and newest are the ends of the eviction order: every
+	// resident page and nothing else, in insert order (a dying page is
+	// unlinked at once, so resident is its length and is what maxPages
+	// bounds).
+	oldest, newest *page
+	resident       int
+	// index holds the same pages by inode, so a writer finds the pages of
+	// its file without scanning pages; an inode with none has no entry.
+	index map[fs.Ino]map[uint64]*page
+	// visits counts the index entries invalidations examined — the
+	// O(pages touched) claim is pinned on it, not on a clock.
+	visits uint64
 	// retiredQ holds dead pages whose frames await quiescence.
 	retiredQ []retired
 	// mapped indexes live vspace aliases: frame -> page, including
@@ -156,8 +180,10 @@ func New(frames FrameSource, shardSlot uint64, maxPages int) *Cache {
 		shard:    shardSlot,
 		maxPages: maxPages,
 		versions: make(map[fs.Ino]uint64),
+		index:    make(map[fs.Ino]map[uint64]*page),
 		mapped:   make(map[mem.PAddr]*page),
 	}
+	c.residentGauge = obs.PCacheResident[obs.FsShardOfSlot(shardSlot)]
 	c.epoch.Store(1)
 	return c
 }
@@ -205,7 +231,7 @@ func (c *Cache) minPinned() uint64 {
 // individually consistent and the §3 contract is checked per
 // linearizable page transition.
 func (c *Cache) ReadAt(ino fs.Ino, off uint64, p []byte, fill Filler, hint int) (int, sys.Errno) {
-	total := 0
+	total, errno := 0, sys.EOK
 	for total < len(p) {
 		pos := off + uint64(total)
 		want := PageSize - pos%PageSize
@@ -213,15 +239,17 @@ func (c *Cache) ReadAt(ino fs.Ino, off uint64, p []byte, fill Filler, hint int) 
 			want = rem
 		}
 		n, e := c.readPage(ino, pos, p[total:total+int(want)], fill, hint)
-		if e != sys.EOK {
-			return total, e
-		}
 		total += n
+		if e != sys.EOK {
+			errno = e
+			break
+		}
 		if uint64(n) < want {
 			break // EOF inside this page
 		}
 	}
-	return total, sys.EOK
+	obs.PCacheCopyBytes.Add(uint32(c.shard), uint64(total))
+	return total, errno
 }
 
 // readPage serves the single-page slice of a read starting at pos,
@@ -259,18 +287,30 @@ func (c *Cache) readPage(ino fs.Ino, pos uint64, p []byte, fill Filler, hint int
 	obs.PCacheMisses.Add(uint32(c.shard), 1)
 
 	// Miss: record the inode version, perform the authoritative read of
-	// the whole page, then insert only if no invalidation raced us.
+	// the whole page, then insert only if no invalidation raced us. The
+	// authoritative bytes are served whether or not the insert sticks —
+	// the fill is correct by construction.
 	v0 := c.version(ino)
-	var buf [PageSize]byte
 	pageOff := key.page * PageSize
+	if in == 0 && len(p) == PageSize {
+		// A whole page into a whole-page destination needs no stage: the
+		// fill writes p and the frame is installed from it. The fill
+		// writes only the bytes it counts, so nothing past n is touched.
+		// This relies on p being the caller's alone until the call
+		// returns (the &mut borrow of the paper's read signature).
+		n, e := fill(ino, pageOff, p)
+		if e != sys.EOK {
+			return 0, e
+		}
+		c.tryInsert(key, v0, p[:n])
+		return n, sys.EOK
+	}
+	var buf [PageSize]byte
 	n, e := fill(ino, pageOff, buf[:])
 	if e != sys.EOK {
 		return 0, e
 	}
-	c.tryInsert(key, v0, buf[:], n)
-
-	// Serve the authoritative bytes regardless of whether the insert
-	// stuck — the fill is correct by construction.
+	c.tryInsert(key, v0, buf[:n])
 	if uint64(n) <= in {
 		return 0, sys.EOK
 	}
@@ -289,10 +329,15 @@ func (c *Cache) version(ino fs.Ino) uint64 {
 	return c.versions[ino]
 }
 
-// tryInsert installs a filled page if no invalidation of the inode ran
-// since v0 was read. Frame allocation failure evicts once and retries;
-// if memory is still tight the page is simply not cached.
-func (c *Cache) tryInsert(key pageKey, v0 uint64, data []byte, n int) {
+// zeroPage is the source of a short page's zeroed tail.
+var zeroPage [PageSize]byte
+
+// tryInsert installs a filled page (data is its valid bytes) if no
+// invalidation of the inode ran since v0 was read. At the residency
+// bound it evicts first; when nothing can be evicted (every resident
+// page is pinned by a mapping) or memory stays tight after one
+// eviction, the page is simply not cached.
+func (c *Cache) tryInsert(key pageKey, v0 uint64, data []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.versions[key.ino] != v0 {
@@ -301,9 +346,9 @@ func (c *Cache) tryInsert(key pageKey, v0 uint64, data []byte, n int) {
 	if _, ok := c.pages.Load(key); ok {
 		return // another fill won
 	}
-	for len(c.fifo) >= c.maxPages {
+	for c.resident >= c.maxPages {
 		if !c.evictOneLocked() {
-			break
+			return
 		}
 	}
 	frame, err := c.frames.AllocFrame()
@@ -319,41 +364,84 @@ func (c *Cache) tryInsert(key pageKey, v0 uint64, data []byte, n int) {
 	}
 	// Zero the tail so a mapped short page never leaks another file's
 	// bytes, then install.
-	for i := n; i < len(data); i++ {
-		data[i] = 0
-	}
 	c.frames.WriteFrame(frame, 0, data)
-	pg := &page{frame: frame, n: uint32(n)}
+	if len(data) < PageSize {
+		c.frames.WriteFrame(frame, uint64(len(data)), zeroPage[len(data):])
+	}
+	pg := &page{key: key, frame: frame, n: uint32(len(data))}
 	c.pages.Store(key, pg)
-	c.fifo = append(c.fifo, key)
+	pg.older = c.newest
+	if c.newest != nil {
+		c.newest.newer = pg
+	} else {
+		c.oldest = pg
+	}
+	c.newest = pg
+	byPage := c.index[key.ino]
+	if byPage == nil {
+		byPage = make(map[uint64]*page)
+		c.index[key.ino] = byPage
+	}
+	byPage[key.page] = pg
+	c.resident++
+	c.residentGauge.Set(uint64(c.resident))
 	c.reclaimLocked()
 }
 
-// evictOneLocked removes the oldest resident, unmapped page, retiring
-// its frame under a fresh epoch. Caller holds mu. Returns whether a
-// page was evicted. The scan is bounded by the queue length at entry so
-// a cache whose every page is pinned by a mapping terminates (and
-// declines to evict).
+// killLocked ends a page's residency: dead first, then out of the
+// lookup map, the eviction order and the inode index, and onto the
+// retire queue. The caller stamps the queue entry with the epoch it
+// advances after its last kill (retireLocked), so the map deletion
+// happens-before the advance. Caller holds mu.
+func (c *Cache) killLocked(pg *page) {
+	pg.dead.Store(true)
+	c.pages.Delete(pg.key)
+	if pg.older != nil {
+		pg.older.newer = pg.newer
+	} else {
+		c.oldest = pg.newer
+	}
+	if pg.newer != nil {
+		pg.newer.older = pg.older
+	} else {
+		c.newest = pg.older
+	}
+	pg.older, pg.newer = nil, nil
+	byPage := c.index[pg.key.ino]
+	delete(byPage, pg.key.page)
+	if len(byPage) == 0 {
+		delete(c.index, pg.key.ino)
+	}
+	c.resident--
+	c.retiredQ = append(c.retiredQ, retired{p: pg})
+}
+
+// retireLocked advances the epoch once for the pages killed since the
+// retire queue was from entries long, stamps them with it and runs a
+// reclaim pass. One advance covers the whole batch: the map deletions
+// happen-before it, so any reader pinning the new epoch misses.
+func (c *Cache) retireLocked(from int) {
+	e := c.epoch.Add(1)
+	for i := from; i < len(c.retiredQ); i++ {
+		c.retiredQ[i].epoch = e
+	}
+	c.residentGauge.Set(uint64(c.resident))
+	c.reclaimLocked()
+}
+
+// evictOneLocked removes the oldest resident page no mapping aliases,
+// retiring its frame under a fresh epoch. Caller holds mu. Returns
+// whether a page was evicted: a cache whose every page is pinned by a
+// mapping declines.
 func (c *Cache) evictOneLocked() bool {
-	for scan := len(c.fifo); scan > 0 && len(c.fifo) > 0; scan-- {
-		key := c.fifo[0]
-		c.fifo = c.fifo[1:]
-		v, ok := c.pages.Load(key)
-		if !ok {
-			continue // already invalidated
-		}
-		pg := v.(*page)
+	for pg := c.oldest; pg != nil; pg = pg.newer {
 		if pg.maps.Load() > 0 {
-			// Mapped pages are pinned by the alias; push to the back.
-			c.fifo = append(c.fifo, key)
-			continue
+			continue // pinned by the alias
 		}
-		pg.dead.Store(true)
-		c.pages.Delete(key)
-		e := c.epoch.Add(1)
-		c.retiredQ = append(c.retiredQ, retired{p: pg, epoch: e})
+		from := len(c.retiredQ)
+		c.killLocked(pg)
 		obs.PCacheEvictions.Add(uint32(c.shard), 1)
-		c.reclaimLocked()
+		c.retireLocked(from)
 		return true
 	}
 	return false
@@ -367,7 +455,9 @@ func (c *Cache) InvalidateRange(ino fs.Ino, lo, hi uint64) {
 	if hi <= lo {
 		// A zero-length mutation still bumps the version: an in-flight
 		// fill may have read a pre-mutation snapshot.
-		c.bumpVersion(ino)
+		c.mu.Lock()
+		c.versions[ino]++
+		c.mu.Unlock()
 		return
 	}
 	c.invalidate(ino, lo/PageSize, (hi-1)/PageSize)
@@ -378,42 +468,39 @@ func (c *Cache) InvalidateIno(ino fs.Ino) {
 	c.invalidate(ino, 0, ^uint64(0))
 }
 
-func (c *Cache) bumpVersion(ino fs.Ino) {
-	c.mu.Lock()
-	c.versions[ino]++
-	c.mu.Unlock()
-}
-
 // invalidate is the write-side protocol: version bump first (fills
 // in flight validate against it), then kill pages, then advance the
-// epoch and retire.
+// epoch and retire. It looks only at the inode's own index entries:
+// one lookup per page of a range narrower than the inode's resident
+// set, one visit per resident page of the inode otherwise.
 func (c *Cache) invalidate(ino fs.Ino, firstPage, lastPage uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.versions[ino]++
-	var dead []*page
-	c.pages.Range(func(k, v any) bool {
-		key := k.(pageKey)
-		if key.ino != ino || key.page < firstPage || key.page > lastPage {
-			return true
+	byPage := c.index[ino]
+	from := len(c.retiredQ)
+	if lastPage-firstPage < uint64(len(byPage)) {
+		for n := firstPage; ; n++ {
+			c.visits++
+			if pg := byPage[n]; pg != nil {
+				c.killLocked(pg)
+			}
+			if n == lastPage {
+				break
+			}
 		}
-		pg := v.(*page)
-		pg.dead.Store(true)
-		c.pages.Delete(key)
-		dead = append(dead, pg)
-		return true
-	})
-	if len(dead) == 0 {
-		return
+	} else {
+		for n, pg := range byPage {
+			c.visits++
+			if n >= firstPage && n <= lastPage {
+				c.killLocked(pg)
+			}
+		}
 	}
-	// One epoch advance covers the whole batch: the map deletions above
-	// happen-before it, so any reader pinning the new epoch misses.
-	e := c.epoch.Add(1)
-	for _, pg := range dead {
-		c.retiredQ = append(c.retiredQ, retired{p: pg, epoch: e})
+	if dead := len(c.retiredQ) - from; dead > 0 {
+		obs.PCacheInvalidations.Add(uint32(c.shard), uint64(dead))
+		c.retireLocked(from)
 	}
-	obs.PCacheInvalidations.Add(uint32(c.shard), uint64(len(dead)))
-	c.reclaimLocked()
 }
 
 // reclaimLocked frees retired frames that reached quiescence: no pinned
@@ -523,6 +610,5 @@ func (c *Cache) Owns(frame mem.PAddr) bool {
 func (c *Cache) Stats() (resident, retiredN, mappedN int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.pages.Range(func(any, any) bool { resident++; return true })
-	return resident, len(c.retiredQ), len(c.mapped)
+	return c.resident, len(c.retiredQ), len(c.mapped)
 }

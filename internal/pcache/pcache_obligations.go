@@ -21,7 +21,9 @@ import (
 //     invalidation can never install stale bytes;
 //   - liveness/conservation: once readers unpin and mappings drop, every
 //     retired frame returns to the source — no frame leaks, and
-//     residency stays within the configured bound under pressure.
+//     residency stays within the configured bound under pressure;
+//   - residency: the bound counts live pages only, so a working set that
+//     fits stays resident whatever invalidate/refill churn runs over it.
 
 // memFrames is the in-memory FrameSource the obligations and tests run
 // against: frames are 1-based indices into a slice of page buffers, and
@@ -108,6 +110,8 @@ func RegisterObligations(g *verifier.Registry) {
 			Check: func(r *rand.Rand) error { return staleFillCheck(r) }},
 		verifier.Obligation{Module: "pcache", Name: "frame-conservation-under-churn", Kind: verifier.KindInvariant,
 			Check: func(r *rand.Rand) error { return churnConservationCheck(r) }},
+		verifier.Obligation{Module: "pcache", Name: "working-set-stays-resident", Kind: verifier.KindInvariant,
+			Check: func(r *rand.Rand) error { return workingSetResidentCheck(r) }},
 	)
 }
 
@@ -278,6 +282,152 @@ func churnConservationCheck(r *rand.Rand) error {
 	c.Quiesce()
 	if n := src.liveCount(); n != 0 {
 		return fmt.Errorf("%d frames leaked after full invalidation and quiescence", n)
+	}
+	return nil
+}
+
+// checkResidency is the residency invariant, read off the write-side
+// structures under mu: the eviction order, the inode index and the
+// lookup map hold the same pages, all of them live, and no more than
+// maxPages of them.
+func (c *Cache) checkResidency() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.resident > c.maxPages {
+		return fmt.Errorf("%d pages resident, bound %d", c.resident, c.maxPages)
+	}
+	ordered := 0
+	var prev *page
+	for pg := c.oldest; pg != nil; prev, pg = pg, pg.newer {
+		ordered++
+		if ordered > c.resident {
+			break
+		}
+		if pg.older != prev {
+			return fmt.Errorf("eviction order back link of %v is broken", pg.key)
+		}
+		if pg.dead.Load() {
+			return fmt.Errorf("dead page %v is still in the eviction order", pg.key)
+		}
+		if v, ok := c.pages.Load(pg.key); !ok || v.(*page) != pg {
+			return fmt.Errorf("page %v is in the eviction order but not in the lookup map", pg.key)
+		}
+		if c.index[pg.key.ino][pg.key.page] != pg {
+			return fmt.Errorf("page %v is in the eviction order but not in its inode's index", pg.key)
+		}
+	}
+	if ordered != c.resident || prev != c.newest {
+		return fmt.Errorf("eviction order holds %d pages, resident count is %d", ordered, c.resident)
+	}
+	indexed, looked := 0, 0
+	for ino, byPage := range c.index {
+		if len(byPage) == 0 {
+			return fmt.Errorf("inode %d keeps an empty index entry", ino)
+		}
+		indexed += len(byPage)
+	}
+	c.pages.Range(func(any, any) bool { looked++; return true })
+	if indexed != c.resident || looked != c.resident {
+		return fmt.Errorf("index holds %d pages, lookup map %d, resident count is %d", indexed, looked, c.resident)
+	}
+	return nil
+}
+
+// workingSetResidentCheck: a working set W of at most maxPages pages is
+// read, invalidated (by range and by inode) and refilled in random
+// order. A read may fill only a page that was never read or was
+// invalidated since its last read — any other fill means a live page
+// of W was evicted, which a bound over live pages never does. After the
+// churn one pass makes all of W resident again and a second pass fills
+// nothing; the residency invariant holds after every step.
+func workingSetResidentCheck(r *rand.Rand) error {
+	const maxPages, inodes = 48, 3
+	src := newMemFrames(0)
+	c := New(src, 0, maxPages)
+	w := maxPages/2 + r.Intn(maxPages/2+1)
+	contents := make([]byte, (w/inodes+1)*PageSize)
+	r.Read(contents)
+	fills := 0
+	fill := func(ino fs.Ino, off uint64, p []byte) (int, sys.Errno) {
+		fills++
+		return constFill(contents)(ino, off, p)
+	}
+	keyOf := func(i int) pageKey { return pageKey{ino: fs.Ino(1 + i%inodes), page: uint64(i / inodes)} }
+	cached := make(map[pageKey]bool) // the model: pages a read must find resident
+	buf := make([]byte, PageSize)
+	read := func(i int, whole bool) error {
+		k := keyOf(i)
+		off, p := k.page*PageSize, buf
+		if !whole { // an unaligned slice of the page goes through the staged fill
+			in := r.Intn(PageSize - 1)
+			off, p = off+uint64(in), buf[:1+r.Intn(PageSize-in-1)]
+		}
+		before := fills
+		n, e := c.ReadAt(k.ino, off, p, fill, i)
+		if e != sys.EOK || n != len(p) {
+			return fmt.Errorf("read %v: n=%d %v", k, n, e)
+		}
+		if filled := fills > before; filled == cached[k] {
+			return fmt.Errorf("read %v: filled=%v with the page cached=%v in the model (%d of bound %d in W)",
+				k, filled, cached[k], w, maxPages)
+		}
+		cached[k] = true
+		return nil
+	}
+	pass := func() error {
+		for _, i := range r.Perm(w) {
+			if err := read(i, true); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := pass(); err != nil {
+		return err
+	}
+	for step := 0; step < 4000; step++ {
+		switch x := r.Intn(20); {
+		case x < 12:
+			if err := read(r.Intn(w), x < 8); err != nil {
+				return err
+			}
+		case x < 19:
+			k := keyOf(r.Intn(w))
+			last := k.page + uint64(r.Intn(3))
+			lo := k.page*PageSize + uint64(r.Intn(PageSize))
+			c.InvalidateRange(k.ino, lo, max(lo, last*PageSize+uint64(r.Intn(PageSize)))+1)
+			for pg := k.page; pg <= last; pg++ {
+				delete(cached, pageKey{ino: k.ino, page: pg})
+			}
+		default:
+			ino := fs.Ino(1 + r.Intn(inodes))
+			c.InvalidateIno(ino)
+			for k := range cached {
+				if k.ino == ino {
+					delete(cached, k)
+				}
+			}
+		}
+		if err := c.checkResidency(); err != nil {
+			return fmt.Errorf("step %d: %w", step, err)
+		}
+	}
+	if err := pass(); err != nil {
+		return fmt.Errorf("refill pass: %w", err)
+	}
+	if resident, _, _ := c.Stats(); resident != w {
+		return fmt.Errorf("%d pages resident after the refill pass, working set is %d", resident, w)
+	}
+	before := fills
+	if err := pass(); err != nil {
+		return err
+	}
+	if fills != before {
+		return fmt.Errorf("second pass over a resident working set filled %d pages", fills-before)
+	}
+	c.Quiesce()
+	if live := src.liveCount(); live != w {
+		return fmt.Errorf("%d frames live with %d pages resident", live, w)
 	}
 	return nil
 }

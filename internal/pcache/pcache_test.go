@@ -3,7 +3,9 @@ package pcache
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/verified-os/vnros/internal/fs"
@@ -327,5 +329,175 @@ func TestBeyondEOFPageIsCachedEmpty(t *testing.T) {
 	c.Quiesce()
 	if src.liveCount() != 0 {
 		t.Fatalf("%d frames leaked", src.liveCount())
+	}
+}
+
+// TestInvalidateTouchesOnlyItsInode pins the O(pages touched) claim on
+// the count of index entries an invalidation examines, not on a clock:
+// a write to a small file next to a large cached one looks at the small
+// file's pages only, and a narrow range looks at one entry per page of
+// the range.
+func TestInvalidateTouchesOnlyItsInode(t *testing.T) {
+	const bigPages, smallPages = 200, 8
+	c := New(newMemFrames(0), 0, 0)
+	contents := make([]byte, bigPages*PageSize)
+	fills := 0
+	fill := func(ino fs.Ino, off uint64, p []byte) (int, sys.Errno) {
+		fills++
+		return constFill(contents)(ino, off, p)
+	}
+	buf := make([]byte, PageSize)
+	readAll := func(ino fs.Ino, pages int) {
+		for pg := 0; pg < pages; pg++ {
+			if n, e := c.ReadAt(ino, uint64(pg)*PageSize, buf, fill, 0); e != sys.EOK || n != PageSize {
+				t.Fatalf("read ino %d page %d: n=%d %v", ino, pg, n, e)
+			}
+		}
+	}
+	const big, small, absent = fs.Ino(1), fs.Ino(2), fs.Ino(3)
+	readAll(big, bigPages)
+	readAll(small, smallPages)
+
+	visited := func(f func()) uint64 {
+		c.mu.Lock()
+		v0 := c.visits
+		c.mu.Unlock()
+		f()
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.visits - v0
+	}
+	for _, tc := range []struct {
+		name string
+		f    func()
+		want uint64
+	}{
+		{"one page of the small file", func() { c.InvalidateRange(small, 3*PageSize+10, 3*PageSize+266) }, 1},
+		{"three pages of the big file", func() { c.InvalidateRange(big, 10*PageSize, 13*PageSize) }, 3},
+		{"a range wider than the small file's resident set", func() { c.InvalidateRange(small, 0, 1<<40) }, smallPages - 1},
+		{"an inode with nothing cached", func() { c.InvalidateIno(absent) }, 0},
+		{"the small file again, now empty", func() { c.InvalidateIno(small) }, 0},
+	} {
+		if got := visited(tc.f); got != tc.want {
+			t.Errorf("%s: examined %d index entries, want %d (the cache holds %d pages)", tc.name, got, tc.want, bigPages)
+		}
+	}
+	if resident, _, _ := c.Stats(); resident != bigPages-3 {
+		t.Errorf("%d pages resident, want %d", resident, bigPages-3)
+	}
+	// The big file's other pages were not disturbed: only the three
+	// killed ones refill.
+	fills = 0
+	readAll(big, bigPages)
+	if fills != 3 {
+		t.Errorf("re-reading the big file filled %d pages, want the 3 invalidated", fills)
+	}
+	if err := c.checkResidency(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestResidencyChurnStress runs readers over three times the residency
+// bound (so inserts evict), range and whole-inode invalidators, and a
+// checker of the residency invariant concurrently against the per-inode
+// index and the eviction order. Pages stay uniformly one generation and
+// every frame comes back at the end. For -race.
+func TestResidencyChurnStress(t *testing.T) {
+	const inodes, pagesPer, maxPages = 3, 24, 24
+	src := newMemFrames(0)
+	c := New(src, 0, maxPages)
+	var mu sync.Mutex
+	backing := make([]byte, inodes*pagesPer*PageSize)
+	fill := func(ino fs.Ino, off uint64, p []byte) (int, sys.Errno) {
+		mu.Lock()
+		defer mu.Unlock()
+		return copy(p, backing[(uint64(ino)-1)*pagesPer*PageSize+off:][:PageSize]), sys.EOK
+	}
+	var wg sync.WaitGroup
+	var reads atomic.Int64
+	stop := make(chan struct{})
+	fail := make(chan string, 16)
+	running := func() bool {
+		select {
+		case <-stop:
+			return false
+		default:
+			return true
+		}
+	}
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(400 + w)))
+			for gen := byte(1); running(); gen++ {
+				ino, pg := uint64(r.Intn(inodes)), uint64(r.Intn(pagesPer))
+				mu.Lock()
+				page := backing[(ino*pagesPer+pg)*PageSize:][:PageSize]
+				for i := range page {
+					page[i] = gen
+				}
+				mu.Unlock()
+				if r.Intn(8) == 0 {
+					c.InvalidateIno(fs.Ino(ino + 1))
+				} else {
+					c.InvalidateRange(fs.Ino(ino+1), pg*PageSize, (pg+1)*PageSize)
+				}
+			}
+		}(w)
+	}
+	for rd := 0; rd < 3; rd++ {
+		wg.Add(1)
+		go func(rd int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(500 + rd)))
+			buf := make([]byte, PageSize)
+			for running() {
+				ino, pg := fs.Ino(1+r.Intn(inodes)), uint64(r.Intn(pagesPer))
+				p := buf
+				if r.Intn(4) == 0 {
+					p = buf[:1+r.Intn(PageSize-1)] // the staged fill
+				}
+				n, e := c.ReadAt(ino, pg*PageSize, p, fill, rd)
+				if e != sys.EOK || n != len(p) {
+					fail <- "read failed under churn"
+					return
+				}
+				for i := 1; i < n; i++ {
+					if p[i] != p[0] {
+						fail <- "torn page observed"
+						return
+					}
+				}
+				reads.Add(1)
+			}
+		}(rd)
+	}
+	// Progress is counted in reads, not time: a one-CPU box must not
+	// finish the checks before the other goroutines ever ran.
+	for reads.Load() < 5000 && len(fail) == 0 {
+		if err := c.checkResidency(); err != nil {
+			fail <- err.Error()
+			break
+		}
+		c.Reclaim()
+		runtime.Gosched()
+	}
+	close(stop)
+	wg.Wait()
+	select {
+	case msg := <-fail:
+		t.Fatal(msg)
+	default:
+	}
+	for ino := fs.Ino(1); ino <= inodes; ino++ {
+		c.InvalidateIno(ino)
+	}
+	c.Quiesce()
+	if src.liveCount() != 0 {
+		t.Fatalf("%d frames leaked after churn", src.liveCount())
+	}
+	if src.allocs <= maxPages {
+		t.Fatalf("only %d frames ever allocated: the churn never evicted or refilled", src.allocs)
 	}
 }

@@ -176,7 +176,7 @@ func EncodeRead(op ReadOp) (marshal.SyscallFrame, []byte) {
 	frame.Args[2] = uint64(op.VA)
 	frame.Args[3] = op.Len
 	frame.Args[4] = uint64(op.TID)
-	e := marshal.NewEncoder(nil)
+	e := marshal.NewEncoder(make([]byte, 0, 4+len(op.Path)+8))
 	e.String(op.Path)
 	e.U64(op.Off)
 	return frame, e.Bytes()
@@ -201,10 +201,15 @@ func DecodeRead(frame marshal.SyscallFrame, payload []byte) (ReadOp, error) {
 	return op, nil
 }
 
-// EncodeResp packs a Resp for the return crossing.
+// EncodeResp packs a Resp for the return crossing. The encoder is
+// presized (exactly), so a reply is one allocation whatever it carries.
 func EncodeResp(r Resp) (marshal.RetFrame, []byte) {
 	ret := marshal.RetFrame{Value: r.Val, Errno: uint64(r.Errno)}
-	e := marshal.NewEncoder(nil)
+	size := 63 + len(r.Data) + 8*len(r.Freed) // fixed-width fields and length prefixes
+	for i := range r.Entries {
+		size += 13 + len(r.Entries[i].Name)
+	}
+	e := marshal.NewEncoder(make([]byte, 0, size))
 	e.BytesField(r.Data)
 	e.U64(uint64(r.Stat.Ino)).U8(uint8(r.Stat.Kind)).U64(r.Stat.Size).I64(int64(r.Stat.Nlink))
 	e.U32(uint32(len(r.Entries)))

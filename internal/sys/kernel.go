@@ -196,7 +196,10 @@ func (k *Kernel) dispatchWrite(op WriteOp) Resp {
 		if err := t.Lock(op.FD); err != nil {
 			return fail(err)
 		}
-		buf := make([]byte, op.Len)
+		var buf []byte
+		if of, err := t.Get(op.FD); err == nil {
+			buf = k.replyBuf(of.Ino, of.Offset, op.Len)
+		}
 		n, err := t.Read(op.FD, buf)
 		if uerr := t.Unlock(op.FD); uerr != nil && err == nil {
 			err = uerr
@@ -367,6 +370,29 @@ func (k *Kernel) dispatchWrite(op WriteOp) Resp {
 	return k.dispatchShardWrite(op)
 }
 
+// ClampReadLen bounds a read length by the bytes a file of the given
+// size can supply from off.
+func ClampReadLen(want, off, size uint64) uint64 {
+	if off >= size {
+		return 0
+	}
+	return min(want, size-off)
+}
+
+// replyBuf allocates the buffer a read's reply travels in. want is the
+// caller's word, taken from the syscall frame, so it is clamped to what
+// ino can supply from off before anything is allocated (a frame saying
+// Len: 1<<62 must not take the kernel down); an honest caller's result
+// is the same. An inode that cannot be stat'ed gets no buffer — the read
+// itself reports the error.
+func (k *Kernel) replyBuf(ino fs.Ino, off, want uint64) []byte {
+	st, err := k.fs.StatIno(ino)
+	if err != nil {
+		return nil
+	}
+	return make([]byte, ClampReadLen(want, off, st.Size))
+}
+
 // spawn creates the process plus its kernel resources.
 func (k *Kernel) spawn(op WriteOp) Resp {
 	pid, err := k.procs.Spawn(op.PID, op.Name)
@@ -518,7 +544,7 @@ func (k *Kernel) DispatchRead(op ReadOp) Resp {
 		if of.Flags&fs.OWrOnly != 0 {
 			return fail(fs.ErrPermission)
 		}
-		buf := make([]byte, op.Len)
+		buf := k.replyBuf(of.Ino, op.Off, op.Len)
 		n, err := k.fs.ReadAt(of.Ino, op.Off, buf)
 		if err != nil {
 			return fail(err)

@@ -351,7 +351,7 @@ func (k *Kernel) dispatchShardRead(op ReadOp) Resp {
 		return k.contentsWitness(op, Resp{Errno: EOK, Stat: st, Val: st.Size})
 
 	case NumFsReadAt:
-		buf := make([]byte, op.Len)
+		buf := k.replyBuf(op.Ino, op.Off, op.Len)
 		n, err := k.fs.ReadAt(op.Ino, op.Off, buf)
 		if err != nil {
 			return k.contentsWitness(op, fail(err))

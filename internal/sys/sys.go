@@ -36,6 +36,18 @@ type Witnesser interface {
 	TakeWitness() *Witness
 }
 
+// DestHandler is implemented by handlers that take the caller's buffer
+// as the destination of a read: the §3 mapping obligation ("user buffers
+// appear at known kernel addresses") instead of marshalling. The kernel
+// writes at most len(dst) bytes into dst and nothing past the count it
+// returns; the reply is the register frame alone (errno and count), with
+// no payload to allocate, encode or copy out of. Pread crosses this way
+// when it can. dst is the handler's until the call returns — one handle
+// is one thread of control, and the buffer is the call's `&mut` borrow.
+type DestHandler interface {
+	SyscallInto(frame marshal.SyscallFrame, payload []byte, dst []byte) marshal.RetFrame
+}
+
 // Sys is the user-space handle encapsulating the syscall interface —
 // the paper's `Sys` type. Each process (and in the simulated system,
 // each user program goroutine) holds one. When a Viewer is attached,
@@ -62,8 +74,10 @@ type Witnesser interface {
 type Sys struct {
 	pid proc.PID
 	h   Handler
-	// wit is h when it can witness (nil otherwise).
-	wit Witnesser
+	// wit is h when it can witness (nil otherwise); dest is h when it
+	// takes a destination buffer.
+	wit  Witnesser
+	dest DestHandler
 
 	// core is the core the handle's kernel handler is pinned to (0 when
 	// the handler doesn't expose one) — the stripe for ring and contract
@@ -98,6 +112,7 @@ func NewSys(pid proc.PID, h Handler) *Sys {
 		s.core = uint32(cp.Core())
 	}
 	s.wit, _ = h.(Witnesser)
+	s.dest, _ = h.(DestHandler)
 	return s
 }
 
@@ -250,33 +265,49 @@ func (s *Sys) Read(fd fs.FD, buffer []byte) (uint64, Errno) {
 // Pread reads up to len(buffer) bytes at the absolute offset off,
 // without moving the descriptor's offset. Because it mutates no kernel
 // state it travels as a read op: cache hits are served from the sharded
-// page cache without crossing the NR combiner. In contract mode the
-// result is checked against the pre view's contents (a positioned
-// read_spec: same bytes, offset untouched).
+// page cache without crossing the NR combiner. A DestHandler is handed
+// buffer itself, so a hit costs one copy (cached frame to buffer) and the
+// reply carries no data; any other handler returns the bytes in an
+// encoded reply. In contract mode the result is checked against the pre
+// view's contents (a positioned read_spec: same bytes, offset
+// untouched), on what was delivered into buffer either way.
 func (s *Sys) Pread(fd fs.FD, buffer []byte, off uint64) (uint64, Errno) {
 	s.call.Lock()
 	defer s.call.Unlock()
 	pre, checking := s.view()
-	r := s.callRead(ReadOp{Num: NumPread, FD: fd, Len: uint64(len(buffer)), Off: off})
-	if r.Errno != EOK {
-		return 0, r.Errno
+	op := ReadOp{Num: NumPread, PID: s.pid, FD: fd, Len: uint64(len(buffer)), Off: off}
+	var val uint64 // the count the kernel reports
+	if s.dest != nil {
+		frame, payload := EncodeRead(op)
+		ret := s.dest.SyscallInto(frame, payload, buffer)
+		if e := Errno(ret.Errno); e != EOK {
+			return 0, e
+		}
+		val = ret.Value
+	} else {
+		r := s.callRead(op)
+		if r.Errno != EOK {
+			return 0, r.Errno
+		}
+		copy(buffer, r.Data)
+		val = r.Val
 	}
-	n := uint64(copy(buffer, r.Data))
 	if checking {
 		post, _ := s.view()
-		if err := preadCheck(pre, post, fd, off, buffer[:n], r.Val); err != nil {
+		if err := preadCheck(pre, post, fd, off, buffer, val); err != nil {
 			s.recordViolation(fmt.Errorf("pread(%d): %w", fd, err))
 		}
 	}
-	return n, EOK
+	return min(val, uint64(len(buffer))), EOK
 }
 
-// preadCheck is the positioned-read contract: the returned bytes are
-// exactly pre.contents[off:off+n], n is min(len(buf), size-off), and the
-// descriptor's offset is unchanged. A concurrent writer can move the
-// file between the pre snapshot and the read, so the check tolerates a
-// post-state match too (the read linearized after the write); only a
-// result matching neither snapshot is a violation.
+// preadCheck is the positioned-read contract: the first n bytes of the
+// caller's buffer got are exactly pre.contents[off:off+n], n is
+// min(len(got), size-off), and the descriptor's offset is unchanged. A
+// concurrent writer can move the file between the pre snapshot and the
+// read, so the check tolerates a post-state match too (the read
+// linearized after the write); only a result matching neither snapshot
+// is a violation.
 func preadCheck(pre, post fs.SpecState, fd fs.FD, off uint64, got []byte, n uint64) error {
 	match := func(st fs.SpecState) bool {
 		f, ok := st.Files[fd]

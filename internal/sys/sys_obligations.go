@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 
 	"github.com/verified-os/vnros/internal/fs"
 	"github.com/verified-os/vnros/internal/hw/mem"
@@ -181,6 +182,27 @@ func RegisterObligations(g *verifier.Registry) {
 				if s.ContractErr() == nil {
 					return fmt.Errorf("contract checker missed corrupted read data")
 				}
+				// The destination crossing delivers into the caller's buffer
+				// and reports a bare count: a kernel broken there is caught by
+				// the same positioned-read check, on what was delivered. Each
+				// fault gets its own handle (a handle keeps its first
+				// violation) over the same kernel and descriptor.
+				for _, f := range []destFault{destHonest, destWrongBytes, destShortCount, destLongCount} {
+					sp := NewSys(proc.InitPID, &destHandler{directHandler: directHandler{k: k}, fault: f})
+					sp.EnableContract(k)
+					if n, e := sp.Pread(fd, buf[:6], 2); e != EOK {
+						return fmt.Errorf("pread (fault %d): n=%d %v", f, n, e)
+					}
+					err := sp.ContractErr()
+					switch {
+					case f == destHonest && err != nil:
+						return fmt.Errorf("honest destination pread flagged: %w", err)
+					case f == destHonest && string(buf[:6]) != "nsitiv":
+						return fmt.Errorf("honest destination pread delivered %q", buf[:6])
+					case f != destHonest && (err == nil || !strings.Contains(err.Error(), "pread")):
+						return fmt.Errorf("contract checker missed destination fault %d (ContractErr: %v)", f, err)
+					}
+				}
 				return nil
 			}},
 		verifier.Obligation{Module: "sys", Name: "mmap-memory-semantics", Kind: verifier.KindRefinement,
@@ -348,6 +370,41 @@ func (h *corruptingHandler) Syscall(frame marshal.SyscallFrame, payload []byte) 
 		}
 	}
 	return ret, out
+}
+
+// destHandler gives a directHandler the destination capability
+// (DestHandler) with a selectable fault between the kernel's answer and
+// what lands in the caller's buffer.
+type destHandler struct {
+	directHandler
+	fault destFault
+}
+
+type destFault int
+
+const (
+	destHonest destFault = iota
+	destWrongBytes
+	destShortCount
+	destLongCount
+)
+
+func (h *destHandler) SyscallInto(frame marshal.SyscallFrame, payload []byte, dst []byte) marshal.RetFrame {
+	ret, out := h.directHandler.Syscall(frame, payload)
+	r, err := DecodeResp(ret, out)
+	if err != nil || r.Errno != EOK {
+		return ret
+	}
+	n := uint64(copy(dst, r.Data))
+	switch h.fault {
+	case destWrongBytes:
+		dst[n-1] ^= 0xff
+	case destShortCount:
+		n--
+	case destLongCount:
+		n++
+	}
+	return marshal.RetFrame{Value: n, Errno: uint64(EOK)}
 }
 
 // lyingHandler lets the kernel apply ops of one syscall number and then

@@ -2,6 +2,7 @@ package sys
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"github.com/verified-os/vnros/internal/fs"
@@ -296,5 +297,25 @@ func TestObligationsAllPass(t *testing.T) {
 		for _, f := range rep.Failed() {
 			t.Errorf("seed %d: VC %s failed: %v", seed, f.Obligation.ID(), f.Err)
 		}
+	}
+}
+
+// TestEncodersArePresized: a reply (and a read request) is one
+// allocation of exactly its encoded size, whatever it carries — the
+// size arithmetic in EncodeResp must track the field list.
+func TestEncodersArePresized(t *testing.T) {
+	r := rand.New(rand.NewSource(16))
+	for i := 0; i < 200; i++ {
+		resp := randomResp(r)
+		if _, out := EncodeResp(resp); len(out) != cap(out) {
+			t.Fatalf("EncodeResp: %d bytes in a buffer of %d (%d data, %d entries, %d freed)",
+				len(out), cap(out), len(resp.Data), len(resp.Entries), len(resp.Freed))
+		}
+		if _, out := EncodeRead(ReadOp{Num: NumStat, Path: randPath(r), Off: r.Uint64()}); len(out) != cap(out) {
+			t.Fatalf("EncodeRead: %d bytes in a buffer of %d", len(out), cap(out))
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { EncodeResp(Resp{Errno: EOK, Val: 7}) }); n > 2 {
+		t.Errorf("a data-less reply takes %.0f allocations, want the buffer and its encoder", n)
 	}
 }
