@@ -19,8 +19,12 @@ import (
 func (s *System) localOp(h *handler, op sys.WriteOp) sys.Resp {
 	switch op.Num {
 	case sys.NumMemRead:
-		buf := make([]byte, op.Len)
-		if e := s.userMem(h.core, op.PID, op.VA, buf, false); e != sys.EOK {
+		// Len is the frame's word, so the kernel sizes the reply itself,
+		// after checking the range against the caller's mappings.
+		var buf []byte
+		e := sys.EFAULT
+		s.procKernel(h.core, op.PID, func(k *sys.Kernel) { buf, e = k.UserReadN(op.PID, op.VA, op.Len) })
+		if e != sys.EOK {
 			return sys.Resp{Errno: e}
 		}
 		return sys.Resp{Errno: sys.EOK, Val: op.Len, Data: buf}
@@ -67,20 +71,25 @@ func (s *System) localOp(h *handler, op sys.WriteOp) sys.Resp {
 // sharded kernel the page tables live on the PID's process shard.
 func (s *System) userMem(core int, pid proc.PID, va mmu.VAddr, p []byte, write bool) sys.Errno {
 	e := sys.EFAULT
-	access := func(d nr.DataStructure[sys.ReadOp, sys.WriteOp, sys.Resp]) {
-		k := d.(*sys.Kernel)
+	s.procKernel(core, pid, func(k *sys.Kernel) {
 		if write {
 			e = k.UserWrite(pid, va, p)
 		} else {
 			e = k.UserRead(pid, va, p)
 		}
-	}
+	})
+	return e
+}
+
+// procKernel runs f against core's replica of the kernel that holds
+// pid's address space, synced to its log tail.
+func (s *System) procKernel(core int, pid proc.PID, f func(*sys.Kernel)) {
+	access := func(d nr.DataStructure[sys.ReadOp, sys.WriteOp, sys.Resp]) { f(d.(*sys.Kernel)) }
 	if s.sharded() {
 		s.procNR.Shard(s.ProcShardOf(pid)).Replica(s.replicaOf(core)).Inspect(access)
-		return e
+		return
 	}
 	s.nr.Replica(s.replicaOf(core)).Inspect(access)
-	return e
 }
 
 // memCAS implements the atomic compare-and-swap "instruction" on a

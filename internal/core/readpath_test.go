@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/verified-os/vnros/internal/fs"
+	"github.com/verified-os/vnros/internal/hw/mmu"
 	"github.com/verified-os/vnros/internal/obs"
 	"github.com/verified-os/vnros/internal/pcache"
 	"github.com/verified-os/vnros/internal/sys"
@@ -190,6 +191,9 @@ func TestBatchPreadObservesBatchWrites(t *testing.T) {
 // "makeslice: len out of range". Every reply-form read now clamps to the
 // bytes the file can supply from the offset before allocating, so the
 // hostile frame reads to EOF like an honest oversized buffer would.
+// NumMemRead took the same word to make() before any mapping check; its
+// range is now checked against the caller's mappings first, so the
+// hostile frame is the EFAULT an honest read off the end of a mapping is.
 func TestHostileReadLengthIsClamped(t *testing.T) {
 	const hostile = uint64(1) << 62
 	contents := []byte("the file is this long and no longer")
@@ -264,6 +268,42 @@ func TestHostileReadLengthIsClamped(t *testing.T) {
 			}
 			want("batched read", comps[0].Errno, comps[0].Val, comps[0].Data, 7)
 			want("batched pread", comps[1].Errno, comps[1].Val, comps[1].Data, 4)
+
+			// Raw user memory: a process with one two-page mapping.
+			child, e := initSys.Spawn("mapper")
+			if e != sys.EOK {
+				t.Fatalf("spawn: %v", e)
+			}
+			cs, err := s.RawSysOn(child, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base, e := cs.MMap(2 * 4096)
+			if e != sys.EOK {
+				t.Fatalf("mmap: %v", e)
+			}
+			if e := cs.MemWrite(base+4090, []byte("straddles pages")); e != sys.EOK {
+				t.Fatalf("mem write: %v", e)
+			}
+			memRead := func(va mmu.VAddr, n uint64) sys.Resp {
+				frame, payload := sys.EncodeWrite(sys.WriteOp{Num: sys.NumMemRead, PID: child, VA: va, Len: n})
+				r, err := sys.DecodeResp(h.Syscall(frame, payload))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}
+			if r := memRead(base+4090, 15); r.Errno != sys.EOK || string(r.Data) != "straddles pages" {
+				t.Errorf("honest mem read: errno=%v data=%q", r.Errno, r.Data)
+			}
+			if r := memRead(base, 2*4096); r.Errno != sys.EOK || len(r.Data) != 2*4096 {
+				t.Errorf("mem read of the whole mapping: errno=%v, %d bytes", r.Errno, len(r.Data))
+			}
+			for _, n := range []uint64{2*4096 + 1, hostile, ^uint64(0)} {
+				if r := memRead(base, n); r.Errno != sys.EFAULT || len(r.Data) != 0 {
+					t.Errorf("mem read of %d bytes from a two-page mapping: errno=%v, %d bytes, want EFAULT", n, r.Errno, len(r.Data))
+				}
+			}
 
 			if err := s.CheckReplicaAgreement(); err != nil {
 				t.Error(err)

@@ -26,6 +26,11 @@ import (
 //     produces byte-identical responses on a sharded kernel and on the
 //     monolithic single-NR kernel — the sharding is invisible through
 //     the syscall interface.
+//   - sharded-batch-refines-monolithic-batch: the same for submitted
+//     batches, whose descriptor runs the sharded kernel executes as one
+//     owner-shard transition each (the Run rule, shard_router.go) where
+//     the monolith applies a contiguous vector: identical completions,
+//     cursors and contents.
 func registerShardObligations(g *verifier.Registry) {
 	g.Register(
 		verifier.Obligation{Module: "core", Name: "shard-isolation", Kind: verifier.KindInvariant,
@@ -36,6 +41,8 @@ func registerShardObligations(g *verifier.Registry) {
 			}},
 		verifier.Obligation{Module: "core", Name: "sharded-refines-single-machine-spec", Kind: verifier.KindRefinement,
 			Check: func(r *rand.Rand) error { return shardRefinementCheck(r) }},
+		verifier.Obligation{Module: "core", Name: "sharded-batch-refines-monolithic-batch", Kind: verifier.KindRefinement,
+			Check: func(r *rand.Rand) error { return shardBatchRefinementCheck(r) }},
 	)
 }
 
@@ -240,14 +247,23 @@ func shardRefinementCheck(r *rand.Rand) error {
 	if err != nil {
 		return fmt.Errorf("sharded run: %w", err)
 	}
+	return diffTraces(mono, shrd)
+}
+
+// diffTraces requires two rendered traces to be identical, naming the
+// first step that is not.
+func diffTraces(mono, shrd []string) error {
+	for i := range mono {
+		if i >= len(shrd) || mono[i] != shrd[i] {
+			got := "(trace ends)"
+			if i < len(shrd) {
+				got = shrd[i]
+			}
+			return fmt.Errorf("trace step %d diverged:\n  monolithic: %s\n  sharded:    %s", i, mono[i], got)
+		}
+	}
 	if len(mono) != len(shrd) {
 		return fmt.Errorf("trace lengths differ: monolithic %d, sharded %d", len(mono), len(shrd))
-	}
-	for i := range mono {
-		if mono[i] != shrd[i] {
-			return fmt.Errorf("trace step %d diverged:\n  monolithic: %s\n  sharded:    %s",
-				i, mono[i], shrd[i])
-		}
 	}
 	return nil
 }
@@ -333,4 +349,141 @@ func shardScriptTrace(cfg Config, seed int64) ([]string, error) {
 		return nil, err
 	}
 	return trace, nil
+}
+
+// shardBatchRefinementCheck submits one random sequence of batches to a
+// monolithic kernel and to a 4-shard kernel and requires byte-identical
+// completions, final cursors, sizes and contents. The monolith applies
+// a batch as one contiguous ExecuteBatch vector; the sharded kernel cuts
+// it into descriptor runs and applies each as a single NumFsRun on the
+// inode's owner, so this is the obligation that a run threads the cursor
+// exactly as the per-op transitions would. The sharded boot takes small
+// shard logs: eight default rings are 136 MB the check has no use for.
+func shardBatchRefinementCheck(r *rand.Rand) error {
+	seed := r.Int63()
+	mono, err := shardBatchTrace(Config{Cores: 2, MemBytes: 256 << 20}, seed)
+	if err != nil {
+		return fmt.Errorf("monolithic run: %w", err)
+	}
+	shrd, err := shardBatchTrace(Config{Cores: 2, Shards: 4, ShardLogSize: 4096, MemBytes: 256 << 20}, seed)
+	if err != nil {
+		return fmt.Errorf("sharded run: %w", err)
+	}
+	return diffTraces(mono, shrd)
+}
+
+// shardBatchTrace boots cfg, submits seeded random batches, and renders
+// every completion and the final state to a string trace. The script is
+// a function of the seed alone: descriptor numbers are predicted (every
+// open below succeeds), never read back from a completion.
+//
+// The mix is chosen for what a run must get right: reads, writes and
+// seeks with every whence (one invalid) and negative offsets; an
+// OAppend descriptor, whose writes must resolve EOF entry by entry; a
+// read-only and a write-only descriptor, whose EPERM entries sit
+// mid-run and must not move the cursor; closed descriptors, on which a
+// whole run fails alike; zero-length writes and reads past EOF; a
+// second descriptor on the same inode; an op usually staying on the
+// previous one's descriptor, so runs form, and sometimes not, so they
+// break; and open/close/truncate between runs.
+func shardBatchTrace(cfg Config, seed int64) ([]string, error) {
+	rng := rand.New(rand.NewSource(seed))
+	s, err := Boot(cfg)
+	if err != nil {
+		return nil, err
+	}
+	initSys, err := s.Init()
+	if err != nil {
+		return nil, err
+	}
+	var trace []string
+	rec := func(format string, args ...any) { trace = append(trace, fmt.Sprintf(format, args...)) }
+
+	paths := []string{"/p", "/q"}
+	modes := []sys.OpenFlag{sys.ORdWr, sys.ORdOnly, sys.OWrOnly, sys.OWrOnly | sys.OAppend, sys.ORdWr | sys.OAppend}
+	var fds []fs.FD // open or closed: a closed one is a case, not a mistake
+	open := func(path string, flags sys.OpenFlag) error {
+		fd, e := initSys.Open(path, flags)
+		if e != sys.EOK {
+			return fmt.Errorf("open %s: %v", path, e)
+		}
+		fds = append(fds, fd)
+		return nil
+	}
+	for _, o := range []struct {
+		path  string
+		flags sys.OpenFlag
+	}{
+		{"/p", sys.OCreate | sys.ORdWr}, {"/q", sys.OCreate | sys.ORdWr}, {"/p", sys.ORdWr},
+		{"/p", sys.OWrOnly | sys.OAppend}, {"/q", sys.ORdOnly}, {"/q", sys.OWrOnly},
+	} {
+		if err := open(o.path, o.flags); err != nil {
+			return nil, err
+		}
+	}
+	nextFD := fds[len(fds)-1] + 1
+
+	for b := 0; b < 24; b++ {
+		ops := make([]sys.Op, 1+rng.Intn(24))
+		fd := fds[rng.Intn(len(fds))]
+		// A descriptor joins the pool in the batch after the one that
+		// opens it: the ring's contract replay does not track descriptors
+		// opened inside a batch, and takes a write through one to an
+		// inode a tracked descriptor shares for a violation.
+		var opened []fs.FD
+		for i := range ops {
+			if rng.Intn(10) < 3 {
+				fd = fds[rng.Intn(len(fds))]
+			}
+			switch k := rng.Intn(40); {
+			case k < 14:
+				data := make([]byte, rng.Intn(6)*rng.Intn(60)) // one in six empty
+				rng.Read(data)
+				ops[i] = sys.OpWrite(fd, data)
+			case k < 24:
+				ops[i] = sys.OpRead(fd, uint64(rng.Intn(400)))
+			case k < 34:
+				ops[i] = sys.OpSeek(fd, int64(rng.Intn(3000))-400, rng.Intn(4))
+			case k < 36:
+				ops[i] = sys.OpTruncate(fd, uint64(rng.Intn(2500)))
+			case k < 37:
+				ops[i] = sys.OpClose(fd) // stays in fds: later entries on it fail
+			default:
+				ops[i] = sys.OpOpen(paths[rng.Intn(len(paths))], modes[rng.Intn(len(modes))])
+				opened = append(opened, nextFD)
+				nextFD++
+			}
+		}
+		fds = append(fds, opened...)
+		comps, e := initSys.SubmitWait(ops)
+		if e != sys.EOK {
+			return nil, fmt.Errorf("batch %d: %v", b, e)
+		}
+		for i, c := range comps {
+			rec("batch %d op %d %s: %v val=%d data=%x", b, i, sys.OpName(c.Op), c.Errno, c.Val, c.Data)
+		}
+	}
+
+	for _, fd := range fds {
+		pos, e := initSys.Seek(fd, 0, fs.SeekCur)
+		rec("cursor fd %d: %d %v", fd, pos, e)
+	}
+	for _, path := range paths {
+		st, e := initSys.Stat(path)
+		rec("stat %s: size=%d %v", path, st.Size, e)
+		fd, e := initSys.Open(path, sys.ORdOnly)
+		if e != sys.EOK {
+			return nil, fmt.Errorf("reopen %s: %v", path, e)
+		}
+		buf := make([]byte, st.Size+1)
+		n, e := initSys.Read(fd, buf)
+		rec("contents %s: n=%d %x %v", path, n, buf[:n], e)
+	}
+	if err := initSys.ContractErr(); err != nil {
+		return nil, err
+	}
+	if err := s.CheckReplicaAgreement(); err != nil {
+		return nil, err
+	}
+	return trace, s.CheckKernelInvariants()
 }

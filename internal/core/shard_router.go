@@ -31,19 +31,33 @@ import (
 //   - Open: namespace first (resolve/create on the fs group), descriptor
 //     install second (proc shard). A crash between the two leaves a
 //     created file with no descriptor — the state after a plain creat.
-//   - Read/Write: FDLock on the proc shard (capturing ino/offset/flags
-//     and excluding concurrent users of the descriptor), then the data
-//     op on the inode's owner shard, then FDUnlock publishing the new
-//     absolute offset. A locked descriptor makes concurrent syscalls
-//     retry (EAGAIN from the shard, spun here with Gosched), which is
-//     the sharded equivalent of the monolithic combiner's serialization.
-//   - Seek: SeekSet/SeekCur are one proc-shard transition that refuses a
-//     locked descriptor (retried like fdLock); SeekEnd locks the
-//     descriptor, reads the owner's size, and publishes size+off at
-//     unlock — so no seek lands inside a read or write protocol.
-//   - Append: the owner shard resolves EOF at apply time (NumFsWriteAt
-//     reads its own authoritative size), so two appends racing through
-//     different descriptors still serialize on the owner's log.
+//   - Run: consecutive read/write/seek entries on one descriptor — a
+//     per-call write or SeekEnd is the one-entry case, a batch
+//     contributes whole runs — execute as FDLock on the proc shard
+//     (capturing ino/offset/flags), ONE NumFsRun on the inode's owner
+//     shard that applies every entry in order, threading the cursor
+//     (sys.Kernel.fsRun), then FDUnlock publishing the final cursor:
+//     three combiner rounds however long the run. The held descriptor
+//     excludes every other handle's read, write and seek on it for the
+//     whole run (their lock or seek step gets EAGAIN from the shard and
+//     is retried here with Gosched — the sharded equivalent of the
+//     monolithic combiner's serialization), and the single owner-shard
+//     entry excludes every other op on the inode between two entries of
+//     the run. A half-done run — locked, applied or not, cursor not yet
+//     published — is the single-kernel state before or after the whole
+//     run with the descriptor busy; nobody can observe the stale cursor,
+//     because every reader of it needs the lock. The run relies on other
+//     handles for nothing but that protocol.
+//   - Read: a lone read keeps its data step replica-local: FDLock, the
+//     owner's NumFsReadAt through ExecuteRead, FDUnlock(new offset).
+//   - Seek: a lone SeekSet/SeekCur is one proc-shard transition that
+//     refuses a locked descriptor (retried like fdLock), so no seek
+//     lands inside a run; SeekEnd needs the owner's size and is a
+//     one-entry run.
+//   - Append: the owner shard resolves EOF when it applies the entry
+//     (fs.WriteCursor reads the authoritative size), so two appends
+//     racing through different descriptors still serialize on the
+//     owner's log.
 //   - Spawn: process tree first (allocate the child PID on shard 0),
 //     resources second (NumProcAttach on the child's shard); on attach
 //     failure NumProcUnspawn rolls the tree entry back.
@@ -236,7 +250,7 @@ func (h *handler) shardWrite(op sys.WriteOp) sys.Resp {
 	case sys.NumRead:
 		return h.shardReadData(op)
 	case sys.NumWrite:
-		return h.shardWriteData(op)
+		return h.shardRunOne(op)
 	case sys.NumSeek:
 		return h.shardSeek(op)
 	case sys.NumTruncate:
@@ -347,7 +361,7 @@ func (h *handler) shardOpen(op sys.WriteOp) sys.Resp {
 // composeWitness attaches the sharded kernel's witness to r when op
 // asks for one. The descriptor's scalars come from the fd-lock step lk
 // and the offset the unlock step stored (postOff, as fdUnlock returns
-// it); the contents pair comes from the owner shard's apply (cw, nil
+// it); the contents pair comes from the owner shard's step (cw, nil
 // when the protocol never reached the owner). The halves are adjacent
 // states of one descriptor because it stays locked from lk to the
 // unlock: no other read, write or seek can move its offset in between,
@@ -393,64 +407,74 @@ func (h *handler) shardReadData(op sys.WriteOp) sys.Resp {
 		sys.Resp{Errno: sys.EOK, Val: r.Val, Data: r.Data})
 }
 
-// shardWriteData: NumWrite = FDLock → owner WriteAt (append-aware) →
-// FDUnlock(owner-computed cursor).
-func (h *handler) shardWriteData(op sys.WriteOp) sys.Resp {
+// shardRun executes a run of read/write/seek entries on (pid, fd) by the
+// Run rule at the top of the file. run carries the entries — in its Run
+// field, or in its own file fields for a one-entry run
+// (sys.Kernel.fsRun); the inode, open flags and cursor the lock step
+// returns are filled in here. It returns the lock step's response, the
+// run's (zero when the lock failed, which fails every entry alike) and
+// the offset the unlock step stored.
+func (h *handler) shardRun(pid proc.PID, fd fs.FD, run sys.WriteOp) (lk, r sys.Resp, post uint64) {
 	s := h.s
-	ps := s.ProcShardOf(op.PID)
-	lk := h.fdLock(ps, op.PID, op.FD)
+	ps := s.ProcShardOf(pid)
+	lk = h.fdLock(ps, pid, fd)
+	if lk.Errno != sys.EOK {
+		return lk, sys.Resp{}, 0
+	}
+	n := 1
+	if run.Run != nil {
+		n = len(run.Run.Ops)
+	}
+	obs.ShardFDRuns.Add(uint32(h.core), 1)
+	obs.ShardFDRunOps.Add(uint32(h.core), uint64(n))
+	run.Num, run.PID, run.Ino, run.Flags, run.Size = sys.NumFsRun, pid, lk.Ino, lk.Val, lk.Off
+	r = h.fsExecOn(s.FsShardOf(lk.Ino), run)
+	return lk, r, h.fdUnlock(ps, pid, fd, r.Off)
+}
+
+// shardRunOne is a per-call write or SeekEnd: the one-entry run, which
+// is the op itself, with the witness composed across its three steps.
+func (h *handler) shardRunOne(op sys.WriteOp) sys.Resp {
+	run := op
+	run.Code = int(op.Num)
+	lk, r, post := h.shardRun(op.PID, op.FD, run)
 	if lk.Errno != sys.EOK {
 		return composeWitness(op, lk, nil, 0, lk)
 	}
-	ino, off, flags := lk.Ino, lk.Off, int(lk.Val)
-	if flags&(fs.OWrOnly|fs.ORdWr|fs.OAppend) == 0 {
-		return composeWitness(op, lk, nil, h.fdUnlock(ps, op.PID, op.FD, off), sys.Resp{Errno: sys.EPERM})
+	return composeWitness(op, lk, r.Witness, post, sys.Resp{Errno: r.Errno, Val: r.Val, Data: r.Data})
+}
+
+// shardRunBatch completes a batch's run: comps[k] answers ops[k].
+func (h *handler) shardRunBatch(ops []sys.WriteOp, comps []sys.Completion) {
+	lk, r, _ := h.shardRun(ops[0].PID, ops[0].FD, sys.WriteOp{Run: &sys.FsRun{Ops: ops}})
+	for k := range ops {
+		e := sys.RunResult{Errno: lk.Errno}
+		if lk.Errno == sys.EOK {
+			e = r.Run[k]
+		}
+		comps[k] = sys.Completion{Op: ops[k].Num, Errno: e.Errno, Val: e.Val, Data: e.Data}
 	}
-	w := h.fsExecOn(s.FsShardOf(ino), sys.WriteOp{
-		Num: sys.NumFsWriteAt, PID: op.PID, Ino: ino,
-		Off: int64(off), Flags: uint64(flags), Data: op.Data, Witness: op.Witness,
-	})
-	if w.Errno != sys.EOK {
-		return composeWitness(op, lk, w.Witness, h.fdUnlock(ps, op.PID, op.FD, off), sys.Resp{Errno: w.Errno})
-	}
-	return composeWitness(op, lk, w.Witness, h.fdUnlock(ps, op.PID, op.FD, w.Off), sys.Resp{Errno: sys.EOK, Val: w.Val})
 }
 
 // shardSeek: SeekSet/SeekCur are one transition on the proc shard, which
 // refuses a locked descriptor (retried here, like fdLock) so a seek
-// never lands inside another handle's read or write protocol. SeekEnd
-// needs the owner's size, so it takes the descriptor like a data op:
-// FDLock → owner stat → FDUnlock(size + off).
+// never lands inside another handle's run. SeekEnd needs the owner's
+// size, so it takes the descriptor like a data op: a one-entry run.
 func (h *handler) shardSeek(op sys.WriteOp) sys.Resp {
-	s := h.s
-	ps := s.ProcShardOf(op.PID)
-	if op.Whence != fs.SeekEnd {
-		for {
-			r := h.procExecOn(ps, sys.WriteOp{
-				Num: sys.NumFDSeek, PID: op.PID, FD: op.FD,
-				Whence: op.Whence, Off: op.Off, Witness: op.Witness,
-			})
-			if r.Errno != sys.EAGAIN {
-				return r
-			}
-			runtime.Gosched()
+	if op.Whence == fs.SeekEnd {
+		return h.shardRunOne(op)
+	}
+	ps := h.s.ProcShardOf(op.PID)
+	for {
+		r := h.procExecOn(ps, sys.WriteOp{
+			Num: sys.NumFDSeek, PID: op.PID, FD: op.FD,
+			Whence: op.Whence, Off: op.Off, Witness: op.Witness,
+		})
+		if r.Errno != sys.EAGAIN {
+			return r
 		}
+		runtime.Gosched()
 	}
-	lk := h.fdLock(ps, op.PID, op.FD)
-	if lk.Errno != sys.EOK {
-		return composeWitness(op, lk, nil, 0, lk)
-	}
-	st := h.fsReadOn(s.FsShardOf(lk.Ino), sys.ReadOp{
-		Num: sys.NumFsStatIno, PID: op.PID, Ino: lk.Ino, Witness: op.Witness,
-	})
-	n := int64(st.Val) + op.Off
-	if st.Errno != sys.EOK || n < 0 {
-		if st.Errno == sys.EOK {
-			st.Errno = sys.EINVAL
-		}
-		return composeWitness(op, lk, st.Witness, h.fdUnlock(ps, op.PID, op.FD, lk.Off), sys.Resp{Errno: st.Errno})
-	}
-	return composeWitness(op, lk, st.Witness, h.fdUnlock(ps, op.PID, op.FD, uint64(n)), sys.Resp{Errno: sys.EOK, Val: uint64(n)})
 }
 
 // shardTruncate: resolve the descriptor's inode, truncate on the owner.

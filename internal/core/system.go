@@ -701,12 +701,13 @@ func (h *handler) syscall(frame marshal.SyscallFrame, payload []byte) (marshal.R
 	return sys.EncodeResp(resp)
 }
 
-// batch drains one submission-queue vector through a single NR combiner
-// round: decode, fence off anything non-batchable, one ExecuteBatch
-// (one log reservation for the whole run), and reassemble the
-// completion queue in submission order. Non-batchable ops complete
-// individually with ENOSYS — a bad entry must not poison its
-// neighbours' completions.
+// batch drains one submission-queue vector in as few NR combiner rounds
+// as the kernel's shape allows: decode, fence off anything
+// non-batchable, then one ExecuteBatch on the monolith (one log
+// reservation for the whole vector) or, sharded, three rounds per
+// descriptor run; and reassemble the completion queue in submission
+// order. Non-batchable ops complete individually with ENOSYS — a bad
+// entry must not poison its neighbours' completions.
 //
 // Sync entries are the group-commit hook: they are pulled out of the
 // state-machine run and served with ONE durability action after every
@@ -749,18 +750,31 @@ func (h *handler) batch(frame marshal.SyscallFrame, payload []byte) (marshal.Ret
 	if nOther+len(sops) > 0 {
 		if h.s.sharded() {
 			// Per-shard logs cannot take one contiguous reservation for a
-			// mixed batch. The socket-table ops all key to the submitting
-			// PID's process shard, so they drain in whole ExecuteBatchOn
-			// rounds (no per-op combiner round); the file ops still route
-			// through the cross-shard protocols individually. Socket-table
-			// and file state are disjoint, so running the socket rounds
-			// first preserves every per-object ordering.
+			// mixed batch, so each kind drains in the fewest rounds its
+			// shard keys allow. The socket-table ops all key to the
+			// submitting PID's process shard and go in whole ExecuteBatchOn
+			// rounds. The file ops go in submission order: a maximal run of
+			// adjacent read/write/seek entries on one descriptor is one
+			// Run (lock, one owner-shard entry, unlock — shard_router.go);
+			// anything else, a one-entry run included, takes its per-call
+			// protocol. Socket-table and file state are disjoint, so
+			// running the socket rounds first preserves every per-object
+			// ordering.
 			h.ctxMu.Lock()
 			h.sockBatchTableSharded(sops, comps)
-			for i := range ops {
-				if sys.IsBatchableOp(ops[i].Num) {
+			for i := 0; i < len(ops); {
+				j := i + 1
+				if sys.IsRunOp(ops[i].Num) {
+					for j < len(ops) && sys.IsRunOp(ops[j].Num) && ops[j].FD == ops[i].FD {
+						j++
+					}
+				}
+				if j-i > 1 {
+					h.shardRunBatch(ops[i:j], comps[i:j])
+				} else if sys.IsBatchableOp(ops[i].Num) {
 					comps[i] = sys.BatchCompletion(ops[i], h.shardWrite(ops[i]))
 				}
+				i = j
 			}
 			h.ctxMu.Unlock()
 		} else {

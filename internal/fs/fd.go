@@ -130,15 +130,9 @@ func (t *FDTable) Read(fd FD, buffer []byte) (uint64, error) {
 	if !of.Locked {
 		return 0, fmt.Errorf("%w: read(%d)", ErrNotLocked, fd)
 	}
-	if of.Flags&OWrOnly != 0 {
-		return 0, fmt.Errorf("%w: read on write-only fd", ErrPermission)
-	}
-	n, err := t.fs.ReadAt(of.Ino, of.Offset, buffer)
-	if err != nil {
-		return 0, err
-	}
-	of.Offset += uint64(n)
-	return uint64(n), nil
+	n, next, err := t.fs.ReadCursor(of.Ino, of.Flags, of.Offset, buffer)
+	of.Offset = next
+	return n, err
 }
 
 // Write writes buffer at the current offset (or EOF with OAppend) and
@@ -151,22 +145,9 @@ func (t *FDTable) Write(fd FD, buffer []byte) (uint64, error) {
 	if !of.Locked {
 		return 0, fmt.Errorf("%w: write(%d)", ErrNotLocked, fd)
 	}
-	if of.Flags&(OWrOnly|ORdWr|OAppend) == 0 {
-		return 0, fmt.Errorf("%w: write on read-only fd", ErrPermission)
-	}
-	if of.Flags&OAppend != 0 && len(buffer) > 0 {
-		st, err := t.fs.StatIno(of.Ino)
-		if err != nil {
-			return 0, err
-		}
-		of.Offset = st.Size
-	}
-	n, err := t.fs.WriteAt(of.Ino, of.Offset, buffer)
-	if err != nil {
-		return 0, err
-	}
-	of.Offset += uint64(n)
-	return uint64(n), nil
+	n, next, err := t.fs.WriteCursor(of.Ino, of.Flags, of.Offset, buffer)
+	of.Offset = next
+	return n, err
 }
 
 // Whence values for Seek.
@@ -182,27 +163,77 @@ func (t *FDTable) Seek(fd FD, off int64, whence int) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
+	n, err := t.fs.SeekCursor(of.Ino, of.Offset, off, whence)
+	if err != nil {
+		return 0, err
+	}
+	of.Offset = n
+	return n, nil
+}
+
+// The three cursor operations below are read(2), write(2) and lseek(2)
+// against an explicit cursor: the descriptor's offset and open flags,
+// wherever they are kept. FDTable keeps them beside the filesystem; the
+// sharded kernel keeps them on another shard and threads them through a
+// run of these calls (sys.NumFsRun). Each returns the cursor the
+// descriptor moves to, which on any error is the cursor it was given.
+
+// ReadCursor reads up to len(p) bytes of ino at cur into p.
+func (f *FS) ReadCursor(ino Ino, flags int, cur uint64, p []byte) (n, next uint64, err error) {
+	if flags&OWrOnly != 0 {
+		return 0, cur, fmt.Errorf("%w: read on write-only fd", ErrPermission)
+	}
+	c, err := f.ReadAt(ino, cur, p)
+	if err != nil {
+		return 0, cur, err
+	}
+	return uint64(c), cur + uint64(c), nil
+}
+
+// WriteCursor writes p to ino at cur — or, for an OAppend descriptor
+// writing at least one byte, at the file's size as of this call, the one
+// moment it is authoritative.
+func (f *FS) WriteCursor(ino Ino, flags int, cur uint64, p []byte) (n, next uint64, err error) {
+	if flags&(OWrOnly|ORdWr|OAppend) == 0 {
+		return 0, cur, fmt.Errorf("%w: write on read-only fd", ErrPermission)
+	}
+	at := cur
+	if flags&OAppend != 0 && len(p) > 0 {
+		st, err := f.StatIno(ino)
+		if err != nil {
+			return 0, cur, err
+		}
+		at = st.Size
+	}
+	c, err := f.WriteAt(ino, at, p)
+	if err != nil {
+		return 0, cur, err
+	}
+	return uint64(c), at + uint64(c), nil
+}
+
+// SeekCursor resolves a seek from cur; ino is consulted only by SeekEnd.
+func (f *FS) SeekCursor(ino Ino, cur uint64, off int64, whence int) (uint64, error) {
 	var base uint64
 	switch whence {
 	case SeekSet:
 		base = 0
 	case SeekCur:
-		base = of.Offset
+		base = cur
 	case SeekEnd:
-		st, err := t.fs.StatIno(of.Ino)
+		st, err := f.StatIno(ino)
 		if err != nil {
-			return 0, err
+			return cur, err
 		}
 		base = st.Size
 	default:
-		return 0, fmt.Errorf("%w: whence %d", ErrInval, whence)
+		return cur, fmt.Errorf("%w: whence %d", ErrInval, whence)
 	}
 	n := int64(base) + off
 	if n < 0 {
-		return 0, fmt.Errorf("%w: negative offset", ErrInval)
+		return cur, fmt.Errorf("%w: negative offset", ErrInval)
 	}
-	of.Offset = uint64(n)
-	return of.Offset, nil
+	return uint64(n), nil
 }
 
 // Close releases the descriptor.

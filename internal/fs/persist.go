@@ -120,7 +120,7 @@ func SaveStamped(f *FS, d BlockStore, stamp uint64) error {
 	// Header: magic, slot, length, checksum, stamp — written last (the
 	// commit point).
 	h := marshal.NewEncoder(nil)
-	h.U64(snapshotMagic).U64(slot).U64(uint64(len(payload))).U64(fletcher64(payload)).U64(stamp)
+	h.U64(snapshotMagic).U64(slot).U64(uint64(len(payload))).U64(marshal.Fletcher64(payload)).U64(stamp)
 	hb := make([]byte, bs)
 	copy(hb, h.Bytes())
 	return d.WriteBlock(0, hb)
@@ -179,7 +179,7 @@ func LoadStamped(d BlockStore) (*FS, uint64, error) {
 		}
 	}
 	payload = payload[:length]
-	if fletcher64(payload) != sum {
+	if marshal.Fletcher64(payload) != sum {
 		return nil, 0, fmt.Errorf("%w: checksum mismatch", ErrBadImage)
 	}
 
@@ -250,17 +250,6 @@ func Equal(a, b *FS) bool {
 		}
 	}
 	return true
-}
-
-// fletcher64 is a simple position-dependent checksum for snapshot
-// integrity (not cryptographic; the threat model is torn writes).
-func fletcher64(p []byte) uint64 {
-	var a, b uint64 = 1, 0
-	for _, c := range p {
-		a = (a + uint64(c)) % 0xffffffff
-		b = (b + a) % 0xffffffff
-	}
-	return b<<32 | a
 }
 
 // MemBlockStore is an in-memory BlockStore for tests and the quickstart

@@ -44,6 +44,10 @@ type Encoder struct {
 // NewEncoder returns an encoder, optionally reusing buf's storage.
 func NewEncoder(buf []byte) *Encoder { return &Encoder{buf: buf[:0]} }
 
+// AppendTo returns an encoder that appends after buf's contents, for
+// encoding a record into the tail of a buffer that already holds others.
+func AppendTo(buf []byte) *Encoder { return &Encoder{buf: buf} }
+
 // Bytes returns the encoded buffer.
 func (e *Encoder) Bytes() []byte { return e.buf }
 

@@ -118,6 +118,12 @@ var (
 	// independent logs). Slots are the fixed shard-slot space below:
 	// per-shard routed-op counts+latencies, a shard dimension for the
 	// combiner passes, and per-shard log-tail / apply-lag gauges.
+	// fd_runs counts descriptor runs (lock, one owner-shard entry,
+	// unlock) and fd_run_ops the read/write/seek entries they carried:
+	// ops per run is what says whether a workload's batches amortize the
+	// three rounds (1.0 = per-call traffic).
+	ShardFDRuns    = NewCounter("shard.fd_runs")
+	ShardFDRunOps  = NewCounter("shard.fd_run_ops")
 	ShardOps       = NewOpStats("nr.shard.ops", NumShardSlots)
 	NRShardCombine = NewOpStats("nr.shard.combine", NumShardSlots)
 	ShardLogTail   = newShardGauges("nr.shard.log_tail")

@@ -123,9 +123,9 @@ func (k *Kernel) DispatchWrite(op WriteOp) Resp {
 // both sides, here inside the apply: no other operation on this replica
 // can land between Pre and Post. Only the ops a per-call contract check
 // is built from carry a witness — read, write, seek; on the sharded
-// kernel NumFDSeek (descriptor scalars, proc shard) and NumFsWriteAt
-// (the contents pair, owner shard), which core's router composes. The
-// bit is ignored on anything else.
+// kernel NumFDSeek (descriptor scalars, proc shard) and NumFsRun (the
+// contents pair around the whole run, owner shard), which core's router
+// composes. The bit is ignored on anything else.
 func (k *Kernel) witnessed(op WriteOp) Resp {
 	var view func() (fs.SpecFile, bool)
 	switch op.Num {
@@ -137,7 +137,7 @@ func (k *Kernel) witnessed(op WriteOp) Resp {
 			}
 			return fs.AbstractFD(t, op.FD)
 		}
-	case NumFsWriteAt:
+	case NumFsRun:
 		view = func() (fs.SpecFile, bool) {
 			c, ok := k.fs.Contents(op.Ino)
 			return fs.SpecFile{Contents: c}, ok
@@ -544,12 +544,7 @@ func (k *Kernel) DispatchRead(op ReadOp) Resp {
 		if of.Flags&fs.OWrOnly != 0 {
 			return fail(fs.ErrPermission)
 		}
-		buf := k.replyBuf(of.Ino, op.Off, op.Len)
-		n, err := k.fs.ReadAt(of.Ino, op.Off, buf)
-		if err != nil {
-			return fail(err)
-		}
-		return Resp{Errno: EOK, Val: uint64(n), Data: buf[:n]}
+		return k.readAt(of.Ino, op.Off, op.Len)
 
 	case NumStat:
 		st, err := k.fs.StatPath(op.Path)
@@ -595,6 +590,32 @@ func (k *Kernel) DispatchRead(op ReadOp) Resp {
 // replica owned by the accessing core.
 func (k *Kernel) UserRead(pid proc.PID, va mmu.VAddr, p []byte) Errno {
 	return k.userAccess(pid, va, p, false)
+}
+
+// UserReadN is UserRead for a length that is the caller's word (a
+// NumMemRead frame's Len): the buffer is allocated here, and only once
+// [va, va+n) is known to lie inside the process's mapped regions, so a
+// frame saying 1<<62 is EFAULT, not a makeslice panic. A range UserRead
+// would have served reads the same.
+func (k *Kernel) UserReadN(pid proc.PID, va mmu.VAddr, n uint64) ([]byte, Errno) {
+	vs := k.vs[pid]
+	if vs == nil {
+		return nil, ESRCH
+	}
+	// Regions end below UserVATop, so none of this arithmetic wraps.
+	for at, left := va, n; left > 0; {
+		r, found := vs.Lookup(at)
+		if !found {
+			return nil, EFAULT
+		}
+		avail := uint64(r.Base) + r.Len - uint64(at)
+		if left <= avail {
+			break
+		}
+		at, left = r.Base+mmu.VAddr(r.Len), left-avail
+	}
+	p := make([]byte, n)
+	return p, k.userAccess(pid, va, p, false)
 }
 
 // UserWrite copies p into process-virtual memory.

@@ -58,8 +58,8 @@ const (
 	NumMemCAS
 
 	// NumBatch carries a vector of batchable write ops (the submission
-	// ring, Sys.Submit): core decodes it and drains the whole vector
-	// through a single NR combiner round.
+	// ring, Sys.Submit): core decodes it and drains the vector through
+	// one NR combiner round (sharded: three per descriptor run).
 	NumBatch
 
 	// NumSync is the durability transition: it completes only once
@@ -115,7 +115,7 @@ const (
 	// Filesystem ops (namespace ops broadcast to every fs shard; data
 	// ops routed to the shard owning the inode).
 	NumFsCreate   // namespace: create a file (broadcast)
-	NumFsWriteAt  // data: write at offset (owner shard)
+	NumFsRun      // data: a descriptor's read/write/seek run (owner shard)
 	NumFsTruncate // data: truncate (owner shard)
 
 	// Page-cache mapping ops (process shard owning the PID): install or
@@ -186,7 +186,7 @@ var opNames = map[uint64]string{
 	NumFDOpen: "fd_open", NumFDLock: "fd_lock", NumFDUnlock: "fd_unlock",
 	NumFDSeek: "fd_seek", NumProcSpawn: "proc_spawn", NumProcUnspawn: "proc_unspawn",
 	NumProcAttach: "proc_attach", NumProcDetach: "proc_detach", NumProcExit: "proc_exit",
-	NumFsCreate: "fs_create", NumFsWriteAt: "fs_writeat", NumFsTruncate: "fs_truncate",
+	NumFsCreate: "fs_create", NumFsRun: "fs_run", NumFsTruncate: "fs_truncate",
 	NumFDGet: "fd_get", NumFsLookup: "fs_lookup", NumFsStatIno: "fs_statino",
 	NumFsReadAt: "fs_readat", NumProcHasTable: "proc_hastable",
 	NumSockTabBind: "socktab_bind", NumSockTabSend: "socktab_send",
@@ -224,10 +224,10 @@ type WriteOp struct {
 	Path2  string
 	Data   []byte
 
-	// Process syscalls.
+	// Process syscalls (Sig, the kill signal, sits with the other
+	// sub-word fields below).
 	Name   string
 	Code   int
-	Sig    proc.Signal
 	Target proc.PID // kill target
 
 	// Memory syscalls. Frames are pre-allocated by the caller (the
@@ -238,9 +238,8 @@ type WriteOp struct {
 	Size   uint64
 	Frames []mem.PAddr
 
-	// Scheduler syscalls.
+	// Scheduler syscalls (Pri sits with the other sub-word fields below).
 	TID  sched.TID
-	Pri  sched.Priority
 	Core int
 
 	// Socket and futex syscalls (handled by internal/core outside the
@@ -248,19 +247,45 @@ type WriteOp struct {
 	// the codec and its round-trip obligations).
 	Sock uint64
 	Addr uint64
+
+	// The sub-word fields share two words: every logged entry is a
+	// WriteOp, so a field in an 8-byte slot of its own is paid for 1<<16
+	// times per NR instance (TestWriteOpDoesNotGrow).
 	Port uint16
 	// Witness asks the kernel to capture the descriptor's §3 abstraction
 	// on both sides of this transition, inside the apply, and return it
 	// in Resp.Witness. Set by a contract-checked Sys.Read/Write/Seek; one
-	// bit on the wire. (It sits in Port's padding: every logged entry is
-	// a WriteOp, and the op must not grow for a bit.)
+	// bit on the wire.
 	Witness bool
+	Sig     proc.Signal
+	Pri     sched.Priority
 	Word    uint32
 
 	// Ino addresses an inode directly — internal cross-shard ops only
 	// (the wire codec never carries it; internal ops never cross the
 	// boundary).
 	Ino fs.Ino
+
+	// Run is a multi-entry NumFsRun's payload (Kernel.fsRun) — internal,
+	// never marshalled, and behind a pointer so the op stays the size the
+	// regrouping above bought.
+	Run *FsRun
+}
+
+// FsRun is what a NumFsRun from a batch applies: consecutive
+// read/write/seek entries on a single descriptor, in submission order.
+// Ops aliases the decoded submission vector (no copy) and is immutable
+// once the op is logged — every replica applies the same slice.
+type FsRun struct {
+	Ops []WriteOp
+}
+
+// RunResult is one run entry's outcome, the part of a Resp a completion
+// carries. A failed entry has only its Errno set.
+type RunResult struct {
+	Errno Errno
+	Val   uint64
+	Data  []byte
 }
 
 // ReadOp is a read-only kernel operation (executes on the local
@@ -363,6 +388,10 @@ type Resp struct {
 	// here would free memory the cache still serves reads from. Never
 	// marshalled: mapping teardown is core-internal.
 	Unpinned []mem.PAddr
+
+	// Run answers a multi-entry NumFsRun: one result per entry, in order;
+	// Off beside it is the descriptor's cursor after the last entry.
+	Run []RunResult
 
 	// Witness answers WriteOp.Witness. Never marshalled — its contents
 	// are snapshots of kernel memory, not bytes to copy: the handler keeps

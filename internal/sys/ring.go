@@ -10,9 +10,12 @@ import (
 // This file is the user half of the batched syscall submission ring —
 // an io_uring-shaped surface over the NR combiner. A program enqueues N
 // encoded ops (the submission queue), crosses the boundary once with a
-// NumBatch frame, the kernel drains the whole vector through a single
-// NR combiner round (one log reservation, one combine pass), and the
-// completions come back as an ordered completion queue.
+// NumBatch frame, the kernel drains the vector in the fewest combiner
+// rounds its shape allows — on the monolith one round for the whole
+// vector (one log reservation, one combine pass); on the sharded kernel
+// one owner-shard round per descriptor run, between the lock and unlock
+// rounds on the process shard — and the completions come back as an
+// ordered completion queue.
 //
 // Contract checking stays on. A scalar Read/Write/Seek is one transition
 // and is checked against a witness captured in its apply (sys.go); a

@@ -140,23 +140,17 @@ func (k *Kernel) dispatchShardWrite(op WriteOp) Resp {
 			// overwritten. The router retries, like NumFDLock.
 			return Resp{Errno: EAGAIN}
 		}
-		var base uint64
-		switch op.Whence {
-		case fs.SeekSet:
-			base = 0
-		case fs.SeekCur:
-			base = of.Offset
-		default:
-			// SeekEnd needs the owner shard's size: the router composes it
-			// as lock → stat → unlock instead (shardSeek).
+		if op.Whence == fs.SeekEnd {
+			// SeekEnd needs the owner shard's size: the router runs it as
+			// a one-entry NumFsRun under the descriptor lock instead.
 			return fail(fs.ErrInval)
 		}
-		n := int64(base) + op.Off
-		if n < 0 {
-			return fail(fs.ErrInval)
+		n, err := k.fs.SeekCursor(of.Ino, of.Offset, op.Off, op.Whence)
+		if err != nil {
+			return fail(err)
 		}
-		of.Offset = uint64(n)
-		return ok(of.Offset)
+		of.Offset = n
+		return ok(n)
 
 	case NumProcSpawn:
 		pid, err := k.procs.Spawn(op.PID, op.Name)
@@ -207,23 +201,8 @@ func (k *Kernel) dispatchShardWrite(op WriteOp) Resp {
 		}
 		return Resp{Errno: EOK, Val: uint64(ino), Ino: ino}
 
-	case NumFsWriteAt:
-		off := uint64(op.Off)
-		if op.Flags&fs.OAppend != 0 && len(op.Data) > 0 {
-			// Append resolves EOF at apply time on the data owner — the
-			// one place the size is authoritative — so concurrent
-			// appends through different descriptors cannot overlap.
-			st, err := k.fs.StatIno(op.Ino)
-			if err != nil {
-				return fail(err)
-			}
-			off = st.Size
-		}
-		n, err := k.fs.WriteAt(op.Ino, off, op.Data)
-		if err != nil {
-			return fail(err)
-		}
-		return Resp{Errno: EOK, Val: uint64(n), Off: off + uint64(n)}
+	case NumFsRun:
+		return k.fsRun(op)
 
 	case NumFsTruncate:
 		if err := k.fs.Truncate(op.Ino, op.Len); err != nil {
@@ -276,6 +255,81 @@ func (k *Kernel) dispatchShardWrite(op WriteOp) Resp {
 		return Resp{Errno: EOK, Unpinned: []mem.PAddr{frame}}
 	}
 	return Resp{Errno: ENOSYS}
+}
+
+// IsRunOp reports whether a syscall can be an entry of a NumFsRun: the
+// three that touch nothing but one descriptor's cursor and its inode's
+// contents.
+func IsRunOp(num uint64) bool {
+	return num == NumRead || num == NumWrite || num == NumSeek
+}
+
+// fsRun applies a run on the inode's owner shard: its entries in order
+// against op.Ino, threading the descriptor's cursor from op.Size under
+// its open flags (op.Flags) the way the descriptor itself would move —
+// the router holds it locked on its process shard from before this
+// apply until it publishes the returned cursor, so it cannot move
+// otherwise. The run itself never fails; each entry reports its own
+// errno.
+//
+// The entries are op.Run.Ops, answered in Resp.Run. Without a Run the op
+// is its own single entry — a per-call write or SeekEnd, which then
+// allocates nothing: its file fields (Off, Whence, Len, Data) are the
+// entry's, Code is the entry's syscall number, and the response itself
+// carries the result.
+func (k *Kernel) fsRun(op WriteOp) Resp {
+	ino, flags, cur := op.Ino, int(op.Flags), op.Size
+	if op.Run == nil {
+		op.Num = uint64(op.Code)
+		r, next := k.runEntry(ino, flags, cur, &op)
+		return Resp{Errno: r.Errno, Val: r.Val, Data: r.Data, Off: next}
+	}
+	res := make([]RunResult, len(op.Run.Ops))
+	for i := range op.Run.Ops {
+		res[i], cur = k.runEntry(ino, flags, cur, &op.Run.Ops[i])
+	}
+	return Resp{Errno: EOK, Off: cur, Run: res}
+}
+
+// runEntry applies one run entry at cursor cur and returns its result
+// and the cursor after it. Each arm is the fs cursor operation the
+// monolithic kernel's descriptor table calls, so SeekEnd and appends
+// resolve against the size as of this entry, and a failed entry leaves
+// the cursor where it was.
+func (k *Kernel) runEntry(ino fs.Ino, flags int, cur uint64, e *WriteOp) (RunResult, uint64) {
+	var r RunResult
+	var err error
+	switch e.Num {
+	case NumRead:
+		buf := k.replyBuf(ino, cur, e.Len)
+		if r.Val, cur, err = k.fs.ReadCursor(ino, flags, cur, buf); err == nil {
+			r.Data = buf[:r.Val]
+		}
+	case NumWrite:
+		r.Val, cur, err = k.fs.WriteCursor(ino, flags, cur, e.Data)
+	case NumSeek:
+		if cur, err = k.fs.SeekCursor(ino, cur, e.Off, e.Whence); err == nil {
+			r.Val = cur
+		}
+	default:
+		r.Errno = ENOSYS
+	}
+	if err != nil {
+		r.Errno = ErrnoFromError(err)
+	}
+	return r, cur
+}
+
+// readAt is the positioned read every path that copies file bytes out
+// of the kernel ends in: up to want bytes of ino from off, in a reply
+// buffer clamped to what the file can supply.
+func (k *Kernel) readAt(ino fs.Ino, off, want uint64) Resp {
+	buf := k.replyBuf(ino, off, want)
+	n, err := k.fs.ReadAt(ino, off, buf)
+	if err != nil {
+		return fail(err)
+	}
+	return Resp{Errno: EOK, Val: uint64(n), Data: buf[:n]}
 }
 
 // detach tears down a process's per-shard resources (descriptors,
@@ -351,12 +405,7 @@ func (k *Kernel) dispatchShardRead(op ReadOp) Resp {
 		return k.contentsWitness(op, Resp{Errno: EOK, Stat: st, Val: st.Size})
 
 	case NumFsReadAt:
-		buf := k.replyBuf(op.Ino, op.Off, op.Len)
-		n, err := k.fs.ReadAt(op.Ino, op.Off, buf)
-		if err != nil {
-			return k.contentsWitness(op, fail(err))
-		}
-		return k.contentsWitness(op, Resp{Errno: EOK, Val: uint64(n), Data: buf[:n]})
+		return k.contentsWitness(op, k.readAt(op.Ino, op.Off, op.Len))
 
 	case NumProcHasTable:
 		if _, ok := k.fds[op.PID]; !ok {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"github.com/verified-os/vnros/internal/fs"
 	"github.com/verified-os/vnros/internal/hw/mmu"
@@ -317,5 +318,18 @@ func TestEncodersArePresized(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { EncodeResp(Resp{Errno: EOK, Val: 7}) }); n > 2 {
 		t.Errorf("a data-less reply takes %.0f allocations, want the buffer and its encoder", n)
+	}
+}
+
+// TestWriteOpDoesNotGrow: every slot of every NR log embeds a WriteOp —
+// 1<<16 slots per instance, 2×Shards instances per sharded boot — and
+// every logged op is copied into one, so a field in a word of its own is
+// paid for in boot memory (the bulk of what a VC that boots a system
+// allocates) and on every append. New sub-word fields go beside
+// Port/Witness/Sig/Pri/Word; anything larger goes behind a pointer, as
+// Run does.
+func TestWriteOpDoesNotGrow(t *testing.T) {
+	if n := unsafe.Sizeof(WriteOp{}); n > 248 {
+		t.Fatalf("sys.WriteOp is %d bytes, budget 248", n)
 	}
 }

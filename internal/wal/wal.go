@@ -175,9 +175,7 @@ func (j *Journal) formatLocked() error {
 	j.nextSeq = 1
 	j.flushedSeq = 0
 	j.tail = 0
-	j.pending = nil
-	j.pendingFirst = 0
-	j.pendingCount = 0
+	j.resetPending()
 	return j.writeHeader()
 }
 
@@ -187,7 +185,7 @@ func (j *Journal) formatLocked() error {
 func (j *Journal) writeHeader() error {
 	e := marshal.NewEncoder(make([]byte, 0, 24))
 	e.U64(headerMagic).U64(j.epoch)
-	sum := fletcher64(e.Bytes())
+	sum := marshal.Fletcher64(e.Bytes())
 	e.U64(sum)
 	hb := make([]byte, j.bs)
 	copy(hb, e.Bytes())
@@ -205,7 +203,7 @@ func (j *Journal) readHeader() (uint64, error) {
 	magic, epoch, sum := d.U64(), d.U64(), d.U64()
 	e := marshal.NewEncoder(make([]byte, 0, 16))
 	e.U64(magic).U64(epoch)
-	if d.Err() != nil || magic != headerMagic || fletcher64(e.Bytes()) != sum {
+	if d.Err() != nil || magic != headerMagic || marshal.Fletcher64(e.Bytes()) != sum {
 		return 0, fmt.Errorf("wal: no valid journal header")
 	}
 	return epoch, nil
@@ -221,15 +219,22 @@ func (j *Journal) Record(m fs.Mutation) {
 	if j.pendingCount == 0 {
 		j.pendingFirst = j.nextSeq
 	}
-	// Encode into a fresh encoder and append: NewEncoder(buf) reuses
-	// buf's storage from offset 0, which would overwrite earlier
-	// records.
-	e := marshal.NewEncoder(nil)
+	// Encode straight into the buffer's tail: one copy of the mutation,
+	// and no allocation once the buffer has reached its working size.
+	e := marshal.AppendTo(j.pending)
 	encodeMutation(e, m)
-	j.pending = append(j.pending, e.Bytes()...)
+	j.pending = e.Bytes()
 	j.pendingCount++
 	j.nextSeq++
 	obs.WALAppends.Add(j.shard, 1)
+}
+
+// resetPending empties the group-commit buffer, keeping its storage for
+// the next round's records.
+func (j *Journal) resetPending() {
+	j.pending = j.pending[:0]
+	j.pendingFirst = 0
+	j.pendingCount = 0
 }
 
 // Pending returns the number of recorded, not-yet-durable mutations.
@@ -274,31 +279,22 @@ func (j *Journal) flushLocked(round uint64) error {
 	}
 	t0 := obs.Start()
 
-	// Chunk: header fields, payload, trailing checksum over both.
-	e := marshal.NewEncoder(make([]byte, 0, chunkHdrSize+len(j.pending)+8))
-	e.U64(chunkMagic).U64(j.epoch).U64(j.pendingFirst).U64(round)
-	e.U32(j.pendingCount).U32(uint32(len(j.pending)))
-	buf := append(e.Bytes(), j.pending...)
-	se := marshal.NewEncoder(nil)
-	se.U64(fletcher64(buf))
-	buf = append(buf, se.Bytes()...)
-
-	nb := (uint64(len(buf)) + uint64(j.bs) - 1) / uint64(j.bs)
+	// Chunk: header fields, payload, trailing checksum over both — built
+	// in one buffer sized to whole blocks, whose zeroed tail is the last
+	// block's padding, so the blocks go to the device as slices of it.
+	bs := uint64(j.bs)
+	nb := (uint64(chunkHdrSize+len(j.pending)+8) + bs - 1) / bs
 	if j.tail+nb > j.recBlocks {
 		return ErrJournalFull
 	}
-	blk := make([]byte, j.bs)
+	e := marshal.NewEncoder(make([]byte, 0, nb*bs))
+	e.U64(chunkMagic).U64(j.epoch).U64(j.pendingFirst).U64(round)
+	e.U32(j.pendingCount).U32(uint32(len(j.pending)))
+	e = marshal.AppendTo(append(e.Bytes(), j.pending...))
+	e.U64(marshal.Fletcher64(e.Bytes()))
+	buf := e.Bytes()[:nb*bs]
 	for i := uint64(0); i < nb; i++ {
-		lo := i * uint64(j.bs)
-		hi := lo + uint64(j.bs)
-		if hi > uint64(len(buf)) {
-			hi = uint64(len(buf))
-		}
-		copy(blk, buf[lo:hi])
-		for z := hi - lo; z < uint64(j.bs); z++ {
-			blk[z] = 0
-		}
-		if err := j.d.WriteBlock(j.recBase+j.tail+i, blk); err != nil {
+		if err := j.d.WriteBlock(j.recBase+j.tail+i, buf[i*bs:(i+1)*bs]); err != nil {
 			return err
 		}
 	}
@@ -310,9 +306,7 @@ func (j *Journal) flushLocked(round uint64) error {
 	obs.WALCommitRecords.Record(j.shard, uint64(j.pendingCount))
 	obs.WALFlushLatency.Since(j.shard, t0)
 	obs.KernelTrace.Emit(obs.KindWALCommit, first, uint64(j.pendingCount))
-	j.pending = nil
-	j.pendingFirst = 0
-	j.pendingCount = 0
+	j.resetPending()
 	return nil
 }
 
@@ -340,9 +334,7 @@ func (j *Journal) Checkpoint(f *fs.FS) error {
 	j.snapSeq = seq
 	j.flushedSeq = seq
 	j.tail = 0
-	j.pending = nil
-	j.pendingFirst = 0
-	j.pendingCount = 0
+	j.resetPending()
 	obs.WALCheckpoints.Add(j.shard, 1)
 	return nil
 }
@@ -480,9 +472,7 @@ func (j *Journal) recoverLocked(committed uint64, invalidate bool) (*fs.FS, erro
 		j.nextSeq = seq + 1
 		j.flushedSeq = seq
 		j.tail = 0
-		j.pending = nil
-		j.pendingFirst = 0
-		j.pendingCount = 0
+		j.resetPending()
 		if err := j.writeHeader(); err != nil {
 			return nil, err
 		}
@@ -537,9 +527,7 @@ func (j *Journal) recoverLocked(committed uint64, invalidate bool) (*fs.FS, erro
 	j.nextSeq = seq + 1
 	j.flushedSeq = seq
 	j.tail = tail
-	j.pending = nil
-	j.pendingFirst = 0
-	j.pendingCount = 0
+	j.resetPending()
 	return f, nil
 }
 
@@ -581,7 +569,7 @@ func (j *Journal) readChunk(at uint64, epoch uint64) ([]fs.Mutation, uint64, uin
 	}
 	body := buf[:uint64(chunkHdrSize)+uint64(plen)]
 	sumDec := marshal.NewDecoder(buf[len(body) : len(body)+8])
-	if sum := sumDec.U64(); fletcher64(body) != sum {
+	if sum := sumDec.U64(); marshal.Fletcher64(body) != sum {
 		obs.WALTornChunks.Add(j.shard, 1)
 		return nil, 0, 0, 0, 0, fmt.Errorf("%w: checksum mismatch at block %d", ErrCorruptChunk, at)
 	}
@@ -621,15 +609,4 @@ func decodeMutation(d *marshal.Decoder) fs.Mutation {
 		Path2: d.String(),
 		Data:  d.BytesField(),
 	}
-}
-
-// fletcher64 is the same position-dependent checksum internal/fs uses
-// for snapshots (the threat model is torn writes, not adversaries).
-func fletcher64(p []byte) uint64 {
-	var a, b uint64 = 1, 0
-	for _, c := range p {
-		a = (a + uint64(c)) % 0xffffffff
-		b = (b + a) % 0xffffffff
-	}
-	return b<<32 | a
 }

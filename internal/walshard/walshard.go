@@ -202,7 +202,7 @@ func (g *Group) Format() error {
 func (g *Group) writeStampLocked(round uint64) error {
 	e := marshal.NewEncoder(make([]byte, 0, 24))
 	e.U64(stampMagic).U64(round)
-	e.U64(fletcher64(e.Bytes()))
+	e.U64(marshal.Fletcher64(e.Bytes()))
 	blk := make([]byte, g.bs)
 	copy(blk, e.Bytes())
 	return g.d.WriteBlock(round%stampSlots, blk)
@@ -222,7 +222,7 @@ func (g *Group) readStampLocked() (uint64, error) {
 		magic, round, sum := d.U64(), d.U64(), d.U64()
 		e := marshal.NewEncoder(make([]byte, 0, 16))
 		e.U64(magic).U64(round)
-		if d.Err() != nil || magic != stampMagic || fletcher64(e.Bytes()) != sum {
+		if d.Err() != nil || magic != stampMagic || marshal.Fletcher64(e.Bytes()) != sum {
 			continue // torn or never written; the other slot decides
 		}
 		if round > best {
@@ -415,15 +415,4 @@ func (g *Group) RecoverShard(i int) (*fs.FS, error) {
 	}
 	g.round = committed
 	return g.js[i].RecoverCommitted(committed)
-}
-
-// fletcher64 matches the snapshot/journal checksum (torn writes, not
-// adversaries).
-func fletcher64(p []byte) uint64 {
-	var a, b uint64 = 1, 0
-	for _, c := range p {
-		a = (a + uint64(c)) % 0xffffffff
-		b = (b + a) % 0xffffffff
-	}
-	return b<<32 | a
 }
