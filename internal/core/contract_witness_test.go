@@ -209,7 +209,7 @@ func TestWitnessedContractCatchesBrokenKernel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h, err := s.newHandler()
+			h, err := s.newHandler(s.pickCore())
 			if err != nil {
 				t.Fatal(err)
 			}

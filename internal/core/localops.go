@@ -2,7 +2,6 @@ package core
 
 import (
 	"github.com/verified-os/vnros/internal/hw/mmu"
-	"github.com/verified-os/vnros/internal/nr"
 	"github.com/verified-os/vnros/internal/proc"
 	"github.com/verified-os/vnros/internal/sys"
 )
@@ -46,29 +45,19 @@ func (s *System) localOp(h *handler, op sys.WriteOp) sys.Resp {
 
 	case sys.NumSync:
 		// The durability transition (§3 contract extended with crash
-		// consistency): one journal group commit — or a full snapshot
-		// without a journal. Local because the disk is a device, not
-		// replicated state; replica ordering comes from the flush
-		// running under replica 0's Inspect (see syncDurable). On a
-		// sharded kernel with WAL this is a cross-shard group-commit
-		// round (internal/walshard); sharded without WAL there is no
-		// journal to cut consistently across the shard logs — explicit
-		// ENOSYS rather than a sync that silently covers only part of
-		// the state.
-		if s.sharded() && s.walGroup == nil {
-			return sys.Resp{Errno: sys.ENOSYS}
-		}
-		if err := s.syncDurable(); err != nil {
-			return sys.Resp{Errno: sys.EIO}
-		}
-		return sys.Resp{Errno: sys.EOK}
+		// consistency): one journal group-commit round (internal/walshard)
+		// — or a full snapshot without a journal, which only a co-located
+		// kernel can take (ENOSYS otherwise; see snapshotFS). Local because
+		// the disk is a device, not replicated state; replica ordering
+		// comes from syncing replica 0 of each fs shard to its log tail
+		// first (see syncDurable).
+		return sys.Resp{Errno: s.syncErrno()}
 	}
 	return sys.Resp{Errno: sys.ENOSYS}
 }
 
 // userMem accesses process memory through the calling core's replica,
-// under the replica's read lock so the page tables are stable. On a
-// sharded kernel the page tables live on the PID's process shard.
+// under the replica's read lock so the page tables are stable.
 func (s *System) userMem(core int, pid proc.PID, va mmu.VAddr, p []byte, write bool) sys.Errno {
 	e := sys.EFAULT
 	s.procKernel(core, pid, func(k *sys.Kernel) {
@@ -81,15 +70,10 @@ func (s *System) userMem(core int, pid proc.PID, va mmu.VAddr, p []byte, write b
 	return e
 }
 
-// procKernel runs f against core's replica of the kernel that holds
-// pid's address space, synced to its log tail.
+// procKernel runs f against core's replica of the process shard that
+// holds pid's address space, synced to its log tail.
 func (s *System) procKernel(core int, pid proc.PID, f func(*sys.Kernel)) {
-	access := func(d nr.DataStructure[sys.ReadOp, sys.WriteOp, sys.Resp]) { f(d.(*sys.Kernel)) }
-	if s.sharded() {
-		s.procNR.Shard(s.ProcShardOf(pid)).Replica(s.replicaOf(core)).Inspect(access)
-		return
-	}
-	s.nr.Replica(s.replicaOf(core)).Inspect(access)
+	s.InspectProcShard(s.ProcShardOf(pid), s.replicaOf(core), f)
 }
 
 // memCAS implements the atomic compare-and-swap "instruction" on a

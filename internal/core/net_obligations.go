@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"github.com/verified-os/vnros/internal/netstack"
-	"github.com/verified-os/vnros/internal/nr"
 	"github.com/verified-os/vnros/internal/sys"
 	"github.com/verified-os/vnros/internal/verifier"
 )
@@ -257,14 +256,8 @@ func sockTableAgreementRun(r *rand.Rand, shards int) error {
 			tablePorts[port] = true
 		}
 	}
-	if s.Sharded() {
-		for i := 0; i < s.NumShards(); i++ {
-			s.InspectProcShard(i, 0, collect)
-		}
-	} else {
-		s.nr.Replica(0).Inspect(func(d nr.DataStructure[sys.ReadOp, sys.WriteOp, sys.Resp]) {
-			collect(d.(*sys.Kernel))
-		})
+	for i := 0; i < s.NumShards(); i++ {
+		s.InspectProcShard(i, 0, collect)
 	}
 	devPorts := make(map[uint16]bool)
 	for _, port := range s.Net.BoundPorts() {

@@ -75,17 +75,6 @@ func (s *System) removeSock(pid proc.PID, id uint64) *devSock {
 	return ds
 }
 
-// sockTabWrite runs one socket-table op through the replicated kernel:
-// the monolithic combiner, or the process shard owning the PID.
-func (h *handler) sockTabWrite(op sys.WriteOp) sys.Resp {
-	if !h.s.sharded() {
-		return h.execute(op)
-	}
-	h.ctxMu.Lock()
-	defer h.ctxMu.Unlock()
-	return h.procExecOn(h.s.ProcShardOf(op.PID), op)
-}
-
 // sockOp serves the four wire-level socket syscalls.
 func (s *System) sockOp(h *handler, op sys.WriteOp) sys.Resp {
 	switch op.Num {
@@ -114,27 +103,26 @@ func (s *System) sockBind(h *handler, op sys.WriteOp) sys.Resp {
 	port := sock.Port()
 	top := sys.WriteOp{Num: sys.NumSockTabBind, PID: op.PID, Port: port, Word: op.Word}
 	var tr sys.Resp
+	h.ctxMu.Lock()
 	if s.sharded() {
-		ps := s.ProcShardOf(op.PID)
-		h.ctxMu.Lock()
 		// Port-uniqueness is global; the namespace lives on process
 		// shard 0 (like the process tree). Acquire there, then log the
-		// bind on the owner shard, releasing the reservation if the
-		// bind fails — the spawn protocol's tree-then-resources shape.
-		ar := h.procExecOn(0, sys.WriteOp{Num: sys.NumSockPortAcquire, PID: op.PID, Port: port})
-		if ar.Errno != sys.EOK {
-			h.ctxMu.Unlock()
-			_ = sock.Close()
-			return ar
+		// bind on the owner shard, releasing the reservation if the bind
+		// fails — the spawn protocol's tree-then-resources shape.
+		tr = h.procExecOn(0, sys.WriteOp{Num: sys.NumSockPortAcquire, PID: op.PID, Port: port})
+		if tr.Errno == sys.EOK {
+			tr = h.procExecOn(s.ProcShardOf(op.PID), top)
+			if tr.Errno != sys.EOK {
+				_ = h.procExecOn(0, sys.WriteOp{Num: sys.NumSockPortRelease, PID: op.PID, Port: port})
+			}
 		}
-		tr = h.procExecOn(ps, top)
-		if tr.Errno != sys.EOK {
-			_ = h.procExecOn(0, sys.WriteOp{Num: sys.NumSockPortRelease, PID: op.PID, Port: port})
-		}
-		h.ctxMu.Unlock()
 	} else {
-		tr = h.execute(top)
+		// Rule 0: the table and the port namespace are one instance's
+		// state, so the bind transition checks uniqueness itself — the
+		// three steps above, applied at once.
+		tr = h.procExecOn(0, top)
 	}
+	h.ctxMu.Unlock()
 	if tr.Errno != sys.EOK {
 		_ = sock.Close()
 		return tr
@@ -150,7 +138,7 @@ func (s *System) sockBind(h *handler, op sys.WriteOp) sys.Resp {
 // fire-and-forget: a socket torn down between verdict and transmit is
 // indistinguishable from frame loss, which UDP semantics already admit.
 func (s *System) sockSend(h *handler, op sys.WriteOp) sys.Resp {
-	tr := h.sockTabWrite(sys.WriteOp{
+	tr := h.procExec(sys.WriteOp{
 		Num: sys.NumSockTabSend, PID: op.PID, Sock: op.Sock, Len: uint64(len(op.Data)),
 	})
 	if tr.Errno != sys.EOK {
@@ -212,18 +200,15 @@ func (s *System) sockRecv(h *handler, op sys.WriteOp) sys.Resp {
 // ringing the doorbell so parked receivers wake into EBADF) and, on a
 // sharded kernel, the port's namespace reservation is released.
 func (s *System) sockClose(h *handler, op sys.WriteOp) sys.Resp {
-	top := sys.WriteOp{Num: sys.NumSockTabClose, PID: op.PID, Sock: op.Sock}
-	var tr sys.Resp
-	if s.sharded() {
-		h.ctxMu.Lock()
-		tr = h.procExecOn(s.ProcShardOf(op.PID), top)
-		if tr.Errno == sys.EOK {
-			_ = h.procExecOn(0, sys.WriteOp{Num: sys.NumSockPortRelease, PID: op.PID, Port: uint16(tr.Val)})
-		}
-		h.ctxMu.Unlock()
-	} else {
-		tr = h.execute(top)
+	h.ctxMu.Lock()
+	tr := h.procExecOn(s.ProcShardOf(op.PID), sys.WriteOp{Num: sys.NumSockTabClose, PID: op.PID, Sock: op.Sock})
+	if tr.Errno == sys.EOK && s.sharded() {
+		// The reservation on shard 0 is a second step only when the port
+		// namespace is a different instance from the table; co-located,
+		// the close transition freed the port with the entry.
+		_ = h.procExecOn(0, sys.WriteOp{Num: sys.NumSockPortRelease, PID: op.PID, Port: uint16(tr.Val)})
 	}
+	h.ctxMu.Unlock()
 	if tr.Errno != sys.EOK {
 		return tr
 	}

@@ -221,7 +221,7 @@ func preadAgreementWorkload(r *rand.Rand, cfg Config) error {
 	if _, e := initSys.Write(fd, contents); e != sys.EOK {
 		return fmt.Errorf("write: %v", e)
 	}
-	h, err := s.newHandler()
+	h, err := s.newHandler(s.pickCore())
 	if err != nil {
 		return err
 	}

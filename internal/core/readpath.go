@@ -47,17 +47,11 @@ func (cf cacheFrames) ReadFrame(f mem.PAddr, off uint64, p []byte) {
 	_ = cf.s.Machine.Mem.Read(f+mem.PAddr(off), p)
 }
 
-// pcacheFor returns the cache serving an inode's pages: the inode's
-// owner shard's cache, or the single cache on a monolithic kernel.
-func (s *System) pcacheFor(ino fs.Ino) *pcache.Cache {
-	if s.sharded() {
-		return s.pcaches[s.FsShardOf(ino)]
-	}
-	return s.pcaches[0]
-}
+// pcacheFor returns the cache serving an inode's pages: its owner
+// shard's.
+func (s *System) pcacheFor(ino fs.Ino) *pcache.Cache { return s.pcaches[s.FsShardOf(ino)] }
 
-// PCache exposes a shard's cache for obligations and tools (shard 0 on
-// a monolithic system).
+// PCache exposes a shard's cache for obligations and tools.
 func (s *System) PCache(shard int) *pcache.Cache { return s.pcaches[shard] }
 
 // unpinFrames routes cache-owned frames whose vspace alias went away
@@ -78,15 +72,9 @@ func (s *System) unpinFrames(frames []mem.PAddr) {
 // preadResolve resolves a descriptor to (ino, flags) with one
 // replica-local read — the only kernel crossing a cache-hit pread pays.
 func (h *handler) preadResolve(pid proc.PID, fd fs.FD) (fs.Ino, int, sys.Resp) {
-	op := sys.ReadOp{Num: sys.NumFDGet, PID: pid, FD: fd}
-	var g sys.Resp
-	if h.s.sharded() {
-		h.ctxMu.Lock()
-		g = h.procReadOn(h.s.ProcShardOf(pid), op)
-		h.ctxMu.Unlock()
-	} else {
-		g = h.executeRead(op)
-	}
+	h.ctxMu.Lock()
+	g := h.procReadOn(h.s.ProcShardOf(pid), sys.ReadOp{Num: sys.NumFDGet, PID: pid, FD: fd})
+	h.ctxMu.Unlock()
 	if g.Errno != sys.EOK {
 		return 0, 0, g
 	}
@@ -96,9 +84,6 @@ func (h *handler) preadResolve(pid proc.PID, fd fs.FD) (fs.Ino, int, sys.Resp) {
 // fsRead runs one replica-local read against the owner of op.Ino (the
 // authoritative contents and size).
 func (h *handler) fsRead(op sys.ReadOp) sys.Resp {
-	if !h.s.sharded() {
-		return h.executeRead(op)
-	}
 	h.ctxMu.Lock()
 	defer h.ctxMu.Unlock()
 	return h.fsReadOn(h.s.FsShardOf(op.Ino), op)
@@ -203,15 +188,7 @@ func (h *handler) preadMap(op sys.WriteOp) sys.Resp {
 			return sys.Resp{Errno: sys.EAGAIN}
 		}
 	}
-	mop := sys.WriteOp{Num: sys.NumPageMap, PID: op.PID, Frames: []mem.PAddr{frame}}
-	var mr sys.Resp
-	if s.sharded() {
-		h.ctxMu.Lock()
-		mr = h.procExecOn(s.ProcShardOf(op.PID), mop)
-		h.ctxMu.Unlock()
-	} else {
-		mr = h.execute(mop)
-	}
+	mr := h.procExec(sys.WriteOp{Num: sys.NumPageMap, PID: op.PID, Frames: []mem.PAddr{frame}})
 	if mr.Errno != sys.EOK {
 		cache.UnmapFrame(frame) // drop the pin; the mapping never existed
 		return mr
@@ -223,18 +200,9 @@ func (h *handler) preadMap(op sys.WriteOp) sys.Resp {
 // the frame in Resp.Unpinned, and the cache pin drops here — never a
 // buddy free.
 func (h *handler) preadUnmap(op sys.WriteOp) sys.Resp {
-	s := h.s
-	uop := sys.WriteOp{Num: sys.NumPageUnmap, PID: op.PID, VA: op.VA}
-	var r sys.Resp
-	if s.sharded() {
-		h.ctxMu.Lock()
-		r = h.procExecOn(s.ProcShardOf(op.PID), uop)
-		h.ctxMu.Unlock()
-	} else {
-		r = h.execute(uop)
-	}
+	r := h.procExec(sys.WriteOp{Num: sys.NumPageUnmap, PID: op.PID, VA: op.VA})
 	if r.Errno == sys.EOK {
-		s.unpinFrames(r.Unpinned)
+		h.s.unpinFrames(r.Unpinned)
 	}
 	return r
 }

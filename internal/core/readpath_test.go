@@ -214,7 +214,7 @@ func TestHostileReadLengthIsClamped(t *testing.T) {
 			if _, e := initSys.Write(fd, contents); e != sys.EOK {
 				t.Fatalf("write: %v", e)
 			}
-			h, err := s.newHandler()
+			h, err := s.newHandler(s.pickCore())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -25,31 +25,32 @@ type Process struct {
 // Program is a user program body; its return value is the exit code.
 type Program func(p *Process) int
 
-// newHandler allocates a syscall handler pinned to the next core
-// (round-robin), registering an NR thread context on that core's
-// replica.
-func (s *System) newHandler() (*handler, error) {
+// pickCore is round-robin process placement: the next core in turn.
+func (s *System) pickCore() int {
 	s.procMu.Lock()
+	defer s.procMu.Unlock()
 	core := s.nextCore % s.cfg.Cores
 	s.nextCore++
-	s.procMu.Unlock()
-	if s.sharded() {
-		pctx, err := s.procNR.Register(s.replicaOf(core))
+	return core
+}
+
+// newHandler allocates a syscall handler pinned to core, registering an
+// NR thread context on that core's replica of every shard — once per
+// group, so on a co-located kernel procCtx and fsCtx are one
+// registration, as procNR and fsNR are one group.
+func (s *System) newHandler(core int) (*handler, error) {
+	ctxs := make([]*nr.ShardedThread[sys.ReadOp, sys.WriteOp, sys.Resp], 0, 2)
+	for _, g := range s.groups {
+		ctx, err := g.Register(s.replicaOf(core))
 		if err != nil {
+			for _, c := range ctxs {
+				c.Deregister()
+			}
 			return nil, err
 		}
-		fctx, err := s.fsNR.Register(s.replicaOf(core))
-		if err != nil {
-			pctx.Deregister()
-			return nil, err
-		}
-		return &handler{s: s, core: core, procCtx: pctx, fsCtx: fctx}, nil
+		ctxs = append(ctxs, ctx)
 	}
-	ctx, err := s.nr.Register(s.replicaOf(core))
-	if err != nil {
-		return nil, err
-	}
-	return &handler{s: s, core: core, ctx: ctx}, nil
+	return &handler{s: s, core: core, procCtx: ctxs[0], fsCtx: ctxs[len(ctxs)-1]}, nil
 }
 
 // RawSysOn returns an uncontracted syscall handle for pid whose handler
@@ -57,15 +58,12 @@ func (s *System) newHandler() (*handler, error) {
 // explicit NUMA placement. The handle's NR contexts register on
 // replicaOf(core), exactly as if the process ran there, and bypass the
 // per-descriptor contract checker so each call is one syscall and
-// nothing else.
+// nothing else. Round-robin placement (Run, Init) is not perturbed.
 func (s *System) RawSysOn(pid proc.PID, core int) (*sys.Sys, error) {
 	if core < 0 || core >= s.cfg.Cores {
 		return nil, fmt.Errorf("core %d out of range [0,%d)", core, s.cfg.Cores)
 	}
-	s.procMu.Lock()
-	s.nextCore = core
-	s.procMu.Unlock()
-	h, err := s.newHandler()
+	h, err := s.newHandler(core)
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +73,7 @@ func (s *System) RawSysOn(pid proc.PID, core int) (*sys.Sys, error) {
 // Init returns a Sys handle for the init process (for setup work and
 // tests). Contract checking is wired to the handler core's replica.
 func (s *System) Init() (*sys.Sys, error) {
-	h, err := s.newHandler()
+	h, err := s.newHandler(s.pickCore())
 	if err != nil {
 		return nil, err
 	}
@@ -87,9 +85,12 @@ func (s *System) Init() (*sys.Sys, error) {
 // replicaViewer adapts one replica's view() for the two contract checks
 // that bracket a window with a view pair — a drained batch and Pread;
 // Read, Write and Seek are checked against a witness taken in the apply
-// instead. Each view syncs the replica to the log tail first, so the
-// pair brackets everything the window's crossing applied, and is an O(1)
-// immutable snapshot (fs.AbstractFDs / FS.Contents).
+// instead. The view is composed by key: descriptors from the PID's
+// process shard, each file's contents from its inode's owner shard.
+// Inspect syncs each shard to its own log tail first, so the pair
+// brackets everything the window's crossing applied shard by shard, and
+// each part is an O(1) immutable snapshot (FDTable.Snapshot /
+// FS.Contents).
 type replicaViewer struct {
 	s    *System
 	core int
@@ -97,37 +98,25 @@ type replicaViewer struct {
 
 // ViewFDs implements sys.Viewer.
 func (v *replicaViewer) ViewFDs(pid proc.PID) (fs.SpecState, bool) {
-	var st fs.SpecState
+	s, rep := v.s, v.s.replicaOf(v.core)
+	var snap map[fs.FD]fs.OpenFile
 	var ok bool
-	s := v.s
-	if s.sharded() {
-		// Compose the view across shards: descriptors from the PID's
-		// process shard, each file's contents from its inode's owner
-		// shard. Inspect syncs each shard to its own log tail, so the
-		// view brackets the checked syscall's transitions shard by shard.
-		rep := s.replicaOf(v.core)
-		var snap map[fs.FD]fs.OpenFile
-		s.InspectProcShard(s.ProcShardOf(pid), rep, func(k *sys.Kernel) {
-			snap, ok = k.SnapshotFDs(pid)
-		})
-		if !ok {
-			return fs.SpecState{}, false
-		}
-		st.Files = make(map[fs.FD]fs.SpecFile, len(snap))
-		for fd, of := range snap {
-			var contents []byte
-			s.InspectFsShard(s.FsShardOf(of.Ino), rep, func(k *sys.Kernel) {
-				contents, _ = k.FS().Contents(of.Ino)
-			})
-			st.Files[fd] = fs.SpecFile{Contents: contents, Offset: of.Offset, Locked: of.Locked,
-				Append: of.Flags&fs.OAppend != 0, Ino: of.Ino}
-		}
-		return st, true
-	}
-	s.nr.Replica(s.replicaOf(v.core)).Inspect(func(d nr.DataStructure[sys.ReadOp, sys.WriteOp, sys.Resp]) {
-		st, ok = d.(*sys.Kernel).ViewFDs(pid)
+	s.InspectProcShard(s.ProcShardOf(pid), rep, func(k *sys.Kernel) {
+		snap, ok = k.SnapshotFDs(pid)
 	})
-	return st, ok
+	if !ok {
+		return fs.SpecState{}, false
+	}
+	st := fs.SpecState{Files: make(map[fs.FD]fs.SpecFile, len(snap))}
+	for fd, of := range snap {
+		var contents []byte
+		s.InspectFsShard(s.FsShardOf(of.Ino), rep, func(k *sys.Kernel) {
+			contents, _ = k.FS().Contents(of.Ino)
+		})
+		st.Files[fd] = fs.SpecFile{Contents: contents, Offset: of.Offset, Locked: of.Locked,
+			Append: of.Flags&fs.OAppend != 0, Ino: of.Ino}
+	}
+	return st, true
 }
 
 // Run spawns a process as a child of parent and executes prog in its
@@ -138,7 +127,7 @@ func (s *System) Run(parent *sys.Sys, name string, prog Program) (*Process, erro
 	if e != sys.EOK {
 		return nil, fmt.Errorf("core: spawn %q: %v", name, e)
 	}
-	h, err := s.newHandler()
+	h, err := s.newHandler(s.pickCore())
 	if err != nil {
 		return nil, err
 	}
@@ -168,71 +157,27 @@ func (s *System) Printf(format string, args ...any) {
 // ConsoleOutput returns everything printed to the console.
 func (s *System) ConsoleOutput() string { return s.Machine.Serial.Output() }
 
-// SaveFS snapshots the filesystem (replica 0's copy — all replicas are
-// checked identical by the agreement obligation) to the disk. On a
-// journaled system this is a checkpoint: the snapshot carries the
-// journal sequence stamp and truncates the record area.
+// SaveFS checkpoints the filesystem to the disk. On a journaled system
+// every shard is checkpointed in one coordinator critical section:
+// commit pending records as a round (under nsMu, like Sync), then
+// compact each shard's journal into its snapshot slots. Journal-less, it
+// is the same full snapshot a Sync takes.
 func (s *System) SaveFS() error {
-	if s.sharded() {
-		if s.walGroup == nil {
-			return fmt.Errorf("core: SaveFS needs WAL on a sharded kernel (no single filesystem linearization)")
-		}
-		// Checkpoint every shard in one coordinator critical section:
-		// commit pending records as a round (under nsMu, like Sync),
-		// then compact each shard's journal into its snapshot slots.
-		s.nsMu.Lock()
-		defer s.nsMu.Unlock()
-		for i := 0; i < s.NumShards(); i++ {
-			s.InspectFsShard(i, 0, func(*sys.Kernel) {})
-		}
-		return s.walGroup.CheckpointAll()
+	if s.walGroup == nil {
+		return s.snapshotFS()
 	}
-	var err error
-	s.nr.Replica(0).Inspect(func(d nr.DataStructure[sys.ReadOp, sys.WriteOp, sys.Resp]) {
-		k := d.(*sys.Kernel)
-		if s.journal != nil {
-			err = s.journal.Checkpoint(k.FS())
-			return
-		}
-		err = fs.Save(k.FS(), s.BlockDev)
-	})
-	return err
+	s.nsMu.Lock()
+	defer s.nsMu.Unlock()
+	s.quiesceFsShards()
+	return s.walGroup.CheckpointAll()
 }
 
-// CheckReplicaAgreement syncs every kernel replica and verifies they
-// hold identical filesystem and process state — the composed system's
-// NR consistency obligation.
+// CheckReplicaAgreement syncs every kernel replica and verifies the
+// composed system's consistency obligation: within each shard, every
+// replica agrees (the per-shard NR requirement); across the filesystem
+// group, every shard holds the same namespace (the broadcast-order
+// requirement) while file contents live only with their owners.
 func (s *System) CheckReplicaAgreement() error {
-	if s.sharded() {
-		return s.checkShardAgreement()
-	}
-	var fss []*fs.FS
-	var procCounts []int
-	for i := 0; i < s.nr.NumReplicas(); i++ {
-		s.nr.Replica(i).Inspect(func(d nr.DataStructure[sys.ReadOp, sys.WriteOp, sys.Resp]) {
-			k := d.(*sys.Kernel)
-			fss = append(fss, k.FS())
-			procCounts = append(procCounts, k.Procs().Len())
-		})
-	}
-	for i := 1; i < len(fss); i++ {
-		if !fs.Equal(fss[0], fss[i]) {
-			return fmt.Errorf("core: replica %d filesystem diverged from replica 0", i)
-		}
-		if procCounts[i] != procCounts[0] {
-			return fmt.Errorf("core: replica %d has %d processes, replica 0 has %d",
-				i, procCounts[i], procCounts[0])
-		}
-	}
-	return nil
-}
-
-// checkShardAgreement is the sharded kernel's consistency obligation:
-// within each shard, every replica agrees (the per-shard NR
-// requirement); across the filesystem group, every shard holds the
-// same namespace (the broadcast-order requirement) while file contents
-// live only with their owners.
-func (s *System) checkShardAgreement() error {
 	n := s.NumShards()
 	for i := 0; i < n; i++ {
 		var fss []*fs.FS
@@ -249,8 +194,6 @@ func (s *System) checkShardAgreement() error {
 			if !fs.Equal(fss[0], fss[r]) {
 				return fmt.Errorf("core: fs shard %d replica %d diverged from replica 0", i, r)
 			}
-		}
-		for r := 1; r < len(procCounts); r++ {
 			if procCounts[r] != procCounts[0] {
 				return fmt.Errorf("core: proc shard %d replica %d has %d processes, replica 0 has %d",
 					i, r, procCounts[r], procCounts[0])
@@ -271,53 +214,32 @@ func (s *System) checkShardAgreement() error {
 	return nil
 }
 
-// CheckKernelInvariants runs every replica's structural invariants.
+// CheckKernelInvariants runs every replica's structural invariants, on
+// every shard of both groups.
 func (s *System) CheckKernelInvariants() error {
-	if s.sharded() {
-		for i := 0; i < s.NumShards(); i++ {
-			for r := 0; r < s.NumReplicas(); r++ {
-				var err error
-				check := func(k *sys.Kernel) {
-					if e := k.FS().CheckInvariant(); e != nil {
-						err = e
-						return
-					}
-					if e := k.Procs().CheckInvariant(); e != nil {
-						err = e
-						return
-					}
-					err = k.RunQueue().CheckInvariant()
-				}
-				s.InspectProcShard(i, r, check)
-				if err != nil {
-					return fmt.Errorf("proc shard %d replica %d: %w", i, r, err)
-				}
-				s.InspectFsShard(i, r, check)
-				if err != nil {
-					return fmt.Errorf("fs shard %d replica %d: %w", i, r, err)
-				}
+	var err error
+	check := func(k *sys.Kernel) {
+		if err = k.FS().CheckInvariant(); err != nil {
+			return
+		}
+		if err = k.Procs().CheckInvariant(); err != nil {
+			return
+		}
+		err = k.RunQueue().CheckInvariant()
+	}
+	for i := 0; i < s.NumShards(); i++ {
+		for r := 0; r < s.NumReplicas(); r++ {
+			s.InspectProcShard(i, r, check)
+			if err != nil {
+				return fmt.Errorf("proc shard %d replica %d: %w", i, r, err)
+			}
+			s.InspectFsShard(i, r, check)
+			if err != nil {
+				return fmt.Errorf("fs shard %d replica %d: %w", i, r, err)
 			}
 		}
-		return nil
 	}
-	var err error
-	for i := 0; i < s.nr.NumReplicas() && err == nil; i++ {
-		s.nr.Replica(i).Inspect(func(d nr.DataStructure[sys.ReadOp, sys.WriteOp, sys.Resp]) {
-			k := d.(*sys.Kernel)
-			if e := k.FS().CheckInvariant(); e != nil {
-				err = fmt.Errorf("replica %d: %w", i, e)
-				return
-			}
-			if e := k.Procs().CheckInvariant(); e != nil {
-				err = fmt.Errorf("replica %d: %w", i, e)
-				return
-			}
-			if e := k.RunQueue().CheckInvariant(); e != nil {
-				err = fmt.Errorf("replica %d: %w", i, e)
-			}
-		})
-	}
-	return err
+	return nil
 }
 
 // registerComponents fills the relwork self-inventory from what Boot

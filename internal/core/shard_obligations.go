@@ -146,7 +146,7 @@ func crossShardOrderingWorkload(r *rand.Rand, procs int) error {
 	if e := initSys.Mkdir("/churn"); e != sys.EOK {
 		return fmt.Errorf("mkdir churn: %v", e)
 	}
-	h, err := s.newHandler()
+	h, err := s.newHandler(s.pickCore())
 	if err != nil {
 		return err
 	}

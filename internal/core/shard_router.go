@@ -4,7 +4,6 @@ import (
 	"runtime"
 
 	"github.com/verified-os/vnros/internal/fs"
-	"github.com/verified-os/vnros/internal/hw/mmu"
 	"github.com/verified-os/vnros/internal/nr"
 	"github.com/verified-os/vnros/internal/obs"
 	"github.com/verified-os/vnros/internal/proc"
@@ -14,7 +13,9 @@ import (
 // This file is the cross-shard router: the composition layer that turns
 // one user syscall into an ordered sequence of single-shard transitions
 // when the kernel state machine is partitioned across NR instances
-// (§4.1). The shard-key map:
+// (§4.1). There is one kernel wiring (Boot): a process group and a
+// filesystem group of NR instances, a thread handle on each, one journal
+// group. The shard-key map:
 //
 //   - Per-process state (descriptor table, vspace, page table) lives on
 //     process shard ShardOf(PID).
@@ -24,6 +25,35 @@ import (
 //     counts) is replicated on every filesystem shard by broadcasting
 //     namespace mutations in ascending shard order under nsMu; file
 //     contents live only on filesystem shard ShardOf(Ino).
+//
+// Rule 0 — co-location. When every key maps to one NR instance, a
+// syscall is one transition on it. Config.Shards <= 1 boots exactly
+// that: one instance, the sole shard of one group that procNR and fsNR
+// both name (procNR == fsNR is the whole test; there is no mode flag),
+// which is the monolithic kernel. It is the degenerate case of every
+// ordering rule below, rely/guarantee-wise: a protocol's steps exist to
+// re-establish, between shards, an atomicity the single log already
+// guarantees, so with one log the protocol's rely is vacuous and its
+// guarantee is the transition's own. Everything that only needs to
+// *reach* the state — the pread family, socket-table ops, user memory,
+// views, the agreement and invariant checks, durability under the
+// journal — addresses it by key through the same handles on either
+// kernel and has one body. What remains forked is where a partitioned
+// kernel sequences what a co-located one applies at once:
+//
+//   - write dispatch (shardWrite): one transition vs the protocols below.
+//   - read dispatch (shardReadDispatch): one replica-local read vs
+//     lookup-then-owner for stat.
+//   - batch drain (handler.batch): the whole vector as one ExecuteBatch
+//     vs runs and per-shard rounds; the batch socket-table pass
+//     (sockBatchTableSharded) is the partitioned side of that fork.
+//   - sockBind / sockClose (netops.go): the port namespace is global and
+//     lives on process shard 0, so a partitioned bind is acquire → bind →
+//     release-on-unwind and a close releases; co-located, the table
+//     transition checks port uniqueness itself.
+//   - journal-less durability (snapshotFS): one filesystem is snapshotted
+//     whole; a partitioned kernel has no cut without the journal group
+//     and answers ENOSYS.
 //
 // Cross-shard ordering rules (each rule keeps a half-done protocol
 // observationally equivalent to some single-kernel state):
@@ -66,19 +96,15 @@ import (
 //     on shard 0, the resources are already gone, matching the
 //     monolithic kernel's atomic teardown for every tree observer.
 
-// sharded reports whether this system booted with a partitioned kernel.
-func (s *System) sharded() bool { return s.procNR != nil }
+// sharded reports whether the kernel state is partitioned: the process
+// and filesystem groups are distinct (rule 0 is its negation).
+func (s *System) sharded() bool { return s.procNR != s.fsNR }
 
 // Sharded is the exported probe (obligations, tools).
 func (s *System) Sharded() bool { return s.sharded() }
 
-// NumShards returns the shard count per group (0 when monolithic).
-func (s *System) NumShards() int {
-	if !s.sharded() {
-		return 0
-	}
-	return s.procNR.NumShards()
-}
+// NumShards returns the shard count per group (1 when co-located).
+func (s *System) NumShards() int { return s.procNR.NumShards() }
 
 // ProcShardOf returns the process shard owning a PID.
 func (s *System) ProcShardOf(pid proc.PID) int { return s.procNR.ShardOf(uint64(pid)) }
@@ -113,13 +139,21 @@ func (s *System) fsPathShard(path string) int {
 	return s.fsNR.ShardOf(h)
 }
 
-// ---- shard-addressed execution (ctxMu held by the callers below) ----
+// ---- shard-addressed execution (ctxMu held by the callers, procExec excepted) ----
 
 func (h *handler) procExecOn(shard int, op sys.WriteOp) sys.Resp {
 	t0 := obs.Start()
 	r := h.procCtx.ExecuteOn(shard, op)
 	obs.ShardOps.Observe(obs.ProcShardSlot(shard), uint32(h.core), t0)
 	return r
+}
+
+// procExec runs one keyed process-state transition — a socket-table op,
+// a pread mapping — on the shard owning op.PID (takes ctxMu itself).
+func (h *handler) procExec(op sys.WriteOp) sys.Resp {
+	h.ctxMu.Lock()
+	defer h.ctxMu.Unlock()
+	return h.procExecOn(h.s.ProcShardOf(op.PID), op)
 }
 
 func (h *handler) procReadOn(shard int, op sys.ReadOp) sys.Resp {
@@ -187,55 +221,18 @@ func (s *System) recordShardGauges(rep int) {
 	}
 }
 
-// ---- top-level sharded dispatch ----
-
-// shardWriteSyscall is the sharded counterpart of the monolithic
-// execute() path: core-side pre/post work (mmap frame attach, freed
-// frame return, local process cleanup) around the routed dispatch.
-func (h *handler) shardWriteSyscall(op sys.WriteOp) (resp sys.Resp) {
-	s := h.s
-	if op.Num == sys.NumMMap {
-		if op.Size == 0 || op.Size%mmu.L1PageSize != 0 {
-			return sys.Resp{Errno: sys.EINVAL}
-		}
-		frames, err := s.allocDataFrames(op.Size / mmu.L1PageSize)
-		if err != nil {
-			return sys.Resp{Errno: sys.ENOMEM}
-		}
-		op.Frames = frames
-		h.ctxMu.Lock()
-		resp = h.shardWrite(op)
-		h.ctxMu.Unlock()
-		if resp.Errno != sys.EOK {
-			s.freeDataFrames(frames)
-		}
-		s.recordShardGauges(s.replicaOf(h.core))
-		return resp
-	}
-
-	h.ctxMu.Lock()
-	resp = h.shardWrite(op)
-	h.ctxMu.Unlock()
-	if resp.Errno == sys.EOK && len(resp.Freed) > 0 {
-		s.freeDataFrames(resp.Freed)
-	}
-	if resp.Errno == sys.EOK && len(resp.Unpinned) > 0 {
-		s.unpinFrames(resp.Unpinned)
-	}
-	if op.Num == sys.NumExit && resp.Errno == sys.EOK {
-		s.cleanupProcessLocal(op.PID)
-	}
-	if op.Num == sys.NumKill && op.Sig == proc.SIGKILL && resp.Errno == sys.EOK {
-		s.cleanupProcessLocal(op.Target)
-	}
-	s.recordShardGauges(s.replicaOf(h.core))
-	return resp
-}
+// ---- top-level dispatch ----
 
 // shardWrite routes one mutating syscall per the shard-key map
 // (ctxMu held).
 func (h *handler) shardWrite(op sys.WriteOp) sys.Resp {
 	s := h.s
+	if !s.sharded() {
+		// Rule 0: one transition on the one instance; the partitioned
+		// kernel below sequences it across shards.
+		return h.procCtx.ExecuteOn(0, op)
+	}
+	defer s.recordShardGauges(s.replicaOf(h.core))
 	switch sys.ClassifyWrite(op.Num) {
 	case sys.TargetProcKey:
 		return h.procExecOn(s.ProcShardOf(op.PID), op)
@@ -269,7 +266,13 @@ func (h *handler) shardWrite(op sys.WriteOp) sys.Resp {
 func (h *handler) shardReadDispatch(op sys.ReadOp) sys.Resp {
 	s := h.s
 	h.ctxMu.Lock()
-	defer func() { h.ctxMu.Unlock(); s.recordShardGauges(s.replicaOf(h.core)) }()
+	defer h.ctxMu.Unlock()
+	if !s.sharded() {
+		// Rule 0: one replica-local read; the partitioned kernel below
+		// picks the shard by key, and sequences stat across two.
+		return h.procCtx.ExecuteReadOn(0, op)
+	}
+	defer s.recordShardGauges(s.replicaOf(h.core))
 	switch sys.ClassifyRead(op.Num) {
 	case sys.TargetProcKey:
 		return h.procReadOn(s.ProcShardOf(op.PID), op)

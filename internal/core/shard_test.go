@@ -82,7 +82,7 @@ func TestShardedFileSyscalls(t *testing.T) {
 	// Append resolves EOF on the owner shard. Use an uncontracted handle:
 	// write_spec models a cursor write, so an OAppend write is outside
 	// the per-descriptor contract in monolithic mode too.
-	ah, err := s.newHandler()
+	ah, err := s.newHandler(s.pickCore())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestInternalOpsRejectedAtBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := s.newHandler()
+		h, err := s.newHandler(s.pickCore())
 		if err != nil {
 			t.Fatal(err)
 		}

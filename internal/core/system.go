@@ -27,7 +27,6 @@ import (
 	"github.com/verified-os/vnros/internal/pt"
 	"github.com/verified-os/vnros/internal/relwork"
 	"github.com/verified-os/vnros/internal/sys"
-	"github.com/verified-os/vnros/internal/wal"
 	"github.com/verified-os/vnros/internal/walshard"
 )
 
@@ -64,25 +63,24 @@ type Config struct {
 	// a journal flush instead of a full snapshot, and boot recovery
 	// replays the log over the last checkpoint.
 	WAL bool
-	// JournalBlocks overrides the journal region size in blocks
-	// (default: 1/8 of the disk).
-	JournalBlocks uint64
 	// Shards partitions the kernel state machine across multiple NR
 	// instances with independent logs (§4.1): Shards process-state
 	// shards keyed by PID (descriptor tables, address spaces, the
 	// process tree pinned to shard 0) plus Shards filesystem shards
 	// keyed by inode (namespace replicated on every shard, file
-	// contents on the owner). 0 or 1 boots the monolithic single-NR
-	// kernel.
+	// contents on the owner). 0 and 1 are the same boot: ONE NR instance
+	// as the sole shard of one group that holds both kinds of state, so
+	// every key maps to it and a syscall is one transition on it (rule 0
+	// in shard_router.go) — the monolithic kernel.
 	//
 	// With WAL set, each fs shard gets its own journal region over the
-	// disk and Sync becomes a cross-shard group commit
-	// (internal/walshard): prepare chunks on every participating shard,
-	// then one commit stamp, so recovery always observes a consistent
-	// cross-shard cut. JournalBlocks then sizes each shard's journal
-	// within its region. RestoreFS on a sharded system requires WAL —
-	// the per-shard journal regions are the on-disk format; there is no
-	// sharded restore from a monolithic snapshot.
+	// disk (one region on a co-located kernel) and Sync is a group
+	// commit (internal/walshard): prepare chunks on every participating
+	// shard, then one commit stamp, so recovery always observes a
+	// consistent cross-shard cut. The durability mode is part of the disk
+	// format: RestoreFS needs the Shards and WAL the disk was written
+	// with, and on a partitioned kernel it requires WAL — the per-shard
+	// journal regions are the only on-disk format there.
 	Shards int
 	// ShardLogSize overrides each shard's log ring size (0 = the NR
 	// default). Each shard enforces its own half-ring invariant, so
@@ -95,15 +93,14 @@ type System struct {
 	cfg     Config
 	Machine *machine.Machine
 
-	// The replicated kernel (monolithic mode: Config.Shards <= 1).
-	nr       *nr.NR[sys.ReadOp, sys.WriteOp, sys.Resp]
-	replicas []*sys.Kernel
-
-	// The sharded kernel (Config.Shards > 1): two shard groups over
-	// independent logs — process state keyed by PID, filesystem state
-	// keyed by inode. nil in monolithic mode; see shard_router.go.
+	// The replicated kernel: two shard groups over independent logs —
+	// process state keyed by PID, filesystem state keyed by inode (see
+	// shard_router.go). With Config.Shards <= 1 both fields name the same
+	// one-instance group: the co-located (monolithic) kernel. groups lists
+	// the distinct groups, which is what a thread registers on.
 	procNR *nr.Sharded[sys.ReadOp, sys.WriteOp, sys.Resp]
 	fsNR   *nr.Sharded[sys.ReadOp, sys.WriteOp, sys.Resp]
+	groups []*nr.Sharded[sys.ReadOp, sys.WriteOp, sys.Resp]
 
 	// nsMu orders namespace broadcasts across the filesystem shards:
 	// every namespace mutation is applied to all fs shards in ascending
@@ -111,17 +108,12 @@ type System struct {
 	// total order and stay identical.
 	nsMu sync.Mutex
 
-	// journal, when Config.WAL is set, is the write-ahead journal over
-	// the block device. Replica 0's FS carries the record sink (each
-	// mutation is journaled once, in apply order); Sync and SaveFS
-	// drive Flush/Checkpoint under replica 0's Inspect lock.
-	journal *wal.Journal
-
-	// walGroup replaces journal on a sharded system: per-fs-shard
-	// journal regions with a cross-shard group-commit coordinator.
-	// Shard i's replica-0 FS carries shard i's record sink; Sync
-	// commits one cross-shard round under nsMu (so a namespace
-	// broadcast is never split across the commit cut).
+	// walGroup, when Config.WAL is set, is the write-ahead journal over
+	// the block device: one journal region per fs shard behind a
+	// group-commit coordinator. Shard i's replica-0 FS carries shard i's
+	// record sink (each mutation is journaled once, in apply order); Sync
+	// commits one round under nsMu (so a namespace broadcast is never
+	// split across the commit cut).
 	walGroup *walshard.Group
 
 	// Shared data-frame allocator (physical pages for user memory).
@@ -129,9 +121,8 @@ type System struct {
 	dataAlloc *mm.Buddy
 
 	// pcaches is the sharded page cache behind the pread family: one
-	// cache per filesystem shard (index = fs shard; one entry on the
-	// monolithic kernel). Every replica's FS carries the matching
-	// cache as its Invalidator (see readpath.go).
+	// cache per filesystem shard (index = fs shard). Every replica's FS
+	// carries the matching cache as its Invalidator (see readpath.go).
 	pcaches []*pcache.Cache
 
 	// Devices.
@@ -175,8 +166,7 @@ type futexKey struct {
 // Physical memory layout carved at boot.
 const (
 	bounceBase    = mem.PAddr(0x4000)    // block-driver DMA bounce
-	tableRegion   = mem.PAddr(16 << 20)  // page-table frames start
-	tableSpan     = mem.PAddr(16 << 20)  // per replica
+	tableRegion   = mem.PAddr(16 << 20)  // page-table frames start (split per kernel at boot)
 	dataRegionOff = mem.PAddr(128 << 20) // user data frames start
 )
 
@@ -263,219 +253,189 @@ func Boot(cfg Config) (*System, error) {
 		}
 	}
 
-	// Optional write-ahead journal: monolithic boots lay one journal
-	// over the tail of the disk; sharded boots partition the disk into
-	// per-shard journal regions behind a group-commit coordinator.
-	if cfg.WAL && cfg.Shards <= 1 {
-		if s.journal, err = wal.New(s.BlockDev, cfg.JournalBlocks); err != nil {
+	// Optional write-ahead journal: the disk is partitioned into one
+	// journal region per fs shard behind a group-commit coordinator (a
+	// co-located kernel is the one-region layout).
+	n := max(cfg.Shards, 1)
+	if cfg.WAL {
+		if s.walGroup, err = walshard.New(s.BlockDev, n, 0); err != nil {
 			return nil, err
 		}
 		if !cfg.RestoreFS {
-			// Fresh boot: initialize the journal region (a restore boots
-			// through Recover instead, which adopts the on-disk epoch).
-			if err := s.journal.Format(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if cfg.WAL && cfg.Shards > 1 {
-		if s.walGroup, err = walshard.New(s.BlockDev, cfg.Shards, cfg.JournalBlocks); err != nil {
-			return nil, err
-		}
-		if !cfg.RestoreFS {
+			// Fresh boot: initialize the regions (a restore boots through
+			// RecoverShard instead, which adopts the on-disk epochs).
 			if err := s.walGroup.Format(); err != nil {
 				return nil, err
 			}
 		}
 	}
 
-	// Optional boot-time filesystem restore, shared by the replica
-	// constructor below.
-	var bootFS func() *fs.FS
-	if cfg.RestoreFS {
-		bootFS = func() *fs.FS {
-			if s.journal != nil {
-				// Checkpoint snapshot + journal replay. Recover is
-				// idempotent: each replica's call yields an identical,
-				// independently owned filesystem.
-				f, err := s.journal.Recover()
-				if err != nil {
-					return fs.New()
-				}
-				return f
-			}
-			f, err := fs.Load(s.BlockDev)
-			if err != nil {
-				return fs.New() // fresh disk: empty root
-			}
-			return f
+	// The kernel: a process group and a filesystem group of n NR
+	// instances each, every instance with Replicas replicas over its own
+	// log. n == 1 co-locates them — ONE instance is the sole shard of
+	// one group that both procNR and fsNR name — and stays out of the
+	// per-shard stats (ShardTag 0). Page-table frames come from disjoint
+	// per-kernel slices of the table region, sized to fit however many
+	// kernels boot, so replicas never alias each other's table memory.
+	partitioned := n > 1
+	kernels := cfg.Replicas
+	if partitioned {
+		kernels *= 2 * n
+	}
+	span := (dataRegionOff - tableRegion) / mem.PAddr(kernels)
+	span &^= mem.PAddr(mem.PageSize - 1)
+	if span < mem.PageSize {
+		return nil, fmt.Errorf("core: table region too small for %d kernels", kernels)
+	}
+	kernelIdx := 0
+	nextFrames := func() pt.FrameSource {
+		base := tableRegion + mem.PAddr(kernelIdx)*span
+		kernelIdx++
+		return pt.NewSimpleFrameSource(m.Mem, base, base+span)
+	}
+	// The constructor runs once per replica of each shard. A restore boot
+	// recovers shard i's filesystem — against the journal group's
+	// committed cut, or from the plain snapshot of a journal-less disk;
+	// both are idempotent, so every replica gets an identical,
+	// independently owned filesystem. A device that was never written
+	// recovers as the empty root; any other failure (a corrupt image, a
+	// device error, a replay that does not apply) fails the boot rather
+	// than coming up empty over the only copy.
+	restore := func(i int) (*fs.FS, error) {
+		if s.walGroup != nil {
+			return s.walGroup.RecoverShard(i)
 		}
+		f, err := fs.Load(s.BlockDev)
+		if errors.Is(err, fs.ErrNoSnapshot) {
+			return fs.New(), nil
+		}
+		return f, err
+	}
+	var restoreErr error
+	newGroup := func(slot func(int) uint64, withFS bool) *nr.Sharded[sys.ReadOp, sys.WriteOp, sys.Resp] {
+		return nr.NewShardedFunc(n,
+			func(i int) nr.Options {
+				o := nr.Options{Replicas: cfg.Replicas, LogSize: cfg.ShardLogSize}
+				if partitioned {
+					o.ShardTag = 1 + int(slot(i))
+				}
+				return o
+			},
+			func(i int) nr.DataStructure[sys.ReadOp, sys.WriteOp, sys.Resp] {
+				if !withFS || !cfg.RestoreFS {
+					return sys.NewKernel(m.Mem, nextFrames())
+				}
+				f, err := restore(i)
+				if err != nil {
+					if restoreErr == nil {
+						restoreErr = fmt.Errorf("core: restore fs shard %d: %w", i, err)
+					}
+					f = fs.New()
+				}
+				return sys.NewKernelWithFS(m.Mem, nextFrames(), f)
+			})
+	}
+	if partitioned {
+		s.procNR = newGroup(obs.ProcShardSlot, false)
+		s.fsNR = newGroup(obs.FsShardSlot, true)
+		s.groups = append(s.groups, s.procNR, s.fsNR)
+	} else {
+		s.fsNR = newGroup(obs.FsShardSlot, true)
+		s.procNR = s.fsNR
+		s.groups = append(s.groups, s.fsNR)
+	}
+	if restoreErr != nil {
+		return nil, restoreErr
 	}
 
-	if cfg.Shards > 1 {
-		// The sharded kernel: 2*Shards NR instances (process group +
-		// filesystem group), each with Replicas replicas over its own
-		// log. Page-table frames come from disjoint per-kernel slices of
-		// the table region, sized to fit however many kernels boot.
-		totalKernels := 2 * cfg.Shards * cfg.Replicas
-		span := (dataRegionOff - tableRegion) / mem.PAddr(totalKernels)
-		span &^= mem.PAddr(mem.PageSize - 1)
-		if span < mem.PageSize {
-			return nil, fmt.Errorf("core: table region too small for %d shard kernels", totalKernels)
-		}
-		kernelIdx := 0
-		nextFrames := func() pt.FrameSource {
-			base := tableRegion + mem.PAddr(kernelIdx)*span
-			kernelIdx++
-			return pt.NewSimpleFrameSource(m.Mem, base, base+span)
-		}
-		shardOpts := func(slot func(int) uint64) func(int) nr.Options {
-			return func(i int) nr.Options {
-				return nr.Options{
-					Replicas: cfg.Replicas,
-					LogSize:  cfg.ShardLogSize,
-					ShardTag: 1 + int(slot(i)),
-				}
-			}
-		}
-		s.procNR = nr.NewShardedFunc(cfg.Shards, shardOpts(obs.ProcShardSlot),
-			func(int) nr.DataStructure[sys.ReadOp, sys.WriteOp, sys.Resp] {
-				return sys.NewKernel(m.Mem, nextFrames())
-			})
-		// The fs group's constructor runs once per replica of each
-		// shard; a restore boot recovers shard i's filesystem against
-		// the group's committed cut (RecoverShard is idempotent, so
-		// every replica of the shard gets an identical, independently
-		// owned filesystem).
-		s.fsNR = nr.NewShardedFunc(cfg.Shards, shardOpts(obs.FsShardSlot),
-			func(i int) nr.DataStructure[sys.ReadOp, sys.WriteOp, sys.Resp] {
-				if cfg.RestoreFS && s.walGroup != nil {
-					if f, rerr := s.walGroup.RecoverShard(i); rerr == nil {
-						return sys.NewKernelWithFS(m.Mem, nextFrames(), f)
-					}
-				}
-				return sys.NewKernel(m.Mem, nextFrames())
-			})
-
+	for i := 0; i < n; i++ {
 		// Attach each shard journal's record sink to that shard's
 		// replica 0: every replica applies every mutation, but exactly
 		// one replica's stream is the shard journal's linearization.
 		if s.walGroup != nil {
-			for i := 0; i < cfg.Shards; i++ {
-				jr := s.walGroup.Journal(i)
-				s.InspectFsShard(i, 0, func(k *sys.Kernel) {
-					k.FS().SetJournal(jr)
-				})
-			}
+			jr := s.walGroup.Journal(i)
+			s.InspectFsShard(i, 0, func(k *sys.Kernel) { k.FS().SetJournal(jr) })
 		}
-
 		// One page cache per filesystem shard; every replica of a shard
 		// publishes its invalidations into that shard's cache (whichever
 		// replica's combiner applies a write first kills the cached
 		// pages before the write returns).
-		s.pcaches = make([]*pcache.Cache, cfg.Shards)
-		for i := 0; i < cfg.Shards; i++ {
-			cache := pcache.New(cacheFrames{s}, obs.FsShardSlot(i), 0)
-			s.pcaches[i] = cache
-			for r := 0; r < cfg.Replicas; r++ {
-				s.InspectFsShard(i, r, func(k *sys.Kernel) {
-					k.FS().SetInvalidator(cache)
-				})
-			}
+		cache := pcache.New(cacheFrames{s}, obs.FsShardSlot(i), 0)
+		s.pcaches = append(s.pcaches, cache)
+		for r := 0; r < cfg.Replicas; r++ {
+			s.InspectFsShard(i, r, func(k *sys.Kernel) { k.FS().SetInvalidator(cache) })
 		}
-		s.registerComponents()
-		return s, nil
 	}
-
-	// The replicated kernel: one replica per NUMA node, page-table
-	// frames from disjoint per-replica regions so replicas never alias
-	// each other's table memory.
-	replicaIdx := 0
-	s.nr = nr.New(nr.Options{Replicas: cfg.Replicas},
-		func() nr.DataStructure[sys.ReadOp, sys.WriteOp, sys.Resp] {
-			base := tableRegion + mem.PAddr(replicaIdx)*tableSpan
-			replicaIdx++
-			src := pt.NewSimpleFrameSource(m.Mem, base, base+tableSpan)
-			var k *sys.Kernel
-			if bootFS != nil {
-				k = sys.NewKernelWithFS(m.Mem, src, bootFS())
-			} else {
-				k = sys.NewKernel(m.Mem, src)
-			}
-			s.replicas = append(s.replicas, k)
-			return k
-		})
-
-	// Attach the journal sink to replica 0's filesystem: every replica
-	// applies every mutation, but exactly one replica's stream is the
-	// journal's linearization.
-	if s.journal != nil {
-		s.replicas[0].FS().SetJournal(s.journal)
-	}
-
-	// The monolithic kernel runs one page cache; every replica's FS
-	// publishes invalidations into it (idempotent per mutation, applied
-	// first by the writing core's combiner).
-	s.pcaches = []*pcache.Cache{pcache.New(cacheFrames{s}, 0, 0)}
-	for _, k := range s.replicas {
-		k.FS().SetInvalidator(s.pcaches[0])
-	}
-
 	s.registerComponents()
 	return s, nil
 }
 
-// syncDurable is the Sync syscall's kernel half: make every mutation
-// applied so far durable. Under the journal this is one group commit
-// (Flush), escalating to a checkpoint when the record area is full —
-// the checkpoint absorbs the pending records into the snapshot, so no
-// retry is needed. Without a journal, durability means a full snapshot.
-//
-// The work runs inside replica 0's Inspect, which first syncs that
-// replica to the log tail: every operation completed before this sync
-// has then been applied — and therefore journaled — before the flush,
-// which is exactly the ordering the durability contract needs.
-func (s *System) syncDurable() error {
+// errNeedsWAL is journal-less durability on a partitioned kernel: with
+// no journal there is no cut across the shard logs to snapshot.
+var errNeedsWAL = errors.New("core: durability needs WAL on a sharded kernel (no single filesystem linearization)")
+
+// snapshotFS is journal-less durability, for Sync and SaveFS alike: a
+// co-located kernel's one filesystem is snapshotted whole under replica
+// 0's Inspect, which first syncs that replica to the log tail — every
+// operation completed before this call is in the image. A partitioned
+// kernel would have to sequence a cut across its shard logs, which only
+// the journal group can do: errNeedsWAL (ENOSYS to a Sync) rather than
+// a snapshot that silently covers part of the state.
+func (s *System) snapshotFS() error {
 	if s.sharded() {
-		if s.walGroup == nil {
-			return fmt.Errorf("core: sync needs WAL on a sharded kernel")
-		}
-		// One cross-shard group-commit round. nsMu is held across the
-		// whole round so a namespace broadcast — the only multi-shard fs
-		// mutation — is never split across the commit cut: the recovered
-		// namespaces stay identical on every shard. Each fs shard's
-		// replica 0 is first synced to its log tail (an empty Inspect),
-		// so every operation completed before this sync has been applied
-		// — and therefore journaled — before the participants are
-		// chosen. The quiesces run concurrently: each one spins against
-		// its shard's combiner traffic, so the round pays the slowest
-		// shard, not the sum.
-		s.nsMu.Lock()
-		defer s.nsMu.Unlock()
-		var wg sync.WaitGroup
-		for i := 0; i < s.NumShards(); i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				s.InspectFsShard(i, 0, func(*sys.Kernel) {})
-			}(i)
-		}
-		wg.Wait()
-		return s.walGroup.Commit()
+		return errNeedsWAL
 	}
 	var err error
-	s.nr.Replica(0).Inspect(func(d nr.DataStructure[sys.ReadOp, sys.WriteOp, sys.Resp]) {
-		k := d.(*sys.Kernel)
-		if s.journal == nil {
-			err = fs.Save(k.FS(), s.BlockDev)
-			return
-		}
-		err = s.journal.Flush()
-		if errors.Is(err, wal.ErrJournalFull) {
-			err = s.journal.Checkpoint(k.FS())
-		}
-	})
+	s.InspectFsShard(0, 0, func(k *sys.Kernel) { err = fs.Save(k.FS(), s.BlockDev) })
 	return err
+}
+
+// quiesceFsShards syncs every fs shard's replica 0 to its log tail (an
+// empty Inspect), so every operation completed before the call has been
+// applied — and therefore journaled — before a commit chooses its
+// participants. The caller holds nsMu. The quiesces run concurrently:
+// each one spins against its shard's combiner traffic, so the round pays
+// the slowest shard, not the sum (shard 0's on the caller's goroutine, so
+// a one-shard group spawns none).
+func (s *System) quiesceFsShards() {
+	var wg sync.WaitGroup
+	for i := 1; i < s.NumShards(); i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			s.InspectFsShard(i, 0, func(*sys.Kernel) {})
+		}(i)
+	}
+	s.InspectFsShard(0, 0, func(*sys.Kernel) {})
+	wg.Wait()
+}
+
+// syncDurable is the Sync syscall's kernel half: make every mutation
+// applied so far durable. Under the journal this is one group-commit
+// round, which escalates to a checkpoint by itself when a record area is
+// full; without a journal, durability means a full snapshot. nsMu is
+// held across the whole round so a namespace broadcast — the only
+// multi-shard fs mutation — is never split across the commit cut: the
+// recovered namespaces stay identical on every shard.
+func (s *System) syncDurable() error {
+	if s.walGroup == nil {
+		return s.snapshotFS()
+	}
+	s.nsMu.Lock()
+	defer s.nsMu.Unlock()
+	s.quiesceFsShards()
+	return s.walGroup.Commit()
+}
+
+// syncErrno is the Sync syscall's verdict, per call or once per batch.
+func (s *System) syncErrno() sys.Errno {
+	switch err := s.syncDurable(); {
+	case err == nil:
+		return sys.EOK
+	case errors.Is(err, errNeedsWAL):
+		return sys.ENOSYS
+	}
+	return sys.EIO
 }
 
 // replicaOf maps a core to its kernel replica index (the same mapping
@@ -522,7 +482,7 @@ func (s *System) freeDataFrames(frames []mem.PAddr) {
 }
 
 // handler is the per-process syscall entry: it owns the process's NR
-// thread context (each process is pinned to a core, each core to a
+// thread contexts (each process is pinned to a core, each core to a
 // replica, as in NrOS).
 type handler struct {
 	s    *System
@@ -534,11 +494,10 @@ type handler struct {
 	// memory) stay outside the mutex — FutexWait blocks, and holding
 	// ctxMu across it would deadlock the process's other traffic.
 	ctxMu sync.Mutex
-	ctx   *nr.ThreadContext[sys.ReadOp, sys.WriteOp, sys.Resp]
 
-	// Sharded mode: thread handles across every shard of each group
-	// (ctx is nil then). The router in shard_router.go sequences
-	// cross-shard protocols through these under ctxMu.
+	// Thread handles across every shard of each group — one shared
+	// registration on a co-located kernel. The router in shard_router.go
+	// sequences cross-shard protocols through these under ctxMu.
 	procCtx *nr.ShardedThread[sys.ReadOp, sys.WriteOp, sys.Resp]
 	fsCtx   *nr.ShardedThread[sys.ReadOp, sys.WriteOp, sys.Resp]
 
@@ -550,24 +509,6 @@ type handler struct {
 
 // TakeWitness implements sys.Witnesser.
 func (h *handler) TakeWitness() *sys.Witness { return h.witness.Swap(nil) }
-
-func (h *handler) execute(op sys.WriteOp) sys.Resp {
-	h.ctxMu.Lock()
-	defer h.ctxMu.Unlock()
-	return h.ctx.Execute(op)
-}
-
-func (h *handler) executeRead(op sys.ReadOp) sys.Resp {
-	h.ctxMu.Lock()
-	defer h.ctxMu.Unlock()
-	return h.ctx.ExecuteRead(op)
-}
-
-func (h *handler) executeBatch(ops []sys.WriteOp) []sys.Resp {
-	h.ctxMu.Lock()
-	defer h.ctxMu.Unlock()
-	return h.ctx.ExecuteBatch(ops)
-}
 
 // Syscall implements sys.Handler: the kernel side of the boundary. It
 // wraps the dispatch in the kstat probe — one count + latency sample
@@ -607,8 +548,7 @@ func (h *handler) syscall(frame marshal.SyscallFrame, payload []byte) (marshal.R
 	h.pollInterrupts()
 
 	// The internal cross-shard protocol ops never cross the user
-	// boundary; a hand-rolled frame carrying one is rejected here, in
-	// both monolithic and sharded modes.
+	// boundary; a hand-rolled frame carrying one is rejected here.
 	if sys.IsInternalOp(frame.Num) {
 		return sys.EncodeResp(sys.Resp{Errno: sys.EINVAL})
 	}
@@ -621,45 +561,36 @@ func (h *handler) syscall(frame marshal.SyscallFrame, payload []byte) (marshal.R
 		if err != nil {
 			return sys.EncodeResp(sys.Resp{Errno: sys.EINVAL})
 		}
-		// Pread goes through the page cache in both kernel modes: a
-		// cache hit never enters an NR instance (readpath.go).
+		// Pread goes through the page cache: a cache hit never enters an
+		// NR instance (readpath.go).
 		if op.Num == sys.NumPread {
 			return sys.EncodeResp(h.pread(op, nil))
 		}
-		if s.sharded() {
-			return sys.EncodeResp(h.shardReadDispatch(op))
-		}
-		return sys.EncodeResp(h.executeRead(op))
+		return sys.EncodeResp(h.shardReadDispatch(op))
 	}
 	op, err := sys.DecodeWrite(frame, payload)
 	if err != nil {
 		return sys.EncodeResp(sys.Resp{Errno: sys.EINVAL})
 	}
-	// Socket ops split across the determinism line: the table half is a
-	// logged transition (routed inside sockOp, monolithic or sharded),
-	// the device half stays core-local. See netops.go.
-	if sys.IsSockOp(op.Num) {
+	switch {
+	case sys.IsSockOp(op.Num):
+		// Socket ops split across the determinism line: the table half is
+		// a logged transition (routed inside sockOp), the device half
+		// stays core-local. See netops.go.
 		return sys.EncodeResp(s.sockOp(h, op))
-	}
-	if sys.IsLocalOp(op.Num) {
+	case sys.IsLocalOp(op.Num):
 		return sys.EncodeResp(s.localOp(h, op))
-	}
-	// The zero-copy pread tier coordinates the page-cache pin with the
-	// logged mapping transition itself, in both kernel modes.
-	if op.Num == sys.NumPreadMap {
+	case op.Num == sys.NumPreadMap:
+		// The zero-copy pread tier coordinates the page-cache pin with
+		// the logged mapping transition itself.
 		return sys.EncodeResp(h.preadMap(op))
-	}
-	if op.Num == sys.NumPreadUnmap {
+	case op.Num == sys.NumPreadUnmap:
 		return sys.EncodeResp(h.preadUnmap(op))
 	}
-	if s.sharded() {
-		resp := h.shardWriteSyscall(op)
-		if op.Witness {
-			h.witness.Store(resp.Witness)
-		}
-		return sys.EncodeResp(resp)
-	}
-
+	// The one logged-write path: the core-side work around the routed
+	// transition (shardWrite) — mmap's frame attach before it, the
+	// witness, freed-frame return and local process cleanup after it.
+	//
 	// mmap: attach data frames from the shared pool before logging, so
 	// every replica maps the same physical pages.
 	if op.Num == sys.NumMMap {
@@ -671,31 +602,33 @@ func (h *handler) syscall(frame marshal.SyscallFrame, payload []byte) (marshal.R
 			return sys.EncodeResp(sys.Resp{Errno: sys.ENOMEM})
 		}
 		op.Frames = frames
-		resp := h.execute(op)
-		if resp.Errno != sys.EOK {
-			s.freeDataFrames(frames)
-		}
-		return sys.EncodeResp(resp)
 	}
-
-	resp := h.execute(op)
+	h.ctxMu.Lock()
+	resp := h.shardWrite(op)
+	h.ctxMu.Unlock()
 	if op.Witness {
 		h.witness.Store(resp.Witness)
+	}
+	if resp.Errno != sys.EOK {
+		if op.Num == sys.NumMMap {
+			s.freeDataFrames(op.Frames)
+		}
+		return sys.EncodeResp(resp)
 	}
 	// munmap/exit return the data frames they released; give them back
 	// to the shared pool exactly once (here, on the calling path).
 	// Cache-owned frames behind pread mappings come back separately in
 	// Unpinned and return to their cache, never the pool.
-	if resp.Errno == sys.EOK && len(resp.Freed) > 0 {
+	if len(resp.Freed) > 0 {
 		s.freeDataFrames(resp.Freed)
 	}
-	if resp.Errno == sys.EOK && len(resp.Unpinned) > 0 {
+	if len(resp.Unpinned) > 0 {
 		s.unpinFrames(resp.Unpinned)
 	}
-	if op.Num == sys.NumExit && resp.Errno == sys.EOK {
+	if op.Num == sys.NumExit {
 		s.cleanupProcessLocal(op.PID)
 	}
-	if op.Num == sys.NumKill && op.Sig == proc.SIGKILL && resp.Errno == sys.EOK {
+	if op.Num == sys.NumKill && op.Sig == proc.SIGKILL {
 		s.cleanupProcessLocal(op.Target)
 	}
 	return sys.EncodeResp(resp)
@@ -703,8 +636,8 @@ func (h *handler) syscall(frame marshal.SyscallFrame, payload []byte) (marshal.R
 
 // batch drains one submission-queue vector in as few NR combiner rounds
 // as the kernel's shape allows: decode, fence off anything
-// non-batchable, then one ExecuteBatch on the monolith (one log
-// reservation for the whole vector) or, sharded, three rounds per
+// non-batchable, then one ExecuteBatch on a co-located kernel (one log
+// reservation for the whole vector) or, partitioned, three rounds per
 // descriptor run; and reassemble the completion queue in submission
 // order. Non-batchable ops complete individually with ENOSYS — a bad
 // entry must not poison its neighbours' completions.
@@ -748,6 +681,7 @@ func (h *handler) batch(frame marshal.SyscallFrame, payload []byte) (marshal.Ret
 	}
 	h.sockBatchDevBind(sops, comps)
 	if nOther+len(sops) > 0 {
+		h.ctxMu.Lock()
 		if h.s.sharded() {
 			// Per-shard logs cannot take one contiguous reservation for a
 			// mixed batch, so each kind drains in the fewest rounds its
@@ -760,7 +694,6 @@ func (h *handler) batch(frame marshal.SyscallFrame, payload []byte) (marshal.Ret
 			// protocol. Socket-table and file state are disjoint, so
 			// running the socket rounds first preserves every per-object
 			// ordering.
-			h.ctxMu.Lock()
 			h.sockBatchTableSharded(sops, comps)
 			for i := 0; i < len(ops); {
 				j := i + 1
@@ -776,11 +709,12 @@ func (h *handler) batch(frame marshal.SyscallFrame, payload []byte) (marshal.Ret
 				}
 				i = j
 			}
-			h.ctxMu.Unlock()
 		} else {
-			// One combiner round for the whole batch: file ops and the
-			// socket-table halves interleave in submission order in a
-			// single ExecuteBatch vector.
+			// Rule 0 (shard_router.go): every key maps to the one instance,
+			// so the whole batch is one combiner round on it — file ops and
+			// the socket-table halves interleave in submission order in a
+			// single ExecuteBatch vector, where the partitioned kernel above
+			// sequences rounds per shard key.
 			run := make([]sys.WriteOp, 0, nOther+len(sops))
 			fsIdx := make([]int, 0, nOther+len(sops)) // completion index, -1 = socket
 			runSo := make([]*sockBatchOp, 0, len(sops))
@@ -803,7 +737,7 @@ func (h *handler) batch(frame marshal.SyscallFrame, payload []byte) (marshal.Ret
 				}
 			}
 			if len(run) > 0 {
-				for j, r := range h.executeBatch(run) {
+				for j, r := range h.procCtx.ExecuteBatchOn(0, run) {
 					if so := runSo[j]; so != nil {
 						so.tab = r
 					} else {
@@ -812,6 +746,7 @@ func (h *handler) batch(frame marshal.SyscallFrame, payload []byte) (marshal.Ret
 				}
 			}
 		}
+		h.ctxMu.Unlock()
 	}
 	// Pread entries complete after every logged op of the batch has
 	// applied, so they observe all of the batch's writes. Outside ctxMu:
@@ -829,18 +764,9 @@ func (h *handler) batch(frame marshal.SyscallFrame, payload []byte) (marshal.Ret
 	}
 	h.sockBatchPost(sops, comps)
 	if len(syncIdx) > 0 {
-		// One group commit for the whole batch (after its ops applied;
-		// outside ctxMu — the flush takes replica locks instead). On a
-		// sharded kernel with WAL the commit is one cross-shard round
-		// fanning out to the shards with pending records; sharded
-		// without WAL durability is unsupported (see syncDurable), so
-		// sync markers complete with ENOSYS.
-		e := sys.EOK
-		if h.s.sharded() && h.s.walGroup == nil {
-			e = sys.ENOSYS
-		} else if err := h.s.syncDurable(); err != nil {
-			e = sys.EIO
-		}
+		// One durability action for the whole batch (after its ops applied;
+		// outside ctxMu — the commit takes replica locks instead).
+		e := h.s.syncErrno()
 		for _, i := range syncIdx {
 			comps[i] = sys.Completion{Op: sys.NumSync, Errno: e}
 		}

@@ -16,7 +16,7 @@ func (s *System) SpawnHandle(parent *sys.Sys, name string) (*sys.Sys, error) {
 	if e != sys.EOK {
 		return nil, fmt.Errorf("core: spawn %q: %v", name, e)
 	}
-	h, err := s.newHandler()
+	h, err := s.newHandler(s.pickCore())
 	if err != nil {
 		return nil, err
 	}
@@ -27,7 +27,7 @@ func (s *System) SpawnHandle(parent *sys.Sys, name string) (*sys.Sys, error) {
 // process — a second thread sharing its address space, pinned to the
 // next core round-robin.
 func (s *System) NewThreadHandle(of *sys.Sys) (*sys.Sys, error) {
-	h, err := s.newHandler()
+	h, err := s.newHandler(s.pickCore())
 	if err != nil {
 		return nil, err
 	}

@@ -287,6 +287,37 @@ func CheckBlockAccess(d BlockStore, op string, i uint64, p []byte) error {
 	return nil
 }
 
+// SubStore exposes blocks [base, base+n) of d as a device of its own —
+// the one block-range view: the journal's snapshot region (internal/wal,
+// base 0) and a shard's journal region (internal/walshard). Accesses are
+// checked against the view's geometry, so a client of the view cannot
+// reach a neighbouring region.
+func SubStore(d BlockStore, base, n uint64) BlockStore {
+	return &subStore{d: d, base: base, n: n}
+}
+
+type subStore struct {
+	d       BlockStore
+	base, n uint64
+}
+
+func (v *subStore) BlockSize() int    { return v.d.BlockSize() }
+func (v *subStore) NumBlocks() uint64 { return v.n }
+
+func (v *subStore) ReadBlock(i uint64, p []byte) error {
+	if err := CheckBlockAccess(v, "read", i, p); err != nil {
+		return err
+	}
+	return v.d.ReadBlock(v.base+i, p)
+}
+
+func (v *subStore) WriteBlock(i uint64, p []byte) error {
+	if err := CheckBlockAccess(v, "write", i, p); err != nil {
+		return err
+	}
+	return v.d.WriteBlock(v.base+i, p)
+}
+
 // ReadBlock implements BlockStore.
 func (m *MemBlockStore) ReadBlock(i uint64, p []byte) error {
 	if err := CheckBlockAccess(m, "read", i, p); err != nil {

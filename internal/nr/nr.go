@@ -118,6 +118,14 @@ type Options struct {
 	ShardTag int
 }
 
+// instances counts New calls. An instance's log is its dominant boot
+// cost (17 MB at the default size), so how many of them a system boots
+// is pinned by tests as a count rather than as bytes.
+var instances atomic.Uint64
+
+// Instances returns how many NR instances this process has constructed.
+func Instances() uint64 { return instances.Load() }
+
 // New creates an NR instance with one data-structure copy per replica.
 // create is called once per replica and must produce identical initial
 // states.
@@ -125,6 +133,7 @@ func New[Rd any, Wr any, Resp any](opts Options, create func() DataStructure[Rd,
 	if opts.Replicas < 1 {
 		opts.Replicas = 1
 	}
+	instances.Add(1)
 	n := &NR[Rd, Wr, Resp]{log: newLog[Wr](opts.LogSize), shardTag: opts.ShardTag}
 	for i := 0; i < opts.Replicas; i++ {
 		r := &Replica[Rd, Wr, Resp]{nr: n, id: uint32(i), ds: create()}

@@ -133,30 +133,7 @@ func New(d fs.BlockStore, journalBlocks uint64) (*Journal, error) {
 // are saved into — the device minus the journal region. fs.Save/Load
 // against this view see a smaller disk and keep their A/B layout.
 func (j *Journal) SnapshotView() fs.BlockStore {
-	return &subStore{d: j.d, n: j.snapBlocks}
-}
-
-// subStore exposes the leading n blocks of a store.
-type subStore struct {
-	d fs.BlockStore
-	n uint64
-}
-
-func (v *subStore) BlockSize() int    { return v.d.BlockSize() }
-func (v *subStore) NumBlocks() uint64 { return v.n }
-
-func (v *subStore) ReadBlock(i uint64, p []byte) error {
-	if err := fs.CheckBlockAccess(v, "read", i, p); err != nil {
-		return err
-	}
-	return v.d.ReadBlock(i, p)
-}
-
-func (v *subStore) WriteBlock(i uint64, p []byte) error {
-	if err := fs.CheckBlockAccess(v, "write", i, p); err != nil {
-		return err
-	}
-	return v.d.WriteBlock(i, p)
+	return fs.SubStore(j.d, 0, j.snapBlocks)
 }
 
 // Format initializes a fresh journal on the device: epoch 1, empty
@@ -320,7 +297,7 @@ func (j *Journal) Checkpoint(f *fs.FS) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	seq := j.nextSeq - 1
-	view := &subStore{d: j.d, n: j.snapBlocks}
+	view := j.SnapshotView()
 	if err := fs.SaveStamped(f, view, seq); err != nil {
 		return err
 	}
@@ -356,7 +333,7 @@ func (j *Journal) CheckpointCommitted() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 
-	view := &subStore{d: j.d, n: j.snapBlocks}
+	view := j.SnapshotView()
 	f, stamp, err := fs.LoadStamped(view)
 	if err != nil {
 		if !errors.Is(err, fs.ErrNoSnapshot) {
@@ -455,7 +432,7 @@ func (j *Journal) RecoverCommitted(committed uint64) (*fs.FS, error) {
 
 func (j *Journal) recoverLocked(committed uint64, invalidate bool) (*fs.FS, error) {
 	epoch, hdrErr := j.readHeader()
-	view := &subStore{d: j.d, n: j.snapBlocks}
+	view := j.SnapshotView()
 	f, stamp, err := fs.LoadStamped(view)
 	if err != nil {
 		if !errors.Is(err, fs.ErrNoSnapshot) {

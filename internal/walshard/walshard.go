@@ -117,7 +117,7 @@ func New(d fs.BlockStore, nshards int, journalBlocks uint64) (*Group, error) {
 		ckptBusy: make([]atomic.Bool, nshards),
 	}
 	for i := 0; i < nshards; i++ {
-		view := &rangeStore{d: d, base: stampSlots + uint64(i)*per, n: per}
+		view := fs.SubStore(d, stampSlots+uint64(i)*per, per)
 		j, err := wal.New(view, journalBlocks)
 		if err != nil {
 			return nil, fmt.Errorf("walshard: shard %d region (%d blocks): %w", i, per, err)
@@ -125,31 +125,6 @@ func New(d fs.BlockStore, nshards int, journalBlocks uint64) (*Group, error) {
 		g.js[i] = j
 	}
 	return g, nil
-}
-
-// rangeStore exposes blocks [base, base+n) of a store as its own
-// device — the per-shard journal region view.
-type rangeStore struct {
-	d    fs.BlockStore
-	base uint64
-	n    uint64
-}
-
-func (v *rangeStore) BlockSize() int    { return v.d.BlockSize() }
-func (v *rangeStore) NumBlocks() uint64 { return v.n }
-
-func (v *rangeStore) ReadBlock(i uint64, p []byte) error {
-	if err := fs.CheckBlockAccess(v, "read", i, p); err != nil {
-		return err
-	}
-	return v.d.ReadBlock(v.base+i, p)
-}
-
-func (v *rangeStore) WriteBlock(i uint64, p []byte) error {
-	if err := fs.CheckBlockAccess(v, "write", i, p); err != nil {
-		return err
-	}
-	return v.d.WriteBlock(v.base+i, p)
 }
 
 // NumShards returns the number of shard journals.
