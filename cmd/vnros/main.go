@@ -179,9 +179,7 @@ func run(cores, shards int, tables, stats bool) error {
 			fmt.Sprintf("kernel applies (once per replica per op; %d replicas):", system.NumReplicas()),
 			snap.Ops["kernel.apply"], sys.OpName))
 		fmt.Println()
-		// A co-located kernel (NumShards() == 1) has no shard dimension to
-		// break dispatch down by.
-		if ops := snap.Ops["nr.shard.ops"]; system.Sharded() && len(ops) > 0 {
+		if ops := snap.Ops["nr.shard.ops"]; len(ops) > 0 {
 			fmt.Print(obs.RenderOps(
 				fmt.Sprintf("per-shard dispatch (%d shards; proc* keyed by PID, fs* by inode):", system.NumShards()),
 				ops, obs.ShardSlotName))

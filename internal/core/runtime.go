@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/verified-os/vnros/internal/fs"
-	"github.com/verified-os/vnros/internal/nr"
 	"github.com/verified-os/vnros/internal/proc"
 	"github.com/verified-os/vnros/internal/relwork"
 	"github.com/verified-os/vnros/internal/sys"
@@ -35,22 +34,23 @@ func (s *System) pickCore() int {
 }
 
 // newHandler allocates a syscall handler pinned to core, registering an
-// NR thread context on that core's replica of every shard — once per
-// group, so on a co-located kernel procCtx and fsCtx are one
-// registration, as procNR and fsNR are one group.
+// NR thread context on that core's replica of every shard of each group.
 func (s *System) newHandler(core int) (*handler, error) {
-	ctxs := make([]*nr.ShardedThread[sys.ReadOp, sys.WriteOp, sys.Resp], 0, 2)
-	for _, g := range s.groups {
-		ctx, err := g.Register(s.replicaOf(core))
-		if err != nil {
-			for _, c := range ctxs {
-				c.Deregister()
-			}
+	rep := s.replicaOf(core)
+	procCtx, err := s.procNR.Register(rep)
+	if err != nil {
+		return nil, err
+	}
+	// Co-located, procNR and fsNR are one group and a thread registers on
+	// it once; partitioned, the fs group's shards need their own contexts.
+	fsCtx := procCtx
+	if s.sharded() {
+		if fsCtx, err = s.fsNR.Register(rep); err != nil {
+			procCtx.Deregister()
 			return nil, err
 		}
-		ctxs = append(ctxs, ctx)
 	}
-	return &handler{s: s, core: core, procCtx: ctxs[0], fsCtx: ctxs[len(ctxs)-1]}, nil
+	return &handler{s: s, core: core, procCtx: procCtx, fsCtx: fsCtx}, nil
 }
 
 // RawSysOn returns an uncontracted syscall handle for pid whose handler
@@ -60,14 +60,20 @@ func (s *System) newHandler(core int) (*handler, error) {
 // per-descriptor contract checker so each call is one syscall and
 // nothing else. Round-robin placement (Run, Init) is not perturbed.
 func (s *System) RawSysOn(pid proc.PID, core int) (*sys.Sys, error) {
-	if core < 0 || core >= s.cfg.Cores {
-		return nil, fmt.Errorf("core %d out of range [0,%d)", core, s.cfg.Cores)
-	}
-	h, err := s.newHandler(core)
+	h, err := s.pinnedHandler(core)
 	if err != nil {
 		return nil, err
 	}
 	return sys.NewSys(pid, h), nil
+}
+
+// pinnedHandler is RawSysOn's kernel half: a handler on exactly the core
+// asked for.
+func (s *System) pinnedHandler(core int) (*handler, error) {
+	if core < 0 || core >= s.cfg.Cores {
+		return nil, fmt.Errorf("core %d out of range [0,%d)", core, s.cfg.Cores)
+	}
+	return s.newHandler(core)
 }
 
 // Init returns a Sys handle for the init process (for setup work and
@@ -158,18 +164,15 @@ func (s *System) Printf(format string, args ...any) {
 func (s *System) ConsoleOutput() string { return s.Machine.Serial.Output() }
 
 // SaveFS checkpoints the filesystem to the disk. On a journaled system
-// every shard is checkpointed in one coordinator critical section:
-// commit pending records as a round (under nsMu, like Sync), then
+// every shard is checkpointed in one coordinator critical section (a
+// journalRound, like Sync): commit pending records as a round, then
 // compact each shard's journal into its snapshot slots. Journal-less, it
 // is the same full snapshot a Sync takes.
 func (s *System) SaveFS() error {
 	if s.walGroup == nil {
 		return s.snapshotFS()
 	}
-	s.nsMu.Lock()
-	defer s.nsMu.Unlock()
-	s.quiesceFsShards()
-	return s.walGroup.CheckpointAll()
+	return s.journalRound(s.walGroup.CheckpointAll)
 }
 
 // CheckReplicaAgreement syncs every kernel replica and verifies the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"time"
 
 	"github.com/verified-os/vnros/internal/fs"
 	"github.com/verified-os/vnros/internal/nr"
@@ -54,6 +55,14 @@ import (
 //   - journal-less durability (snapshotFS): one filesystem is snapshotted
 //     whole; a partitioned kernel has no cut without the journal group
 //     and answers ENOSYS.
+//   - a burst that outgrows the journal's record area (journalRound): one
+//     journal absorbs it in one checkpoint of the live filesystem; a
+//     partitioned kernel would have to sequence that checkpoint across
+//     shards, so there the full error stands (EIO).
+//
+// Two more tests are bookkeeping, not dispatch: newHandler registers a
+// thread once per group (co-located there is one), and shardStart /
+// shardDone sample nr.shard.ops only where there is a shard dimension.
 //
 // Cross-shard ordering rules (each rule keeps a half-done protocol
 // observationally equivalent to some single-kernel state):
@@ -141,10 +150,27 @@ func (s *System) fsPathShard(path string) int {
 
 // ---- shard-addressed execution (ctxMu held by the callers, procExec excepted) ----
 
+// shardStart and shardDone bracket one shard-addressed call for the
+// per-shard dispatch table (nr.shard.ops). A co-located kernel has no
+// shard dimension to break dispatch down by: it takes no sample and
+// records nothing, so a monolith run never populates a shard stat.
+func (h *handler) shardStart() (t0 time.Time) {
+	if h.s.sharded() {
+		t0 = obs.Start()
+	}
+	return
+}
+
+func (h *handler) shardDone(slot uint64, t0 time.Time) {
+	if h.s.sharded() {
+		obs.ShardOps.Observe(slot, uint32(h.core), t0)
+	}
+}
+
 func (h *handler) procExecOn(shard int, op sys.WriteOp) sys.Resp {
-	t0 := obs.Start()
+	t0 := h.shardStart()
 	r := h.procCtx.ExecuteOn(shard, op)
-	obs.ShardOps.Observe(obs.ProcShardSlot(shard), uint32(h.core), t0)
+	h.shardDone(obs.ProcShardSlot(shard), t0)
 	return r
 }
 
@@ -157,23 +183,23 @@ func (h *handler) procExec(op sys.WriteOp) sys.Resp {
 }
 
 func (h *handler) procReadOn(shard int, op sys.ReadOp) sys.Resp {
-	t0 := obs.Start()
+	t0 := h.shardStart()
 	r := h.procCtx.ExecuteReadOn(shard, op)
-	obs.ShardOps.Observe(obs.ProcShardSlot(shard), uint32(h.core), t0)
+	h.shardDone(obs.ProcShardSlot(shard), t0)
 	return r
 }
 
 func (h *handler) fsExecOn(shard int, op sys.WriteOp) sys.Resp {
-	t0 := obs.Start()
+	t0 := h.shardStart()
 	r := h.fsCtx.ExecuteOn(shard, op)
-	obs.ShardOps.Observe(obs.FsShardSlot(shard), uint32(h.core), t0)
+	h.shardDone(obs.FsShardSlot(shard), t0)
 	return r
 }
 
 func (h *handler) fsReadOn(shard int, op sys.ReadOp) sys.Resp {
-	t0 := obs.Start()
+	t0 := h.shardStart()
 	r := h.fsCtx.ExecuteReadOn(shard, op)
-	obs.ShardOps.Observe(obs.FsShardSlot(shard), uint32(h.core), t0)
+	h.shardDone(obs.FsShardSlot(shard), t0)
 	return r
 }
 

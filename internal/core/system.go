@@ -27,6 +27,7 @@ import (
 	"github.com/verified-os/vnros/internal/pt"
 	"github.com/verified-os/vnros/internal/relwork"
 	"github.com/verified-os/vnros/internal/sys"
+	"github.com/verified-os/vnros/internal/wal"
 	"github.com/verified-os/vnros/internal/walshard"
 )
 
@@ -96,11 +97,9 @@ type System struct {
 	// The replicated kernel: two shard groups over independent logs —
 	// process state keyed by PID, filesystem state keyed by inode (see
 	// shard_router.go). With Config.Shards <= 1 both fields name the same
-	// one-instance group: the co-located (monolithic) kernel. groups lists
-	// the distinct groups, which is what a thread registers on.
+	// one-instance group: the co-located (monolithic) kernel.
 	procNR *nr.Sharded[sys.ReadOp, sys.WriteOp, sys.Resp]
 	fsNR   *nr.Sharded[sys.ReadOp, sys.WriteOp, sys.Resp]
-	groups []*nr.Sharded[sys.ReadOp, sys.WriteOp, sys.Resp]
 
 	// nsMu orders namespace broadcasts across the filesystem shards:
 	// every namespace mutation is applied to all fs shards in ascending
@@ -338,11 +337,9 @@ func Boot(cfg Config) (*System, error) {
 	if partitioned {
 		s.procNR = newGroup(obs.ProcShardSlot, false)
 		s.fsNR = newGroup(obs.FsShardSlot, true)
-		s.groups = append(s.groups, s.procNR, s.fsNR)
 	} else {
 		s.fsNR = newGroup(obs.FsShardSlot, true)
 		s.procNR = s.fsNR
-		s.groups = append(s.groups, s.fsNR)
 	}
 	if restoreErr != nil {
 		return nil, restoreErr
@@ -390,14 +387,29 @@ func (s *System) snapshotFS() error {
 	return err
 }
 
-// quiesceFsShards syncs every fs shard's replica 0 to its log tail (an
-// empty Inspect), so every operation completed before the call has been
-// applied — and therefore journaled — before a commit chooses its
-// participants. The caller holds nsMu. The quiesces run concurrently:
-// each one spins against its shard's combiner traffic, so the round pays
-// the slowest shard, not the sum (shard 0's on the caller's goroutine, so
-// a one-shard group spawns none).
-func (s *System) quiesceFsShards() {
+// journalRound runs one durability action of the journal group — a
+// commit round (Sync) or a checkpoint of every shard (SaveFS) — under
+// nsMu, so a namespace broadcast (the only multi-shard fs mutation) is
+// never split across the cut and the recovered namespaces stay identical
+// on every shard. It first syncs every fs shard's replica 0 to its log
+// tail (an empty Inspect), so every operation completed before the call
+// has been applied — and therefore journaled — before the group chooses
+// its participants. The quiesces run concurrently: each spins against its
+// shard's combiner traffic, so the round pays the slowest shard, not the
+// sum (shard 0's on the caller's goroutine, so a one-shard group spawns
+// none).
+//
+// The group escalates a full record area to a checkpoint of the committed
+// prefix by itself, but pending records that outgrow even the empty area
+// come back as wal.ErrJournalFull. A co-located kernel's one journal then
+// absorbs them all in one checkpoint of the live filesystem (replica 0
+// carries the record sink, so under its Inspect the filesystem is exactly
+// the recorded state). A partitioned kernel would have to sequence that
+// checkpoint across shards — one shard's snapshot landing without the
+// others' tears the cut — so there the error stands (EIO).
+func (s *System) journalRound(act func() error) error {
+	s.nsMu.Lock()
+	defer s.nsMu.Unlock()
 	var wg sync.WaitGroup
 	for i := 1; i < s.NumShards(); i++ {
 		wg.Add(1)
@@ -408,23 +420,21 @@ func (s *System) quiesceFsShards() {
 	}
 	s.InspectFsShard(0, 0, func(*sys.Kernel) {})
 	wg.Wait()
+	err := act()
+	if errors.Is(err, wal.ErrJournalFull) && !s.sharded() {
+		s.InspectFsShard(0, 0, func(k *sys.Kernel) { err = s.walGroup.Journal(0).Checkpoint(k.FS()) })
+	}
+	return err
 }
 
 // syncDurable is the Sync syscall's kernel half: make every mutation
 // applied so far durable. Under the journal this is one group-commit
-// round, which escalates to a checkpoint by itself when a record area is
-// full; without a journal, durability means a full snapshot. nsMu is
-// held across the whole round so a namespace broadcast — the only
-// multi-shard fs mutation — is never split across the commit cut: the
-// recovered namespaces stay identical on every shard.
+// round; without a journal, durability means a full snapshot.
 func (s *System) syncDurable() error {
 	if s.walGroup == nil {
 		return s.snapshotFS()
 	}
-	s.nsMu.Lock()
-	defer s.nsMu.Unlock()
-	s.quiesceFsShards()
-	return s.walGroup.Commit()
+	return s.journalRound(s.walGroup.Commit)
 }
 
 // syncErrno is the Sync syscall's verdict, per call or once per batch.

@@ -324,6 +324,71 @@ func TestWiringParity(t *testing.T) {
 	}
 }
 
+// TestJournaledMonolithOutgrowsRecordArea: on a co-located kernel a burst
+// larger than the journal's whole record area between two durability
+// points still becomes durable — Sync and SaveFS escalate to a checkpoint
+// of the live filesystem, which absorbs any amount of pending records —
+// and the journal keeps committing ordinary rounds afterwards.
+func TestJournaledMonolithOutgrowsRecordArea(t *testing.T) {
+	cfg := wiringConfig(0, true)
+	s, err := Boot(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := s.Init()
+	if err != nil {
+		t.Fatal(err)
+	}
+	area := int(s.walGroup.Journal(0).RecordBlocks()) * s.BlockDev.BlockSize()
+	burst := func(path string, fill byte) []byte {
+		data := bytes.Repeat([]byte{fill}, area+area/8)
+		fd, e := h.Open(path, fs.OCreate|fs.OWrOnly)
+		if e != sys.EOK {
+			t.Fatalf("open %s: %v", path, e)
+		}
+		for off := 0; off < len(data); off += 8192 {
+			if _, e := h.Write(fd, data[off:min(off+8192, len(data))]); e != sys.EOK {
+				t.Fatalf("write %s at %d: %v", path, off, e)
+			}
+		}
+		h.Close(fd)
+		return data
+	}
+	want := map[string][]byte{"/big1": burst("/big1", 'x')}
+	if e := h.Sync(); e != sys.EOK {
+		t.Fatalf("Sync with %d bytes pending over a %d-byte record area: %v", len(want["/big1"]), area, e)
+	}
+	want["/big2"] = burst("/big2", 'y')
+	if err := s.SaveFS(); err != nil {
+		t.Fatalf("SaveFS with more pending than the record area: %v", err)
+	}
+	want["/small"] = []byte("an ordinary round after the escalations")
+	if e := writeFile(h, "/small", want["/small"]); e != sys.EOK {
+		t.Fatal(e)
+	}
+	if e := h.Sync(); e != sys.EOK {
+		t.Fatalf("Sync after the escalations: %v", e)
+	}
+	if err := h.ContractErr(); err != nil {
+		t.Errorf("contract: %v", err)
+	}
+
+	cfg.RestoreFS, cfg.BootDisk = true, freezeDisk(t, s)
+	s2, err := Boot(cfg)
+	if err != nil {
+		t.Fatalf("restore boot: %v", err)
+	}
+	h2, err := s2.Init()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, data := range want {
+		if got, e := readAll(h2, path); e != sys.EOK || !bytes.Equal(got, data) {
+			t.Errorf("%s across restore: %d bytes %v, want %d", path, len(got), e, len(data))
+		}
+	}
+}
+
 // corruptLiveSnapshot flips one payload byte of the first filesystem
 // snapshot on the disk (wherever the layout put it: it is found by its
 // header magic), which must be the slot-0 image a first SaveFS writes.
@@ -416,13 +481,13 @@ func TestRawSysOnPinsItsOwnCore(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
 				want := (g + i) % cores
-				h, err := s.RawSysOn(proc.InitPID, want)
+				h, err := s.pinnedHandler(want) // RawSysOn's kernel half
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if h.Core() != want {
-					t.Errorf("RawSysOn(%d) pinned the handle to core %d", want, h.Core())
+				if h.core != want {
+					t.Errorf("RawSysOn(%d) pinned the handler to core %d", want, h.core)
 				}
 			}
 		}(g)
@@ -432,8 +497,8 @@ func TestRawSysOnPinsItsOwnCore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Core != k%cores || p.Sys.Core() != p.Core {
-			t.Errorf("Run #%d placed on core %d (handle on %d), round-robin wants %d", k, p.Core, p.Sys.Core(), k%cores)
+		if p.Core != k%cores {
+			t.Errorf("Run #%d placed on core %d, round-robin wants %d", k, p.Core, k%cores)
 		}
 	}
 	wg.Wait()

@@ -119,10 +119,6 @@ func NewSys(pid proc.PID, h Handler) *Sys {
 // PID returns the owning process.
 func (s *Sys) PID() proc.PID { return s.pid }
 
-// Core returns the core the handle's kernel handler is pinned to (0 when
-// the handler is not CorePinned).
-func (s *Sys) Core() int { return int(s.core) }
-
 // EnableContract attaches a Viewer; from now on file syscalls are
 // checked against read_spec/write_spec/seek_spec. Safe to call while
 // other goroutines are issuing syscalls through this handle: a call
