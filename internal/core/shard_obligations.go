@@ -365,7 +365,7 @@ func shardBatchRefinementCheck(r *rand.Rand) error {
 	if err != nil {
 		return fmt.Errorf("monolithic run: %w", err)
 	}
-	shrd, err := shardBatchTrace(Config{Cores: 2, Shards: 4, ShardLogSize: 4096, MemBytes: 256 << 20}, seed)
+	shrd, err := shardBatchTrace(Config{Cores: 2, Shards: 4, MemBytes: 256 << 20}, seed)
 	if err != nil {
 		return fmt.Errorf("sharded run: %w", err)
 	}

@@ -56,8 +56,10 @@ type Config struct {
 	// the replicas recover everything acknowledged by a Sync — not just
 	// the last explicit snapshot.
 	RestoreFS bool
-	// BootDisk, if non-nil, is copied onto the machine's disk before
-	// boot ("inserting" an existing disk image).
+	// BootDisk, if non-nil, is placed on the machine's disk before boot
+	// ("inserting" an existing disk image). It must fit the disk, and to
+	// be restored with RestoreFS it must have the disk's block count,
+	// which both on-disk formats are laid out from.
 	BootDisk fs.BlockStore
 	// WAL enables the write-ahead journal (internal/wal): filesystem
 	// mutations stream into a group-committed record log, Sync becomes
@@ -83,10 +85,6 @@ type Config struct {
 	// with, and on a partitioned kernel it requires WAL — the per-shard
 	// journal regions are the only on-disk format there.
 	Shards int
-	// ShardLogSize overrides each shard's log ring size (0 = the NR
-	// default). Each shard enforces its own half-ring invariant, so
-	// MaxBatchOps is per shard: ShardLogSize/(2*MaxThreadsPerReplica).
-	ShardLogSize int
 }
 
 // System is a booted instance of the OS.
@@ -241,14 +239,8 @@ func Boot(cfg Config) (*System, error) {
 
 	// "Insert" a pre-existing disk image, if provided.
 	if cfg.BootDisk != nil {
-		buf := make([]byte, cfg.BootDisk.BlockSize())
-		for i := uint64(0); i < cfg.BootDisk.NumBlocks() && i < s.BlockDev.NumBlocks(); i++ {
-			if err := cfg.BootDisk.ReadBlock(i, buf); err != nil {
-				return nil, err
-			}
-			if err := s.BlockDev.WriteBlock(i, buf); err != nil {
-				return nil, err
-			}
+		if err := insertImage(m.Disk, cfg.BootDisk, cfg.RestoreFS); err != nil {
+			return nil, fmt.Errorf("core: boot image: %w", err)
 		}
 	}
 
@@ -314,7 +306,7 @@ func Boot(cfg Config) (*System, error) {
 	newGroup := func(slot func(int) uint64, withFS bool) *nr.Sharded[sys.ReadOp, sys.WriteOp, sys.Resp] {
 		return nr.NewShardedFunc(n,
 			func(i int) nr.Options {
-				o := nr.Options{Replicas: cfg.Replicas, LogSize: cfg.ShardLogSize}
+				o := nr.Options{Replicas: cfg.Replicas}
 				if partitioned {
 					o.ShardTag = 1 + int(slot(i))
 				}
@@ -365,6 +357,47 @@ func Boot(cfg Config) (*System, error) {
 	}
 	s.registerComponents()
 	return s, nil
+}
+
+// insertImage places a disk image on the machine's disk as the hardware
+// action it models — media put in the drive before power-on — so no block
+// crosses the driver, and it costs the blocks the image has written, not
+// the disk's capacity: a source that can enumerate its written blocks
+// (the block driver of another system, fs.MemBlockStore) is enumerated,
+// any other store is read block by block, and either way an all-zero
+// block stays unwritten on the disk (machine.Disk.Insert).
+//
+// The image must fit the disk. To be restored from, it must have the
+// disk's block count exactly: both formats derive offsets from the
+// device's count — walshard every journal region, fs.Save its B slot — so
+// on a disk of another size recovery reads the wrong blocks: a journaled
+// image shows no commit stamp and comes up empty over the only copy, a
+// B-slot snapshot reads as corrupt.
+func insertImage(d *machine.Disk, img fs.BlockStore, restore bool) error {
+	switch {
+	case img.BlockSize() != machine.DiskBlockSize:
+		return fmt.Errorf("%d-byte blocks, the disk has %d-byte blocks", img.BlockSize(), machine.DiskBlockSize)
+	case img.NumBlocks() > d.NumBlocks():
+		return fmt.Errorf("%d blocks do not fit a disk of %d blocks", img.NumBlocks(), d.NumBlocks())
+	case restore && img.NumBlocks() != d.NumBlocks():
+		return fmt.Errorf("%d blocks cannot be restored on a disk of %d blocks (the on-disk layout follows the block count)",
+			img.NumBlocks(), d.NumBlocks())
+	}
+	if e, ok := img.(interface {
+		ForEachBlock(func(i uint64, p []byte) error) error
+	}); ok {
+		return e.ForEachBlock(d.Insert)
+	}
+	buf := make([]byte, img.BlockSize())
+	for i := uint64(0); i < img.NumBlocks(); i++ {
+		if err := img.ReadBlock(i, buf); err != nil {
+			return err
+		}
+		if err := d.Insert(i, buf); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // errNeedsWAL is journal-less durability on a partitioned kernel: with

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -21,7 +22,7 @@ import (
 // partitioned one.
 
 // wiringConfig is a small machine: the disk is kept short so freezing it
-// and the restore boot's copy stay cheap.
+// stays cheap.
 func wiringConfig(shards int, wal bool) Config {
 	return Config{Cores: 2, Shards: shards, WAL: wal, MemBytes: 256 << 20, DiskBlocks: 8192}
 }
@@ -419,7 +420,8 @@ func corruptLiveSnapshot(t *testing.T, d fs.BlockStore) {
 // TestRestoreBootReportsRecoveryErrors: a restore boot over a corrupt
 // image fails with the image's error instead of coming up with an empty
 // root (whose next checkpoint would overwrite the only copy), on every
-// durability mode; a disk that was never written is not an error.
+// durability mode, and so does one onto a disk of another size than the
+// image; a disk that was never written is not an error.
 func TestRestoreBootReportsRecoveryErrors(t *testing.T) {
 	for _, mode := range []struct {
 		shards int
@@ -447,6 +449,20 @@ func TestRestoreBootReportsRecoveryErrors(t *testing.T) {
 		cfg.RestoreFS, cfg.BootDisk = true, img
 		if _, err := Boot(cfg); err != nil {
 			t.Fatalf("%s: restore boot of the intact image: %v", name, err)
+		}
+		// A disk of another size, either way: both on-disk layouts follow
+		// the block count, so the boot fails naming the two geometries
+		// rather than finding no commit stamp where it looks and coming up
+		// empty (journal), or reading a B-slot snapshot as corrupt.
+		for _, blocks := range []uint64{img.NumBlocks() / 2, 2 * img.NumBlocks()} {
+			odd := cfg
+			odd.DiskBlocks = blocks
+			_, err := Boot(odd)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d blocks", blocks)) ||
+				!strings.Contains(err.Error(), fmt.Sprintf("%d blocks", img.NumBlocks())) {
+				t.Errorf("%s: restore boot of a %d-block image on a %d-block disk: %v, want an error naming both",
+					name, img.NumBlocks(), blocks, err)
+			}
 		}
 		corruptLiveSnapshot(t, img)
 		if _, err := Boot(cfg); !errors.Is(err, fs.ErrBadImage) {

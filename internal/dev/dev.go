@@ -256,6 +256,16 @@ func (b *BlockDriver) ReadBlock(i uint64, p []byte) error { return b.submit(fals
 // WriteBlock implements fs.BlockStore.
 func (b *BlockDriver) WriteBlock(i uint64, p []byte) error { return b.submit(true, i, p) }
 
+// ForEachBlock enumerates the written blocks of the disk behind the
+// driver in ascending order — taking the medium out of the drive to copy
+// it, so no request crosses the controller. The driver is held idle for
+// the duration. fn must not retain or modify p.
+func (b *BlockDriver) ForEachBlock(fn func(i uint64, p []byte) error) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.disk.ForEachBlock(fn)
+}
+
 // NICDriver drains the NIC receive queue into a handler and transmits
 // frames for the netstack.
 type NICDriver struct {

@@ -344,3 +344,17 @@ func (m *MemBlockStore) WriteBlock(i uint64, p []byte) error {
 	copy(m.blocks[i], p)
 	return nil
 }
+
+// ForEachBlock calls fn with every written block in ascending order,
+// stopping at the first error. fn must not retain or modify p.
+func (m *MemBlockStore) ForEachBlock(fn func(i uint64, p []byte) error) error {
+	for i, b := range m.blocks {
+		if b == nil {
+			continue
+		}
+		if err := fn(uint64(i), b); err != nil {
+			return err
+		}
+	}
+	return nil
+}

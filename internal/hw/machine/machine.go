@@ -12,8 +12,10 @@
 package machine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -278,12 +280,15 @@ const DiskBlockSize = 512
 
 // Disk is the DMA block-storage controller: requests name a block
 // number and a physical DMA address; completion raises IRQDisk and
-// queues a completion record.
+// queues a completion record. Only blocks that have been written are
+// stored (an unwritten block reads as zeros), so a disk costs what has
+// been written to it, not its capacity.
 type Disk struct {
 	mu     sync.Mutex
 	m      *mem.PhysMem
 	ic     *InterruptController
-	blocks [][]byte
+	n      uint64
+	blocks map[uint64][]byte
 	comps  []DiskCompletion
 	nextID uint64
 }
@@ -301,11 +306,53 @@ var ErrDiskRange = errors.New("machine: disk block out of range")
 
 // NewDisk creates a disk with n blocks.
 func NewDisk(m *mem.PhysMem, ic *InterruptController, n uint64) *Disk {
-	return &Disk{m: m, ic: ic, blocks: make([][]byte, n)}
+	return &Disk{m: m, ic: ic, n: n, blocks: make(map[uint64][]byte)}
 }
 
 // NumBlocks returns the capacity.
-func (d *Disk) NumBlocks() uint64 { return uint64(len(d.blocks)) }
+func (d *Disk) NumBlocks() uint64 { return d.n }
+
+// Insert places one block of a pre-existing image on the disk: media
+// put in the drive before power-on, not a request — no DMA, completion
+// or interrupt. An all-zero block is left unwritten, which is what it
+// reads back as. p is copied.
+func (d *Disk) Insert(block uint64, p []byte) error {
+	if block >= d.n {
+		return fmt.Errorf("%w: insert block %d of %d", ErrDiskRange, block, d.n)
+	}
+	if len(p) != DiskBlockSize {
+		return fmt.Errorf("machine: insert block %d with %d bytes, block size %d", block, len(p), DiskBlockSize)
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if bytes.Equal(p, zeroBlock[:]) {
+		delete(d.blocks, block)
+		return nil
+	}
+	d.blocks[block] = bytes.Clone(p)
+	return nil
+}
+
+var zeroBlock [DiskBlockSize]byte
+
+// ForEachBlock calls fn with every written block in ascending order,
+// stopping at the first error. fn must not retain or modify p, nor call
+// back into the disk.
+func (d *Disk) ForEachBlock(fn func(block uint64, p []byte) error) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	written := make([]uint64, 0, len(d.blocks))
+	for b := range d.blocks {
+		written = append(written, b)
+	}
+	slices.Sort(written)
+	for _, b := range written {
+		if err := fn(b, d.blocks[b]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // Submit queues a request: DMA between block `block` and physical
 // memory at dma. The simulated controller completes it immediately but
@@ -316,7 +363,7 @@ func (d *Disk) Submit(write bool, block uint64, dma mem.PAddr) uint64 {
 	id := d.nextID
 	d.nextID++
 	comp := DiskCompletion{ID: id, Write: write, Block: block}
-	if block >= uint64(len(d.blocks)) {
+	if block >= d.n {
 		comp.Err = ErrDiskRange.Error()
 	} else if write {
 		buf := make([]byte, DiskBlockSize)
@@ -328,7 +375,7 @@ func (d *Disk) Submit(write bool, block uint64, dma mem.PAddr) uint64 {
 	} else {
 		buf := d.blocks[block]
 		if buf == nil {
-			buf = make([]byte, DiskBlockSize)
+			buf = zeroBlock[:]
 		}
 		if err := d.m.Write(dma, buf); err != nil {
 			comp.Err = err.Error()

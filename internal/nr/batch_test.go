@@ -49,27 +49,63 @@ func TestExecuteBatchEmptyAndSingle(t *testing.T) {
 }
 
 func TestExecuteBatchLargerThanMaxBatchOps(t *testing.T) {
-	// A tiny ring forces MaxBatchOps down to 1, so a 50-op batch must be
-	// split into 50 contiguous runs and still complete with ordered
-	// responses.
-	n := New(Options{Replicas: 2, LogSize: 64}, newKV)
-	if got := n.MaxBatchOps(); got != 1 {
-		t.Fatalf("MaxBatchOps = %d with 64-slot ring, want 1", got)
+	// On a tiny ring one slot's run is capped at half the ring, so a 50-op
+	// batch on a 64-slot ring is split into runs of 32 and 18: each run
+	// contiguous in the log at both replicas even with a foreign writer
+	// appending, and the runs in submission order.
+	n := New(Options{Replicas: 2, LogSize: 64}, newSeqLog)
+	if got := n.MaxBatchOps(); got != 32 {
+		t.Fatalf("MaxBatchOps = %d with 64-slot ring, want 32 (half the ring)", got)
 	}
-	c := n.MustRegister(0)
-	ops := make([]kvWrite, 50)
-	for i := range ops {
-		ops[i] = kvWrite{key: uint64(i), val: uint64(i) * 3}
-	}
-	resps := c.ExecuteBatch(ops)
-	if len(resps) != len(ops) {
-		t.Fatalf("got %d responses", len(resps))
-	}
-	r := n.MustRegister(1)
-	for i := range ops {
-		if got := r.ExecuteRead(kvRead{key: uint64(i)}); !got.ok || got.val != uint64(i)*3 {
-			t.Fatalf("key %d = %+v", i, got)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		f := n.MustRegister(1)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				f.Execute(seqOp{seqID: seqID{thread: 1}})
+			}
 		}
+	}()
+	c := n.MustRegister(0)
+	for round := 0; round < 20; round++ {
+		ops := make([]seqOp, 50)
+		for i := range ops {
+			ops[i] = seqOp{seqID: seqID{round: round, idx: i}}
+		}
+		resps := c.ExecuteBatch(ops)
+		if len(resps) != len(ops) {
+			t.Fatalf("got %d responses", len(resps))
+		}
+		for i := 1; i < len(resps); i++ {
+			if i != 32 && resps[i] != resps[i-1]+1 {
+				t.Fatalf("round %d: op %d applied at %d, op %d at %d: run not contiguous",
+					round, i, resps[i], i-1, resps[i-1])
+			}
+		}
+		if resps[32] <= resps[31] {
+			t.Fatalf("round %d: second run at %d, before the first run's end %d", round, resps[32], resps[31])
+		}
+	}
+	close(stop)
+	wg.Wait()
+	applied := replicaLogs(t, n)
+	next := 0 // the batch thread's ops appear in submission order
+	for _, op := range applied {
+		if op.thread == 0 {
+			if want := (seqID{round: next / 50, idx: next % 50}); op != want {
+				t.Fatalf("thread 0's op %d in the log is %+v, want %+v", next, op, want)
+			}
+			next++
+		}
+	}
+	if next != 20*50 {
+		t.Fatalf("log holds %d of thread 0's ops, want %d", next, 20*50)
 	}
 }
 

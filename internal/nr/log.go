@@ -25,7 +25,14 @@ import (
 )
 
 // DefaultLogSize is the default number of slots in the shared log ring.
-const DefaultLogSize = 1 << 16
+// The ring bounds one combiner pass (half of it, see Replica.combine),
+// not the threads that may be pending at once, so it is sized to what a
+// pass uses: half the ring is eight full MaxBatchOps submissions, or one
+// op from every one of MaxThreadsPerReplica threads four times over. A
+// kernel WriteOp entry is 264 bytes, so the default ring is 0.54 MB per
+// instance, and an applied op's payload stays reachable only until the
+// tail laps its slot 2 048 ops later.
+const DefaultLogSize = 1 << 11
 
 // entry is one slot of the shared log ring.
 type entry[Wr any] struct {
@@ -173,12 +180,20 @@ func (l *log[Wr]) publish(idx uint64, op Wr, replica, ctx uint32, selfHelp func(
 	s.seq.Store(idx + 1)
 }
 
-// read returns the entry at logical index idx, spinning until it has
-// been published.
-func (l *log[Wr]) read(idx uint64) (Wr, uint32, uint32) {
+// read returns the entry at logical index idx for a replica that has
+// applied everything below it, spinning until the entry has been
+// published. The combiner that reserved idx may itself be stalled in
+// waitForSpace on this very replica's applied tail — a long apply run
+// otherwise publishes its progress only when it ends — so before waiting
+// the replica's progress so far is made visible: the lowest unpublished
+// index then never waits on a replica that waits on it.
+func (l *log[Wr]) read(idx uint64, applied *atomic.Uint64) (Wr, uint32, uint32) {
 	s := &l.slots[idx&l.mask]
-	for s.seq.Load() != idx+1 {
-		runtime.Gosched()
+	if s.seq.Load() != idx+1 {
+		applied.Store(idx)
+		for s.seq.Load() != idx+1 {
+			runtime.Gosched()
+		}
 	}
 	return s.op, s.replica, s.ctx
 }

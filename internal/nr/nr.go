@@ -80,6 +80,10 @@ type Replica[Rd any, Wr any, Resp any] struct {
 
 	// combiner serializes log application for this replica.
 	combiner sync.Mutex
+	// next is the slot a combiner pass starts its scan at: one past the
+	// last slot the previous pass took, so a slot a bounded pass left
+	// pending is first in line for the next one. Guarded by combiner.
+	next int
 
 	// applied is the replica's applied tail: all log entries below it
 	// have been executed against ds.
@@ -118,9 +122,11 @@ type Options struct {
 	ShardTag int
 }
 
-// instances counts New calls. An instance's log is its dominant boot
-// cost (17 MB at the default size), so how many of them a system boots
-// is pinned by tests as a count rather than as bytes.
+// instances counts New calls. An instance is a log ring (0.54 MB of
+// kernel entries at the default size), a combiner and a set of replicas
+// of the whole data structure, so how many of them a system boots — one
+// on a co-located kernel, two per shard on a partitioned one — is pinned
+// by tests as a count; the bytes are core.TestBootAllocationBudget's.
 var instances atomic.Uint64
 
 // Instances returns how many NR instances this process has constructed.
@@ -172,10 +178,12 @@ func (n *NR[Rd, Wr, Resp]) Register(i int) (*ThreadContext[Rd, Wr, Resp], error)
 		return nil, fmt.Errorf("nr: replica %d has %d threads registered (max %d)",
 			i, active, MaxThreadsPerReplica)
 	}
-	// A combiner batch (at most one op per active thread; multi-op
-	// slots are separately capped by MaxBatchOps) must be smaller than
-	// half the log ring, or the log could fill with a single batch and
-	// reclamation could not keep ahead of publication.
+	// One op from every active thread must fit in half the log ring:
+	// a combiner pass reserves at most that much (combine), so under
+	// this bound a pass over single-op slots — the per-call syscall
+	// path — always takes every pending thread and nobody waits for a
+	// second pass because of the ring's size. Multi-op slots are what a
+	// pass may leave for the next one.
 	if (active+1)*2 > len(n.log.slots) {
 		return nil, fmt.Errorf("nr: log ring (%d slots) too small for %d threads on replica %d",
 			len(n.log.slots), active+1, i)
@@ -261,15 +269,11 @@ func (c *ThreadContext[Rd, Wr, Resp]) awaitDone() {
 			if c.st.Load() == slotDone {
 				return
 			}
-			// Our slot can only be batched by our own combiner pass
-			// while we hold the pending flag, so reaching here means a
-			// concurrent combiner picked us up... which cannot happen:
-			// combine() always drains every pending slot. Loop for
-			// defense in depth — but yield first: on GOMAXPROCS=1 a
-			// tight TryLock/combine loop would otherwise never let the
-			// goroutine that could finish our slot run.
+			// Our own pass filled its half ring before it reached our
+			// slot and left it pending. The scan resumes after the last
+			// slot taken, so each further pass takes slots closer to
+			// ours: go around again.
 			obs.NRExecuteRetries.Add(c.r.id, 1)
-			runtime.Gosched()
 			continue
 		}
 		// Another thread is combining on our behalf; wait for it.
@@ -280,18 +284,17 @@ func (c *ThreadContext[Rd, Wr, Resp]) awaitDone() {
 	}
 }
 
-// MaxBatchOps is the largest submission one slot may publish in a
-// single combiner pass. The Register invariant guarantees a combiner
-// batch of one-op slots stays under half the log ring; multi-op slots
-// scale that bound by their length, so the cap keeps the worst case
-// (every possible thread pending a full batch) at exactly the same
-// half-ring ceiling: MaxThreadsPerReplica * cap <= len(slots)/2.
+// maxBatchOps caps one slot's submission on any ring large enough to
+// hold two of them.
+const maxBatchOps = 128
+
+// MaxBatchOps is the largest submission one slot may publish as a
+// single contiguous run: maxBatchOps, or half the ring where that is
+// smaller. A combiner pass reserves at most half the ring (combine), so
+// the cap is what guarantees that any one pending slot fits a pass by
+// itself; how many slots are pending at once no longer enters into it.
 func (n *NR[Rd, Wr, Resp]) MaxBatchOps() int {
-	m := len(n.log.slots) / (2 * MaxThreadsPerReplica)
-	if m < 1 {
-		m = 1
-	}
-	return m
+	return max(1, min(maxBatchOps, len(n.log.slots)/2))
 }
 
 // ExecuteBatch performs a vector of mutating operations as contiguous
@@ -361,31 +364,53 @@ func (c *ThreadContext[Rd, Wr, Resp]) ExecuteRead(op Rd) Resp {
 
 // combine is the flat-combining pass. Caller holds r.combiner.
 //
-// It (1) collects the pending operations of all threads registered on
-// this replica, (2) reserves and publishes them as a contiguous batch in
-// the shared log, and (3) applies every unapplied log entry — foreign
-// and local — to the local data structure in log order, depositing
+// It (1) collects pending operations of the threads registered on this
+// replica, (2) reserves and publishes them as a contiguous batch in the
+// shared log, and (3) applies every unapplied log entry — foreign and
+// local — to the local data structure in log order, depositing
 // responses into local slots.
+//
+// The half-ring invariant holds per pass: a pass reserves at most half
+// the log ring, or the log could fill with a single batch and
+// reclamation could not keep ahead of publication. So (1) takes pending
+// slots, scanning round-robin from where the previous pass stopped,
+// until the next one's ops would pass half the ring, and leaves the rest
+// pending. A slot left over is not reordered against anything: it has no
+// log position yet, its owner is still inside Execute, and it linearizes
+// at the position a later pass reserves for it — after every op of this
+// pass, which is a legal order for operations that were all concurrent.
+// No slot is split (a slot's run is at most MaxBatchOps <= half the
+// ring, so the first one taken always fits) and none starves (a pass
+// takes at least one slot and the next scan starts after the last one
+// taken, so a pending slot is reached within a bounded number of passes).
 func (r *Replica[Rd, Wr, Resp]) combine() {
 	t0 := obs.Start()
 	r.mu.Lock()
 	ctxs := r.ctxs
 	r.mu.Unlock()
 
+	lg := r.nr.log
+	half := uint64(len(lg.slots)) / 2
 	var batch []*ThreadContext[Rd, Wr, Resp]
-	for _, c := range ctxs {
-		if c.st.Load() == slotPending {
-			batch = append(batch, c)
+	var total uint64
+	start := r.next
+	for k := range ctxs {
+		i := (start + k) % len(ctxs)
+		c := ctxs[i]
+		if c.st.Load() != slotPending {
+			continue
 		}
+		ops := c.numOps()
+		if total+ops > half {
+			break
+		}
+		batch = append(batch, c)
+		total += ops
+		r.next = i + 1
 	}
 
-	lg := r.nr.log
 	var last uint64
 	if len(batch) > 0 {
-		var total uint64
-		for _, c := range batch {
-			total += c.numOps()
-		}
 		first := lg.reserve(total)
 		// selfHelp: we hold our own combiner lock, so when the ring is
 		// full and we are the laggard, apply entries ourselves. The
@@ -445,7 +470,7 @@ func (r *Replica[Rd, Wr, Resp]) applyUpTo(target uint64) {
 	r.mu.Unlock()
 	r.lock.Lock()
 	for ; cur < target; cur++ {
-		op, rep, ctx := lg.read(cur)
+		op, rep, ctx := lg.read(cur, &r.applied)
 		resp := r.ds.DispatchWrite(op)
 		if rep == r.id {
 			c := ctxs[ctx]

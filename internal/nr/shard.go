@@ -109,9 +109,9 @@ func (t *ShardedThread[Rd, Wr, Resp]) ExecuteReadOn(shard int, op Rd) Resp {
 
 // ExecuteBatchOn runs a vector of mutating operations contiguously on an
 // explicit shard's log (PR 2's ExecuteBatch semantics, per shard: the
-// half-ring invariant is enforced by each shard's own Register bound and
-// MaxBatchOps, so splitting the log across shards leaves the invariant
-// intact shard-by-shard).
+// half-ring invariant is enforced by each shard's own combiner passes
+// and MaxBatchOps, so splitting the log across shards leaves the
+// invariant intact shard-by-shard).
 func (t *ShardedThread[Rd, Wr, Resp]) ExecuteBatchOn(shard int, ops []Wr) []Resp {
 	return t.ctxs[shard].ExecuteBatch(ops)
 }

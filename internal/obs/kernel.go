@@ -21,7 +21,7 @@ var (
 	NRCombineLatency = NewHist("nr.combine_latency", UnitNanos) // full combine() pass
 	NRLogFullStalls  = NewCounter("nr.log_full_stalls")         // waitForSpace entries that had to wait
 	NRLogStallTime   = NewHist("nr.log_stall", UnitNanos)       // time spent waiting for ring space
-	NRExecuteRetries = NewCounter("nr.execute_retries")         // defensive retry in Execute
+	NRExecuteRetries = NewCounter("nr.execute_retries")         // own combiner pass left the slot pending (half-ring bound)
 
 	// Syscall dispatch boundary (internal/core handler), once per
 	// syscall, indexed by sys.Num*.

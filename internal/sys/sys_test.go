@@ -321,13 +321,13 @@ func TestEncodersArePresized(t *testing.T) {
 	}
 }
 
-// TestWriteOpDoesNotGrow: every slot of every NR log embeds a WriteOp —
-// 1<<16 slots per instance, 2×Shards instances per sharded boot — and
-// every logged op is copied into one, so a field in a word of its own is
-// paid for in boot memory (the bulk of what a VC that boots a system
-// allocates) and on every append. New sub-word fields go beside
-// Port/Witness/Sig/Pri/Word; anything larger goes behind a pointer, as
-// Run does.
+// TestWriteOpDoesNotGrow: every slot of every NR log embeds a WriteOp and
+// every logged op is copied into one — and out again at each replica — so
+// a field in a word of its own is paid for on every append. (It is no
+// longer paid in boot memory to speak of: a log is 2 048 slots, sized to
+// one combiner pass, where it was 65 536; core.TestBootAllocationBudget
+// pins that.) New sub-word fields go beside Port/Witness/Sig/Pri/Word;
+// anything larger goes behind a pointer, as Run does.
 func TestWriteOpDoesNotGrow(t *testing.T) {
 	if n := unsafe.Sizeof(WriteOp{}); n > 248 {
 		t.Fatalf("sys.WriteOp is %d bytes, budget 248", n)
