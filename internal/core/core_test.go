@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -316,6 +317,81 @@ func TestKillCleansUpLocalState(t *testing.T) {
 	res, e := initSys.Wait()
 	if e != sys.EOK || res.PID != pid {
 		t.Fatalf("wait = %+v, %v", res, e)
+	}
+}
+
+// TestMMapBeyondPoolIsRefused: the frame count of an mmap is user input;
+// one the data pool cannot hold is ENOMEM before anything is sized by it
+// (it used to size a slice, then drain and refill the whole pool).
+func TestMMapBeyondPoolIsRefused(t *testing.T) {
+	s, initSys := bootTest(t, 1)
+	h, err := s.SpawnHandle(initSys, "mapper")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.dataAlloc.Stats()
+	for _, size := range []uint64{1 << 40, uint64(sys.UserVATop - sys.UserVABase)} {
+		if va, e := h.MMap(size); e != sys.ENOMEM {
+			t.Fatalf("MMap(%#x) = %#x, %v; want ENOMEM", size, uint64(va), e)
+		}
+	}
+	if after := s.dataAlloc.Stats(); after != before {
+		t.Fatalf("data pool changed: %+v -> %+v", before, after)
+	}
+	if _, e := h.MMap(4096); e != sys.EOK {
+		t.Fatalf("MMap after a refusal: %v", e)
+	}
+}
+
+// TestFutexWakeCount pins what ulib's Semaphore.Release and Cond.Signal
+// rely on: FutexWake(n) releases at most n waiters and returns how many.
+// Progress is read from the wait queue and the waiters' returns — no
+// sleeps, no clocks.
+func TestFutexWakeCount(t *testing.T) {
+	s, initSys := bootTest(t, 2)
+	h, err := s.SpawnHandle(initSys, "futex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, e := h.MMap(4096)
+	if e != sys.EOK {
+		t.Fatal(e)
+	}
+	parked := func() int {
+		s.futexMu.Lock()
+		defer s.futexMu.Unlock()
+		return len(s.futexQ[futexKey{pid: h.PID(), va: base}])
+	}
+	returned := make(chan sys.Errno, 3)
+	for i := 0; i < 3; i++ {
+		th, err := s.NewThreadHandle(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { returned <- th.FutexWait(base, 0) }()
+	}
+	for parked() < 3 {
+		runtime.Gosched()
+	}
+	if n, e := h.FutexWake(base, 2); e != sys.EOK || n != 2 {
+		t.Fatalf("wake(2) with 3 parked = %d, %v", n, e)
+	}
+	for i := 0; i < 2; i++ {
+		if e := <-returned; e != sys.EOK {
+			t.Fatalf("woken waiter: %v", e)
+		}
+	}
+	if got := parked(); got != 1 || len(returned) != 0 {
+		t.Fatalf("after wake(2): %d parked, %d extra returns; want exactly one still parked", got, len(returned))
+	}
+	if n, e := h.FutexWake(base, 5); e != sys.EOK || n != 1 {
+		t.Fatalf("wake(5) with 1 parked = %d, %v", n, e)
+	}
+	if e := <-returned; e != sys.EOK {
+		t.Fatalf("last waiter: %v", e)
+	}
+	if n, e := h.FutexWake(base, 1); e != sys.EOK || n != 0 {
+		t.Fatalf("wake with none parked = %d, %v", n, e)
 	}
 }
 

@@ -103,7 +103,8 @@ func (s *System) memCAS(h *handler, op sys.WriteOp) sys.Resp {
 
 // futexWait implements FUTEX_WAIT: the value check and the enqueue are
 // atomic with respect to futexWake (both hold futexMu), eliminating
-// lost wakeups — the property the usr.Mutex protocol depends on.
+// lost wakeups — the property the ulib Mutex, Cond and Semaphore
+// protocols depend on.
 func (s *System) futexWait(h *handler, op sys.WriteOp) sys.Resp {
 	key := futexKey{pid: op.PID, va: op.VA}
 	s.futexMu.Lock()

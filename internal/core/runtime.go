@@ -257,7 +257,7 @@ func (s *System) registerComponents() {
 	r.AddComponent(relwork.Component{Table2Row: "Filesystem", Package: "internal/walshard", Checked: true})
 	r.AddComponent(relwork.Component{Table2Row: "Complex drivers", Package: "internal/dev", Checked: true})
 	r.AddComponent(relwork.Component{Table2Row: "Process management", Package: "internal/proc", Checked: true})
-	r.AddComponent(relwork.Component{Table2Row: "Threads and synchronization", Package: "internal/usr", Checked: true})
+	r.AddComponent(relwork.Component{Table2Row: "Threads and synchronization", Package: "internal/ulib", Checked: true})
 	r.AddComponent(relwork.Component{Table2Row: "Network stack", Package: "internal/netstack", Checked: true})
 	r.AddComponent(relwork.Component{Table2Row: "System libraries", Package: "internal/ulib", Checked: true})
 	// Table 1 claims, in the repository's runtime-checked sense.

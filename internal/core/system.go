@@ -495,9 +495,14 @@ func (s *System) replicaOf(core int) int {
 func (s *System) NumReplicas() int { return s.cfg.Replicas }
 
 // allocDataFrames grabs n zeroed user-data frames from the shared pool.
+// n comes from a user's mmap: a count the pool cannot hold is refused
+// before anything is sized by it.
 func (s *System) allocDataFrames(n uint64) ([]mem.PAddr, error) {
 	s.dataMu.Lock()
 	defer s.dataMu.Unlock()
+	if st := s.dataAlloc.Stats(); n > st.TotalFrames-st.AllocatedFrames {
+		return nil, fmt.Errorf("%w: %d data frames requested", mm.ErrNoMemory, n)
+	}
 	out := make([]mem.PAddr, 0, n)
 	for i := uint64(0); i < n; i++ {
 		f, err := s.dataAlloc.AllocOrder(0)

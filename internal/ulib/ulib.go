@@ -1,17 +1,19 @@
-// Package ulib is the user-space standard library — the §1 "system
-// libraries (e.g., libc)" component and the paper's §3 suggestion made
-// concrete: "implement and verify core 'standard library' features like
-// those in glibc and pthreads, connecting to the model of the operating
-// system. This allows the kernel APIs to remain narrow while giving
-// applications a higher-level programming API with an easier-to-use
-// spec."
+// Package ulib is the user-space runtime and standard library — the §1
+// "system libraries (e.g., libc)" component, the §4.1 user-space half of
+// NrOS ("thread scheduler, synchronization, allocator, POSIX-ish library
+// layer"), and the paper's §3 suggestion made concrete: "implement and
+// verify core 'standard library' features like those in glibc and
+// pthreads, connecting to the model of the operating system. This allows
+// the kernel APIs to remain narrow while giving applications a
+// higher-level programming API with an easier-to-use spec."
 //
-// Everything here is built strictly on the Sys syscall contract:
-// buffered stdio over read/write/seek, a malloc over mmap, C-string
-// routines over the process-memory model, and a futex mutex over
-// MemCAS32 + FutexWait/FutexWake (the exact layering the paper sketches:
-// "we might expose futexes from the kernel and then verify a userspace
-// mutex implementation on top").
+// Everything that touches the kernel is built strictly on the Sys
+// syscall contract: buffered stdio over read/write/seek, a malloc over
+// mmap, C-string routines over the process-memory model, and a mutex,
+// condition variable and semaphore over MemCAS32 + FutexWait/FutexWake
+// (the exact layering the paper sketches: "we might expose futexes from
+// the kernel and then verify a userspace mutex implementation on top").
+// The green-thread scheduler (uthread.go) needs no kernel at all.
 package ulib
 
 import (
@@ -27,11 +29,9 @@ import (
 type Runtime struct {
 	S *sys.Sys
 
-	// malloc state: slabs of mmap'd memory carved by a local free list.
-	// Metadata lives library-side (as glibc's does); payload bytes live
-	// in process memory.
-	slabs  []slab
-	blocks map[mmu.VAddr]*block
+	// slabs are the mmap'd regions malloc carves, in address order, each
+	// with its own block manager (malloc.go).
+	slabs []*heap
 }
 
 // Library errors.
@@ -49,87 +49,7 @@ func errnoErr(op string, e sys.Errno) error {
 
 // New creates a runtime over a process's Sys handle.
 func New(s *sys.Sys) *Runtime {
-	return &Runtime{S: s, blocks: make(map[mmu.VAddr]*block)}
-}
-
-// --- malloc over mmap ---
-
-// slabSize is how much the allocator mmaps at a time.
-const slabSize = 16 * mmu.L1PageSize
-
-type slab struct {
-	base mmu.VAddr
-	off  uint64 // bump pointer
-}
-
-type block struct {
-	va   mmu.VAddr
-	size uint64
-	free bool
-	// next free block of at least this size class; single free list.
-}
-
-// Malloc returns n bytes of process memory. The allocator is a simple
-// first-fit free list over bump-allocated slabs — the NrOS user
-// allocator's scheme, scaled down.
-func (rt *Runtime) Malloc(n uint64) (mmu.VAddr, error) {
-	if n == 0 {
-		n = 1
-	}
-	n = (n + 15) &^ 15
-	// First fit among freed blocks.
-	for _, b := range rt.blocks {
-		if b.free && b.size >= n {
-			b.free = false
-			return b.va, nil
-		}
-	}
-	// Bump from the last slab.
-	if len(rt.slabs) > 0 {
-		s := &rt.slabs[len(rt.slabs)-1]
-		if s.off+n <= slabSize {
-			va := s.base + mmu.VAddr(s.off)
-			s.off += n
-			rt.blocks[va] = &block{va: va, size: n}
-			return va, nil
-		}
-	}
-	// New slab.
-	want := uint64(slabSize)
-	if n > want {
-		want = (n + mmu.L1PageSize - 1) &^ (mmu.L1PageSize - 1)
-	}
-	base, e := rt.S.MMap(want)
-	if e != sys.EOK {
-		return 0, fmt.Errorf("%w: mmap: %v", ErrNoMem, e)
-	}
-	rt.slabs = append(rt.slabs, slab{base: base, off: n})
-	rt.blocks[base] = &block{va: base, size: n}
-	return base, nil
-}
-
-// Free releases a Malloc'd block for reuse (slabs are returned to the
-// kernel only at process exit, as in most libc allocators).
-func (rt *Runtime) Free(va mmu.VAddr) error {
-	b := rt.blocks[va]
-	if b == nil || b.free {
-		return fmt.Errorf("%w: %#x", ErrBadFree, uint64(va))
-	}
-	b.free = true
-	return nil
-}
-
-// Calloc is Malloc plus explicit zeroing through the memory model (mmap
-// frames arrive zeroed, but reused blocks do not).
-func (rt *Runtime) Calloc(n uint64) (mmu.VAddr, error) {
-	va, err := rt.Malloc(n)
-	if err != nil {
-		return 0, err
-	}
-	if err := rt.Memset(va, 0, n); err != nil {
-		return 0, err
-	}
-	return va, nil
+	return &Runtime{S: s}
 }
 
 // Sync makes all acknowledged filesystem mutations durable — libc's

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sync"
+	"runtime"
 
 	"github.com/verified-os/vnros/internal/fs"
 	"github.com/verified-os/vnros/internal/hw/mmu"
@@ -29,6 +29,7 @@ type Env interface {
 // futex mutex must provide mutual exclusion across threads.
 func RegisterObligations(g *verifier.Registry, env Env) {
 	registerMoreObligations(g, env)
+	registerRuntimeObligations(g, env)
 	g.Register(
 		verifier.Obligation{Module: "ulib", Name: "stdio-equals-direct-syscalls", Kind: verifier.KindRefinement,
 			Check: func(r *rand.Rand) error {
@@ -123,6 +124,11 @@ func RegisterObligations(g *verifier.Registry, env Env) {
 					size uint64
 					pat  byte
 				}
+				// Leave the first slab 4 KiB short of full, so the live set
+				// below outgrows it and the traffic crosses into a second.
+				if _, err := rt.Malloc(slabSize - 4<<10); err != nil {
+					return err
+				}
 				var live []rec
 				for i := 0; i < 150; i++ {
 					if r.Intn(3) > 0 || len(live) == 0 {
@@ -165,7 +171,8 @@ func RegisterObligations(g *verifier.Registry, env Env) {
 				if err := rt.Free(va); err == nil {
 					return fmt.Errorf("double free accepted")
 				}
-				return nil
+				_, err = rt.CheckHeap()
+				return err
 			}},
 		verifier.Obligation{Module: "ulib", Name: "cstring-routines-agree-with-go", Kind: verifier.KindRefinement,
 			Check: func(r *rand.Rand) error {
@@ -273,65 +280,69 @@ func RegisterObligations(g *verifier.Registry, env Env) {
 					return err
 				}
 				// A shared counter word in process memory, incremented
-				// non-atomically under the mutex by 4 threads.
-				counter, err := rt.Calloc(4)
+				// non-atomically under the mutex by 4 threads. Every thread
+				// must finish (progress) and no update may be lost.
+				counter, err := rt.newWord()
 				if err != nil {
 					return err
 				}
 				const threads, iters = 4, 60
-				var wg sync.WaitGroup
-				errs := make(chan error, threads)
-				for t := 0; t < threads; t++ {
-					th, err := env.NewThread(s)
-					if err != nil {
-						return err
-					}
-					trt := New(th)
-					tm := &Mutex{rt: trt, Word: m.Word}
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for i := 0; i < iters; i++ {
-							if err := tm.Lock(); err != nil {
-								errs <- err
-								return
-							}
-							var b [4]byte
-							if e := th.MemRead(counter, b[:]); e != sys.EOK {
-								errs <- errnoErr("ctr read", e)
-								return
-							}
-							v := uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-							v++
-							nb := [4]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}
-							if e := th.MemWrite(counter, nb[:]); e != sys.EOK {
-								errs <- errnoErr("ctr write", e)
-								return
-							}
-							if err := tm.Unlock(); err != nil {
-								errs <- err
-								return
-							}
+				err = onThreads(env, s, threads, func(th *sys.Sys) error {
+					tm, ctr := &Mutex{m.on(th)}, counter.on(th)
+					for i := 0; i < iters; i++ {
+						if err := tm.Lock(); err != nil {
+							return err
 						}
-						errs <- nil
-					}()
-				}
-				wg.Wait()
-				for t := 0; t < threads; t++ {
-					if err := <-errs; err != nil {
-						return err
+						v, err := ctr.load()
+						if err != nil {
+							return err
+						}
+						runtime.Gosched() // let the others contend while the lock is held
+						if err := ctr.store(v + 1); err != nil {
+							return err
+						}
+						if err := tm.Unlock(); err != nil {
+							return err
+						}
 					}
+					return nil
+				})
+				if err != nil {
+					return err
 				}
-				var b [4]byte
-				if e := s.MemRead(counter, b[:]); e != sys.EOK {
-					return errnoErr("final read", e)
+				if got, err := counter.load(); err != nil || got != threads*iters {
+					return fmt.Errorf("counter = %d, %v; want %d (lost updates => mutex broken)",
+						got, err, threads*iters)
 				}
-				got := uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-				if got != threads*iters {
-					return fmt.Errorf("counter = %d, want %d (lost updates => mutex broken)",
-						got, threads*iters)
+				if v, err := m.load(); err != nil || v != 0 {
+					return fmt.Errorf("mutex word = %d, %v after every unlock", v, err)
 				}
 				return nil
 			}},
 	)
+}
+
+// onThreads runs body on n sibling threads of the process behind s, each
+// with its own syscall handle, and returns the first error once all of
+// them have finished.
+func onThreads(env Env, s *sys.Sys, n int, body func(th *sys.Sys) error) error {
+	handles := make([]*sys.Sys, n)
+	for i := range handles {
+		th, err := env.NewThread(s)
+		if err != nil {
+			return err
+		}
+		handles[i] = th
+	}
+	errs := make(chan error, n)
+	for _, th := range handles {
+		go func() { errs <- body(th) }()
+	}
+	var first error
+	for range handles {
+		if err := <-errs; err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }

@@ -3,7 +3,6 @@ package ulib
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"github.com/verified-os/vnros/internal/fs"
 	"github.com/verified-os/vnros/internal/sys"
@@ -31,81 +30,56 @@ func registerMoreObligations(g *verifier.Registry, env Env) {
 				if err != nil {
 					return err
 				}
-				slot, err := rt.Calloc(4) // shared "queue depth" word
+				slot, err := rt.newWord() // shared "queue depth" word
 				if err != nil {
 					return err
 				}
-				readWord := func(h *sys.Sys) (uint32, error) {
-					var b [4]byte
-					if e := h.MemRead(slot, b[:]); e != sys.EOK {
-						return 0, errnoErr("read slot", e)
-					}
-					return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24, nil
-				}
-				writeWord := func(h *sys.Sys, v uint32) error {
-					b := [4]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}
-					if e := h.MemWrite(slot, b[:]); e != sys.EOK {
-						return errnoErr("write slot", e)
-					}
-					return nil
-				}
 				const items = 30
-				consumed := 0
-				done := make(chan error, 1)
 				th, err := env.NewThread(s)
 				if err != nil {
 					return err
 				}
-				trt := New(th)
-				tm, err := trt.AdoptMutex(m.Word)
-				if err != nil {
-					return err
-				}
-				tcv := &Cond{rt: trt, Seq: cv.Seq}
-				var wg sync.WaitGroup
-				wg.Add(1)
+				tm, tcv, tslot := &Mutex{m.on(th)}, &Cond{cv.on(th)}, slot.on(th)
+				consumed := 0
+				done := make(chan error, 1)
 				go func() {
-					defer wg.Done()
-					for consumed < items {
-						if err := tm.Lock(); err != nil {
-							done <- err
-							return
-						}
-						for {
-							v, err := readWord(th)
-							if err != nil {
-								done <- err
-								return
+					done <- func() error {
+						for consumed < items {
+							if err := tm.Lock(); err != nil {
+								return err
 							}
-							if v > 0 {
-								if err := writeWord(th, v-1); err != nil {
-									done <- err
-									return
+							for {
+								v, err := tslot.load()
+								if err != nil {
+									return err
 								}
-								consumed++
-								break
+								if v > 0 {
+									if err := tslot.store(v - 1); err != nil {
+										return err
+									}
+									consumed++
+									break
+								}
+								if err := tcv.Wait(tm); err != nil {
+									return err
+								}
 							}
-							if err := tcv.Wait(tm); err != nil {
-								done <- err
-								return
+							if err := tm.Unlock(); err != nil {
+								return err
 							}
 						}
-						if err := tm.Unlock(); err != nil {
-							done <- err
-							return
-						}
-					}
-					done <- nil
+						return nil
+					}()
 				}()
 				for i := 0; i < items; i++ {
 					if err := m.Lock(); err != nil {
 						return err
 					}
-					v, err := readWord(s)
+					v, err := slot.load()
 					if err != nil {
 						return err
 					}
-					if err := writeWord(s, v+1); err != nil {
+					if err := slot.store(v + 1); err != nil {
 						return err
 					}
 					if err := m.Unlock(); err != nil {
@@ -115,19 +89,21 @@ func registerMoreObligations(g *verifier.Registry, env Env) {
 						return err
 					}
 				}
+				// Every Signal must have moved the sequence: a waiter that
+				// snapshots before one and sleeps after it would otherwise
+				// sleep through it, and only a later wake would hide that.
+				if seq, err := cv.load(); err != nil || seq < items {
+					return fmt.Errorf("sequence = %d, %v after %d signals", seq, err, items)
+				}
 				// Keep signalling until the consumer drains (spurious-
 				// wakeup-safe protocol may need extra nudges).
 				for {
 					select {
 					case err := <-done:
-						if err != nil {
-							return err
+						if err == nil && consumed != items {
+							err = fmt.Errorf("consumed %d of %d", consumed, items)
 						}
-						if consumed != items {
-							return fmt.Errorf("consumed %d of %d", consumed, items)
-						}
-						wg.Wait()
-						return nil
+						return err
 					default:
 						if err := cv.Broadcast(); err != nil {
 							return err

@@ -2,12 +2,16 @@ package ulib_test
 
 import (
 	"bytes"
+	"errors"
+	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"github.com/verified-os/vnros/internal/core"
 	"github.com/verified-os/vnros/internal/fs"
+	"github.com/verified-os/vnros/internal/hw/mmu"
 	"github.com/verified-os/vnros/internal/sys"
 	"github.com/verified-os/vnros/internal/ulib"
 	"github.com/verified-os/vnros/internal/verifier"
@@ -152,6 +156,132 @@ func TestMallocFreeReuse(t *testing.T) {
 	}
 }
 
+// TestMallocRejectsOverflow: a size whose 16-byte rounding wraps used to
+// come back as a zero-size block that the next Malloc aliased. Anything
+// no mapping can hold is ErrNoMem, and the heap is as it was.
+func TestMallocRejectsOverflow(t *testing.T) {
+	_, rt := newRuntime(t)
+	userVA := uint64(sys.UserVATop - sys.UserVABase)
+	for _, n := range []uint64{math.MaxUint64, math.MaxUint64 - 14, 1 << 63, userVA + 1, userVA, 1 << 40} {
+		if va, err := rt.Malloc(n); !errors.Is(err, ulib.ErrNoMem) {
+			t.Fatalf("Malloc(%#x) = %#x, %v; want ErrNoMem", n, uint64(va), err)
+		}
+		if st, err := rt.CheckHeap(); err != nil || st != (ulib.HeapStats{}) {
+			t.Fatalf("after refused Malloc(%#x): heap %+v, %v", n, st, err)
+		}
+	}
+	// A large request the machine can hold gets a slab of its own, usable
+	// to its last byte.
+	const big = 8 << 20
+	huge, err := rt.Malloc(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := rt.S.MemWrite(huge+big-1, []byte{0x5a}); e != sys.EOK {
+		t.Fatalf("write to last byte: %v", e)
+	}
+	a, err := rt.Malloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := rt.Malloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b || a == huge || b == huge {
+		t.Fatalf("live blocks alias: %#x %#x %#x", uint64(huge), uint64(a), uint64(b))
+	}
+	if st, err := rt.CheckHeap(); err != nil || st.Slabs != 2 || st.Live != 3 {
+		t.Fatalf("heap %+v, %v; want 3 live blocks in 2 slabs", st, err)
+	}
+}
+
+// TestMallocIsDeterministic: the same script yields the same addresses
+// in every process — what makes a seeded VC that mallocs replayable. The
+// old allocator picked "the first" fitting block by ranging over a map.
+func TestMallocIsDeterministic(t *testing.T) {
+	system, rt := newRuntime(t)
+	script := func(rt *ulib.Runtime) []mmu.VAddr {
+		var blocks []mmu.VAddr
+		for _, n := range []uint64{4096, 16, 64, 16, 1024, 16} { // 16s keep the others apart
+			va, err := rt.Malloc(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocks = append(blocks, va)
+		}
+		for _, i := range []int{4, 0, 2} {
+			if err := rt.Free(blocks[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got []mmu.VAddr
+		for _, n := range []uint64{16, 2000, 64, 16, 1024} {
+			va, err := rt.Malloc(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, va)
+		}
+		if got[0] != blocks[0] {
+			t.Fatalf("Malloc(16) = %#x, want the lowest free block %#x", uint64(got[0]), uint64(blocks[0]))
+		}
+		return got
+	}
+	want := script(rt)
+	for run := 1; run < 40; run++ {
+		h, err := system.SpawnHandle(rt.S, "ulib-replay")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := script(ulib.New(h)); !slices.Equal(got, want) {
+			t.Fatalf("run %d: addresses %#x, want %#x", run, got, want)
+		}
+	}
+}
+
+// TestMallocSplitsAndCoalesces: a small request takes only what it needs
+// from a freed block, and freed neighbours merge back.
+func TestMallocSplitsAndCoalesces(t *testing.T) {
+	_, rt := newRuntime(t)
+	page, err := rt.Malloc(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := []mmu.VAddr{}
+	for _, n := range []uint64{16, 100 << 10, 62 << 10} { // a guard, a slab of its own, a second 64 KiB slab
+		va, err := rt.Malloc(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, va)
+	}
+	if err := rt.Free(page); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		va, err := rt.Malloc(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := page + mmu.VAddr(16*i); va != want {
+			t.Fatalf("Malloc(16) #%d = %#x, want %#x inside the freed 4 KiB block", i, uint64(va), uint64(want))
+		}
+		live = append(live, va)
+	}
+	for _, va := range live {
+		if err := rt.Free(va); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st, err := rt.CheckHeap(); err != nil || st != (ulib.HeapStats{Slabs: 3, Free: 3}) {
+		t.Fatalf("heap %+v, %v; want 3 slabs of one free block each", st, err)
+	}
+	if va, err := rt.Malloc(4096); err != nil || va != page {
+		t.Fatalf("Malloc(4096) = %#x, %v; want the original %#x", uint64(va), err, uint64(page))
+	}
+}
+
 func TestCallocZeroes(t *testing.T) {
 	_, rt := newRuntime(t)
 	a, err := rt.Malloc(64)
@@ -262,7 +392,7 @@ func TestPthreadMutexUnderContention(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			lm, err := trt.AdoptMutex(m.Word)
+			lm, err := trt.AdoptMutex(m.Addr)
 			if err != nil {
 				errs <- err
 				return
@@ -330,6 +460,36 @@ func TestMutexUnlockOfUnlocked(t *testing.T) {
 	}
 }
 
+func TestSemaphore(t *testing.T) {
+	_, rt := newRuntime(t)
+	s, err := rt.NewSemaphore(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := s.Acquire(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ok, err := s.TryAcquire(); err != nil || ok {
+		t.Fatalf("third acquire = %t, %v", ok, err)
+	}
+	if err := s.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := s.TryAcquire(); err != nil || !ok {
+		t.Fatalf("acquire after release = %t, %v", ok, err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := s.Release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v, err := s.Value(); err != nil || v != 2 {
+		t.Fatalf("value = %d, %v", v, err)
+	}
+}
+
 func TestObligationsAllPass(t *testing.T) {
 	// On the second seed stdio-equals-direct-syscalls draws `seek 88;
 	// read; write 0 bytes; seek 34; read 25`: while fs let a zero-length
@@ -343,7 +503,7 @@ func TestObligationsAllPass(t *testing.T) {
 		for _, f := range rep.Failed() {
 			t.Errorf("seed %d: VC %s failed: %v", seed, f.Obligation.ID(), f.Err)
 		}
-		if len(rep.Results) < 5 {
+		if len(rep.Results) < 20 {
 			t.Fatalf("seed %d: only %d ulib VCs ran", seed, len(rep.Results))
 		}
 	}

@@ -1,4 +1,4 @@
-package usr
+package ulib
 
 import (
 	"errors"
@@ -15,6 +15,14 @@ import (
 // exactly one runs at a time — the scheduler hands a single execution
 // token around, which models a user-level scheduler faithfully
 // (run-until-yield, explicit context switch points).
+//
+// The token is also why Park takes no commit function (the shape Go's
+// gopark has): a preemptive runtime needs one to close the window
+// between "checked the condition" and "parked", but here nothing else
+// runs between a thread's check and its Park, so check-then-Park is
+// already atomic. The limit of the model: a thread that blocks in the
+// kernel (Mutex.Lock, Semaphore.Acquire, Cond.Wait) blocks while holding
+// the token, and with it every thread of its scheduler.
 type UScheduler struct {
 	mu      sync.Mutex
 	ready   []*UThread
@@ -39,7 +47,7 @@ type UThread struct {
 }
 
 // ErrSchedulerRunning reports a nested Run call.
-var ErrSchedulerRunning = errors.New("usr: scheduler already running")
+var ErrSchedulerRunning = errors.New("ulib: scheduler already running")
 
 // NewUScheduler returns an empty scheduler.
 func NewUScheduler() *UScheduler {
@@ -92,7 +100,7 @@ func (s *UScheduler) Run() error {
 			}
 			s.mu.Unlock()
 			if parked > 0 {
-				return fmt.Errorf("usr: deadlock: %d threads parked with empty run queue", parked)
+				return fmt.Errorf("ulib: deadlock: %d threads parked with empty run queue", parked)
 			}
 			return nil
 		}
