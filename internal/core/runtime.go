@@ -115,7 +115,7 @@ func (v *replicaViewer) ViewFDs(pid proc.PID) (fs.SpecState, bool) {
 	}
 	st := fs.SpecState{Files: make(map[fs.FD]fs.SpecFile, len(snap))}
 	for fd, of := range snap {
-		var contents []byte
+		var contents fs.Pages
 		s.InspectFsShard(s.FsShardOf(of.Ino), rep, func(k *sys.Kernel) {
 			contents, _ = k.FS().Contents(of.Ino)
 		})

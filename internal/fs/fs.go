@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"github.com/verified-os/vnros/internal/obs"
 )
@@ -59,33 +58,9 @@ const MaxNameLen = 255
 type Inode struct {
 	Ino      Ino
 	Kind     Kind
-	Data     []byte         // file contents
+	file     PageFile       // file contents (pages.go)
 	Children map[string]Ino // directory entries
 	Nlink    int
-
-	// shared is set once Data's backing array has been handed out as a
-	// view (AbstractFDs, AbstractFD, Contents): from then on the array is
-	// immutable, and WriteAt's overwrite branch clones before mutating.
-	// Views are taken under the replica read lock, possibly by several
-	// readers at once, hence atomic; only a mutator (replica write lock)
-	// clears it, when it installs a fresh array no view aliases.
-	shared atomic.Bool
-}
-
-// view returns the file's contents as an immutable snapshot: the Data
-// slice itself, zero copy, with the inode marked shared so no later
-// mutation writes through it.
-func (n *Inode) view() []byte {
-	if len(n.Data) > 0 && !n.shared.Load() {
-		n.shared.Store(true)
-	}
-	return n.Data
-}
-
-// setData installs a freshly allocated array as the file's contents.
-func (n *Inode) setData(fresh []byte) {
-	n.Data = fresh
-	n.shared.Store(false)
 }
 
 // FS is the filesystem state. It is a sequential structure: no internal
@@ -412,7 +387,7 @@ func (f *FS) StatIno(ino Ino) (Stat, error) {
 	if err != nil {
 		return Stat{}, err
 	}
-	return Stat{Ino: n.Ino, Kind: n.Kind, Size: uint64(len(n.Data)), Nlink: n.Nlink}, nil
+	return Stat{Ino: n.Ino, Kind: n.Kind, Size: n.file.Size(), Nlink: n.Nlink}, nil
 }
 
 // DirEntry is one directory listing entry.
@@ -463,14 +438,14 @@ func (f *FS) ReadAt(ino Ino, off uint64, p []byte) (int, error) {
 	if n.Kind != KindFile {
 		return 0, fmt.Errorf("%w: inode %d", ErrIsDir, ino)
 	}
-	if off >= uint64(len(n.Data)) {
-		return 0, nil
-	}
-	return copy(p, n.Data[off:]), nil
+	return n.file.Peek().ReadAt(p, off), nil
 }
 
-// WriteAt writes p at offset off, zero-filling any gap (sparse writes
-// materialize zeroes, as POSIX requires readers to observe).
+// WriteAt writes p at offset off; a gap past the old size reads as
+// zeroes, as POSIX requires, and stays holes. If a view holds a page the
+// write touches, the write goes to a private clone of that page — the
+// pre-image write_spec's frame clause compares against stays intact in
+// every view that holds it.
 func (f *FS) WriteAt(ino Ino, off uint64, p []byte) (int, error) {
 	t0 := obs.Start()
 	n, err := f.get(ino)
@@ -485,33 +460,22 @@ func (f *FS) WriteAt(ino Ino, off uint64, p []byte) (int, error) {
 		// must not grow the file to off, journal, or invalidate.
 		return 0, nil
 	}
-	oldSize := uint64(len(n.Data))
-	end := off + uint64(len(p))
-	switch {
-	case end > oldSize:
-		grown := make([]byte, end)
-		copy(grown, n.Data)
-		n.setData(grown)
-	case n.shared.Load():
-		// Copy-on-write: a view aliases this array, so the overwrite goes
-		// to a private clone — the pre-image write_spec's frame clause
-		// compares against stays intact in every view that holds it.
-		n.setData(append([]byte(nil), n.Data...))
-		obs.FSCowClones.Add(f.obsShard, 1)
-		obs.FSCowCloneBytes.Add(f.obsShard, oldSize)
+	oldSize := n.file.Size()
+	cloned, err := n.file.WriteAt(off, p)
+	if err != nil {
+		return 0, fmt.Errorf("inode %d: %w", ino, err)
 	}
-	copy(n.Data[off:end], p)
+	if cloned.Pages > 0 {
+		obs.FSCowClones.Add(f.obsShard, uint64(cloned.Pages))
+		obs.FSCowCloneBytes.Add(f.obsShard, uint64(cloned.Bytes))
+	}
 	obs.FSWriteLatency.Since(f.obsShard, t0)
 	f.record(Mutation{Kind: MutWrite, Ino: ino, Off: off, Data: p})
 	// Kill cached pages across the whole changed window: not just
 	// [off, end) but also the sparse gap (oldSize, off) that this write
-	// materialized as zeroes — a cached short page there used to read as
-	// EOF and now must not.
-	lo := off
-	if oldSize < lo {
-		lo = oldSize
-	}
-	f.invalidateRange(ino, lo, end)
+	// opened as zeroes — a cached short page there used to read as EOF
+	// and now must not.
+	f.invalidateRange(ino, min(off, oldSize), off+uint64(len(p)))
 	return len(p), nil
 }
 
@@ -524,25 +488,13 @@ func (f *FS) Truncate(ino Ino, size uint64) error {
 	if n.Kind != KindFile {
 		return fmt.Errorf("%w: inode %d", ErrIsDir, ino)
 	}
-	oldSize := uint64(len(n.Data))
-	switch {
-	case size < oldSize:
-		// Reslice only: a view keeps its own longer header over the same
-		// array, and shared stays set so a later overwrite inside the old
-		// capacity still clones.
-		n.Data = n.Data[:size]
-	case size > oldSize:
-		grown := make([]byte, size)
-		copy(grown, n.Data)
-		n.setData(grown)
+	oldSize := n.file.Size()
+	if err := n.file.Truncate(size); err != nil {
+		return fmt.Errorf("inode %d: %w", ino, err)
 	}
 	f.record(Mutation{Kind: MutTruncate, Ino: ino, Size: size})
 	if size != oldSize {
-		lo, hi := size, oldSize
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		f.invalidateRange(ino, lo, hi)
+		f.invalidateRange(ino, min(size, oldSize), max(size, oldSize))
 	}
 	return nil
 }

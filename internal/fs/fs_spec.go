@@ -1,8 +1,8 @@
 package fs
 
 import (
-	"bytes"
 	"fmt"
+	"maps"
 )
 
 // This file is the §3 client-application contract for the file system,
@@ -31,7 +31,7 @@ import (
 // effective write offset at EOF for such descriptors, exactly as the
 // implementation does.
 type SpecFile struct {
-	Contents []byte
+	Contents Pages
 	Offset   uint64
 	Locked   bool
 	Append   bool
@@ -39,23 +39,16 @@ type SpecFile struct {
 }
 
 // Size returns the abstract file size.
-func (s SpecFile) Size() uint64 { return uint64(len(s.Contents)) }
+func (s SpecFile) Size() uint64 { return s.Contents.Len() }
 
 // SpecState is the abstract system state from the client's perspective.
 type SpecState struct {
 	Files map[FD]SpecFile
 }
 
-// CloneSpec deep-copies the state.
-func (s SpecState) CloneSpec() SpecState {
-	out := SpecState{Files: make(map[FD]SpecFile, len(s.Files))}
-	for fd, f := range s.Files {
-		c := make([]byte, len(f.Contents))
-		copy(c, f.Contents)
-		out.Files[fd] = SpecFile{Contents: c, Offset: f.Offset, Locked: f.Locked, Append: f.Append, Ino: f.Ino}
-	}
-	return out
-}
+// CloneSpec copies the state; contents are immutable values and are
+// shared.
+func (s SpecState) CloneSpec() SpecState { return SpecState{Files: maps.Clone(s.Files)} }
 
 // ReadSpec is the paper's read_spec: it relates pre and post states for
 // a read of readLen bytes into a buffer of the given length, returning
@@ -83,11 +76,11 @@ func ReadSpec(pre, post SpecState, fd FD, bufferLen uint64, gotBuffer []byte, re
 	// loop only runs on mismatch to name the offending index.
 	// readLen > 0 implies offset+readLen <= size, so the slice is in
 	// bounds (readLen == 0 can coincide with an offset beyond EOF).
-	if readLen > 0 && !bytes.Equal(gotBuffer[:readLen], pf.Contents[pf.Offset:pf.Offset+readLen]) {
+	if readLen > 0 && !pf.Contents.EqualBytes(pf.Offset, gotBuffer[:readLen]) {
 		for i := uint64(0); i < readLen; i++ {
-			if gotBuffer[i] != pf.Contents[pf.Offset+i] {
+			if gotBuffer[i] != pf.Contents.At(pf.Offset+i) {
 				return fmt.Errorf("read_spec: buffer[%d] = %#x != contents[%d] = %#x",
-					i, gotBuffer[i], pf.Offset+i, pf.Contents[pf.Offset+i])
+					i, gotBuffer[i], pf.Offset+i, pf.Contents.At(pf.Offset+i))
 			}
 		}
 	}
@@ -128,7 +121,7 @@ func WriteSpec(pre, post SpecState, fd FD, data []byte, wrote uint64) error {
 		if qf.Offset != pf.Offset {
 			return fmt.Errorf("write_spec: zero-length write moved offset %d to %d", pf.Offset, qf.Offset)
 		}
-		if !bytes.Equal(qf.Contents, pf.Contents) {
+		if !qf.Contents.Equal(pf.Contents) {
 			return fmt.Errorf("write_spec: zero-length write changed contents (size %d -> %d)", pf.Size(), qf.Size())
 		}
 		return nil
@@ -152,12 +145,12 @@ func WriteSpec(pre, post SpecState, fd FD, data []byte, wrote uint64) error {
 			case i >= wOff && i < wOff+wrote:
 				want = data[i-wOff]
 			case i < pf.Size():
-				want = pf.Contents[i]
+				want = pf.Contents.At(i)
 			default:
 				want = 0 // gap beyond old EOF zero-fills
 			}
-			if qf.Contents[i] != want {
-				return fmt.Errorf("write_spec: post contents[%d] = %#x, want %#x", i, qf.Contents[i], want)
+			if got := qf.Contents.At(i); got != want {
+				return fmt.Errorf("write_spec: post contents[%d] = %#x, want %#x", i, got, want)
 			}
 		}
 	}
@@ -169,29 +162,22 @@ func WriteSpec(pre, post SpecState, fd FD, data []byte, wrote uint64) error {
 
 // writeSpecContentsOK is the segment form of WriteSpec's contents
 // clause: prefix preserved, any gap beyond old EOF zero-filled, the
-// written data at the effective offset wOff, suffix preserved. The
-// caller has already established wrote == len(data) and post size ==
-// the expected size, so every slice below is in bounds.
+// written data at the effective offset wOff, suffix preserved. The two
+// frame segments are compared page by page: a page both states hold by
+// the same pointer is unchanged without being read, and a differing
+// pointer is not a violation — it falls back to the bytes, as do the
+// partial pages at the window's edges. The caller has already
+// established wrote == len(data) and post size == the expected size, so
+// every range below is in bounds.
 func writeSpecContentsOK(pf, qf SpecFile, wOff uint64, data []byte, wrote uint64) bool {
 	cut := min64(wOff, pf.Size())
-	if !bytes.Equal(qf.Contents[:cut], pf.Contents[:cut]) {
-		return false
-	}
-	for _, b := range qf.Contents[cut:wOff] { // gap beyond old EOF
-		if b != 0 {
-			return false
-		}
-	}
 	end := wOff + wrote
-	if !bytes.Equal(qf.Contents[wOff:end], data) {
-		return false
-	}
-	if end >= qf.Size() {
-		return true
-	}
-	// A tail implies the write ended inside the old contents, so
-	// qf.Size() == pf.Size() here.
-	return bytes.Equal(qf.Contents[end:], pf.Contents[end:qf.Size()])
+	return qf.Contents.EqualRange(pf.Contents, 0, cut) &&
+		qf.Contents.IsZero(cut, wOff) && // gap beyond old EOF
+		qf.Contents.EqualBytes(wOff, data) &&
+		// A tail implies the write ended inside the old contents, so
+		// qf.Size() == pf.Size() here.
+		(end >= qf.Size() || qf.Contents.EqualRange(pf.Contents, end, qf.Size()))
 }
 
 // SeekSpec relates pre and post for a seek.
@@ -226,9 +212,9 @@ func SeekSpec(pre, post SpecState, fd FD, off int64, whence int, result uint64) 
 
 // AbstractFDs computes the abstraction of an FDTable: the paper's
 // `view()` function from runtime values to the mathematical State. The
-// view is an immutable snapshot at zero copy: Contents is the inode's
-// own array, marked shared so the filesystem never writes through it
-// again (see Inode.view). Callers must not write through it either.
+// view is an immutable snapshot at zero copy: Contents shares the
+// inode's page array, marked shared so the filesystem never writes
+// through it again (see PageFile.View).
 func AbstractFDs(t *FDTable) SpecState {
 	out := SpecState{Files: make(map[FD]SpecFile, len(t.open))}
 	for fd, of := range t.open {
@@ -249,9 +235,9 @@ func AbstractFD(t *FDTable, fd FD) (SpecFile, bool) {
 }
 
 func (t *FDTable) abstract(of *OpenFile) SpecFile {
-	var contents []byte
+	var contents Pages
 	if n := t.fs.inodes[of.Ino]; n != nil {
-		contents = n.view()
+		contents = n.file.View()
 	}
 	return SpecFile{Contents: contents, Offset: of.Offset, Locked: of.Locked,
 		Append: of.Flags&OAppend != 0, Ino: of.Ino}

@@ -366,7 +366,7 @@ func TestZeroLengthWriteIsNoOp(t *testing.T) {
 			t.Fatalf("fd %d: size %d offset %d after a zero-length write", d, got.Size(), got.Offset)
 		}
 		grown := post.Files[d]
-		grown.Contents = make([]byte, 88)
+		grown.Contents = PagesOf(make([]byte, 88))
 		post.Files[d] = grown
 		if err := WriteSpec(pre, post, d, nil, n); err == nil {
 			t.Errorf("fd %d: WriteSpec accepted a zero-length write that grew the file", d)
@@ -382,7 +382,7 @@ func TestZeroLengthWriteIsNoOp(t *testing.T) {
 }
 
 func TestReadSpecRejectsWrongBehavior(t *testing.T) {
-	pre := SpecState{Files: map[FD]SpecFile{3: {Contents: []byte("abcdef"), Offset: 2, Locked: true}}}
+	pre := SpecState{Files: map[FD]SpecFile{3: {Contents: PagesOf([]byte("abcdef")), Offset: 2, Locked: true}}}
 	post := pre.CloneSpec()
 	f := post.Files[3]
 	f.Offset = 4

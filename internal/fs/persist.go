@@ -68,7 +68,10 @@ func SaveStamped(f *FS, d BlockStore, stamp uint64) error {
 		e.U64(uint64(n.Ino))
 		e.U8(uint8(n.Kind))
 		e.U64(uint64(n.Nlink))
-		e.BytesField(n.Data)
+		// The same length-prefixed byte field a flat file was, holes as
+		// zeroes.
+		c := n.file.Peek()
+		c.ReadAt(e.BytesFieldBuf(int(c.Len())), 0)
 		names := make([]string, 0, len(n.Children))
 		for name := range n.Children {
 			names = append(names, name)
@@ -195,8 +198,9 @@ func LoadStamped(d BlockStore) (*FS, uint64, error) {
 			Ino:   Ino(dec.U64()),
 			Kind:  Kind(dec.U8()),
 			Nlink: int(dec.U64()),
-			Data:  dec.BytesField(),
 		}
+		// The pages are sliced out of payload, which this load owns.
+		n.file.adopt(dec.BytesFieldRef())
 		nc := dec.U64()
 		if dec.Err() != nil {
 			return nil, 0, fmt.Errorf("%w: inode %d: %v", ErrBadImage, i, dec.Err())
@@ -240,7 +244,7 @@ func Equal(a, b *FS) bool {
 	for ino, n := range a.inodes {
 		m := b.inodes[ino]
 		if m == nil || m.Kind != n.Kind || m.Nlink != n.Nlink ||
-			string(m.Data) != string(n.Data) || len(m.Children) != len(n.Children) {
+			!m.file.Peek().Equal(n.file.Peek()) || len(m.Children) != len(n.Children) {
 			return false
 		}
 		for name, ci := range n.Children {

@@ -30,14 +30,13 @@ func (t *FDTable) Snapshot() map[FD]OpenFile {
 }
 
 // Contents returns a file's data as an immutable zero-copy snapshot
-// (see Inode.view; callers must not write through it), or ok=false if
-// the inode does not exist.
-func (f *FS) Contents(ino Ino) ([]byte, bool) {
+// (see PageFile.View), or ok=false if the inode does not exist.
+func (f *FS) Contents(ino Ino) (Pages, bool) {
 	n := f.inodes[ino]
 	if n == nil {
-		return nil, false
+		return Pages{}, false
 	}
-	return n.view(), true
+	return n.file.View(), true
 }
 
 // InodesWithData lists the inodes holding file contents — on a
@@ -47,7 +46,7 @@ func (f *FS) Contents(ino Ino) ([]byte, bool) {
 func (f *FS) InodesWithData() []Ino {
 	var out []Ino
 	for ino, n := range f.inodes {
-		if n.Kind == KindFile && len(n.Data) > 0 {
+		if n.Kind == KindFile && n.file.Size() > 0 {
 			out = append(out, ino)
 		}
 	}

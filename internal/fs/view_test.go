@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"github.com/verified-os/vnros/internal/obs"
 )
 
 // TestViewIsImmutableSnapshot runs the view-is-immutable-snapshot
@@ -27,7 +29,7 @@ func TestViewIsImmutableSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	of, _ := tb.Get(fd)
-	if _, err := tb.FS().WriteAt(of.Ino, 0, make([]byte, 4096)); err != nil {
+	if _, err := tb.FS().WriteAt(of.Ino, 0, make([]byte, 4*PageSize)); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -37,7 +39,7 @@ func TestViewIsImmutableSnapshot(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
 				lock.RLock()
-				var view []byte
+				var view Pages
 				switch (g + i) % 3 {
 				case 0:
 					view = AbstractFDs(tb).Files[fd].Contents
@@ -47,10 +49,10 @@ func TestViewIsImmutableSnapshot(t *testing.T) {
 				default:
 					view, _ = tb.FS().Contents(of.Ino)
 				}
-				want := append([]byte(nil), view...)
+				want := view.Bytes()
 				lock.RUnlock()
 				// Outside the lock, as Sys evaluates the spec relations.
-				if !bytes.Equal(view, want) {
+				if !bytes.Equal(view.Bytes(), want) {
 					t.Errorf("reader %d: view changed after the lock was released", g)
 					return
 				}
@@ -64,11 +66,11 @@ func TestViewIsImmutableSnapshot(t *testing.T) {
 		lock.Lock()
 		switch i % 50 {
 		case 17:
-			err = tb.FS().Truncate(of.Ino, 2048)
+			err = tb.FS().Truncate(of.Ino, PageSize+2048) // mid-page: cuts a page a view may hold
 		case 18:
-			err = tb.FS().Truncate(of.Ino, 4096)
+			err = tb.FS().Truncate(of.Ino, 4*PageSize)
 		default:
-			_, err = tb.FS().WriteAt(of.Ino, uint64(r.Intn(2048)), p)
+			_, err = tb.FS().WriteAt(of.Ino, pageBiased(r, PageSize+2048-uint64(len(p))), p)
 		}
 		lock.Unlock()
 		if err != nil {
@@ -76,4 +78,49 @@ func TestViewIsImmutableSnapshot(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// TestOverwriteAfterViewClonesTouchedPages pins the copy-on-write cost
+// where the kstats count it: the first overwrite after a view adds the
+// pages it touches — at most two for a write of at most a page — to
+// fs.cow_clones / fs.cow_clone_bytes, and nothing else does.
+func TestOverwriteAfterViewClonesTouchedPages(t *testing.T) {
+	obs.Reset()
+	obs.Enable()
+	defer obs.Disable()
+	f := New()
+	ino, err := f.Create("/cow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(off uint64, n int) (pages, bytes uint64) {
+		t.Helper()
+		p0, b0 := obs.FSCowClones.Load(), obs.FSCowCloneBytes.Load()
+		if _, err := f.WriteAt(ino, off, make([]byte, n)); err != nil {
+			t.Fatal(err)
+		}
+		return obs.FSCowClones.Load() - p0, obs.FSCowCloneBytes.Load() - b0
+	}
+	if p, _ := write(0, 8*PageSize); p != 0 {
+		t.Errorf("populating a never-viewed file cloned %d pages", p)
+	}
+	for _, c := range []struct {
+		off   uint64
+		n     int
+		pages uint64
+	}{
+		{100, 512, 1},
+		{PageSize - 1, 2, 2},
+		{3*PageSize + 1, PageSize, 2},
+		{5 * PageSize, PageSize, 1},
+		{8 * PageSize, 10, 0}, // growth: a fresh page, nothing to clone
+	} {
+		f.Contents(ino)
+		if p, b := write(c.off, c.n); p != c.pages || b != c.pages*PageSize {
+			t.Errorf("write(%d, %d) after a view cloned %d pages, %d bytes; want %d pages", c.off, c.n, p, b, c.pages)
+		}
+		if p, _ := write(c.off, c.n); p != 0 {
+			t.Errorf("write(%d, %d) again, with no view between, cloned %d pages", c.off, c.n, p)
+		}
+	}
 }

@@ -79,6 +79,13 @@ type PhysMem struct {
 	frames map[PAddr][]byte
 	size   PAddr // one past the last valid address
 
+	// spare holds the cleared backing arrays of frames ZeroFrame retired
+	// (at most maxSpare), which frameFor hands to the next frames
+	// materialized: a frame that is zeroed and touched again — every
+	// page-table frame of an mmap/munmap pair — reuses its array instead
+	// of allocating one.
+	spare [][]byte
+
 	// reads and writes are monotonically increasing access counters,
 	// used by the hardware-spec verification conditions to assert that
 	// the MMU model really touched memory the expected number of times.
@@ -91,6 +98,9 @@ type Stats struct {
 	Reads  uint64
 	Writes uint64
 }
+
+// maxSpare bounds PhysMem.spare (256 KiB of cleared arrays).
+const maxSpare = 64
 
 // New returns a physical memory of the given byte size. The size is
 // rounded up to a whole number of frames.
@@ -131,7 +141,11 @@ func (m *PhysMem) frameFor(addr PAddr, create bool) []byte {
 	base := addr.FrameBase()
 	f := m.frames[base]
 	if f == nil && create {
-		f = make([]byte, PageSize)
+		if n := len(m.spare); n > 0 {
+			f, m.spare = m.spare[n-1], m.spare[:n-1]
+		} else {
+			f = make([]byte, PageSize)
+		}
 		m.frames[base] = f
 	}
 	return f
@@ -237,8 +251,16 @@ func (m *PhysMem) ZeroFrame(base PAddr) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.writes.Add(1)
-	// Dropping the backing restores the "reads as zero" lazy state.
-	delete(m.frames, base)
+	// Dropping the backing restores the "reads as zero" lazy state; the
+	// array is cleared here so a frame that draws it from spare starts
+	// zeroed.
+	if f := m.frames[base]; f != nil {
+		delete(m.frames, base)
+		if len(m.spare) < maxSpare {
+			clear(f)
+			m.spare = append(m.spare, f)
+		}
+	}
 	return nil
 }
 

@@ -134,6 +134,20 @@ func RegisterObligations(g *verifier.Registry) {
 				if m.TouchedFrames() != 0 {
 					return fmt.Errorf("%d frames still materialized after zeroing", m.TouchedFrames())
 				}
+				// A frame materialized next may be handed a retired frame's
+				// backing: it must read as zero wherever it was not written.
+				for i, f := range frames {
+					g := (f + PageSize) % (1 << 20)
+					if err := m.Write64(g, uint64(i)+1); err != nil {
+						return err
+					}
+					if v, err := m.Read64(g + 8); err != nil || v != 0 {
+						return fmt.Errorf("frame %v materialized after a zeroing reads %#x at +8, %v", g, v, err)
+					}
+				}
+				if got := m.TouchedFrames(); got == 0 || got > len(frames) {
+					return fmt.Errorf("%d frames materialized after rewriting %d", got, len(frames))
+				}
 				return nil
 			}},
 	)

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Errors.
@@ -95,6 +96,21 @@ func (e *Encoder) BytesField(p []byte) *Encoder {
 	e.U32(uint32(len(p)))
 	e.buf = append(e.buf, p...)
 	return e
+}
+
+// BytesFieldBuf appends a length-prefixed byte string of n bytes and
+// returns those bytes for the caller to fill — BytesField for a value
+// not held as one slice. The caller must write all of them (they are not
+// zeroed), before the next append. Past MaxBytes it returns nil and, as
+// BytesField does, records a length that fails to decode.
+func (e *Encoder) BytesFieldBuf(n int) []byte {
+	if n > MaxBytes {
+		e.U32(math.MaxUint32)
+		return nil
+	}
+	e.U32(uint32(n))
+	e.buf = slices.Grow(e.buf, n)[:len(e.buf)+n]
+	return e.buf[len(e.buf)-n:]
 }
 
 // String appends a length-prefixed UTF-8 string.

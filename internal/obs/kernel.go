@@ -55,8 +55,9 @@ var (
 	FSReadLatency  = NewHist("fs.read_latency", UnitNanos)
 	FSWriteLatency = NewHist("fs.write_latency", UnitNanos)
 	FSMetaOps      = NewCounter("fs.meta_ops") // create/unlink/mkdir/rmdir/link/rename
-	// Copy-on-write file contents: an overwrite that follows a view()
-	// clones the file once (the one copy the zero-copy views leave).
+	// Copy-on-write file contents: a mutation that follows a view()
+	// clones the pages it touches (the one copy the zero-copy views
+	// leave) — how many pages, and how many bytes they stored.
 	FSCowClones     = NewCounter("fs.cow_clones")
 	FSCowCloneBytes = NewCounter("fs.cow_clone_bytes")
 

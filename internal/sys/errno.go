@@ -40,6 +40,7 @@ const (
 	EISDIR     Errno = 21
 	EINVAL     Errno = 22
 	ENFILE     Errno = 23
+	EFBIG      Errno = 27
 	ENOSYS     Errno = 38
 	ENOTEMPTY  Errno = 39
 	EADDRINUSE Errno = 98
@@ -79,6 +80,8 @@ func (e Errno) String() string {
 		return "EINVAL"
 	case ENFILE:
 		return "ENFILE"
+	case EFBIG:
+		return "EFBIG"
 	case ENOSYS:
 		return "ENOSYS"
 	case ENOTEMPTY:
@@ -140,6 +143,8 @@ func ErrnoFromError(err error) Errno {
 		return EPERM
 	case errors.Is(err, fs.ErrInval), errors.Is(err, fs.ErrNameTooLong):
 		return EINVAL
+	case errors.Is(err, fs.ErrFileTooBig):
+		return EFBIG
 	case errors.Is(err, fs.ErrBlockRange), errors.Is(err, fs.ErrBlockSize):
 		return EIO
 	case errors.Is(err, proc.ErrNoProcess):

@@ -1,7 +1,6 @@
 package sys
 
 import (
-	"bytes"
 	"fmt"
 
 	"github.com/verified-os/vnros/internal/fs"
@@ -339,8 +338,8 @@ func (w *Witness) States(fd fs.FD) (pre, post fs.SpecState) {
 
 // Unchanged is the contract of a failed transition: the descriptor is
 // exactly as it was — open or not, offset, lock, size and contents.
-// Equal snapshots share one array, so the contents clause is a pointer
-// comparison in the common case.
+// Equal snapshots share their pages, so the contents clause is a pointer
+// comparison per page in the common case.
 func (w *Witness) Unchanged() error {
 	switch {
 	case w.PreOK != w.PostOK:
@@ -351,7 +350,7 @@ func (w *Witness) Unchanged() error {
 		return fmt.Errorf("lock state changed %v -> %v", w.Pre.Locked, w.Post.Locked)
 	case w.Pre.Size() != w.Post.Size():
 		return fmt.Errorf("size changed %d -> %d", w.Pre.Size(), w.Post.Size())
-	case !bytes.Equal(w.Pre.Contents, w.Post.Contents):
+	case !w.Pre.Contents.Equal(w.Post.Contents):
 		return fmt.Errorf("contents changed")
 	}
 	return nil

@@ -1,7 +1,6 @@
 package sys
 
 import (
-	"bytes"
 	"fmt"
 
 	"github.com/verified-os/vnros/internal/fs"
@@ -260,7 +259,9 @@ type batchFD struct {
 // with one pre/post snapshot pair for the whole batch.
 //
 // The argument: seed a model from the pre view (per-inode contents, so
-// aliased descriptors stay coherent, plus per-descriptor offsets).
+// aliased descriptors stay coherent, plus per-descriptor offsets). The
+// model's contents are a fs.PageFile over the pre view's pages — seeded
+// in O(1), cloning only the pages the batch's writes touch, once each.
 // For op k, construct the model's pre state, apply the op's *expected*
 // transition to get the model's post state, and check the real
 // completion against the actual relation (ReadSpec/WriteSpec/SeekSpec)
@@ -276,13 +277,11 @@ type batchFD struct {
 // only offset evolution is checked.
 func checkBatch(pre, post fs.SpecState, ops []WriteOp, comps []Completion) error {
 	model := make(map[fs.FD]*batchFD, len(pre.Files))
-	contents := make(map[fs.Ino][]byte, len(pre.Files))
+	contents := make(map[fs.Ino]*fs.PageFile, len(pre.Files))
 	for fd, f := range pre.Files {
 		model[fd] = &batchFD{ino: f.Ino, off: f.Offset, app: f.Append, tracked: true}
 		if _, ok := contents[f.Ino]; !ok {
-			c := make([]byte, len(f.Contents))
-			copy(c, f.Contents)
-			contents[f.Ino] = c
+			contents[f.Ino] = fs.FileOf(f.Contents)
 		}
 	}
 	trusted := true
@@ -313,7 +312,7 @@ func checkBatch(pre, post fs.SpecState, ops []WriteOp, comps []Completion) error
 	// state; two reused maps keep the replay loop allocation-free.
 	preM := make(map[fs.FD]fs.SpecFile, 1)
 	postM := make(map[fs.FD]fs.SpecFile, 1)
-	single := func(m map[fs.FD]fs.SpecFile, fd fs.FD, data []byte, off uint64, locked, app bool) fs.SpecState {
+	single := func(m map[fs.FD]fs.SpecFile, fd fs.FD, data fs.Pages, off uint64, locked, app bool) fs.SpecState {
 		clear(m)
 		m[fd] = fs.SpecFile{Contents: data, Offset: off, Locked: locked, Append: app}
 		return fs.SpecState{Files: m}
@@ -392,8 +391,9 @@ func checkBatch(pre, post fs.SpecState, ops []WriteOp, comps []Completion) error
 					i, op.FD, len(c.Data), c.Val)
 			}
 			if trusted {
-				preS := single(preM, op.FD, contents[m.ino], m.off, true, false)
-				postS := single(postM, op.FD, contents[m.ino], m.off+c.Val, false, false)
+				cur := contents[m.ino].Peek()
+				preS := single(preM, op.FD, cur, m.off, true, false)
+				postS := single(postM, op.FD, cur, m.off+c.Val, false, false)
 				if err := fs.ReadSpec(preS, postS, op.FD, op.Len, c.Data, c.Val); err != nil {
 					return fmt.Errorf("batch op %d: %w", i, err)
 				}
@@ -413,17 +413,24 @@ func checkBatch(pre, post fs.SpecState, ops []WriteOp, comps []Completion) error
 			}
 			wOff := m.off
 			if trusted {
-				cur := contents[m.ino]
+				file := contents[m.ino]
 				if m.app && len(op.Data) > 0 {
-					wOff = uint64(len(cur)) // append resolves at the model's EOF
+					wOff = file.Size() // append resolves at the model's EOF
 				}
-				next := spliceWrite(cur, wOff, op.Data)
+				// WriteSpec's expected contents transition. The model owns
+				// the file and writes a page it has already cloned in
+				// place, so cur keeps the old size but may show the new
+				// bytes: the relation below pins the count, the size and
+				// the offset, and the contents are settled at the endpoint.
+				cur := file.Peek()
+				if _, err := file.WriteAt(wOff, op.Data); err != nil {
+					return fmt.Errorf("batch op %d (write fd %d): reported success: %w", i, op.FD, err)
+				}
 				preS := single(preM, op.FD, cur, m.off, true, m.app)
-				postS := single(postM, op.FD, next, wOff+c.Val, false, m.app)
+				postS := single(postM, op.FD, file.Peek(), wOff+c.Val, false, m.app)
 				if err := fs.WriteSpec(preS, postS, op.FD, op.Data, c.Val); err != nil {
 					return fmt.Errorf("batch op %d: %w", i, err)
 				}
-				contents[m.ino] = next
 			}
 			m.off = wOff + c.Val
 		case NumSeek:
@@ -432,8 +439,9 @@ func checkBatch(pre, post fs.SpecState, ops []WriteOp, comps []Completion) error
 				continue
 			}
 			if trusted {
-				preS := single(preM, op.FD, contents[m.ino], m.off, false, false)
-				postS := single(postM, op.FD, contents[m.ino], c.Val, false, false)
+				cur := contents[m.ino].Peek()
+				preS := single(preM, op.FD, cur, m.off, false, false)
+				postS := single(postM, op.FD, cur, c.Val, false, false)
 				if err := fs.SeekSpec(preS, postS, op.FD, op.Off, op.Whence, c.Val); err != nil {
 					return fmt.Errorf("batch op %d: %w", i, err)
 				}
@@ -445,10 +453,9 @@ func checkBatch(pre, post fs.SpecState, ops []WriteOp, comps []Completion) error
 				continue
 			}
 			if trusted {
-				cur := contents[m.ino]
-				next := make([]byte, op.Len)
-				copy(next, cur)
-				contents[m.ino] = next
+				if err := contents[m.ino].Truncate(op.Len); err != nil {
+					return fmt.Errorf("batch op %d (truncate fd %d): reported success: %w", i, op.FD, err)
+				}
 			}
 		case NumUnlink, NumRename:
 			// The model cannot map paths to inodes; the mutated inode
@@ -460,18 +467,12 @@ func checkBatch(pre, post fs.SpecState, ops []WriteOp, comps []Completion) error
 
 	if trusted {
 		for _, pr := range preads {
-			data := contents[pr.ino]
-			want := uint64(0)
-			if pr.off < uint64(len(data)) {
-				want = uint64(len(data)) - pr.off
-			}
-			if pr.n < want {
-				want = pr.n
-			}
+			data := contents[pr.ino].Peek()
+			want := ClampReadLen(pr.n, pr.off, data.Len())
 			if pr.val != want {
 				return fmt.Errorf("batch op %d (pread): count %d, want %d against final contents", pr.i, pr.val, want)
 			}
-			if pr.val > 0 && !bytes.Equal(pr.data, data[pr.off:pr.off+pr.val]) {
+			if !data.EqualBytes(pr.off, pr.data) {
 				return fmt.Errorf("batch op %d (pread): data diverges from final contents at offset %d", pr.i, pr.off)
 			}
 		}
@@ -490,39 +491,10 @@ func checkBatch(pre, post fs.SpecState, ops []WriteOp, comps []Completion) error
 		if qf.Offset != m.off {
 			return fmt.Errorf("batch endpoint: fd %d offset %d, model expects %d", fd, qf.Offset, m.off)
 		}
-		if trusted && !bytes.Equal(qf.Contents, contents[m.ino]) {
+		if want := contents[m.ino].Peek(); trusted && !qf.Contents.Equal(want) {
 			return fmt.Errorf("batch endpoint: fd %d contents diverge from model (%d vs %d bytes)",
-				fd, len(qf.Contents), len(contents[m.ino]))
+				fd, qf.Contents.Len(), want.Len())
 		}
 	}
 	return nil
-}
-
-// spliceWrite applies WriteSpec's expected contents transition: data
-// lands at off, zero-filling any gap beyond old EOF; empty data changes
-// nothing. The model owns cur (it is seeded as a private copy and
-// truncate replaces it wholesale), so the splice mutates in place,
-// reallocating only on growth past capacity — the pre-state slice
-// header the caller still holds keeps the correct old length either way.
-func spliceWrite(cur []byte, off uint64, data []byte) []byte {
-	if len(data) == 0 {
-		return cur // a zero-length write does not extend to off
-	}
-	end := off + uint64(len(data))
-	switch {
-	case end <= uint64(len(cur)):
-		// Overwrite within the current extent.
-	case end <= uint64(cap(cur)):
-		grown := cur[:end]
-		for i := len(cur); uint64(i) < off; i++ {
-			grown[i] = 0 // gap beyond old EOF zero-fills
-		}
-		cur = grown
-	default:
-		next := make([]byte, end, end+end/2)
-		copy(next, cur)
-		cur = next
-	}
-	copy(cur[off:], data)
-	return cur
 }

@@ -1,7 +1,6 @@
 package sys
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 
@@ -325,7 +324,7 @@ func preadCheck(pre, post fs.SpecState, fd fs.FD, off uint64, got []byte, n uint
 			return false
 		}
 		// n > 0 implies off+n <= size, so the window is in bounds.
-		return n == 0 || bytes.Equal(got[:n], f.Contents[off:off+n])
+		return n == 0 || f.Contents.EqualBytes(off, got[:n])
 	}
 	if !match(pre) && !match(post) {
 		return fmt.Errorf("pread at %d returned %d bytes matching neither pre nor post contents", off, n)

@@ -133,7 +133,7 @@ func registerEvenMoreObligations(g *verifier.Registry) {
 				}
 				for fdk, f := range pre.Files {
 					g2 := post.Files[fdk]
-					if f.Offset != g2.Offset || string(f.Contents) != string(g2.Contents) {
+					if f.Offset != g2.Offset || !f.Contents.Equal(g2.Contents) {
 						return fmt.Errorf("read ops mutated fd %d state", fdk)
 					}
 				}

@@ -274,8 +274,43 @@ func TestTruncateThroughSys(t *testing.T) {
 	}
 }
 
+// TestFsRunCursorOverflowIsEFBIG: the owner shard's data ops take the
+// cursor and the size from the op. The router only sends what a
+// descriptor holds, but the apply must not depend on that: a cursor so
+// large that cursor+len wraps, as a single entry and inside a run, and
+// an out-of-range NumFsTruncate, are EFBIG with the cursor where it was.
+func TestFsRunCursorOverflowIsEFBIG(t *testing.T) {
+	k := newTestKernel()
+	ino, err := k.FS().Create("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cur = ^uint64(0) - 1
+	run := WriteOp{Num: NumFsRun, Ino: ino, Flags: fs.ORdWr, Size: cur}
+	one := run
+	one.Code, one.Data = int(NumWrite), []byte("xyz")
+	if r := k.DispatchWrite(one); r.Errno != EFBIG || r.Off != cur {
+		t.Errorf("single-entry run: %v, cursor %#x; want EFBIG at %#x", r.Errno, r.Off, cur)
+	}
+	run.Run = &FsRun{Ops: []WriteOp{
+		{Num: NumWrite, Data: []byte("xyz")},
+		{Num: NumSeek, Off: 0, Whence: fs.SeekSet},
+		{Num: NumWrite, Data: []byte("ok")},
+	}}
+	r := k.DispatchWrite(run)
+	if r.Errno != EOK || len(r.Run) != 3 || r.Run[0].Errno != EFBIG || r.Run[2].Errno != EOK || r.Off != 2 {
+		t.Errorf("run: %v, results %+v, cursor %d", r.Errno, r.Run, r.Off)
+	}
+	if r := k.DispatchWrite(WriteOp{Num: NumFsTruncate, Ino: ino, Len: ^uint64(0)}); r.Errno != EFBIG {
+		t.Errorf("fs_truncate to 2^64-1: %v, want EFBIG", r.Errno)
+	}
+	if st, _ := k.FS().StatIno(ino); st.Size != 2 {
+		t.Errorf("size %d after the refused ops, want 2", st.Size)
+	}
+}
+
 func TestErrnoStrings(t *testing.T) {
-	if EOK.String() != "OK" || ENOENT.String() != "ENOENT" {
+	if EOK.String() != "OK" || ENOENT.String() != "ENOENT" || EFBIG.String() != "EFBIG" {
 		t.Fatal("errno strings broken")
 	}
 	if Errno(77).String() != "errno(77)" {

@@ -381,7 +381,7 @@ func shardRefinesSingle() error {
 			owner := int(ino) % nshards
 			got, ok := recs[owner].Contents(ino)
 			want, _ := single.Contents(ino)
-			if !ok || string(got) != string(want) {
+			if !ok || !got.Equal(want) {
 				return fmt.Errorf("prefix %d: ino %d contents on owner shard %d diverge from single-journal recovery", b, ino, owner)
 			}
 		}
@@ -392,7 +392,7 @@ func shardRefinesSingle() error {
 				}
 				want, ok := single.Contents(ino)
 				got, _ := recs[i].Contents(ino)
-				if !ok || string(got) != string(want) {
+				if !ok || !got.Equal(want) {
 					return fmt.Errorf("prefix %d: shard %d ino %d contents not present in single-journal recovery", b, i, ino)
 				}
 			}

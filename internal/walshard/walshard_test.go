@@ -136,8 +136,8 @@ func TestPrepareWithoutCommitRollsBack(t *testing.T) {
 	_, recs2 := reopen(t, disk, 2)
 	want, _ := recs[0].Contents(2)
 	got, ok := recs2[0].Contents(2)
-	if !ok || string(got) != string(want) {
-		t.Fatalf("post-rollback commit lost: got %q want %q", got, want)
+	if !ok || !got.Equal(want) {
+		t.Fatalf("post-rollback commit lost: got %q want %q", got.Bytes(), want.Bytes())
 	}
 }
 
@@ -176,8 +176,8 @@ func TestEmptyShardParticipates(t *testing.T) {
 	}
 	want, _ := fss[2].Contents(2)
 	got, ok := recs[2].Contents(2)
-	if !ok || string(got) != string(want) {
-		t.Fatalf("owner shard contents: got %q want %q", got, want)
+	if !ok || !got.Equal(want) {
+		t.Fatalf("owner shard contents: got %q want %q", got.Bytes(), want.Bytes())
 	}
 	for _, i := range []int{0, 1} {
 		if n := len(recs[i].InodesWithData()); n != 0 {

@@ -173,6 +173,7 @@ const (
 	EISDIR     = sys.EISDIR
 	EINVAL     = sys.EINVAL
 	ENFILE     = sys.ENFILE
+	EFBIG      = sys.EFBIG
 	ENOSYS     = sys.ENOSYS
 	ENOTEMPTY  = sys.ENOTEMPTY
 	EADDRINUSE = sys.EADDRINUSE
