@@ -53,7 +53,7 @@ func (a PAddr) String() string { return fmt.Sprintf("pa:%#x", uint64(a)) }
 // AccessError is the simulated machine-check raised by an illegal
 // physical memory access.
 type AccessError struct {
-	Op     string // "read64", "write64", "read", "write"
+	Op     string // "read64", "write64", "cas64", "read", "write", "readframe"
 	Addr   PAddr
 	Len    int
 	Reason string
@@ -69,9 +69,11 @@ func (e *AccessError) Error() string {
 // firmware hands the OS zeroed RAM.
 //
 // PhysMem is safe for concurrent use; each access takes a read or write
-// lock. The page-table benchmarks stay on the lock-free fast path of the
-// owning replica, so this coarse lock models DRAM without dominating the
-// measured NR contention.
+// lock, so an access costs a lock round trip, a counter and a frame
+// lookup whatever its length. A walk pays that per word, four words a
+// translation, as hardware does; anything that scans whole page tables
+// (the interpretation function, the pt invariant) reads a table at a time
+// with ReadFrame — per word, this lock was 42 % of a verifier run.
 //
 // The zero value is a memory of size 0; use New.
 type PhysMem struct {
@@ -171,6 +173,39 @@ func (m *PhysMem) Read64(addr PAddr) (uint64, error) {
 	return binary.LittleEndian.Uint64(f[off : off+8]), nil
 }
 
+// FrameWords is the number of machine words in a frame (512): the unit
+// ReadFrame reads, and the number of entries in a page table.
+const FrameWords = PageSize / WordSize
+
+// ReadFrame reads the 512 little-endian words of the frame at the
+// page-aligned address base into out and reports whether the frame was
+// ever touched; an untouched frame (or one ZeroFrame reclaimed) fills out
+// with zeroes. It is one access: one read in Stats, and one snapshot of
+// the frame — no store lands between two of its words. The words are
+// copied out under the lock and not lent, because ZeroFrame retires a
+// frame's backing array into spare, where the next frame materialized
+// takes it. On error out is left as it was.
+func (m *PhysMem) ReadFrame(base PAddr, out *[FrameWords]uint64) (touched bool, err error) {
+	if !base.IsPageAligned() {
+		return false, &AccessError{Op: "readframe", Addr: base, Len: PageSize, Reason: "unaligned frame"}
+	}
+	if err := m.check("readframe", base, PageSize); err != nil {
+		return false, err
+	}
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	m.reads.Add(1)
+	f := m.frames[base]
+	if f == nil {
+		*out = [FrameWords]uint64{}
+		return false, nil
+	}
+	for i := range out {
+		out[i] = binary.LittleEndian.Uint64(f[i*WordSize:])
+	}
+	return true, nil
+}
+
 // Write64 stores an 8-byte little-endian word at addr, which must be
 // word-aligned.
 func (m *PhysMem) Write64(addr PAddr, v uint64) error {
@@ -187,6 +222,38 @@ func (m *PhysMem) Write64(addr PAddr, v uint64) error {
 	off := addr.FrameOffset()
 	binary.LittleEndian.PutUint64(f[off:off+8], v)
 	return nil
+}
+
+// CompareAndSwap64 stores new in the word at addr, which must be
+// word-aligned, if and only if the word holds old, and reports whether it
+// stored: the locked read-modify-write hardware uses to set accessed and
+// dirty bits in an entry the OS may be rewriting. It counts as one write
+// when it stores and as one read when it does not.
+func (m *PhysMem) CompareAndSwap64(addr PAddr, old, new uint64) (bool, error) {
+	if !addr.IsWordAligned() {
+		return false, &AccessError{Op: "cas64", Addr: addr, Len: 8, Reason: "unaligned"}
+	}
+	if err := m.check("cas64", addr, 8); err != nil {
+		return false, err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	off := addr.FrameOffset()
+	f := m.frameFor(addr, false)
+	var cur uint64
+	if f != nil {
+		cur = binary.LittleEndian.Uint64(f[off : off+8])
+	}
+	if cur != old {
+		m.reads.Add(1)
+		return false, nil
+	}
+	m.writes.Add(1)
+	if f == nil {
+		f = m.frameFor(addr, true)
+	}
+	binary.LittleEndian.PutUint64(f[off:off+8], new)
+	return true, nil
 }
 
 // Read copies len(p) bytes starting at addr into p.

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -11,7 +12,8 @@ import (
 // RegisterObligations registers the physical-memory model's
 // verification conditions: equivalence with a flat reference model
 // under random access streams, bounds/alignment enforcement (the
-// simulated machine-check), zero-fill semantics, and frame reclaim.
+// simulated machine-check), zero-fill semantics, frame reclaim, and the
+// frame-granular read against the word-granular one.
 func RegisterObligations(g *verifier.Registry) {
 	g.Register(
 		verifier.Obligation{Module: "hw/mem", Name: "matches-flat-reference", Kind: verifier.KindRefinement,
@@ -113,8 +115,11 @@ func RegisterObligations(g *verifier.Registry) {
 				var frames []PAddr
 				for i := 0; i < 50; i++ {
 					f := PAddr(r.Intn(1<<20/PageSize)) * PageSize
-					if err := m.Write64(f+8, r.Uint64()|1); err != nil {
-						return err
+					// Dirty a seed-chosen word and the last one.
+					for _, a := range []PAddr{f + PAddr(r.Intn(FrameWords))*WordSize, f + PageSize - WordSize} {
+						if err := m.Write64(a, r.Uint64()|1); err != nil {
+							return err
+						}
 					}
 					frames = append(frames, f)
 				}
@@ -122,13 +127,15 @@ func RegisterObligations(g *verifier.Registry) {
 				if touched == 0 {
 					return fmt.Errorf("no frames materialized")
 				}
+				var words, zero [FrameWords]uint64
 				for _, f := range frames {
 					if err := m.ZeroFrame(f); err != nil {
 						return err
 					}
-					v, err := m.Read64(f + 8)
-					if err != nil || v != 0 {
-						return fmt.Errorf("frame %v not zeroed: %#x, %v", f, v, err)
+					words[r.Intn(FrameWords)] = 1 // the read must overwrite, not merge
+					touched, err := m.ReadFrame(f, &words)
+					if err != nil || touched || words != zero {
+						return fmt.Errorf("frame %v not zeroed whole (touched=%t): %v", f, touched, err)
 					}
 				}
 				if m.TouchedFrames() != 0 {
@@ -136,17 +143,120 @@ func RegisterObligations(g *verifier.Registry) {
 				}
 				// A frame materialized next may be handed a retired frame's
 				// backing: it must read as zero wherever it was not written.
+				// One slot for the whole pass, so a frame drawn twice is
+				// rewritten in place.
+				slot := r.Intn(FrameWords)
 				for i, f := range frames {
 					g := (f + PageSize) % (1 << 20)
-					if err := m.Write64(g, uint64(i)+1); err != nil {
+					if err := m.Write64(g+PAddr(slot)*WordSize, uint64(i)+1); err != nil {
 						return err
 					}
-					if v, err := m.Read64(g + 8); err != nil || v != 0 {
-						return fmt.Errorf("frame %v materialized after a zeroing reads %#x at +8, %v", g, v, err)
+					touched, err := m.ReadFrame(g, &words)
+					if err != nil || !touched || words[slot] != uint64(i)+1 {
+						return fmt.Errorf("frame %v after writing word %d: touched=%t, reads %#x, %v",
+							g, slot, touched, words[slot], err)
+					}
+					words[slot] = 0
+					if words != zero {
+						return fmt.Errorf("frame %v materialized after a zeroing is dirty outside word %d", g, slot)
 					}
 				}
 				if got := m.TouchedFrames(); got == 0 || got > len(frames) {
 					return fmt.Errorf("%d frames materialized after rewriting %d", got, len(frames))
+				}
+				return nil
+			}},
+		verifier.Obligation{Module: "hw/mem", Name: "frame-read-equals-word-reads", Kind: verifier.KindRefinement,
+			Check: func(r *rand.Rand) error {
+				const size = 64 * PageSize
+				m := New(size)
+				// agree reads the frame at base both ways and requires the
+				// same 512 words, the frame read counted as one access.
+				agree := func(what string, base PAddr, wantTouched bool) error {
+					var words [FrameWords]uint64
+					for i := range words {
+						words[i] = r.Uint64() // stale output the read must replace
+					}
+					before := m.Stats()
+					touched, err := m.ReadFrame(base, &words)
+					if err != nil {
+						return fmt.Errorf("%s: ReadFrame(%v): %w", what, base, err)
+					}
+					if d := m.Stats(); d.Reads != before.Reads+1 || d.Writes != before.Writes {
+						return fmt.Errorf("%s: a frame read counted as %d reads, %d writes", what,
+							d.Reads-before.Reads, d.Writes-before.Writes)
+					}
+					if touched != wantTouched {
+						return fmt.Errorf("%s: frame %v touched=%t, want %t", what, base, touched, wantTouched)
+					}
+					for i, got := range &words {
+						want, err := m.Read64(base + PAddr(i)*WordSize)
+						if err != nil {
+							return err
+						}
+						if got != want || (!touched && got != 0) {
+							return fmt.Errorf("%s: frame %v word %d: frame read %#x, word read %#x", what, base, i, got, want)
+						}
+					}
+					return nil
+				}
+				scribble := func(base PAddr) error {
+					for n := 1 + r.Intn(40); n > 0; n-- {
+						if err := m.Write64(base+PAddr(r.Intn(FrameWords))*WordSize, r.Uint64()|1); err != nil {
+							return err
+						}
+					}
+					return nil
+				}
+				last := PAddr(size - PageSize)
+				a := PAddr(1+r.Intn(20)) * PageSize
+				b := a + PAddr(1+r.Intn(20))*PageSize // a < b < last
+				for _, f := range []PAddr{a, last} {
+					if err := scribble(f); err != nil {
+						return err
+					}
+				}
+				if err := agree("touched", a, true); err != nil {
+					return err
+				}
+				if err := agree("last frame", last, true); err != nil {
+					return err
+				}
+				if err := agree("untouched", b, false); err != nil {
+					return err
+				}
+				// a's array goes to spare and comes back as b's.
+				if err := m.ZeroFrame(a); err != nil {
+					return err
+				}
+				if err := agree("zeroed", a, false); err != nil {
+					return err
+				}
+				if err := scribble(b); err != nil {
+					return err
+				}
+				if err := agree("re-materialised from spare", b, true); err != nil {
+					return err
+				}
+				// Illegal bases machine-check and write nothing.
+				var out, keep [FrameWords]uint64
+				for i := range out {
+					out[i] = r.Uint64()
+				}
+				keep = out
+				for _, bad := range []PAddr{
+					a + PAddr(1+r.Intn(PageSize-1)),     // unaligned
+					size,                                // one past the end
+					PAddr(^uint64(0)) &^ (PageSize - 1), // base+PageSize wraps
+				} {
+					_, err := m.ReadFrame(bad, &out)
+					var ae *AccessError
+					if !errors.As(err, &ae) {
+						return fmt.Errorf("ReadFrame(%v) = %v, want an *AccessError", bad, err)
+					}
+					if out != keep {
+						return fmt.Errorf("ReadFrame(%v) failed but wrote its output", bad)
+					}
 				}
 				return nil
 			}},

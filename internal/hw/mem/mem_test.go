@@ -102,6 +102,13 @@ func TestUnalignedAccessRejected(t *testing.T) {
 	if ae.Reason != "unaligned" {
 		t.Errorf("reason = %q", ae.Reason)
 	}
+	if _, err := m.CompareAndSwap64(4, 0, 1); !errors.As(err, &ae) {
+		t.Errorf("CompareAndSwap64 at 4-byte alignment: %v, want *AccessError", err)
+	}
+	var words [FrameWords]uint64
+	if _, err := m.ReadFrame(PageSize+8, &words); !errors.As(err, &ae) {
+		t.Errorf("ReadFrame at a word inside a frame: %v, want *AccessError", err)
+	}
 }
 
 func TestOutOfBoundsRejected(t *testing.T) {
@@ -111,6 +118,16 @@ func TestOutOfBoundsRejected(t *testing.T) {
 	}
 	if err := m.Write64((1<<16)-8, 1); err != nil {
 		t.Errorf("last word write failed: %v", err)
+	}
+	if _, err := m.CompareAndSwap64(1<<16, 0, 1); err == nil {
+		t.Error("compare-and-swap past end succeeded")
+	}
+	var words [FrameWords]uint64
+	if _, err := m.ReadFrame(1<<16, &words); err == nil {
+		t.Error("frame read past end succeeded")
+	}
+	if touched, err := m.ReadFrame((1<<16)-PageSize, &words); err != nil || !touched || words[FrameWords-1] != 1 {
+		t.Errorf("last frame: touched=%t, last word %#x, %v", touched, words[FrameWords-1], err)
 	}
 	// Overflowing length.
 	if err := m.Read((1<<16)-4, make([]byte, 8)); err == nil {
@@ -175,6 +192,92 @@ func TestStatsCount(t *testing.T) {
 	if after.Reads-before.Reads != 2 {
 		t.Errorf("reads delta = %d, want 2", after.Reads-before.Reads)
 	}
+	// A frame read is one access, like a bulk Read: not 512.
+	var words [FrameWords]uint64
+	_, _ = m.ReadFrame(0, &words)
+	if got := m.Stats(); got.Reads != after.Reads+1 || got.Writes != after.Writes {
+		t.Errorf("a frame read counted %d reads, %d writes; want 1, 0", got.Reads-after.Reads, got.Writes-after.Writes)
+	}
+}
+
+func TestCompareAndSwap64(t *testing.T) {
+	m := New(1 << 20)
+	const a = PAddr(0x3008)
+	// Untouched RAM holds zero, so a swap from zero wins.
+	if ok, err := m.CompareAndSwap64(a, 0, 7); err != nil || !ok {
+		t.Fatalf("swap 0 -> 7 on untouched RAM: %t, %v", ok, err)
+	}
+	before := m.Stats()
+	if ok, err := m.CompareAndSwap64(a, 0, 9); err != nil || ok {
+		t.Fatalf("swap with a stale old value: %t, %v", ok, err)
+	}
+	if got := m.Stats(); got.Writes != before.Writes {
+		t.Errorf("a lost swap counted %d writes", got.Writes-before.Writes)
+	}
+	if v, _ := m.Read64(a); v != 7 {
+		t.Fatalf("a lost swap stored: word reads %d, want 7", v)
+	}
+	if ok, err := m.CompareAndSwap64(a, 7, 9); err != nil || !ok {
+		t.Fatalf("swap 7 -> 9: %t, %v", ok, err)
+	}
+	if v, _ := m.Read64(a); v != 9 {
+		t.Fatalf("word reads %d after a won swap, want 9", v)
+	}
+	if v, _ := m.Read64(a + 8); v != 0 {
+		t.Errorf("the neighbouring word reads %d", v)
+	}
+}
+
+// A frame read is one snapshot of the frame. The writer rewrites a table
+// in slot order, round after round, storing the round number in every
+// slot; a snapshot taken at any moment is then a prefix of round k+1 over
+// the rest of round k: non-increasing in slot order and at most two
+// consecutive rounds. 512 independent word reads guarantee neither. Run
+// with -race -cpu 2.
+func TestReadFrameIsOneSnapshot(t *testing.T) {
+	m := New(1 << 20)
+	const table = PAddr(0x7000)
+	const rounds = 100
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for k := uint64(1); k <= rounds; k++ {
+			for slot := PAddr(0); slot < FrameWords; slot++ {
+				if err := m.Write64(table+slot*WordSize, k); err != nil {
+					t.Errorf("Write64: %v", err)
+					return
+				}
+			}
+		}
+	}()
+	scans, mixed := 0, 0
+	for running := true; running; scans++ {
+		select {
+		case <-done:
+			running = false // one more scan, of the finished table
+		default:
+		}
+		var words [FrameWords]uint64
+		if _, err := m.ReadFrame(table, &words); err != nil {
+			t.Fatalf("ReadFrame: %v", err)
+		}
+		for i := 1; i < FrameWords; i++ {
+			if words[i] > words[i-1] {
+				t.Fatalf("scan %d: slot %d holds round %d after slot %d's round %d: not a snapshot",
+					scans, i, words[i], i-1, words[i-1])
+			}
+		}
+		if words[0]-words[FrameWords-1] > 1 {
+			t.Fatalf("scan %d spans rounds %d..%d", scans, words[FrameWords-1], words[0])
+		}
+		if words[0] != words[FrameWords-1] {
+			mixed++
+		}
+		if !running && words[FrameWords-1] != rounds {
+			t.Fatalf("the finished table reads round %d in its last slot, want %d", words[FrameWords-1], rounds)
+		}
+	}
+	t.Logf("%d scans, %d of them across a round boundary", scans, mixed)
 }
 
 func TestSizeRounding(t *testing.T) {

@@ -75,11 +75,16 @@ func (u *MMU) Translate(va VAddr, access Access) (Translation, *Fault) {
 		// through a clean cached translation; fall through to the walk.
 	}
 
+	// An entry the OS rewrote between the walk's load and the A/D
+	// write-back must not be cached: walk again, as hardware does when its
+	// locked update finds the entry changed.
 	res := u.walker.Walk(u.root, va, access)
+	for res.Fault == nil && !u.setADBits(va, access, res) {
+		res = u.walker.Walk(u.root, va, access)
+	}
 	if res.Fault != nil {
 		return Translation{}, res.Fault
 	}
-	u.setADBits(va, access, res)
 	if access.isWrite() {
 		res.Translation.Dirty = true
 	}
@@ -88,8 +93,12 @@ func (u *MMU) Translate(va VAddr, access Access) (Translation, *Fault) {
 }
 
 // setADBits sets the accessed bit on every entry of the walk path and
-// the dirty bit on the leaf for write accesses, mirroring hardware.
-func (u *MMU) setADBits(va VAddr, access Access, res WalkResult) {
+// the dirty bit on the leaf for write accesses, mirroring hardware: each
+// update is a compare-and-swap against the word the walk read, so a
+// stale walk can never undo an Unmap or Protect that landed since. It
+// reports whether every entry still held what the walk saw; when it does
+// not, the walk is stale and nothing past the changed entry is written.
+func (u *MMU) setADBits(va VAddr, access Access, res WalkResult) bool {
 	table := u.root
 	for _, e := range res.Path {
 		slot := EntryAddr(table, va, e.Level)
@@ -98,15 +107,18 @@ func (u *MMU) setADBits(va VAddr, access Access, res WalkResult) {
 			raw |= BitDirty
 		}
 		if raw != e.Raw {
-			// Ignore the error: the slot was readable moments ago and
-			// physical memory cannot shrink.
-			_ = u.walker.Mem.Write64(slot, raw)
+			// An error (the slot was readable moments ago, so none is
+			// expected) is a lost swap: the re-walk reports it as a fault.
+			if ok, err := u.walker.Mem.CompareAndSwap64(slot, e.Raw, raw); err != nil || !ok {
+				return false
+			}
 		}
 		if e.IsLeaf() {
 			break
 		}
 		table = e.Addr()
 	}
+	return true
 }
 
 // Invlpg invalidates any cached translation for va in the current

@@ -277,6 +277,38 @@ func TestADBitsSet(t *testing.T) {
 	}
 }
 
+// The A/D write-back is a compare-and-swap against the word the walk
+// read: a walk that went stale because the OS cleared the entry in between
+// must not store the old word back (which would re-map the page).
+func TestStaleWalkCannotResurrectEntry(t *testing.T) {
+	m := mem.New(1 << 24)
+	va := VAddr(0x0000_0007_0000_0000)
+	root := buildTables(t, m, va, 0x9000, Flags{Writable: true})
+	u := New(m)
+	u.SetRoot(root, 0)
+
+	res := u.Walker().Walk(root, va, AccessWrite)
+	if res.Fault != nil {
+		t.Fatalf("walk: %v", res.Fault)
+	}
+	leaf := EntryAddr(0x4000, va, 1)
+	if err := m.Write64(leaf, 0); err != nil { // the OS unmaps
+		t.Fatal(err)
+	}
+	if u.setADBits(va, AccessWrite, res) {
+		t.Error("setADBits reported a current walk although the leaf changed under it")
+	}
+	if raw, _ := m.Read64(leaf); raw != 0 {
+		t.Fatalf("stale walk resurrected the cleared leaf: slot reads %#x", raw)
+	}
+	if _, f := u.Translate(va, AccessWrite); f == nil {
+		t.Fatal("translate of the unmapped page succeeded")
+	}
+	if _, ok := u.TLB().Lookup(0, va); ok {
+		t.Fatal("the unmapped page's translation was cached")
+	}
+}
+
 func TestMMUReadWriteVirtual(t *testing.T) {
 	m := mem.New(1 << 24)
 	va := VAddr(0x0000_0009_0000_0000)

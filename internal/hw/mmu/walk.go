@@ -125,43 +125,57 @@ func checkPermissions(va VAddr, access Access, tr *Translation) *Fault {
 // them.
 func (w *Walker) Interpret(root mem.PAddr) (map[VAddr]Translation, error) {
 	out := make(map[VAddr]Translation)
-	err := w.interpretTable(root, Levels, 0, true, true, false, out)
+	err := w.Scan(root, func(tr Translation) { out[tr.Base] = tr })
 	return out, err
 }
 
-func (w *Walker) interpretTable(table mem.PAddr, level int, base VAddr,
-	writable, user, noExec bool, out map[VAddr]Translation) error {
+// Scan is Interpret without the map: it calls visit with the translation
+// of every mapped page of the tree at root. Where Walk loads the four
+// words hardware would, a scan reads each table it reaches whole
+// (mem.PhysMem.ReadFrame): every table is decoded from one snapshot of
+// its frame, though the tree is not read atomically as a whole.
+func (w *Walker) Scan(root mem.PAddr, visit func(Translation)) error {
+	return w.scanTable(root, Levels, 0, true, true, false, visit)
+}
+
+func (w *Walker) scanTable(table mem.PAddr, level int, base VAddr,
+	writable, user, noExec bool, visit func(Translation)) error {
+	// The table lives in this frame of the goroutine's stack, one per
+	// level of the recursion; it must not escape (a heap-allocated 4 KiB
+	// per table is most of what a refinement trace would allocate).
+	var words [EntriesPerTable]uint64
+	touched, err := w.Mem.ReadFrame(table, &words)
+	if err != nil {
+		return err
+	}
+	if !touched {
+		return nil // 512 zero words hold no present entry
+	}
 	span := uint64(1) << (12 + IndexBits*(level-1)) // bytes covered per entry
-	for i := uint64(0); i < EntriesPerTable; i++ {
-		slot := table + mem.PAddr(i*8)
-		raw, err := w.Mem.Read64(slot)
-		if err != nil {
-			return err
-		}
+	for i, raw := range &words {
 		e := Entry{Raw: raw, Level: level}
 		if !e.Present() || !e.Valid() {
 			continue
 		}
-		evaBase := base + VAddr(i*span)
+		evaBase := base + VAddr(uint64(i)*span)
 		ew := writable && e.Writable()
 		eu := user && e.User()
 		ex := noExec || e.NoExec()
 		if e.IsLeaf() {
-			size := PageSizeAtLevel(level)
-			out[canonicalize(evaBase)] = Translation{
+			visit(Translation{
 				Base:     canonicalize(evaBase),
 				Frame:    e.Addr(),
 				PAddr:    e.Addr(),
-				PageSize: size,
+				PageSize: PageSizeAtLevel(level),
 				Writable: ew,
 				User:     eu,
 				NoExec:   ex,
 				Global:   e.Global(),
-			}
+			})
 			continue
 		}
 		if level > 1 {
-			if err := w.interpretTable(e.Addr(), level-1, evaBase, ew, eu, ex, out); err != nil {
+			if err := w.scanTable(e.Addr(), level-1, evaBase, ew, eu, ex, visit); err != nil {
 				return err
 			}
 		}

@@ -110,24 +110,28 @@ func RegisterObligations(g *verifier.Registry) {
 				if err != nil {
 					return err
 				}
-				// Dirty it, free it, re-alloc until we see it again.
-				if err := pm.Write64(f, 0xdead); err != nil {
-					return err
+				// Dirty it (a seed-chosen word and the last one), free it,
+				// re-alloc until we see it again: every frame handed out
+				// reads zero in all 512 words.
+				for _, a := range []mem.PAddr{f + mem.PAddr(r.Intn(mem.FrameWords))*mem.WordSize, f + mem.PageSize - mem.WordSize} {
+					if err := pm.Write64(a, 0xdead); err != nil {
+						return err
+					}
 				}
 				if err := c.FreeFrame(f); err != nil {
 					return err
 				}
+				var words, zero [mem.FrameWords]uint64
 				for i := 0; i < 64; i++ {
 					g, err := c.AllocFrame()
 					if err != nil {
 						return err
 					}
-					v, err := pm.Read64(g)
-					if err != nil {
+					if _, err := pm.ReadFrame(g, &words); err != nil {
 						return err
 					}
-					if v != 0 {
-						return fmt.Errorf("frame %v handed out dirty (%#x)", g, v)
+					if words != zero {
+						return fmt.Errorf("frame %v handed out dirty", g)
 					}
 					if g == f {
 						return nil

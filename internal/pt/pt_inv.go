@@ -62,12 +62,15 @@ func (v *Verified) CheckInvariant() error {
 
 func (c *invariantChecker) walkTable(table mem.PAddr, level int) error {
 	v := c.v
+	// One snapshot of the table, on this frame of the stack (see
+	// mmu.Walker.Scan); an untouched frame reads as 512 non-present
+	// entries, which is live == 0 below.
+	var words [mmu.EntriesPerTable]uint64
+	if _, err := v.m.ReadFrame(table, &words); err != nil {
+		return fmt.Errorf("pt: invariant walk failed at %v: %w", table, err)
+	}
 	live := 0
-	for i := uint64(0); i < mmu.EntriesPerTable; i++ {
-		raw, err := v.m.Read64(table + mem.PAddr(i*8))
-		if err != nil {
-			return fmt.Errorf("pt: invariant walk failed at %v[%d]: %w", table, i, err)
-		}
+	for i, raw := range &words {
 		e := mmu.Entry{Raw: raw, Level: level}
 		if !e.Present() {
 			continue

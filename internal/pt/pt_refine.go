@@ -16,7 +16,8 @@ import (
 //
 //	high-level spec  <—refines—  page-table impl + hardware spec
 //
-// The abstraction function of the §5 proof *is* mmu.Walker.Interpret:
+// The abstraction function of the §5 proof *is* mmu.Walker.Interpret (its
+// map-free form, Walker.Scan, filling the AbstractState directly):
 // whatever the hardware would decode from memory is the implementation's
 // abstract state. The harness executes operations on the implementation,
 // re-interprets memory after each, and feeds (event, abstraction) pairs
@@ -26,13 +27,9 @@ import (
 // memory state via the hardware's interpretation function.
 func Interpret(m *mem.PhysMem, root mem.PAddr) (AbstractState, error) {
 	w := mmu.Walker{Mem: m}
-	raw, err := w.Interpret(root)
-	if err != nil {
-		return nil, err
-	}
-	out := make(AbstractState, len(raw))
-	for va, tr := range raw {
-		out[va] = Mapping{
+	out := make(AbstractState)
+	err := w.Scan(root, func(tr mmu.Translation) {
+		out[tr.Base] = Mapping{
 			Frame:    tr.Frame,
 			PageSize: tr.PageSize,
 			Flags: mmu.Flags{
@@ -40,6 +37,9 @@ func Interpret(m *mem.PhysMem, root mem.PAddr) (AbstractState, error) {
 				NoExec: tr.NoExec, Global: tr.Global,
 			},
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -136,6 +136,52 @@ func TestMappingVisibleToMMU(t *testing.T) {
 	}
 }
 
+// One core translates a page (setting accessed and dirty bits in the
+// tables) while the OS maps and unmaps it: the MMU's write-back must never
+// undo an unmap. Run with -race -cpu 2.
+func TestTranslateRacesUnmap(t *testing.T) {
+	v, pm, _ := newTestSpace(t)
+	va := mmu.VAddr(0x4000_0000)
+	u := mmu.New(pm)
+	u.SetRoot(v.Root(), 0)
+
+	stop := make(chan struct{})
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			u.Translate(va, mmu.AccessWrite)
+			u.Invlpg(va)
+		}
+	}()
+	for i := 0; i < 5000; i++ {
+		if err := v.Map(va, 0x80_0000, mmu.L1PageSize, mmu.Flags{Writable: true}); err != nil {
+			t.Fatalf("round %d: Map: %v", i, err)
+		}
+		if _, err := v.Unmap(va); err != nil {
+			t.Fatalf("round %d: Unmap: %v", i, err)
+		}
+	}
+	close(stop)
+	<-stopped
+
+	abs, err := Interpret(pm, v.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := abs[va]; ok {
+		t.Fatalf("the unmapped page is mapped again: %+v", m)
+	}
+	if err := v.CheckInvariant(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestProtect(t *testing.T) {
 	v, pm, _ := newTestSpace(t)
 	va := mmu.VAddr(0x4000_0000)

@@ -246,12 +246,25 @@ func (q *RunQueue) ReadyCount() int {
 	return n
 }
 
-// Snapshot returns all TCBs by value (for specs and tests).
+// Each calls f with every TCB by value, in no particular order, until f
+// returns false: Snapshot without the map, for a caller that counts or
+// searches. f may change a thread's state but must not add or reap one.
+func (q *RunQueue) Each(f func(TID, TCB) bool) {
+	for tid, t := range q.threads {
+		if !f(tid, *t) {
+			return
+		}
+	}
+}
+
+// Snapshot returns all TCBs by value (for specs and tests that keep the
+// map).
 func (q *RunQueue) Snapshot() map[TID]TCB {
 	out := make(map[TID]TCB, len(q.threads))
-	for tid, t := range q.threads {
-		out[tid] = *t
-	}
+	q.Each(func(tid TID, t TCB) bool {
+		out[tid] = t
+		return true
+	})
 	return out
 }
 

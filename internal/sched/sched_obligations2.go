@@ -72,12 +72,7 @@ func registerMoreObligations(g *verifier.Registry) {
 							break
 						}
 					case 4:
-						for tid, t := range q.Snapshot() {
-							if t.State == StateBlocked {
-								_ = q.Wake(tid)
-								break
-							}
-						}
+						wakeAnyBlocked(q)
 					case 5:
 						for tid := range running {
 							if q.Exit(tid) == nil && q.Reap(tid) == nil {
@@ -91,9 +86,10 @@ func registerMoreObligations(g *verifier.Registry) {
 						return fmt.Errorf("len %d != added %d - reaped %d", q.Len(), added, reaped)
 					}
 					counts := map[State]int{}
-					for _, t := range q.Snapshot() {
+					q.Each(func(_ TID, t TCB) bool {
 						counts[t.State]++
-					}
+						return true
+					})
 					total := counts[StateReady] + counts[StateRunning] + counts[StateBlocked] + counts[StateExited]
 					if total != q.Len() {
 						return fmt.Errorf("state counts %v sum %d != len %d", counts, total, q.Len())
@@ -124,12 +120,7 @@ func registerMoreObligations(g *verifier.Registry) {
 					} else if r.Intn(2) == 0 {
 						_ = q.Add(TID(1000+i), Priority(r.Intn(NumPriorities)))
 					} else {
-						for wtid, t := range q.Snapshot() {
-							if t.State == StateBlocked {
-								_ = q.Wake(wtid)
-								break
-							}
-						}
+						wakeAnyBlocked(q)
 					}
 				}
 				return nil
@@ -153,11 +144,12 @@ func registerMoreObligations(g *verifier.Registry) {
 				}
 				// Highest priority still dispatched first.
 				best := Priority(NumPriorities)
-				for _, t := range q.Snapshot() {
+				q.Each(func(_ TID, t TCB) bool {
 					if t.State == StateReady && t.Priority < best {
 						best = t.Priority
 					}
-				}
+					return true
+				})
 				tid, err := q.PickNext(0)
 				if err != nil {
 					return err
@@ -172,4 +164,15 @@ func registerMoreObligations(g *verifier.Registry) {
 				return nil
 			}},
 	)
+}
+
+// wakeAnyBlocked wakes one blocked thread, if there is one.
+func wakeAnyBlocked(q *RunQueue) {
+	q.Each(func(tid TID, t TCB) bool {
+		if t.State != StateBlocked {
+			return true
+		}
+		_ = q.Wake(tid)
+		return false
+	})
 }

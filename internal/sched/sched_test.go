@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"github.com/verified-os/vnros/internal/nr"
@@ -142,6 +143,32 @@ func TestBlockWake(t *testing.T) {
 	}
 	if err := q.CheckInvariant(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestEachVisitsWhatSnapshotHolds(t *testing.T) {
+	q := NewRunQueue()
+	for tid := TID(1); tid <= 5; tid++ {
+		_ = q.Add(tid, Priority(tid%NumPriorities))
+	}
+	tid, _ := q.PickNext(0)
+	_ = q.Block(tid)
+	want := q.Snapshot()
+	got := map[TID]TCB{}
+	q.Each(func(tid TID, tcb TCB) bool {
+		got[tid] = tcb
+		return true
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Each visited %v, Snapshot holds %v", got, want)
+	}
+	visits := 0
+	q.Each(func(TID, TCB) bool {
+		visits++
+		return false
+	})
+	if visits != 1 {
+		t.Fatalf("Each made %d visits after a false return, want 1", visits)
 	}
 }
 
