@@ -15,9 +15,9 @@ import (
 // it gets the same treatment as the file path: a refinement check that
 // replays random syscall sequences against a per-connection spec
 // machine, and an agreement check between the logged table and the
-// device stack. Both run monolithic and sharded: the sharded run also
-// exercises the acquire/bind/release namespace protocol on process
-// shard 0.
+// device stack. Both run monolithic and sharded: the table is one
+// relation on process shard 0 either way, and the sharded run checks it
+// from a process whose other state lives on another shard.
 func registerNetObligations(g *verifier.Registry) {
 	g.Register(
 		verifier.Obligation{Module: "core", Name: "socket-refines-connection-spec", Kind: verifier.KindRefinement,

@@ -19,14 +19,15 @@ import (
 //
 // The split follows the determinism line, not the subsystem line:
 //
-//   - Bind, send and close are *logged* transitions. The one
+//   - Bind and close are *logged* transitions on process shard 0, which
+//     holds the whole table on either kernel: port uniqueness relates
+//     every process's sockets, so the table is a global relation like
+//     the process tree, and one body serves both kernels. The one
 //     non-deterministic input — the ephemeral port — is resolved
 //     device-side before the bind is logged (the same idiom mmap uses
 //     for data frames), so replaying the log on any replica rebuilds an
-//     identical table. On a sharded kernel the table op runs on the
-//     process shard owning the PID, with the global port namespace
-//     pinned to process shard 0 (acquire → bind → release on unwind,
-//     mirroring the spawn/exit tree-vs-resources ordering).
+//     identical table. A send's admission is a replica-local read of the
+//     table: it mutates nothing, so it never enters the log.
 //   - Receive stays device-local: the queue is fed by interrupts, which
 //     are not log entries. A blocking receive parks on a per-socket
 //     wait queue rung by the stack's delivery doorbell — a
@@ -34,6 +35,9 @@ import (
 //     goroutine draining the interrupt controller while anyone is
 //     parked (otherwise a parked core's pending IRQs would starve:
 //     interrupt delivery normally rides syscall entry).
+//
+// A batch's socket entries take this same path (sockEntry), after the
+// batch's file ops and outside its ctxMu section.
 
 // devSock pairs a process's device socket with the wait queue its
 // blocking receivers park on. The doorbell → Wake wiring is installed
@@ -90,64 +94,68 @@ func (s *System) sockOp(h *handler, op sys.WriteOp) sys.Resp {
 	return sys.Resp{Errno: sys.ENOSYS}
 }
 
+// sockEntry completes one batched socket entry through the scalar path.
+// A batched receive never blocks: SockRecvBlock is cleared, so an empty
+// queue completes EAGAIN instead of parking the batch drain. The
+// completion packs a received datagram's source as (from<<16)|fromPort.
+func (h *handler) sockEntry(op sys.WriteOp) sys.Completion {
+	op.Flags &^= sys.SockRecvBlock
+	r := h.s.sockOp(h, op)
+	c := sys.BatchCompletion(op, r)
+	if op.Num == sys.NumSockRecv && r.Errno == sys.EOK {
+		c.Val = r.Val<<16 | uint64(uint16(r.TID))
+	}
+	return c
+}
+
+// tabExec applies one socket-table transition on process shard 0 (takes
+// ctxMu itself).
+func (h *handler) tabExec(op sys.WriteOp) sys.Resp {
+	h.ctxMu.Lock()
+	defer h.ctxMu.Unlock()
+	return h.procExecOn(0, op)
+}
+
 // sockBind: device first (resolving the concrete port — ephemeral binds
 // pick one here — and creating the receive queue), then the logged
-// table transition that assigns the socket id. Either half failing
-// unwinds the other, so table and device never disagree about which
-// ports are bound.
+// table transition that checks the port and assigns the socket id. A
+// failed transition unwinds the device half, so table and device never
+// disagree about which ports are bound.
 func (s *System) sockBind(h *handler, op sys.WriteOp) sys.Resp {
 	sock, err := s.Net.BindBudget(op.Port, int(op.Word))
 	if err != nil {
 		return sys.Resp{Errno: sys.ErrnoFromError(err)}
 	}
-	port := sock.Port()
-	top := sys.WriteOp{Num: sys.NumSockTabBind, PID: op.PID, Port: port, Word: op.Word}
-	var tr sys.Resp
-	h.ctxMu.Lock()
-	if s.sharded() {
-		// Port-uniqueness is global; the namespace lives on process
-		// shard 0 (like the process tree). Acquire there, then log the
-		// bind on the owner shard, releasing the reservation if the bind
-		// fails — the spawn protocol's tree-then-resources shape.
-		tr = h.procExecOn(0, sys.WriteOp{Num: sys.NumSockPortAcquire, PID: op.PID, Port: port})
-		if tr.Errno == sys.EOK {
-			tr = h.procExecOn(s.ProcShardOf(op.PID), top)
-			if tr.Errno != sys.EOK {
-				_ = h.procExecOn(0, sys.WriteOp{Num: sys.NumSockPortRelease, PID: op.PID, Port: port})
-			}
-		}
-	} else {
-		// Rule 0: the table and the port namespace are one instance's
-		// state, so the bind transition checks uniqueness itself — the
-		// three steps above, applied at once.
-		tr = h.procExecOn(0, top)
-	}
-	h.ctxMu.Unlock()
+	tr := h.tabExec(sys.WriteOp{Num: sys.NumSockTabBind, PID: op.PID, Port: sock.Port(), Word: op.Word})
 	if tr.Errno != sys.EOK {
 		_ = sock.Close()
 		return tr
 	}
 	s.installSock(op.PID, tr.Val, sock)
 	obs.NetSockBinds.Add(uint32(h.core), 1)
-	return sys.Resp{Errno: sys.EOK, Val: tr.Val}
+	return tr
 }
 
-// sockSend: the logged table op is the verdict (ownership check, size
-// check, accepted byte count — like the write path); the device
-// transmit follows it. Past the logged acceptance the datagram is
-// fire-and-forget: a socket torn down between verdict and transmit is
-// indistinguishable from frame loss, which UDP semantics already admit.
+// sockSend: admission is a replica-local read of the table — the socket
+// must be the caller's (EBADF), then the payload must fit a datagram
+// (EINVAL) — and the accepted count is the whole payload; the device
+// transmit follows. Past admission the datagram is fire-and-forget: a
+// socket torn down between verdict and transmit is indistinguishable
+// from frame loss, which UDP semantics already admit.
 func (s *System) sockSend(h *handler, op sys.WriteOp) sys.Resp {
-	tr := h.procExec(sys.WriteOp{
-		Num: sys.NumSockTabSend, PID: op.PID, Sock: op.Sock, Len: uint64(len(op.Data)),
-	})
-	if tr.Errno != sys.EOK {
-		return tr
+	h.ctxMu.Lock()
+	g := h.procReadOn(0, sys.ReadOp{Num: sys.NumSockTabGet, PID: op.PID, Sock: op.Sock})
+	h.ctxMu.Unlock()
+	if g.Errno != sys.EOK {
+		return sys.Resp{Errno: g.Errno}
+	}
+	if len(op.Data) > netstack.MaxPayload {
+		return sys.Resp{Errno: sys.EINVAL}
 	}
 	if ds, e := s.devSockOf(op.PID, op.Sock); e == sys.EOK {
 		_ = ds.sock.SendTo(netstack.Addr(op.Addr), op.Port, op.Data)
 	}
-	return sys.Resp{Errno: sys.EOK, Val: tr.Val}
+	return sys.Resp{Errno: sys.EOK, Val: uint64(len(op.Data))}
 }
 
 // sockRecv serves receive entirely device-side. Non-blocking returns
@@ -197,18 +205,9 @@ func (s *System) sockRecv(h *handler, op sys.WriteOp) sys.Resp {
 // double close finds the entry already gone and fails EBADF without
 // touching anything, so it can never tear down a successor socket that
 // reused the port. On success the device socket is closed (idempotent,
-// ringing the doorbell so parked receivers wake into EBADF) and, on a
-// sharded kernel, the port's namespace reservation is released.
+// ringing the doorbell so parked receivers wake into EBADF).
 func (s *System) sockClose(h *handler, op sys.WriteOp) sys.Resp {
-	h.ctxMu.Lock()
-	tr := h.procExecOn(s.ProcShardOf(op.PID), sys.WriteOp{Num: sys.NumSockTabClose, PID: op.PID, Sock: op.Sock})
-	if tr.Errno == sys.EOK && s.sharded() {
-		// The reservation on shard 0 is a second step only when the port
-		// namespace is a different instance from the table; co-located,
-		// the close transition freed the port with the entry.
-		_ = h.procExecOn(0, sys.WriteOp{Num: sys.NumSockPortRelease, PID: op.PID, Port: uint16(tr.Val)})
-	}
-	h.ctxMu.Unlock()
+	tr := h.tabExec(sys.WriteOp{Num: sys.NumSockTabClose, PID: op.PID, Sock: op.Sock})
 	if tr.Errno != sys.EOK {
 		return tr
 	}
@@ -216,7 +215,7 @@ func (s *System) sockClose(h *handler, op sys.WriteOp) sys.Resp {
 		_ = ds.sock.Close()
 	}
 	obs.NetSockCloses.Add(uint32(h.core), 1)
-	return sys.Resp{Errno: sys.EOK, Val: tr.Val}
+	return tr
 }
 
 // ---- the receive pump ----
@@ -258,166 +257,5 @@ func (s *System) netPump() {
 			s.Dispatcher.Poll(c)
 		}
 		time.Sleep(20 * time.Microsecond)
-	}
-}
-
-// ---- batched socket ops ----
-
-// sockBatchOp threads one submitted socket entry through the batch's
-// three passes: the device pre-pass (bind resolution), the table pass
-// (one ExecuteBatch alongside the batch's file ops — on a sharded
-// kernel one ExecuteBatchOn round on the PID's process shard), and the
-// device post-pass (transmit, receive, teardown) in submission order.
-type sockBatchOp struct {
-	i    int              // completion index
-	op   sys.WriteOp      // the submitted wire op
-	dev  *netstack.Socket // pre-bound device socket (bind only)
-	port uint16           // device-resolved port (bind only)
-	tab  sys.Resp         // table verdict
-	skip bool             // completed early (device bind or acquire failure)
-}
-
-// tableOp is the logged half of a wire socket op (recv has none).
-func (so *sockBatchOp) tableOp() sys.WriteOp {
-	switch so.op.Num {
-	case sys.NumSockBind:
-		return sys.WriteOp{Num: sys.NumSockTabBind, PID: so.op.PID, Port: so.port, Word: so.op.Word}
-	case sys.NumSockSend:
-		return sys.WriteOp{Num: sys.NumSockTabSend, PID: so.op.PID, Sock: so.op.Sock, Len: uint64(len(so.op.Data))}
-	default: // NumSockClose
-		return sys.WriteOp{Num: sys.NumSockTabClose, PID: so.op.PID, Sock: so.op.Sock}
-	}
-}
-
-// sockBatchDevBind is the device pre-pass: resolve each submitted
-// bind's concrete port against the stack before anything is logged, so
-// the table ops that enter the combiner batch are fully deterministic.
-func (h *handler) sockBatchDevBind(sops []*sockBatchOp, comps []sys.Completion) {
-	for _, so := range sops {
-		if so.op.Num != sys.NumSockBind {
-			continue
-		}
-		sock, err := h.s.Net.BindBudget(so.op.Port, int(so.op.Word))
-		if err != nil {
-			comps[so.i] = sys.Completion{Op: sys.NumSockBind, Errno: sys.ErrnoFromError(err)}
-			so.skip = true
-			continue
-		}
-		so.dev, so.port = sock, sock.Port()
-	}
-}
-
-// sockBatchTableSharded runs the batch's socket-table half on a sharded
-// kernel in three combiner rounds, none per-op (the caller holds
-// ctxMu): port acquires on shard 0, the table run on the submitting
-// PID's shard (every op of a batch carries the same PID), and the
-// namespace releases owed by failed binds and successful closes.
-func (h *handler) sockBatchTableSharded(sops []*sockBatchOp, comps []sys.Completion) {
-	s := h.s
-	var acq []sys.WriteOp
-	var acqSo []*sockBatchOp
-	for _, so := range sops {
-		if so.skip || so.op.Num != sys.NumSockBind {
-			continue
-		}
-		acq = append(acq, sys.WriteOp{Num: sys.NumSockPortAcquire, PID: so.op.PID, Port: so.port})
-		acqSo = append(acqSo, so)
-	}
-	if len(acq) > 0 {
-		for j, r := range h.procCtx.ExecuteBatchOn(0, acq) {
-			if r.Errno != sys.EOK {
-				so := acqSo[j]
-				_ = so.dev.Close()
-				comps[so.i] = sys.Completion{Op: sys.NumSockBind, Errno: r.Errno}
-				so.skip = true
-			}
-		}
-	}
-
-	var run []sys.WriteOp
-	var runSo []*sockBatchOp
-	shard := 0
-	for _, so := range sops {
-		if so.skip || so.op.Num == sys.NumSockRecv {
-			continue
-		}
-		shard = s.ProcShardOf(so.op.PID)
-		run = append(run, so.tableOp())
-		runSo = append(runSo, so)
-	}
-	if len(run) > 0 {
-		for j, r := range h.procCtx.ExecuteBatchOn(shard, run) {
-			runSo[j].tab = r
-		}
-	}
-
-	var rel []sys.WriteOp
-	for _, so := range runSo {
-		switch {
-		case so.op.Num == sys.NumSockBind && so.tab.Errno != sys.EOK:
-			rel = append(rel, sys.WriteOp{Num: sys.NumSockPortRelease, PID: so.op.PID, Port: so.port})
-		case so.op.Num == sys.NumSockClose && so.tab.Errno == sys.EOK:
-			rel = append(rel, sys.WriteOp{Num: sys.NumSockPortRelease, PID: so.op.PID, Port: uint16(so.tab.Val)})
-		}
-	}
-	if len(rel) > 0 {
-		_ = h.procCtx.ExecuteBatchOn(0, rel)
-	}
-}
-
-// sockBatchPost is the device post-pass, in submission order: publish
-// bound sockets (or unwind a bind whose table half failed), transmit
-// accepted sends, serve non-blocking receives, and tear down closed
-// sockets. Completions carry the wire op number and the documented Val
-// shapes (bind → id, send → accepted count, recv → (from<<16)|fromPort,
-// close → released port).
-func (h *handler) sockBatchPost(sops []*sockBatchOp, comps []sys.Completion) {
-	s := h.s
-	for _, so := range sops {
-		if so.skip {
-			continue
-		}
-		switch so.op.Num {
-		case sys.NumSockBind:
-			if so.tab.Errno != sys.EOK {
-				_ = so.dev.Close()
-				comps[so.i] = sys.Completion{Op: sys.NumSockBind, Errno: so.tab.Errno}
-				continue
-			}
-			s.installSock(so.op.PID, so.tab.Val, so.dev)
-			obs.NetSockBinds.Add(uint32(h.core), 1)
-			comps[so.i] = sys.Completion{Op: sys.NumSockBind, Errno: sys.EOK, Val: so.tab.Val}
-
-		case sys.NumSockSend:
-			if so.tab.Errno != sys.EOK {
-				comps[so.i] = sys.Completion{Op: sys.NumSockSend, Errno: so.tab.Errno}
-				continue
-			}
-			if ds, e := s.devSockOf(so.op.PID, so.op.Sock); e == sys.EOK {
-				_ = ds.sock.SendTo(netstack.Addr(so.op.Addr), so.op.Port, so.op.Data)
-			}
-			comps[so.i] = sys.Completion{Op: sys.NumSockSend, Errno: sys.EOK, Val: so.tab.Val}
-
-		case sys.NumSockRecv:
-			// Batch entries never block: an empty queue completes EAGAIN.
-			r := s.sockRecv(h, so.op)
-			c := sys.Completion{Op: sys.NumSockRecv, Errno: r.Errno}
-			if r.Errno == sys.EOK {
-				c.Val = r.Val<<16 | uint64(uint16(r.TID))
-				c.Data = r.Data
-			}
-			comps[so.i] = c
-
-		case sys.NumSockClose:
-			if so.tab.Errno != sys.EOK {
-				comps[so.i] = sys.Completion{Op: sys.NumSockClose, Errno: so.tab.Errno}
-				continue
-			}
-			if ds := s.removeSock(so.op.PID, so.op.Sock); ds != nil {
-				_ = ds.sock.Close()
-			}
-			obs.NetSockCloses.Add(uint32(h.core), 1)
-			comps[so.i] = sys.Completion{Op: sys.NumSockClose, Errno: sys.EOK, Val: so.tab.Val}
-		}
 	}
 }

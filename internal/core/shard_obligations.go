@@ -16,8 +16,8 @@ import (
 //
 //   - shard-isolation: every piece of partitioned state lives only on
 //     the shard its key maps to — descriptor tables on ShardOf(pid),
-//     file contents on ShardOf(ino) — while the replicated namespace is
-//     identical everywhere.
+//     file contents on ShardOf(ino) — socket rows live only on process
+//     shard 0, and the replicated namespace is identical everywhere.
 //   - cross-shard-ordering: the two-step protocols (open, read/write
 //     under descriptor locks, spawn/attach, detach/exit) survive
 //     concurrent namespace churn without violating the per-syscall
@@ -46,10 +46,11 @@ func registerShardObligations(g *verifier.Registry) {
 	)
 }
 
-// shardIsolationWorkload spawns processes that hold open files, then
-// inspects every kernel directly: a PID's descriptor table must exist
-// only on its owner process shard, file contents only on the inode's
-// owner filesystem shard, and the namespace must be replicated intact.
+// shardIsolationWorkload spawns processes that hold open files and a
+// socket, then inspects every kernel directly: a PID's descriptor table
+// must exist only on its owner process shard, its socket rows only on
+// process shard 0, file contents only on the inode's owner filesystem
+// shard, and the namespace must be replicated intact.
 func shardIsolationWorkload(r *rand.Rand) error {
 	const shards, procs = 4, 8
 	s, err := Boot(Config{Cores: 4, Shards: shards, MemBytes: 256 << 20})
@@ -75,6 +76,7 @@ func shardIsolationWorkload(r *rand.Rand) error {
 				return 1
 			}
 			_, _ = p.Sys.Write(fd, data)
+			_, _ = p.Sys.SockBind(0)
 			wg.Done()
 			<-block
 			_ = p.Sys.Close(fd)
@@ -85,17 +87,25 @@ func shardIsolationWorkload(r *rand.Rand) error {
 		}
 		pids[i] = p.PID
 	}
-	wg.Wait() // every process holds its descriptor and has written data
+	wg.Wait() // every process holds its descriptor and a socket, and has written data
 
-	// Descriptor tables live only with their owner process shard.
+	// Descriptor tables live only with their owner process shard; socket
+	// rows, a global relation, only on process shard 0.
 	for _, pid := range pids {
 		owner := s.ProcShardOf(pid)
 		for i := 0; i < shards; i++ {
 			var has bool
-			s.InspectProcShard(i, 0, func(k *sys.Kernel) { _, has = k.SnapshotFDs(pid) })
+			var socks int
+			s.InspectProcShard(i, 0, func(k *sys.Kernel) {
+				_, has = k.SnapshotFDs(pid)
+				socks = len(k.ViewSockTab(pid).Socks)
+			})
 			if has != (i == owner) {
 				return fmt.Errorf("pid %d: fd table present=%v on proc shard %d, owner is %d",
 					pid, has, i, owner)
+			}
+			if (socks > 0) != (i == 0) {
+				return fmt.Errorf("pid %d: %d socket rows on proc shard %d", pid, socks, i)
 			}
 		}
 	}

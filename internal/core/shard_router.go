@@ -20,8 +20,9 @@ import (
 //
 //   - Per-process state (descriptor table, vspace, page table) lives on
 //     process shard ShardOf(PID).
-//   - The process tree and the run queue live on process shard 0 — they
-//     are global relations (parent/child, ready set), not keyed state.
+//   - The process tree, the run queue and the socket table live on
+//     process shard 0 — they are global relations (parent/child, ready
+//     set, port uniqueness), not keyed state.
 //   - The filesystem namespace (directory tree, inode numbering, link
 //     counts) is replicated on every filesystem shard by broadcasting
 //     namespace mutations in ascending shard order under nsMu; file
@@ -45,13 +46,8 @@ import (
 //   - write dispatch (shardWrite): one transition vs the protocols below.
 //   - read dispatch (shardReadDispatch): one replica-local read vs
 //     lookup-then-owner for stat.
-//   - batch drain (handler.batch): the whole vector as one ExecuteBatch
-//     vs runs and per-shard rounds; the batch socket-table pass
-//     (sockBatchTableSharded) is the partitioned side of that fork.
-//   - sockBind / sockClose (netops.go): the port namespace is global and
-//     lives on process shard 0, so a partitioned bind is acquire → bind →
-//     release-on-unwind and a close releases; co-located, the table
-//     transition checks port uniqueness itself.
+//   - batch drain (handler.batch): the file ops as one ExecuteBatch vs
+//     runs and per-shard rounds.
 //   - journal-less durability (snapshotFS): one filesystem is snapshotted
 //     whole; a partitioned kernel has no cut without the journal group
 //     and answers ENOSYS.
@@ -101,7 +97,8 @@ import (
 //     resources second (NumProcAttach on the child's shard); on attach
 //     failure NumProcUnspawn rolls the tree entry back.
 //   - Exit/SIGKILL: resources first (NumProcDetach on the victim's
-//     shard), tree transition last — once a waiter observes the zombie
+//     shard), tree transition last (NumProcExit, which drops the
+//     victim's socket rows with it) — once a waiter observes the zombie
 //     on shard 0, the resources are already gone, matching the
 //     monolithic kernel's atomic teardown for every tree observer.
 
@@ -174,8 +171,8 @@ func (h *handler) procExecOn(shard int, op sys.WriteOp) sys.Resp {
 	return r
 }
 
-// procExec runs one keyed process-state transition — a socket-table op,
-// a pread mapping — on the shard owning op.PID (takes ctxMu itself).
+// procExec runs one keyed process-state transition — a pread mapping —
+// on the shard owning op.PID (takes ctxMu itself).
 func (h *handler) procExec(op sys.WriteOp) sys.Resp {
 	h.ctxMu.Lock()
 	defer h.ctxMu.Unlock()
@@ -540,12 +537,6 @@ func (h *handler) shardExit(op sys.WriteOp) sys.Resp {
 	dt := h.procExecOn(s.ProcShardOf(op.PID), sys.WriteOp{Num: sys.NumProcDetach, PID: op.PID, Target: op.PID})
 	if dt.Errno != sys.EOK {
 		return dt
-	}
-	// The detach freed the victim's socket-table entries; release their
-	// global port-namespace reservations on shard 0 so the ports are
-	// immediately bindable by other processes.
-	for _, p := range dt.Ports {
-		_ = h.procExecOn(0, sys.WriteOp{Num: sys.NumSockPortRelease, PID: op.PID, Port: p})
 	}
 	tr := h.procExecOn(0, sys.WriteOp{Num: sys.NumProcExit, PID: op.PID, Code: op.Code})
 	if tr.Errno != sys.EOK {

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
+	"github.com/verified-os/vnros/internal/fs"
 	"github.com/verified-os/vnros/internal/netstack"
 	"github.com/verified-os/vnros/internal/obs"
 	"github.com/verified-os/vnros/internal/proc"
@@ -12,9 +14,10 @@ import (
 )
 
 // The regression suite for the networked syscall path: every test runs
-// against the monolithic kernel and the sharded kernel, because the
-// socket table takes a different route in each (single combiner vs.
-// owner-shard op plus the port namespace on process shard 0).
+// against the monolithic kernel and the sharded kernel. The socket table
+// is one relation on process shard 0 in both, but on the sharded kernel
+// that shard is not where the caller's other state lives, and an exit's
+// tree transition there follows a detach on another shard.
 
 func forEachKernelMode(t *testing.T, f func(t *testing.T, shards int)) {
 	t.Run("monolithic", func(t *testing.T) { f(t, 0) })
@@ -87,8 +90,8 @@ func TestSockCrossPIDIsolation(t *testing.T) {
 }
 
 // Exit must tear down the process's sockets in both halves — the
-// replicated table (including the sharded port-namespace reservation on
-// shard 0) and the device stack — leaving the ports bindable.
+// replicated table (in the exit's tree transition on process shard 0)
+// and the device stack — leaving the ports bindable.
 func TestSockExitReleasesPorts(t *testing.T) {
 	forEachKernelMode(t, func(t *testing.T, shards int) {
 		s, initSys := bootMode(t, shards)
@@ -233,11 +236,12 @@ func TestSockBlockingRecvWokenByKill(t *testing.T) {
 	})
 }
 
-// Socket ops ride the submission ring alongside file ops: their table
-// halves drain through the batch's combiner round and the completions
-// carry the documented shapes (bind → id, send → accepted count,
-// recv → packed source or EAGAIN, close → released port, double close
-// → EBADF).
+// Socket ops ride the submission ring alongside file ops: each entry is
+// served by the scalar socket path after the batch's file ops, and the
+// completions carry the documented shapes (bind → id, send → accepted
+// count, recv → packed source or EAGAIN, close → released port, double
+// close → EBADF). The batch goes in alone and again between a file write
+// and its read-back.
 func TestSockBatchOps(t *testing.T) {
 	forEachKernelMode(t, func(t *testing.T, shards int) {
 		s, initSys := bootMode(t, shards)
@@ -247,38 +251,62 @@ func TestSockBatchOps(t *testing.T) {
 				done <- fmt.Errorf(f, a...)
 				return 1
 			}
-			id, e := p.Sys.SockBind(6600)
+			fd, e := p.Sys.Open("/sockbatch", fs.OCreate|fs.ORdWr)
 			if e != sys.EOK {
-				return fail("scalar bind: %v", e)
+				return fail("open: %v", e)
 			}
-			payload := []byte("ring-datagram")
-			comps, errno := p.Sys.SubmitWait([]sys.Op{
-				sys.OpSockSend(id, 0xBEEF, 7, payload),
-				sys.OpSockRecv(id),
-				sys.OpSockBind(6601, 8),
-				sys.OpSockClose(id),
-				sys.OpSockClose(id), // double close inside the batch
-			})
-			if errno != sys.EOK {
-				return fail("batch errno: %v", errno)
+			for _, mixed := range []bool{false, true} {
+				id, e := p.Sys.SockBind(6600)
+				if e != sys.EOK {
+					return fail("scalar bind: %v", e)
+				}
+				payload := []byte("ring-datagram")
+				ops := []sys.Op{
+					sys.OpSockSend(id, 0xBEEF, 7, payload),
+					sys.OpSockRecv(id),
+					sys.OpSockBind(6601, 8),
+					sys.OpSockClose(id),
+					sys.OpSockClose(id), // double close inside the batch
+				}
+				text := []byte("file bytes around the sockets")
+				if mixed {
+					ops = append(append([]sys.Op{sys.OpWrite(fd, text)}, ops...),
+						sys.OpSeek(fd, 0, fs.SeekSet), sys.OpRead(fd, 64))
+				}
+				comps, errno := p.Sys.SubmitWait(ops)
+				if errno != sys.EOK {
+					return fail("mixed=%v: batch errno: %v", mixed, errno)
+				}
+				if mixed {
+					if c := comps[0]; c.Errno != sys.EOK || c.Val != uint64(len(text)) {
+						return fail("batch write: errno %v val %d", c.Errno, c.Val)
+					}
+					if c := comps[len(comps)-1]; c.Errno != sys.EOK || string(c.Data) != string(text) {
+						return fail("batch read-back: errno %v data %q", c.Errno, c.Data)
+					}
+					comps = comps[1:]
+				}
+				if comps[0].Errno != sys.EOK || comps[0].Val != uint64(len(payload)) {
+					return fail("mixed=%v: batch send: errno %v val %d, want %d bytes accepted", mixed, comps[0].Errno, comps[0].Val, len(payload))
+				}
+				if comps[1].Errno != sys.EAGAIN {
+					return fail("mixed=%v: batch recv on empty queue: %v, want EAGAIN", mixed, comps[1].Errno)
+				}
+				if comps[2].Errno != sys.EOK || comps[2].Val == 0 {
+					return fail("mixed=%v: batch bind: errno %v id %d", mixed, comps[2].Errno, comps[2].Val)
+				}
+				if comps[3].Errno != sys.EOK || comps[3].Val != 6600 {
+					return fail("mixed=%v: batch close: errno %v port %d", mixed, comps[3].Errno, comps[3].Val)
+				}
+				if comps[4].Errno != sys.EBADF {
+					return fail("mixed=%v: batch double close: %v, want EBADF", mixed, comps[4].Errno)
+				}
+				if e := p.Sys.SockClose(sys.SockID(comps[2].Val)); e != sys.EOK {
+					return fail("mixed=%v: closing batch-bound socket: %v", mixed, e)
+				}
 			}
-			if comps[0].Errno != sys.EOK || comps[0].Val != uint64(len(payload)) {
-				return fail("batch send: errno %v val %d, want %d bytes accepted", comps[0].Errno, comps[0].Val, len(payload))
-			}
-			if comps[1].Errno != sys.EAGAIN {
-				return fail("batch recv on empty queue: %v, want EAGAIN", comps[1].Errno)
-			}
-			if comps[2].Errno != sys.EOK || comps[2].Val == 0 {
-				return fail("batch bind: errno %v id %d", comps[2].Errno, comps[2].Val)
-			}
-			if comps[3].Errno != sys.EOK || comps[3].Val != 6600 {
-				return fail("batch close: errno %v port %d", comps[3].Errno, comps[3].Val)
-			}
-			if comps[4].Errno != sys.EBADF {
-				return fail("batch double close: %v, want EBADF", comps[4].Errno)
-			}
-			if e := p.Sys.SockClose(sys.SockID(comps[2].Val)); e != sys.EOK {
-				return fail("closing batch-bound socket: %v", e)
+			if err := p.Sys.ContractErr(); err != nil {
+				return fail("contract: %v", err)
 			}
 			done <- nil
 			return 0
@@ -290,6 +318,46 @@ func TestSockBatchOps(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.WaitAll()
+	})
+}
+
+// A batched receive never blocks, whatever its flags say: a hand-rolled
+// NumBatch frame carrying SockRecvBlock on a bound, empty socket
+// completes EAGAIN instead of parking the batch drain on the doorbell.
+func TestSockBatchRecvNeverBlocks(t *testing.T) {
+	forEachKernelMode(t, func(t *testing.T, shards int) {
+		s, initSys := bootMode(t, shards)
+		id, e := initSys.SockBind(6650)
+		if e != sys.EOK {
+			t.Fatalf("bind: %v", e)
+		}
+		h, err := s.newHandler(s.pickCore())
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame, payload := sys.EncodeBatch(initSys.PID(), []sys.WriteOp{
+			{Num: sys.NumSockRecv, Sock: uint64(id), Flags: sys.SockRecvBlock},
+		})
+		done := make(chan error, 1)
+		go func() {
+			comps, errno, err := sys.DecodeBatchResp(h.Syscall(frame, payload))
+			if err == nil && (errno != sys.EOK || len(comps) != 1 || comps[0].Errno != sys.EAGAIN) {
+				err = fmt.Errorf("batch errno %v, completions %v; want one EAGAIN", errno, comps)
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			_ = initSys.SockClose(id) // the doorbell releases the parked drain
+			t.Fatal("a batched receive parked the batch drain")
+		}
+		if e := initSys.SockClose(id); e != sys.EOK {
+			t.Fatalf("close: %v", e)
+		}
 	})
 }
 
@@ -361,10 +429,9 @@ func TestSockBindCloseStress(t *testing.T) {
 // machines running sharded kernels, at scale: 256 clients over four
 // processes of one machine, each parked in SockRecvBlocking between
 // round trips, against eight parked workers on the other. Client sends
-// go through the ring and server replies per call, so the table ops
-// route through the owner shard and the namespace on shard 0 both ways
-// while datagrams cross the virtual wire and wake doorbell-parked
-// receivers. Every echo must match and nothing may be shed: the receive
+// go through the ring and server replies per call, so send admission
+// reads the table on process shard 0 both ways while datagrams cross
+// the virtual wire and wake doorbell-parked receivers. Every echo must match and nothing may be shed: the receive
 // budget covers every client having a request in flight, so any
 // net.rx_drop_* count is a lost or misrouted datagram, not backpressure.
 func TestSockShardedCrossMachineEcho(t *testing.T) {

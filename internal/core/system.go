@@ -623,8 +623,8 @@ func (h *handler) syscall(frame marshal.SyscallFrame, payload []byte) (marshal.R
 	switch {
 	case sys.IsSockOp(op.Num):
 		// Socket ops split across the determinism line: the table half is
-		// a logged transition (routed inside sockOp), the device half
-		// stays core-local. See netops.go.
+		// a transition or read on process shard 0, the device half stays
+		// core-local. See netops.go.
 		return sys.EncodeResp(s.sockOp(h, op))
 	case sys.IsLocalOp(op.Num):
 		return sys.EncodeResp(s.localOp(h, op))
@@ -684,11 +684,12 @@ func (h *handler) syscall(frame marshal.SyscallFrame, payload []byte) (marshal.R
 
 // batch drains one submission-queue vector in as few NR combiner rounds
 // as the kernel's shape allows: decode, fence off anything
-// non-batchable, then one ExecuteBatch on a co-located kernel (one log
-// reservation for the whole vector) or, partitioned, three rounds per
-// descriptor run; and reassemble the completion queue in submission
-// order. Non-batchable ops complete individually with ENOSYS — a bad
-// entry must not poison its neighbours' completions.
+// non-batchable, then the file ops as one ExecuteBatch on a co-located
+// kernel (one log reservation for the whole vector) or, partitioned,
+// three rounds per descriptor run; preads and socket entries after them
+// through their scalar paths; and reassemble the completion queue in
+// submission order. Non-batchable ops complete individually with ENOSYS
+// — a bad entry must not poison its neighbours' completions.
 //
 // Sync entries are the group-commit hook: they are pulled out of the
 // state-machine run and served with ONE durability action after every
@@ -704,8 +705,7 @@ func (h *handler) batch(frame marshal.SyscallFrame, payload []byte) (marshal.Ret
 		return sys.EncodeBatchResp(nil, sys.EINVAL)
 	}
 	comps := make([]sys.Completion, len(ops))
-	var sops []*sockBatchOp
-	var preadIdx []int
+	var preadIdx, sockIdx []int
 	syncIdx := make([]int, 0, 1)
 	nOther := 0
 	for i := range ops {
@@ -717,32 +717,25 @@ func (h *handler) batch(frame marshal.SyscallFrame, payload []byte) (marshal.Ret
 			// sys.OpPread for the ordering contract).
 			preadIdx = append(preadIdx, i)
 		case sys.IsSockOp(ops[i].Num):
-			// Socket entries run in three passes around the table
-			// execution below: device bind resolution before, device
-			// transmit/receive/teardown after (netops.go).
-			sops = append(sops, &sockBatchOp{i: i, op: ops[i]})
+			// Served through the scalar socket path after the file ops
+			// (netops.go).
+			sockIdx = append(sockIdx, i)
 		case ops[i].Num == sys.NumSync:
 			syncIdx = append(syncIdx, i)
 		default:
 			comps[i] = sys.Completion{Op: ops[i].Num, Errno: sys.ENOSYS}
 		}
 	}
-	h.sockBatchDevBind(sops, comps)
-	if nOther+len(sops) > 0 {
+	if nOther > 0 {
 		h.ctxMu.Lock()
 		if h.s.sharded() {
 			// Per-shard logs cannot take one contiguous reservation for a
-			// mixed batch, so each kind drains in the fewest rounds its
-			// shard keys allow. The socket-table ops all key to the
-			// submitting PID's process shard and go in whole ExecuteBatchOn
-			// rounds. The file ops go in submission order: a maximal run of
-			// adjacent read/write/seek entries on one descriptor is one
-			// Run (lock, one owner-shard entry, unlock — shard_router.go);
+			// mixed batch, so the file ops drain in submission order in the
+			// fewest rounds their shard keys allow: a maximal run of
+			// adjacent read/write/seek entries on one descriptor is one Run
+			// (lock, one owner-shard entry, unlock — shard_router.go);
 			// anything else, a one-entry run included, takes its per-call
-			// protocol. Socket-table and file state are disjoint, so
-			// running the socket rounds first preserves every per-object
-			// ordering.
-			h.sockBatchTableSharded(sops, comps)
+			// protocol.
 			for i := 0; i < len(ops); {
 				j := i + 1
 				if sys.IsRunOp(ops[i].Num) {
@@ -759,39 +752,19 @@ func (h *handler) batch(frame marshal.SyscallFrame, payload []byte) (marshal.Ret
 			}
 		} else {
 			// Rule 0 (shard_router.go): every key maps to the one instance,
-			// so the whole batch is one combiner round on it — file ops and
-			// the socket-table halves interleave in submission order in a
-			// single ExecuteBatch vector, where the partitioned kernel above
-			// sequences rounds per shard key.
-			run := make([]sys.WriteOp, 0, nOther+len(sops))
-			fsIdx := make([]int, 0, nOther+len(sops)) // completion index, -1 = socket
-			runSo := make([]*sockBatchOp, 0, len(sops))
-			si := 0
+			// so the batch's file ops are one combiner round on it — a
+			// single ExecuteBatch vector in submission order, where the
+			// partitioned kernel above sequences rounds per shard key.
+			run := make([]sys.WriteOp, 0, nOther)
+			idx := make([]int, 0, nOther) // completion index of run[j]
 			for i := range ops {
-				switch {
-				case sys.IsBatchableOp(ops[i].Num):
+				if sys.IsBatchableOp(ops[i].Num) {
 					run = append(run, ops[i])
-					fsIdx = append(fsIdx, i)
-					runSo = append(runSo, nil)
-				case sys.IsSockOp(ops[i].Num):
-					so := sops[si]
-					si++
-					if so.skip || so.op.Num == sys.NumSockRecv {
-						continue // completed early, or device-only
-					}
-					run = append(run, so.tableOp())
-					fsIdx = append(fsIdx, -1)
-					runSo = append(runSo, so)
+					idx = append(idx, i)
 				}
 			}
-			if len(run) > 0 {
-				for j, r := range h.procCtx.ExecuteBatchOn(0, run) {
-					if so := runSo[j]; so != nil {
-						so.tab = r
-					} else {
-						comps[fsIdx[j]] = sys.BatchCompletion(run[j], r)
-					}
-				}
+			for j, r := range h.procCtx.ExecuteBatchOn(0, run) {
+				comps[idx[j]] = sys.BatchCompletion(run[j], r)
 			}
 		}
 		h.ctxMu.Unlock()
@@ -810,7 +783,12 @@ func (h *handler) batch(frame marshal.SyscallFrame, payload []byte) (marshal.Ret
 			comps[i] = sys.BatchCompletion(ops[i], h.preadMap(ops[i]))
 		}
 	}
-	h.sockBatchPost(sops, comps)
+	// Socket entries in submission order, after the file ops: socket and
+	// file state are disjoint, so this preserves every per-object order.
+	// Outside ctxMu too — each table step takes it (netops.go).
+	for _, i := range sockIdx {
+		comps[i] = h.sockEntry(ops[i])
+	}
 	if len(syncIdx) > 0 {
 		// One durability action for the whole batch (after its ops applied;
 		// outside ctxMu — the commit takes replica locks instead).

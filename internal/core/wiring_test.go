@@ -198,11 +198,9 @@ func wiringScript(t *testing.T, s *System, h *sys.Sys) (trace []string, batchSyn
 	s.WaitAll()
 	w, e = h.Wait()
 	say("wait: pid %d (spawned %d) code %d %v", w.PID, p.PID, w.ExitCode, e)
-	// The exit released the child's port. (The id is not compared: ids
-	// count per socket-table instance, so whether the child's bind
-	// advanced init's counter depends on whether they share a shard.)
+	// The exit released the child's port.
 	sock, e = h.SockBind(7001)
-	say("sock_bind 7001 after exit: %v", e)
+	say("sock_bind 7001 after exit: %d %v", sock, e)
 	say("sock_close: %v", h.SockClose(sock))
 
 	say("open c: %v", writeFile(h, "/c", []byte("charlie")))

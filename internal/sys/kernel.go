@@ -362,8 +362,7 @@ func (k *Kernel) dispatchWrite(op WriteOp) Resp {
 			return fail(err)
 		}
 		return Resp{Errno: EOK, Val: uint64(tid), TID: tid}
-	case NumSockTabBind, NumSockTabSend, NumSockTabClose,
-		NumSockPortAcquire, NumSockPortRelease:
+	case NumSockTabBind, NumSockTabClose:
 		return k.dispatchSockWrite(op)
 	}
 	// Internal cross-shard protocol ops (sharded composition; shard.go).
@@ -417,25 +416,28 @@ func (k *Kernel) spawn(op WriteOp) Resp {
 	return ok(uint64(pid))
 }
 
-// exit tears down a process: descriptors, mappings, page table. Frames
-// behind pread mappings are cache-owned and go out via Unpinned, not
-// Freed (see preadMapTag).
+// exit tears down a process: its resources (detach), then the tree
+// transition that also drops its socket rows (exitTree) — the two
+// halves the sharded kernel runs on the victim's shard and shard 0.
 func (k *Kernel) exit(op WriteOp) Resp {
-	pid := op.PID
-	freed, unpinned := k.teardownVSpace(pid)
-	if as := k.spaces[pid]; as != nil {
-		if err := as.Destroy(); err != nil {
-			return fail(err)
-		}
+	r := k.detach(op)
+	if r.Errno != EOK {
+		return r
 	}
-	delete(k.spaces, pid)
-	delete(k.vs, pid)
-	delete(k.fds, pid)
-	ports := k.socks.detachSocks(pid)
-	if err := k.procs.Exit(pid, op.Code); err != nil {
+	if t := k.exitTree(op); t.Errno != EOK {
+		return t
+	}
+	return r
+}
+
+// exitTree is exit's process-shard-0 half: zombie, reparent, signal,
+// and the socket rows, which live with the tree (socktab.go).
+func (k *Kernel) exitTree(op WriteOp) Resp {
+	if err := k.procs.Exit(op.PID, op.Code); err != nil {
 		return fail(err)
 	}
-	return Resp{Errno: EOK, Freed: freed, Unpinned: unpinned, Ports: ports}
+	k.socks.drop(op.PID)
+	return ok(0)
 }
 
 // teardownVSpace unmaps and releases every region of pid's address

@@ -134,19 +134,15 @@ const (
 	// Socket-table ops (socktab.go): the replicated half of the network
 	// path. Socket *table* state — which (PID, id) owns which port —
 	// lives in the kernel state machine so bind/close/ownership get the
-	// same logging, batching, and §3 contract checking as the file path,
-	// while the interrupt-fed receive queues stay device-local in core
-	// behind a doorbell. Table ops route to the process shard owning the
-	// PID; the port-namespace pair is pinned to process shard 0 (the
-	// global port namespace, like the process tree).
-	NumSockTabBind     // install (PID, id=++nextID) → Port; Val = id
-	NumSockTabSend     // validate a send against the table; Val = byte count
-	NumSockTabClose    // remove the entry, free its port; Val = port
-	NumSockPortAcquire // shard 0: reserve Port in the global namespace
-	NumSockPortRelease // shard 0: release Port from the global namespace
+	// same logging and replica agreement as the file path, while the
+	// interrupt-fed receive queues stay device-local in core behind a
+	// doorbell. The table is one global relation on process shard 0 (like
+	// the process tree), on either kernel.
+	NumSockTabBind  // install (PID, id=++nextID) → Port; Val = id
+	NumSockTabClose // remove the entry, free its port; Val = port
 
-	// Socket-table read-only op.
-	NumSockTabGet // (PID, Sock) → bound port
+	// Socket-table read-only op: a send's admission.
+	NumSockTabGet // (PID, Sock) → bound port; EBADF if not the PID's
 )
 
 // MaxInternalOpNum is the highest internal (cross-shard protocol) op
@@ -188,9 +184,8 @@ var opNames = map[uint64]string{
 	NumFsCreate: "fs_create", NumFsRun: "fs_run", NumFsTruncate: "fs_truncate",
 	NumFDGet: "fd_get", NumFsLookup: "fs_lookup", NumFsStatIno: "fs_statino",
 	NumFsReadAt: "fs_readat", NumProcHasTable: "proc_hastable",
-	NumSockTabBind: "socktab_bind", NumSockTabSend: "socktab_send",
-	NumSockTabClose: "socktab_close", NumSockPortAcquire: "sock_port_acquire",
-	NumSockPortRelease: "sock_port_release", NumSockTabGet: "socktab_get",
+	NumSockTabBind: "socktab_bind", NumSockTabClose: "socktab_close",
+	NumSockTabGet: "socktab_get",
 }
 
 // OpName returns the syscall's display name ("open", "mmap", ...), or
@@ -374,12 +369,9 @@ type Resp struct {
 	Freed []mem.PAddr
 
 	// Internal cross-shard protocol results only (never marshalled):
-	// the inode/offset a descriptor op resolved to, and the ports a
-	// process detach freed (the router releases them from the global
-	// namespace on process shard 0).
-	Ino   fs.Ino
-	Off   uint64
-	Ports []uint16
+	// the inode/offset a descriptor op resolved to.
+	Ino fs.Ino
+	Off uint64
 
 	// Unpinned frames from page_unmap/exit: cache-owned frames whose
 	// vspace alias went away. The caller (core) unpins them in the page

@@ -46,8 +46,8 @@ const (
 
 // ClassifyWrite maps a mutating syscall to its shard target. Wire-level
 // socket ops classify local defensively: the dispatcher intercepts them
-// before routing and sequences their table half (socktab ops on the
-// owner shard) and device half itself.
+// before routing and sequences their table half (socktab ops on process
+// shard 0) and device half itself.
 func ClassifyWrite(num uint64) ShardTarget {
 	switch {
 	case IsLocalOp(num) || IsSockOp(num) || num == NumSync:
@@ -182,17 +182,14 @@ func (k *Kernel) dispatchShardWrite(op WriteOp) Resp {
 		return ok(uint64(pid))
 
 	case NumProcDetach:
-		// The resource half of exit: identical teardown to the
-		// monolithic exit, minus the process-tree transition.
+		// The resource half of exit; the monolithic exit is this
+		// followed by exitTree, NumProcExit's body.
 		detach := op
 		detach.PID = op.Target
 		return k.detach(detach)
 
 	case NumProcExit:
-		if err := k.procs.Exit(op.PID, op.Code); err != nil {
-			return fail(err)
-		}
-		return ok(0)
+		return k.exitTree(op)
 
 	case NumFsCreate:
 		ino, err := k.fs.Create(op.Path)
@@ -333,8 +330,9 @@ func (k *Kernel) readAt(ino fs.Ino, off, want uint64) Resp {
 }
 
 // detach tears down a process's per-shard resources (descriptors,
-// mappings, page table) without touching the process tree. Like exit,
-// frames behind pread mappings travel in Unpinned, not Freed.
+// mappings, page table) without touching the process tree. Frames
+// behind pread mappings are cache-owned and travel in Unpinned, not
+// Freed (see preadMapTag).
 func (k *Kernel) detach(op WriteOp) Resp {
 	pid := op.PID
 	freed, unpinned := k.teardownVSpace(pid)
@@ -346,8 +344,7 @@ func (k *Kernel) detach(op WriteOp) Resp {
 	delete(k.spaces, pid)
 	delete(k.vs, pid)
 	delete(k.fds, pid)
-	ports := k.socks.detachSocks(pid)
-	return Resp{Errno: EOK, Freed: freed, Unpinned: unpinned, Ports: ports}
+	return Resp{Errno: EOK, Freed: freed, Unpinned: unpinned}
 }
 
 // SnapshotFDs returns a value copy of a process's descriptor table, or

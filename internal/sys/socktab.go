@@ -1,9 +1,6 @@
 package sys
 
 import (
-	"sort"
-
-	"github.com/verified-os/vnros/internal/netstack"
 	"github.com/verified-os/vnros/internal/proc"
 )
 
@@ -17,13 +14,12 @@ import (
 // by core *before* the bind is logged, the same idiom mmap uses for
 // data frames.
 //
-// Sharded composition: table ops route to the process shard owning the
-// PID, whose table covers only its own processes. Port uniqueness is
-// then global state, so the port *namespace* (portNS) is pinned to
-// process shard 0 — like the process tree — and core's router acquires
-// the port there before logging the bind on the owner shard, releasing
-// it on close/exit. In the monolithic kernel the local port check alone
-// is global, and the namespace half goes unused.
+// Placement: port uniqueness relates every process's sockets, so the
+// table is a global relation and lives whole on process shard 0, like
+// the process tree — which is the one instance on a co-located kernel.
+// Bind and close are one transition there, a send's admission is a
+// replica-local NumSockTabGet, and a process's rows go in its exit's
+// tree transition (exitTree).
 
 // sockEntry is one socket's replicated state.
 type sockEntry struct {
@@ -31,7 +27,7 @@ type sockEntry struct {
 	Budget uint32 // receive budget (0 = stack default); informational for view()
 }
 
-// sockOwner records which socket holds a port in this kernel's table.
+// sockOwner records which socket holds a port.
 type sockOwner struct {
 	PID proc.PID
 	ID  uint64
@@ -40,16 +36,14 @@ type sockOwner struct {
 // sockTab is the socket table of one kernel replica.
 type sockTab struct {
 	socks  map[proc.PID]map[uint64]sockEntry
-	ports  map[uint16]sockOwner // ports owned by sockets in this table
-	portNS map[uint16]proc.PID  // global namespace reservations (shard 0)
+	ports  map[uint16]sockOwner
 	nextID uint64
 }
 
 func newSockTab() *sockTab {
 	return &sockTab{
-		socks:  make(map[proc.PID]map[uint64]sockEntry),
-		ports:  make(map[uint16]sockOwner),
-		portNS: make(map[uint16]proc.PID),
+		socks: make(map[proc.PID]map[uint64]sockEntry),
+		ports: make(map[uint16]sockOwner),
 	}
 }
 
@@ -75,20 +69,6 @@ func (k *Kernel) dispatchSockWrite(op WriteOp) Resp {
 		t.ports[op.Port] = sockOwner{PID: op.PID, ID: id}
 		return ok(id)
 
-	case NumSockTabSend:
-		ent, okE := t.socks[op.PID][op.Sock]
-		if !okE {
-			return Resp{Errno: EBADF}
-		}
-		if op.Len > uint64(netstack.MaxPayload) {
-			return Resp{Errno: EINVAL}
-		}
-		_ = ent
-		// The accepted byte count is the logged verdict, like the write
-		// path — the device transmit in core is fire-and-forget (UDP
-		// semantics; loss is the network's business, not the table's).
-		return ok(op.Len)
-
 	case NumSockTabClose:
 		ent, okE := t.socks[op.PID][op.Sock]
 		if !okE {
@@ -100,24 +80,8 @@ func (k *Kernel) dispatchSockWrite(op WriteOp) Resp {
 		if len(t.socks[op.PID]) == 0 {
 			delete(t.socks, op.PID)
 		}
-		if own, used := t.ports[ent.Port]; used && own.PID == op.PID && own.ID == op.Sock {
-			delete(t.ports, ent.Port)
-		}
+		delete(t.ports, ent.Port)
 		return ok(uint64(ent.Port))
-
-	case NumSockPortAcquire:
-		if op.Port == 0 {
-			return Resp{Errno: EINVAL}
-		}
-		if _, used := t.portNS[op.Port]; used {
-			return Resp{Errno: EADDRINUSE}
-		}
-		t.portNS[op.Port] = op.PID
-		return ok(uint64(op.Port))
-
-	case NumSockPortRelease:
-		delete(t.portNS, op.Port)
-		return ok(0)
 	}
 	return Resp{Errno: ENOSYS}
 }
@@ -135,25 +99,15 @@ func (k *Kernel) dispatchSockRead(op ReadOp) Resp {
 	return Resp{Errno: ENOSYS}
 }
 
-// detachSocks tears down a PID's socket-table state (the socket half of
-// exit/detach), returning the freed ports so the router can release
-// their global-namespace reservations on process shard 0 and core can
-// close the device sockets.
-func (t *sockTab) detachSocks(pid proc.PID) []uint16 {
-	entries := t.socks[pid]
-	if len(entries) == 0 {
-		return nil
-	}
-	ports := make([]uint16, 0, len(entries))
-	for id, ent := range entries {
-		if own, used := t.ports[ent.Port]; used && own.PID == pid && own.ID == id {
-			delete(t.ports, ent.Port)
-			ports = append(ports, ent.Port)
-		}
+// drop removes a PID's rows and frees their ports (the socket half of
+// exit; core closes the device sockets). A port is in ports exactly
+// while one row holds it — bind refuses a held port — so freeing a
+// row's port never frees another socket's.
+func (t *sockTab) drop(pid proc.PID) {
+	for _, ent := range t.socks[pid] {
+		delete(t.ports, ent.Port)
 	}
 	delete(t.socks, pid)
-	sort.Slice(ports, func(i, j int) bool { return ports[i] < ports[j] })
-	return ports
 }
 
 // SockTabView is the §3 view() abstraction of the socket table for the
