@@ -97,14 +97,15 @@ func TestBatchRunIsAtomicPerDescriptor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Unchecked handles: a batch's contract check brackets the batch with
-	// a view pair and so assumes nobody else moves its descriptors — the
-	// interference this test is made of.
+	// One handle per core, both checked: each run is one witnessed
+	// transition, so the other handle's seeks cannot land inside a run's
+	// check either.
 	var hs [2]*sys.Sys
 	for i := range hs {
 		if hs[i], err = s.RawSysOn(initSys.PID(), i); err != nil {
 			t.Fatal(err)
 		}
+		hs[i].EnableContract()
 	}
 	fd, e := hs[0].Open("/shared", sys.OCreate|sys.ORdWr)
 	if e != sys.EOK {
@@ -156,6 +157,11 @@ func TestBatchRunIsAtomicPerDescriptor(t *testing.T) {
 	for i := 0; i < runs; i++ {
 		if !bytes.Equal(got[i*slot:(i+1)*slot], bytes.Repeat([]byte{byte(1 + i%255)}, slot)) {
 			t.Fatalf("run %d's bytes are not contiguous in its slot", i)
+		}
+	}
+	for i, h := range hs {
+		if err := h.ContractErr(); err != nil {
+			t.Errorf("handle %d: %v", i, err)
 		}
 	}
 	if err := s.CheckReplicaAgreement(); err != nil {

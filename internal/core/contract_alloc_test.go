@@ -30,10 +30,13 @@ func allocPerRequest(runs int, f func()) uint64 {
 // touches and of the file's pointer array — not the file (17.5 KB per
 // checked seek+write of a 16 KiB file while contents were one flat
 // array), and not four deep copies of every open file (≈ 66 KB before
-// views became snapshots). Beside it, an mmap/munmap pair: its three
-// page-table and data frames reuse the backing arrays their zeroing
-// retired (12.8 KB per pair before hw/mem recycled them). Runs under
-// -short too: it is the tier-1 pin on the benchmark's alloc_bytes_per_op.
+// views became snapshots). A checked batch pays per descriptor run what a
+// checked write does, plus the replay model's clone of the pages the run
+// writes; a checked pread, its witness. Beside them, an mmap/munmap pair:
+// its three page-table and data frames reuse the backing arrays their
+// zeroing retired (12.8 KB per pair before hw/mem recycled them). Runs
+// under -short too: it is the tier-1 pin on the benchmark's
+// alloc_bytes_per_op.
 func TestContractCheckAllocationBudget(t *testing.T) {
 	const fileSize, io = 16 << 10, 512
 	for _, shards := range []int{0, 2} {
@@ -79,8 +82,42 @@ func TestContractCheckAllocationBudget(t *testing.T) {
 			fail("mmap", e)
 			fail("munmap", m.MUnmap(va))
 		})
-		t.Logf("shards=%d: seek+read %d B/request, seek+write %d B/request, mmap+munmap %d B/request",
-			shards, read, write, mmapPair)
+		// A ring_sync-shaped batch — a seek, then sixteen 256 B writes into
+		// one page: one descriptor run — and a cache-hit page Pread, each
+		// checked, with the batch's unchecked cost (a raw handle of the same
+		// process) subtracted.
+		raw, err := s.RawSysOn(h.PID(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := []sys.Op{sys.OpSeek(fd, 4096, fs.SeekSet)}
+		for i := 0; i < 16; i++ {
+			ops = append(ops, sys.OpWrite(fd, buf[:256]))
+		}
+		submit := func(s *sys.Sys) func() {
+			return func() {
+				comps, e := s.SubmitWait(ops)
+				fail("batch", e)
+				for _, c := range comps {
+					fail("batch entry", c.Errno)
+				}
+			}
+		}
+		batch := allocPerRequest(200, submit(h)) - allocPerRequest(200, submit(raw))
+		batchObjs := testing.AllocsPerRun(200, submit(h)) - testing.AllocsPerRun(200, submit(raw))
+		page := make([]byte, 4096)
+		pread := func() {
+			n, e := h.Pread(fd, page, 4096)
+			fail("pread", e)
+			if n != 4096 {
+				t.Errorf("shards=%d: pread returned %d bytes", shards, n)
+			}
+		}
+		preadBytes := allocPerRequest(200, pread)
+		preadObjs := testing.AllocsPerRun(200, pread)
+		t.Logf("shards=%d: seek+read %d B/request, seek+write %d B/request, mmap+munmap %d B/request, "+
+			"17-op batch check %d B in %.1f objects, checked pread %d B in %.1f objects",
+			shards, read, write, mmapPair, batch, batchObjs, preadBytes, preadObjs)
 		if read >= 4<<10 {
 			t.Errorf("shards=%d: checked seek+read allocates %d B per request, budget 4 KiB", shards, read)
 		}
@@ -89,6 +126,17 @@ func TestContractCheckAllocationBudget(t *testing.T) {
 		}
 		if mmapPair >= 2<<10 {
 			t.Errorf("shards=%d: mmap+munmap allocates %d B per pair, budget 2 KiB", shards, mmapPair)
+		}
+		// The two budgets below are what the window checks cost: a view pair
+		// and a replay of every open file around the batch, two full views
+		// around the pread.
+		if batch > 10520 || batchObjs > 14 {
+			t.Errorf("shards=%d: checking a 17-op batch allocates %d B in %.1f objects, budget 10 520 B in 14",
+				shards, batch, batchObjs)
+		}
+		if preadBytes > 2064 || preadObjs > 9 {
+			t.Errorf("shards=%d: a checked cache-hit Pread allocates %d B in %.1f objects, budget 2 064 B in 9",
+				shards, preadBytes, preadObjs)
 		}
 		if err := h.ContractErr(); err != nil {
 			t.Errorf("shards=%d: %v", shards, err)

@@ -9,22 +9,32 @@ import (
 
 	"github.com/verified-os/vnros/internal/fs"
 	"github.com/verified-os/vnros/internal/marshal"
+	"github.com/verified-os/vnros/internal/obs"
 	"github.com/verified-os/vnros/internal/proc"
 	"github.com/verified-os/vnros/internal/sys"
 )
 
-// TestCrossHandleContractSoundness is the interference the per-call
-// contract check used to assume away: several Sys handles for one PID,
-// two of them sharing a descriptor and a third writing the same inode
-// through its own, all contract-checked, hammering seek/read/write from
-// separate goroutines. With pre and post taken as two views around the
-// crossing, another handle's seek or write lands between them and the
-// spec relation is evaluated on states that were never adjacent (a
-// spurious violation within a few hundred ops). With the witness
-// captured in the apply there is nothing between pre and post, on
-// either kernel, so every handle's ContractErr stays nil. Run under
+// TestCrossHandleContractSoundness is the interference the contract
+// check used to assume away: several Sys handles for one PID, two of
+// them sharing a descriptor and a third writing the same inode through
+// its own, all contract-checked, hammering seek/read/write from separate
+// goroutines — beside a fourth submitting seek/write/seek/read batches on
+// the shared descriptor and a fifth preading it inside one page. With
+// pre and post taken as two views around the crossing, another handle's
+// seek or write lands between them and the spec relation is evaluated on
+// states that were never adjacent (a spurious violation within a few
+// hundred ops, a batch or a pread's included). With the witness captured
+// at the transition — a call's, or a batch run's, in the apply; a pread's
+// around its read — there is nothing between pre and post, on either
+// kernel, so every handle's ContractErr stays nil. Preads stay inside one
+// page: a multi-page pread is atomic only page-wise (pcache.ReadAt), and
+// most of them must be checked on the bytes the cache served, not on the
+// owner's re-read that follows a write landing in every window. Run under
 // -race at GOMAXPROCS=2.
 func TestCrossHandleContractSoundness(t *testing.T) {
+	obs.Reset()
+	obs.Enable()
+	defer obs.Disable()
 	for _, cfg := range []Config{
 		{Cores: 2, Replicas: 2},
 		{Cores: 2, Shards: 2, Replicas: 2},
@@ -35,7 +45,7 @@ func TestCrossHandleContractSoundness(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var hs [3]*sys.Sys
+			var hs [5]*sys.Sys
 			for i := range hs {
 				if hs[i], err = s.Init(); err != nil {
 					t.Fatal(err)
@@ -54,9 +64,10 @@ func TestCrossHandleContractSoundness(t *testing.T) {
 			}
 
 			const ops = 400
+			owner0 := obs.ContractPreadOwnerReads.Load()
 			var wg sync.WaitGroup
 			for i, h := range hs {
-				fd := shared // handles 0 and 1 share one descriptor
+				fd := shared // every handle but 2 uses the one descriptor
 				if i == 2 {
 					fd = own
 				}
@@ -67,21 +78,14 @@ func TestCrossHandleContractSoundness(t *testing.T) {
 					buf := make([]byte, 256)
 					for n := 0; n < ops; n++ {
 						var e sys.Errno
-						switch r.Intn(6) {
-						case 0:
-							_, e = h.Seek(fd, int64(r.Intn(4096)), fs.SeekSet)
-						case 1:
-							// Any whence, sometimes negative: EINVAL is an
-							// honest failure and is itself checked.
-							_, e = h.Seek(fd, int64(r.Intn(300))-100, r.Intn(3))
-							if e == sys.EINVAL {
-								e = sys.EOK
-							}
-						case 2, 3:
-							_, e = h.Read(fd, buf[:1+r.Intn(len(buf))])
+						switch {
+						case i == 3:
+							e = crossHandleBatch(h, fd, r)
+						case i == 4:
+							off := uint64(r.Intn(4096))
+							_, e = h.Pread(fd, buf[:1+r.Intn(int(min(256, 4096-off)))], off)
 						default:
-							r.Read(buf)
-							_, e = h.Write(fd, buf[:r.Intn(len(buf))])
+							e = crossHandleCall(h, fd, r, buf)
 						}
 						if e != sys.EOK {
 							t.Errorf("handle %d op %d: %v", i, n, e)
@@ -96,6 +100,11 @@ func TestCrossHandleContractSoundness(t *testing.T) {
 					t.Errorf("handle %d: %v", i, err)
 				}
 			}
+			if owner := obs.ContractPreadOwnerReads.Load() - owner0; owner > ops/4 {
+				t.Errorf("%d of %d preads served by the owner, not checked on cache bytes", owner, ops)
+			} else {
+				t.Logf("%d of %d preads served by the owner", owner, ops)
+			}
 			if err := s.CheckReplicaAgreement(); err != nil {
 				t.Error(err)
 			}
@@ -104,6 +113,50 @@ func TestCrossHandleContractSoundness(t *testing.T) {
 			}
 		})
 	}
+}
+
+// crossHandleCall is one random seek, read or write.
+func crossHandleCall(h *sys.Sys, fd fs.FD, r *rand.Rand, buf []byte) sys.Errno {
+	var e sys.Errno
+	switch r.Intn(6) {
+	case 0:
+		_, e = h.Seek(fd, int64(r.Intn(4096)), fs.SeekSet)
+	case 1:
+		// Any whence, sometimes negative: EINVAL is an honest failure and
+		// is itself checked.
+		_, e = h.Seek(fd, int64(r.Intn(300))-100, r.Intn(3))
+		if e == sys.EINVAL {
+			e = sys.EOK
+		}
+	case 2, 3:
+		_, e = h.Read(fd, buf[:1+r.Intn(len(buf))])
+	default:
+		r.Read(buf)
+		_, e = h.Write(fd, buf[:r.Intn(len(buf))])
+	}
+	return e
+}
+
+// crossHandleBatch submits one seek + 8 writes + seek + read batch: one
+// descriptor run.
+func crossHandleBatch(h *sys.Sys, fd fs.FD, r *rand.Rand) sys.Errno {
+	ops := []sys.Op{sys.OpSeek(fd, int64(r.Intn(4096)), fs.SeekSet)}
+	for w := 0; w < 8; w++ {
+		data := make([]byte, r.Intn(64))
+		r.Read(data)
+		ops = append(ops, sys.OpWrite(fd, data))
+	}
+	ops = append(ops, sys.OpSeek(fd, int64(r.Intn(4096)), fs.SeekSet), sys.OpRead(fd, uint64(1+r.Intn(256))))
+	comps, e := h.SubmitWait(ops)
+	if e != sys.EOK {
+		return e
+	}
+	for _, c := range comps {
+		if c.Errno != sys.EOK {
+			return c.Errno
+		}
+	}
+	return sys.EOK
 }
 
 // tamperHandler is a kernel handler with a fault between the kernel and
@@ -118,6 +171,8 @@ type tamperHandler struct {
 	// into tampers with the destination crossing: the caller's buffer
 	// after the kernel wrote it, and the count in the reply frame.
 	into func(dst []byte, ret *marshal.RetFrame)
+	// batch tampers with a batch crossing's completion queue.
+	batch func(comps []sys.Completion)
 }
 
 func (t *tamperHandler) SyscallInto(frame marshal.SyscallFrame, payload []byte, dst []byte) marshal.RetFrame {
@@ -130,6 +185,13 @@ func (t *tamperHandler) SyscallInto(frame marshal.SyscallFrame, payload []byte, 
 
 func (t *tamperHandler) Syscall(frame marshal.SyscallFrame, payload []byte) (marshal.RetFrame, []byte) {
 	ret, out := t.handler.Syscall(frame, payload)
+	if frame.Num == sys.NumBatch {
+		if comps, errno, err := sys.DecodeBatchResp(ret, out); err == nil && t.batch != nil {
+			t.batch(comps)
+			return sys.EncodeBatchResp(comps, errno)
+		}
+		return ret, out
+	}
 	if resp, err := sys.DecodeResp(ret, out); err == nil && t.tamper(frame.Num, &resp) {
 		return sys.EncodeResp(resp)
 	}
@@ -205,29 +267,7 @@ func TestWitnessedContractCatchesBrokenKernel(t *testing.T) {
 	}
 	for _, shards := range []int{0, 2} {
 		for _, f := range faults {
-			s, err := Boot(Config{Cores: 2, Shards: shards, MemBytes: 256 << 20})
-			if err != nil {
-				t.Fatal(err)
-			}
-			h, err := s.newHandler(s.pickCore())
-			if err != nil {
-				t.Fatal(err)
-			}
-			sh := sys.NewSys(proc.InitPID, &tamperHandler{handler: h, tamper: f.tamper, into: f.into})
-			sh.EnableContract(&replicaViewer{s: s, core: h.core})
-			fd, e := sh.Open("/x", sys.OCreate|sys.ORdWr)
-			if e != sys.EOK {
-				t.Fatalf("shards=%d: open: %v", shards, e)
-			}
-			if _, e := sh.Write(fd, []byte("sensitive")); e != sys.EOK {
-				t.Fatalf("shards=%d: write: %v", shards, e)
-			}
-			if _, e := sh.Seek(fd, 0, fs.SeekSet); e != sys.EOK {
-				t.Fatalf("shards=%d: seek: %v", shards, e)
-			}
-			if err := sh.ContractErr(); err != nil {
-				t.Fatalf("shards=%d: violation before the fault: %v", shards, err)
-			}
+			sh, fd := faultedHandle(t, shards, &tamperHandler{tamper: f.tamper, into: f.into})
 			if e := f.call(sh, fd); e != sys.EOK {
 				t.Errorf("shards=%d %s: the faulted call returned %v", shards, f.name, e)
 			}
@@ -238,4 +278,72 @@ func TestWitnessedContractCatchesBrokenKernel(t *testing.T) {
 			}
 		}
 	}
+
+	// Inside a batch: one descriptor run of five entries — a multi-entry
+	// run on either kernel — with one completion tampered after the kernel
+	// produced it. The fault is caught, and its neighbours come back as the
+	// kernel answered them.
+	run := func(fd fs.FD) []sys.Op {
+		return []sys.Op{sys.OpSeek(fd, 0, fs.SeekSet), sys.OpRead(fd, 3), sys.OpRead(fd, 3),
+			sys.OpWrite(fd, []byte("more")), sys.OpSeek(fd, 5, fs.SeekSet)}
+	}
+	want := []sys.Completion{{Op: sys.NumSeek}, {Op: sys.NumRead, Val: 3, Data: []byte("sen")},
+		{Op: sys.NumRead, Val: 3, Data: []byte("sit")}, {Op: sys.NumWrite, Val: 4}, {Op: sys.NumSeek, Val: 5}}
+	for _, shards := range []int{0, 2} {
+		for _, f := range []struct {
+			name   string
+			at     int
+			tamper func(c *sys.Completion)
+		}{
+			{"a flipped byte in a batched read's data", 2, func(c *sys.Completion) { c.Data[0] ^= 0xff }},
+			{"a batched write's count off by one", 3, func(c *sys.Completion) { c.Val-- }},
+			{"a batched seek's offset off by one", 4, func(c *sys.Completion) { c.Val++ }},
+		} {
+			sh, fd := faultedHandle(t, shards, &tamperHandler{tamper: untouched, batch: func(comps []sys.Completion) {
+				f.tamper(&comps[f.at])
+			}})
+			comps, e := sh.SubmitWait(run(fd))
+			if e != sys.EOK || len(comps) != len(want) {
+				t.Fatalf("shards=%d %s: submit: %v, %d completions", shards, f.name, e, len(comps))
+			}
+			if sh.ContractErr() == nil {
+				t.Errorf("shards=%d: contract checker missed %s", shards, f.name)
+			}
+			for k, c := range comps {
+				if k != f.at && (c.Op != want[k].Op || c.Errno != sys.EOK || c.Val != want[k].Val || string(c.Data) != string(want[k].Data)) {
+					t.Errorf("shards=%d %s: completion %d disturbed by its neighbour's fault: %+v", shards, f.name, k, c)
+				}
+			}
+		}
+	}
+}
+
+// faultedHandle boots a system and returns a contract-checked init handle
+// whose crossings go through th, with "sensitive" written to a fresh
+// file and the descriptor's offset back at 0.
+func faultedHandle(t *testing.T, shards int, th *tamperHandler) (*sys.Sys, fs.FD) {
+	t.Helper()
+	s, err := Boot(Config{Cores: 2, Shards: shards, MemBytes: 256 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if th.handler, err = s.newHandler(s.pickCore()); err != nil {
+		t.Fatal(err)
+	}
+	sh := sys.NewSys(proc.InitPID, th)
+	sh.EnableContract()
+	fd, e := sh.Open("/x", sys.OCreate|sys.ORdWr)
+	if e != sys.EOK {
+		t.Fatalf("shards=%d: open: %v", shards, e)
+	}
+	if _, e := sh.Write(fd, []byte("sensitive")); e != sys.EOK {
+		t.Fatalf("shards=%d: write: %v", shards, e)
+	}
+	if _, e := sh.Seek(fd, 0, fs.SeekSet); e != sys.EOK {
+		t.Fatalf("shards=%d: seek: %v", shards, e)
+	}
+	if err := sh.ContractErr(); err != nil {
+		t.Fatalf("shards=%d: violation before the fault: %v", shards, err)
+	}
+	return sh, fd
 }

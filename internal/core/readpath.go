@@ -114,6 +114,17 @@ func (h *handler) preadFill(pid proc.PID) pcache.Filler {
 // descriptor state to race on; concurrent writes to the same file are
 // handled by the cache's invalidation protocol (page-wise read
 // atomicity, as documented on pcache.ReadAt).
+//
+// A witnessed pread is bracketed by two snapshots of the file's contents
+// from the owner shard, the read's linearization point lying between
+// them: its witness. The check needs them to be one snapshot — nothing
+// wrote the file in between, so the bytes the cache served must be its;
+// when a write landed inside the window, the bytes may be any state
+// between (several writes leave one neither side shows), so the cache
+// read is made again in the window the closing snapshot opens. Only when
+// writes land in preadWindows windows in a row is the read served from
+// the owner instead, in one transition that is its own witness
+// (NumFsReadAt's) — sys.contract.pread_owner_reads counts those.
 func (h *handler) pread(op sys.ReadOp, dst []byte) sys.Resp {
 	ino, flags, r := h.preadResolve(op.PID, op.FD)
 	if r.Errno != sys.EOK {
@@ -122,19 +133,45 @@ func (h *handler) pread(op sys.ReadOp, dst []byte) sys.Resp {
 	if flags&fs.OWrOnly != 0 {
 		return sys.Resp{Errno: sys.EPERM}
 	}
-	if dst == nil {
-		st := h.fsRead(sys.ReadOp{Num: sys.NumFsStatIno, PID: op.PID, Ino: ino})
-		if st.Errno != sys.EOK {
-			return sys.Resp{Errno: st.Errno}
+	reply := dst == nil
+	snap := sys.ReadOp{Num: sys.NumFsStatIno, PID: op.PID, Ino: ino, Witness: op.Witness}
+	var pre sys.Resp
+	if reply || op.Witness {
+		pre = h.fsRead(snap)
+	}
+	for window := 1; pre.Errno == sys.EOK; window++ {
+		if reply {
+			dst = make([]byte, sys.ClampReadLen(op.Len, op.Off, pre.Stat.Size))
 		}
-		dst = make([]byte, sys.ClampReadLen(op.Len, op.Off, st.Stat.Size))
+		n, e := h.s.pcacheFor(ino).ReadAt(ino, op.Off, dst, h.preadFill(op.PID), h.core)
+		if e != sys.EOK {
+			return sys.Resp{Errno: e}
+		}
+		r = sys.Resp{Errno: sys.EOK, Val: uint64(n), Data: dst[:n]}
+		if !op.Witness {
+			return r
+		}
+		post := h.fsRead(snap)
+		if w := pre.Witness[0]; w.PreOK == post.Witness[0].PreOK && w.Pre.Contents.Same(post.Witness[0].Pre.Contents) {
+			r.Witness = pre.Witness
+			return r
+		}
+		if window == preadWindows {
+			obs.ContractPreadOwnerReads.Add(uint32(h.core), 1)
+			r = h.fsRead(sys.ReadOp{Num: sys.NumFsReadAt, PID: op.PID, Ino: ino, Off: op.Off, Len: op.Len, Witness: true})
+			if r.Errno == sys.EOK && !reply {
+				r.Data = dst[:copy(dst, r.Data)]
+			}
+			return r
+		}
+		pre = post
 	}
-	n, e := h.s.pcacheFor(ino).ReadAt(ino, op.Off, dst, h.preadFill(op.PID), h.core)
-	if e != sys.EOK {
-		return sys.Resp{Errno: e}
-	}
-	return sys.Resp{Errno: sys.EOK, Val: uint64(n), Data: dst[:n]}
+	return sys.Resp{Errno: pre.Errno}
 }
+
+// preadWindows bounds the cache reads a witnessed pread makes before the
+// owner serves it: a file written without pause cannot starve it.
+const preadWindows = 4
 
 // SyscallInto implements sys.DestHandler: the boundary crossing whose
 // result lands in the caller's buffer instead of a reply payload. Only
@@ -150,6 +187,9 @@ func (h *handler) SyscallInto(frame marshal.SyscallFrame, payload []byte, dst []
 		// carry: the descriptor is still checked.)
 		op.Len = min(op.Len, uint64(len(dst)))
 		r = h.pread(op, dst[:op.Len])
+		if op.Witness {
+			h.keepWitness(r.Witness)
+		}
 	}
 	obs.Syscalls.Observe(frame.Num, uint32(h.core), t0)
 	obs.KernelTrace.Emit(obs.KindSyscall, frame.Num, uint64(h.core))

@@ -76,53 +76,16 @@ func (s *System) pinnedHandler(core int) (*handler, error) {
 	return s.newHandler(core)
 }
 
-// Init returns a Sys handle for the init process (for setup work and
-// tests). Contract checking is wired to the handler core's replica.
+// Init returns a contract-checked Sys handle for the init process (for
+// setup work and tests).
 func (s *System) Init() (*sys.Sys, error) {
 	h, err := s.newHandler(s.pickCore())
 	if err != nil {
 		return nil, err
 	}
 	sh := sys.NewSys(proc.InitPID, h)
-	sh.EnableContract(&replicaViewer{s: s, core: h.core})
+	sh.EnableContract()
 	return sh, nil
-}
-
-// replicaViewer adapts one replica's view() for the two contract checks
-// that bracket a window with a view pair — a drained batch and Pread;
-// Read, Write and Seek are checked against a witness taken in the apply
-// instead. The view is composed by key: descriptors from the PID's
-// process shard, each file's contents from its inode's owner shard.
-// Inspect syncs each shard to its own log tail first, so the pair
-// brackets everything the window's crossing applied shard by shard, and
-// each part is an O(1) immutable snapshot (FDTable.Snapshot /
-// FS.Contents).
-type replicaViewer struct {
-	s    *System
-	core int
-}
-
-// ViewFDs implements sys.Viewer.
-func (v *replicaViewer) ViewFDs(pid proc.PID) (fs.SpecState, bool) {
-	s, rep := v.s, v.s.replicaOf(v.core)
-	var snap map[fs.FD]fs.OpenFile
-	var ok bool
-	s.InspectProcShard(s.ProcShardOf(pid), rep, func(k *sys.Kernel) {
-		snap, ok = k.SnapshotFDs(pid)
-	})
-	if !ok {
-		return fs.SpecState{}, false
-	}
-	st := fs.SpecState{Files: make(map[fs.FD]fs.SpecFile, len(snap))}
-	for fd, of := range snap {
-		var contents fs.Pages
-		s.InspectFsShard(s.FsShardOf(of.Ino), rep, func(k *sys.Kernel) {
-			contents, _ = k.FS().Contents(of.Ino)
-		})
-		st.Files[fd] = fs.SpecFile{Contents: contents, Offset: of.Offset, Locked: of.Locked,
-			Append: of.Flags&fs.OAppend != 0, Ino: of.Ino}
-	}
-	return st, true
 }
 
 // Run spawns a process as a child of parent and executes prog in its
@@ -138,7 +101,7 @@ func (s *System) Run(parent *sys.Sys, name string, prog Program) (*Process, erro
 		return nil, err
 	}
 	ps := sys.NewSys(pid, h)
-	ps.EnableContract(&replicaViewer{s: s, core: h.core})
+	ps.EnableContract()
 	p := &Process{Sys: ps, PID: pid, Core: h.core, sys: s}
 	s.liveProcs.Add(1)
 	go func() {

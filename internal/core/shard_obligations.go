@@ -97,7 +97,7 @@ func shardIsolationWorkload(r *rand.Rand) error {
 			var has bool
 			var socks int
 			s.InspectProcShard(i, 0, func(k *sys.Kernel) {
-				_, has = k.SnapshotFDs(pid)
+				_, has = k.ViewFDs(pid)
 				socks = len(k.ViewSockTab(pid).Socks)
 			})
 			if has != (i == owner) {
@@ -364,11 +364,13 @@ func shardScriptTrace(cfg Config, seed int64) ([]string, error) {
 // shardBatchRefinementCheck submits one random sequence of batches to a
 // monolithic kernel and to a 4-shard kernel and requires byte-identical
 // completions, final cursors, sizes and contents. The monolith applies
-// a batch as one contiguous ExecuteBatch vector; the sharded kernel cuts
-// it into descriptor runs and applies each as a single NumFsRun on the
-// inode's owner, so this is the obligation that a run threads the cursor
-// exactly as the per-op transitions would. The sharded boot takes small
-// shard logs: eight default rings are 136 MB the check has no use for.
+// a batch as one contiguous ExecuteBatch vector, each descriptor run one
+// NumFDRun entry of it; the sharded kernel applies each run as a single
+// NumFsRun on the inode's owner between the descriptor's lock and unlock,
+// so this is the obligation that the protocol refines the one transition
+// (that a run threads the cursor exactly as the per-op transitions would
+// is sys:batch-refines-sequential). The sharded boot takes small shard
+// logs: eight default rings are 136 MB the check has no use for.
 func shardBatchRefinementCheck(r *rand.Rand) error {
 	seed := r.Int63()
 	mono, err := shardBatchTrace(Config{Cores: 2, MemBytes: 256 << 20}, seed)

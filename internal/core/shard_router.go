@@ -46,8 +46,9 @@ import (
 //   - write dispatch (shardWrite): one transition vs the protocols below.
 //   - read dispatch (shardReadDispatch): one replica-local read vs
 //     lookup-then-owner for stat.
-//   - batch drain (handler.batch): the file ops as one ExecuteBatch vs
-//     runs and per-shard rounds.
+//   - batch drain (handler.batch): the same steps on both (a descriptor
+//     run folds into one, sys.BatchSteps), as one ExecuteBatch vs each
+//     step's protocol.
 //   - journal-less durability (snapshotFS): one filesystem is snapshotted
 //     whole; a partitioned kernel has no cut without the journal group
 //     and answers ENOSYS.
@@ -59,6 +60,10 @@ import (
 // Two more tests are bookkeeping, not dispatch: newHandler registers a
 // thread once per group (co-located there is one), and shardStart /
 // shardDone sample nr.shard.ops only where there is a shard dimension.
+// One more serving path is chosen by the contract, on both kernels alike:
+// a checked pread that sees a write land in every window it brackets is
+// served by one NumFsReadAt on the owner instead of the cache
+// (handler.pread, counted by sys.contract.pread_owner_reads).
 //
 // Cross-shard ordering rules (each rule keeps a half-done protocol
 // observationally equivalent to some single-kernel state):
@@ -67,8 +72,8 @@ import (
 //     install second (proc shard). A crash between the two leaves a
 //     created file with no descriptor — the state after a plain creat.
 //   - Run: consecutive read/write/seek entries on one descriptor — a
-//     per-call write or SeekEnd is the one-entry case, a batch
-//     contributes whole runs — execute as FDLock on the proc shard
+//     per-call write or SeekEnd is the one-entry case, a batch's
+//     NumFDRun step a whole run — execute as FDLock on the proc shard
 //     (capturing ino/offset/flags), ONE NumFsRun on the inode's owner
 //     shard that applies every entry in order, threading the cursor
 //     (sys.Kernel.fsRun), then FDUnlock publishing the final cursor:
@@ -269,8 +274,8 @@ func (h *handler) shardWrite(op sys.WriteOp) sys.Resp {
 		return h.shardOpen(op)
 	case sys.NumRead:
 		return h.shardReadData(op)
-	case sys.NumWrite:
-		return h.shardRunOne(op)
+	case sys.NumWrite, sys.NumFDRun:
+		return h.shardRun(op)
 	case sys.NumSeek:
 		return h.shardSeek(op)
 	case sys.NumTruncate:
@@ -387,27 +392,30 @@ func (h *handler) shardOpen(op sys.WriteOp) sys.Resp {
 // composeWitness attaches the sharded kernel's witness to r when op
 // asks for one. The descriptor's scalars come from the fd-lock step lk
 // and the offset the unlock step stored (postOff, as fdUnlock returns
-// it); the contents pair comes from the owner shard's step (cw, nil
+// it); the contents pair comes from the owner shard's step (cw, empty
 // when the protocol never reached the owner). The halves are adjacent
 // states of one descriptor because it stays locked from lk to the
 // unlock: no other read, write or seek can move its offset in between,
-// and the contents pair brackets exactly the data transition. A failed
-// fd-lock means the descriptor is absent on both sides.
-func composeWitness(op sys.WriteOp, lk sys.Resp, cw *sys.Witness, postOff uint64, r sys.Resp) sys.Resp {
+// and the contents pair brackets exactly the data transition — a whole
+// run's, when op is one. A failed fd-lock means the descriptor is absent
+// on both sides.
+func composeWitness(op sys.WriteOp, lk sys.Resp, cw []sys.Witness, postOff uint64, r sys.Resp) sys.Resp {
 	if !op.Witness {
 		return r
 	}
-	w := &sys.Witness{}
+	ws := make([]sys.Witness, 1)
+	w := &ws[0]
+	w.N = op.Entries()
 	if lk.Errno == sys.EOK {
 		f := fs.SpecFile{Offset: lk.Off, Append: lk.Val&fs.OAppend != 0, Ino: lk.Ino}
 		w.Pre, w.Post = f, f
 		w.PreOK, w.PostOK = true, true
 		w.Post.Offset = postOff
-		if cw != nil {
-			w.Pre.Contents, w.Post.Contents = cw.Pre.Contents, cw.Post.Contents
+		if len(cw) > 0 {
+			w.Pre.Contents, w.Post.Contents = cw[0].Pre.Contents, cw[0].Post.Contents
 		}
 	}
-	r.Witness = w
+	r.Witness = ws
 	return r
 }
 
@@ -433,53 +441,25 @@ func (h *handler) shardReadData(op sys.WriteOp) sys.Resp {
 		sys.Resp{Errno: sys.EOK, Val: r.Val, Data: r.Data})
 }
 
-// shardRun executes a run of read/write/seek entries on (pid, fd) by the
-// Run rule at the top of the file. run carries the entries — in its Run
-// field, or in its own file fields for a one-entry run
-// (sys.Kernel.fsRun); the inode, open flags and cursor the lock step
-// returns are filled in here. It returns the lock step's response, the
-// run's (zero when the lock failed, which fails every entry alike) and
-// the offset the unlock step stored.
-func (h *handler) shardRun(pid proc.PID, fd fs.FD, run sys.WriteOp) (lk, r sys.Resp, post uint64) {
+// shardRun executes a run of read/write/seek entries on op's descriptor
+// by the Run rule at the top of the file, with the witness composed
+// across its three steps. op is a per-call write or SeekEnd — the
+// one-entry run, whose file fields are the entry's (sys.Kernel.fsRun) —
+// or a batch's NumFDRun step; the inode, open flags and cursor the lock
+// step returns are filled in here. A failed lock fails every entry alike.
+func (h *handler) shardRun(op sys.WriteOp) sys.Resp {
 	s := h.s
-	ps := s.ProcShardOf(pid)
-	lk = h.fdLock(ps, pid, fd)
-	if lk.Errno != sys.EOK {
-		return lk, sys.Resp{}, 0
-	}
-	n := 1
-	if run.Run != nil {
-		n = len(run.Run.Ops)
-	}
-	obs.ShardFDRuns.Add(uint32(h.core), 1)
-	obs.ShardFDRunOps.Add(uint32(h.core), uint64(n))
-	run.Num, run.PID, run.Ino, run.Flags, run.Size = sys.NumFsRun, pid, lk.Ino, lk.Val, lk.Off
-	r = h.fsExecOn(s.FsShardOf(lk.Ino), run)
-	return lk, r, h.fdUnlock(ps, pid, fd, r.Off)
-}
-
-// shardRunOne is a per-call write or SeekEnd: the one-entry run, which
-// is the op itself, with the witness composed across its three steps.
-func (h *handler) shardRunOne(op sys.WriteOp) sys.Resp {
-	run := op
-	run.Code = int(op.Num)
-	lk, r, post := h.shardRun(op.PID, op.FD, run)
+	ps := s.ProcShardOf(op.PID)
+	lk := h.fdLock(ps, op.PID, op.FD)
 	if lk.Errno != sys.EOK {
 		return composeWitness(op, lk, nil, 0, lk)
 	}
-	return composeWitness(op, lk, r.Witness, post, sys.Resp{Errno: r.Errno, Val: r.Val, Data: r.Data})
-}
-
-// shardRunBatch completes a batch's run: comps[k] answers ops[k].
-func (h *handler) shardRunBatch(ops []sys.WriteOp, comps []sys.Completion) {
-	lk, r, _ := h.shardRun(ops[0].PID, ops[0].FD, sys.WriteOp{Run: &sys.FsRun{Ops: ops}})
-	for k := range ops {
-		e := sys.RunResult{Errno: lk.Errno}
-		if lk.Errno == sys.EOK {
-			e = r.Run[k]
-		}
-		comps[k] = sys.Completion{Op: ops[k].Num, Errno: e.Errno, Val: e.Val, Data: e.Data}
-	}
+	obs.ShardFDRuns.Add(uint32(h.core), 1)
+	obs.ShardFDRunOps.Add(uint32(h.core), uint64(op.Entries()))
+	run := op
+	run.Num, run.Code, run.Ino, run.Flags, run.Size = sys.NumFsRun, int(op.Num), lk.Ino, lk.Val, lk.Off
+	r := h.fsExecOn(s.FsShardOf(lk.Ino), run)
+	return composeWitness(op, lk, r.Witness, h.fdUnlock(ps, op.PID, op.FD, r.Off), r)
 }
 
 // shardSeek: SeekSet/SeekCur are one transition on the proc shard, which
@@ -488,7 +468,7 @@ func (h *handler) shardRunBatch(ops []sys.WriteOp, comps []sys.Completion) {
 // size, so it takes the descriptor like a data op: a one-entry run.
 func (h *handler) shardSeek(op sys.WriteOp) sys.Resp {
 	if op.Whence == fs.SeekEnd {
-		return h.shardRunOne(op)
+		return h.shardRun(op)
 	}
 	ps := h.s.ProcShardOf(op.PID)
 	for {

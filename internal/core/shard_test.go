@@ -279,7 +279,7 @@ func TestShardedReadsSeeWrites(t *testing.T) {
 }
 
 // A zero-length write past EOF is a no-op on both kernels, per call and
-// in a batch (where checkBatch's splice model has to agree with fs), and
+// in a batch (where the run replay's model has to agree with fs), and
 // does not reposition an OAppend descriptor.
 func TestZeroLengthWritePastEOF(t *testing.T) {
 	for _, shards := range []int{0, 2} {

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"github.com/verified-os/vnros/internal/dev"
 	"github.com/verified-os/vnros/internal/fs"
@@ -549,14 +548,28 @@ type handler struct {
 	procCtx *nr.ShardedThread[sys.ReadOp, sys.WriteOp, sys.Resp]
 	fsCtx   *nr.ShardedThread[sys.ReadOp, sys.WriteOp, sys.Resp]
 
-	// witness is the last witnessed op's Resp.Witness, kept for the one
-	// Sys handle this handler serves: it points into kernel memory, so it
-	// does not cross the boundary as bytes (TakeWitness).
-	witness atomic.Pointer[sys.Witness]
+	// wits are the last witnessed crossing's witnesses, kept for the one
+	// Sys handle this handler serves: they point into kernel memory, so
+	// they do not cross the boundary as bytes (TakeWitness).
+	witMu sync.Mutex
+	wits  []sys.Witness
 }
 
 // TakeWitness implements sys.Witnesser.
-func (h *handler) TakeWitness() *sys.Witness { return h.witness.Swap(nil) }
+func (h *handler) TakeWitness() []sys.Witness {
+	h.witMu.Lock()
+	defer h.witMu.Unlock()
+	ws := h.wits
+	h.wits = nil
+	return ws
+}
+
+// keepWitness keeps a witnessed crossing's witnesses for TakeWitness.
+func (h *handler) keepWitness(ws []sys.Witness) {
+	h.witMu.Lock()
+	h.wits = ws
+	h.witMu.Unlock()
+}
 
 // Syscall implements sys.Handler: the kernel side of the boundary. It
 // wraps the dispatch in the kstat probe — one count + latency sample
@@ -612,7 +625,11 @@ func (h *handler) syscall(frame marshal.SyscallFrame, payload []byte) (marshal.R
 		// Pread goes through the page cache: a cache hit never enters an
 		// NR instance (readpath.go).
 		if op.Num == sys.NumPread {
-			return sys.EncodeResp(h.pread(op, nil))
+			r := h.pread(op, nil)
+			if op.Witness {
+				h.keepWitness(r.Witness)
+			}
+			return sys.EncodeResp(r)
 		}
 		return sys.EncodeResp(h.shardReadDispatch(op))
 	}
@@ -655,7 +672,7 @@ func (h *handler) syscall(frame marshal.SyscallFrame, payload []byte) (marshal.R
 	resp := h.shardWrite(op)
 	h.ctxMu.Unlock()
 	if op.Witness {
-		h.witness.Store(resp.Witness)
+		h.keepWitness(resp.Witness)
 	}
 	if resp.Errno != sys.EOK {
 		if op.Num == sys.NumMMap {
@@ -684,12 +701,15 @@ func (h *handler) syscall(frame marshal.SyscallFrame, payload []byte) (marshal.R
 
 // batch drains one submission-queue vector in as few NR combiner rounds
 // as the kernel's shape allows: decode, fence off anything
-// non-batchable, then the file ops as one ExecuteBatch on a co-located
-// kernel (one log reservation for the whole vector) or, partitioned,
-// three rounds per descriptor run; preads and socket entries after them
-// through their scalar paths; and reassemble the completion queue in
-// submission order. Non-batchable ops complete individually with ENOSYS
-// — a bad entry must not poison its neighbours' completions.
+// non-batchable, fold the file ops into their steps (sys.BatchSteps: a
+// descriptor run is one) and apply them — as one ExecuteBatch on a
+// co-located kernel (one log reservation for the whole vector) or,
+// partitioned, each by its protocol, three rounds per run; preads and
+// socket entries after them through their scalar paths; and reassemble
+// the completion queue in submission order. Non-batchable ops complete
+// individually with ENOSYS — a bad entry must not poison its neighbours'
+// completions. The witnesses the steps and preads return are kept
+// together, one slice for the crossing.
 //
 // Sync entries are the group-commit hook: they are pulled out of the
 // state-machine run and served with ONE durability action after every
@@ -707,15 +727,17 @@ func (h *handler) batch(frame marshal.SyscallFrame, payload []byte) (marshal.Ret
 	comps := make([]sys.Completion, len(ops))
 	var preadIdx, sockIdx []int
 	syncIdx := make([]int, 0, 1)
-	nOther := 0
+	nWit := 0
 	for i := range ops {
 		switch {
 		case sys.IsBatchableOp(ops[i].Num):
-			nOther++
 		case ops[i].Num == sys.NumPread || ops[i].Num == sys.NumPreadMap:
 			// Served from the page cache after the logged run below (see
 			// sys.OpPread for the ordering contract).
 			preadIdx = append(preadIdx, i)
+			if ops[i].Witness {
+				nWit++
+			}
 		case sys.IsSockOp(ops[i].Num):
 			// Served through the scalar socket path after the file ops
 			// (netops.go).
@@ -726,45 +748,33 @@ func (h *handler) batch(frame marshal.SyscallFrame, payload []byte) (marshal.Ret
 			comps[i] = sys.Completion{Op: ops[i].Num, Errno: sys.ENOSYS}
 		}
 	}
-	if nOther > 0 {
+	steps, at := sys.BatchSteps(ops)
+	for j := range steps {
+		if steps[j].Witness {
+			nWit++
+		}
+	}
+	var wits []sys.Witness
+	if nWit > 0 {
+		wits = make([]sys.Witness, 0, nWit)
+	}
+	if len(steps) > 0 {
 		h.ctxMu.Lock()
 		if h.s.sharded() {
 			// Per-shard logs cannot take one contiguous reservation for a
-			// mixed batch, so the file ops drain in submission order in the
-			// fewest rounds their shard keys allow: a maximal run of
-			// adjacent read/write/seek entries on one descriptor is one Run
-			// (lock, one owner-shard entry, unlock — shard_router.go);
-			// anything else, a one-entry run included, takes its per-call
-			// protocol.
-			for i := 0; i < len(ops); {
-				j := i + 1
-				if sys.IsRunOp(ops[i].Num) {
-					for j < len(ops) && sys.IsRunOp(ops[j].Num) && ops[j].FD == ops[i].FD {
-						j++
-					}
-				}
-				if j-i > 1 {
-					h.shardRunBatch(ops[i:j], comps[i:j])
-				} else if sys.IsBatchableOp(ops[i].Num) {
-					comps[i] = sys.BatchCompletion(ops[i], h.shardWrite(ops[i]))
-				}
-				i = j
+			// mixed batch, so the steps drain in submission order, each by
+			// its protocol: a run is lock, one owner-shard entry, unlock
+			// (shard_router.go); any other entry its per-call protocol.
+			for j := range steps {
+				wits = sys.CompleteStep(ops, comps, at[j], &steps[j], h.shardWrite(steps[j]), wits)
 			}
 		} else {
 			// Rule 0 (shard_router.go): every key maps to the one instance,
-			// so the batch's file ops are one combiner round on it — a
-			// single ExecuteBatch vector in submission order, where the
+			// so the batch's steps are one combiner round on it — a single
+			// ExecuteBatch vector in submission order, where the
 			// partitioned kernel above sequences rounds per shard key.
-			run := make([]sys.WriteOp, 0, nOther)
-			idx := make([]int, 0, nOther) // completion index of run[j]
-			for i := range ops {
-				if sys.IsBatchableOp(ops[i].Num) {
-					run = append(run, ops[i])
-					idx = append(idx, i)
-				}
-			}
-			for j, r := range h.procCtx.ExecuteBatchOn(0, run) {
-				comps[idx[j]] = sys.BatchCompletion(run[j], r)
+			for j, r := range h.procCtx.ExecuteBatchOn(0, steps) {
+				wits = sys.CompleteStep(ops, comps, at[j], &steps[j], r, wits)
 			}
 		}
 		h.ctxMu.Unlock()
@@ -773,15 +783,19 @@ func (h *handler) batch(frame marshal.SyscallFrame, payload []byte) (marshal.Ret
 	// applied, so they observe all of the batch's writes. Outside ctxMu:
 	// the cache path takes the thread context per kernel crossing.
 	for _, i := range preadIdx {
+		var r sys.Resp
 		if ops[i].Num == sys.NumPread {
-			r := h.pread(sys.ReadOp{
+			r = h.pread(sys.ReadOp{
 				Num: sys.NumPread, PID: ops[i].PID, FD: ops[i].FD,
-				Len: ops[i].Len, Off: uint64(ops[i].Off),
+				Len: ops[i].Len, Off: uint64(ops[i].Off), Witness: ops[i].Witness,
 			}, nil)
-			comps[i] = sys.BatchCompletion(ops[i], r)
 		} else {
-			comps[i] = sys.BatchCompletion(ops[i], h.preadMap(ops[i]))
+			r = h.preadMap(ops[i])
 		}
+		wits = sys.CompleteStep(ops, comps, i, &ops[i], r, wits)
+	}
+	if nWit > 0 {
+		h.keepWitness(wits)
 	}
 	// Socket entries in submission order, after the file ops: socket and
 	// file state are disjoint, so this preserves every per-object order.

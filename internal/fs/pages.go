@@ -147,6 +147,14 @@ func (c Pages) EqualRange(d Pages, lo, hi uint64) bool {
 // Equal reports whether c and d are the same byte sequence.
 func (c Pages) Equal(d Pages) bool { return c.size == d.size && c.EqualRange(d, 0, c.size) }
 
+// Same reports whether c and d are one snapshot: one page array, one
+// size. A file replaces the array a view holds before its next mutation,
+// so two views of a file are the same exactly when nothing mutated it in
+// between.
+func (c Pages) Same(d Pages) bool {
+	return c.size == d.size && len(c.pages) == len(d.pages) && (len(c.pages) == 0 || &c.pages[0] == &d.pages[0])
+}
+
 // EqualBytes reports whether c holds b at off; off+len(b) must lie
 // within c.
 func (c Pages) EqualBytes(off uint64, b []byte) bool {

@@ -4,8 +4,7 @@ package fs
 // (internal/core's §4.1 composition): when descriptor tables live on a
 // process-state shard and file contents on a filesystem shard, the open
 // protocol installs descriptors by inode (the namespace step already
-// ran on the filesystem group), and the §3 view() abstraction gathers
-// the two halves back into one SpecState.
+// ran on the filesystem group), and contents are read by inode.
 
 // Attach installs a descriptor for an already-resolved inode, without
 // consulting the table's own filesystem — the second step of the
@@ -16,17 +15,6 @@ func (t *FDTable) Attach(ino Ino, flags int) FD {
 	t.next++
 	t.open[fd] = &OpenFile{Ino: ino, Flags: flags}
 	return fd
-}
-
-// Snapshot returns a value copy of the descriptor table (fd → open-file
-// state). The sharded contract viewer composes it with per-inode
-// contents fetched from the owning filesystem shard.
-func (t *FDTable) Snapshot() map[FD]OpenFile {
-	out := make(map[FD]OpenFile, len(t.open))
-	for fd, of := range t.open {
-		out[fd] = *of
-	}
-	return out
 }
 
 // Contents returns a file's data as an immutable zero-copy snapshot

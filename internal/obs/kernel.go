@@ -62,10 +62,15 @@ var (
 	FSCowCloneBytes = NewCounter("fs.cow_clone_bytes")
 
 	// §3 contract checker (internal/sys), striped by the handle's core:
-	// per-call transitions checked against a witness captured in the
-	// apply, and violations recorded on any checked path.
-	ContractWitnessed  = NewCounter("sys.contract.witnessed")
-	ContractViolations = NewCounter("sys.contract.violations")
+	// transitions checked against a witness taken at their linearization
+	// point (a batch's descriptor run counts once), and violations
+	// recorded on any checked path. pread_owner_reads
+	// counts the checked preads (internal/core) whose bytes came from the
+	// owner shard instead of the page cache, because a write landed in
+	// every window the cache read was bracketed by.
+	ContractWitnessed       = NewCounter("sys.contract.witnessed")
+	ContractViolations      = NewCounter("sys.contract.violations")
+	ContractPreadOwnerReads = NewCounter("sys.contract.pread_owner_reads")
 
 	// Page cache (internal/pcache), striped by fs shard. Hits are served
 	// lock-free under an epoch pin; misses fall through to the

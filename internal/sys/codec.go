@@ -60,8 +60,8 @@ func IsSockOp(num uint64) bool {
 // IsBatchableOp reports whether a syscall number may ride in a NumBatch
 // submission. Batchable ops are the file-state transitions: they have
 // no core-side special handling (no frame allocation, no process
-// lifecycle, no blocking) and their effects are fully covered by the
-// fs spec relations the batch contract check replays.
+// lifecycle, no blocking), so a kernel applies them in one combiner
+// round (ring.go's BatchSteps).
 func IsBatchableOp(num uint64) bool {
 	switch num {
 	case NumOpen, NumClose, NumRead, NumWrite, NumSeek,
@@ -168,7 +168,8 @@ func DecodeWrite(frame marshal.SyscallFrame, payload []byte) (WriteOp, error) {
 	return op, nil
 }
 
-// EncodeRead packs a ReadOp.
+// EncodeRead packs a ReadOp. The witness bit rides in the sixth
+// register, so an unchecked read pays nothing for it.
 func EncodeRead(op ReadOp) (marshal.SyscallFrame, []byte) {
 	frame := marshal.SyscallFrame{Num: op.Num}
 	frame.Args[0] = uint64(op.PID)
@@ -176,6 +177,9 @@ func EncodeRead(op ReadOp) (marshal.SyscallFrame, []byte) {
 	frame.Args[2] = uint64(op.VA)
 	frame.Args[3] = op.Len
 	frame.Args[4] = uint64(op.TID)
+	if op.Witness {
+		frame.Args[5] = 1
+	}
 	e := marshal.NewEncoder(make([]byte, 0, 4+len(op.Path)+8))
 	e.String(op.Path)
 	e.U64(op.Off)
@@ -185,12 +189,13 @@ func EncodeRead(op ReadOp) (marshal.SyscallFrame, []byte) {
 // DecodeRead unpacks a ReadOp.
 func DecodeRead(frame marshal.SyscallFrame, payload []byte) (ReadOp, error) {
 	op := ReadOp{
-		Num: frame.Num,
-		PID: proc.PID(frame.Args[0]),
-		FD:  fs.FD(frame.Args[1]),
-		VA:  mmu.VAddr(frame.Args[2]),
-		Len: frame.Args[3],
-		TID: sched.TID(frame.Args[4]),
+		Num:     frame.Num,
+		PID:     proc.PID(frame.Args[0]),
+		FD:      fs.FD(frame.Args[1]),
+		VA:      mmu.VAddr(frame.Args[2]),
+		Len:     frame.Args[3],
+		TID:     sched.TID(frame.Args[4]),
+		Witness: frame.Args[5] != 0,
 	}
 	d := marshal.NewDecoder(payload)
 	op.Path = d.String()

@@ -121,15 +121,16 @@ func (k *Kernel) DispatchWrite(op WriteOp) Resp {
 
 // witnessed applies a transition with its §3 abstraction captured on
 // both sides, here inside the apply: no other operation on this replica
-// can land between Pre and Post. Only the ops a per-call contract check
-// is built from carry a witness — read, write, seek; on the sharded
-// kernel NumFDSeek (descriptor scalars, proc shard) and NumFsRun (the
-// contents pair around the whole run, owner shard), which core's router
-// composes. The bit is ignored on anything else.
+// can land between Pre and Post. Only the ops a contract check is built
+// from carry a witness — read, write, seek and a co-located batch's
+// NumFDRun; on the sharded kernel NumFDSeek (descriptor scalars, proc
+// shard) and NumFsRun (the contents pair around the whole run, owner
+// shard), which core's router composes. The bit is ignored on anything
+// else.
 func (k *Kernel) witnessed(op WriteOp) Resp {
 	var view func() (fs.SpecFile, bool)
 	switch op.Num {
-	case NumRead, NumWrite, NumSeek, NumFDSeek:
+	case NumRead, NumWrite, NumSeek, NumFDSeek, NumFDRun:
 		view = func() (fs.SpecFile, bool) {
 			t := k.fds[op.PID]
 			if t == nil {
@@ -145,11 +146,13 @@ func (k *Kernel) witnessed(op WriteOp) Resp {
 	default:
 		return k.dispatchWrite(op)
 	}
-	w := &Witness{}
+	ws := make([]Witness, 1)
+	w := &ws[0]
 	w.Pre, w.PreOK = view()
 	r := k.dispatchWrite(op)
 	w.Post, w.PostOK = view()
-	r.Witness = w
+	w.N = op.Entries()
+	r.Witness = ws
 	return r
 }
 
@@ -546,7 +549,7 @@ func (k *Kernel) DispatchRead(op ReadOp) Resp {
 		if of.Flags&fs.OWrOnly != 0 {
 			return fail(fs.ErrPermission)
 		}
-		return k.readAt(of.Ino, op.Off, op.Len)
+		return k.contentsWitness(op, of.Ino, k.readAt(of.Ino, op.Off, op.Len))
 
 	case NumStat:
 		st, err := k.fs.StatPath(op.Path)

@@ -102,6 +102,7 @@ const (
 	NumFDLock   // lock fd for a data op; returns Ino/Offset/Flags
 	NumFDUnlock // unlock fd, setting the absolute offset from Len
 	NumFDSeek   // reposition offset (SeekSet/SeekCur); EAGAIN while locked
+	NumFDRun    // co-located: resolve fd, apply a batch's run on it, store its cursor
 
 	// Process-tree ops (pinned to process shard 0) and per-process
 	// resource ops (process shard owning the PID).
@@ -179,7 +180,7 @@ var opNames = map[uint64]string{
 	NumPread: "pread", NumPreadMap: "pread_map", NumPreadUnmap: "pread_unmap",
 	NumPageMap: "page_map", NumPageUnmap: "page_unmap",
 	NumFDOpen: "fd_open", NumFDLock: "fd_lock", NumFDUnlock: "fd_unlock",
-	NumFDSeek: "fd_seek", NumProcSpawn: "proc_spawn", NumProcUnspawn: "proc_unspawn",
+	NumFDSeek: "fd_seek", NumFDRun: "fd_run", NumProcSpawn: "proc_spawn", NumProcUnspawn: "proc_unspawn",
 	NumProcAttach: "proc_attach", NumProcDetach: "proc_detach", NumProcExit: "proc_exit",
 	NumFsCreate: "fs_create", NumFsRun: "fs_run", NumFsTruncate: "fs_truncate",
 	NumFDGet: "fd_get", NumFsLookup: "fs_lookup", NumFsStatIno: "fs_statino",
@@ -248,8 +249,8 @@ type WriteOp struct {
 	Port uint16
 	// Witness asks the kernel to capture the descriptor's §3 abstraction
 	// on both sides of this transition, inside the apply, and return it
-	// in Resp.Witness. Set by a contract-checked Sys.Read/Write/Seek; one
-	// bit on the wire.
+	// in Resp.Witness. Set by a contract-checked Sys.Read/Write/Seek and on
+	// a checked batch's entries; one bit on the wire.
 	Witness bool
 	Sig     proc.Signal
 	Pri     sched.Priority
@@ -260,13 +261,22 @@ type WriteOp struct {
 	// boundary).
 	Ino fs.Ino
 
-	// Run is a multi-entry NumFsRun's payload (Kernel.fsRun) — internal,
-	// never marshalled, and behind a pointer so the op stays the size the
-	// regrouping above bought.
+	// Run is a multi-entry NumFsRun's or NumFDRun's payload
+	// (Kernel.fsRun) — internal, never marshalled, and behind a pointer so
+	// the op stays the size the regrouping above bought.
 	Run *FsRun
 }
 
-// FsRun is what a NumFsRun from a batch applies: consecutive
+// Entries is the number of submitted entries the op applies: its Run's,
+// or itself.
+func (op *WriteOp) Entries() int32 {
+	if op.Run != nil {
+		return int32(len(op.Run.Ops))
+	}
+	return 1
+}
+
+// FsRun is what a NumFsRun or NumFDRun from a batch applies: consecutive
 // read/write/seek entries on a single descriptor, in submission order.
 // Ops aliases the decoded submission vector (no copy) and is immutable
 // once the op is logged — every replica applies the same slice.
@@ -300,55 +310,32 @@ type ReadOp struct {
 	// Internal cross-shard read ops only (never marshalled).
 	Ino  fs.Ino
 	Sock uint64
-	// Witness on NumFsReadAt/NumFsStatIno returns the inode's contents
-	// snapshot beside the result (the owner shard's half of a witness).
+	// Witness on NumPread — one bit of the register frame, set by a
+	// contract-checked Pread — asks for the file's contents on either side
+	// of the read; on NumFsReadAt/NumFsStatIno it returns the inode's
+	// contents snapshot beside the result (the owner shard's half of a
+	// witness).
 	Witness bool
 }
 
 // Witness is the §3 abstraction of the one descriptor a checked
-// read/write/seek names, on either side of that transition. The kernel
-// captures it inside the apply — under the same exclusion that makes the
-// transition atomic — so Pre and Post are adjacent states by
-// construction, however many handles share the process. Contents are
+// transition names, on either side of it. The kernel captures it inside
+// the apply — under the same exclusion that makes the transition atomic —
+// so Pre and Post are adjacent states by construction, however many
+// handles share the process. A transition may apply several entries of a
+// batch (a descriptor run): Pre is then the state before its first and
+// Post the state after its last. A pread moves no descriptor state: its
+// witness is the file's contents on either side of the read. Contents are
 // zero-copy snapshots (fs.AbstractFD); PreOK/PostOK say whether the
 // descriptor was open in that state.
 type Witness struct {
 	Pre, Post     fs.SpecFile
 	PreOK, PostOK bool
-}
-
-// States lifts the witness to the one-descriptor pre and post states
-// the fs spec relations take.
-func (w *Witness) States(fd fs.FD) (pre, post fs.SpecState) {
-	pre.Files = make(map[fs.FD]fs.SpecFile, 1)
-	post.Files = make(map[fs.FD]fs.SpecFile, 1)
-	if w.PreOK {
-		pre.Files[fd] = w.Pre
-	}
-	if w.PostOK {
-		post.Files[fd] = w.Post
-	}
-	return pre, post
-}
-
-// Unchanged is the contract of a failed transition: the descriptor is
-// exactly as it was — open or not, offset, lock, size and contents.
-// Equal snapshots share their pages, so the contents clause is a pointer
-// comparison per page in the common case.
-func (w *Witness) Unchanged() error {
-	switch {
-	case w.PreOK != w.PostOK:
-		return fmt.Errorf("descriptor open %v -> %v", w.PreOK, w.PostOK)
-	case w.Pre.Offset != w.Post.Offset:
-		return fmt.Errorf("offset moved %d -> %d", w.Pre.Offset, w.Post.Offset)
-	case w.Pre.Locked != w.Post.Locked:
-		return fmt.Errorf("lock state changed %v -> %v", w.Pre.Locked, w.Post.Locked)
-	case w.Pre.Size() != w.Post.Size():
-		return fmt.Errorf("size changed %d -> %d", w.Pre.Size(), w.Post.Size())
-	case !w.Pre.Contents.Equal(w.Post.Contents):
-		return fmt.Errorf("contents changed")
-	}
-	return nil
+	// At and N name the entries the witness covers, [At, At+N) of the
+	// crossing's vector (a per-call crossing is the vector of one): the
+	// kernel sets N, the entries its transition applied, and the handler
+	// sets At. (32 bits each keep a witness in a 128-byte allocation.)
+	At, N int32
 }
 
 // Resp is the kernel response for either kind.
@@ -380,14 +367,17 @@ type Resp struct {
 	// marshalled: mapping teardown is core-internal.
 	Unpinned []mem.PAddr
 
-	// Run answers a multi-entry NumFsRun: one result per entry, in order;
-	// Off beside it is the descriptor's cursor after the last entry.
+	// Run answers a multi-entry NumFsRun or NumFDRun: one result per
+	// entry, in order; Off beside it is the descriptor's cursor after the
+	// last entry.
 	Run []RunResult
 
-	// Witness answers WriteOp.Witness. Never marshalled — its contents
-	// are snapshots of kernel memory, not bytes to copy: the handler keeps
-	// it for its handle and Sys takes it through Witnesser.
-	Witness *Witness
+	// Witness answers WriteOp.Witness (and a pread's ReadOp.Witness): one
+	// element, the transition's. Never marshalled — its contents are
+	// snapshots of kernel memory, not bytes to copy: the handler keeps it
+	// for its handle and Sys takes it through Witnesser. A slice, so a
+	// per-call crossing's is handed over as it is.
+	Witness []Witness
 }
 
 // ok returns a success response with a value.

@@ -25,28 +25,19 @@ func (l *lockedHandler) Syscall(frame marshal.SyscallFrame, payload []byte) (mar
 }
 
 // TakeWitness implements Witnesser under the same lock.
-func (l *lockedHandler) TakeWitness() *Witness {
+func (l *lockedHandler) TakeWitness() []Witness {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.h.TakeWitness()
 }
 
-// ViewFDs implements Viewer under the same lock, mirroring how core's
-// replicaViewer snapshots through Replica.Inspect (which holds the
-// replica read lock against the combiner).
-func (l *lockedHandler) ViewFDs(pid proc.PID) (fs.SpecState, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.h.k.ViewFDs(pid)
-}
-
 // TestEnableContractConcurrentWithSyscalls is the regression test for
-// the unsynchronized viewer write: EnableContract used to store
-// s.viewer with plain assignment while concurrent syscalls read it in
-// view(), a data race once a contract is attached after goroutines
-// start. Run under -race. Its four workers share one handle, so it also
-// pins that the handle serializes them: a seek or read landing between
-// another call's pre and post views is a spurious spec violation.
+// an unsynchronized contract switch: EnableContract used to store its
+// state with plain assignment while concurrent syscalls read it, a data
+// race once a contract is turned on after goroutines start. Run under
+// -race. Its four workers share one handle, so it also pins that the
+// handle serializes them: the handler keeps one witness slot, and a
+// call taking another call's witness is a spurious spec violation.
 func TestEnableContractConcurrentWithSyscalls(t *testing.T) {
 	k := newTestKernel()
 	h := &lockedHandler{h: directHandler{k: k}}
@@ -82,9 +73,9 @@ func TestEnableContractConcurrentWithSyscalls(t *testing.T) {
 		}()
 	}
 	close(start)
-	// Attach (and re-attach) the contract while syscalls are in flight.
+	// Enable (and re-enable) the contract while syscalls are in flight.
 	for i := 0; i < 100; i++ {
-		s.EnableContract(h)
+		s.EnableContract()
 	}
 	wg.Wait()
 	if err := s.ContractErr(); err != nil {

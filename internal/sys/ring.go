@@ -6,25 +6,23 @@ import (
 	"github.com/verified-os/vnros/internal/fs"
 )
 
-// This file is the user half of the batched syscall submission ring —
-// an io_uring-shaped surface over the NR combiner. A program enqueues N
-// encoded ops (the submission queue), crosses the boundary once with a
-// NumBatch frame, the kernel drains the vector in the fewest combiner
-// rounds its shape allows — on the monolith one round for the whole
-// vector (one log reservation, one combine pass); on the sharded kernel
-// one owner-shard round per descriptor run, between the lock and unlock
-// rounds on the process shard — and the completions come back as an
-// ordered completion queue.
+// This file is the batched syscall submission ring — an io_uring-shaped
+// surface over the NR combiner. A program enqueues N encoded ops (the
+// submission queue), crosses the boundary once with a NumBatch frame,
+// the kernel drains the vector in the fewest combiner rounds its shape
+// allows — on the monolith one round for the whole vector (one log
+// reservation, one combine pass); on the sharded kernel one owner-shard
+// round per descriptor run, between the lock and unlock rounds on the
+// process shard — and the completions come back as an ordered completion
+// queue. Both kernels fold the vector into the same steps (BatchSteps):
+// a descriptor run, adjacent reads, writes and seeks on one descriptor,
+// is one transition.
 //
-// Contract checking stays on. A scalar Read/Write/Seek is one transition
-// and is checked against a witness captured in its apply (sys.go); a
-// batch is a window of transitions, so it brackets the crossing with one
-// pre and one post view() — O(1) immutable snapshots — and *replays* the
-// §3 spec relations op by op against a model it evolves from the pre
-// view: each ReadSpec/WriteSpec/SeekSpec is checked against the model's
-// rolling state, and the model's endpoint must coincide with the real
-// post view. See checkBatch for the precise argument and its two
-// documented degradations.
+// Contract checking stays on, with the per-call mechanism: a checked
+// batch's read, write, seek and pread entries ask for witnesses, the
+// kernel takes one per transition — per run, per other entry — at its
+// linearization point, and Sys checks each over the entries it covers
+// (checkWitnessed in sys.go), replaying only a run's interior states.
 
 // Op is one submission-queue entry. Ops are built by the Op*
 // constructors only — the wrapped WriteOp stays unexported so every Op
@@ -158,25 +156,28 @@ func BatchCompletion(op WriteOp, r Resp) Completion {
 }
 
 // submitChunk carries one submission-queue segment across the boundary
-// in a single NumBatch frame and checks the §3 contract over it with
-// one pre/post snapshot pair. Ops are assumed boundary-validated (see
-// Batch.Submit); the ring drainer in submit.go feeds segments of at
-// most ringChunk ops through here.
-//
-// The chunk's contract check snapshots the process view once around the
-// whole segment, so — unlike the per-call checker, whose witness is
-// taken inside the apply — it assumes no concurrent syscall mutates the
-// descriptors or files the segment touches while it is in flight: the
-// client-side data-race-freedom obligation for a batch.
+// in a single NumBatch frame and checks the §3 contract over it. It holds
+// the handle for the crossing, like a per-call Read or Write: the
+// handler's witness slot is one per handle, and a batch's witnesses are
+// taken as it returns. Ops are assumed boundary-validated (see
+// Batch.Submit); the ring drainer in submit.go feeds segments of at most
+// ringChunk ops through here.
 func (s *Sys) submitChunk(ops []Op) ([]Completion, Errno) {
+	s.call.Lock()
+	defer s.call.Unlock()
+	checking := s.checking()
 	ws := make([]WriteOp, len(ops))
 	for i, op := range ops {
 		ws[i] = op.w
 		ws[i].PID = s.pid
+		ws[i].Witness = checking && checked(op.w.Num)
 	}
-	pre, checking := s.view()
 	frame, payload := EncodeBatch(s.pid, ws)
 	ret, out := s.h.Syscall(frame, payload)
+	var wits []Witness
+	if checking {
+		wits = s.takeWitness()
+	}
 	comps, errno, err := DecodeBatchResp(ret, out)
 	if err != nil {
 		return nil, EINVAL
@@ -189,9 +190,10 @@ func (s *Sys) submitChunk(ops []Op) ([]Completion, Errno) {
 		return comps, EINVAL
 	}
 	if checking {
-		post, _ := s.view()
-		if err := checkBatch(pre, post, ws, comps); err != nil {
+		if err := checkCompletions(ws, comps); err != nil {
 			s.recordViolation(err)
+		} else {
+			s.checkWitnessed(ws, comps, wits)
 		}
 	}
 	return comps, EOK
@@ -243,81 +245,16 @@ func (s *Sys) Readv(fd fs.FD, bufs [][]byte) (uint64, Errno) {
 	return total, EOK
 }
 
-// batchFD is the model's state for one descriptor during replay.
-type batchFD struct {
-	ino fs.Ino
-	off uint64
-	// app mirrors the descriptor's OAppend flag: writes resolve their
-	// offset at the model's EOF, which only trusted contents can name.
-	app bool
-	// tracked is false for descriptors the batch itself opened: their
-	// pre-state is not in the snapshot, so ops on them go unchecked.
-	tracked bool
-}
-
-// checkBatch validates a drained batch against the §3 spec relations
-// with one pre/post snapshot pair for the whole batch.
-//
-// The argument: seed a model from the pre view (per-inode contents, so
-// aliased descriptors stay coherent, plus per-descriptor offsets). The
-// model's contents are a fs.PageFile over the pre view's pages — seeded
-// in O(1), cloning only the pages the batch's writes touch, once each.
-// For op k, construct the model's pre state, apply the op's *expected*
-// transition to get the model's post state, and check the real
-// completion against the actual relation (ReadSpec/WriteSpec/SeekSpec)
-// over that model pair. Inductively, if every per-op relation holds and
-// the model's endpoint equals the real post view, the batch behaved as
-// the sequential composition of the specified transitions.
-//
-// Two documented degradations keep the check free of false positives:
-// descriptors opened inside the batch are untracked (their prior
-// contents are unknowable from the snapshot), and a successful
-// namespace mutation (unlink/rename, or open-with-OTrunc whose target
-// inode the model cannot name) marks contents untrusted — from there on
-// only offset evolution is checked.
-func checkBatch(pre, post fs.SpecState, ops []WriteOp, comps []Completion) error {
-	model := make(map[fs.FD]*batchFD, len(pre.Files))
-	contents := make(map[fs.Ino]*fs.PageFile, len(pre.Files))
-	for fd, f := range pre.Files {
-		model[fd] = &batchFD{ino: f.Ino, off: f.Offset, app: f.Append, tracked: true}
-		if _, ok := contents[f.Ino]; !ok {
-			contents[f.Ino] = fs.FileOf(f.Contents)
-		}
-	}
-	trusted := true
-
-	// Pread completions are validated against the batch's *final*
-	// contents, not the model state at their position: the kernel serves
-	// them from the page cache after every logged op of the batch has
-	// applied (see OpPread), so their bytes reflect the batch endpoint.
-	type preadEntry struct {
-		i    int
-		ino  fs.Ino
-		off  uint64
-		n    uint64 // requested length
-		val  uint64
-		data []byte
-	}
-	var preads []preadEntry
-
-	// Socket replay: the per-connection state machine for sockets the
-	// batch itself binds (bound → closed; sends only while bound; the
-	// accepted count equals the payload length; double close fails).
-	// Sockets bound before the batch are untracked — their table state
-	// is not in the fs snapshot — so only the count identity is checked.
+// checkCompletions holds a batch's completion queue to what needs no
+// witness: every completion answers the op submitted in its place, and
+// the socket entries follow the per-connection state machine of the
+// sockets the batch itself binds (bound → closed; sends only while bound;
+// the accepted count equals the payload length; double close fails).
+// Sockets bound before the batch are untracked — their table state is
+// not the batch's to know — so only the count identity is checked.
+func checkCompletions(ops []WriteOp, comps []Completion) error {
 	type batchSock struct{ closed bool }
 	socks := make(map[uint64]*batchSock)
-
-	// The per-op spec calls each need a one-descriptor pre and post
-	// state; two reused maps keep the replay loop allocation-free.
-	preM := make(map[fs.FD]fs.SpecFile, 1)
-	postM := make(map[fs.FD]fs.SpecFile, 1)
-	single := func(m map[fs.FD]fs.SpecFile, fd fs.FD, data fs.Pages, off uint64, locked, app bool) fs.SpecState {
-		clear(m)
-		m[fd] = fs.SpecFile{Contents: data, Offset: off, Locked: locked, Append: app}
-		return fs.SpecState{Files: m}
-	}
-
 	for i, op := range ops {
 		c := comps[i]
 		if c.Op != op.Num {
@@ -330,9 +267,6 @@ func checkBatch(pre, post fs.SpecState, ops []WriteOp, comps []Completion) error
 					return fmt.Errorf("batch op %d: EBADF for socket %d bound in this batch", i, op.Sock)
 				}
 			}
-			// Failed transitions leave the abstract state unchanged; the
-			// endpoint comparison below catches a kernel that mutated
-			// state on a reported failure.
 			continue
 		}
 		switch op.Num {
@@ -360,141 +294,72 @@ func checkBatch(pre, post fs.SpecState, ops []WriteOp, comps []Completion) error
 				bs.closed = true
 			}
 		}
-		switch op.Num {
-		case NumOpen:
-			model[fs.FD(c.Val)] = &batchFD{}
-			if OpenFlag(op.Flags)&OTrunc != 0 {
-				trusted = false
-			}
-		case NumClose:
-			delete(model, op.FD)
-		case NumPread:
-			m := model[op.FD]
-			if m == nil || !m.tracked {
-				continue
-			}
-			if uint64(len(c.Data)) != c.Val {
-				return fmt.Errorf("batch op %d (pread fd %d): %d payload bytes for count %d",
-					i, op.FD, len(c.Data), c.Val)
-			}
-			// A positioned read mutates nothing: the descriptor offset
-			// must not move (checked at the endpoint) and the bytes are
-			// validated against the final contents after the replay.
-			preads = append(preads, preadEntry{i: i, ino: m.ino, off: uint64(op.Off), n: op.Len, val: c.Val, data: c.Data})
-		case NumRead:
-			m := model[op.FD]
-			if m == nil || !m.tracked {
-				continue
-			}
-			if uint64(len(c.Data)) != c.Val {
-				return fmt.Errorf("batch op %d (read fd %d): %d payload bytes for count %d",
-					i, op.FD, len(c.Data), c.Val)
-			}
-			if trusted {
-				cur := contents[m.ino].Peek()
-				preS := single(preM, op.FD, cur, m.off, true, false)
-				postS := single(postM, op.FD, cur, m.off+c.Val, false, false)
-				if err := fs.ReadSpec(preS, postS, op.FD, op.Len, c.Data, c.Val); err != nil {
-					return fmt.Errorf("batch op %d: %w", i, err)
-				}
-			}
-			m.off += c.Val
-		case NumWrite:
-			m := model[op.FD]
-			if m == nil || !m.tracked {
-				continue
-			}
-			if !trusted && m.app {
-				// An append write lands at EOF, which untrusted contents
-				// cannot name — the descriptor's offset evolution is
-				// unknowable from here on.
-				m.tracked = false
-				continue
-			}
-			wOff := m.off
-			if trusted {
-				file := contents[m.ino]
-				if m.app && len(op.Data) > 0 {
-					wOff = file.Size() // append resolves at the model's EOF
-				}
-				// WriteSpec's expected contents transition. The model owns
-				// the file and writes a page it has already cloned in
-				// place, so cur keeps the old size but may show the new
-				// bytes: the relation below pins the count, the size and
-				// the offset, and the contents are settled at the endpoint.
-				cur := file.Peek()
-				if _, err := file.WriteAt(wOff, op.Data); err != nil {
-					return fmt.Errorf("batch op %d (write fd %d): reported success: %w", i, op.FD, err)
-				}
-				preS := single(preM, op.FD, cur, m.off, true, m.app)
-				postS := single(postM, op.FD, file.Peek(), wOff+c.Val, false, m.app)
-				if err := fs.WriteSpec(preS, postS, op.FD, op.Data, c.Val); err != nil {
-					return fmt.Errorf("batch op %d: %w", i, err)
-				}
-			}
-			m.off = wOff + c.Val
-		case NumSeek:
-			m := model[op.FD]
-			if m == nil || !m.tracked {
-				continue
-			}
-			if trusted {
-				cur := contents[m.ino].Peek()
-				preS := single(preM, op.FD, cur, m.off, false, false)
-				postS := single(postM, op.FD, cur, c.Val, false, false)
-				if err := fs.SeekSpec(preS, postS, op.FD, op.Off, op.Whence, c.Val); err != nil {
-					return fmt.Errorf("batch op %d: %w", i, err)
-				}
-			}
-			m.off = c.Val
-		case NumTruncate:
-			m := model[op.FD]
-			if m == nil || !m.tracked {
-				continue
-			}
-			if trusted {
-				if err := contents[m.ino].Truncate(op.Len); err != nil {
-					return fmt.Errorf("batch op %d (truncate fd %d): reported success: %w", i, op.FD, err)
-				}
-			}
-		case NumUnlink, NumRename:
-			// The model cannot map paths to inodes; the mutated inode
-			// may alias a tracked descriptor, so contents become
-			// untrusted (offsets remain exact).
-			trusted = false
-		}
-	}
-
-	if trusted {
-		for _, pr := range preads {
-			data := contents[pr.ino].Peek()
-			want := ClampReadLen(pr.n, pr.off, data.Len())
-			if pr.val != want {
-				return fmt.Errorf("batch op %d (pread): count %d, want %d against final contents", pr.i, pr.val, want)
-			}
-			if !data.EqualBytes(pr.off, pr.data) {
-				return fmt.Errorf("batch op %d (pread): data diverges from final contents at offset %d", pr.i, pr.off)
-			}
-		}
-	}
-
-	// Endpoint: every tracked, still-open descriptor of the model must
-	// coincide with the real post view.
-	for fd, m := range model {
-		if !m.tracked {
-			continue
-		}
-		qf, ok := post.Files[fd]
-		if !ok {
-			return fmt.Errorf("batch endpoint: fd %d open in model but absent from post view", fd)
-		}
-		if qf.Offset != m.off {
-			return fmt.Errorf("batch endpoint: fd %d offset %d, model expects %d", fd, qf.Offset, m.off)
-		}
-		if want := contents[m.ino].Peek(); trusted && !qf.Contents.Equal(want) {
-			return fmt.Errorf("batch endpoint: fd %d contents diverge from model (%d vs %d bytes)",
-				fd, qf.Contents.Len(), want.Len())
-		}
 	}
 	return nil
+}
+
+// runEnd returns the end of the descriptor run that starts at ops[i]:
+// the maximal ops[i:j] of reads, writes and seeks on ops[i]'s
+// descriptor, or i+1 when ops[i] is none of those.
+func runEnd(ops []WriteOp, i int) int {
+	j := i + 1
+	if IsRunOp(ops[i].Num) {
+		for j < len(ops) && IsRunOp(ops[j].Num) && ops[j].FD == ops[i].FD {
+			j++
+		}
+	}
+	return j
+}
+
+// BatchSteps folds a submission vector's batchable entries into the
+// transitions a kernel applies for them, in submission order: a
+// descriptor run of two or more entries is one NumFDRun step — one
+// transition on a co-located kernel, the Run protocol on a partitioned
+// one — and any other batchable entry is a step of its own, its per-call
+// syscall. at[j] is the index of step j's first entry.
+func BatchSteps(ops []WriteOp) (steps []WriteOp, at []int) {
+	n := 0
+	for i := 0; i < len(ops); i = runEnd(ops, i) {
+		if IsBatchableOp(ops[i].Num) {
+			n++
+		}
+	}
+	steps, at = make([]WriteOp, 0, n), make([]int, 0, n)
+	for i, j := 0, 0; i < len(ops); i = j {
+		j = runEnd(ops, i)
+		switch {
+		case j-i > 1:
+			steps = append(steps, WriteOp{Num: NumFDRun, PID: ops[i].PID, FD: ops[i].FD,
+				Witness: ops[i].Witness, Run: &FsRun{Ops: ops[i:j]}})
+		case IsBatchableOp(ops[i].Num):
+			steps = append(steps, ops[i])
+		default:
+			continue
+		}
+		at = append(at, i)
+	}
+	return steps, at
+}
+
+// CompleteStep answers the entries of ops a step applied, from its
+// response r: comps[i] onward, one per entry — every entry of a run
+// failing alike when the run could not take its descriptor. The step's
+// witness, placed at entry i, is appended to wits.
+func CompleteStep(ops []WriteOp, comps []Completion, i int, step *WriteOp, r Resp, wits []Witness) []Witness {
+	if step.Num != NumFDRun {
+		comps[i] = BatchCompletion(ops[i], r)
+	} else {
+		for k := range step.Run.Ops {
+			e := RunResult{Errno: r.Errno}
+			if r.Errno == EOK {
+				e = r.Run[k]
+			}
+			comps[i+k] = Completion{Op: ops[i+k].Num, Errno: e.Errno, Val: e.Val, Data: e.Data}
+		}
+	}
+	for _, w := range r.Witness {
+		w.At = int32(i)
+		wits = append(wits, w)
+	}
+	return wits
 }

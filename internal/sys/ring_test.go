@@ -234,7 +234,7 @@ func TestBatchContractViolationDoesNotCorruptNeighbours(t *testing.T) {
 	k := newTestKernel()
 	h := &batchCorruptingHandler{directHandler: directHandler{k: k}, corruptIdx: 2}
 	s := NewSys(proc.InitPID, h)
-	s.EnableContract(k)
+	s.EnableContract()
 
 	fd, e := s.Open("/victim", OCreate|ORdWr)
 	if e != EOK {
@@ -277,8 +277,10 @@ func TestBatchContractViolationDoesNotCorruptNeighbours(t *testing.T) {
 }
 
 func TestBatchChecksCleanKernelAcrossShapes(t *testing.T) {
-	// Mixed batches on a correct kernel never trip the checker, even the
-	// degraded shapes (mid-batch opens, namespace ops, aliasing).
+	// Mixed batches on a correct kernel never trip the checker, whatever
+	// their shape: mid-batch opens, namespace ops beside witnessed file
+	// ops, and a write through the batch-opened alias of a descriptor the
+	// batch also writes.
 	_, s := newSysPair(t)
 	if e := s.Mkdir("/d"); e != EOK {
 		t.Fatal(e)
@@ -287,28 +289,50 @@ func TestBatchChecksCleanKernelAcrossShapes(t *testing.T) {
 	if e != EOK {
 		t.Fatal(e)
 	}
-	comps, e := s.SubmitWait([]Op{
-		OpWrite(fd, []byte("0123456789")),
-		OpOpen("/d/f", ORdOnly), // mid-batch open: alias of fd
-		OpSeek(fd, 2, fs.SeekSet),
-		OpRead(fd, 4),
-		OpLink("/d/f", "/d/g"),
-		OpRename("/d/g", "/d/h"),
-		OpUnlink("/d/h"),
-	})
-	if e != EOK {
-		t.Fatal(e)
-	}
-	for i, c := range comps {
-		if c.Errno != EOK {
-			t.Fatalf("completion %d (%s): %v", i, OpName(c.Op), c.Errno)
+	// Descriptors are numbered in open order, so each batch's mid-batch
+	// open returns the next number.
+	for i, c := range []struct {
+		batch []Op
+		read  int // index of the read after the seek
+		want  string
+	}{
+		{[]Op{
+			OpWrite(fd, []byte("0123456789")),
+			OpOpen("/d/f", ORdOnly),
+			OpSeek(fd, 2, fs.SeekSet),
+			OpRead(fd, 4),
+			OpLink("/d/f", "/d/g"),
+			OpRename("/d/g", "/d/h"),
+			OpUnlink("/d/h"),
+		}, 3, "2345"},
+		{[]Op{
+			OpSeek(fd, 0, fs.SeekSet),
+			OpWrite(fd, []byte("0123456789")),
+			OpOpen("/d/f", ORdWr),
+			OpWrite(fd+2, []byte("AB")),
+			OpSeek(fd, 1, fs.SeekSet),
+			OpRead(fd, 4),
+		}, 5, "B234"},
+	} {
+		alias := fd + 1 + fs.FD(i)
+		comps, e := s.SubmitWait(c.batch)
+		if e != EOK {
+			t.Fatal(e)
 		}
-	}
-	if string(comps[3].Data) != "2345" {
-		t.Errorf("read after seek = %q", comps[3].Data)
-	}
-	if e := s.Close(fs.FD(comps[1].Val)); e != EOK {
-		t.Fatal(e)
+		for k, comp := range comps {
+			if comp.Errno != EOK {
+				t.Fatalf("batch %d completion %d (%s): %v", i, k, OpName(comp.Op), comp.Errno)
+			}
+			if comp.Op == NumOpen && fs.FD(comp.Val) != alias {
+				t.Fatalf("batch %d: mid-batch open returned fd %d, want %d", i, comp.Val, alias)
+			}
+		}
+		if string(comps[c.read].Data) != c.want {
+			t.Errorf("batch %d: read after seek = %q, want %q", i, comps[c.read].Data, c.want)
+		}
+		if e := s.Close(alias); e != EOK {
+			t.Fatal(e)
+		}
 	}
 	if err := s.ContractErr(); err != nil {
 		t.Fatalf("false positive on a correct kernel: %v", err)
@@ -389,7 +413,7 @@ func TestSubmitConcurrentWithScalars(t *testing.T) {
 	k := newTestKernel()
 	h := &lockedHandler{h: directHandler{k: k}}
 	s := NewSys(proc.InitPID, h)
-	s.EnableContract(h)
+	s.EnableContract()
 	fd, e := s.Open("/conc", OCreate|ORdWr)
 	if e != EOK {
 		t.Fatal(e)
@@ -414,5 +438,8 @@ func TestSubmitConcurrentWithScalars(t *testing.T) {
 	wg.Wait()
 	if e := s.Close(fd); e != EOK {
 		t.Fatal(e)
+	}
+	if err := s.ContractErr(); err != nil {
+		t.Fatalf("contract violation on a correct kernel: %v", err)
 	}
 }

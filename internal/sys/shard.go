@@ -5,7 +5,6 @@ import (
 	"github.com/verified-os/vnros/internal/hw/mem"
 	"github.com/verified-os/vnros/internal/hw/mmu"
 	"github.com/verified-os/vnros/internal/mm"
-	"github.com/verified-os/vnros/internal/proc"
 	"github.com/verified-os/vnros/internal/pt"
 )
 
@@ -152,6 +151,22 @@ func (k *Kernel) dispatchShardWrite(op WriteOp) Resp {
 		of.Offset = n
 		return ok(n)
 
+	case NumFDRun:
+		// A batch's run where the descriptor and its inode share one
+		// instance: resolve, apply, store the cursor — one transition.
+		t, e := k.fdTable(op.PID)
+		if e != EOK {
+			return Resp{Errno: e}
+		}
+		of, err := t.Get(op.FD)
+		if err != nil {
+			return fail(err)
+		}
+		op.Ino, op.Flags, op.Size = of.Ino, uint64(of.Flags), of.Offset
+		r := k.fsRun(op)
+		of.Offset = r.Off
+		return r
+
 	case NumProcSpawn:
 		pid, err := k.procs.Spawn(op.PID, op.Name)
 		if err != nil {
@@ -254,9 +269,9 @@ func (k *Kernel) dispatchShardWrite(op WriteOp) Resp {
 	return Resp{Errno: ENOSYS}
 }
 
-// IsRunOp reports whether a syscall can be an entry of a NumFsRun: the
-// three that touch nothing but one descriptor's cursor and its inode's
-// contents.
+// IsRunOp reports whether a syscall can be an entry of a run (NumFsRun,
+// NumFDRun): the three that touch nothing but one descriptor's cursor and
+// its inode's contents.
 func IsRunOp(num uint64) bool {
 	return num == NumRead || num == NumWrite || num == NumSeek
 }
@@ -266,8 +281,9 @@ func IsRunOp(num uint64) bool {
 // its open flags (op.Flags) the way the descriptor itself would move —
 // the router holds it locked on its process shard from before this
 // apply until it publishes the returned cursor, so it cannot move
-// otherwise. The run itself never fails; each entry reports its own
-// errno.
+// otherwise. (On a co-located kernel NumFDRun runs this body inside the
+// one transition that resolves the descriptor and stores its cursor.)
+// The run itself never fails; each entry reports its own errno.
 //
 // The entries are op.Run.Ops, answered in Resp.Run. Without a Run the op
 // is its own single entry — a per-call write or SeekEnd, which then
@@ -347,27 +363,18 @@ func (k *Kernel) detach(op WriteOp) Resp {
 	return Resp{Errno: EOK, Freed: freed, Unpinned: unpinned}
 }
 
-// SnapshotFDs returns a value copy of a process's descriptor table, or
-// ok=false if this kernel holds no table for the PID. The sharded
-// contract viewer composes it with contents fetched from the owning
-// filesystem shards (§3 view() across the shard cut).
-func (k *Kernel) SnapshotFDs(pid proc.PID) (map[fs.FD]fs.OpenFile, bool) {
-	t, okT := k.fds[pid]
-	if !okT {
-		return nil, false
-	}
-	return t.Snapshot(), true
-}
-
-// contentsWitness attaches the owner shard's half of a read or seek
-// witness to r when op asks for one: the inode's contents as of this
-// read, the same snapshot on both sides (a read changes nothing).
-func (k *Kernel) contentsWitness(op ReadOp, r Resp) Resp {
+// contentsWitness attaches a contents witness to r when op asks for one:
+// ino's contents as of this read, the same snapshot on both sides (a
+// read changes nothing) — the owner shard's half of a read or seek
+// witness, and a pread's witness on a kernel that reads in one apply.
+func (k *Kernel) contentsWitness(op ReadOp, ino fs.Ino, r Resp) Resp {
 	if op.Witness {
-		w := &Witness{}
-		w.Pre.Contents, w.PreOK = k.fs.Contents(op.Ino)
+		ws := make([]Witness, 1)
+		w := &ws[0]
+		w.Pre.Contents, w.PreOK = k.fs.Contents(ino)
 		w.Post.Contents, w.PostOK = w.Pre.Contents, w.PreOK
-		r.Witness = w
+		w.N = 1
+		r.Witness = ws
 	}
 	return r
 }
@@ -397,12 +404,12 @@ func (k *Kernel) dispatchShardRead(op ReadOp) Resp {
 	case NumFsStatIno:
 		st, err := k.fs.StatIno(op.Ino)
 		if err != nil {
-			return k.contentsWitness(op, fail(err))
+			return k.contentsWitness(op, op.Ino, fail(err))
 		}
-		return k.contentsWitness(op, Resp{Errno: EOK, Stat: st, Val: st.Size})
+		return k.contentsWitness(op, op.Ino, Resp{Errno: EOK, Stat: st, Val: st.Size})
 
 	case NumFsReadAt:
-		return k.contentsWitness(op, k.readAt(op.Ino, op.Off, op.Len))
+		return k.contentsWitness(op, op.Ino, k.readAt(op.Ino, op.Off, op.Len))
 
 	case NumProcHasTable:
 		if _, ok := k.fds[op.PID]; !ok {

@@ -101,11 +101,11 @@ const (
 // serves a batch: completions post (and the doorbell rings) after every
 // chunk, so WaitN reapers make progress on long batches instead of
 // waiting for the last op. Batches up to ringChunk ops still cross the
-// boundary exactly once. The chunk is also the granularity of the §3
-// batch contract check (one pre/post view pair per chunk) — sound
-// because a batch is specified as the sequential composition of its
-// ops (the batch-refines-sequential obligation), so any chunking of
-// that composition must satisfy the same per-op relations.
+// boundary exactly once. A descriptor run that straddles two chunks is
+// two transitions, each witnessed and checked on its own — sound because
+// a batch is specified as the sequential composition of its ops (the
+// batch-refines-sequential obligation), so any chunking of that
+// composition satisfies the same per-op relations.
 const ringChunk = 64
 
 // subRing is the per-core submission queue: batches a process submits

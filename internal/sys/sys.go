@@ -1,8 +1,11 @@
 package sys
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/verified-os/vnros/internal/fs"
 	"github.com/verified-os/vnros/internal/hw/mmu"
@@ -18,21 +21,14 @@ type Handler interface {
 	Syscall(frame marshal.SyscallFrame, payload []byte) (marshal.RetFrame, []byte)
 }
 
-// Viewer exposes the kernel's view() abstraction (the paper's
-// sys.view()) for the two contract checks that span a window rather than
-// one transition: a drained batch (checkBatch) and Pread. Views are O(1)
-// immutable snapshots (fs.AbstractFDs).
-type Viewer interface {
-	ViewFDs(pid proc.PID) (fs.SpecState, bool)
-}
-
-// Witnesser is implemented by handlers that can hand over the witness
-// of the op they just served (Resp.Witness travels unmarshalled: it is a
-// snapshot of kernel memory, not bytes). Read, Write and Seek are
-// checked against it.
+// Witnesser is implemented by handlers that can hand over the witnesses
+// of the crossing they just served (Resp.Witness travels unmarshalled: it
+// is a snapshot of kernel memory, not bytes to copy). Every checked call
+// and batch entry is checked against one.
 type Witnesser interface {
-	// TakeWitness returns and clears the last witnessed op's witness.
-	TakeWitness() *Witness
+	// TakeWitness returns and clears the last witnessed crossing's
+	// witnesses, each naming the entries it covers.
+	TakeWitness() []Witness
 }
 
 // DestHandler is implemented by handlers that take the caller's buffer
@@ -49,27 +45,28 @@ type DestHandler interface {
 
 // Sys is the user-space handle encapsulating the syscall interface —
 // the paper's `Sys` type. Each process (and in the simulated system,
-// each user program goroutine) holds one. When a Viewer is attached,
+// each user program goroutine) holds one. With the contract enabled,
 // every file syscall is checked against its spec relation, making the
 // paper's `ensures` clauses executable.
 //
-// What is captured where: a checked Read, Write or Seek sets
-// WriteOp.Witness, and the kernel captures the descriptor's abstraction
-// on both sides of the transition inside the apply (Kernel.witnessed; on
-// the sharded kernel composed across the fd lock, see core's
-// composeWitness). The spec relation is evaluated here, over that pair
-// and the buffer the caller received — one crossing, and pre and post
-// are adjacent however many handles or processes run beside this one.
-// A batch and Pread are windows, not single transitions: they bracket
-// the crossing with two Viewer snapshots instead.
+// What is captured where: a checked Read, Write, Seek or Pread, and each
+// read, write, seek and pread entry of a checked batch, asks the kernel
+// for a witness taken at the transition's linearization point — the
+// descriptor's abstraction on both sides of the transition, inside the
+// apply (Kernel.witnessed; on the sharded kernel composed across the fd
+// lock, see core's composeWitness), one per descriptor run of a batch,
+// which is one transition; for a pread, the file's contents on either
+// side of its read. The spec relations are evaluated here, over that pair
+// and what the caller received (checkWitnessed) — pre and post are
+// adjacent however many handles or processes run beside this one.
 //
 // One handle is one thread of control. The paper's Sys methods take
 // `&mut self`, so two calls on one handle can never overlap. Go cannot
-// say that statically, so Read, Write, Seek and Pread hold the handle
-// for the whole call: the handler keeps one witness per handle, and
-// Pread's two views must not bracket a sibling call's offset change.
-// They hold it with the contract off too, so a call that started
-// unchecked cannot overlap the first checked one after EnableContract.
+// say that statically, so Read, Write, Seek, Pread and each crossing of a
+// batch hold the handle for the whole call: the handler keeps one witness
+// slot per handle. They hold it with the contract off too, so a call that
+// started unchecked cannot overlap the first checked one after
+// EnableContract.
 type Sys struct {
 	pid proc.PID
 	h   Handler
@@ -86,14 +83,13 @@ type Sys struct {
 	// pins the handle to one core, so this is the per-core ring.
 	ring subRing
 
-	// contract checking (optional). mu guards viewer and cerr: the
-	// viewer may be attached by EnableContract after syscall goroutines
-	// are already running, so unsynchronized reads would race.
-	mu     sync.Mutex
-	viewer Viewer
-	cerr   error
-	// call is held by Read, Write, Seek and Pread for the whole call (see
-	// the type comment).
+	// contract is set by EnableContract; mu guards cerr, the first
+	// violation.
+	contract atomic.Bool
+	mu       sync.Mutex
+	cerr     error
+	// call is held by Read, Write, Seek, Pread and a batch crossing for
+	// the whole call (see the type comment).
 	call sync.Mutex
 }
 
@@ -118,17 +114,14 @@ func NewSys(pid proc.PID, h Handler) *Sys {
 // PID returns the owning process.
 func (s *Sys) PID() proc.PID { return s.pid }
 
-// EnableContract attaches a Viewer; from now on file syscalls are
-// checked against read_spec/write_spec/seek_spec. Safe to call while
-// other goroutines are issuing syscalls through this handle: a call
-// decides whether it is checked when it starts (Read, Write, Seek: when
-// it builds the op; a batch or Pread: at its pre view), so calls already
-// past that point complete unchecked and later ones are checked.
-func (s *Sys) EnableContract(v Viewer) {
-	s.mu.Lock()
-	s.viewer = v
-	s.mu.Unlock()
-}
+// EnableContract turns contract checking on: from now on Read, Write,
+// Seek, Pread and a batch's file entries are checked against
+// read_spec/write_spec/seek_spec and the positioned read's relation.
+// Safe to call while other goroutines are issuing syscalls through this
+// handle: a call decides whether it is checked when it builds its frame,
+// so calls already past that point complete unchecked and later ones are
+// checked.
+func (s *Sys) EnableContract() { s.contract.Store(true) }
 
 // ContractErr returns the first recorded contract violation, if any.
 func (s *Sys) ContractErr() error {
@@ -146,40 +139,203 @@ func (s *Sys) recordViolation(err error) {
 	}
 }
 
-// checking reports whether a Viewer is attached (contract mode).
-func (s *Sys) checking() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.viewer != nil
+// checking reports whether the contract is on.
+func (s *Sys) checking() bool { return s.contract.Load() }
+
+// checked reports whether a syscall is contract-checked against a
+// witness: read, write, seek and pread, per call or batched.
+func checked(num uint64) bool { return IsRunOp(num) || num == NumPread }
+
+// takeWitness hands over the witnesses of the crossing just made.
+func (s *Sys) takeWitness() []Witness {
+	if s.wit == nil {
+		return nil
+	}
+	return s.wit.TakeWitness()
 }
 
-// callWitnessed crosses the boundary with a read, write or seek. In
-// contract mode the op asks for a witness and the handler's is returned
-// beside the response; a kernel that delivers none has broken the
-// contract as surely as one that delivers wrong bytes.
-func (s *Sys) callWitnessed(op WriteOp) (Resp, *Witness) {
-	op.Witness = s.checking()
-	r := s.callWrite(op)
-	if !op.Witness {
-		return r, nil
+// checkCall checks a per-call crossing — the vector of one entry — when
+// it asked for a witness.
+func (s *Sys) checkCall(op WriteOp, c Completion) {
+	if op.Witness {
+		s.checkWitnessed([]WriteOp{op}, []Completion{c}, s.takeWitness())
 	}
-	var w *Witness
-	if s.wit != nil {
-		w = s.wit.TakeWitness()
-	}
-	if w == nil {
-		s.recordViolation(fmt.Errorf("%s(%d): kernel returned no witness", OpName(op.Num), op.FD))
-		return r, nil
-	}
-	obs.ContractWitnessed.Add(s.core, 1)
-	if r.Errno != EOK {
-		// A failed transition changes nothing.
-		if err := w.Unchanged(); err != nil {
-			s.recordViolation(fmt.Errorf("%s(%d) failed with %v but: %w", OpName(op.Num), op.FD, r.Errno, err))
+}
+
+// checkWitnessed is the §3 contract of a checked crossing: ops and comps
+// are its entries, ws the witnesses the kernel took for them. Each
+// checked entry must be covered by exactly one witness — a failed pread
+// by at most one, since it changed nothing — and each witness is checked
+// over the entries it covers (Witness.check). A kernel that delivers no
+// witness has broken the contract as surely as one that delivers wrong
+// bytes. The first violation is recorded.
+func (s *Sys) checkWitnessed(ops []WriteOp, comps []Completion, ws []Witness) {
+	// A batch's preads complete, and are witnessed, after its other entries.
+	slices.SortFunc(ws, func(a, b Witness) int { return int(a.At - b.At) })
+	for i := 0; i < len(ops); {
+		n, bad, err := 1, 0, error(nil)
+		switch {
+		case len(ws) > 0 && int(ws[0].At) == i:
+			obs.ContractWitnessed.Add(s.core, 1)
+			n = int(ws[0].N)
+			bad, err = ws[0].check(ops[i:], comps[i:])
+			ws = ws[1:]
+		case checked(ops[i].Num) && (ops[i].Num != NumPread || comps[i].Errno == EOK):
+			err = errors.New("kernel returned no witness")
 		}
-		return r, nil
+		if err != nil {
+			i += bad
+			err = fmt.Errorf("%s(%d): %w", OpName(ops[i].Num), ops[i].FD, err)
+			if len(ops) > 1 {
+				err = fmt.Errorf("batch op %d: %w", i, err)
+			}
+			s.recordViolation(err)
+			return
+		}
+		i += n
 	}
-	return r, w
+	if len(ws) > 0 {
+		s.recordViolation(fmt.Errorf("a witness for entries [%d, %d) of a %d-entry crossing",
+			ws[0].At, ws[0].At+ws[0].N, len(ops)))
+	}
+}
+
+// check is the contract of one witnessed transition over the entries it
+// covers, the first w.N of ops and comps. A violation comes with the
+// index of the entry it is about.
+//
+// A pread matches the file's contents on one side of its read. A run of
+// reads, writes and seeks on one descriptor is replayed from Pre: each
+// entry's relation is checked from the state the entries before it
+// specify into the next, the last entry's into Post, and a failed entry
+// leaves the state as it was. Only a run's interior states are the
+// replay's own: their contents are a fs.PageFile over Pre's pages that
+// clones the pages the run writes, writing them in place after that — so
+// a write's modelled pre state may show its own new bytes, and the
+// relation pins its count, size and offset while the contents are
+// settled against Post. A read or seek that ends a run leaves the
+// contents as they were. One entry, a per-call transition, has no
+// interior state and allocates no model.
+func (w *Witness) check(ops []WriteOp, comps []Completion) (int, error) {
+	n := int(w.N)
+	if n < 1 || n > len(ops) {
+		return 0, fmt.Errorf("a witness for %d entries of %d", n, len(ops))
+	}
+	if ops[0].Num == NumPread && n == 1 {
+		return 0, w.preadSpec(&ops[0], comps[0])
+	}
+	cur, curOK := w.Pre, w.PreOK
+	var model *fs.PageFile
+	for k := range n {
+		op, c := &ops[k], comps[k]
+		if !IsRunOp(op.Num) || op.FD != ops[0].FD {
+			return k, fmt.Errorf("witnessed as entry %d of a run on fd %d", k, ops[0].FD)
+		}
+		next, nextOK := w.Post, w.PostOK
+		last := k == n-1
+		switch {
+		case c.Errno != EOK:
+			if !last {
+				continue
+			}
+			if err := unchanged(cur, curOK, next, nextOK); err != nil {
+				return k, fmt.Errorf("failed with %v but: %w", c.Errno, err)
+			}
+			return 0, nil
+		case !last:
+			next, nextOK = cur, curOK
+			switch op.Num {
+			case NumRead:
+				next.Offset += c.Val
+			case NumSeek:
+				next.Offset = c.Val
+			default:
+				at := cur.Offset
+				if cur.Append && len(op.Data) > 0 {
+					at = cur.Size() // append resolves at the model's EOF
+				}
+				if model == nil {
+					model = fs.FileOf(cur.Contents)
+				}
+				if _, err := model.WriteAt(at, op.Data); err != nil {
+					return k, fmt.Errorf("reported success: %w", err)
+				}
+				next.Contents, next.Offset = model.Peek(), at+c.Val
+			}
+		case op.Num != NumWrite && !next.Contents.Equal(cur.Contents):
+			return k, fmt.Errorf("contents changed (%d -> %d bytes)", cur.Size(), next.Size())
+		}
+		if err := spec(op, c, cur, curOK, next, nextOK); err != nil {
+			return k, err
+		}
+		cur, curOK = next, nextOK
+	}
+	return 0, nil
+}
+
+// preadSpec is the positioned read's contract: the count is what the
+// file can supply from the offset into the buffer, and the bytes
+// delivered are the file's there — on one side of the read or the other.
+// A pread moves no descriptor state, so there is nothing else to check.
+func (w *Witness) preadSpec(op *WriteOp, c Completion) error {
+	if c.Errno != EOK {
+		return nil
+	}
+	off := uint64(op.Off)
+	match := func(f fs.SpecFile, ok bool) bool {
+		want := ClampReadLen(op.Len, off, f.Size())
+		return ok && c.Val == want && uint64(len(c.Data)) == want && f.Contents.EqualBytes(off, c.Data)
+	}
+	if !match(w.Pre, w.PreOK) && !match(w.Post, w.PostOK) {
+		return fmt.Errorf("%d bytes at %d match neither side's contents", c.Val, off)
+	}
+	return nil
+}
+
+// unchanged is the contract of a failed transition: the descriptor is
+// exactly as it was — open or not, offset, lock, size and contents.
+// Equal snapshots share their pages, so the contents clause is a pointer
+// comparison per page in the common case.
+func unchanged(pre fs.SpecFile, preOK bool, post fs.SpecFile, postOK bool) error {
+	switch {
+	case preOK != postOK:
+		return fmt.Errorf("descriptor open %v -> %v", preOK, postOK)
+	case pre.Offset != post.Offset:
+		return fmt.Errorf("offset moved %d -> %d", pre.Offset, post.Offset)
+	case pre.Locked != post.Locked:
+		return fmt.Errorf("lock state changed %v -> %v", pre.Locked, post.Locked)
+	case pre.Size() != post.Size():
+		return fmt.Errorf("size changed %d -> %d", pre.Size(), post.Size())
+	case !pre.Contents.Equal(post.Contents):
+		return fmt.Errorf("contents changed")
+	}
+	return nil
+}
+
+// spec checks a successful read, write or seek entry's relation from pre
+// to post, over the one-descriptor states the fs relations take.
+func spec(op *WriteOp, c Completion, pre fs.SpecFile, preOK bool, post fs.SpecFile, postOK bool) error {
+	preS := fs.SpecState{Files: make(map[fs.FD]fs.SpecFile, 1)}
+	postS := fs.SpecState{Files: make(map[fs.FD]fs.SpecFile, 1)}
+	// The kernel acquires the descriptor lock as the first step of a read
+	// or write; the spec's precondition sees that intermediate state.
+	pre.Locked = pre.Locked || op.Num != NumSeek
+	if preOK {
+		preS.Files[op.FD] = pre
+	}
+	if postOK {
+		postS.Files[op.FD] = post
+	}
+	switch op.Num {
+	case NumRead:
+		if uint64(len(c.Data)) != c.Val {
+			return fmt.Errorf("%d payload bytes for count %d", len(c.Data), c.Val)
+		}
+		return fs.ReadSpec(preS, postS, op.FD, op.Len, c.Data, c.Val)
+	case NumWrite:
+		return fs.WriteSpec(preS, postS, op.FD, op.Data, c.Val)
+	}
+	return fs.SeekSpec(preS, postS, op.FD, op.Off, op.Whence, c.Val)
 }
 
 // callWrite crosses the boundary with a mutating op.
@@ -206,20 +362,6 @@ func (s *Sys) callRead(op ReadOp) Resp {
 	return r
 }
 
-// view snapshots the kernel's abstraction of this process's
-// descriptors (contract mode only).
-func (s *Sys) view() (fs.SpecState, bool) {
-	s.mu.Lock()
-	v := s.viewer
-	s.mu.Unlock()
-	if v == nil {
-		return fs.SpecState{}, false
-	}
-	// ViewFDs runs outside the lock: it crosses into the kernel and
-	// must not serialize against recordViolation on other goroutines.
-	return v.ViewFDs(s.pid)
-}
-
 // Open opens (or with OCreate creates) path. Invalid flag combinations
 // are rejected here, before the boundary crossing — the typed OpenFlag
 // surface makes "deep in fs" rejection unnecessary.
@@ -243,20 +385,12 @@ func (s *Sys) Close(fd fs.FD) Errno {
 func (s *Sys) Read(fd fs.FD, buffer []byte) (uint64, Errno) {
 	s.call.Lock()
 	defer s.call.Unlock()
-	r, w := s.callWitnessed(WriteOp{Num: NumRead, FD: fd, Len: uint64(len(buffer))})
+	op := WriteOp{Num: NumRead, FD: fd, Len: uint64(len(buffer)), Witness: s.checking()}
+	r := s.callWrite(op)
+	n := copy(buffer, r.Data)
+	s.checkCall(op, Completion{Op: NumRead, Errno: r.Errno, Val: r.Val, Data: buffer[:n]})
 	if r.Errno != EOK {
 		return 0, r.Errno
-	}
-	n := copy(buffer, r.Data)
-	if w != nil {
-		// The kernel acquires the descriptor lock as the first step of
-		// the atomic syscall transition; the spec's precondition sees
-		// that intermediate state.
-		w.Pre.Locked = true
-		pre, post := w.States(fd)
-		if err := fs.ReadSpec(pre, post, fd, uint64(len(buffer)), buffer, r.Val); err != nil {
-			s.recordViolation(fmt.Errorf("read(%d): %w", fd, err))
-		}
 	}
 	return uint64(n), EOK
 }
@@ -267,74 +401,29 @@ func (s *Sys) Read(fd fs.FD, buffer []byte) (uint64, Errno) {
 // page cache without crossing the NR combiner. A DestHandler is handed
 // buffer itself, so a hit costs one copy (cached frame to buffer) and the
 // reply carries no data; any other handler returns the bytes in an
-// encoded reply. In contract mode the result is checked against the pre
-// view's contents (a positioned read_spec: same bytes, offset
-// untouched), on what was delivered into buffer either way.
+// encoded reply. In contract mode the frame's witness bit asks for the
+// file's contents on either side of the read, and what was delivered into
+// buffer must match one of them (a positioned read_spec).
 func (s *Sys) Pread(fd fs.FD, buffer []byte, off uint64) (uint64, Errno) {
 	s.call.Lock()
 	defer s.call.Unlock()
-	pre, checking := s.view()
-	op := ReadOp{Num: NumPread, PID: s.pid, FD: fd, Len: uint64(len(buffer)), Off: off}
-	var val uint64 // the count the kernel reports
+	op := ReadOp{Num: NumPread, PID: s.pid, FD: fd, Len: uint64(len(buffer)), Off: off, Witness: s.checking()}
+	var r Resp
 	if s.dest != nil {
 		frame, payload := EncodeRead(op)
 		ret := s.dest.SyscallInto(frame, payload, buffer)
-		if e := Errno(ret.Errno); e != EOK {
-			return 0, e
-		}
-		val = ret.Value
+		r = Resp{Errno: Errno(ret.Errno), Val: ret.Value}
 	} else {
-		r := s.callRead(op)
-		if r.Errno != EOK {
-			return 0, r.Errno
-		}
+		r = s.callRead(op)
 		copy(buffer, r.Data)
-		val = r.Val
 	}
-	if checking {
-		post, _ := s.view()
-		if err := preadCheck(pre, post, fd, off, buffer, val); err != nil {
-			s.recordViolation(fmt.Errorf("pread(%d): %w", fd, err))
-		}
+	n := min(r.Val, uint64(len(buffer)))
+	s.checkCall(WriteOp{Num: NumPread, FD: fd, Len: op.Len, Off: int64(off), Witness: op.Witness},
+		Completion{Op: NumPread, Errno: r.Errno, Val: r.Val, Data: buffer[:n]})
+	if r.Errno != EOK {
+		return 0, r.Errno
 	}
-	return min(val, uint64(len(buffer))), EOK
-}
-
-// preadCheck is the positioned-read contract: the first n bytes of the
-// caller's buffer got are exactly pre.contents[off:off+n], n is
-// min(len(got), size-off), and the descriptor's offset is unchanged. A
-// concurrent writer can move the file between the pre snapshot and the
-// read, so the check tolerates a post-state match too (the read
-// linearized after the write); only a result matching neither snapshot
-// is a violation.
-func preadCheck(pre, post fs.SpecState, fd fs.FD, off uint64, got []byte, n uint64) error {
-	match := func(st fs.SpecState) bool {
-		f, ok := st.Files[fd]
-		if !ok {
-			return false
-		}
-		want := uint64(0)
-		if off < f.Size() {
-			want = f.Size() - off
-		}
-		if uint64(len(got)) < want {
-			want = uint64(len(got))
-		}
-		if n != want {
-			return false
-		}
-		// n > 0 implies off+n <= size, so the window is in bounds.
-		return n == 0 || f.Contents.EqualBytes(off, got[:n])
-	}
-	if !match(pre) && !match(post) {
-		return fmt.Errorf("pread at %d returned %d bytes matching neither pre nor post contents", off, n)
-	}
-	pf, ok1 := pre.Files[fd]
-	qf, ok2 := post.Files[fd]
-	if ok1 && ok2 && qf.Offset != pf.Offset {
-		return fmt.Errorf("pread moved descriptor offset %d -> %d", pf.Offset, qf.Offset)
-	}
-	return nil
+	return n, EOK
 }
 
 // PreadMap is the zero-copy tier of the positioned read: for a
@@ -363,16 +452,11 @@ func (s *Sys) PreadUnmap(va mmu.VAddr) Errno {
 func (s *Sys) Write(fd fs.FD, data []byte) (uint64, Errno) {
 	s.call.Lock()
 	defer s.call.Unlock()
-	r, w := s.callWitnessed(WriteOp{Num: NumWrite, FD: fd, Data: data})
+	op := WriteOp{Num: NumWrite, FD: fd, Data: data, Witness: s.checking()}
+	r := s.callWrite(op)
+	s.checkCall(op, Completion{Op: NumWrite, Errno: r.Errno, Val: r.Val})
 	if r.Errno != EOK {
 		return 0, r.Errno
-	}
-	if w != nil {
-		w.Pre.Locked = true // as in Read
-		pre, post := w.States(fd)
-		if err := fs.WriteSpec(pre, post, fd, data, r.Val); err != nil {
-			s.recordViolation(fmt.Errorf("write(%d): %w", fd, err))
-		}
 	}
 	return r.Val, EOK
 }
@@ -381,15 +465,11 @@ func (s *Sys) Write(fd fs.FD, data []byte) (uint64, Errno) {
 func (s *Sys) Seek(fd fs.FD, off int64, whence int) (uint64, Errno) {
 	s.call.Lock()
 	defer s.call.Unlock()
-	r, w := s.callWitnessed(WriteOp{Num: NumSeek, FD: fd, Off: off, Whence: whence})
+	op := WriteOp{Num: NumSeek, FD: fd, Off: off, Whence: whence, Witness: s.checking()}
+	r := s.callWrite(op)
+	s.checkCall(op, Completion{Op: NumSeek, Errno: r.Errno, Val: r.Val})
 	if r.Errno != EOK {
 		return 0, r.Errno
-	}
-	if w != nil {
-		pre, post := w.States(fd)
-		if err := fs.SeekSpec(pre, post, fd, off, whence, r.Val); err != nil {
-			s.recordViolation(fmt.Errorf("seek(%d): %w", fd, err))
-		}
 	}
 	return r.Val, EOK
 }

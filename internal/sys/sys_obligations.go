@@ -55,6 +55,8 @@ func RegisterObligations(g *verifier.Registry) {
 						TID:  sched.TID(r.Uint64()),
 						Path: randPath(r),
 						Off:  r.Uint64(),
+						// The one internal field the frame carries.
+						Witness: r.Intn(2) == 0,
 					}
 					frame, payload := EncodeRead(op)
 					got, err := DecodeRead(frame, payload)
@@ -136,7 +138,7 @@ func RegisterObligations(g *verifier.Registry) {
 			Check: func(r *rand.Rand) error {
 				k := newTestKernel()
 				s := NewSys(proc.InitPID, &directHandler{k: k})
-				s.EnableContract(k)
+				s.EnableContract()
 				fd, e := s.Open("/c", fs.OCreate|fs.ORdWr)
 				if e != EOK {
 					return fmt.Errorf("open: %v", e)
@@ -166,7 +168,7 @@ func RegisterObligations(g *verifier.Registry) {
 				k := newTestKernel()
 				h := &corruptingHandler{directHandler{k: k}}
 				s := NewSys(proc.InitPID, h)
-				s.EnableContract(k)
+				s.EnableContract()
 				fd, e := s.Open("/x", fs.OCreate|fs.ORdWr)
 				if e != EOK {
 					return fmt.Errorf("open: %v", e)
@@ -189,7 +191,7 @@ func RegisterObligations(g *verifier.Registry) {
 				// violation) over the same kernel and descriptor.
 				for _, f := range []destFault{destHonest, destWrongBytes, destShortCount, destLongCount} {
 					sp := NewSys(proc.InitPID, &destHandler{directHandler: directHandler{k: k}, fault: f})
-					sp.EnableContract(k)
+					sp.EnableContract()
 					if n, e := sp.Pread(fd, buf[:6], 2); e != EOK {
 						return fmt.Errorf("pread (fault %d): n=%d %v", f, n, e)
 					}
@@ -305,15 +307,19 @@ func (b *frameBump) take(n int) []mem.PAddr {
 	return out
 }
 
-// directHandler dispatches through the codec to a single kernel.
+// directHandler dispatches through the codec to a single kernel. It
+// drains a batch the way core's co-located kernel does — the vector's
+// BatchSteps, a descriptor run being one NumFDRun transition — so what a
+// batch runs is pinned against per-call dispatch (batch-refines-
+// sequential), and it witnesses every checked call and step.
 type directHandler struct {
 	k *Kernel
-	// witness is the last witnessed op's Resp.Witness (Witnesser).
-	witness *Witness
+	// witness is the last witnessed crossing's witnesses (Witnesser).
+	witness []Witness
 }
 
 // TakeWitness implements Witnesser.
-func (h *directHandler) TakeWitness() *Witness {
+func (h *directHandler) TakeWitness() []Witness {
 	w := h.witness
 	h.witness = nil
 	return w
@@ -330,10 +336,14 @@ func (h *directHandler) Syscall(frame marshal.SyscallFrame, payload []byte) (mar
 		for i, op := range ops {
 			if !IsBatchableOp(op.Num) {
 				comps[i] = Completion{Op: op.Num, Errno: ENOSYS}
-				continue
 			}
-			comps[i] = BatchCompletion(op, h.k.DispatchWrite(op))
 		}
+		steps, at := BatchSteps(ops)
+		var wits []Witness
+		for j := range steps {
+			wits = CompleteStep(ops, comps, at[j], &steps[j], h.k.DispatchWrite(steps[j]), wits)
+		}
+		h.witness = wits
 		return EncodeBatchResp(comps, EOK)
 	}
 	if IsReadOp(frame.Num) {
@@ -341,7 +351,11 @@ func (h *directHandler) Syscall(frame marshal.SyscallFrame, payload []byte) (mar
 		if err != nil {
 			return EncodeResp(Resp{Errno: EINVAL})
 		}
-		return EncodeResp(h.k.DispatchRead(op))
+		resp := h.k.DispatchRead(op)
+		if op.Witness {
+			h.witness = resp.Witness
+		}
+		return EncodeResp(resp)
 	}
 	op, err := DecodeWrite(frame, payload)
 	if err != nil {

@@ -71,7 +71,7 @@ func registerMoreObligations(g *verifier.Registry) {
 			Check: func(r *rand.Rand) error {
 				k := newTestKernel()
 				s := NewSys(proc.InitPID, &directHandler{k: k})
-				s.EnableContract(k)
+				s.EnableContract()
 				fd, e := s.Open("/wss", fs.OCreate|fs.ORdWr)
 				if e != EOK {
 					return fmt.Errorf("open: %v", e)

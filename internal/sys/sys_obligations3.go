@@ -20,7 +20,7 @@ func registerEvenMoreObligations(g *verifier.Registry) {
 				// exactly as it was.
 				k := newTestKernel()
 				s := NewSys(proc.InitPID, &directHandler{k: k})
-				s.EnableContract(k)
+				s.EnableContract()
 				fd, e := s.Open("/f", fs.OCreate|fs.ORdWr)
 				if e != EOK {
 					return fmt.Errorf("open: %v", e)
@@ -67,7 +67,7 @@ func registerEvenMoreObligations(g *verifier.Registry) {
 				} {
 					h := &lyingHandler{directHandler: directHandler{k: newTestKernel()}, num: lie.num, errno: EIO}
 					s := NewSys(proc.InitPID, h)
-					s.EnableContract(h.k)
+					s.EnableContract()
 					fd, e := s.Open("/g", fs.OCreate|fs.ORdWr)
 					if e != EOK {
 						return fmt.Errorf("open: %v", e)
@@ -93,7 +93,7 @@ func registerEvenMoreObligations(g *verifier.Registry) {
 
 				// So is a handler that cannot produce a witness at all.
 				s = NewSys(proc.InitPID, &gatedBatchHandler{inner: &directHandler{k: k}})
-				s.EnableContract(k)
+				s.EnableContract()
 				if _, e := s.Seek(fd, 0, fs.SeekSet); e != EOK {
 					return fmt.Errorf("seek: %v", e)
 				}

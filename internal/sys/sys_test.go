@@ -22,7 +22,7 @@ func newSysPairFrames(t *testing.T) (*Kernel, *Sys, *frameBump) {
 	t.Helper()
 	k, frames := newTestKernelFrames()
 	s := NewSys(proc.InitPID, &directHandler{k: k})
-	s.EnableContract(k)
+	s.EnableContract()
 	return k, s, frames
 }
 
