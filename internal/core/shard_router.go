@@ -72,12 +72,17 @@ import (
 //     install second (proc shard). A crash between the two leaves a
 //     created file with no descriptor — the state after a plain creat.
 //   - Run: consecutive read/write/seek entries on one descriptor — a
-//     per-call write or SeekEnd is the one-entry case, a batch's
-//     NumFDRun step a whole run — execute as FDLock on the proc shard
-//     (capturing ino/offset/flags), ONE NumFsRun on the inode's owner
-//     shard that applies every entry in order, threading the cursor
+//     per-call read, write or seek is the one-entry case on both
+//     kernels, a batch's NumFDRun step a whole run. Co-located, a run is
+//     one transition (sys.Kernel.fdRun: resolve, apply, store the
+//     cursor). Partitioned, a per-call write or SeekEnd and a NumFDRun
+//     step execute as FDLock on the proc shard (capturing
+//     ino/offset/flags), ONE NumFsRun on the inode's owner shard that
+//     applies every entry in order, threading the cursor
 //     (sys.Kernel.fsRun), then FDUnlock publishing the final cursor:
-//     three combiner rounds however long the run. The held descriptor
+//     three combiner rounds however long the run. Either way one builder,
+//     sys.ComposeWitness, makes the run's witness from the descriptor
+//     half and fsRun's contents half. The held descriptor
 //     excludes every other handle's read, write and seek on it for the
 //     whole run (their lock or seek step gets EAGAIN from the shard and
 //     is retried here with Gosched — the sharded equivalent of the
@@ -321,12 +326,13 @@ func (h *handler) shardReadDispatch(op sys.ReadOp) sys.Resp {
 // ---- cross-shard protocols ----
 
 // fdLock acquires a descriptor on the proc shard, retrying while a
-// concurrent protocol holds it. The response carries ino/offset/flags.
-func (h *handler) fdLock(procShard int, pid proc.PID, fd fs.FD) sys.Resp {
+// concurrent protocol holds it. It returns the descriptor as locked — its
+// inode, offset and open flags — beside the lock step's response.
+func (h *handler) fdLock(procShard int, pid proc.PID, fd fs.FD) (fs.OpenFile, sys.Resp) {
 	for {
 		lk := h.procExecOn(procShard, sys.WriteOp{Num: sys.NumFDLock, PID: pid, FD: fd})
 		if lk.Errno != sys.EAGAIN {
-			return lk
+			return fs.OpenFile{Ino: lk.Ino, Offset: lk.Off, Flags: int(lk.Val)}, lk
 		}
 		runtime.Gosched()
 	}
@@ -389,77 +395,52 @@ func (h *handler) shardOpen(op sys.WriteOp) sys.Resp {
 	return h.procExecOn(ps, sys.WriteOp{Num: sys.NumFDOpen, PID: op.PID, Ino: ino, Flags: op.Flags})
 }
 
-// composeWitness attaches the sharded kernel's witness to r when op
-// asks for one. The descriptor's scalars come from the fd-lock step lk
-// and the offset the unlock step stored (postOff, as fdUnlock returns
-// it); the contents pair comes from the owner shard's step (cw, empty
-// when the protocol never reached the owner). The halves are adjacent
-// states of one descriptor because it stays locked from lk to the
-// unlock: no other read, write or seek can move its offset in between,
-// and the contents pair brackets exactly the data transition — a whole
-// run's, when op is one. A failed fd-lock means the descriptor is absent
-// on both sides.
-func composeWitness(op sys.WriteOp, lk sys.Resp, cw []sys.Witness, postOff uint64, r sys.Resp) sys.Resp {
-	if !op.Witness {
-		return r
-	}
-	ws := make([]sys.Witness, 1)
-	w := &ws[0]
-	w.N = op.Entries()
-	if lk.Errno == sys.EOK {
-		f := fs.SpecFile{Offset: lk.Off, Append: lk.Val&fs.OAppend != 0, Ino: lk.Ino}
-		w.Pre, w.Post = f, f
-		w.PreOK, w.PostOK = true, true
-		w.Post.Offset = postOff
-		if len(cw) > 0 {
-			w.Pre.Contents, w.Post.Contents = cw[0].Pre.Contents, cw[0].Post.Contents
-		}
-	}
-	r.Witness = ws
-	return r
-}
-
-// shardReadData: NumRead = FDLock → owner ReadAt → FDUnlock(new offset).
+// shardReadData: NumRead = FDLock → owner ReadAt → FDUnlock(new offset),
+// with the witness built (sys.ComposeWitness) from the lock step's
+// descriptor, the owner's contents snapshot and the offset the unlock
+// stored.
 func (h *handler) shardReadData(op sys.WriteOp) sys.Resp {
 	s := h.s
 	ps := s.ProcShardOf(op.PID)
-	lk := h.fdLock(ps, op.PID, op.FD)
+	pre, lk := h.fdLock(ps, op.PID, op.FD)
 	if lk.Errno != sys.EOK {
-		return composeWitness(op, lk, nil, 0, lk)
+		sys.ComposeWitness(&op, nil, 0, &lk)
+		return lk
 	}
-	ino, off, flags := lk.Ino, lk.Off, int(lk.Val)
-	if flags&fs.OWrOnly != 0 {
-		return composeWitness(op, lk, nil, h.fdUnlock(ps, op.PID, op.FD, off), sys.Resp{Errno: sys.EPERM})
+	r := sys.Resp{Errno: sys.EPERM}
+	if pre.Flags&fs.OWrOnly == 0 {
+		r = h.fsReadOn(s.FsShardOf(pre.Ino), sys.ReadOp{
+			Num: sys.NumFsReadAt, PID: op.PID, Ino: pre.Ino, Off: pre.Offset, Len: op.Len, Witness: op.Witness,
+		})
 	}
-	r := h.fsReadOn(s.FsShardOf(ino), sys.ReadOp{
-		Num: sys.NumFsReadAt, PID: op.PID, Ino: ino, Off: off, Len: op.Len, Witness: op.Witness,
-	})
-	if r.Errno != sys.EOK {
-		return composeWitness(op, lk, r.Witness, h.fdUnlock(ps, op.PID, op.FD, off), sys.Resp{Errno: r.Errno})
-	}
-	return composeWitness(op, lk, r.Witness, h.fdUnlock(ps, op.PID, op.FD, off+r.Val),
-		sys.Resp{Errno: sys.EOK, Val: r.Val, Data: r.Data})
+	// A failed read has moved nothing: its Val is 0.
+	sys.ComposeWitness(&op, &pre, h.fdUnlock(ps, op.PID, op.FD, pre.Offset+r.Val), &r)
+	return r
 }
 
 // shardRun executes a run of read/write/seek entries on op's descriptor
-// by the Run rule at the top of the file, with the witness composed
-// across its three steps. op is a per-call write or SeekEnd — the
-// one-entry run, whose file fields are the entry's (sys.Kernel.fsRun) —
-// or a batch's NumFDRun step; the inode, open flags and cursor the lock
-// step returns are filled in here. A failed lock fails every entry alike.
+// by the Run rule at the top of the file, with the witness built
+// (sys.ComposeWitness) from the lock step's descriptor, the owner's
+// contents pair around the run and the offset the unlock stored. op is a
+// per-call write or SeekEnd — the one-entry run, whose file fields are
+// the entry's (sys.Kernel.fsRun) — or a batch's NumFDRun step; the inode,
+// open flags and cursor the lock step returns are filled in here. A
+// failed lock fails every entry alike.
 func (h *handler) shardRun(op sys.WriteOp) sys.Resp {
 	s := h.s
 	ps := s.ProcShardOf(op.PID)
-	lk := h.fdLock(ps, op.PID, op.FD)
+	pre, lk := h.fdLock(ps, op.PID, op.FD)
 	if lk.Errno != sys.EOK {
-		return composeWitness(op, lk, nil, 0, lk)
+		sys.ComposeWitness(&op, nil, 0, &lk)
+		return lk
 	}
 	obs.ShardFDRuns.Add(uint32(h.core), 1)
 	obs.ShardFDRunOps.Add(uint32(h.core), uint64(op.Entries()))
 	run := op
-	run.Num, run.Code, run.Ino, run.Flags, run.Size = sys.NumFsRun, int(op.Num), lk.Ino, lk.Val, lk.Off
-	r := h.fsExecOn(s.FsShardOf(lk.Ino), run)
-	return composeWitness(op, lk, r.Witness, h.fdUnlock(ps, op.PID, op.FD, r.Off), r)
+	run.Num, run.Code, run.Ino, run.Flags, run.Size = sys.NumFsRun, int(op.Num), pre.Ino, uint64(pre.Flags), pre.Offset
+	r := h.fsExecOn(s.FsShardOf(pre.Ino), run)
+	sys.ComposeWitness(&op, &pre, h.fdUnlock(ps, op.PID, op.FD, r.Off), &r)
+	return r
 }
 
 // shardSeek: SeekSet/SeekCur are one transition on the proc shard, which

@@ -571,13 +571,13 @@ func (h *handler) keepWitness(ws []sys.Witness) {
 	h.witMu.Unlock()
 }
 
-// Syscall implements sys.Handler: the kernel side of the boundary. It
-// wraps the dispatch in the kstat probe — one count + latency sample
-// per syscall, indexed by opcode and striped by core.
 // Core reports the core this handler is pinned to — sys.CorePinned, so
 // the submission ring in the process's Sys handle knows its placement.
 func (h *handler) Core() int { return h.core }
 
+// Syscall implements sys.Handler: the kernel side of the boundary. It
+// wraps the dispatch in the kstat probe — one count + latency sample
+// per syscall, indexed by opcode and striped by core.
 func (h *handler) Syscall(frame marshal.SyscallFrame, payload []byte) (marshal.RetFrame, []byte) {
 	t0 := obs.Start()
 	ret, out := h.syscall(frame, payload)

@@ -103,6 +103,47 @@ func wiringScript(t *testing.T, s *System, h *sys.Sys) (trace []string, batchSyn
 	st, e := h.Stat("/d/a")
 	say("stat a: size %d kind %v %v", st.Size, st.Kind, e)
 
+	// Failed data ops, per call and as a batch of two-entry runs: the errno
+	// each kernel picks, and witnesses that show the descriptor untouched.
+	wo, e := h.Open("/d/a", fs.OWrOnly)
+	say("open a write-only: %d %v", wo, e)
+	ro, e := h.Open("/d/a", fs.ORdOnly)
+	say("open a read-only: %d %v", ro, e)
+	shut, e := h.Open("/d/a", fs.ORdOnly)
+	say("open and close a: %d %v %v", shut, e, h.Close(shut))
+	_, e = h.Read(wo, buf)
+	say("read write-only: %v", e)
+	_, e = h.Write(ro, []byte("x"))
+	say("write read-only: %v", e)
+	for _, sk := range []struct {
+		off    int64
+		whence int
+	}{{-1, fs.SeekSet}, {0, 7}, {-100, fs.SeekEnd}} {
+		_, e = h.Seek(b, sk.off, sk.whence)
+		say("seek b %d whence %d: %v", sk.off, sk.whence, e)
+	}
+	_, e = h.Read(shut, buf)
+	say("read closed: %v", e)
+	_, e = h.Write(shut, []byte("x"))
+	say("write closed: %v", e)
+	_, e = h.Seek(shut, 0, fs.SeekSet)
+	say("seek closed: %v", e)
+	_, e = h.Seek(shut, 0, fs.SeekEnd)
+	say("seek closed end: %v", e)
+	comps, e := h.SubmitWait([]sys.Op{
+		sys.OpRead(wo, 4), sys.OpRead(wo, 4),
+		sys.OpWrite(ro, []byte("x")), sys.OpWrite(ro, []byte("y")),
+		sys.OpSeek(b, -1, fs.SeekSet), sys.OpSeek(b, 0, 7),
+		sys.OpRead(shut, 4), sys.OpWrite(shut, []byte("z")),
+		sys.OpSeek(b, -100, fs.SeekEnd), sys.OpSeek(b, 0, fs.SeekCur),
+		sys.OpSeek(shut, 0, fs.SeekSet), sys.OpSeek(shut, 0, fs.SeekEnd),
+	})
+	say("failing batch: %d completions %v", len(comps), e)
+	for i, c := range comps {
+		say("failing batch[%d] %s: %v %d", i, sys.OpName(c.Op), c.Errno, c.Val)
+	}
+	say("close write-only, read-only: %v %v", h.Close(wo), h.Close(ro))
+
 	// An mmap pair with a store and a load between, from a process that
 	// has an address space (init has none).
 	m, err := s.SpawnHandle(h, "mapper")
@@ -136,7 +177,7 @@ func wiringScript(t *testing.T, s *System, h *sys.Sys) (trace []string, batchSyn
 
 	// A 12-op batch: two descriptor runs, a positioned read of what the
 	// batch itself wrote, namespace ops, and a sync marker.
-	comps, e := h.SubmitWait([]sys.Op{
+	comps, e = h.SubmitWait([]sys.Op{
 		sys.OpWrite(b, []byte(" one")),
 		sys.OpWrite(b, []byte(" two")),
 		sys.OpSeek(b, 0, fs.SeekSet),

@@ -9,7 +9,7 @@ import (
 )
 
 // registerViewObligations: the copy-on-write contract behind the §3
-// view() abstraction. AbstractFDs, AbstractFD and Contents hand out the
+// view() abstraction. AbstractFDs and Contents hand out the
 // inode's own page array; these obligations are what make that sound,
 // and what make comparing two views by page identity sound.
 func registerViewObligations(g *verifier.Registry) {
@@ -136,11 +136,11 @@ func checkViewIsImmutableSnapshot(r *rand.Rand, steps int) error {
 			continue
 		case 1:
 			fd := fds[r.Intn(len(fds))]
-			f, ok := AbstractFD(viewed, fd)
+			f, ok := AbstractFDs(viewed).Files[fd]
 			if !ok {
-				return fmt.Errorf("AbstractFD: fd %d not open", fd)
+				return fmt.Errorf("AbstractFDs: fd %d not open", fd)
 			}
-			take(fmt.Sprintf("step %d AbstractFD fd %d", step, fd), f.Ino, f.Contents)
+			take(fmt.Sprintf("step %d AbstractFDs(...).Files[%d]", step, fd), f.Ino, f.Contents)
 			continue
 		case 2:
 			c, ok := viewed.FS().Contents(ino)

@@ -218,29 +218,11 @@ func SeekSpec(pre, post SpecState, fd FD, off int64, whence int, result uint64) 
 func AbstractFDs(t *FDTable) SpecState {
 	out := SpecState{Files: make(map[FD]SpecFile, len(t.open))}
 	for fd, of := range t.open {
-		out.Files[fd] = t.abstract(of)
+		contents, _ := t.fs.Contents(of.Ino)
+		out.Files[fd] = SpecFile{Contents: contents, Offset: of.Offset, Locked: of.Locked,
+			Append: of.Flags&OAppend != 0, Ino: of.Ino}
 	}
 	return out
-}
-
-// AbstractFD is view() restricted to one descriptor — what a single
-// read/write/seek transition can observe or change — or ok=false if fd
-// is not open.
-func AbstractFD(t *FDTable, fd FD) (SpecFile, bool) {
-	of := t.open[fd]
-	if of == nil {
-		return SpecFile{}, false
-	}
-	return t.abstract(of), true
-}
-
-func (t *FDTable) abstract(of *OpenFile) SpecFile {
-	var contents Pages
-	if n := t.fs.inodes[of.Ino]; n != nil {
-		contents = n.file.View()
-	}
-	return SpecFile{Contents: contents, Offset: of.Offset, Locked: of.Locked,
-		Append: of.Flags&OAppend != 0, Ino: of.Ino}
 }
 
 func min64(a, b uint64) uint64 {

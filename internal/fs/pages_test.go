@@ -88,8 +88,7 @@ func TestPagesMatchFlatOracle(t *testing.T) {
 					if (g+i)%2 == 0 {
 						view, _ = f.Contents(ino)
 					} else {
-						sf, _ := AbstractFD(tb, fd)
-						view = sf.Contents
+						view = AbstractFDs(tb).Files[fd].Contents
 					}
 					want := append([]byte(nil), oracle.data...)
 					lock.RUnlock()

@@ -89,7 +89,10 @@ func (k *Kernel) Root(pid proc.PID) (mem.PAddr, bool) {
 	return as.Root(), true
 }
 
-// ViewFDs is the §3 view() abstraction for the contract checker.
+// ViewFDs is the §3 view() abstraction of a process's whole descriptor
+// table, for the obligations and the benchmark's view probe. The contract
+// checker does not use it: a checked transition is checked against the
+// witness of the one descriptor it names (ComposeWitness).
 func (k *Kernel) ViewFDs(pid proc.PID) (fs.SpecState, bool) {
 	t, ok := k.fds[pid]
 	if !ok {
@@ -107,56 +110,26 @@ func (k *Kernel) fdTable(pid proc.PID) (*fs.FDTable, Errno) {
 	return t, EOK
 }
 
+// descriptor resolves pid's fd to its open file, or nil and the errno
+// when it is not open.
+func (k *Kernel) descriptor(pid proc.PID, fd fs.FD) (*fs.OpenFile, Errno) {
+	t, e := k.fdTable(pid)
+	if e != EOK {
+		return nil, e
+	}
+	of, err := t.Get(fd)
+	if err != nil {
+		return nil, ErrnoFromError(err)
+	}
+	return of, EOK
+}
+
 // DispatchWrite implements nr.DataStructure: the mutating syscalls.
 // The kernel.apply kstat counts once per replica per logged op (R× the
 // syscall count with R replicas) — the ratio against the syscall-level
 // counts is exactly the replication amplification.
 func (k *Kernel) DispatchWrite(op WriteOp) Resp {
 	obs.KernelApplies.Count(op.Num, k.obsShard)
-	if op.Witness {
-		return k.witnessed(op)
-	}
-	return k.dispatchWrite(op)
-}
-
-// witnessed applies a transition with its §3 abstraction captured on
-// both sides, here inside the apply: no other operation on this replica
-// can land between Pre and Post. Only the ops a contract check is built
-// from carry a witness — read, write, seek and a co-located batch's
-// NumFDRun; on the sharded kernel NumFDSeek (descriptor scalars, proc
-// shard) and NumFsRun (the contents pair around the whole run, owner
-// shard), which core's router composes. The bit is ignored on anything
-// else.
-func (k *Kernel) witnessed(op WriteOp) Resp {
-	var view func() (fs.SpecFile, bool)
-	switch op.Num {
-	case NumRead, NumWrite, NumSeek, NumFDSeek, NumFDRun:
-		view = func() (fs.SpecFile, bool) {
-			t := k.fds[op.PID]
-			if t == nil {
-				return fs.SpecFile{}, false
-			}
-			return fs.AbstractFD(t, op.FD)
-		}
-	case NumFsRun:
-		view = func() (fs.SpecFile, bool) {
-			c, ok := k.fs.Contents(op.Ino)
-			return fs.SpecFile{Contents: c}, ok
-		}
-	default:
-		return k.dispatchWrite(op)
-	}
-	ws := make([]Witness, 1)
-	w := &ws[0]
-	w.Pre, w.PreOK = view()
-	r := k.dispatchWrite(op)
-	w.Post, w.PostOK = view()
-	w.N = op.Entries()
-	r.Witness = ws
-	return r
-}
-
-func (k *Kernel) dispatchWrite(op WriteOp) Resp {
 	switch op.Num {
 	case NumOpen:
 		// Re-validate the flag set kernel-side: Sys.Open already rejects
@@ -185,60 +158,8 @@ func (k *Kernel) dispatchWrite(op WriteOp) Resp {
 		}
 		return ok(0)
 
-	case NumRead:
-		t, e := k.fdTable(op.PID)
-		if e != EOK {
-			return Resp{Errno: e}
-		}
-		// The §3 data-race-freedom obligation: the descriptor is locked
-		// for the duration of the call, so no concurrent syscall can
-		// observe or mutate the offset mid-read. Within one replica the
-		// NR combiner already serializes ops; the lock makes the
-		// protocol explicit and is what the read_spec precondition
-		// refers to.
-		if err := t.Lock(op.FD); err != nil {
-			return fail(err)
-		}
-		var buf []byte
-		if of, err := t.Get(op.FD); err == nil {
-			buf = k.replyBuf(of.Ino, of.Offset, op.Len)
-		}
-		n, err := t.Read(op.FD, buf)
-		if uerr := t.Unlock(op.FD); uerr != nil && err == nil {
-			err = uerr
-		}
-		if err != nil {
-			return fail(err)
-		}
-		return Resp{Errno: EOK, Val: n, Data: buf[:n]}
-
-	case NumWrite:
-		t, e := k.fdTable(op.PID)
-		if e != EOK {
-			return Resp{Errno: e}
-		}
-		if err := t.Lock(op.FD); err != nil {
-			return fail(err)
-		}
-		n, err := t.Write(op.FD, op.Data)
-		if uerr := t.Unlock(op.FD); uerr != nil && err == nil {
-			err = uerr
-		}
-		if err != nil {
-			return fail(err)
-		}
-		return ok(n)
-
-	case NumSeek:
-		t, e := k.fdTable(op.PID)
-		if e != EOK {
-			return Resp{Errno: e}
-		}
-		pos, err := t.Seek(op.FD, op.Off, op.Whence)
-		if err != nil {
-			return fail(err)
-		}
-		return ok(pos)
+	case NumRead, NumWrite, NumSeek, NumFDRun:
+		return k.fdRun(&op)
 
 	case NumMkdir:
 		if _, err := k.fs.Mkdir(op.Path); err != nil {
@@ -271,13 +192,9 @@ func (k *Kernel) dispatchWrite(op WriteOp) Resp {
 		return ok(0)
 
 	case NumTruncate:
-		t, e := k.fdTable(op.PID)
-		if e != EOK {
+		of, e := k.descriptor(op.PID, op.FD)
+		if of == nil {
 			return Resp{Errno: e}
-		}
-		of, err := t.Get(op.FD)
-		if err != nil {
-			return fail(err)
 		}
 		if err := k.fs.Truncate(of.Ino, op.Len); err != nil {
 			return fail(err)
@@ -538,13 +455,9 @@ func (k *Kernel) DispatchRead(op ReadOp) Resp {
 		// that independence from descriptor state is what lets the core
 		// serve it via ExecuteRead plus the page cache instead of the
 		// write log.
-		t, e := k.fdTable(op.PID)
-		if e != EOK {
+		of, e := k.descriptor(op.PID, op.FD)
+		if of == nil {
 			return Resp{Errno: e}
-		}
-		of, err := t.Get(op.FD)
-		if err != nil {
-			return fail(err)
 		}
 		if of.Flags&fs.OWrOnly != 0 {
 			return fail(fs.ErrPermission)

@@ -248,8 +248,8 @@ type WriteOp struct {
 	// times per NR instance (TestWriteOpDoesNotGrow).
 	Port uint16
 	// Witness asks the kernel to capture the descriptor's §3 abstraction
-	// on both sides of this transition, inside the apply, and return it
-	// in Resp.Witness. Set by a contract-checked Sys.Read/Write/Seek and on
+	// on both sides of this transition, while the transition holds the
+	// descriptor (ComposeWitness), and return it in Resp.Witness. Set by a contract-checked Sys.Read/Write/Seek and on
 	// a checked batch's entries; one bit on the wire.
 	Witness bool
 	Sig     proc.Signal
@@ -319,15 +319,16 @@ type ReadOp struct {
 }
 
 // Witness is the §3 abstraction of the one descriptor a checked
-// transition names, on either side of it. The kernel captures it inside
-// the apply — under the same exclusion that makes the transition atomic —
-// so Pre and Post are adjacent states by construction, however many
-// handles share the process. A transition may apply several entries of a
-// batch (a descriptor run): Pre is then the state before its first and
-// Post the state after its last. A pread moves no descriptor state: its
-// witness is the file's contents on either side of the read. Contents are
-// zero-copy snapshots (fs.AbstractFD); PreOK/PostOK say whether the
-// descriptor was open in that state.
+// transition names, on either side of it. The kernel captures it while
+// the transition holds the descriptor — inside the apply, or under the fd
+// lock on a partitioned kernel (ComposeWitness) — so Pre and Post are
+// adjacent states by construction, however many handles share the
+// process. A transition may apply several entries of a batch (a
+// descriptor run): Pre is then the state before its first and Post the
+// state after its last. A pread moves no descriptor state: its witness is
+// the file's contents on either side of the read. Contents are zero-copy
+// snapshots (fs.FS.Contents); PreOK/PostOK say whether the descriptor was
+// open in that state.
 type Witness struct {
 	Pre, Post     fs.SpecFile
 	PreOK, PostOK bool

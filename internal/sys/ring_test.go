@@ -334,6 +334,23 @@ func TestBatchChecksCleanKernelAcrossShapes(t *testing.T) {
 			t.Fatal(e)
 		}
 	}
+	// An append descriptor, per call and in a two-entry run: both writes
+	// land at EOF although the cursor says otherwise, which write_spec
+	// allows only when the witness carries the descriptor's append flag.
+	app, e := s.Open("/d/f", OWrOnly|OAppend)
+	if e != EOK {
+		t.Fatal(e)
+	}
+	if n, e := s.Write(app, []byte("xy")); e != EOK || n != 2 {
+		t.Fatalf("append: %d %v", n, e)
+	}
+	comps, e := s.SubmitWait([]Op{OpSeek(app, 0, fs.SeekSet), OpWrite(app, []byte("zw"))})
+	if e != EOK || comps[0].Errno != EOK || comps[1].Errno != EOK || comps[1].Val != 2 {
+		t.Fatalf("batched append: %+v %v", comps, e)
+	}
+	if st, e := s.Stat("/d/f"); e != EOK || st.Size != 14 {
+		t.Fatalf("after the appends: size %d %v, want 14", st.Size, e)
+	}
 	if err := s.ContractErr(); err != nil {
 		t.Fatalf("false positive on a correct kernel: %v", err)
 	}

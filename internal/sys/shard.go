@@ -89,33 +89,25 @@ func (k *Kernel) dispatchShardWrite(op WriteOp) Resp {
 		return ok(uint64(t.Attach(op.Ino, int(op.Flags))))
 
 	case NumFDLock:
-		t, e := k.fdTable(op.PID)
-		if e != EOK {
+		of, e := k.descriptor(op.PID, op.FD)
+		switch {
+		case of == nil:
 			return Resp{Errno: e}
-		}
-		of, err := t.Get(op.FD)
-		if err != nil {
-			return fail(err)
-		}
-		if of.Locked {
+		case of.Locked:
 			// Another core holds the descriptor across its two-step data
 			// op; the router retries. Deterministic: the lock state is a
 			// function of this shard's log prefix.
 			return Resp{Errno: EAGAIN}
 		}
 		of.Locked = true
-		return Resp{Errno: EOK, Ino: of.Ino, Off: of.Offset, Val: uint64(of.Flags)}
+		return fdScalars(of)
 
 	case NumFDUnlock:
-		t, e := k.fdTable(op.PID)
-		if e != EOK {
+		of, e := k.descriptor(op.PID, op.FD)
+		switch {
+		case of == nil:
 			return Resp{Errno: e}
-		}
-		of, err := t.Get(op.FD)
-		if err != nil {
-			return fail(err)
-		}
-		if !of.Locked {
+		case !of.Locked:
 			return fail(fs.ErrNotLocked)
 		}
 		of.Offset = op.Len
@@ -125,46 +117,30 @@ func (k *Kernel) dispatchShardWrite(op WriteOp) Resp {
 		return Resp{Errno: EOK, Off: of.Offset}
 
 	case NumFDSeek:
-		t, e := k.fdTable(op.PID)
-		if e != EOK {
-			return Resp{Errno: e}
-		}
-		of, err := t.Get(op.FD)
-		if err != nil {
-			return fail(err)
-		}
-		if of.Locked {
+		of, e := k.descriptor(op.PID, op.FD)
+		switch {
+		case of == nil:
+			r := Resp{Errno: e}
+			ComposeWitness(&op, nil, 0, &r)
+			return r
+		case of.Locked:
 			// A read or write protocol holds the descriptor and will
 			// publish its own offset at unlock; repositioning now would be
 			// overwritten. The router retries, like NumFDLock.
 			return Resp{Errno: EAGAIN}
 		}
-		if op.Whence == fs.SeekEnd {
-			// SeekEnd needs the owner shard's size: the router runs it as
-			// a one-entry NumFsRun under the descriptor lock instead.
-			return fail(fs.ErrInval)
+		pre := *of
+		// SeekEnd needs the owner shard's size: the router runs it as a
+		// one-entry NumFsRun under the descriptor lock instead.
+		r := fail(fs.ErrInval)
+		if op.Whence != fs.SeekEnd {
+			if n, err := k.fs.SeekCursor(of.Ino, of.Offset, op.Off, op.Whence); err != nil {
+				r = fail(err)
+			} else {
+				of.Offset, r = n, ok(n)
+			}
 		}
-		n, err := k.fs.SeekCursor(of.Ino, of.Offset, op.Off, op.Whence)
-		if err != nil {
-			return fail(err)
-		}
-		of.Offset = n
-		return ok(n)
-
-	case NumFDRun:
-		// A batch's run where the descriptor and its inode share one
-		// instance: resolve, apply, store the cursor — one transition.
-		t, e := k.fdTable(op.PID)
-		if e != EOK {
-			return Resp{Errno: e}
-		}
-		of, err := t.Get(op.FD)
-		if err != nil {
-			return fail(err)
-		}
-		op.Ino, op.Flags, op.Size = of.Ino, uint64(of.Flags), of.Offset
-		r := k.fsRun(op)
-		of.Offset = r.Off
+		ComposeWitness(&op, &pre, of.Offset, &r)
 		return r
 
 	case NumProcSpawn:
@@ -214,7 +190,7 @@ func (k *Kernel) dispatchShardWrite(op WriteOp) Resp {
 		return Resp{Errno: EOK, Val: uint64(ino), Ino: ino}
 
 	case NumFsRun:
-		return k.fsRun(op)
+		return k.fsRun(&op, uint64(op.Code), op.Ino, int(op.Flags), op.Size)
 
 	case NumFsTruncate:
 		if err := k.fs.Truncate(op.Ino, op.Len); err != nil {
@@ -276,43 +252,107 @@ func IsRunOp(num uint64) bool {
 	return num == NumRead || num == NumWrite || num == NumSeek
 }
 
-// fsRun applies a run on the inode's owner shard: its entries in order
-// against op.Ino, threading the descriptor's cursor from op.Size under
-// its open flags (op.Flags) the way the descriptor itself would move —
-// the router holds it locked on its process shard from before this
-// apply until it publishes the returned cursor, so it cannot move
-// otherwise. (On a co-located kernel NumFDRun runs this body inside the
-// one transition that resolves the descriptor and stores its cursor.)
-// The run itself never fails; each entry reports its own errno.
-//
-// The entries are op.Run.Ops, answered in Resp.Run. Without a Run the op
-// is its own single entry — a per-call write or SeekEnd, which then
-// allocates nothing: its file fields (Off, Whence, Len, Data) are the
-// entry's, Code is the entry's syscall number, and the response itself
-// carries the result.
-func (k *Kernel) fsRun(op WriteOp) Resp {
-	ino, flags, cur := op.Ino, int(op.Flags), op.Size
-	if op.Run == nil {
-		op.Num = uint64(op.Code)
-		r, next := k.runEntry(ino, flags, cur, &op)
-		return Resp{Errno: r.Errno, Val: r.Val, Data: r.Data, Off: next}
+// fdRun is the one descriptor transition of a co-located kernel — a
+// per-call read, write or seek, or a batch's NumFDRun: resolve the
+// descriptor, apply its entries (fsRun; a per-call op is its own single
+// entry, numbered by op.Num) and store the cursor, all in one apply, so
+// nothing lands between the two sides of its witness. The inode, open
+// flags and cursor are the descriptor's, never the frame's.
+func (k *Kernel) fdRun(op *WriteOp) Resp {
+	of, e := k.descriptor(op.PID, op.FD)
+	if of == nil {
+		r := Resp{Errno: e}
+		ComposeWitness(op, nil, 0, &r)
+		return r
 	}
-	res := make([]RunResult, len(op.Run.Ops))
-	for i := range op.Run.Ops {
-		res[i], cur = k.runEntry(ino, flags, cur, &op.Run.Ops[i])
-	}
-	return Resp{Errno: EOK, Off: cur, Run: res}
+	pre := *of
+	r := k.fsRun(op, op.Num, of.Ino, of.Flags, of.Offset)
+	of.Offset = r.Off
+	ComposeWitness(op, &pre, of.Offset, &r)
+	return r
 }
 
-// runEntry applies one run entry at cursor cur and returns its result
-// and the cursor after it. Each arm is the fs cursor operation the
-// monolithic kernel's descriptor table calls, so SeekEnd and appends
-// resolve against the size as of this entry, and a failed entry leaves
-// the cursor where it was.
-func (k *Kernel) runEntry(ino fs.Ino, flags int, cur uint64, e *WriteOp) (RunResult, uint64) {
+// fsRun applies a run of a descriptor's entries in order against ino,
+// threading its cursor from cur under its open flags the way the
+// descriptor itself would move. On a partitioned kernel this is a
+// NumFsRun on the inode's owner shard, whose Ino, Flags and Size carry
+// them: the router holds the descriptor locked on its process shard from
+// before this apply until it publishes the returned cursor, so it cannot
+// move otherwise. On a co-located kernel fdRun runs this body inside the
+// one transition that resolves the descriptor and stores its cursor. The
+// run itself never fails; each entry reports its own errno. A witnessed
+// run returns the contents half of its witness: the inode's contents
+// before its first entry and after its last.
+//
+// The entries are op.Run.Ops, answered in Resp.Run. Without a Run the op
+// is its own single entry — a per-call read, write or seek, which then
+// allocates no run: num is its syscall number, its file fields (Off,
+// Whence, Len, Data) are the entry's, and the response itself carries
+// the result.
+func (k *Kernel) fsRun(op *WriteOp, num uint64, ino fs.Ino, flags int, cur uint64) Resp {
+	var ws []Witness
+	if op.Witness {
+		ws = make([]Witness, 1)
+		ws[0].Pre.Contents, ws[0].PreOK = k.fs.Contents(ino)
+	}
+	var e RunResult
+	var res []RunResult
+	if op.Run == nil {
+		e, cur = k.runEntry(ino, flags, cur, num, op)
+	} else {
+		res = make([]RunResult, len(op.Run.Ops))
+		for i := range op.Run.Ops {
+			res[i], cur = k.runEntry(ino, flags, cur, op.Run.Ops[i].Num, &op.Run.Ops[i])
+		}
+	}
+	if ws != nil {
+		ws[0].Post.Contents, ws[0].PostOK = k.fs.Contents(ino)
+	}
+	return Resp{Errno: e.Errno, Val: e.Val, Data: e.Data, Off: cur, Run: res, Witness: ws}
+}
+
+// ComposeWitness gives r its witness when op asks for one: the one
+// descriptor-witness builder, on both kernels. pre is the descriptor as
+// the transition took it — nil when it was not open, and then it is on
+// neither side — and postOff the offset the transition stored. The
+// contents half is the witness r already carries from its contents step
+// (fsRun's or the owner's NumFsReadAt), whose slice is filled in place,
+// or none when the transition never reached the contents. The halves are
+// adjacent states of one descriptor because the transition holds it from
+// taking pre to the store: inside one apply on a co-located kernel
+// (fdRun), under the fd lock from the lock step to the unlock step on a
+// partitioned one.
+func ComposeWitness(op *WriteOp, pre *fs.OpenFile, postOff uint64, r *Resp) {
+	if !op.Witness {
+		return
+	}
+	if len(r.Witness) == 0 {
+		r.Witness = make([]Witness, 1)
+	}
+	w := &r.Witness[0]
+	w.N = op.Entries()
+	w.PreOK, w.PostOK = pre != nil, pre != nil
+	if pre != nil {
+		w.Pre.Offset, w.Pre.Append, w.Pre.Ino = pre.Offset, pre.Flags&fs.OAppend != 0, pre.Ino
+		w.Post.Offset, w.Post.Append, w.Post.Ino = postOff, w.Pre.Append, pre.Ino
+	}
+}
+
+// fdScalars is a descriptor as NumFDLock and NumFDGet report it: its
+// inode, its offset, and its open flags in Val.
+func fdScalars(of *fs.OpenFile) Resp {
+	return Resp{Errno: EOK, Ino: of.Ino, Off: of.Offset, Val: uint64(of.Flags)}
+}
+
+// runEntry applies one run entry, the syscall num with e's file fields,
+// at cursor cur and returns its result and the cursor after it. Each arm
+// is the fs cursor operation fs.FDTable's Read, Write and Seek apply, so
+// SeekEnd and appends resolve against the size as of this entry, and a
+// failed entry leaves the cursor where it was.
+func (k *Kernel) runEntry(ino fs.Ino, flags int, cur, num uint64, e *WriteOp) (RunResult, uint64) {
 	var r RunResult
 	var err error
-	switch e.Num {
+	switch num {
 	case NumRead:
 		buf := k.replyBuf(ino, cur, e.Len)
 		if r.Val, cur, err = k.fs.ReadCursor(ino, flags, cur, buf); err == nil {
@@ -384,15 +424,11 @@ func (k *Kernel) contentsWitness(op ReadOp, ino fs.Ino, r Resp) Resp {
 func (k *Kernel) dispatchShardRead(op ReadOp) Resp {
 	switch op.Num {
 	case NumFDGet:
-		t, e := k.fdTable(op.PID)
-		if e != EOK {
+		of, e := k.descriptor(op.PID, op.FD)
+		if of == nil {
 			return Resp{Errno: e}
 		}
-		of, err := t.Get(op.FD)
-		if err != nil {
-			return fail(err)
-		}
-		return Resp{Errno: EOK, Ino: of.Ino, Off: of.Offset, Val: uint64(of.Flags)}
+		return fdScalars(of)
 
 	case NumFsLookup:
 		ino, err := k.fs.Lookup(op.Path)

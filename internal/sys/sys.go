@@ -52,13 +52,14 @@ type DestHandler interface {
 // What is captured where: a checked Read, Write, Seek or Pread, and each
 // read, write, seek and pread entry of a checked batch, asks the kernel
 // for a witness taken at the transition's linearization point — the
-// descriptor's abstraction on both sides of the transition, inside the
-// apply (Kernel.witnessed; on the sharded kernel composed across the fd
-// lock, see core's composeWitness), one per descriptor run of a batch,
-// which is one transition; for a pread, the file's contents on either
-// side of its read. The spec relations are evaluated here, over that pair
-// and what the caller received (checkWitnessed) — pre and post are
-// adjacent however many handles or processes run beside this one.
+// descriptor's abstraction on both sides of the transition, built by
+// ComposeWitness while the transition holds the descriptor (inside the
+// apply on a co-located kernel, across the fd lock on a partitioned one),
+// one per descriptor run of a batch, which is one transition; for a
+// pread, the file's contents on either side of its read. The spec
+// relations are evaluated here, over that pair and what the caller
+// received (checkWitnessed) — pre and post are adjacent however many
+// handles or processes run beside this one.
 //
 // One handle is one thread of control. The paper's Sys methods take
 // `&mut self`, so two calls on one handle can never overlap. Go cannot
@@ -317,8 +318,10 @@ func unchanged(pre fs.SpecFile, preOK bool, post fs.SpecFile, postOK bool) error
 func spec(op *WriteOp, c Completion, pre fs.SpecFile, preOK bool, post fs.SpecFile, postOK bool) error {
 	preS := fs.SpecState{Files: make(map[fs.FD]fs.SpecFile, 1)}
 	postS := fs.SpecState{Files: make(map[fs.FD]fs.SpecFile, 1)}
-	// The kernel acquires the descriptor lock as the first step of a read
-	// or write; the spec's precondition sees that intermediate state.
+	// A read or write transition holds the descriptor for its whole
+	// length — through one apply on a co-located kernel, through the fd
+	// lock on a partitioned one — so the spec's locked precondition holds
+	// of the state it starts from.
 	pre.Locked = pre.Locked || op.Num != NumSeek
 	if preOK {
 		preS.Files[op.FD] = pre

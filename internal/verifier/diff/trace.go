@@ -113,8 +113,12 @@ func Generate(seed int64, n int) Trace {
 	return tr
 }
 
-func dirPath(d int) string            { return fmt.Sprintf("/d%d", d) }
-func filePath(r *rand.Rand) string    { return fmt.Sprintf("%s/f%d", dirPath(r.Intn(genDirs)), r.Intn(genFiles)) }
+func dirPath(d int) string { return fmt.Sprintf("/d%d", d) }
+
+func filePath(r *rand.Rand) string {
+	return fmt.Sprintf("%s/f%d", dirPath(r.Intn(genDirs)), r.Intn(genFiles))
+}
+
 func payload(r *rand.Rand, n int) []byte {
 	p := make([]byte, 1+r.Intn(n))
 	r.Read(p)
