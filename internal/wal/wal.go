@@ -36,7 +36,10 @@
 // journal header is then rewritten with a bumped epoch, logically
 // truncating the record area (stale chunks fail the epoch check). A
 // crash between the two writes is safe: the stamp already covers every
-// on-disk chunk, so replay skips them all.
+// on-disk chunk, so replay skips them all. CheckpointCommitted builds
+// its snapshot from the stamped one plus the chunks of the record area,
+// which the journal keeps in memory as it writes (or recovers) them, so
+// a checkpoint never reads the record area back.
 package wal
 
 import (
@@ -96,6 +99,14 @@ type Journal struct {
 	pendingFirst uint64
 	pendingCount uint32
 
+	// chunks holds the valid chunks of the record area's [0, tail), in
+	// order, each byte for byte what is on disk: a checkpoint replays
+	// them instead of reading the record area back. flushLocked appends
+	// a chunk once all its block writes succeed, recovery seeds the list
+	// with the chunks it replays, and every truncation of the record
+	// area drops it, so it never holds more than recBlocks blocks.
+	chunks [][]byte
+
 	shard uint32
 }
 
@@ -153,6 +164,7 @@ func (j *Journal) formatLocked() error {
 	j.flushedSeq = 0
 	j.tail = 0
 	j.resetPending()
+	j.dropChunks()
 	return j.writeHeader()
 }
 
@@ -212,6 +224,13 @@ func (j *Journal) resetPending() {
 	j.pending = j.pending[:0]
 	j.pendingFirst = 0
 	j.pendingCount = 0
+}
+
+// dropChunks forgets the retained chunks: the record area they mirror
+// was truncated. The list keeps its storage, not its buffers.
+func (j *Journal) dropChunks() {
+	clear(j.chunks)
+	j.chunks = j.chunks[:0]
 }
 
 // Pending returns the number of recorded, not-yet-durable mutations.
@@ -279,6 +298,7 @@ func (j *Journal) flushLocked(round uint64) error {
 	first := j.pendingFirst
 	j.flushedSeq = j.pendingFirst + uint64(j.pendingCount) - 1
 	j.tail += nb
+	j.chunks = append(j.chunks, buf)
 	obs.WALCommits.Add(j.shard, 1)
 	obs.WALCommitRecords.Record(j.shard, uint64(j.pendingCount))
 	obs.WALFlushLatency.Since(j.shard, t0)
@@ -312,15 +332,19 @@ func (j *Journal) Checkpoint(f *fs.FS) error {
 	j.flushedSeq = seq
 	j.tail = 0
 	j.resetPending()
+	j.dropChunks()
 	obs.WALCheckpoints.Add(j.shard, 1)
 	return nil
 }
 
 // CheckpointCommitted compacts the journal without touching the live
-// filesystem or the pending buffer: it reconstructs the durable state
-// purely from disk (snapshot + every valid on-disk chunk), snapshots
-// that into the A/B region, and truncates the record area. Pending
-// records stay in memory for the next flush.
+// filesystem or the pending buffer: it loads the stamped snapshot,
+// replays the retained chunks past its stamp — the record area as this
+// journal wrote or recovered it, replayed from memory with no
+// record-area read — saves the result into the A/B region, and
+// truncates the record area. Pending records stay in memory for the
+// next flush. It holds the journal lock throughout, so Record waits
+// for the snapshot load, replay and save.
 //
 // This is the checkpoint internal/walshard uses — both for background
 // compaction and for the ErrJournalFull escalation inside a commit
@@ -342,25 +366,21 @@ func (j *Journal) CheckpointCommitted() error {
 		f, stamp = fs.New(), 0
 	}
 	seq := stamp
-	tail := uint64(0)
-	for tail < j.tail {
-		recs, first, _, count, nb, err := j.readChunk(tail, j.epoch)
+	for _, buf := range j.chunks {
+		c, err := parseChunk(buf)
 		if err != nil {
-			break
+			return err
 		}
-		last := first + uint64(count) - 1
-		if last > seq {
-			if first != seq+1 {
-				break
-			}
-			for _, m := range recs {
-				if err := f.Apply(m); err != nil {
-					return fmt.Errorf("wal: checkpoint replay seq %d (%s %q): %w", first, m.Kind, m.Path, err)
-				}
-			}
-			seq = last
+		next, ok, err := c.replay(f, seq)
+		if err != nil {
+			return fmt.Errorf("wal: checkpoint %w", err)
 		}
-		tail += nb
+		if !ok {
+			// Flushes append in sequence and recovery stops retaining at
+			// a gap, so this is a broken list, not a disk state.
+			return fmt.Errorf("%w: retained chunk at seq %d does not continue seq %d", ErrCorruptChunk, c.first, seq)
+		}
+		seq = next
 	}
 
 	if err := fs.SaveStamped(f, view, seq); err != nil {
@@ -373,6 +393,7 @@ func (j *Journal) CheckpointCommitted() error {
 	j.snapSeq = seq
 	j.flushedSeq = seq
 	j.tail = 0
+	j.dropChunks()
 	obs.WALCheckpoints.Add(j.shard, 1)
 	return nil
 }
@@ -450,6 +471,7 @@ func (j *Journal) recoverLocked(committed uint64, invalidate bool) (*fs.FS, erro
 		j.flushedSeq = seq
 		j.tail = 0
 		j.resetPending()
+		j.dropChunks()
 		if err := j.writeHeader(); err != nil {
 			return nil, err
 		}
@@ -458,14 +480,15 @@ func (j *Journal) recoverLocked(committed uint64, invalidate bool) (*fs.FS, erro
 
 	j.epoch = epoch
 	j.snapSeq = stamp
+	j.dropChunks()
 	seq := stamp // last applied (or snapshot-covered) sequence
 	tail := uint64(0)
 	for tail < j.recBlocks {
-		recs, first, round, count, nb, err := j.readChunk(tail, epoch)
+		buf, c, err := j.readChunk(tail, epoch)
 		if err != nil {
 			break // first invalid/stale chunk ends the valid prefix
 		}
-		if round > committed {
+		if c.round > committed {
 			// A prepare that never got its commit stamp: the round must
 			// roll back on every shard. Invalidate the chunk physically
 			// so a later stamp advance cannot revalidate it.
@@ -477,28 +500,21 @@ func (j *Journal) recoverLocked(committed uint64, invalidate bool) (*fs.FS, erro
 			}
 			break
 		}
-		last := first + uint64(count) - 1
-		switch {
-		case last <= seq:
-			// Fully covered by the snapshot (chunks flushed before the
-			// checkpoint whose header write did not land). Skip.
-		case first == seq+1:
-			for _, m := range recs {
-				if err := f.Apply(m); err != nil {
-					return nil, fmt.Errorf("wal: replay seq %d (%s %q): %w", first, m.Kind, m.Path, err)
-				}
-			}
-			obs.WALReplayedRecords.Add(j.shard, uint64(count))
-			seq = last
-		default:
-			// Sequence gap: a stale chunk from before a crash-interrupted
-			// checkpoint. The valid prefix ends here.
-			tail = j.recBlocks
+		next, ok, err := c.replay(f, seq)
+		if err != nil {
+			return nil, fmt.Errorf("wal: %w", err)
 		}
-		if tail == j.recBlocks {
+		if !ok {
+			// Sequence gap: a stale chunk from before a crash-interrupted
+			// checkpoint. The valid prefix ends here, and the area is
+			// full until the next checkpoint truncates it.
+			tail = j.recBlocks
 			break
 		}
-		tail += nb
+		obs.WALReplayedRecords.Add(j.shard, next-seq)
+		seq = next
+		j.chunks = append(j.chunks, buf)
+		tail += uint64(len(buf) / j.bs)
 	}
 
 	j.nextSeq = seq + 1
@@ -508,58 +524,122 @@ func (j *Journal) recoverLocked(committed uint64, invalidate bool) (*fs.FS, erro
 	return f, nil
 }
 
-// readChunk parses and validates the chunk at record-area block `at`,
-// returning its decoded records, first sequence, commit round, count,
-// and size in blocks. Any validation failure — bad magic, wrong epoch,
-// bad checksum, truncated encoding — returns an error; a chunk that
-// looked like one (magic matched) but failed integrity is counted as
-// torn.
-func (j *Journal) readChunk(at uint64, epoch uint64) ([]fs.Mutation, uint64, uint64, uint32, uint64, error) {
-	bs := uint64(j.bs)
-	blk := make([]byte, j.bs)
-	if err := j.d.ReadBlock(j.recBase+at, blk); err != nil {
-		return nil, 0, 0, 0, 0, err
+// chunk is one decoded group-commit chunk.
+type chunk struct {
+	first, round uint64
+	recs         []fs.Mutation
+}
+
+// replay applies c to f when it continues seq, the last applied (or
+// snapshot-covered) sequence, and returns the new last applied one. A
+// chunk the snapshot already covers — flushed before a checkpoint whose
+// header write did not land — is skipped; one that starts past seq+1 is
+// a sequence gap, reported as !ok with nothing applied.
+func (c chunk) replay(f *fs.FS, seq uint64) (next uint64, ok bool, err error) {
+	last := c.first + uint64(len(c.recs)) - 1
+	if last <= seq {
+		return seq, true, nil
 	}
-	d := marshal.NewDecoder(blk[:chunkHdrSize])
-	magic, ep, first, round := d.U64(), d.U64(), d.U64(), d.U64()
-	count, plen := d.U32(), d.U32()
-	if d.Err() != nil || magic != chunkMagic {
-		return nil, 0, 0, 0, 0, fmt.Errorf("%w: no chunk at block %d", ErrCorruptChunk, at)
+	if c.first != seq+1 {
+		return seq, false, nil
 	}
-	if ep != epoch {
-		// A stale chunk from a previous epoch: not torn, just truncated
-		// away by a checkpoint.
-		return nil, 0, 0, 0, 0, fmt.Errorf("%w: epoch %d at block %d, journal at %d", ErrCorruptChunk, ep, at, epoch)
-	}
-	total := uint64(chunkHdrSize) + uint64(plen) + 8
-	nb := (total + bs - 1) / bs
-	if at+nb > j.recBlocks || count == 0 {
-		obs.WALTornChunks.Add(j.shard, 1)
-		return nil, 0, 0, 0, 0, fmt.Errorf("%w: chunk at block %d overruns record area", ErrCorruptChunk, at)
-	}
-	buf := make([]byte, nb*bs)
-	copy(buf, blk)
-	for i := uint64(1); i < nb; i++ {
-		if err := j.d.ReadBlock(j.recBase+at+i, buf[i*bs:(i+1)*bs]); err != nil {
-			return nil, 0, 0, 0, 0, err
+	for _, m := range c.recs {
+		if err := f.Apply(m); err != nil {
+			return seq, false, fmt.Errorf("replay seq %d (%s %q): %w", c.first, m.Kind, m.Path, err)
 		}
 	}
-	body := buf[:uint64(chunkHdrSize)+uint64(plen)]
-	sumDec := marshal.NewDecoder(buf[len(body) : len(body)+8])
-	if sum := sumDec.U64(); marshal.Fletcher64(body) != sum {
-		obs.WALTornChunks.Add(j.shard, 1)
-		return nil, 0, 0, 0, 0, fmt.Errorf("%w: checksum mismatch at block %d", ErrCorruptChunk, at)
+	return last, true, nil
+}
+
+// chunkHeader is a chunk's fixed prefix (chunkHdrSize bytes).
+type chunkHeader struct {
+	epoch, first, round uint64
+	count, plen         uint32
+}
+
+// decodeChunkHeader decodes the chunk prefix at the start of b; ok is
+// false when b does not start with one.
+func decodeChunkHeader(b []byte) (h chunkHeader, ok bool) {
+	d := marshal.NewDecoder(b[:chunkHdrSize])
+	magic := d.U64()
+	h = chunkHeader{epoch: d.U64(), first: d.U64(), round: d.U64(), count: d.U32(), plen: d.U32()}
+	return h, d.Err() == nil && magic == chunkMagic
+}
+
+// size returns the chunk's encoded length: prefix, payload, checksum.
+func (h chunkHeader) size() uint64 { return uint64(chunkHdrSize) + uint64(h.plen) + 8 }
+
+// body returns the bytes of the chunk at the start of buf that its
+// trailing checksum covers: prefix and payload.
+func (h chunkHeader) body(buf []byte) []byte { return buf[:h.size()-8] }
+
+// parseChunk is the one decoder of the chunk format: it decodes the
+// chunk at the start of buf — prefix, then exactly count records filling
+// the payload. It checks neither the epoch nor the checksum: those guard
+// bytes read back from the device, and readChunk checks them; a chunk
+// this journal retained is the buffer it checksummed when it wrote it.
+func parseChunk(buf []byte) (chunk, error) {
+	h, ok := decodeChunkHeader(buf)
+	if !ok {
+		return chunk{}, fmt.Errorf("%w: no chunk magic", ErrCorruptChunk)
 	}
-	recs := make([]fs.Mutation, 0, count)
-	rd := marshal.NewDecoder(body[chunkHdrSize:])
-	for i := uint32(0); i < count; i++ {
+	if h.size() > uint64(len(buf)) || h.count == 0 {
+		return chunk{}, fmt.Errorf("%w: %d-byte chunk of %d records in %d bytes", ErrCorruptChunk, h.size(), h.count, len(buf))
+	}
+	recs := make([]fs.Mutation, 0, h.count)
+	rd := marshal.NewDecoder(h.body(buf)[chunkHdrSize:])
+	for i := uint32(0); i < h.count; i++ {
 		recs = append(recs, decodeMutation(rd))
 	}
 	if err := rd.Finish(); err != nil {
-		obs.WALTornChunks.Add(j.shard, 1)
-		return nil, 0, 0, 0, 0, fmt.Errorf("%w: record decode at block %d: %v", ErrCorruptChunk, at, err)
+		return chunk{}, fmt.Errorf("%w: record decode: %v", ErrCorruptChunk, err)
 	}
-	return recs, first, round, count, nb, nil
+	return chunk{first: h.first, round: h.round, recs: recs}, nil
+}
+
+// readChunk reads the chunk at record-area block `at` of the given
+// epoch and parses it, returning the chunk's whole blocks and its
+// decoded form. Any validation failure — bad magic, wrong epoch, a
+// length that overruns the record area, a checksum mismatch, or a
+// parseChunk error — returns an error; a chunk that looked like one
+// (magic and epoch matched) but failed integrity is counted as torn.
+func (j *Journal) readChunk(at uint64, epoch uint64) ([]byte, chunk, error) {
+	bs := uint64(j.bs)
+	blk := make([]byte, j.bs)
+	if err := j.d.ReadBlock(j.recBase+at, blk); err != nil {
+		return nil, chunk{}, err
+	}
+	h, ok := decodeChunkHeader(blk)
+	if !ok {
+		return nil, chunk{}, fmt.Errorf("%w: no chunk at block %d", ErrCorruptChunk, at)
+	}
+	if h.epoch != epoch {
+		// A stale chunk from a previous epoch: not torn, just truncated
+		// away by a checkpoint.
+		return nil, chunk{}, fmt.Errorf("%w: epoch %d at block %d, journal at %d", ErrCorruptChunk, h.epoch, at, epoch)
+	}
+	nb := (h.size() + bs - 1) / bs
+	if at+nb > j.recBlocks {
+		obs.WALTornChunks.Add(j.shard, 1)
+		return nil, chunk{}, fmt.Errorf("%w: chunk at block %d overruns record area", ErrCorruptChunk, at)
+	}
+	buf := append(blk, make([]byte, (nb-1)*bs)...)
+	for i := uint64(1); i < nb; i++ {
+		if err := j.d.ReadBlock(j.recBase+at+i, buf[i*bs:(i+1)*bs]); err != nil {
+			return nil, chunk{}, err
+		}
+	}
+	body := h.body(buf)
+	if sum := marshal.NewDecoder(buf[len(body) : len(body)+8]).U64(); marshal.Fletcher64(body) != sum {
+		obs.WALTornChunks.Add(j.shard, 1)
+		return nil, chunk{}, fmt.Errorf("%w: checksum mismatch at block %d", ErrCorruptChunk, at)
+	}
+	c, err := parseChunk(buf)
+	if err != nil {
+		obs.WALTornChunks.Add(j.shard, 1)
+		return nil, chunk{}, fmt.Errorf("%w at block %d", err, at)
+	}
+	return buf, c, nil
 }
 
 // encodeMutation appends one record to the encoder (the journal wire

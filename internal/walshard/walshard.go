@@ -40,9 +40,11 @@
 //
 // Background checkpointing: after each commit, any shard whose record
 // area is more than half full gets a compaction goroutine (one per
-// shard at a time). The worker serializes with commits on g.mu but
-// never touches live filesystem state — combiner rounds and Record
-// never wait on a checkpoint.
+// shard at a time). The worker never touches live filesystem state:
+// wal.CheckpointCommitted loads the shard's snapshot, replays the
+// chunks its journal retains in memory and saves the result. It holds
+// g.mu and the journal's lock throughout, so a Commit (every Sync) and
+// every Record on that shard wait for one snapshot load + apply + save.
 package walshard
 
 import (

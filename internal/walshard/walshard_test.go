@@ -313,3 +313,97 @@ func TestObligationsAllPass(t *testing.T) {
 		t.Fatalf("only %d walshard VCs ran", len(rep.Results))
 	}
 }
+
+// TestRecoveredChunksSurviveCheckpoint checks that recovery seeds the
+// chunks a checkpoint replays: after a reopen, more committed rounds
+// and a checkpoint of every shard, a second reopen must still hold
+// everything the first one recovered. One case recovers past a rolled
+// back prepare; the other recovers a record area that ends at a
+// sequence gap, so the first commit after the reopen compacts the
+// recovered prefix on the ErrJournalFull path.
+func TestRecoveredChunksSurviveCheckpoint(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		gap   bool // recovery stops at a sequence gap
+		crash func(t *testing.T, g *Group, disk *fs.MemBlockStore, fss []*fs.FS)
+	}{
+		{"unstamped-prepare", false, func(t *testing.T, g *Group, _ *fs.MemBlockStore, fss []*fs.FS) {
+			if err := fss[0].Apply(fs.Mutation{Kind: fs.MutWrite, Ino: 2, Data: []byte("rolled back")}); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.Journal(0).FlushRound(g.CommittedRound() + 1); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"sequence-gap", true, func(t *testing.T, g *Group, disk *fs.MemBlockStore, _ []*fs.FS) {
+			// Every round so far flushed one one-block chunk on shard 0.
+			// Overwrite the third with the fourth: a chunk of the current
+			// epoch whose first sequence skips the third round's records,
+			// like a stale chunk left by an interrupted checkpoint.
+			rec := uint64(stampSlots + testRegion - testJournal + 1)
+			blk := make([]byte, testBlockSize)
+			if err := disk.ReadBlock(rec+3, blk); err != nil {
+				t.Fatal(err)
+			}
+			if err := disk.WriteBlock(rec+2, blk); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, disk := newTestGroup(t, 2)
+			fss := wireShards(g)
+			broadcast(t, fss, fs.Mutation{Kind: fs.MutCreate, Path: "/a"}) // ino 2, owner 0
+			broadcast(t, fss, fs.Mutation{Kind: fs.MutCreate, Path: "/b"}) // ino 3, owner 1
+			if err := g.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < 3; r++ {
+				if err := fss[0].Apply(fs.Mutation{Kind: fs.MutWrite, Ino: 2, Off: uint64(r * 8), Data: []byte("first-0x")}); err != nil {
+					t.Fatal(err)
+				}
+				if err := fss[1].Apply(fs.Mutation{Kind: fs.MutWrite, Ino: 3, Off: uint64(r * 8), Data: []byte("first-1x")}); err != nil {
+					t.Fatal(err)
+				}
+				if err := g.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			g.Drain()
+			tc.crash(t, g, disk, fss)
+
+			g2, live := reopen(t, disk, 2)
+			if tc.gap {
+				if j := g2.Journal(0); j.TailBlocks() != j.RecordBlocks() {
+					t.Fatalf("recovery did not stop at the gap: tail %d of %d", j.TailBlocks(), j.RecordBlocks())
+				}
+			}
+			for i := range live {
+				live[i].SetJournal(g2.Journal(i))
+			}
+			for r := 0; r < 3; r++ {
+				for i, ino := range []fs.Ino{2, 3} {
+					if err := live[i].Apply(fs.Mutation{Kind: fs.MutWrite, Ino: ino, Off: uint64(32 + r*8), Data: []byte("after-rx")}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := g2.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := range live {
+				if err := g2.CheckpointShard(i); err != nil {
+					t.Fatalf("checkpoint shard %d: %v", i, err)
+				}
+			}
+			g2.Drain()
+
+			_, recs := reopen(t, disk, 2)
+			for i := range recs {
+				if !fs.Equal(recs[i], live[i]) {
+					t.Fatalf("shard %d: a checkpoint after recovery lost the recovered chunks", i)
+				}
+			}
+		})
+	}
+}
