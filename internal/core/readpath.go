@@ -20,21 +20,24 @@ import (
 // replica-local ExecuteRead (NumFDGet — never the write log), then
 // serves bytes from the per-fs-shard cache. Cache hits copy out under
 // an epoch pin without touching any NR instance; misses fill with one
-// more ExecuteRead (NumFsReadAt) against the inode's owner shard.
-// Writers invalidate through the fs Invalidator hook as their mutation
-// applies, before the write returns — so a pread that starts after a
-// write completes can never serve the overwritten bytes.
+// more ExecuteRead (NumFsReadAt) against the inode's owner shard, which
+// reads the file straight into the page the cache lends it (the
+// caller's own, for a page-aligned page-sized read) — so a miss copies
+// file → buffer → frame and allocates nothing page-sized. Writers
+// invalidate through the fs Invalidator hook as their mutation applies,
+// before the write returns — so a pread that starts after a write
+// completes can never serve the overwritten bytes.
 
 // cacheFrames adapts the system's shared data-frame allocator and
-// physical memory to pcache.FrameSource.
+// physical memory to pcache.FrameSource. Its frames are not zeroed
+// (allocDataFrames is the user-mapping source, which must zero): the
+// cache writes every byte of a frame before publishing it.
 type cacheFrames struct{ s *System }
 
 func (cf cacheFrames) AllocFrame() (mem.PAddr, error) {
-	fr, err := cf.s.allocDataFrames(1)
-	if err != nil {
-		return 0, err
-	}
-	return fr[0], nil
+	cf.s.dataMu.Lock()
+	defer cf.s.dataMu.Unlock()
+	return cf.s.dataAlloc.AllocOrder(0)
 }
 
 func (cf cacheFrames) FreeFrame(f mem.PAddr) { cf.s.freeDataFrames([]mem.PAddr{f}) }
@@ -90,15 +93,13 @@ func (h *handler) fsRead(op sys.ReadOp) sys.Resp {
 }
 
 // preadFill returns the Filler backing cache misses: one ExecuteRead of
-// the page against the inode's owner (the authoritative contents).
+// the page against the inode's owner (the authoritative contents), which
+// writes the page the cache lends it — p is always a whole page.
 func (h *handler) preadFill(pid proc.PID) pcache.Filler {
 	return func(ino fs.Ino, off uint64, p []byte) (int, sys.Errno) {
-		r := h.fsRead(sys.ReadOp{Num: sys.NumFsReadAt, PID: pid, Ino: ino, Off: off, Len: uint64(len(p))})
-		if r.Errno != sys.EOK {
-			return 0, r.Errno
-		}
-		copy(p, r.Data)
-		return int(r.Val), sys.EOK
+		r := h.fsRead(sys.ReadOp{Num: sys.NumFsReadAt, PID: pid, Ino: ino, Off: off, Len: uint64(len(p)),
+			Dst: (*[pcache.PageSize]byte)(p)})
+		return int(r.Val), r.Errno
 	}
 }
 

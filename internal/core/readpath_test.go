@@ -190,7 +190,12 @@ func TestBatchPreadObservesBatchWrites(t *testing.T) {
 // for NumRead, inside the replicated apply — and kill the kernel with
 // "makeslice: len out of range". Every reply-form read now clamps to the
 // bytes the file can supply from the offset before allocating, so the
-// hostile frame reads to EOF like an honest oversized buffer would.
+// hostile frame reads to EOF like an honest oversized buffer would. The
+// destination forms allocate nothing and are bounded by the destination:
+// a Pread by the caller's buffer (below), and the cache fill's
+// NumFsReadAt by the page it lends the apply in ReadOp.Dst
+// (sys.TestFsReadAtIntoPageClampsHostileLengths sends that one these
+// lengths and more).
 // NumMemRead took the same word to make() before any mapping check; its
 // range is now checked against the caller's mappings first, so the
 // hostile frame is the EFAULT an honest read off the end of a mapping is.

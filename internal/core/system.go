@@ -493,9 +493,10 @@ func (s *System) replicaOf(core int) int {
 // NumReplicas returns the kernel replica count (per NR instance).
 func (s *System) NumReplicas() int { return s.cfg.Replicas }
 
-// allocDataFrames grabs n zeroed user-data frames from the shared pool.
-// n comes from a user's mmap: a count the pool cannot hold is refused
-// before anything is sized by it.
+// allocDataFrames grabs n zeroed user-data frames from the shared pool
+// for a user's mmap. n comes from the user: a count the pool cannot hold
+// is refused before anything is sized by it. (The page cache takes its
+// frames from the same pool unzeroed, through cacheFrames.)
 func (s *System) allocDataFrames(n uint64) ([]mem.PAddr, error) {
 	s.dataMu.Lock()
 	defer s.dataMu.Unlock()

@@ -17,7 +17,10 @@
 //
 //   - Reclamation frees a retired frame only once no pinned reader
 //     holds an epoch older than the frame's retire epoch and no vspace
-//     mapping aliases it. All epoch operations are sequentially
+//     mapping aliases it — or, for the page an insert evicted to make
+//     room, hands the frame to that insert under the same test, so a
+//     frame is always either live in the cache or back in the
+//     source. All epoch operations are sequentially
 //     consistent (sync/atomic), which gives the safety argument its
 //     hinge: the map deletion happens-before the epoch advance, so a
 //     reader whose pinned epoch is at or past the retire epoch observed
@@ -73,6 +76,9 @@ const DefaultMaxPages = 1024
 // simple in-memory source. AllocFrame may fail under memory pressure —
 // the cache then evicts and retries, and finally serves without caching.
 type FrameSource interface {
+	// AllocFrame returns a frame whose contents are unspecified: the cache
+	// writes every byte of it (the page's bytes, then the zeroed tail)
+	// before publishing the page.
 	AllocFrame() (mem.PAddr, error)
 	FreeFrame(f mem.PAddr)
 	// WriteFrame / ReadFrame access the frame's backing bytes.
@@ -81,9 +87,11 @@ type FrameSource interface {
 }
 
 // Filler performs the authoritative read that backs a cache miss: read
-// up to len(p) bytes of ino at off, returning the count. It runs
-// replica-locally (nr.ExecuteRead) on the inode's owner shard. Reads
-// beyond EOF return 0, not an error, mirroring fs.ReadAt.
+// up to len(p) bytes of ino at off, returning the count. p is always one
+// whole page (len(p) == PageSize) — the caller's own page or the cache's
+// stage — so a filler may lend it whole to a read that takes a page. It
+// runs replica-locally (nr.ExecuteRead) on the inode's owner shard.
+// Reads beyond EOF return 0, not an error, mirroring fs.ReadAt.
 type Filler func(ino fs.Ino, off uint64, p []byte) (int, sys.Errno)
 
 // pageKey addresses one cached page.
@@ -333,10 +341,8 @@ func (c *Cache) version(ino fs.Ino) uint64 {
 var zeroPage [PageSize]byte
 
 // tryInsert installs a filled page (data is its valid bytes) if no
-// invalidation of the inode ran since v0 was read. At the residency
-// bound it evicts first; when nothing can be evicted (every resident
-// page is pinned by a mapping) or memory stays tight after one
-// eviction, the page is simply not cached.
+// invalidation of the inode ran since v0 was read and frameLocked finds
+// it a frame; otherwise the page is simply not cached.
 func (c *Cache) tryInsert(key pageKey, v0 uint64, data []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -346,24 +352,13 @@ func (c *Cache) tryInsert(key pageKey, v0 uint64, data []byte) {
 	if _, ok := c.pages.Load(key); ok {
 		return // another fill won
 	}
-	for c.resident >= c.maxPages {
-		if !c.evictOneLocked() {
-			return
-		}
+	frame, ok := c.frameLocked()
+	if !ok {
+		return
 	}
-	frame, err := c.frames.AllocFrame()
-	if err != nil {
-		// Memory pressure: evict the oldest resident page and retry once;
-		// on repeated failure serve uncached.
-		if c.evictOneLocked() {
-			frame, err = c.frames.AllocFrame()
-		}
-		if err != nil {
-			return
-		}
-	}
-	// Zero the tail so a mapped short page never leaks another file's
-	// bytes, then install.
+	// The frame's old bytes are anyone's (a recycled frame, or the evicted
+	// page's): write all of them — the data, then a zeroed tail, so a
+	// mapped short page never leaks another file's bytes — then install.
 	c.frames.WriteFrame(frame, 0, data)
 	if len(data) < PageSize {
 		c.frames.WriteFrame(frame, uint64(len(data)), zeroPage[len(data):])
@@ -385,7 +380,33 @@ func (c *Cache) tryInsert(key pageKey, v0 uint64, data []byte) {
 	byPage[key.page] = pg
 	c.resident++
 	c.residentGauge.Set(uint64(c.resident))
-	c.reclaimLocked()
+	c.reclaimLocked(nil)
+}
+
+// frameLocked finds the frame a page being inserted goes in. At the
+// residency bound it evicts first, and when the evicted frame quiesces
+// in that eviction's own reclaim pass, the insert takes it: the frame
+// passes from the old page to the new without a trip through the
+// allocator. Otherwise it allocates; under memory pressure it evicts
+// once more (taking that frame the same way) and retries. ok is false
+// when nothing can be evicted (every resident page is pinned by a
+// mapping) or memory stays tight. Caller holds mu.
+func (c *Cache) frameLocked() (frame mem.PAddr, ok bool) {
+	if c.resident >= c.maxPages {
+		if f, evicted, took := c.evictOneLocked(); !evicted || took {
+			return f, evicted
+		}
+	}
+	f, err := c.frames.AllocFrame()
+	if err == nil {
+		return f, true
+	}
+	// Memory pressure: evict once more and retry.
+	if f, evicted, took := c.evictOneLocked(); !evicted || took {
+		return f, evicted
+	}
+	f, err = c.frames.AllocFrame()
+	return f, err == nil
 }
 
 // killLocked ends a page's residency: dead first, then out of the
@@ -418,22 +439,25 @@ func (c *Cache) killLocked(pg *page) {
 
 // retireLocked advances the epoch once for the pages killed since the
 // retire queue was from entries long, stamps them with it and runs a
-// reclaim pass. One advance covers the whole batch: the map deletions
-// happen-before it, so any reader pinning the new epoch misses.
-func (c *Cache) retireLocked(from int) {
+// reclaim pass (which keeps take's frame for the caller: reclaimLocked).
+// One advance covers the whole batch: the map deletions happen-before
+// it, so any reader pinning the new epoch misses.
+func (c *Cache) retireLocked(from int, take *page) (took bool) {
 	e := c.epoch.Add(1)
 	for i := from; i < len(c.retiredQ); i++ {
 		c.retiredQ[i].epoch = e
 	}
 	c.residentGauge.Set(uint64(c.resident))
-	c.reclaimLocked()
+	return c.reclaimLocked(take)
 }
 
 // evictOneLocked removes the oldest resident page no mapping aliases,
-// retiring its frame under a fresh epoch. Caller holds mu. Returns
-// whether a page was evicted: a cache whose every page is pinned by a
-// mapping declines.
-func (c *Cache) evictOneLocked() bool {
+// retiring its frame under a fresh epoch. Caller holds mu. evicted is
+// false when a cache whose every page is pinned by a mapping declines.
+// took says the frame quiesced in the retire pass: it was not freed,
+// and belongs to the caller from here on; otherwise it waits on the
+// retire queue like any other.
+func (c *Cache) evictOneLocked() (frame mem.PAddr, evicted, took bool) {
 	for pg := c.oldest; pg != nil; pg = pg.newer {
 		if pg.maps.Load() > 0 {
 			continue // pinned by the alias
@@ -441,10 +465,9 @@ func (c *Cache) evictOneLocked() bool {
 		from := len(c.retiredQ)
 		c.killLocked(pg)
 		obs.PCacheEvictions.Add(uint32(c.shard), 1)
-		c.retireLocked(from)
-		return true
+		return pg.frame, true, c.retireLocked(from, pg)
 	}
-	return false
+	return 0, false, false
 }
 
 // InvalidateRange kills every cached page of ino overlapping
@@ -499,7 +522,7 @@ func (c *Cache) invalidate(ino fs.Ino, firstPage, lastPage uint64) {
 	}
 	if dead := len(c.retiredQ) - from; dead > 0 {
 		obs.PCacheInvalidations.Add(uint32(c.shard), uint64(dead))
-		c.retireLocked(from)
+		c.retireLocked(from, nil)
 	}
 }
 
@@ -508,10 +531,11 @@ func (c *Cache) invalidate(ino fs.Ino, firstPage, lastPage uint64) {
 // mapping aliases the frame. A reader pinned at exactly the retire
 // epoch is safe to ignore: it observed the epoch advance, which
 // happens-after the map deletion, so it cannot have found the dead
-// page. Caller holds mu.
-func (c *Cache) reclaimLocked() {
+// page. take's frame, when it quiesces, leaves the queue without being
+// freed, and took reports it: the caller reuses it. Caller holds mu.
+func (c *Cache) reclaimLocked(take *page) (took bool) {
 	if len(c.retiredQ) == 0 {
-		return
+		return false
 	}
 	min := c.minPinned()
 	kept := c.retiredQ[:0]
@@ -519,19 +543,24 @@ func (c *Cache) reclaimLocked() {
 		// min == 0 means no reader is pinned at all.
 		quiesced := min == 0 || min >= r.epoch
 		if quiesced && r.p.maps.Load() == 0 {
-			c.frames.FreeFrame(r.p.frame)
+			if r.p == take {
+				took = true
+			} else {
+				c.frames.FreeFrame(r.p.frame)
+			}
 			continue
 		}
 		kept = append(kept, r)
 	}
 	c.retiredQ = kept
+	return took
 }
 
 // Reclaim runs one reclamation pass (invalidators run it inline; this
 // export lets tests and the unmap path drive it).
 func (c *Cache) Reclaim() {
 	c.mu.Lock()
-	c.reclaimLocked()
+	c.reclaimLocked(nil)
 	c.mu.Unlock()
 }
 
@@ -541,7 +570,7 @@ func (c *Cache) Quiesce() {
 	for {
 		c.mu.Lock()
 		n := len(c.retiredQ)
-		c.reclaimLocked()
+		c.reclaimLocked(nil)
 		c.mu.Unlock()
 		if n == 0 {
 			return
@@ -593,7 +622,7 @@ func (c *Cache) UnmapFrame(frame mem.PAddr) {
 			delete(c.mapped, frame)
 		}
 	}
-	c.reclaimLocked()
+	c.reclaimLocked(nil)
 	c.mu.Unlock()
 }
 

@@ -27,7 +27,9 @@ import (
 
 // memFrames is the in-memory FrameSource the obligations and tests run
 // against: frames are 1-based indices into a slice of page buffers, and
-// the source tracks the live set so conservation is checkable.
+// the source tracks the live set so conservation is checkable. A frame
+// comes back filled with framePoison, as dirty as the contract allows,
+// so every check runs against recycled-looking frames.
 type memFrames struct {
 	mu    sync.Mutex
 	pages []*[PageSize]byte
@@ -37,6 +39,9 @@ type memFrames struct {
 	allocs int
 	frees  int
 }
+
+// framePoison fills every frame memFrames hands out.
+const framePoison = 0xA5
 
 func newMemFrames(limit int) *memFrames {
 	return &memFrames{live: make(map[mem.PAddr]bool), limit: limit}
@@ -48,7 +53,11 @@ func (m *memFrames) AllocFrame() (mem.PAddr, error) {
 	if m.limit > 0 && len(m.live) >= m.limit {
 		return 0, errors.New("memFrames: out of frames")
 	}
-	m.pages = append(m.pages, new([PageSize]byte))
+	pg := new([PageSize]byte)
+	for i := range pg {
+		pg[i] = framePoison
+	}
+	m.pages = append(m.pages, pg)
 	f := mem.PAddr(len(m.pages)) // 1-based: 0 is never a valid frame
 	m.live[f] = true
 	m.allocs++

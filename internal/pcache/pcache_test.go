@@ -307,28 +307,124 @@ func TestMappedReadStress(t *testing.T) {
 
 // TestBeyondEOFPageIsCachedEmpty: a read past EOF caches an n=0 page
 // (negative caching) and MapPage hands it out with zero valid bytes.
+// That page, and the short page holding EOF, read as zero past their
+// valid bytes in the frame a mapping aliases, although the source hands
+// out frames full of framePoison.
 func TestBeyondEOFPageIsCachedEmpty(t *testing.T) {
 	src := newMemFrames(0)
 	c := New(src, 0, 0)
-	contents := make([]byte, 100)
+	contents := bytes.Repeat([]byte{0x3c}, 100)
 	fill := constFill(contents)
 
 	buf := make([]byte, 10)
 	if n, e := c.ReadAt(1, 4*PageSize, buf, fill, 0); e != sys.EOK || n != 0 {
 		t.Fatalf("beyond-EOF read: n=%d %v", n, e)
 	}
-	frame, n, ok := c.MapPage(1, 4*PageSize, 0)
-	if !ok {
-		t.Fatal("beyond-EOF page not cached")
+	if n, e := c.ReadAt(1, 0, make([]byte, PageSize), fill, 0); e != sys.EOK || n != len(contents) {
+		t.Fatalf("short-page read: n=%d %v", n, e)
 	}
-	if n != 0 {
-		t.Fatalf("beyond-EOF page valid bytes = %d, want 0", n)
+	for _, tc := range []struct {
+		off  uint64
+		want []byte
+	}{
+		{4 * PageSize, nil},
+		{0, contents},
+	} {
+		frame, n, ok := c.MapPage(1, tc.off, 0)
+		if !ok {
+			t.Fatalf("page at %d not cached", tc.off)
+		}
+		if int(n) != len(tc.want) {
+			t.Fatalf("page at %d: valid bytes = %d, want %d", tc.off, n, len(tc.want))
+		}
+		got := make([]byte, PageSize)
+		src.ReadFrame(frame, 0, got)
+		if !bytes.Equal(got[:n], tc.want) {
+			t.Errorf("page at %d: valid bytes diverge", tc.off)
+		}
+		if i := bytes.IndexFunc(got[n:], func(r rune) bool { return r != 0 }); i >= 0 {
+			t.Errorf("page at %d: frame byte %d past the %d valid ones is %#x, want 0", tc.off, int(n)+i, n, got[int(n)+i])
+		}
+		c.UnmapFrame(frame)
 	}
-	c.UnmapFrame(frame)
 	c.InvalidateIno(1)
 	c.Quiesce()
 	if src.liveCount() != 0 {
 		t.Fatalf("%d frames leaked", src.liveCount())
+	}
+}
+
+// TestEvictionHandsFrameToInsert pins the frame hand-off on the frame
+// source's counts: an insert at the residency bound installs its page in
+// the frame its own eviction retired whenever nothing can still reach
+// that frame — no allocation and no free — and allocates a fresh frame
+// when a reader pinned before the eviction could, the evicted frame
+// being freed only once that reader unpins.
+func TestEvictionHandsFrameToInsert(t *testing.T) {
+	const maxPages, more = 8, 24
+	src := newMemFrames(0)
+	c := New(src, 0, maxPages)
+	contents := make([]byte, (maxPages+more)*PageSize+100)
+	rand.New(rand.NewSource(3)).Read(contents)
+	fill := constFill(contents)
+	buf := make([]byte, PageSize)
+	read := func(pg int) {
+		t.Helper()
+		off := uint64(pg) * PageSize
+		want := contents[off:min(off+PageSize, uint64(len(contents)))]
+		if n, e := c.ReadAt(1, off, buf, fill, pg); e != sys.EOK || !bytes.Equal(buf[:n], want) {
+			t.Fatalf("page %d: n=%d %v, or its bytes diverge", pg, n, e)
+		}
+	}
+	for pg := 0; pg < maxPages; pg++ {
+		read(pg)
+	}
+	if src.allocs != maxPages || src.frees != 0 {
+		t.Fatalf("filling to the bound: %d allocations and %d frees, want %d and 0", src.allocs, src.frees, maxPages)
+	}
+	// Every further miss evicts with no reader pinned: the frame moves.
+	// The last page is short, so its frame's recycled bytes past EOF must
+	// be zeroed as a fresh frame's poison is.
+	for pg := maxPages; pg <= maxPages+more; pg++ {
+		read(pg)
+	}
+	if src.allocs != maxPages || src.frees != 0 {
+		t.Errorf("%d misses at the bound: %d more allocations and %d frees, want none", more+1, src.allocs-maxPages, src.frees)
+	}
+	if resident, retired, _ := c.Stats(); resident != maxPages || retired != 0 {
+		t.Errorf("%d pages resident and %d retired, want %d and 0", resident, retired, maxPages)
+	}
+	for pg := more + 1; pg <= maxPages+more; pg++ {
+		read(pg) // hits: each reused frame holds its new page's bytes
+	}
+	frame, n, ok := c.MapPage(1, (maxPages+more)*PageSize, 0)
+	if !ok {
+		t.Fatal("last page not resident")
+	}
+	tail := make([]byte, PageSize-n)
+	src.ReadFrame(frame, uint64(n), tail)
+	if !bytes.Equal(tail, make([]byte, len(tail))) {
+		t.Error("a reused frame keeps its old page's bytes past the new page's EOF")
+	}
+	c.UnmapFrame(frame)
+
+	// A reader pinned across the eviction may still reach the evicted
+	// frame: the insert allocates, and the old frame waits for the unpin.
+	s := c.Pin(99)
+	read(0)
+	if src.allocs != maxPages+1 || src.frees != 0 {
+		t.Errorf("a miss with a reader pinned: %d more allocations and %d frees, want 1 and 0", src.allocs-maxPages, src.frees)
+	}
+	if live := src.liveCount(); live != maxPages+1 {
+		t.Errorf("%d frames live with a reader pinned, want %d (the evicted one kept)", live, maxPages+1)
+	}
+	c.Unpin(s)
+	c.Reclaim()
+	if src.frees != 1 || src.liveCount() != maxPages {
+		t.Errorf("after the unpin: %d frees and %d frames live, want 1 and %d", src.frees, src.liveCount(), maxPages)
+	}
+	if err := c.checkResidency(); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -462,7 +462,7 @@ func (k *Kernel) DispatchRead(op ReadOp) Resp {
 		if of.Flags&fs.OWrOnly != 0 {
 			return fail(fs.ErrPermission)
 		}
-		return k.contentsWitness(op, of.Ino, k.readAt(of.Ino, op.Off, op.Len))
+		return k.contentsWitness(op, of.Ino, k.readAt(of.Ino, op.Off, op.Len, nil))
 
 	case NumStat:
 		st, err := k.fs.StatPath(op.Path)

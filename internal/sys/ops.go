@@ -316,6 +316,12 @@ type ReadOp struct {
 	// contents snapshot beside the result (the owner shard's half of a
 	// witness).
 	Witness bool
+	// Dst on NumFsReadAt is a page the caller lends the read: up to a page
+	// of the file lands in it, and the reply's Data aliases it, instead of
+	// in a buffer the apply allocates. The apply runs on the caller's
+	// goroutine (ExecuteRead), so the page is written before the call
+	// returns and never after. A pointer, so ReadOp stays comparable.
+	Dst *[mmu.L1PageSize]byte
 }
 
 // Witness is the §3 abstraction of the one descriptor a checked

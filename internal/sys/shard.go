@@ -374,10 +374,17 @@ func (k *Kernel) runEntry(ino fs.Ino, flags int, cur, num uint64, e *WriteOp) (R
 }
 
 // readAt is the positioned read every path that copies file bytes out
-// of the kernel ends in: up to want bytes of ino from off, in a reply
-// buffer clamped to what the file can supply.
-func (k *Kernel) readAt(ino fs.Ino, off, want uint64) Resp {
-	buf := k.replyBuf(ino, off, want)
+// of the kernel ends in: up to want bytes of ino from off, into the
+// caller's page dst when it lent one (at most a page, nothing
+// allocated), else into a reply buffer clamped to what the file can
+// supply.
+func (k *Kernel) readAt(ino fs.Ino, off, want uint64, dst *[mmu.L1PageSize]byte) Resp {
+	var buf []byte
+	if dst != nil {
+		buf = dst[:min(want, mmu.L1PageSize)]
+	} else {
+		buf = k.replyBuf(ino, off, want)
+	}
 	n, err := k.fs.ReadAt(ino, off, buf)
 	if err != nil {
 		return fail(err)
@@ -445,7 +452,7 @@ func (k *Kernel) dispatchShardRead(op ReadOp) Resp {
 		return k.contentsWitness(op, op.Ino, Resp{Errno: EOK, Stat: st, Val: st.Size})
 
 	case NumFsReadAt:
-		return k.contentsWitness(op, op.Ino, k.readAt(op.Ino, op.Off, op.Len))
+		return k.contentsWitness(op, op.Ino, k.readAt(op.Ino, op.Off, op.Len, op.Dst))
 
 	case NumProcHasTable:
 		if _, ok := k.fds[op.PID]; !ok {

@@ -259,6 +259,49 @@ func TestUnknownSyscall(t *testing.T) {
 	}
 }
 
+// TestFsReadAtIntoPageClampsHostileLengths: a NumFsReadAt that lends a
+// page reads at most that page, whatever its Len says — 0, 1, 2^31,
+// 2^62 or 2^64-1 — at offsets on either side of EOF: the count is at
+// most a page and at most what the file holds from the offset, the page
+// holds the file's bytes up to the count and nothing is written past it.
+func TestFsReadAtIntoPageClampsHostileLengths(t *testing.T) {
+	k, s := newSysPair(t)
+	const size = mmu.L1PageSize + mmu.L1PageSize/2
+	contents := make([]byte, size)
+	rand.New(rand.NewSource(9)).Read(contents)
+	fd, e := s.Open("/f", fs.OCreate|fs.ORdWr)
+	if e != EOK {
+		t.Fatal(e)
+	}
+	if _, e := s.Write(fd, contents); e != EOK {
+		t.Fatal(e)
+	}
+	st, e := s.Stat("/f")
+	if e != EOK {
+		t.Fatal(e)
+	}
+	var page [mmu.L1PageSize]byte
+	for _, off := range []uint64{0, size - mmu.L1PageSize - 1, size - mmu.L1PageSize, size - 1, size, size + 1, 1 << 63, ^uint64(0)} {
+		for _, ln := range []uint64{0, 1, 1 << 31, 1 << 62, ^uint64(0)} {
+			for i := range page {
+				page[i] = 0xee
+			}
+			r := k.DispatchRead(ReadOp{Num: NumFsReadAt, Ino: st.Ino, Off: off, Len: ln, Dst: &page})
+			want := min(ln, mmu.L1PageSize, ClampReadLen(ln, off, size))
+			if r.Errno != EOK || r.Val != want || uint64(len(r.Data)) != want {
+				t.Errorf("off %d, Len %d: errno=%v n=%d (%d bytes of data), want %d", off, ln, r.Errno, r.Val, len(r.Data), want)
+				continue
+			}
+			if want > 0 && !bytes.Equal(page[:want], contents[off:off+want]) {
+				t.Errorf("off %d, Len %d: the page's bytes diverge from the file's", off, ln)
+			}
+			if !bytes.Equal(page[want:], bytes.Repeat([]byte{0xee}, int(mmu.L1PageSize-want))) {
+				t.Errorf("off %d, Len %d: the read wrote past its count %d", off, ln, want)
+			}
+		}
+	}
+}
+
 func TestTruncateThroughSys(t *testing.T) {
 	_, s := newSysPair(t)
 	fd, _ := s.Open("/t", fs.OCreate|fs.ORdWr)
