@@ -228,6 +228,58 @@ func TestInternalOpsRejectedAtBoundary(t *testing.T) {
 	}
 }
 
+// TestUndefinedTailBitIsEINVAL: a hand-rolled per-call frame whose write
+// tail sets a presence bit no field is defined for is refused at decode —
+// EINVAL, and nothing reaches any shard's log — where the same frame
+// without the bit is a logged seek.
+func TestUndefinedTailBitIsEINVAL(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		s, err := Boot(Config{Cores: 2, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		initSys, err := s.Init()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fd, e := initSys.Open("/tail", sys.OCreate|sys.ORdWr)
+		if e != sys.EOK {
+			t.Fatal(e)
+		}
+		h, err := s.newHandler(s.pickCore())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tails := func() (sum uint64) {
+			for i := 0; i < s.procNR.NumShards(); i++ {
+				sum += s.procNR.Shard(i).Tail()
+			}
+			for i := 0; i < s.fsNR.NumShards(); i++ {
+				sum += s.fsNR.Shard(i).Tail()
+			}
+			return sum
+		}
+		seek := func(bit31 bool) (sys.Resp, uint64) {
+			frame, payload := sys.EncodeWrite(sys.WriteOp{Num: sys.NumSeek, PID: initSys.PID(), FD: fd, Off: 3, Whence: fs.SeekSet})
+			if bit31 {
+				payload[3] |= 0x80 // the mask's top bit, little-endian
+			}
+			before := tails()
+			resp, err := sys.DecodeResp(h.Syscall(frame, payload))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return resp, tails() - before
+		}
+		if resp, moved := seek(true); resp.Errno != sys.EINVAL || moved != 0 {
+			t.Errorf("shards=%d: undefined tail bit: %v, log tails moved %d, want EINVAL and 0", shards, resp.Errno, moved)
+		}
+		if resp, moved := seek(false); resp.Errno != sys.EOK || resp.Val != 3 || moved == 0 {
+			t.Errorf("shards=%d: the same seek, well formed: %v val %d, log tails moved %d", shards, resp.Errno, resp.Val, moved)
+		}
+	}
+}
+
 // TestIdleCoreIRQDelivered is the regression test for the interrupt
 // fast path: an IRQ parked on a core that never makes syscalls must
 // still be delivered by another core's syscall entry (via the pending

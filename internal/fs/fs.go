@@ -99,13 +99,16 @@ func (f *FS) get(ino Ino) (*Inode, error) {
 }
 
 // SplitPath normalizes an absolute path into components, resolving "."
-// and "..".
+// and "..". Every component follows a separator, so the result is
+// presized to their count: a lookup at any depth allocates one slice.
 func SplitPath(path string) ([]string, error) {
 	if !strings.HasPrefix(path, "/") {
 		return nil, fmt.Errorf("%w: path %q not absolute", ErrInval, path)
 	}
-	var comps []string
-	for _, c := range strings.Split(path, "/") {
+	comps := make([]string, 0, strings.Count(path, "/"))
+	for rest, more := path[1:], true; more; {
+		var c string
+		c, rest, more = strings.Cut(rest, "/")
 		switch c {
 		case "", ".":
 		case "..":

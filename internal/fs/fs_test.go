@@ -80,6 +80,16 @@ func TestPathNormalization(t *testing.T) {
 	}
 }
 
+// TestSplitPathAllocatesOnce: every path lookup splits its path, so the
+// split is one presized slice, not a split list and a grown result.
+func TestSplitPathAllocatesOnce(t *testing.T) {
+	for _, p := range []string{"/", "/a", "/a/b/c/d", "//a/./b/../c//"} {
+		if n := testing.AllocsPerRun(100, func() { _, _ = SplitPath(p) }); n != 1 {
+			t.Errorf("SplitPath(%q) allocates %.0f times, want 1", p, n)
+		}
+	}
+}
+
 func TestRmdir(t *testing.T) {
 	f := New()
 	if _, err := f.Mkdir("/d"); err != nil {

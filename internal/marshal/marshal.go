@@ -129,6 +129,16 @@ func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
 // Err returns the first decode error.
 func (d *Decoder) Err() error { return d.err }
 
+// Fail records err as the decode error unless one is recorded already,
+// so a format's own validity rule (an undefined field bit, say) fails a
+// decode exactly as a short buffer does: every later read returns zero
+// and Finish reports the first error.
+func (d *Decoder) Fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+}
+
 // Remaining returns the number of unconsumed bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 

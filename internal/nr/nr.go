@@ -84,6 +84,10 @@ type Replica[Rd any, Wr any, Resp any] struct {
 	// last slot the previous pass took, so a slot a bounded pass left
 	// pending is first in line for the next one. Guarded by combiner.
 	next int
+	// pass is the slots a combiner pass takes, kept across passes so a
+	// pass allocates nothing; empty and cleared between passes, so it
+	// keeps no deregistered context reachable. Guarded by combiner.
+	pass []*ThreadContext[Rd, Wr, Resp]
 
 	// applied is the replica's applied tail: all log entries below it
 	// have been executed against ds.
@@ -391,7 +395,7 @@ func (r *Replica[Rd, Wr, Resp]) combine() {
 
 	lg := r.nr.log
 	half := uint64(len(lg.slots)) / 2
-	var batch []*ThreadContext[Rd, Wr, Resp]
+	batch := r.pass
 	var total uint64
 	start := r.next
 	for k := range ctxs {
@@ -449,6 +453,8 @@ func (r *Replica[Rd, Wr, Resp]) combine() {
 	if len(batch) > 0 {
 		obs.NRBatchSize.Record(r.id, uint64(len(batch)))
 	}
+	clear(batch)
+	r.pass = batch[:0]
 	obs.NRCombineLatency.Since(r.id, t0)
 	if tag := r.nr.shardTag; tag > 0 {
 		// The shard dimension of the combiner stats: one count + latency

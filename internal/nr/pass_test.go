@@ -133,6 +133,31 @@ func TestBoundedPassManyThreads(t *testing.T) {
 	}
 }
 
+// nopDS applies nothing: what Execute allocates over it is NR's own.
+type nopDS struct{}
+
+func (nopDS) DispatchRead(int) int  { return 0 }
+func (nopDS) DispatchWrite(int) int { return 0 }
+
+// TestCombinerPassAllocatesNothing: every logged syscall is one Execute,
+// and its combiner pass keeps the slots it takes on the replica, so the
+// pass itself allocates nothing (one 8-B list per pass when it was a
+// local) — and, cleared after the pass, the list keeps no context alive.
+func TestCombinerPassAllocatesNothing(t *testing.T) {
+	n := New(Options{Replicas: 2}, func() DataStructure[int, int, int] { return nopDS{} })
+	c := n.MustRegister(0)
+	if a := testing.AllocsPerRun(1000, func() { c.Execute(1) }); a != 0 {
+		t.Errorf("Execute over a no-op structure allocates %.2f objects per call, want 0", a)
+	}
+	r := n.Replica(0)
+	if len(r.pass) != 0 || cap(r.pass) == 0 {
+		t.Fatalf("pass list after a pass: len %d cap %d, want empty and kept", len(r.pass), cap(r.pass))
+	}
+	if r.pass[:1][0] != nil {
+		t.Errorf("the pass list still holds a thread context after its pass")
+	}
+}
+
 // TestLogDoesNotPinPayloads: a log slot keeps its op — payload included —
 // reachable until the tail laps it, so what an idle instance pins is
 // bounded by the ring. Ten laps of 4 KiB payloads, then a collection: the

@@ -1,7 +1,9 @@
 package sys
 
 import (
+	"errors"
 	"fmt"
+	"math/bits"
 
 	"github.com/verified-os/vnros/internal/fs"
 	"github.com/verified-os/vnros/internal/hw/mem"
@@ -86,67 +88,201 @@ func EncodeWrite(op WriteOp) (marshal.SyscallFrame, []byte) {
 	return frame, e.Bytes()
 }
 
-// writeTailSize bounds the encoded size of encodeWriteTail's output so
-// encoders can be presized (exact for the fixed fields, exact for the
-// variable ones).
+// The write tail's presence bits, one per field in encoding order. A
+// field whose bit is clear is zero and takes no bytes; Witness is its
+// bit alone.
+const (
+	tailFlags uint32 = 1 << iota
+	tailWhence
+	tailOff
+	tailCode
+	tailSig
+	tailTarget
+	tailPri
+	tailCore
+	tailPath
+	tailPath2
+	tailName
+	tailData
+	tailSock
+	tailAddr
+	tailPort
+	tailWord
+	tailFrames
+	tailWitness
+
+	// tailDefined is every presence bit; a mask with any other bit set is
+	// a decode error.
+	tailDefined = tailWitness<<1 - 1
+)
+
+// errTailBits reports a write tail whose presence mask sets a bit no
+// field is defined for.
+var errTailBits = errors.New("sys: undefined write-tail field bits")
+
+// tailWidth is the encoded width of each presence bit's field, a length
+// prefix for a variable one (whose bytes writeTailSize adds).
+var tailWidth = [...]int{8, 8, 8, 8, 1, 8, 1, 8, 4, 4, 4, 4, 8, 8, 2, 4, 4, 0}
+
+// writeTailMask is the presence mask of op's tail: a bit per non-zero
+// field.
+func writeTailMask(op *WriteOp) uint32 {
+	var m uint32
+	for bit, set := range [...]bool{
+		op.Flags != 0, op.Whence != 0, op.Off != 0, op.Code != 0,
+		op.Sig != 0, op.Target != 0, op.Pri != 0, op.Core != 0,
+		op.Path != "", op.Path2 != "", op.Name != "", len(op.Data) > 0,
+		op.Sock != 0, op.Addr != 0, op.Port != 0, op.Word != 0,
+		len(op.Frames) > 0, op.Witness,
+	} {
+		if set {
+			m |= 1 << bit
+		}
+	}
+	return m
+}
+
+// writeTailSize is the exact encoded size of encodeWriteTail's output,
+// so encoders can be presized: the mask, each present field's width, and
+// the variable fields' bytes (none when absent).
 func writeTailSize(op *WriteOp) int {
-	return 77 + // fixed-width fields
-		4 + len(op.Path) + 4 + len(op.Path2) + 4 + len(op.Name) +
-		4 + len(op.Data) + 8*len(op.Frames)
+	n := 4 + len(op.Path) + len(op.Path2) + len(op.Name) + len(op.Data) + 8*len(op.Frames)
+	for m := writeTailMask(op); m != 0; m &= m - 1 {
+		n += tailWidth[bits.TrailingZeros32(m)]
+	}
+	return n
 }
 
 // encodeWriteTail appends the overflow/variable-length fields of a
-// WriteOp — everything that does not fit the six-register frame. The
-// scalar syscall path and the batch path share it so the two encodings
-// cannot drift.
+// WriteOp — everything that does not fit the six-register frame — as a
+// presence mask and then the fields it names. The scalar syscall path and
+// the batch path share it so the two encodings cannot drift.
 func encodeWriteTail(e *marshal.Encoder, op *WriteOp) {
-	e.U64(op.Flags)
-	e.I64(int64(op.Whence))
-	e.I64(op.Off)
-	e.I64(int64(op.Code))
-	e.U8(uint8(op.Sig))
-	e.U64(uint64(op.Target))
-	e.U8(uint8(op.Pri))
-	e.I64(int64(op.Core))
-	e.String(op.Path)
-	e.String(op.Path2)
-	e.String(op.Name)
-	e.BytesField(op.Data)
-	e.U64(op.Sock)
-	e.U64(op.Addr)
-	e.U16(op.Port)
-	e.U32(op.Word)
-	e.U32(uint32(len(op.Frames)))
-	for _, f := range op.Frames {
-		e.U64(uint64(f))
+	m := writeTailMask(op)
+	e.U32(m)
+	if m&tailFlags != 0 {
+		e.U64(op.Flags)
 	}
-	e.Bool(op.Witness)
+	if m&tailWhence != 0 {
+		e.I64(int64(op.Whence))
+	}
+	if m&tailOff != 0 {
+		e.I64(op.Off)
+	}
+	if m&tailCode != 0 {
+		e.I64(int64(op.Code))
+	}
+	if m&tailSig != 0 {
+		e.U8(uint8(op.Sig))
+	}
+	if m&tailTarget != 0 {
+		e.U64(uint64(op.Target))
+	}
+	if m&tailPri != 0 {
+		e.U8(uint8(op.Pri))
+	}
+	if m&tailCore != 0 {
+		e.I64(int64(op.Core))
+	}
+	if m&tailPath != 0 {
+		e.String(op.Path)
+	}
+	if m&tailPath2 != 0 {
+		e.String(op.Path2)
+	}
+	if m&tailName != 0 {
+		e.String(op.Name)
+	}
+	if m&tailData != 0 {
+		e.BytesField(op.Data)
+	}
+	if m&tailSock != 0 {
+		e.U64(op.Sock)
+	}
+	if m&tailAddr != 0 {
+		e.U64(op.Addr)
+	}
+	if m&tailPort != 0 {
+		e.U16(op.Port)
+	}
+	if m&tailWord != 0 {
+		e.U32(op.Word)
+	}
+	if m&tailFrames != 0 {
+		e.U32(uint32(len(op.Frames)))
+		for _, f := range op.Frames {
+			e.U64(uint64(f))
+		}
+	}
 }
 
-// decodeWriteTail is the inverse of encodeWriteTail. It does not call
-// Finish — the caller decides when the payload must be exhausted.
+// decodeWriteTail is the inverse of encodeWriteTail: an absent field
+// stays zero, and an undefined presence bit fails the decode. It does not
+// call Finish — the caller decides when the payload must be exhausted.
 func decodeWriteTail(d *marshal.Decoder, op *WriteOp) {
-	op.Flags = d.U64()
-	op.Whence = int(d.I64())
-	op.Off = d.I64()
-	op.Code = int(d.I64())
-	op.Sig = proc.Signal(d.U8())
-	op.Target = proc.PID(d.U64())
-	op.Pri = sched.Priority(d.U8())
-	op.Core = int(d.I64())
-	op.Path = d.String()
-	op.Path2 = d.String()
-	op.Name = d.String()
-	op.Data = d.BytesFieldRef()
-	op.Sock = d.U64()
-	op.Addr = d.U64()
-	op.Port = d.U16()
-	op.Word = d.U32()
-	n := d.U32()
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		op.Frames = append(op.Frames, mem.PAddr(d.U64()))
+	m := d.U32()
+	if m&^tailDefined != 0 {
+		d.Fail(fmt.Errorf("%w: %#x", errTailBits, m&^tailDefined))
+		return
 	}
-	op.Witness = d.Bool()
+	if m&tailFlags != 0 {
+		op.Flags = d.U64()
+	}
+	if m&tailWhence != 0 {
+		op.Whence = int(d.I64())
+	}
+	if m&tailOff != 0 {
+		op.Off = d.I64()
+	}
+	if m&tailCode != 0 {
+		op.Code = int(d.I64())
+	}
+	if m&tailSig != 0 {
+		op.Sig = proc.Signal(d.U8())
+	}
+	if m&tailTarget != 0 {
+		op.Target = proc.PID(d.U64())
+	}
+	if m&tailPri != 0 {
+		op.Pri = sched.Priority(d.U8())
+	}
+	if m&tailCore != 0 {
+		op.Core = int(d.I64())
+	}
+	if m&tailPath != 0 {
+		op.Path = d.String()
+	}
+	if m&tailPath2 != 0 {
+		op.Path2 = d.String()
+	}
+	if m&tailName != 0 {
+		op.Name = d.String()
+	}
+	if m&tailData != 0 {
+		op.Data = d.BytesFieldRef()
+	}
+	if m&tailSock != 0 {
+		op.Sock = d.U64()
+	}
+	if m&tailAddr != 0 {
+		op.Addr = d.U64()
+	}
+	if m&tailPort != 0 {
+		op.Port = d.U16()
+	}
+	if m&tailWord != 0 {
+		op.Word = d.U32()
+	}
+	if m&tailFrames != 0 {
+		n := d.U32()
+		// A count the payload cannot hold is caught by the reads below;
+		// it must not size the slice.
+		op.Frames = make([]mem.PAddr, 0, min(int(n), d.Remaining()/8))
+		for i := uint32(0); i < n && d.Err() == nil; i++ {
+			op.Frames = append(op.Frames, mem.PAddr(d.U64()))
+		}
+	}
+	op.Witness = m&tailWitness != 0
 }
 
 // DecodeWrite unpacks a WriteOp on the kernel side.
@@ -206,10 +342,15 @@ func DecodeRead(frame marshal.SyscallFrame, payload []byte) (ReadOp, error) {
 	return op, nil
 }
 
-// EncodeResp packs a Resp for the return crossing. The encoder is
-// presized (exactly), so a reply is one allocation whatever it carries.
+// EncodeResp packs a Resp for the return crossing. A reply that carries
+// nothing past its errno and value is the register frame alone, with no
+// payload; any other is one allocation of exactly its encoded size.
 func EncodeResp(r Resp) (marshal.RetFrame, []byte) {
 	ret := marshal.RetFrame{Value: r.Val, Errno: uint64(r.Errno)}
+	if len(r.Data) == 0 && r.Stat == (fs.Stat{}) && len(r.Entries) == 0 &&
+		r.Wait == (proc.WaitResult{}) && r.TID == 0 && r.Sig == 0 && !r.SigOK && len(r.Freed) == 0 {
+		return ret, nil
+	}
 	size := 63 + len(r.Data) + 8*len(r.Freed) // fixed-width fields and length prefixes
 	for i := range r.Entries {
 		size += 13 + len(r.Entries[i].Name)
@@ -234,6 +375,14 @@ func EncodeResp(r Resp) (marshal.RetFrame, []byte) {
 	return ret, e.Bytes()
 }
 
+// An encoded batch entry is its six register words (batchOpHead) and its
+// write tail; an encoded completion is three words and its data's length
+// prefix (batchCompSize) and then the data.
+const (
+	batchOpHead   = 48
+	batchCompSize = 28
+)
+
 // EncodeBatch packs a submission vector for one NumBatch crossing. The
 // process identity travels once in the frame — DecodeBatch stamps it
 // onto every op, so a batch cannot smuggle operations on behalf of
@@ -244,7 +393,7 @@ func EncodeBatch(pid proc.PID, ops []WriteOp) (marshal.SyscallFrame, []byte) {
 	frame.Args[1] = uint64(len(ops))
 	size := 4
 	for i := range ops {
-		size += 48 + writeTailSize(&ops[i])
+		size += batchOpHead + writeTailSize(&ops[i])
 	}
 	e := marshal.NewEncoder(make([]byte, 0, size))
 	e.U32(uint32(len(ops)))
@@ -273,9 +422,10 @@ func DecodeBatch(frame marshal.SyscallFrame, payload []byte) ([]WriteOp, error) 
 		return nil, fmt.Errorf("sys: batch decode: frame count %d != payload count %d",
 			frame.Args[1], n)
 	}
-	if uint64(n) > uint64(len(payload)) {
-		// Every encoded op occupies well over one byte; a count beyond
-		// the payload length is corrupt, not merely truncated.
+	if uint64(n)*(batchOpHead+4) > uint64(len(payload)) {
+		// Every encoded op is at least its register words and its tail's
+		// mask; a count the payload cannot hold is corrupt, not merely
+		// truncated, and must not size the vector.
 		return nil, fmt.Errorf("sys: batch decode: count %d exceeds payload", n)
 	}
 	ops := make([]WriteOp, n)
@@ -303,7 +453,7 @@ func EncodeBatchResp(comps []Completion, errno Errno) (marshal.RetFrame, []byte)
 	ret := marshal.RetFrame{Value: uint64(len(comps)), Errno: uint64(errno)}
 	size := 4
 	for i := range comps {
-		size += 28 + len(comps[i].Data)
+		size += batchCompSize + len(comps[i].Data)
 	}
 	e := marshal.NewEncoder(make([]byte, 0, size))
 	e.U32(uint32(len(comps)))
@@ -326,7 +476,7 @@ func DecodeBatchResp(ret marshal.RetFrame, payload []byte) ([]Completion, Errno,
 		return nil, errno, fmt.Errorf("sys: batch resp decode: ret count %d != payload count %d",
 			ret.Value, n)
 	}
-	if uint64(n) > uint64(len(payload)) {
+	if uint64(n)*batchCompSize > uint64(len(payload)) {
 		return nil, errno, fmt.Errorf("sys: batch resp decode: count %d exceeds payload", n)
 	}
 	comps := make([]Completion, 0, n)
@@ -344,9 +494,13 @@ func DecodeBatchResp(ret marshal.RetFrame, payload []byte) ([]Completion, Errno,
 	return comps, errno, nil
 }
 
-// DecodeResp unpacks a Resp on the user side.
+// DecodeResp unpacks a Resp on the user side. An empty payload is the
+// all-zero tail EncodeResp leaves off.
 func DecodeResp(ret marshal.RetFrame, payload []byte) (Resp, error) {
 	r := Resp{Errno: Errno(ret.Errno), Val: ret.Value}
+	if len(payload) == 0 {
+		return r, nil
+	}
 	d := marshal.NewDecoder(payload)
 	r.Data = d.BytesFieldRef()
 	r.Stat = fs.Stat{

@@ -438,65 +438,82 @@ func (h *lyingHandler) Syscall(frame marshal.SyscallFrame, payload []byte) (mars
 	return ret, out
 }
 
+// randomWriteOp fills the register fields and gives each tail field a
+// random value with probability ½ (zero otherwise), so a round trip
+// exercises every presence bit of the write tail both set and clear.
 func randomWriteOp(r *rand.Rand) WriteOp {
 	op := WriteOp{
-		Num:    uint64(r.Intn(40)),
-		PID:    proc.PID(r.Uint64()),
-		FD:     fs.FD(r.Uint64()),
-		VA:     mmu.VAddr(r.Uint64()),
-		Len:    r.Uint64(),
-		Size:   r.Uint64(),
-		TID:    sched.TID(r.Uint64()),
-		Flags:  r.Uint64(),
-		Whence: int(int64(r.Uint32())),
-		Off:    int64(r.Uint64()),
-		Code:   int(int32(r.Uint32())),
-		Sig:    proc.Signal(r.Intn(256)),
-		Target: proc.PID(r.Uint64()),
-		Pri:    sched.Priority(r.Intn(256)),
-		Core:   int(int32(r.Uint32())),
-		Path:   randPath(r),
-		Path2:  randPath(r),
-		Name:   randPath(r),
-		Sock:   r.Uint64(),
-		Addr:   r.Uint64(),
-		Port:   uint16(r.Uint32()),
-		Word:   r.Uint32(),
+		Num:  uint64(r.Intn(40)),
+		PID:  proc.PID(r.Uint64()),
+		FD:   fs.FD(r.Uint64()),
+		VA:   mmu.VAddr(r.Uint64()),
+		Len:  r.Uint64(),
+		Size: r.Uint64(),
+		TID:  sched.TID(r.Uint64()),
 	}
-	if r.Intn(2) == 0 {
-		op.Data = make([]byte, r.Intn(256))
-		r.Read(op.Data)
+	for _, fill := range [...]func(){
+		func() { op.Flags = r.Uint64() },
+		func() { op.Whence = int(int64(r.Uint32())) },
+		func() { op.Off = int64(r.Uint64()) },
+		func() { op.Code = int(int32(r.Uint32())) },
+		func() { op.Sig = proc.Signal(r.Intn(256)) },
+		func() { op.Target = proc.PID(r.Uint64()) },
+		func() { op.Pri = sched.Priority(r.Intn(256)) },
+		func() { op.Core = int(int32(r.Uint32())) },
+		func() { op.Path = randPath(r) },
+		func() { op.Path2 = randPath(r) },
+		func() { op.Name = randPath(r) },
+		func() { op.Data = randBytes(r, r.Intn(256)) },
+		func() { op.Sock = r.Uint64() },
+		func() { op.Addr = r.Uint64() },
+		func() { op.Port = uint16(r.Uint32()) },
+		func() { op.Word = r.Uint32() },
+		func() { op.Frames = randFrames(r, 1+r.Intn(4)) },
+		func() { op.Witness = true },
+	} {
+		if r.Intn(2) == 0 {
+			fill()
+		}
 	}
-	for i := 0; i < r.Intn(5); i++ {
-		op.Frames = append(op.Frames, mem.PAddr(r.Uint64()))
-	}
-	op.Witness = r.Intn(2) == 0
 	return op
 }
 
+// randomResp gives each marshalled field past errno and value a random
+// value with probability ½, so the data-less reply — the frame alone —
+// turns up beside every shape of payload.
 func randomResp(r *rand.Rand) Resp {
-	resp := Resp{
-		Errno: Errno(r.Intn(100)),
-		Val:   r.Uint64(),
-		Stat: fs.Stat{Ino: fs.Ino(r.Uint64()), Kind: fs.Kind(r.Intn(2)),
-			Size: r.Uint64(), Nlink: r.Intn(10)},
-		Wait:  proc.WaitResult{PID: proc.PID(r.Uint64()), ExitCode: int(int32(r.Uint32()))},
-		TID:   sched.TID(r.Uint64()),
-		Sig:   proc.Signal(r.Intn(256)),
-		SigOK: r.Intn(2) == 0,
-	}
-	if r.Intn(2) == 0 {
-		resp.Data = make([]byte, r.Intn(256))
-		r.Read(resp.Data)
-	}
-	for i := 0; i < r.Intn(4); i++ {
-		resp.Entries = append(resp.Entries, fs.DirEntry{
-			Name: randPath(r), Ino: fs.Ino(r.Uint64()), Kind: fs.Kind(r.Intn(2))})
-	}
-	for i := 0; i < r.Intn(4); i++ {
-		resp.Freed = append(resp.Freed, mem.PAddr(r.Uint64()))
+	resp := Resp{Errno: Errno(r.Intn(100)), Val: r.Uint64()}
+	for _, fill := range [...]func(){
+		func() { resp.Data = randBytes(r, r.Intn(256)) },
+		func() {
+			resp.Stat = fs.Stat{Ino: fs.Ino(r.Uint64()), Kind: fs.Kind(r.Intn(2)),
+				Size: r.Uint64(), Nlink: r.Intn(10)}
+		},
+		func() {
+			for i := 1 + r.Intn(3); i > 0; i-- {
+				resp.Entries = append(resp.Entries, fs.DirEntry{
+					Name: randPath(r), Ino: fs.Ino(r.Uint64()), Kind: fs.Kind(r.Intn(2))})
+			}
+		},
+		func() { resp.Wait = proc.WaitResult{PID: proc.PID(r.Uint64()), ExitCode: int(int32(r.Uint32()))} },
+		func() { resp.TID = sched.TID(r.Uint64()) },
+		func() { resp.Sig = proc.Signal(r.Intn(256)) },
+		func() { resp.SigOK = true },
+		func() { resp.Freed = randFrames(r, 1+r.Intn(3)) },
+	} {
+		if r.Intn(2) == 0 {
+			fill()
+		}
 	}
 	return resp
+}
+
+func randFrames(r *rand.Rand, n int) []mem.PAddr {
+	f := make([]mem.PAddr, n)
+	for i := range f {
+		f[i] = mem.PAddr(r.Uint64())
+	}
+	return f
 }
 
 func randPath(r *rand.Rand) string {

@@ -379,9 +379,11 @@ func TestObligationsAllPass(t *testing.T) {
 	}
 }
 
-// TestEncodersArePresized: a reply (and a read request) is one
-// allocation of exactly its encoded size, whatever it carries — the
-// size arithmetic in EncodeResp must track the field list.
+// TestEncodersArePresized: a request or a reply is one allocation of
+// exactly its encoded size, whatever it carries — the size arithmetic in
+// writeTailSize and EncodeResp must track the field lists, the write
+// tail's presence mask included — and a reply of nothing but errno and
+// value is no allocation at all.
 func TestEncodersArePresized(t *testing.T) {
 	r := rand.New(rand.NewSource(16))
 	for i := 0; i < 200; i++ {
@@ -393,9 +395,21 @@ func TestEncodersArePresized(t *testing.T) {
 		if _, out := EncodeRead(ReadOp{Num: NumStat, Path: randPath(r), Off: r.Uint64()}); len(out) != cap(out) {
 			t.Fatalf("EncodeRead: %d bytes in a buffer of %d", len(out), cap(out))
 		}
+		op := randomWriteOp(r)
+		if _, out := EncodeWrite(op); len(out) != cap(out) {
+			t.Fatalf("EncodeWrite: %d bytes in a buffer of %d (mask %#x)", len(out), cap(out), writeTailMask(&op))
+		}
+		ops := []WriteOp{op, randomWriteOp(r), {Num: NumSync}}
+		if _, out := EncodeBatch(1, ops); len(out) != cap(out) {
+			t.Fatalf("EncodeBatch: %d bytes in a buffer of %d", len(out), cap(out))
+		}
 	}
-	if n := testing.AllocsPerRun(100, func() { EncodeResp(Resp{Errno: EOK, Val: 7}) }); n > 2 {
-		t.Errorf("a data-less reply takes %.0f allocations, want the buffer and its encoder", n)
+	if n := testing.AllocsPerRun(100, func() { EncodeResp(Resp{Errno: EOK, Val: 7}) }); n != 0 {
+		t.Errorf("a data-less reply takes %.0f allocations, want none: it is the register frame alone", n)
+	}
+	seek := WriteOp{Num: NumSeek, PID: 1, FD: 3, Off: 4096}
+	if _, out := EncodeWrite(seek); len(out) != 12 {
+		t.Errorf("a seek's request is %d bytes, want 12: the mask and its offset", len(out))
 	}
 }
 
