@@ -112,6 +112,13 @@ type System struct {
 	// split across the commit cut).
 	walGroup *walshard.Group
 
+	// quiesceOn holds, for every fs shard but shard 0, a helper-goroutine
+	// body that syncs the shard's replica 0 to its log tail and signals
+	// quiesced: journalRound's fan-out, built once at boot and used under
+	// nsMu, so a round allocates nothing.
+	quiesceOn []func()
+	quiesced  sync.WaitGroup
+
 	// Shared data-frame allocator (physical pages for user memory).
 	dataMu    sync.Mutex
 	dataAlloc *mm.Buddy
@@ -343,6 +350,12 @@ func Boot(cfg Config) (*System, error) {
 		if s.walGroup != nil {
 			jr := s.walGroup.Journal(i)
 			s.InspectFsShard(i, 0, func(k *sys.Kernel) { k.FS().SetJournal(jr) })
+			if i > 0 {
+				s.quiesceOn = append(s.quiesceOn, func() {
+					defer s.quiesced.Done()
+					s.InspectFsShard(i, 0, func(*sys.Kernel) {})
+				})
+			}
 		}
 		// One page cache per filesystem shard; every replica of a shard
 		// publishes its invalidations into that shard's cache (whichever
@@ -429,7 +442,7 @@ func (s *System) snapshotFS() error {
 // its participants. The quiesces run concurrently: each spins against its
 // shard's combiner traffic, so the round pays the slowest shard, not the
 // sum (shard 0's on the caller's goroutine, so a one-shard group spawns
-// none).
+// none, and every other one through quiesceOn).
 //
 // The group escalates a full record area to a checkpoint of the committed
 // prefix by itself, but pending records that outgrow even the empty area
@@ -442,16 +455,12 @@ func (s *System) snapshotFS() error {
 func (s *System) journalRound(act func() error) error {
 	s.nsMu.Lock()
 	defer s.nsMu.Unlock()
-	var wg sync.WaitGroup
-	for i := 1; i < s.NumShards(); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s.InspectFsShard(i, 0, func(*sys.Kernel) {})
-		}(i)
+	for _, quiesce := range s.quiesceOn {
+		s.quiesced.Add(1)
+		go quiesce()
 	}
 	s.InspectFsShard(0, 0, func(*sys.Kernel) {})
-	wg.Wait()
+	s.quiesced.Wait()
 	err := act()
 	if errors.Is(err, wal.ErrJournalFull) && !s.sharded() {
 		s.InspectFsShard(0, 0, func(k *sys.Kernel) { err = s.walGroup.Journal(0).Checkpoint(k.FS()) })

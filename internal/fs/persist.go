@@ -10,7 +10,9 @@ import (
 
 // BlockStore is the persistence substrate: a disk of fixed-size blocks.
 // internal/dev's disk driver implements it over the simulated disk
-// device; MemBlockStore implements it in memory for tests.
+// device; MemBlockStore implements it in memory for tests. WriteBlock
+// copies p and keeps nothing of it, so the caller may reuse p at once
+// (the journal builds every chunk in storage it reuses).
 type BlockStore interface {
 	BlockSize() int
 	NumBlocks() uint64

@@ -282,7 +282,9 @@ const DiskBlockSize = 512
 // number and a physical DMA address; completion raises IRQDisk and
 // queues a completion record. Only blocks that have been written are
 // stored (an unwritten block reads as zeros), so a disk costs what has
-// been written to it, not its capacity.
+// been written to it, not its capacity. A write overwrites the block it
+// already stores in place, and the completion queue keeps its array, so
+// a request to a written block allocates nothing.
 type Disk struct {
 	mu     sync.Mutex
 	m      *mem.PhysMem
@@ -366,7 +368,12 @@ func (d *Disk) Submit(write bool, block uint64, dma mem.PAddr) uint64 {
 	if block >= d.n {
 		comp.Err = ErrDiskRange.Error()
 	} else if write {
-		buf := make([]byte, DiskBlockSize)
+		// A failed DMA read leaves buf as it was (mem.PhysMem.Read), so a
+		// written block is overwritten in place.
+		buf := d.blocks[block]
+		if buf == nil {
+			buf = make([]byte, DiskBlockSize)
+		}
 		if err := d.m.Read(dma, buf); err != nil {
 			comp.Err = err.Error()
 		} else {
@@ -395,7 +402,10 @@ func (d *Disk) Complete() (DiskCompletion, bool) {
 		return DiskCompletion{}, false
 	}
 	c := d.comps[0]
-	d.comps = d.comps[1:]
+	// Shift down rather than re-slice, so the array's front is reused and
+	// the next Submit's append does not reallocate. The queue holds only
+	// the few completions not consumed yet.
+	d.comps = d.comps[:copy(d.comps, d.comps[1:])]
 	return c, true
 }
 

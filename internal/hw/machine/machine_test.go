@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/verified-os/vnros/internal/hw/mem"
@@ -154,6 +155,119 @@ func TestDiskErrors(t *testing.T) {
 	v, _ := m.Mem.Read64(0x3000)
 	if v != 0 {
 		t.Fatalf("unwritten block read %#x", v)
+	}
+}
+
+// diskRequest submits one request and consumes its completion.
+func diskRequest(t *testing.T, d *Disk, write bool, block uint64, dma mem.PAddr) DiskCompletion {
+	t.Helper()
+	id := d.Submit(write, block, dma)
+	c, ok := d.Complete()
+	if !ok || c.ID != id {
+		t.Fatalf("request %d: completion %+v, %t", id, c, ok)
+	}
+	return c
+}
+
+// diskBlock reads block back through DMA at scratch.
+func diskBlock(t *testing.T, m *Machine, block uint64, scratch mem.PAddr) []byte {
+	t.Helper()
+	if c := diskRequest(t, m.Disk, false, block, scratch); c.Err != "" {
+		t.Fatalf("read block %d: %s", block, c.Err)
+	}
+	got := make([]byte, DiskBlockSize)
+	if err := m.Mem.Read(scratch, got); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+func filled(b byte) []byte {
+	p := make([]byte, DiskBlockSize)
+	for i := range p {
+		p[i] = b + byte(i)
+	}
+	return p
+}
+
+// TestDiskRequestsAllocateNothing pins the in-place disk: once a block
+// is written and the completion queue has its array, a write+complete
+// and a read+complete of that block allocate nothing.
+func TestDiskRequestsAllocateNothing(t *testing.T) {
+	m := New(Config{DiskBlocks: 16})
+	src, dst := mem.PAddr(0x1000), mem.PAddr(0x2000)
+	if err := m.Mem.Write(src, filled(1)); err != nil {
+		t.Fatal(err)
+	}
+	request := func(write bool, dma mem.PAddr) func() {
+		return func() {
+			m.Disk.Submit(write, 5, dma)
+			if c, ok := m.Disk.Complete(); !ok || c.Err != "" {
+				t.Fatalf("completion %+v, %t", c, ok)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{{"write+complete", request(true, src)}, {"read+complete", request(false, dst)}} {
+		tc.run() // warm: the block and the completion queue's array exist
+		if n := testing.AllocsPerRun(100, tc.run); n != 0 {
+			t.Errorf("a warm %s allocates %v objects, want 0", tc.name, n)
+		}
+	}
+	if got := diskBlock(t, m, 5, dst); !bytes.Equal(got, filled(1)) {
+		t.Fatal("the block read back differs from the one written")
+	}
+}
+
+// TestDiskFailedWriteKeepsBlock checks that a write whose DMA read of
+// memory fails reports the error and leaves the block it would have
+// overwritten in place byte for byte.
+func TestDiskFailedWriteKeepsBlock(t *testing.T) {
+	m := New(Config{DiskBlocks: 16})
+	src, scratch := mem.PAddr(0x1000), mem.PAddr(0x2000)
+	if err := m.Mem.Write(src, filled(7)); err != nil {
+		t.Fatal(err)
+	}
+	if c := diskRequest(t, m.Disk, true, 3, src); c.Err != "" {
+		t.Fatal(c.Err)
+	}
+	// The DMA source runs past the end of memory: the read fails.
+	if c := diskRequest(t, m.Disk, true, 3, m.Mem.Size()-DiskBlockSize/2); c.Err == "" {
+		t.Fatal("a write from past the end of memory completed clean")
+	}
+	if got := diskBlock(t, m, 3, scratch); !bytes.Equal(got, filled(7)) {
+		t.Fatal("a failed write changed the stored block")
+	}
+}
+
+// TestInsertedImageIsACopy checks that an image copied out of one disk
+// (ForEachBlock into the other's Insert) owns its blocks: rewriting the
+// source block in place does not reach the copy.
+func TestInsertedImageIsACopy(t *testing.T) {
+	a, b := New(Config{DiskBlocks: 16}), New(Config{DiskBlocks: 16})
+	src, scratch := mem.PAddr(0x1000), mem.PAddr(0x2000)
+	if err := a.Mem.Write(src, filled(3)); err != nil {
+		t.Fatal(err)
+	}
+	if c := diskRequest(t, a.Disk, true, 9, src); c.Err != "" {
+		t.Fatal(c.Err)
+	}
+	if err := a.Disk.ForEachBlock(b.Disk.Insert); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Mem.Write(src, filled(200)); err != nil {
+		t.Fatal(err)
+	}
+	if c := diskRequest(t, a.Disk, true, 9, src); c.Err != "" {
+		t.Fatal(c.Err)
+	}
+	if got := diskBlock(t, a, 9, scratch); !bytes.Equal(got, filled(200)) {
+		t.Fatal("the source disk did not take the rewrite")
+	}
+	if got := diskBlock(t, b, 9, scratch); !bytes.Equal(got, filled(3)) {
+		t.Fatal("rewriting the source block changed the image copied from it")
 	}
 }
 

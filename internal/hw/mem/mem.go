@@ -256,7 +256,8 @@ func (m *PhysMem) CompareAndSwap64(addr PAddr, old, new uint64) (bool, error) {
 	return true, nil
 }
 
-// Read copies len(p) bytes starting at addr into p.
+// Read copies len(p) bytes starting at addr into p. On error p is left
+// as it was.
 func (m *PhysMem) Read(addr PAddr, p []byte) error {
 	if err := m.check("read", addr, len(p)); err != nil {
 		return err

@@ -40,6 +40,17 @@
 // its snapshot from the stamped one plus the chunks of the record area,
 // which the journal keeps in memory as it writes (or recovers) them, so
 // a checkpoint never reads the record area back.
+//
+// Memory: a journal builds its chunks in storage it reuses across
+// epochs — once warm, one slab of at most the record area,
+// RecordBlocks() × BlockSize() bytes — plus one block of scratch. A
+// fresh journal has no slab, and its first epoch allocates each chunk as
+// it flushes it; the truncation that ends an epoch which outgrew the
+// slab sizes the next one to twice that epoch's chunks, so slabs at
+// least double, never exceed the record area, and never hold a copy of a
+// retained chunk. A warm commit round and a checkpoint allocate nothing
+// per chunk, block or record: a checkpoint replays each record with its
+// Data borrowed from the chunk.
 package wal
 
 import (
@@ -105,7 +116,26 @@ type Journal struct {
 	// a chunk once all its block writes succeed, recovery seeds the list
 	// with the chunks it replays, and every truncation of the record
 	// area drops it, so it never holds more than recBlocks blocks.
+	//
+	// The chunks are built in slab, which the journal keeps across
+	// epochs: the epoch's chunks occupy its first used bytes, and a
+	// truncation frees them all at once (dropChunks). A chunk the slab
+	// has no room for gets a buffer of its own, as every chunk of a
+	// fresh journal does, and kept counts the bytes of every retained
+	// chunk. A truncation after an epoch that outgrew the slab replaces
+	// it with one of twice kept bytes, at most the record area; no
+	// retained chunk is ever copied. So a warm journal holds one slab of
+	// at most recBlocks blocks, each slab is at least twice the one it
+	// replaces, and a journal that never truncates allocates what it
+	// flushes, chunk by chunk.
 	chunks [][]byte
+	slab   []byte
+	used   int
+	kept   int
+
+	// blk is the one-block scratch the journal header and a recovered
+	// chunk's first block are read and written through.
+	blk []byte
 
 	shard uint32
 }
@@ -136,6 +166,7 @@ func New(d fs.BlockStore, journalBlocks uint64) (*Journal, error) {
 		recBlocks:  journalBlocks - 1,
 		epoch:      1,
 		nextSeq:    1,
+		blk:        make([]byte, d.BlockSize()),
 		shard:      obs.NextShard(),
 	}, nil
 }
@@ -172,23 +203,21 @@ func (j *Journal) formatLocked() error {
 // The epoch is the only mutable field; which mutations a recovery
 // replays is governed by the snapshot stamp, not the header.
 func (j *Journal) writeHeader() error {
-	e := marshal.NewEncoder(make([]byte, 0, 24))
+	clear(j.blk)
+	e := marshal.NewEncoder(j.blk)
 	e.U64(headerMagic).U64(j.epoch)
 	sum := marshal.Fletcher64(e.Bytes())
 	e.U64(sum)
-	hb := make([]byte, j.bs)
-	copy(hb, e.Bytes())
-	return j.d.WriteBlock(j.snapBlocks, hb)
+	return j.d.WriteBlock(j.snapBlocks, j.blk)
 }
 
 // readHeader returns the on-disk epoch, or an error for a missing/torn
 // header.
 func (j *Journal) readHeader() (uint64, error) {
-	hb := make([]byte, j.bs)
-	if err := j.d.ReadBlock(j.snapBlocks, hb); err != nil {
+	if err := j.d.ReadBlock(j.snapBlocks, j.blk); err != nil {
 		return 0, err
 	}
-	d := marshal.NewDecoder(hb[:24])
+	d := marshal.NewDecoder(j.blk[:24])
 	magic, epoch, sum := d.U64(), d.U64(), d.U64()
 	e := marshal.NewEncoder(make([]byte, 0, 16))
 	e.U64(magic).U64(epoch)
@@ -227,10 +256,36 @@ func (j *Journal) resetPending() {
 }
 
 // dropChunks forgets the retained chunks: the record area they mirror
-// was truncated. The list keeps its storage, not its buffers.
+// was truncated. The list and the slab keep their storage for the next
+// epoch's chunks, and a slab the epoch outgrew is replaced (see
+// Journal.chunks).
 func (j *Journal) dropChunks() {
+	if j.kept > j.used {
+		j.slab = make([]byte, min(int(j.recBlocks)*j.bs, 2*j.kept))
+	}
 	clear(j.chunks)
 	j.chunks = j.chunks[:0]
+	j.used, j.kept = 0, 0
+}
+
+// chunkSpace returns n bytes of storage for the next chunk: the slab
+// past the chunks built in it, or a buffer of its own when the slab has
+// no room. The slab's bytes hold whatever was there before; keepChunk
+// claims them.
+func (j *Journal) chunkSpace(n int) []byte {
+	if j.used+n > len(j.slab) {
+		return make([]byte, n)
+	}
+	return j.slab[j.used : j.used+n : j.used+n]
+}
+
+// keepChunk retains buf, the chunkSpace just written to the record area.
+func (j *Journal) keepChunk(buf []byte) {
+	j.chunks = append(j.chunks, buf)
+	if j.used+len(buf) <= len(j.slab) {
+		j.used += len(buf)
+	}
+	j.kept += len(buf)
 }
 
 // Pending returns the number of recorded, not-yet-durable mutations.
@@ -276,19 +331,23 @@ func (j *Journal) flushLocked(round uint64) error {
 	t0 := obs.Start()
 
 	// Chunk: header fields, payload, trailing checksum over both — built
-	// in one buffer sized to whole blocks, whose zeroed tail is the last
-	// block's padding, so the blocks go to the device as slices of it.
+	// in the journal's chunk storage, sized to whole blocks, so the blocks
+	// go to the device as slices of it. The storage held an earlier
+	// epoch's chunks, so the last block's padding past the checksum is
+	// cleared here: the bytes on disk are the ones a fresh buffer gave.
 	bs := uint64(j.bs)
-	nb := (uint64(chunkHdrSize+len(j.pending)+8) + bs - 1) / bs
+	size := chunkHdrSize + len(j.pending) + 8
+	nb := (uint64(size) + bs - 1) / bs
 	if j.tail+nb > j.recBlocks {
 		return ErrJournalFull
 	}
-	e := marshal.NewEncoder(make([]byte, 0, nb*bs))
+	buf := j.chunkSpace(int(nb * bs))
+	e := marshal.NewEncoder(buf)
 	e.U64(chunkMagic).U64(j.epoch).U64(j.pendingFirst).U64(round)
 	e.U32(j.pendingCount).U32(uint32(len(j.pending)))
 	e = marshal.AppendTo(append(e.Bytes(), j.pending...))
 	e.U64(marshal.Fletcher64(e.Bytes()))
-	buf := e.Bytes()[:nb*bs]
+	clear(buf[size:])
 	for i := uint64(0); i < nb; i++ {
 		if err := j.d.WriteBlock(j.recBase+j.tail+i, buf[i*bs:(i+1)*bs]); err != nil {
 			return err
@@ -298,7 +357,7 @@ func (j *Journal) flushLocked(round uint64) error {
 	first := j.pendingFirst
 	j.flushedSeq = j.pendingFirst + uint64(j.pendingCount) - 1
 	j.tail += nb
-	j.chunks = append(j.chunks, buf)
+	j.keepChunk(buf)
 	obs.WALCommits.Add(j.shard, 1)
 	obs.WALCommitRecords.Record(j.shard, uint64(j.pendingCount))
 	obs.WALFlushLatency.Since(j.shard, t0)
@@ -341,10 +400,10 @@ func (j *Journal) Checkpoint(f *fs.FS) error {
 // filesystem or the pending buffer: it loads the stamped snapshot,
 // replays the retained chunks past its stamp — the record area as this
 // journal wrote or recovered it, replayed from memory with no
-// record-area read — saves the result into the A/B region, and
-// truncates the record area. Pending records stay in memory for the
-// next flush. It holds the journal lock throughout, so Record waits
-// for the snapshot load, replay and save.
+// record-area read, each record decoded in place — saves the result
+// into the A/B region, and truncates the record area. Pending records
+// stay in memory for the next flush. It holds the journal lock
+// throughout, so Record waits for the snapshot load, replay and save.
 //
 // This is the checkpoint internal/walshard uses — both for background
 // compaction and for the ErrJournalFull escalation inside a commit
@@ -513,7 +572,7 @@ func (j *Journal) recoverLocked(committed uint64, invalidate bool) (*fs.FS, erro
 		}
 		obs.WALReplayedRecords.Add(j.shard, next-seq)
 		seq = next
-		j.chunks = append(j.chunks, buf)
+		j.keepChunk(buf)
 		tail += uint64(len(buf) / j.bs)
 	}
 
@@ -524,10 +583,32 @@ func (j *Journal) recoverLocked(committed uint64, invalidate bool) (*fs.FS, erro
 	return f, nil
 }
 
-// chunk is one decoded group-commit chunk.
+// chunk is one parsed group-commit chunk: its prefix, and the payload
+// of count encoded records that records decodes.
 type chunk struct {
-	first, round uint64
-	recs         []fs.Mutation
+	chunkHeader
+	payload []byte
+}
+
+// records decodes the chunk's records in order and passes each to fn,
+// with its Data borrowed from the chunk. It fails at the first record
+// that does not decode (fn has seen the ones before it), and when the
+// records do not fill the payload exactly.
+func (c chunk) records(fn func(fs.Mutation) error) error {
+	rd := marshal.NewDecoder(c.payload)
+	for i := uint32(0); i < c.count; i++ {
+		m := decodeMutation(rd)
+		if rd.Err() != nil {
+			break
+		}
+		if err := fn(m); err != nil {
+			return err
+		}
+	}
+	if err := rd.Finish(); err != nil {
+		return fmt.Errorf("%w: record decode: %v", ErrCorruptChunk, err)
+	}
+	return nil
 }
 
 // replay applies c to f when it continues seq, the last applied (or
@@ -536,17 +617,20 @@ type chunk struct {
 // header write did not land — is skipped; one that starts past seq+1 is
 // a sequence gap, reported as !ok with nothing applied.
 func (c chunk) replay(f *fs.FS, seq uint64) (next uint64, ok bool, err error) {
-	last := c.first + uint64(len(c.recs)) - 1
+	last := c.first + uint64(c.count) - 1
 	if last <= seq {
 		return seq, true, nil
 	}
 	if c.first != seq+1 {
 		return seq, false, nil
 	}
-	for _, m := range c.recs {
+	if err := c.records(func(m fs.Mutation) error {
 		if err := f.Apply(m); err != nil {
-			return seq, false, fmt.Errorf("replay seq %d (%s %q): %w", c.first, m.Kind, m.Path, err)
+			return fmt.Errorf("replay seq %d (%s %q): %w", c.first, m.Kind, m.Path, err)
 		}
+		return nil
+	}); err != nil {
+		return seq, false, err
 	}
 	return last, true, nil
 }
@@ -574,10 +658,11 @@ func (h chunkHeader) size() uint64 { return uint64(chunkHdrSize) + uint64(h.plen
 func (h chunkHeader) body(buf []byte) []byte { return buf[:h.size()-8] }
 
 // parseChunk is the one decoder of the chunk format: it decodes the
-// chunk at the start of buf — prefix, then exactly count records filling
-// the payload. It checks neither the epoch nor the checksum: those guard
-// bytes read back from the device, and readChunk checks them; a chunk
-// this journal retained is the buffer it checksummed when it wrote it.
+// prefix of the chunk at the start of buf and frames its payload, whose
+// records chunk.records decodes. It checks neither the epoch nor the
+// checksum nor the records: those guard bytes read back from the device,
+// and readChunk checks them; a chunk this journal retained is the buffer
+// it encoded and checksummed when it wrote it, or one readChunk checked.
 func parseChunk(buf []byte) (chunk, error) {
 	h, ok := decodeChunkHeader(buf)
 	if !ok {
@@ -586,30 +671,23 @@ func parseChunk(buf []byte) (chunk, error) {
 	if h.size() > uint64(len(buf)) || h.count == 0 {
 		return chunk{}, fmt.Errorf("%w: %d-byte chunk of %d records in %d bytes", ErrCorruptChunk, h.size(), h.count, len(buf))
 	}
-	recs := make([]fs.Mutation, 0, h.count)
-	rd := marshal.NewDecoder(h.body(buf)[chunkHdrSize:])
-	for i := uint32(0); i < h.count; i++ {
-		recs = append(recs, decodeMutation(rd))
-	}
-	if err := rd.Finish(); err != nil {
-		return chunk{}, fmt.Errorf("%w: record decode: %v", ErrCorruptChunk, err)
-	}
-	return chunk{first: h.first, round: h.round, recs: recs}, nil
+	return chunk{chunkHeader: h, payload: h.body(buf)[chunkHdrSize:]}, nil
 }
 
 // readChunk reads the chunk at record-area block `at` of the given
-// epoch and parses it, returning the chunk's whole blocks and its
-// decoded form. Any validation failure — bad magic, wrong epoch, a
-// length that overruns the record area, a checksum mismatch, or a
-// parseChunk error — returns an error; a chunk that looked like one
-// (magic and epoch matched) but failed integrity is counted as torn.
+// epoch into chunk storage and parses it, returning the chunk's whole
+// blocks and its parsed form; keepChunk claims the storage. Any
+// validation failure — bad magic, wrong epoch, a length that overruns
+// the record area, a checksum mismatch, a parseChunk error, or records
+// that do not decode to exactly the payload — returns an error; a chunk
+// that looked like one (magic and epoch matched) but failed integrity is
+// counted as torn.
 func (j *Journal) readChunk(at uint64, epoch uint64) ([]byte, chunk, error) {
 	bs := uint64(j.bs)
-	blk := make([]byte, j.bs)
-	if err := j.d.ReadBlock(j.recBase+at, blk); err != nil {
+	if err := j.d.ReadBlock(j.recBase+at, j.blk); err != nil {
 		return nil, chunk{}, err
 	}
-	h, ok := decodeChunkHeader(blk)
+	h, ok := decodeChunkHeader(j.blk)
 	if !ok {
 		return nil, chunk{}, fmt.Errorf("%w: no chunk at block %d", ErrCorruptChunk, at)
 	}
@@ -623,7 +701,8 @@ func (j *Journal) readChunk(at uint64, epoch uint64) ([]byte, chunk, error) {
 		obs.WALTornChunks.Add(j.shard, 1)
 		return nil, chunk{}, fmt.Errorf("%w: chunk at block %d overruns record area", ErrCorruptChunk, at)
 	}
-	buf := append(blk, make([]byte, (nb-1)*bs)...)
+	buf := j.chunkSpace(int(nb * bs))
+	copy(buf, j.blk)
 	for i := uint64(1); i < nb; i++ {
 		if err := j.d.ReadBlock(j.recBase+at+i, buf[i*bs:(i+1)*bs]); err != nil {
 			return nil, chunk{}, err
@@ -635,6 +714,9 @@ func (j *Journal) readChunk(at uint64, epoch uint64) ([]byte, chunk, error) {
 		return nil, chunk{}, fmt.Errorf("%w: checksum mismatch at block %d", ErrCorruptChunk, at)
 	}
 	c, err := parseChunk(buf)
+	if err == nil {
+		err = c.records(func(fs.Mutation) error { return nil })
+	}
 	if err != nil {
 		obs.WALTornChunks.Add(j.shard, 1)
 		return nil, chunk{}, fmt.Errorf("%w at block %d", err, at)
@@ -655,7 +737,10 @@ func encodeMutation(e *marshal.Encoder, m fs.Mutation) {
 	e.BytesField(m.Data)
 }
 
-// decodeMutation reads one record; the returned Data is an owned copy.
+// decodeMutation reads one record. Its Data borrows the decoder's
+// buffer — the chunk, whose storage the journal reuses after the next
+// truncation — so whoever keeps it must copy it: fs.Apply does, since
+// PageFile.WriteAt copies what it writes.
 func decodeMutation(d *marshal.Decoder) fs.Mutation {
 	return fs.Mutation{
 		Kind:  fs.MutKind(d.U8()),
@@ -664,6 +749,6 @@ func decodeMutation(d *marshal.Decoder) fs.Mutation {
 		Size:  d.U64(),
 		Path:  d.String(),
 		Path2: d.String(),
-		Data:  d.BytesField(),
+		Data:  d.BytesFieldRef(),
 	}
 }

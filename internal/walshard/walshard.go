@@ -88,6 +88,15 @@ type Group struct {
 	mu    sync.Mutex
 	round uint64 // last committed round (mirrors the on-disk stamp)
 
+	// The commit round's own storage, reused under mu so a round
+	// allocates nothing: stamp is the block a stamp slot is written from,
+	// and prepareOn[i] prepares shard i on a helper goroutine, leaving its
+	// error in prepared[i] for the coordinator, which waits on preparing.
+	stamp     []byte
+	prepareOn []func()
+	prepared  []error
+	preparing sync.WaitGroup
+
 	// auto enables the background checkpoint worker; ckptBusy gates one
 	// worker per shard, wg tracks them for Drain.
 	auto     bool
@@ -110,13 +119,16 @@ func New(d fs.BlockStore, nshards int, journalBlocks uint64) (*Group, error) {
 	}
 	per := (n - stampSlots) / uint64(nshards)
 	g := &Group{
-		d:        d,
-		bs:       d.BlockSize(),
-		nshards:  nshards,
-		per:      per,
-		js:       make([]*wal.Journal, nshards),
-		auto:     true,
-		ckptBusy: make([]atomic.Bool, nshards),
+		d:         d,
+		bs:        d.BlockSize(),
+		nshards:   nshards,
+		per:       per,
+		js:        make([]*wal.Journal, nshards),
+		auto:      true,
+		ckptBusy:  make([]atomic.Bool, nshards),
+		stamp:     make([]byte, d.BlockSize()),
+		prepareOn: make([]func(), nshards),
+		prepared:  make([]error, nshards),
 	}
 	for i := 0; i < nshards; i++ {
 		view := fs.SubStore(d, stampSlots+uint64(i)*per, per)
@@ -125,6 +137,10 @@ func New(d fs.BlockStore, nshards int, journalBlocks uint64) (*Group, error) {
 			return nil, fmt.Errorf("walshard: shard %d region (%d blocks): %w", i, per, err)
 		}
 		g.js[i] = j
+		g.prepareOn[i] = func() {
+			defer g.preparing.Done()
+			g.prepared[i] = g.prepare(i)
+		}
 	}
 	return g, nil
 }
@@ -162,7 +178,8 @@ func (g *Group) Format() error {
 	if err := g.writeStampLocked(0); err != nil {
 		return err
 	}
-	if err := g.d.WriteBlock(1, make([]byte, g.bs)); err != nil {
+	clear(g.stamp)
+	if err := g.d.WriteBlock(1, g.stamp); err != nil {
 		return err
 	}
 	for i, j := range g.js {
@@ -177,12 +194,11 @@ func (g *Group) Format() error {
 // writeStampLocked publishes round as committed: one block write to
 // the slot the round's parity selects.
 func (g *Group) writeStampLocked(round uint64) error {
-	e := marshal.NewEncoder(make([]byte, 0, 24))
+	clear(g.stamp)
+	e := marshal.NewEncoder(g.stamp)
 	e.U64(stampMagic).U64(round)
 	e.U64(marshal.Fletcher64(e.Bytes()))
-	blk := make([]byte, g.bs)
-	copy(blk, e.Bytes())
-	return g.d.WriteBlock(round%stampSlots, blk)
+	return g.d.WriteBlock(round%stampSlots, g.stamp)
 }
 
 // readStampLocked returns the highest committed round across the two
@@ -232,62 +248,38 @@ func (g *Group) Commit() error {
 }
 
 func (g *Group) commitLocked() error {
-	var parts []int
-	for i, j := range g.js {
-		if j.Pending() > 0 {
-			parts = append(parts, i)
-		}
-	}
-	if len(parts) == 0 {
-		return nil
-	}
-	next := g.round + 1
-
 	// Phase 1 — prepare: flush each participant's pending records as a
 	// round-stamped chunk. Regions are disjoint, so the flushes run
-	// concurrently when more than one shard participates.
-	prepare := func(i int) error {
-		t0 := obs.Start()
-		err := g.js[i].FlushRound(next)
-		if errors.Is(err, wal.ErrJournalFull) {
-			// Compact this shard's committed prefix and retry. Safe
-			// mid-round: the compaction touches only on-disk chunks, and
-			// this shard has no round-`next` chunk on disk yet. If the
-			// pending buffer exceeds the whole record area even after
-			// compaction, the full error propagates (EIO to the caller).
-			if err = g.js[i].CheckpointCommitted(); err == nil {
-				obs.WalShardCheckpoints.Add(0, 1)
-				err = g.js[i].FlushRound(next)
-			}
+	// concurrently: the first participant on the caller, every further
+	// one on a helper goroutine.
+	first := -1
+	for i, j := range g.js {
+		switch {
+		case j.Pending() == 0:
+		case first < 0:
+			first = i
+		default:
+			g.preparing.Add(1)
+			go g.prepareOn[i]()
 		}
-		if err == nil {
-			obs.WalShardCommits.Observe(obs.FsShardSlot(i), 0, t0)
-		}
-		return err
 	}
-	if len(parts) == 1 {
-		if err := prepare(parts[0]); err != nil {
-			return err
+	if first < 0 {
+		return nil
+	}
+	err := g.prepare(first)
+	g.preparing.Wait()
+	for i := first + 1; i < g.nshards; i++ {
+		if err == nil {
+			err = g.prepared[i]
 		}
-	} else {
-		errs := make([]error, len(parts))
-		var wg sync.WaitGroup
-		for k, i := range parts {
-			wg.Add(1)
-			go func(k, i int) {
-				defer wg.Done()
-				errs[k] = prepare(i)
-			}(k, i)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
+		g.prepared[i] = nil
+	}
+	if err != nil {
+		return err
 	}
 
 	// Phase 2 — the commit point: publish the round stamp.
+	next := g.round + 1
 	if err := g.writeStampLocked(next); err != nil {
 		return err
 	}
@@ -295,6 +287,31 @@ func (g *Group) commitLocked() error {
 	obs.WalShardRounds.Add(0, 1)
 	g.recordGaugesLocked()
 	return nil
+}
+
+// prepare is one participant's phase 1 of the round after g.round:
+// flush shard i's pending records as a chunk stamped with that round.
+// The coordinator holds g.mu, and g.round does not move until every
+// prepare has returned.
+func (g *Group) prepare(i int) error {
+	next := g.round + 1
+	t0 := obs.Start()
+	err := g.js[i].FlushRound(next)
+	if errors.Is(err, wal.ErrJournalFull) {
+		// Compact this shard's committed prefix and retry. Safe
+		// mid-round: the compaction touches only on-disk chunks, and
+		// this shard has no round-`next` chunk on disk yet. If the
+		// pending buffer exceeds the whole record area even after
+		// compaction, the full error propagates (EIO to the caller).
+		if err = g.js[i].CheckpointCommitted(); err == nil {
+			obs.WalShardCheckpoints.Add(0, 1)
+			err = g.js[i].FlushRound(next)
+		}
+	}
+	if err == nil {
+		obs.WalShardCommits.Observe(obs.FsShardSlot(i), 0, t0)
+	}
+	return err
 }
 
 func (g *Group) recordGaugesLocked() {
