@@ -13,7 +13,8 @@ import (
 // is the register frame alone, and a combiner pass allocates nothing. So
 // an unchecked seek is its encoded request (12 B in a 16-B object: 3
 // objects and 168 B when the tail was fixed-width and every reply a
-// buffer), and a checked one adds only its witness. Counts, not times:
+// buffer), and a checked one adds only its witness. A decoded path is one
+// object, its string (two when the decoder copied it twice). Counts, not times:
 // deterministic, so it runs under -short as the tier-1 pin on
 // syscall_mix's allocs_per_op.
 func TestPerCallAllocationBudget(t *testing.T) {
@@ -66,8 +67,8 @@ func TestPerCallAllocationBudget(t *testing.T) {
 		}{
 			{"unchecked seek", seek(raw), 1, 32},
 			{"checked seek", seek(h), 2, 160},
-			{"close+open", reopen, 6, 0},
-			{"stat", stat, 5, 0},
+			{"close+open", reopen, 5, 0},
+			{"stat", stat, 4, 0},
 		} {
 			objs := testing.AllocsPerRun(200, c.f)
 			b := allocPerRequest(200, c.f)

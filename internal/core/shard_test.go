@@ -229,7 +229,8 @@ func TestInternalOpsRejectedAtBoundary(t *testing.T) {
 }
 
 // TestUndefinedTailBitIsEINVAL: a hand-rolled per-call frame whose write
-// tail sets a presence bit no field is defined for is refused at decode —
+// tail sets a presence bit no field is defined for, or a bit for a field
+// its op does not carry (a seek with a path), is refused at decode —
 // EINVAL, and nothing reaches any shard's log — where the same frame
 // without the bit is a logged seek.
 func TestUndefinedTailBitIsEINVAL(t *testing.T) {
@@ -259,11 +260,7 @@ func TestUndefinedTailBitIsEINVAL(t *testing.T) {
 			}
 			return sum
 		}
-		seek := func(bit31 bool) (sys.Resp, uint64) {
-			frame, payload := sys.EncodeWrite(sys.WriteOp{Num: sys.NumSeek, PID: initSys.PID(), FD: fd, Off: 3, Whence: fs.SeekSet})
-			if bit31 {
-				payload[3] |= 0x80 // the mask's top bit, little-endian
-			}
+		call := func(frame marshal.SyscallFrame, payload []byte) (sys.Resp, uint64) {
 			before := tails()
 			resp, err := sys.DecodeResp(h.Syscall(frame, payload))
 			if err != nil {
@@ -271,10 +268,22 @@ func TestUndefinedTailBitIsEINVAL(t *testing.T) {
 			}
 			return resp, tails() - before
 		}
-		if resp, moved := seek(true); resp.Errno != sys.EINVAL || moved != 0 {
+		seek := sys.WriteOp{Num: sys.NumSeek, PID: initSys.PID(), FD: fd, Off: 3, Whence: fs.SeekSet}
+		frame, payload := sys.EncodeWrite(seek)
+		payload[3] |= 0x80 // the mask's top bit, little-endian
+		if resp, moved := call(frame, payload); resp.Errno != sys.EINVAL || moved != 0 {
 			t.Errorf("shards=%d: undefined tail bit: %v, log tails moved %d, want EINVAL and 0", shards, resp.Errno, moved)
 		}
-		if resp, moved := seek(false); resp.Errno != sys.EOK || resp.Val != 3 || moved == 0 {
+		// A number with no row may carry any field: encode the path under
+		// one, then send the frame as a seek.
+		withPath := seek
+		withPath.Num, withPath.Path = sys.MaxInternalOpNum+1, "/tail"
+		frame, payload = sys.EncodeWrite(withPath)
+		frame.Num = sys.NumSeek
+		if resp, moved := call(frame, payload); resp.Errno != sys.EINVAL || moved != 0 {
+			t.Errorf("shards=%d: a seek carrying a path: %v, log tails moved %d, want EINVAL and 0", shards, resp.Errno, moved)
+		}
+		if resp, moved := call(sys.EncodeWrite(seek)); resp.Errno != sys.EOK || resp.Val != 3 || moved == 0 {
 			t.Errorf("shards=%d: the same seek, well formed: %v val %d, log tails moved %d", shards, resp.Errno, resp.Val, moved)
 		}
 	}

@@ -248,5 +248,6 @@ func (d *Decoder) BytesFieldRef() []byte {
 	return p
 }
 
-// String reads a length-prefixed string.
-func (d *Decoder) String() string { return string(d.BytesField()) }
+// String reads a length-prefixed string. The conversion is the one copy:
+// the string never aliases the payload.
+func (d *Decoder) String() string { return string(d.BytesFieldRef()) }

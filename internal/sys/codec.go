@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"reflect"
 
 	"github.com/verified-os/vnros/internal/fs"
 	"github.com/verified-os/vnros/internal/hw/mem"
@@ -19,60 +20,6 @@ import (
 // The §3 marshalling obligation — arguments and results round-trip
 // exactly — is discharged for this codec by VCs in sys_obligations.go.
 
-// IsReadOp reports whether a syscall number is a read-only operation
-// (executed replica-locally rather than through the log).
-func IsReadOp(num uint64) bool {
-	switch num {
-	case NumStat, NumReadDir, NumGetPID, NumMemResolve, NumPread:
-		return true
-	}
-	return false
-}
-
-// IsLocalOp reports whether a syscall is handled by the composition
-// layer (internal/core) outside the replicated kernel state: blocking
-// primitives (futex) plus raw user memory access, which is not a
-// kernel-state transition at all.
-func IsLocalOp(num uint64) bool {
-	switch num {
-	case NumFutexWait, NumFutexWake, NumMemRead, NumMemWrite, NumMemCAS,
-		NumSync:
-		// NumSync is local because durability is a device effect: the
-		// journal flush happens once, against the one disk, not once
-		// per replica inside the state machine.
-		return true
-	}
-	return false
-}
-
-// IsSockOp reports whether a syscall is a socket operation. The socket
-// path is split: the *table* transition (bind/close/ownership) is
-// logged through the replicated state machine as a socktab op, while
-// the device effect (NIC transmit, interrupt-fed receive queues) stays
-// in core. The core dispatcher intercepts these before local and
-// replicated dispatch and sequences both halves (netops.go).
-func IsSockOp(num uint64) bool {
-	switch num {
-	case NumSockBind, NumSockSend, NumSockRecv, NumSockClose:
-		return true
-	}
-	return false
-}
-
-// IsBatchableOp reports whether a syscall number may ride in a NumBatch
-// submission. Batchable ops are the file-state transitions: they have
-// no core-side special handling (no frame allocation, no process
-// lifecycle, no blocking), so a kernel applies them in one combiner
-// round (ring.go's BatchSteps).
-func IsBatchableOp(num uint64) bool {
-	switch num {
-	case NumOpen, NumClose, NumRead, NumWrite, NumSeek,
-		NumTruncate, NumMkdir, NumUnlink, NumRmdir, NumRename, NumLink:
-		return true
-	}
-	return false
-}
-
 // EncodeWrite packs a WriteOp for the boundary crossing.
 func EncodeWrite(op WriteOp) (marshal.SyscallFrame, []byte) {
 	frame := marshal.SyscallFrame{Num: op.Num}
@@ -83,206 +30,159 @@ func EncodeWrite(op WriteOp) (marshal.SyscallFrame, []byte) {
 	frame.Args[4] = op.Size
 	frame.Args[5] = uint64(op.TID)
 
-	e := marshal.NewEncoder(make([]byte, 0, writeTailSize(&op)))
-	encodeWriteTail(e, &op)
+	m, size := writeTail(&op)
+	e := marshal.NewEncoder(make([]byte, 0, size))
+	encodeWriteTail(e, &op, m)
 	return frame, e.Bytes()
 }
 
-// The write tail's presence bits, one per field in encoding order. A
-// field whose bit is clear is zero and takes no bytes; Witness is its
-// bit alone.
-const (
-	tailFlags uint32 = 1 << iota
-	tailWhence
-	tailOff
-	tailCode
-	tailSig
-	tailTarget
-	tailPri
-	tailCore
-	tailPath
-	tailPath2
-	tailName
-	tailData
-	tailSock
-	tailAddr
-	tailPort
-	tailWord
-	tailFrames
-	tailWitness
-
-	// tailDefined is every presence bit; a mask with any other bit set is
-	// a decode error.
-	tailDefined = tailWitness<<1 - 1
-)
-
-// errTailBits reports a write tail whose presence mask sets a bit no
-// field is defined for.
-var errTailBits = errors.New("sys: undefined write-tail field bits")
-
-// tailWidth is the encoded width of each presence bit's field, a length
-// prefix for a variable one (whose bytes writeTailSize adds).
-var tailWidth = [...]int{8, 8, 8, 8, 1, 8, 1, 8, 4, 4, 4, 4, 8, 8, 2, 4, 4, 0}
-
-// writeTailMask is the presence mask of op's tail: a bit per non-zero
-// field.
-func writeTailMask(op *WriteOp) uint32 {
-	var m uint32
-	for bit, set := range [...]bool{
-		op.Flags != 0, op.Whence != 0, op.Off != 0, op.Code != 0,
-		op.Sig != 0, op.Target != 0, op.Pri != 0, op.Core != 0,
-		op.Path != "", op.Path2 != "", op.Name != "", len(op.Data) > 0,
-		op.Sock != 0, op.Addr != 0, op.Port != 0, op.Word != 0,
-		len(op.Frames) > 0, op.Witness,
-	} {
-		if set {
-			m |= 1 << bit
-		}
-	}
-	return m
+// A tailField is one optional field of a request's wire tail, the
+// WriteOp field of its name. Its presence bit is its index in tailFields,
+// so the bit layout is the table order; a field whose bit is clear is
+// zero and takes no bytes. Its width, zero test, encode and decode follow
+// from its type: an unsigned integer takes its own size and a signed one
+// 8 bytes, whatever the platform; a string or bytes follows a 4-byte
+// length prefix; a flag is its presence bit alone.
+type tailField struct {
+	name  string
+	index int // the field's index in WriteOp
+	width int // a string's or bytes' length prefix, without the bytes
 }
 
-// writeTailSize is the exact encoded size of encodeWriteTail's output,
-// so encoders can be presized: the mask, each present field's width, and
-// the variable fields' bytes (none when absent).
-func writeTailSize(op *WriteOp) int {
-	n := 4 + len(op.Path) + len(op.Path2) + len(op.Name) + len(op.Data) + 8*len(op.Frames)
-	for m := writeTailMask(op); m != 0; m &= m - 1 {
-		n += tailWidth[bits.TrailingZeros32(m)]
+var tailFields = [...]tailField{
+	field("Flags"), field("Whence"), field("Off"), field("Code"), field("Sig"), field("Target"),
+	field("Pri"), field("Core"), field("Path"), field("Path2"), field("Name"), field("Data"),
+	field("Sock"), field("Addr"), field("Port"), field("Word"), field("Witness"),
+}
+
+// tailDefined is every presence bit; a mask with any other bit set is a
+// decode error.
+const tailDefined = 1<<len(tailFields) - 1
+
+// field declares the tail field called name.
+func field(name string) tailField {
+	f, ok := reflect.TypeFor[WriteOp]().FieldByName(name)
+	if !ok {
+		panic("sys: WriteOp has no field " + name)
 	}
-	return n
+	width := int(f.Type.Size())
+	switch f.Type.Kind() {
+	case reflect.Int, reflect.Int64:
+		width = 8
+	case reflect.String, reflect.Slice:
+		width = 4
+	case reflect.Bool:
+		width = 0
+	}
+	return tailField{name: name, index: f.Index[0], width: width}
+}
+
+// enc appends the field of op.
+func (f *tailField) enc(e *marshal.Encoder, op reflect.Value) {
+	switch v := op.Field(f.index); v.Kind() {
+	case reflect.String:
+		e.String(v.String())
+	case reflect.Slice:
+		e.BytesField(v.Bytes())
+	case reflect.Bool:
+	case reflect.Int, reflect.Int64:
+		e.I64(v.Int())
+	case reflect.Uint8:
+		e.U8(uint8(v.Uint()))
+	case reflect.Uint16:
+		e.U16(uint16(v.Uint()))
+	case reflect.Uint32:
+		e.U32(uint32(v.Uint()))
+	default:
+		e.U64(v.Uint())
+	}
+}
+
+// dec reads the field into op. Bytes are read by reference: the payload
+// is a per-crossing buffer (marshal.Decoder.BytesFieldRef).
+func (f *tailField) dec(d *marshal.Decoder, op reflect.Value) {
+	switch v := op.Field(f.index); v.Kind() {
+	case reflect.String:
+		v.SetString(d.String())
+	case reflect.Slice:
+		v.SetBytes(d.BytesFieldRef())
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(d.I64())
+	case reflect.Uint8:
+		v.SetUint(uint64(d.U8()))
+	case reflect.Uint16:
+		v.SetUint(uint64(d.U16()))
+	case reflect.Uint32:
+		v.SetUint(uint64(d.U32()))
+	default:
+		v.SetUint(d.U64())
+	}
+}
+
+// tailBit is the presence bit of the tail field called name.
+func tailBit(name string) uint32 {
+	for i := range tailFields {
+		if tailFields[i].name == name {
+			return 1 << i
+		}
+	}
+	panic("sys: no write-tail field " + name)
+}
+
+// errTailBits reports a write tail whose presence mask sets a bit for a
+// field its op does not carry.
+var errTailBits = errors.New("sys: write-tail field bits the op does not carry")
+
+// writeTail is the presence mask of op's tail — a bit per non-zero field
+// among those its row carries — and the exact size encodeWriteTail gives
+// it, so encoders can be presized: the mask, each present field's width,
+// and a string's or bytes' contents.
+func writeTail(op *WriteOp) (m uint32, size int) {
+	v := reflect.ValueOf(op).Elem()
+	size = 4
+	for b := lookup(op.Num).tail; b != 0; b &= b - 1 {
+		i := bits.TrailingZeros32(b)
+		f := &tailFields[i]
+		switch fv := v.Field(f.index); {
+		case fv.IsZero():
+			continue
+		case fv.Kind() == reflect.String || fv.Kind() == reflect.Slice:
+			size += fv.Len()
+		}
+		m |= 1 << i
+		size += f.width
+	}
+	return m, size
 }
 
 // encodeWriteTail appends the overflow/variable-length fields of a
-// WriteOp — everything that does not fit the six-register frame — as a
-// presence mask and then the fields it names. The scalar syscall path and
-// the batch path share it so the two encodings cannot drift.
-func encodeWriteTail(e *marshal.Encoder, op *WriteOp) {
-	m := writeTailMask(op)
+// WriteOp — everything that does not fit the six-register frame — as its
+// presence mask m and then the fields m names. The scalar syscall path
+// and the batch path share it so the two encodings cannot drift.
+func encodeWriteTail(e *marshal.Encoder, op *WriteOp, m uint32) {
+	v := reflect.ValueOf(op).Elem()
 	e.U32(m)
-	if m&tailFlags != 0 {
-		e.U64(op.Flags)
-	}
-	if m&tailWhence != 0 {
-		e.I64(int64(op.Whence))
-	}
-	if m&tailOff != 0 {
-		e.I64(op.Off)
-	}
-	if m&tailCode != 0 {
-		e.I64(int64(op.Code))
-	}
-	if m&tailSig != 0 {
-		e.U8(uint8(op.Sig))
-	}
-	if m&tailTarget != 0 {
-		e.U64(uint64(op.Target))
-	}
-	if m&tailPri != 0 {
-		e.U8(uint8(op.Pri))
-	}
-	if m&tailCore != 0 {
-		e.I64(int64(op.Core))
-	}
-	if m&tailPath != 0 {
-		e.String(op.Path)
-	}
-	if m&tailPath2 != 0 {
-		e.String(op.Path2)
-	}
-	if m&tailName != 0 {
-		e.String(op.Name)
-	}
-	if m&tailData != 0 {
-		e.BytesField(op.Data)
-	}
-	if m&tailSock != 0 {
-		e.U64(op.Sock)
-	}
-	if m&tailAddr != 0 {
-		e.U64(op.Addr)
-	}
-	if m&tailPort != 0 {
-		e.U16(op.Port)
-	}
-	if m&tailWord != 0 {
-		e.U32(op.Word)
-	}
-	if m&tailFrames != 0 {
-		e.U32(uint32(len(op.Frames)))
-		for _, f := range op.Frames {
-			e.U64(uint64(f))
-		}
+	for ; m != 0; m &= m - 1 {
+		tailFields[bits.TrailingZeros32(m)].enc(e, v)
 	}
 }
 
 // decodeWriteTail is the inverse of encodeWriteTail: an absent field
-// stays zero, and an undefined presence bit fails the decode. It does not
-// call Finish — the caller decides when the payload must be exhausted.
+// stays zero, and a presence bit for a field op.Num does not carry fails
+// the decode. It does not call Finish — the caller decides when the
+// payload must be exhausted.
 func decodeWriteTail(d *marshal.Decoder, op *WriteOp) {
 	m := d.U32()
-	if m&^tailDefined != 0 {
-		d.Fail(fmt.Errorf("%w: %#x", errTailBits, m&^tailDefined))
+	if bad := m &^ lookup(op.Num).tail; bad != 0 {
+		d.Fail(fmt.Errorf("%w: %#x", errTailBits, bad))
 		return
 	}
-	if m&tailFlags != 0 {
-		op.Flags = d.U64()
+	v := reflect.ValueOf(op).Elem()
+	for ; m != 0; m &= m - 1 {
+		tailFields[bits.TrailingZeros32(m)].dec(d, v)
 	}
-	if m&tailWhence != 0 {
-		op.Whence = int(d.I64())
-	}
-	if m&tailOff != 0 {
-		op.Off = d.I64()
-	}
-	if m&tailCode != 0 {
-		op.Code = int(d.I64())
-	}
-	if m&tailSig != 0 {
-		op.Sig = proc.Signal(d.U8())
-	}
-	if m&tailTarget != 0 {
-		op.Target = proc.PID(d.U64())
-	}
-	if m&tailPri != 0 {
-		op.Pri = sched.Priority(d.U8())
-	}
-	if m&tailCore != 0 {
-		op.Core = int(d.I64())
-	}
-	if m&tailPath != 0 {
-		op.Path = d.String()
-	}
-	if m&tailPath2 != 0 {
-		op.Path2 = d.String()
-	}
-	if m&tailName != 0 {
-		op.Name = d.String()
-	}
-	if m&tailData != 0 {
-		op.Data = d.BytesFieldRef()
-	}
-	if m&tailSock != 0 {
-		op.Sock = d.U64()
-	}
-	if m&tailAddr != 0 {
-		op.Addr = d.U64()
-	}
-	if m&tailPort != 0 {
-		op.Port = d.U16()
-	}
-	if m&tailWord != 0 {
-		op.Word = d.U32()
-	}
-	if m&tailFrames != 0 {
-		n := d.U32()
-		// A count the payload cannot hold is caught by the reads below;
-		// it must not size the slice.
-		op.Frames = make([]mem.PAddr, 0, min(int(n), d.Remaining()/8))
-		for i := uint32(0); i < n && d.Err() == nil; i++ {
-			op.Frames = append(op.Frames, mem.PAddr(d.U64()))
-		}
-	}
-	op.Witness = m&tailWitness != 0
 }
 
 // DecodeWrite unpacks a WriteOp on the kernel side.
@@ -393,7 +293,8 @@ func EncodeBatch(pid proc.PID, ops []WriteOp) (marshal.SyscallFrame, []byte) {
 	frame.Args[1] = uint64(len(ops))
 	size := 4
 	for i := range ops {
-		size += batchOpHead + writeTailSize(&ops[i])
+		_, n := writeTail(&ops[i])
+		size += batchOpHead + n
 	}
 	e := marshal.NewEncoder(make([]byte, 0, size))
 	e.U32(uint32(len(ops)))
@@ -405,7 +306,8 @@ func EncodeBatch(pid proc.PID, ops []WriteOp) (marshal.SyscallFrame, []byte) {
 		e.U64(op.Len)
 		e.U64(op.Size)
 		e.U64(uint64(op.TID))
-		encodeWriteTail(e, op)
+		m, _ := writeTail(op)
+		encodeWriteTail(e, op, m)
 	}
 	return frame, e.Bytes()
 }

@@ -1,6 +1,7 @@
 package sys
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -15,21 +16,27 @@ import (
 )
 
 // writeShapes are requests of the shapes the wire carries: no tail at
-// all, one scalar, a path, data, frames, the witness bit alone, and every
-// field at once.
+// all, one scalar, a path, data, the witness bit alone, each row that
+// carries several fields with all of them set, and a number with no row,
+// which may carry every field at once.
 func writeShapes() []WriteOp {
 	return []WriteOp{
 		{Num: NumSync, PID: 1},
 		{Num: NumSeek, PID: 1, FD: 3, Off: 4096},
 		{Num: NumOpen, PID: 1, Path: "/a/b", Flags: uint64(OCreate | ORdWr)},
 		{Num: NumWrite, PID: 1, FD: 3, Data: []byte("payload")},
-		{Num: NumMMap, PID: 1, Size: 2 * mmu.L1PageSize, Frames: []mem.PAddr{0x1000, 0x2000}},
+		{Num: NumMMap, PID: 1, Size: 2 * mmu.L1PageSize},
 		{Num: NumRead, PID: 1, FD: 3, Len: 512, Witness: true},
+		{Num: NumSeek, PID: 1, FD: 3, Whence: 1, Off: -8, Witness: true},
+		{Num: NumRename, PID: 1, Path: "/p", Path2: "/q"},
+		{Num: NumKill, PID: 1, Target: 11, Sig: 10},
+		{Num: NumSockSend, PID: 1, Sock: 14, Addr: 15, Port: 16, Data: []byte{1, 2}},
+		{Num: NumSockBind, PID: 1, Port: 16, Word: 17},
 		{
-			Num: NumKill, PID: 1, FD: 2, VA: 3, Len: 4, Size: 5, TID: 6,
+			Num: MaxInternalOpNum + 1, PID: 1, FD: 2, VA: 3, Len: 4, Size: 5, TID: 6,
 			Flags: 7, Whence: 1, Off: -8, Code: 9, Sig: 10, Target: 11, Pri: 12, Core: 13,
 			Path: "/p", Path2: "/q", Name: "n", Data: []byte{1, 2},
-			Sock: 14, Addr: 15, Port: 16, Word: 17, Frames: []mem.PAddr{18}, Witness: true,
+			Sock: 14, Addr: 15, Port: 16, Word: 17, Witness: true,
 		},
 	}
 }
@@ -116,8 +123,12 @@ func TestMalformedTailIsAnError(t *testing.T) {
 			t.Errorf("%s: bit 31 of the leading word set, decodes", c.name)
 		}
 	}
-	// Each undefined presence bit on its own, through both request paths.
-	for bit := 18; bit < 32; bit++ {
+	// Each presence bit a seek does not carry on its own — undefined, or
+	// another op's field — through both request paths.
+	for bit := 0; bit < 32; bit++ {
+		if lookup(NumSeek).tail&(1<<bit) != 0 {
+			continue
+		}
 		frame, payload := EncodeWrite(WriteOp{Num: NumSeek, Off: 1})
 		payload[bit/8] |= 1 << (bit % 8)
 		if _, err := DecodeWrite(frame, payload); !errors.Is(err, errTailBits) {
@@ -134,8 +145,8 @@ func TestMalformedTailIsAnError(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		p := randBytes(r, r.Intn(160))
 		if i%2 == 0 && len(p) >= 4 {
-			p[2] &= 0x03 // a defined mask, so the decode goes past it
-			p[3] = 0
+			// A defined mask, so the decode goes past it.
+			binary.LittleEndian.PutUint32(p, binary.LittleEndian.Uint32(p)&tailDefined)
 		}
 		for _, c := range cases {
 			func() {
@@ -155,7 +166,7 @@ func TestMalformedTailIsAnError(t *testing.T) {
 // their replies cross as the register frame alone.
 func TestDatalessRepliesAreTheFrame(t *testing.T) {
 	k, frames := newTestKernelFrames()
-	h := &directHandler{k: k}
+	h := &directHandler{k: k, frames: frames}
 	pid := proc.PID(k.DispatchWrite(WriteOp{Num: NumSpawn, PID: proc.InitPID, Name: "p"}).Val)
 	call := func(op WriteOp) marshal.RetFrame {
 		t.Helper()
@@ -170,24 +181,24 @@ func TestDatalessRepliesAreTheFrame(t *testing.T) {
 	call(WriteOp{Num: NumWrite, FD: fd, Data: []byte("data")})
 	call(WriteOp{Num: NumSeek, FD: fd, Off: 1})
 	call(WriteOp{Num: NumClose, FD: fd})
-	call(WriteOp{Num: NumMMap, Size: mmu.L1PageSize, Frames: frames.take(1)})
+	call(WriteOp{Num: NumMMap, Size: mmu.L1PageSize})
 }
 
-// FuzzDecodeWrite: whatever the bytes, DecodeWrite returns an error or a
-// request, and a request it returns survives its own round trip.
+// FuzzDecodeWrite: whatever the number and the bytes, DecodeWrite returns
+// an error or a request, and a request it returns survives its own round
+// trip. The seeds are the shapes and the round-trip generator's rows.
 func FuzzDecodeWrite(f *testing.F) {
 	r := rand.New(rand.NewSource(31))
 	for i := 0; i < 16; i++ {
-		_, payload := EncodeWrite(randomWriteOp(r))
-		f.Add(payload)
+		frame, payload := EncodeWrite(randomWriteOp(r))
+		f.Add(frame.Num, payload)
 	}
 	for _, op := range writeShapes() {
-		_, payload := EncodeWrite(op)
-		f.Add(payload)
+		frame, payload := EncodeWrite(op)
+		f.Add(frame.Num, payload)
 	}
-	frame := marshal.SyscallFrame{Num: NumWrite}
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		op, err := DecodeWrite(frame, payload)
+	f.Fuzz(func(t *testing.T, num uint64, payload []byte) {
+		op, err := DecodeWrite(marshal.SyscallFrame{Num: num}, payload)
 		if err != nil {
 			return
 		}

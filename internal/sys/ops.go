@@ -97,35 +97,29 @@ const (
 	// ordering rules). They share the WriteOp/ReadOp/Resp containers so
 	// each shard remains one monomorphic NR instantiation.
 
-	// Descriptor-table ops (process shard owning the PID).
 	NumFDOpen   // install a descriptor for a resolved inode (Ino, Flags)
 	NumFDLock   // lock fd for a data op; returns Ino/Offset/Flags
 	NumFDUnlock // unlock fd, setting the absolute offset from Len
 	NumFDSeek   // reposition offset (SeekSet/SeekCur); EAGAIN while locked
 	NumFDRun    // co-located: resolve fd, apply a batch's run on it, store its cursor
 
-	// Process-tree ops (pinned to process shard 0) and per-process
-	// resource ops (process shard owning the PID).
 	NumProcSpawn   // tree half of spawn: allocate the child PID
 	NumProcUnspawn // roll a spawn back when resource attach fails
 	NumProcAttach  // resource half of spawn: vspace, page table, fds
 	NumProcDetach  // resource half of exit: unmap, destroy, free
 	NumProcExit    // tree half of exit: zombie + reparent + signal
 
-	// Filesystem ops (namespace ops broadcast to every fs shard; data
-	// ops routed to the shard owning the inode).
 	NumFsCreate   // namespace: create a file (broadcast)
 	NumFsRun      // data: a descriptor's read/write/seek run (owner shard)
 	NumFsTruncate // data: truncate (owner shard)
 
-	// Page-cache mapping ops (process shard owning the PID): install or
-	// remove a read-only alias of a pinned cache frame in the caller's
-	// vspace. The frame is pre-pinned by core's page cache; NumPageUnmap
-	// returns it in Resp.Unpinned (never Freed — the cache owns it).
+	// Page-cache mapping ops: install or remove a read-only alias of a
+	// cache frame core's page cache has pinned in the caller's vspace.
+	// NumPageUnmap returns it in Resp.Unpinned (never Freed — the cache
+	// owns it).
 	NumPageMap
 	NumPageUnmap
 
-	// Internal read-only ops.
 	NumFDGet        // descriptor state without locking
 	NumFsLookup     // path → inode (any fs shard; namespace replicated)
 	NumFsStatIno    // stat by inode (owner shard has the true size)
@@ -142,12 +136,15 @@ const (
 	NumSockTabBind  // install (PID, id=++nextID) → Port; Val = id
 	NumSockTabClose // remove the entry, free its port; Val = port
 
-	// Socket-table read-only op: a send's admission.
-	NumSockTabGet // (PID, Sock) → bound port; EBADF if not the PID's
+	NumSockTabGet // a send's admission: (PID, Sock) → bound port; EBADF if not the PID's
 )
 
+// MaxOpNum is the last wire row: the highest syscall number a user frame
+// may carry. The internal ops sit above it.
+const MaxOpNum = NumPreadUnmap
+
 // MaxInternalOpNum is the highest internal (cross-shard protocol) op
-// number; the obs opcode space must cover it too.
+// number, the last row of opTable; the obs opcode space must cover it.
 const MaxInternalOpNum = NumSockTabGet
 
 // SockRecvBlock, set in WriteOp.Flags of a NumSockRecv, asks the kernel
@@ -155,52 +152,189 @@ const MaxInternalOpNum = NumSockTabGet
 // or the socket closes, instead of returning EAGAIN.
 const SockRecvBlock uint64 = 1
 
-// IsInternalOp reports whether num is a cross-shard protocol op — valid
-// only inside the kernel composition, never at the user boundary.
-func IsInternalOp(num uint64) bool { return num > MaxOpNum && num <= MaxInternalOpNum }
+// opClass is where an op is served.
+type opClass uint8
 
-// opNames maps syscall numbers to their display names, for the
-// observability layer (obs records by number; tools render names).
-var opNames = map[uint64]string{
-	NumOpen: "open", NumClose: "close", NumRead: "read", NumWrite: "write",
-	NumSeek: "seek", NumStat: "stat", NumMkdir: "mkdir", NumUnlink: "unlink",
-	NumRmdir: "rmdir", NumRename: "rename", NumLink: "link",
-	NumReadDir: "readdir", NumTruncate: "truncate",
-	NumSpawn: "spawn", NumWaitPID: "waitpid", NumExit: "exit", NumKill: "kill",
-	NumGetPID: "getpid", NumTakeSignal: "takesignal",
-	NumMMap: "mmap", NumMUnmap: "munmap", NumMemResolve: "memresolve",
-	NumThreadAdd: "thread_add", NumThreadYield: "thread_yield",
-	NumThreadBlock: "thread_block", NumThreadWake: "thread_wake",
-	NumThreadExit: "thread_exit", NumPickNext: "picknext",
-	NumFutexWait: "futex_wait", NumFutexWake: "futex_wake",
-	NumSockBind: "sock_bind", NumSockSend: "sock_send",
-	NumSockRecv: "sock_recv", NumSockClose: "sock_close",
-	NumMemRead: "mem_read", NumMemWrite: "mem_write", NumMemCAS: "mem_cas",
-	NumBatch: "batch", NumSync: "sync",
-	NumPread: "pread", NumPreadMap: "pread_map", NumPreadUnmap: "pread_unmap",
-	NumPageMap: "page_map", NumPageUnmap: "page_unmap",
-	NumFDOpen: "fd_open", NumFDLock: "fd_lock", NumFDUnlock: "fd_unlock",
-	NumFDSeek: "fd_seek", NumFDRun: "fd_run", NumProcSpawn: "proc_spawn", NumProcUnspawn: "proc_unspawn",
-	NumProcAttach: "proc_attach", NumProcDetach: "proc_detach", NumProcExit: "proc_exit",
-	NumFsCreate: "fs_create", NumFsRun: "fs_run", NumFsTruncate: "fs_truncate",
-	NumFDGet: "fd_get", NumFsLookup: "fs_lookup", NumFsStatIno: "fs_statino",
-	NumFsReadAt: "fs_readat", NumProcHasTable: "proc_hastable",
-	NumSockTabBind: "socktab_bind", NumSockTabClose: "socktab_close",
-	NumSockTabGet: "socktab_get",
+const (
+	classNone   opClass = iota // no row: the kernel answers ENOSYS
+	classRead                  // read-only: replica-local, not logged
+	classLogged                // a mutating transition through the log
+	// classLocal: served by core outside the replicated state — futex,
+	// raw user memory (no kernel-state transition at all), and sync,
+	// because durability is a device effect: the journal flush happens
+	// once, against the one disk, not once per replica.
+	classLocal
+	// classSock: core intercepts these and sequences both halves: the
+	// table transition (bind/close/ownership), logged as a socktab op, and
+	// the device effect (netops.go).
+	classSock
+	// classInternal: a cross-shard protocol op, never at the user boundary.
+	classInternal
+)
+
+// opProps are an op's batching and checking properties.
+type opProps uint8
+
+const (
+	// opBatchable: may ride in a NumBatch submission. These are the
+	// file-state transitions, with no core-side handling (no frame
+	// allocation, no process lifecycle, no blocking), so a kernel applies
+	// them in one combiner round (ring.go's BatchSteps).
+	opBatchable opProps = 1 << iota
+	// opRun: can be an entry of a run (NumFsRun, NumFDRun), touching
+	// nothing but one descriptor's cursor and its inode's contents.
+	opRun
+	// opChecked: contract-checked against a witness, per call or batched,
+	// so its request carries the witness bit.
+	opChecked
+)
+
+// opRow is one op as the kernel knows it: its display name (obs records
+// by number; tools render names), its class and properties, where its
+// footprint lives on a partitioned kernel, and the write-tail fields its
+// request may carry, as a presence mask over tailFields (codec.go).
+type opRow struct {
+	name   string
+	class  opClass
+	props  opProps
+	target ShardTarget
+	tail   uint32
 }
+
+// row declares an op carrying the named tail fields — and the witness
+// bit, when it is checked.
+func row(name string, class opClass, props opProps, target ShardTarget, fields ...string) opRow {
+	r := opRow{name: name, class: class, props: props, target: target}
+	if props&opChecked != 0 {
+		fields = append(fields, "Witness")
+	}
+	for _, f := range fields {
+		r.tail |= tailBit(f)
+	}
+	return r
+}
+
+// opTable is the syscall surface, declared once: a row per op number, the
+// wire ABI up to MaxOpNum and the internal ops above it. The classifiers
+// below and the codec's per-op tail are lookups into it.
+var opTable = [MaxInternalOpNum + 1]opRow{
+	NumOpen:        row("open", classLogged, opBatchable, TargetCompose, "Flags", "Path"),
+	NumClose:       row("close", classLogged, opBatchable, TargetProcKey),
+	NumRead:        row("read", classLogged, opBatchable|opRun|opChecked, TargetCompose),
+	NumWrite:       row("write", classLogged, opBatchable|opRun|opChecked, TargetCompose, "Data"),
+	NumSeek:        row("seek", classLogged, opBatchable|opRun|opChecked, TargetCompose, "Whence", "Off"),
+	NumStat:        row("stat", classRead, 0, TargetCompose, "Path"),
+	NumMkdir:       row("mkdir", classLogged, opBatchable, TargetFsNS, "Path"),
+	NumUnlink:      row("unlink", classLogged, opBatchable, TargetFsNS, "Path"),
+	NumRmdir:       row("rmdir", classLogged, opBatchable, TargetFsNS, "Path"),
+	NumRename:      row("rename", classLogged, opBatchable, TargetFsNS, "Path", "Path2"),
+	NumLink:        row("link", classLogged, opBatchable, TargetFsNS, "Path", "Path2"),
+	NumReadDir:     row("readdir", classRead, 0, TargetFsPath, "Path"),
+	NumTruncate:    row("truncate", classLogged, opBatchable, TargetCompose),
+	NumSpawn:       row("spawn", classLogged, 0, TargetCompose, "Name"),
+	NumWaitPID:     row("waitpid", classLogged, 0, TargetProcTree),
+	NumExit:        row("exit", classLogged, 0, TargetCompose, "Code"),
+	NumKill:        row("kill", classLogged, 0, TargetCompose, "Sig", "Target"),
+	NumGetPID:      row("getpid", classRead, 0, TargetProcTree),
+	NumTakeSignal:  row("takesignal", classLogged, 0, TargetProcTree),
+	NumMMap:        row("mmap", classLogged, 0, TargetProcKey),
+	NumMUnmap:      row("munmap", classLogged, 0, TargetProcKey),
+	NumMemResolve:  row("memresolve", classRead, 0, TargetProcKey),
+	NumThreadAdd:   row("thread_add", classLogged, 0, TargetProcTree, "Pri"),
+	NumThreadYield: row("thread_yield", classLogged, 0, TargetProcTree),
+	NumThreadBlock: row("thread_block", classLogged, 0, TargetProcTree),
+	NumThreadWake:  row("thread_wake", classLogged, 0, TargetProcTree),
+	NumThreadExit:  row("thread_exit", classLogged, 0, TargetProcTree),
+	NumPickNext:    row("picknext", classLogged, 0, TargetProcTree, "Core"),
+	NumFutexWait:   row("futex_wait", classLocal, 0, TargetLocal, "Word"),
+	NumFutexWake:   row("futex_wake", classLocal, 0, TargetLocal),
+	NumSockBind:    row("sock_bind", classSock, 0, TargetLocal, "Port", "Word"),
+	NumSockSend:    row("sock_send", classSock, 0, TargetLocal, "Data", "Sock", "Addr", "Port"),
+	NumSockRecv:    row("sock_recv", classSock, 0, TargetLocal, "Flags", "Sock"),
+	NumSockClose:   row("sock_close", classSock, 0, TargetLocal, "Sock"),
+	NumMemRead:     row("mem_read", classLocal, 0, TargetLocal),
+	NumMemWrite:    row("mem_write", classLocal, 0, TargetLocal, "Data"),
+	NumMemCAS:      row("mem_cas", classLocal, 0, TargetLocal, "Word"),
+	NumBatch:       row("batch", classLogged, 0, TargetCompose),
+	NumSync:        row("sync", classLocal, 0, TargetLocal),
+	NumPread:       row("pread", classRead, opChecked, TargetCompose, "Off"),
+	NumPreadMap:    row("pread_map", classLogged, 0, TargetCompose, "Off"),
+	NumPreadUnmap:  row("pread_unmap", classLogged, 0, TargetCompose),
+
+	NumFDOpen:      row("fd_open", classInternal, 0, TargetProcKey),
+	NumFDLock:      row("fd_lock", classInternal, 0, TargetProcKey),
+	NumFDUnlock:    row("fd_unlock", classInternal, 0, TargetProcKey),
+	NumFDSeek:      row("fd_seek", classInternal, 0, TargetProcKey),
+	NumFDRun:       row("fd_run", classInternal, 0, TargetCompose),
+	NumProcSpawn:   row("proc_spawn", classInternal, 0, TargetProcTree),
+	NumProcUnspawn: row("proc_unspawn", classInternal, 0, TargetProcTree),
+	NumProcAttach:  row("proc_attach", classInternal, 0, TargetProcKey),
+	NumProcDetach:  row("proc_detach", classInternal, 0, TargetProcKey),
+	NumProcExit:    row("proc_exit", classInternal, 0, TargetProcTree),
+	NumFsCreate:    row("fs_create", classInternal, 0, TargetFsNS),
+	NumFsRun:       row("fs_run", classInternal, 0, TargetFsOwner),
+	NumFsTruncate:  row("fs_truncate", classInternal, 0, TargetFsOwner),
+	NumPageMap:     row("page_map", classInternal, 0, TargetProcKey),
+	NumPageUnmap:   row("page_unmap", classInternal, 0, TargetProcKey),
+
+	NumFDGet:        row("fd_get", classInternal, 0, TargetProcKey),
+	NumFsLookup:     row("fs_lookup", classInternal, 0, TargetFsPath),
+	NumFsStatIno:    row("fs_statino", classInternal, 0, TargetFsOwner),
+	NumFsReadAt:     row("fs_readat", classInternal, 0, TargetFsOwner),
+	NumProcHasTable: row("proc_hastable", classInternal, 0, TargetProcKey),
+	NumSockTabBind:  row("socktab_bind", classInternal, 0, TargetProcTree),
+	NumSockTabClose: row("socktab_close", classInternal, 0, TargetProcTree),
+	NumSockTabGet:   row("socktab_get", classInternal, 0, TargetProcTree),
+}
+
+// unknownOp is every number without a row: nameless and classless, free
+// to carry any tail field — it decodes, and the kernel answers ENOSYS.
+var unknownOp = opRow{target: TargetCompose, tail: tailDefined}
+
+// lookup returns num's row, or unknownOp.
+func lookup(num uint64) *opRow {
+	if num < uint64(len(opTable)) && opTable[num].class != classNone {
+		return &opTable[num]
+	}
+	return &unknownOp
+}
+
+// IsReadOp reports whether num is a read-only op (classRead).
+func IsReadOp(num uint64) bool { return lookup(num).class == classRead }
+
+// IsLocalOp reports whether core serves num outside the kernel state.
+func IsLocalOp(num uint64) bool { return lookup(num).class == classLocal }
+
+// IsSockOp reports whether num is a socket op (classSock).
+func IsSockOp(num uint64) bool { return lookup(num).class == classSock }
+
+// IsInternalOp reports whether num is a cross-shard protocol op.
+func IsInternalOp(num uint64) bool { return lookup(num).class == classInternal }
+
+// IsBatchableOp reports whether num may ride in a NumBatch submission.
+func IsBatchableOp(num uint64) bool { return lookup(num).props&opBatchable != 0 }
+
+// IsRunOp reports whether num can be an entry of a run: read, write, seek.
+func IsRunOp(num uint64) bool { return lookup(num).props&opRun != 0 }
+
+// checked reports whether num is contract-checked: read, write, seek, pread.
+func checked(num uint64) bool { return lookup(num).props&opChecked != 0 }
+
+// ClassifyWrite maps a mutating syscall to its shard target. Socket ops
+// classify local: the dispatcher intercepts them before routing.
+func ClassifyWrite(num uint64) ShardTarget { return lookup(num).target }
+
+// ClassifyRead maps a read-only syscall to its shard target.
+func ClassifyRead(num uint64) ShardTarget { return lookup(num).target }
 
 // OpName returns the syscall's display name ("open", "mmap", ...), or
 // "sys<N>" for unknown numbers.
 func OpName(num uint64) string {
-	if s, ok := opNames[num]; ok {
-		return s
+	if name := lookup(num).name; name != "" {
+		return name
 	}
 	return fmt.Sprintf("sys%d", num)
 }
-
-// MaxOpNum is the highest assigned syscall number (wire ABI bound; the
-// obs opcode space must cover it).
-const MaxOpNum = NumPreadUnmap
 
 // WriteOp is a mutating kernel operation — one logged NR entry. A
 // single struct (rather than one type per syscall) keeps the NR
@@ -225,10 +359,10 @@ type WriteOp struct {
 	Code   int
 	Target proc.PID // kill target
 
-	// Memory syscalls. Frames are pre-allocated by the caller (the
-	// shared data-frame allocator lives outside the replicated state;
-	// see internal/core) so that applying the op on every replica does
-	// not double-allocate shared physical memory.
+	// Memory syscalls. Frames are attached by core after the decode (the
+	// shared data-frame allocator lives outside the replicated state) so
+	// that applying the op on every replica does not double-allocate
+	// shared physical memory; they never cross the wire.
 	VA     mmu.VAddr
 	Size   uint64
 	Frames []mem.PAddr

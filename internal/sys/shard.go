@@ -9,11 +9,11 @@ import (
 )
 
 // This file is the kernel half of the sharded composition (§4.1): the
-// op → shard-key classification the router dispatches by, and the
-// DispatchWrite/DispatchRead cases for the internal cross-shard
-// protocol ops declared in ops.go. Each internal op touches exactly one
-// shard's slice of the state (descriptor tables, the process tree,
-// per-process memory, or the filesystem), which is what the
+// shard targets the router dispatches by (each op's is in its opTable
+// row), and the DispatchWrite/DispatchRead cases for the internal
+// cross-shard protocol ops declared in ops.go. Each internal op touches
+// exactly one shard's slice of the state (descriptor tables, the process
+// tree, per-process memory, or the filesystem), which is what the
 // shard-isolation obligation checks.
 
 // ShardTarget classifies where an operation's footprint lives when the
@@ -25,7 +25,8 @@ const (
 	// raw memory, sync) — same as the monolithic kernel.
 	TargetLocal ShardTarget = iota
 	// TargetProcKey: one op on the process shard owning op.PID
-	// (descriptor close, mmap/munmap, memresolve).
+	// (descriptor close, mmap/munmap, memresolve) — the child's, op.Target,
+	// for proc_attach.
 	TargetProcKey
 	// TargetProcTree: one op on process shard 0, which holds the global
 	// process tree and the run queue (waitpid, signals, thread ops).
@@ -41,41 +42,10 @@ const (
 	// write, seek, truncate, stat, spawn, exit, kill) — the router
 	// sequences internal ops per the documented ordering rules.
 	TargetCompose
+	// TargetFsOwner: one internal op on the filesystem shard owning
+	// op.Ino — a protocol's data step.
+	TargetFsOwner
 )
-
-// ClassifyWrite maps a mutating syscall to its shard target. Wire-level
-// socket ops classify local defensively: the dispatcher intercepts them
-// before routing and sequences their table half (socktab ops on process
-// shard 0) and device half itself.
-func ClassifyWrite(num uint64) ShardTarget {
-	switch {
-	case IsLocalOp(num) || IsSockOp(num) || num == NumSync:
-		return TargetLocal
-	}
-	switch num {
-	case NumClose, NumMMap, NumMUnmap, NumPageMap, NumPageUnmap:
-		return TargetProcKey
-	case NumWaitPID, NumTakeSignal,
-		NumThreadAdd, NumThreadYield, NumThreadBlock, NumThreadWake, NumThreadExit, NumPickNext:
-		return TargetProcTree
-	case NumMkdir, NumUnlink, NumRmdir, NumRename, NumLink:
-		return TargetFsNS
-	}
-	return TargetCompose
-}
-
-// ClassifyRead maps a read-only syscall to its shard target.
-func ClassifyRead(num uint64) ShardTarget {
-	switch num {
-	case NumReadDir:
-		return TargetFsPath
-	case NumGetPID:
-		return TargetProcTree
-	case NumMemResolve:
-		return TargetProcKey
-	}
-	return TargetCompose // NumStat: lookup on a namespace replica, stat on the data owner
-}
 
 // dispatchShardWrite serves the internal mutating protocol ops
 // (DispatchWrite's default arm).
@@ -243,13 +213,6 @@ func (k *Kernel) dispatchShardWrite(op WriteOp) Resp {
 		return Resp{Errno: EOK, Unpinned: []mem.PAddr{frame}}
 	}
 	return Resp{Errno: ENOSYS}
-}
-
-// IsRunOp reports whether a syscall can be an entry of a run (NumFsRun,
-// NumFDRun): the three that touch nothing but one descriptor's cursor and
-// its inode's contents.
-func IsRunOp(num uint64) bool {
-	return num == NumRead || num == NumWrite || num == NumSeek
 }
 
 // fdRun is the one descriptor transition of a co-located kernel — a

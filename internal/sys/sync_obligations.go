@@ -78,46 +78,36 @@ func registerSyncObligations(g *verifier.Registry) {
 				if OpName(NumSync) != "sync" {
 					return fmt.Errorf("sync has no display name")
 				}
-				if MaxOpNum < NumSync {
-					return fmt.Errorf("MaxOpNum %d does not cover NumSync %d", MaxOpNum, NumSync)
-				}
-				// Pin MaxOpNum to the last wire op so adding a syscall
-				// without moving it fails loudly.
-				if MaxOpNum != NumPreadUnmap {
-					return fmt.Errorf("MaxOpNum %d is not the last wire op (NumPreadUnmap %d)", MaxOpNum, NumPreadUnmap)
-				}
-				if MaxOpNum >= obs.MaxSyscallOps {
-					return fmt.Errorf("obs opcode space %d does not cover MaxOpNum %d", obs.MaxSyscallOps, MaxOpNum)
+				if MaxOpNum < NumSync || MaxOpNum >= obs.MaxSyscallOps {
+					return fmt.Errorf("MaxOpNum %d must cover NumSync %d and fit the obs opcode space %d",
+						MaxOpNum, NumSync, obs.MaxSyscallOps)
 				}
 				return nil
 			}},
 		verifier.Obligation{Module: "sys", Name: "internal-op-classification", Kind: verifier.KindInvariant,
 			Check: func(r *rand.Rand) error {
-				// The cross-shard protocol ops live strictly above the wire
-				// ABI: every one must be recognized by IsInternalOp, have a
-				// display name, fit the obs opcode space, and never be
-				// classified as a wire-reachable local/batchable op. No
-				// wire op may fall in the internal range.
-				if MaxInternalOpNum <= MaxOpNum {
-					return fmt.Errorf("internal op space %d must sit above the wire ABI %d", MaxInternalOpNum, MaxOpNum)
-				}
+				// The op table's own consistency. The cross-shard protocol
+				// ops fill the rows strictly above the wire ABI and fit the
+				// obs opcode space; none is local, batchable or checked, and
+				// none carries a tail — they are never marshalled. A run
+				// entry is batchable, and a checked op is a run entry or the
+				// positioned read.
 				if MaxInternalOpNum >= obs.MaxSyscallOps {
 					return fmt.Errorf("obs opcode space %d does not cover MaxInternalOpNum %d", obs.MaxSyscallOps, MaxInternalOpNum)
 				}
-				for num := uint64(1); num <= MaxOpNum; num++ {
-					if IsInternalOp(num) {
-						return fmt.Errorf("wire op %s (%d) classified as internal", OpName(num), num)
-					}
-				}
-				for num := MaxOpNum + 1; num <= MaxInternalOpNum; num++ {
-					if !IsInternalOp(num) {
-						return fmt.Errorf("op %d inside the internal range not classified as internal", num)
-					}
-					if IsLocalOp(num) || IsBatchableOp(num) {
-						return fmt.Errorf("internal op %s (%d) must not be wire-classified", OpName(num), num)
-					}
-					if _, named := opNames[num]; !named {
-						return fmt.Errorf("internal op %d has no display name", num)
+				for num := uint64(1); num <= MaxInternalOpNum; num++ {
+					o := lookup(num)
+					switch {
+					case o.class == classNone:
+						return fmt.Errorf("op %d has no row", num)
+					case IsInternalOp(num) != (num > MaxOpNum):
+						return fmt.Errorf("op %s (%d) is on the wrong side of the wire ABI %d", o.name, num, MaxOpNum)
+					case IsInternalOp(num) && (o.props != 0 || o.tail != 0):
+						return fmt.Errorf("internal op %s (%d) is wire-classified", o.name, num)
+					case IsRunOp(num) && !IsBatchableOp(num):
+						return fmt.Errorf("run entry %s (%d) is not batchable", o.name, num)
+					case checked(num) && !IsRunOp(num) && num != NumPread:
+						return fmt.Errorf("checked op %s (%d) is neither a run entry nor pread", o.name, num)
 					}
 				}
 				if IsInternalOp(MaxInternalOpNum + 1) {

@@ -143,10 +143,6 @@ func (s *Sys) recordViolation(err error) {
 // checking reports whether the contract is on.
 func (s *Sys) checking() bool { return s.contract.Load() }
 
-// checked reports whether a syscall is contract-checked against a
-// witness: read, write, seek and pread, per call or batched.
-func checked(num uint64) bool { return IsRunOp(num) || num == NumPread }
-
 // takeWitness hands over the witnesses of the crossing just made.
 func (s *Sys) takeWitness() []Witness {
 	if s.wit == nil {

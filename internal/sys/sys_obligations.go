@@ -3,6 +3,7 @@ package sys
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -316,6 +317,9 @@ type directHandler struct {
 	k *Kernel
 	// witness is the last witnessed crossing's witnesses (Witnesser).
 	witness []Witness
+	// frames, when set, attaches an mmap's data frames after the decode,
+	// as core does.
+	frames *frameBump
 }
 
 // TakeWitness implements Witnesser.
@@ -360,6 +364,9 @@ func (h *directHandler) Syscall(frame marshal.SyscallFrame, payload []byte) (mar
 	op, err := DecodeWrite(frame, payload)
 	if err != nil {
 		return EncodeResp(Resp{Errno: EINVAL})
+	}
+	if op.Num == NumMMap && h.frames != nil {
+		op.Frames = h.frames.take(int(op.Size / mmu.L1PageSize))
 	}
 	resp := h.k.DispatchWrite(op)
 	if op.Witness {
@@ -438,12 +445,13 @@ func (h *lyingHandler) Syscall(frame marshal.SyscallFrame, payload []byte) (mars
 	return ret, out
 }
 
-// randomWriteOp fills the register fields and gives each tail field a
-// random value with probability ½ (zero otherwise), so a round trip
-// exercises every presence bit of the write tail both set and clear.
+// randomWriteOp draws one of the wire rows, fills the register fields,
+// and gives each tail field the row carries a random value with
+// probability ½ (zero otherwise), so a round trip exercises every presence
+// bit of every op's tail both set and clear.
 func randomWriteOp(r *rand.Rand) WriteOp {
 	op := WriteOp{
-		Num:  uint64(r.Intn(40)),
+		Num:  1 + uint64(r.Intn(int(MaxOpNum))),
 		PID:  proc.PID(r.Uint64()),
 		FD:   fs.FD(r.Uint64()),
 		VA:   mmu.VAddr(r.Uint64()),
@@ -451,31 +459,54 @@ func randomWriteOp(r *rand.Rand) WriteOp {
 		Size: r.Uint64(),
 		TID:  sched.TID(r.Uint64()),
 	}
-	for _, fill := range [...]func(){
-		func() { op.Flags = r.Uint64() },
-		func() { op.Whence = int(int64(r.Uint32())) },
-		func() { op.Off = int64(r.Uint64()) },
-		func() { op.Code = int(int32(r.Uint32())) },
-		func() { op.Sig = proc.Signal(r.Intn(256)) },
-		func() { op.Target = proc.PID(r.Uint64()) },
-		func() { op.Pri = sched.Priority(r.Intn(256)) },
-		func() { op.Core = int(int32(r.Uint32())) },
-		func() { op.Path = randPath(r) },
-		func() { op.Path2 = randPath(r) },
-		func() { op.Name = randPath(r) },
-		func() { op.Data = randBytes(r, r.Intn(256)) },
-		func() { op.Sock = r.Uint64() },
-		func() { op.Addr = r.Uint64() },
-		func() { op.Port = uint16(r.Uint32()) },
-		func() { op.Word = r.Uint32() },
-		func() { op.Frames = randFrames(r, 1+r.Intn(4)) },
-		func() { op.Witness = true },
-	} {
+	for m := lookup(op.Num).tail; m != 0; m &= m - 1 {
 		if r.Intn(2) == 0 {
-			fill()
+			randomTailField(r, &op, tailFields[bits.TrailingZeros32(m)].name)
 		}
 	}
 	return op
+}
+
+// randomTailField gives op's tail field name a random value.
+func randomTailField(r *rand.Rand, op *WriteOp, name string) {
+	switch name {
+	case "Flags":
+		op.Flags = r.Uint64()
+	case "Whence":
+		op.Whence = int(int64(r.Uint32()))
+	case "Off":
+		op.Off = int64(r.Uint64())
+	case "Code":
+		op.Code = int(int32(r.Uint32()))
+	case "Sig":
+		op.Sig = proc.Signal(r.Intn(256))
+	case "Target":
+		op.Target = proc.PID(r.Uint64())
+	case "Pri":
+		op.Pri = sched.Priority(r.Intn(256))
+	case "Core":
+		op.Core = int(int32(r.Uint32()))
+	case "Path":
+		op.Path = randPath(r)
+	case "Path2":
+		op.Path2 = randPath(r)
+	case "Name":
+		op.Name = randPath(r)
+	case "Data":
+		op.Data = randBytes(r, r.Intn(256))
+	case "Sock":
+		op.Sock = r.Uint64()
+	case "Addr":
+		op.Addr = r.Uint64()
+	case "Port":
+		op.Port = uint16(r.Uint32())
+	case "Word":
+		op.Word = r.Uint32()
+	case "Witness":
+		op.Witness = true
+	default:
+		panic("sys: no generator for write-tail field " + name)
+	}
 }
 
 // randomResp gives each marshalled field past errno and value a random
@@ -531,9 +562,6 @@ func randPath(r *rand.Rand) string {
 func normalizeOp(op WriteOp) WriteOp {
 	if len(op.Data) == 0 {
 		op.Data = nil
-	}
-	if len(op.Frames) == 0 {
-		op.Frames = nil
 	}
 	return op
 }

@@ -381,7 +381,7 @@ func TestObligationsAllPass(t *testing.T) {
 
 // TestEncodersArePresized: a request or a reply is one allocation of
 // exactly its encoded size, whatever it carries — the size arithmetic in
-// writeTailSize and EncodeResp must track the field lists, the write
+// writeTail and EncodeResp must track the field lists, the write
 // tail's presence mask included — and a reply of nothing but errno and
 // value is no allocation at all.
 func TestEncodersArePresized(t *testing.T) {
@@ -397,7 +397,8 @@ func TestEncodersArePresized(t *testing.T) {
 		}
 		op := randomWriteOp(r)
 		if _, out := EncodeWrite(op); len(out) != cap(out) {
-			t.Fatalf("EncodeWrite: %d bytes in a buffer of %d (mask %#x)", len(out), cap(out), writeTailMask(&op))
+			m, size := writeTail(&op)
+			t.Fatalf("EncodeWrite: %d bytes in a buffer of %d (mask %#x, size %d)", len(out), cap(out), m, size)
 		}
 		ops := []WriteOp{op, randomWriteOp(r), {Num: NumSync}}
 		if _, out := EncodeBatch(1, ops); len(out) != cap(out) {
