@@ -447,8 +447,8 @@ func (f *FS) ReadAt(ino Ino, off uint64, p []byte) (int, error) {
 // WriteAt writes p at offset off; a gap past the old size reads as
 // zeroes, as POSIX requires, and stays holes. If a view holds a page the
 // write touches, the write goes to a private clone of that page — the
-// pre-image write_spec's frame clause compares against stays intact in
-// every view that holds it.
+// pre-image the write relation's frame clause compares against stays
+// intact in every view that holds it.
 func (f *FS) WriteAt(ino Ino, off uint64, p []byte) (int, error) {
 	t0 := obs.Start()
 	n, err := f.get(ino)

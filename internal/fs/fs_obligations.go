@@ -189,39 +189,32 @@ func checkRWSpecTrace(r *rand.Rand, ops int) error {
 		if err := t.Lock(fd); err != nil {
 			return err
 		}
-		pre := AbstractFDs(t)
+		pre := AbstractFDs(t).Files[fd]
+		var op StepOp
+		var val uint64
+		var got []byte
+		var err error
 		switch r.Intn(3) {
 		case 0:
-			buf := make([]byte, r.Intn(64))
-			n, err := t.Read(fd, buf)
-			if err != nil {
-				return fmt.Errorf("op %d read: %w", i, err)
-			}
-			post := AbstractFDs(t)
-			if err := ReadSpec(pre, post, fd, uint64(len(buf)), buf, n); err != nil {
-				return fmt.Errorf("op %d: %w", i, err)
-			}
+			op = StepOp{Kind: StepRead, Len: uint64(r.Intn(64))}
+			got = make([]byte, op.Len)
+			val, err = t.Read(fd, got)
+			got = got[:val]
 		case 1:
-			data := make([]byte, r.Intn(64))
-			r.Read(data)
-			n, err := t.Write(fd, data)
-			if err != nil {
-				return fmt.Errorf("op %d write: %w", i, err)
-			}
-			post := AbstractFDs(t)
-			if err := WriteSpec(pre, post, fd, data, n); err != nil {
-				return fmt.Errorf("op %d: %w", i, err)
-			}
+			op = StepOp{Kind: StepWrite, Data: make([]byte, r.Intn(64))}
+			r.Read(op.Data)
+			val, err = t.Write(fd, op.Data)
 		default:
-			off := int64(r.Intn(200)) - 50
-			whence := r.Intn(3)
-			res, err := t.Seek(fd, off, whence)
-			if err == nil {
-				post := AbstractFDs(t)
-				if err := SeekSpec(pre, post, fd, off, whence, res); err != nil {
-					return fmt.Errorf("op %d: %w", i, err)
-				}
-			}
+			// Offsets below zero are refused, and a refused seek must
+			// leave the descriptor as it was.
+			op = StepOp{Kind: StepSeek, Off: int64(r.Intn(200)) - 50, Whence: r.Intn(3)}
+			val, err = t.Seek(fd, op.Off, op.Whence)
+		}
+		if err != nil && op.Kind != StepSeek {
+			return fmt.Errorf("op %d: %w", i, err)
+		}
+		if err := StepHolds(pre, op, err == nil, val, got, AbstractFDs(t).Files[fd]); err != nil {
+			return fmt.Errorf("op %d: %w", i, err)
 		}
 		if err := t.Unlock(fd); err != nil {
 			return err

@@ -190,7 +190,7 @@ func checkViewIsImmutableSnapshot(r *rand.Rand, steps int) error {
 			what = "grow"
 			off := size
 			if size > 0 {
-				off = size - uint64(r.Intn(int(min64(size, 8))))
+				off = size - uint64(r.Intn(int(min(size, 8))))
 			}
 			err = writeAt(ino, off, payload)
 		case 6:
@@ -271,13 +271,12 @@ func checkViewIsImmutableSnapshot(r *rand.Rand, steps int) error {
 }
 
 // checkWriteSpecRejectsScribbledClone is the soundness of the frame
-// clause's identity fast path, stated on WriteSpec alone: a page the
+// clause's identity fast path, stated on StepHolds alone: a page the
 // post state holds by a different pointer than the pre state is not a
 // violation, and not a pass either — it is compared by its bytes. The
 // mutant is an update that, while cloning the page it writes, also
 // clones an untouched neighbour and scribbles one byte into the clone.
 func checkWriteSpecRejectsScribbledClone(r *rand.Rand) error {
-	const fd FD = 3
 	for round := 0; round < 8; round++ {
 		// Three or four pages, the last one partial; the window lies in
 		// the interior so it has a neighbour on both sides.
@@ -290,14 +289,16 @@ func checkWriteSpecRejectsScribbledClone(r *rand.Rand) error {
 		r.Read(data)
 		first, last := int(off/PageSize), int((off+uint64(len(data))-1)/PageSize)
 
-		update := func(mutate func(f *PageFile)) (SpecState, SpecState, error) {
+		from := SpecFile{Contents: pre, Offset: off, Locked: true}
+		write := StepOp{Kind: StepWrite, Data: data}
+		update := func(mutate func(f *PageFile)) error {
 			f := FileOf(pre)
 			if _, err := f.WriteAt(off, data); err != nil {
-				return SpecState{}, SpecState{}, err
+				return err
 			}
 			mutate(f)
-			return SpecState{Files: map[FD]SpecFile{fd: {Contents: pre, Offset: off, Locked: true}}},
-				SpecState{Files: map[FD]SpecFile{fd: {Contents: f.Peek(), Offset: off + uint64(len(data))}}}, nil
+			return StepHolds(from, write, true, uint64(len(data)), nil,
+				SpecFile{Contents: f.Peek(), Offset: off + uint64(len(data))})
 		}
 		neighbour := first - 1
 		if r.Intn(2) == 0 {
@@ -309,29 +310,17 @@ func checkWriteSpecRejectsScribbledClone(r *rand.Rand) error {
 			return c
 		}
 
-		st, post, err := update(func(*PageFile) {})
-		if err == nil {
-			err = WriteSpec(st, post, fd, data, uint64(len(data)))
-		}
-		if err != nil {
+		if err := update(func(*PageFile) {}); err != nil {
 			return fmt.Errorf("round %d: honest update rejected: %w", round, err)
 		}
-		st, post, err = update(func(f *PageFile) { reclone(f) })
-		if err == nil {
-			err = WriteSpec(st, post, fd, data, uint64(len(data)))
-		}
-		if err != nil {
+		if err := update(func(f *PageFile) { reclone(f) }); err != nil {
 			return fmt.Errorf("round %d: a recloned but equal page %d was treated as a violation: %w", round, neighbour, err)
 		}
-		st, post, err = update(func(f *PageFile) {
+		if update(func(f *PageFile) {
 			c := reclone(f)
 			c[r.Intn(len(c))] ^= 0x5a
-		})
-		if err != nil {
-			return err
-		}
-		if WriteSpec(st, post, fd, data, uint64(len(data))) == nil {
-			return fmt.Errorf("round %d: write_spec accepted a byte scribbled into a fresh clone of page %d beside a write of pages %d..%d",
+		}) == nil {
+			return fmt.Errorf("round %d: the write relation accepted a byte scribbled into a fresh clone of page %d beside a write of pages %d..%d",
 				round, neighbour, first, last)
 		}
 	}

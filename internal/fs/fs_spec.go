@@ -2,12 +2,13 @@ package fs
 
 import (
 	"fmt"
-	"maps"
+	"math"
 )
 
-// This file is the §3 client-application contract for the file system,
-// centered on the paper's read_spec example, transcribed from the
-// paper's Verus into executable Go:
+// This file is the §3 client-application contract for the file system:
+// the descriptor half of the spec state machine, one transition per
+// read, write, seek and pread. The paper's example is read_spec,
+// transcribed from its Verus:
 //
 //	spec fn read_spec(pre: State, post: State, fd: usize,
 //	                  buffer: Seq<u8>, read_len: usize)
@@ -17,19 +18,19 @@ import (
 //	         pre.files[fd].offset .. (pre.files[fd].offset + read_len)]
 //	  && post.files[fd].offset == pre.files[fd].offset + read_len }
 //
-// SpecState is the abstract "State" — the per-descriptor view a client
-// application reasons about — and ReadSpec/WriteSpec/SeekSpec are the
-// transition relations. AbstractFDs computes the abstraction of a real
-// FDTable, and the obligations check every implementation step against
-// the relation, exactly as the `ensures` clause of the paper's read
-// wrapper demands.
+// It is Step's StepRead arm — read_len is the value, the pre offset the
+// position and the post offset the cursor — and StepHolds is the
+// relation: post is Step(pre, op), over the bytes the caller received.
+// SpecFile is one descriptor of the abstract "State"; AbstractFDs is
+// the abstraction of a real FDTable, and the obligations check every
+// implementation step against StepHolds, exactly as the `ensures` clause
+// of the paper's read wrapper demands.
 
 // SpecFile is the abstract view of one descriptor. Ino identifies the
 // underlying file so checkers can tell when two descriptors alias the
-// same contents; the transition relations themselves never inspect it.
-// Append mirrors the descriptor's OAppend flag: write_spec resolves the
-// effective write offset at EOF for such descriptors, exactly as the
-// implementation does.
+// same contents; the transitions themselves never inspect it. Append
+// mirrors the descriptor's OAppend flag: Step resolves such a
+// descriptor's writes at EOF, exactly as the implementation does.
 type SpecFile struct {
 	Contents Pages
 	Offset   uint64
@@ -46,168 +47,174 @@ type SpecState struct {
 	Files map[FD]SpecFile
 }
 
-// CloneSpec copies the state; contents are immutable values and are
-// shared.
-func (s SpecState) CloneSpec() SpecState { return SpecState{Files: maps.Clone(s.Files)} }
+// StepKind names a descriptor transition.
+type StepKind uint8
 
-// ReadSpec is the paper's read_spec: it relates pre and post states for
-// a read of readLen bytes into a buffer of the given length, returning
-// nil when the transition is allowed.
-func ReadSpec(pre, post SpecState, fd FD, bufferLen uint64, gotBuffer []byte, readLen uint64) error {
-	pf, ok := pre.Files[fd]
-	if !ok {
-		return fmt.Errorf("read_spec: fd %d not open in pre", fd)
-	}
-	if !pf.Locked {
-		return fmt.Errorf("read_spec: pre.files[%d].locked is false", fd)
-	}
-	want := pf.Size() - pf.Offset
-	if pf.Offset >= pf.Size() {
-		want = 0
-	}
-	if bufferLen < want {
-		want = bufferLen
-	}
-	if readLen != want {
-		return fmt.Errorf("read_spec: read_len %d != min(buffer.len=%d, size-offset=%d)",
-			readLen, bufferLen, pf.Size()-min64(pf.Offset, pf.Size()))
-	}
-	// Fast path: the whole-segment comparison is the relation; the byte
-	// loop only runs on mismatch to name the offending index.
-	// readLen > 0 implies offset+readLen <= size, so the slice is in
-	// bounds (readLen == 0 can coincide with an offset beyond EOF).
-	if readLen > 0 && !pf.Contents.EqualBytes(pf.Offset, gotBuffer[:readLen]) {
-		for i := uint64(0); i < readLen; i++ {
-			if gotBuffer[i] != pf.Contents.At(pf.Offset+i) {
-				return fmt.Errorf("read_spec: buffer[%d] = %#x != contents[%d] = %#x",
-					i, gotBuffer[i], pf.Offset+i, pf.Contents.At(pf.Offset+i))
-			}
-		}
-	}
-	qf, ok := post.Files[fd]
-	if !ok {
-		return fmt.Errorf("read_spec: fd %d not open in post", fd)
-	}
-	if qf.Offset != pf.Offset+readLen {
-		return fmt.Errorf("read_spec: post offset %d != pre offset %d + read_len %d",
-			qf.Offset, pf.Offset, readLen)
-	}
-	return nil
+// The descriptor transitions.
+const (
+	StepRead StepKind = iota
+	StepWrite
+	StepSeek
+	StepPread
+)
+
+// StepOp is one descriptor transition's input: a read of Len bytes, a
+// write of Data, a seek to Off from Whence, or a pread of Len bytes at
+// Off.
+type StepOp struct {
+	Kind   StepKind
+	Len    uint64
+	Data   []byte
+	Off    int64
+	Whence int
 }
 
-// WriteSpec relates pre and post for a write: the written bytes appear
-// in contents at the effective offset — the pre offset, or EOF when the
-// descriptor carries OAppend (zero-filling any gap) — the offset
-// advances to the end of the written segment, everything else is
-// unchanged. A zero-length write changes nothing at all.
-func WriteSpec(pre, post SpecState, fd FD, data []byte, wrote uint64) error {
-	pf, ok := pre.Files[fd]
-	if !ok {
-		return fmt.Errorf("write_spec: fd %d not open in pre", fd)
-	}
-	if !pf.Locked {
-		return fmt.Errorf("write_spec: pre.files[%d].locked is false", fd)
-	}
-	if wrote != uint64(len(data)) {
-		return fmt.Errorf("write_spec: wrote %d != len(data) %d", wrote, len(data))
-	}
-	qf, ok := post.Files[fd]
-	if !ok {
-		return fmt.Errorf("write_spec: fd %d not open in post", fd)
-	}
-	if wrote == 0 {
-		// POSIX write(2): a zero-length write has no other results — no
-		// growth to an offset past EOF, no append repositioning.
-		if qf.Offset != pf.Offset {
-			return fmt.Errorf("write_spec: zero-length write moved offset %d to %d", pf.Offset, qf.Offset)
+// Step is the one definition of what a descriptor op does from s: the
+// value it reports (a count, or a seek's new offset), the position it
+// reads or writes at, and the cursor after it. It builds no contents: a
+// write's post contents are s's with Data at the position, a gap beyond
+// EOF reading as zeroes, and every other op leaves them as they are. An
+// op that is not enabled from s returns an error; a failed op is the
+// identity step.
+func (s SpecFile) Step(op StepOp) (val, at, next uint64, err error) {
+	size := s.Size()
+	switch op.Kind {
+	case StepRead, StepPread:
+		at = s.Offset
+		if op.Kind == StepPread {
+			at = uint64(op.Off)
 		}
-		if !qf.Contents.Equal(pf.Contents) {
-			return fmt.Errorf("write_spec: zero-length write changed contents (size %d -> %d)", pf.Size(), qf.Size())
+		val = min(op.Len, size-min(at, size)) // read_spec's read_len
+		if op.Kind == StepPread {
+			return val, at, s.Offset, nil // no cursor to move, none to hold
+		}
+		if !s.Locked {
+			return 0, 0, s.Offset, ErrNotLocked
+		}
+		return val, at, at + val, nil
+	case StepWrite:
+		if !s.Locked {
+			return 0, 0, s.Offset, ErrNotLocked
+		}
+		val = uint64(len(op.Data))
+		if val == 0 {
+			// POSIX write(2): a zero-length write has no other results — no
+			// growth to an offset past EOF, no append repositioning.
+			return 0, min(s.Offset, size), s.Offset, nil
+		}
+		at = s.Offset
+		if s.Append {
+			at = size
+		}
+		return val, at, at + val, nil
+	}
+	// StepSeek.
+	var base uint64
+	switch op.Whence {
+	case SeekSet:
+	case SeekCur:
+		base = s.Offset
+	case SeekEnd:
+		base = size
+	default:
+		return 0, 0, s.Offset, fmt.Errorf("%w: whence %d", ErrInval, op.Whence)
+	}
+	// The target is base+Off as an integer, and lseek(2) returns it as an
+	// off_t: below zero (the sum wraps under base) or from 2^63 up, the
+	// seek is refused.
+	at = base + uint64(op.Off)
+	if (op.Off < 0) != (at < base) || at > math.MaxInt64 {
+		return 0, 0, s.Offset, fmt.Errorf("%w: seek %d from %d", ErrInval, op.Off, base)
+	}
+	return at, at, at, nil
+}
+
+// StepHolds is the relation "post is Step(pre, op)" for an op that
+// reported ok, val and delivered got (a read's or pread's bytes): the
+// value, the bytes and the post cursor are Step's, and the contents are
+// pre's with a write's data at its position, or pre's. Contents are
+// compared in place. A failed op (!ok) is the identity step: the
+// descriptor is exactly as it was — offset, lock, size and contents.
+// Equal snapshots share their pages, so a contents clause is a pointer
+// comparison per page in the common case.
+func StepHolds(pre SpecFile, op StepOp, ok bool, val uint64, got []byte, post SpecFile) error {
+	if !ok {
+		switch {
+		case pre.Offset != post.Offset:
+			return fmt.Errorf("offset moved %d -> %d", pre.Offset, post.Offset)
+		case pre.Locked != post.Locked:
+			return fmt.Errorf("lock state changed %v -> %v", pre.Locked, post.Locked)
+		case pre.Size() != post.Size():
+			return fmt.Errorf("size changed %d -> %d", pre.Size(), post.Size())
+		case !pre.Contents.Equal(post.Contents):
+			return fmt.Errorf("contents changed")
 		}
 		return nil
 	}
-	wOff := pf.Offset
-	if pf.Append {
-		wOff = pf.Size() // append resolves the write offset at EOF
+	want, at, next, err := pre.Step(op)
+	switch {
+	case err != nil:
+		return fmt.Errorf("reported success from a state that refuses it: %w", err)
+	case val != want:
+		return fmt.Errorf("reported %d, want %d", val, want)
+	case post.Offset != next:
+		return fmt.Errorf("post offset %d, want %d", post.Offset, next)
+	case op.Kind == StepWrite:
+		return writeHolds(pre, post, at, op.Data)
+	case op.Kind != StepSeek && uint64(len(got)) != val:
+		return fmt.Errorf("%d bytes delivered for count %d", len(got), val)
+	case op.Kind != StepSeek && !pre.Contents.EqualBytes(at, got):
+		return fmt.Errorf("the %d bytes delivered differ from the contents at %d", val, at)
+	case !post.Contents.Equal(pre.Contents):
+		return fmt.Errorf("contents changed (%d -> %d bytes)", pre.Size(), post.Size())
 	}
-	wantSize := pf.Size()
-	if wOff+wrote > wantSize {
-		wantSize = wOff + wrote
+	return nil
+}
+
+// writeHolds is a write's contents clause: post is pre with data at
+// wOff — prefix preserved, any gap beyond pre's EOF zero-filled, suffix
+// preserved. The frame segments are compared page by page: a page both
+// states hold by the same pointer is unchanged without being read, and a
+// differing pointer is not a violation — it falls back to the bytes, as
+// do the partial pages at the window's edges.
+func writeHolds(pre, post SpecFile, wOff uint64, data []byte) error {
+	end := wOff + uint64(len(data))
+	if want := max(pre.Size(), end); post.Size() != want {
+		return fmt.Errorf("post size %d, want %d", post.Size(), want)
 	}
-	if qf.Size() != wantSize {
-		return fmt.Errorf("write_spec: post size %d != %d", qf.Size(), wantSize)
+	cut := min(wOff, pre.Size())
+	if !post.Contents.EqualRange(pre.Contents, 0, cut) || !post.Contents.IsZero(cut, wOff) ||
+		!post.Contents.EqualBytes(wOff, data) ||
+		// A tail implies the write ended inside the old contents, so the
+		// sizes are equal.
+		end < post.Size() && !post.Contents.EqualRange(pre.Contents, end, post.Size()) {
+		return fmt.Errorf("post contents are not pre's with the %d bytes at %d", len(data), wOff)
 	}
-	if !writeSpecContentsOK(pf, qf, wOff, data, wrote) {
-		// Slow path names the first offending index.
-		for i := uint64(0); i < qf.Size(); i++ {
-			var want byte
-			switch {
-			case i >= wOff && i < wOff+wrote:
-				want = data[i-wOff]
-			case i < pf.Size():
-				want = pf.Contents.At(i)
-			default:
-				want = 0 // gap beyond old EOF zero-fills
-			}
-			if got := qf.Contents.At(i); got != want {
-				return fmt.Errorf("write_spec: post contents[%d] = %#x, want %#x", i, got, want)
-			}
+	return nil
+}
+
+// Advance returns the state op leads to from s, for a model that
+// replays ops rather than observing them: Step's cursor, and for a write
+// the contents of *model with Data written at Step's position. *model is
+// a PageFile over s's contents, made by the first write that needs one;
+// from then on the caller hands back the states Advance returned, and
+// their pages may show later writes in place (see PageFile.Peek).
+func (s SpecFile) Advance(op StepOp, model **PageFile) (SpecFile, error) {
+	_, at, next, err := s.Step(op)
+	if err != nil {
+		return s, err
+	}
+	s.Offset = next
+	if op.Kind == StepWrite {
+		if *model == nil {
+			*model = FileOf(s.Contents)
 		}
+		if _, err := (*model).WriteAt(at, op.Data); err != nil {
+			return s, err
+		}
+		s.Contents = (*model).Peek()
 	}
-	if qf.Offset != wOff+wrote {
-		return fmt.Errorf("write_spec: post offset %d != %d", qf.Offset, wOff+wrote)
-	}
-	return nil
-}
-
-// writeSpecContentsOK is the segment form of WriteSpec's contents
-// clause: prefix preserved, any gap beyond old EOF zero-filled, the
-// written data at the effective offset wOff, suffix preserved. The two
-// frame segments are compared page by page: a page both states hold by
-// the same pointer is unchanged without being read, and a differing
-// pointer is not a violation — it falls back to the bytes, as do the
-// partial pages at the window's edges. The caller has already
-// established wrote == len(data) and post size == the expected size, so
-// every range below is in bounds.
-func writeSpecContentsOK(pf, qf SpecFile, wOff uint64, data []byte, wrote uint64) bool {
-	cut := min64(wOff, pf.Size())
-	end := wOff + wrote
-	return qf.Contents.EqualRange(pf.Contents, 0, cut) &&
-		qf.Contents.IsZero(cut, wOff) && // gap beyond old EOF
-		qf.Contents.EqualBytes(wOff, data) &&
-		// A tail implies the write ended inside the old contents, so
-		// qf.Size() == pf.Size() here.
-		(end >= qf.Size() || qf.Contents.EqualRange(pf.Contents, end, qf.Size()))
-}
-
-// SeekSpec relates pre and post for a seek.
-func SeekSpec(pre, post SpecState, fd FD, off int64, whence int, result uint64) error {
-	pf, ok := pre.Files[fd]
-	if !ok {
-		return fmt.Errorf("seek_spec: fd %d not open", fd)
-	}
-	var base uint64
-	switch whence {
-	case SeekSet:
-		base = 0
-	case SeekCur:
-		base = pf.Offset
-	case SeekEnd:
-		base = pf.Size()
-	default:
-		return fmt.Errorf("seek_spec: bad whence %d", whence)
-	}
-	want := int64(base) + off
-	if want < 0 {
-		return fmt.Errorf("seek_spec: negative target accepted")
-	}
-	if result != uint64(want) {
-		return fmt.Errorf("seek_spec: result %d != %d", result, want)
-	}
-	if qf := post.Files[fd]; qf.Offset != uint64(want) {
-		return fmt.Errorf("seek_spec: post offset %d != %d", qf.Offset, want)
-	}
-	return nil
+	return s, nil
 }
 
 // AbstractFDs computes the abstraction of an FDTable: the paper's
@@ -223,11 +230,4 @@ func AbstractFDs(t *FDTable) SpecState {
 			Append: of.Flags&OAppend != 0, Ino: of.Ino}
 	}
 	return out
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

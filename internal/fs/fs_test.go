@@ -311,14 +311,14 @@ func TestReadSpecHoldsOnImplementation(t *testing.T) {
 	_, _ = tb.Write(fd, []byte("The quick brown fox"))
 	_, _ = tb.Seek(fd, 4, SeekSet)
 
-	pre := AbstractFDs(tb)
+	pre := AbstractFDs(tb).Files[fd]
 	buf := make([]byte, 5)
 	n, err := tb.Read(fd, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	post := AbstractFDs(tb)
-	if err := ReadSpec(pre, post, fd, uint64(len(buf)), buf, n); err != nil {
+	read := StepOp{Kind: StepRead, Len: uint64(len(buf))}
+	if err := StepHolds(pre, read, true, n, buf[:n], AbstractFDs(tb).Files[fd]); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf) != "quick" {
@@ -326,14 +326,14 @@ func TestReadSpecHoldsOnImplementation(t *testing.T) {
 	}
 	// Short read at EOF: spec still must hold.
 	_, _ = tb.Seek(fd, -3, SeekEnd)
-	pre = AbstractFDs(tb)
+	pre = AbstractFDs(tb).Files[fd]
 	buf = make([]byte, 10)
 	n, _ = tb.Read(fd, buf)
-	post = AbstractFDs(tb)
 	if n != 3 {
 		t.Fatalf("short read = %d", n)
 	}
-	if err := ReadSpec(pre, post, fd, 10, buf, n); err != nil {
+	read.Len = 10
+	if err := StepHolds(pre, read, true, n, buf[:n], AbstractFDs(tb).Files[fd]); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -347,7 +347,7 @@ func (c *sinkCounter) InvalidateIno(Ino)                   { c.invals++ }
 
 // A zero-length write past EOF is a no-op (POSIX write(2)): the file
 // does not grow to the offset, nothing is journaled or invalidated, an
-// OAppend descriptor is not repositioned, and WriteSpec rejects a post
+// OAppend descriptor is not repositioned, and StepHolds rejects a post
 // state that grew.
 func TestZeroLengthWriteIsNoOp(t *testing.T) {
 	f := New()
@@ -362,24 +362,24 @@ func TestZeroLengthWriteIsNoOp(t *testing.T) {
 	f.SetJournal(&sink)
 	f.SetInvalidator(&sink)
 
+	write := StepOp{Kind: StepWrite}
 	for _, d := range []FD{fd, afd} {
-		pre := AbstractFDs(tb)
+		pre := AbstractFDs(tb).Files[d]
 		n, err := tb.Write(d, nil)
 		if err != nil || n != 0 {
 			t.Fatalf("fd %d: write(nil) = %d, %v", d, n, err)
 		}
-		post := AbstractFDs(tb)
-		if err := WriteSpec(pre, post, d, nil, n); err != nil {
+		post := AbstractFDs(tb).Files[d]
+		if err := StepHolds(pre, write, true, n, nil, post); err != nil {
 			t.Fatal(err)
 		}
-		if got := post.Files[d]; got.Size() != 10 || got.Offset != pre.Files[d].Offset {
-			t.Fatalf("fd %d: size %d offset %d after a zero-length write", d, got.Size(), got.Offset)
+		if post.Size() != 10 || post.Offset != pre.Offset {
+			t.Fatalf("fd %d: size %d offset %d after a zero-length write", d, post.Size(), post.Offset)
 		}
-		grown := post.Files[d]
+		grown := post
 		grown.Contents = PagesOf(make([]byte, 88))
-		post.Files[d] = grown
-		if err := WriteSpec(pre, post, d, nil, n); err == nil {
-			t.Errorf("fd %d: WriteSpec accepted a zero-length write that grew the file", d)
+		if err := StepHolds(pre, write, true, n, nil, grown); err == nil {
+			t.Errorf("fd %d: StepHolds accepted a zero-length write that grew the file", d)
 		}
 	}
 	if sink.records != 0 || sink.invals != 0 {
@@ -392,35 +392,146 @@ func TestZeroLengthWriteIsNoOp(t *testing.T) {
 }
 
 func TestReadSpecRejectsWrongBehavior(t *testing.T) {
-	pre := SpecState{Files: map[FD]SpecFile{3: {Contents: PagesOf([]byte("abcdef")), Offset: 2, Locked: true}}}
-	post := pre.CloneSpec()
-	f := post.Files[3]
-	f.Offset = 4
-	post.Files[3] = f
+	pre := SpecFile{Contents: PagesOf([]byte("abcdef")), Offset: 2, Locked: true}
+	post := pre
+	post.Offset = 4
+	read := StepOp{Kind: StepRead, Len: 2}
 	// Correct: read 2 bytes "cd".
-	if err := ReadSpec(pre, post, 3, 2, []byte("cd"), 2); err != nil {
+	if err := StepHolds(pre, read, true, 2, []byte("cd"), post); err != nil {
 		t.Fatal(err)
 	}
 	// Wrong data.
-	if err := ReadSpec(pre, post, 3, 2, []byte("xx"), 2); err == nil {
+	if err := StepHolds(pre, read, true, 2, []byte("xx"), post); err == nil {
 		t.Error("wrong buffer accepted")
 	}
 	// Wrong length.
-	if err := ReadSpec(pre, post, 3, 2, []byte("cd"), 1); err == nil {
+	if err := StepHolds(pre, read, true, 1, []byte("cd"), post); err == nil {
 		t.Error("wrong read_len accepted")
 	}
 	// Unlocked precondition.
-	pre2 := pre.CloneSpec()
-	f2 := pre2.Files[3]
-	f2.Locked = false
-	pre2.Files[3] = f2
-	if err := ReadSpec(pre2, post, 3, 2, []byte("cd"), 2); err == nil {
+	unlocked := pre
+	unlocked.Locked = false
+	if err := StepHolds(unlocked, read, true, 2, []byte("cd"), post); err == nil {
 		t.Error("unlocked pre accepted")
 	}
 	// Stale post offset.
-	post2 := pre.CloneSpec()
-	if err := ReadSpec(pre, post2, 3, 2, []byte("cd"), 2); err == nil {
+	if err := StepHolds(pre, read, true, 2, []byte("cd"), pre); err == nil {
 		t.Error("unadvanced offset accepted")
+	}
+}
+
+// TestStepEdgeCases runs each edge of the descriptor transition three
+// ways: Step must give the expected value and cursor (or refuse), the
+// implementation's transition from the same state must satisfy
+// StepHolds (and refuse what Step refuses), and StepHolds must reject a
+// wrong report or post state next to it. Every case starts from the
+// 6-byte file "abcdef" with the cursor at off.
+func TestStepEdgeCases(t *testing.T) {
+	const maxOff = 1<<63 - 1
+	for _, c := range []struct {
+		name      string
+		append    bool
+		off       uint64
+		op        StepOp
+		val, next uint64
+		refused   bool
+	}{
+		{name: "read inside", off: 2, op: StepOp{Kind: StepRead, Len: 2}, val: 2, next: 4},
+		{name: "short read", off: 4, op: StepOp{Kind: StepRead, Len: 10}, val: 2, next: 6},
+		{name: "read at EOF", off: 6, op: StepOp{Kind: StepRead, Len: 4}, val: 0, next: 6},
+		{name: "read past EOF", off: 34, op: StepOp{Kind: StepRead, Len: 25}, val: 0, next: 34},
+		{name: "write inside", off: 1, op: StepOp{Kind: StepWrite, Data: []byte("XY")}, val: 2, next: 3},
+		{name: "write past EOF", off: 9, op: StepOp{Kind: StepWrite, Data: []byte("Z")}, val: 1, next: 10},
+		{name: "append write", append: true, off: 2, op: StepOp{Kind: StepWrite, Data: []byte("gh")}, val: 2, next: 8},
+		{name: "zero-length write past EOF", off: 88, op: StepOp{Kind: StepWrite}, val: 0, next: 88},
+		{name: "zero-length append write past EOF", append: true, off: 88, op: StepOp{Kind: StepWrite}, val: 0, next: 88},
+		{name: "SeekEnd back", off: 1, op: StepOp{Kind: StepSeek, Off: -2, Whence: SeekEnd}, val: 4, next: 4},
+		{name: "SeekEnd before the start", off: 1, op: StepOp{Kind: StepSeek, Off: -7, Whence: SeekEnd}, refused: true},
+		{name: "SeekCur forward", off: 3, op: StepOp{Kind: StepSeek, Off: 5, Whence: SeekCur}, val: 8, next: 8},
+		{name: "SeekCur to 2^63", off: 1, op: StepOp{Kind: StepSeek, Off: maxOff, Whence: SeekCur}, refused: true},
+		{name: "SeekCur past 2^63", off: 6, op: StepOp{Kind: StepSeek, Off: maxOff, Whence: SeekCur}, refused: true},
+		{name: "SeekSet negative", off: 3, op: StepOp{Kind: StepSeek, Off: -1}, refused: true},
+		{name: "bad whence", off: 3, op: StepOp{Kind: StepSeek, Whence: 3}, refused: true},
+		{name: "pread inside", off: 5, op: StepOp{Kind: StepPread, Off: 1, Len: 3}, val: 3, next: 5},
+		{name: "pread past EOF", off: 5, op: StepOp{Kind: StepPread, Off: 9, Len: 3}, val: 0, next: 5},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := New()
+			tb := NewFDTable(f)
+			flags := OCreate | ORdWr
+			if c.append {
+				flags |= OAppend
+			}
+			fd, _ := tb.Open("/f", flags)
+			_ = tb.Lock(fd)
+			_, _ = tb.Write(fd, []byte("abcdef"))
+			if _, err := tb.Seek(fd, int64(c.off), SeekSet); err != nil {
+				t.Fatal(err)
+			}
+			var sink sinkCounter
+			f.SetJournal(&sink)
+			f.SetInvalidator(&sink)
+			pre := AbstractFDs(tb).Files[fd]
+
+			val, _, next, err := pre.Step(c.op)
+			if (err != nil) != c.refused || err == nil && (val != c.val || next != c.next) {
+				t.Fatalf("Step = %d, cursor %d, %v; want %d, cursor %d, refused %v", val, next, err, c.val, c.next, c.refused)
+			}
+
+			var got []byte
+			switch c.op.Kind {
+			case StepRead:
+				got = make([]byte, c.op.Len)
+				val, err = tb.Read(fd, got)
+				got = got[:val]
+			case StepWrite:
+				val, err = tb.Write(fd, c.op.Data)
+			case StepSeek:
+				val, err = tb.Seek(fd, c.op.Off, c.op.Whence)
+			case StepPread:
+				of, _ := tb.Get(fd)
+				got = make([]byte, c.op.Len)
+				var n int
+				n, err = f.ReadAt(of.Ino, uint64(c.op.Off), got)
+				val, got = uint64(n), got[:n]
+			}
+			if (err != nil) != c.refused {
+				t.Fatalf("implementation: %d, %v; want refused %v", val, err, c.refused)
+			}
+			post := AbstractFDs(tb).Files[fd]
+			if err := StepHolds(pre, c.op, !c.refused, val, got, post); err != nil {
+				t.Fatalf("implementation: %v", err)
+			}
+			if len(c.op.Data) == 0 && (sink.records != 0 || sink.invals != 0) {
+				t.Fatalf("journaled %d records, invalidated %d times", sink.records, sink.invals)
+			}
+
+			// Each of these must be rejected.
+			moved, grown := post, post
+			moved.Offset++
+			grown.Contents = PagesOf(append(post.Contents.Bytes(), 0))
+			wrong := map[string]error{
+				"moved cursor":  StepHolds(pre, c.op, !c.refused, val, got, moved),
+				"grown file":    StepHolds(pre, c.op, !c.refused, val, got, grown),
+				"success claim": StepHolds(pre, c.op, true, val+1, got, post),
+			}
+			if len(got) > 0 {
+				bad := append([]byte(nil), got...)
+				bad[0] ^= 0xff
+				wrong["wrong bytes"] = StepHolds(pre, c.op, true, val, bad, post)
+				wrong["short delivery"] = StepHolds(pre, c.op, true, val, got[1:], post)
+			}
+			if k := c.op.Kind; k == StepRead || k == StepWrite {
+				unlocked := pre
+				unlocked.Locked = false
+				wrong["unlocked pre"] = StepHolds(unlocked, c.op, true, val, got, post)
+			}
+			for what, err := range wrong {
+				if err == nil {
+					t.Errorf("%s accepted", what)
+				}
+			}
+		})
 	}
 }
 

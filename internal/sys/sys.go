@@ -117,11 +117,10 @@ func (s *Sys) PID() proc.PID { return s.pid }
 
 // EnableContract turns contract checking on: from now on Read, Write,
 // Seek, Pread and a batch's file entries are checked against
-// read_spec/write_spec/seek_spec and the positioned read's relation.
-// Safe to call while other goroutines are issuing syscalls through this
-// handle: a call decides whether it is checked when it builds its frame,
-// so calls already past that point complete unchecked and later ones are
-// checked.
+// fs.StepHolds. Safe to call while other goroutines are issuing syscalls
+// through this handle: a call decides whether it is checked when it
+// builds its frame, so calls already past that point complete unchecked
+// and later ones are checked.
 func (s *Sys) EnableContract() { s.contract.Store(true) }
 
 // ContractErr returns the first recorded contract violation, if any.
@@ -203,16 +202,15 @@ func (s *Sys) checkWitnessed(ops []WriteOp, comps []Completion, ws []Witness) {
 //
 // A pread matches the file's contents on one side of its read. A run of
 // reads, writes and seeks on one descriptor is replayed from Pre: each
-// entry's relation is checked from the state the entries before it
-// specify into the next, the last entry's into Post, and a failed entry
-// leaves the state as it was. Only a run's interior states are the
-// replay's own: their contents are a fs.PageFile over Pre's pages that
-// clones the pages the run writes, writing them in place after that — so
-// a write's modelled pre state may show its own new bytes, and the
-// relation pins its count, size and offset while the contents are
-// settled against Post. A read or seek that ends a run leaves the
-// contents as they were. One entry, a per-call transition, has no
-// interior state and allocates no model.
+// entry is checked with fs.StepHolds from the state the entries before
+// it specify into the next — cur advanced by the entry's fs.Step, or cur
+// itself when the entry failed — and the last entry into Post. Only a
+// run's interior states are the replay's own: their contents are a
+// fs.PageFile over Pre's pages that clones the pages the run writes,
+// writing them in place after that — so a write's modelled pre state may
+// show its own new bytes, and the relation pins its count, size and
+// offset while the contents are settled against Post. One entry, a
+// per-call transition, has no interior state and allocates no model.
 func (w *Witness) check(ops []WriteOp, comps []Completion) (int, error) {
 	n := int(w.N)
 	if n < 1 || n > len(ops) {
@@ -221,48 +219,29 @@ func (w *Witness) check(ops []WriteOp, comps []Completion) (int, error) {
 	if ops[0].Num == NumPread && n == 1 {
 		return 0, w.preadSpec(&ops[0], comps[0])
 	}
-	cur, curOK := w.Pre, w.PreOK
+	// The transition holds the descriptor for its whole length — through
+	// one apply on a co-located kernel, through the fd lock on a
+	// partitioned one — so the spec's locked precondition holds of every
+	// state it passes through.
+	cur, curOK, post := w.Pre, w.PreOK, w.Post
+	cur.Locked, post.Locked = true, true
 	var model *fs.PageFile
 	for k := range n {
 		op, c := &ops[k], comps[k]
 		if !IsRunOp(op.Num) || op.FD != ops[0].FD {
 			return k, fmt.Errorf("witnessed as entry %d of a run on fd %d", k, ops[0].FD)
 		}
-		next, nextOK := w.Post, w.PostOK
-		last := k == n-1
-		switch {
-		case c.Errno != EOK:
-			if !last {
-				continue
-			}
-			if err := unchanged(cur, curOK, next, nextOK); err != nil {
-				return k, fmt.Errorf("failed with %v but: %w", c.Errno, err)
-			}
-			return 0, nil
-		case !last:
+		next, nextOK := post, w.PostOK
+		if k < n-1 {
 			next, nextOK = cur, curOK
-			switch op.Num {
-			case NumRead:
-				next.Offset += c.Val
-			case NumSeek:
-				next.Offset = c.Val
-			default:
-				at := cur.Offset
-				if cur.Append && len(op.Data) > 0 {
-					at = cur.Size() // append resolves at the model's EOF
-				}
-				if model == nil {
-					model = fs.FileOf(cur.Contents)
-				}
-				if _, err := model.WriteAt(at, op.Data); err != nil {
+			if c.Errno == EOK {
+				var err error
+				if next, err = cur.Advance(stepOf(op), &model); err != nil {
 					return k, fmt.Errorf("reported success: %w", err)
 				}
-				next.Contents, next.Offset = model.Peek(), at+c.Val
 			}
-		case op.Num != NumWrite && !next.Contents.Equal(cur.Contents):
-			return k, fmt.Errorf("contents changed (%d -> %d bytes)", cur.Size(), next.Size())
 		}
-		if err := spec(op, c, cur, curOK, next, nextOK); err != nil {
+		if err := holds(op, c, cur, curOK, next, nextOK); err != nil {
 			return k, err
 		}
 		cur, curOK = next, nextOK
@@ -270,71 +249,50 @@ func (w *Witness) check(ops []WriteOp, comps []Completion) (int, error) {
 	return 0, nil
 }
 
-// preadSpec is the positioned read's contract: the count is what the
-// file can supply from the offset into the buffer, and the bytes
-// delivered are the file's there — on one side of the read or the other.
-// A pread moves no descriptor state, so there is nothing else to check.
+// holds checks one entry from cur to next with fs.StepHolds: the
+// descriptor is open on both sides, or — for a failed entry, which
+// changes nothing — on neither.
+func holds(op *WriteOp, c Completion, cur fs.SpecFile, curOK bool, next fs.SpecFile, nextOK bool) error {
+	ok := c.Errno == EOK
+	if curOK != nextOK || ok && !curOK {
+		return fmt.Errorf("descriptor open %v -> %v", curOK, nextOK)
+	}
+	err := fs.StepHolds(cur, stepOf(op), ok, c.Val, c.Data, next)
+	if err != nil && !ok {
+		return fmt.Errorf("failed with %v but: %w", c.Errno, err)
+	}
+	return err
+}
+
+// preadSpec is the positioned read's contract: a pread is fs.Step's read
+// at Off that moves no descriptor state, and the bytes it delivered are
+// the file's there — on one side of the read or the other.
 func (w *Witness) preadSpec(op *WriteOp, c Completion) error {
 	if c.Errno != EOK {
 		return nil
 	}
-	off := uint64(op.Off)
+	step := stepOf(op)
 	match := func(f fs.SpecFile, ok bool) bool {
-		want := ClampReadLen(op.Len, off, f.Size())
-		return ok && c.Val == want && uint64(len(c.Data)) == want && f.Contents.EqualBytes(off, c.Data)
+		return ok && fs.StepHolds(f, step, true, c.Val, c.Data, f) == nil
 	}
 	if !match(w.Pre, w.PreOK) && !match(w.Post, w.PostOK) {
-		return fmt.Errorf("%d bytes at %d match neither side's contents", c.Val, off)
+		return fmt.Errorf("%d bytes at %d match neither side's contents", c.Val, uint64(op.Off))
 	}
 	return nil
 }
 
-// unchanged is the contract of a failed transition: the descriptor is
-// exactly as it was — open or not, offset, lock, size and contents.
-// Equal snapshots share their pages, so the contents clause is a pointer
-// comparison per page in the common case.
-func unchanged(pre fs.SpecFile, preOK bool, post fs.SpecFile, postOK bool) error {
-	switch {
-	case preOK != postOK:
-		return fmt.Errorf("descriptor open %v -> %v", preOK, postOK)
-	case pre.Offset != post.Offset:
-		return fmt.Errorf("offset moved %d -> %d", pre.Offset, post.Offset)
-	case pre.Locked != post.Locked:
-		return fmt.Errorf("lock state changed %v -> %v", pre.Locked, post.Locked)
-	case pre.Size() != post.Size():
-		return fmt.Errorf("size changed %d -> %d", pre.Size(), post.Size())
-	case !pre.Contents.Equal(post.Contents):
-		return fmt.Errorf("contents changed")
-	}
-	return nil
-}
-
-// spec checks a successful read, write or seek entry's relation from pre
-// to post, over the one-descriptor states the fs relations take.
-func spec(op *WriteOp, c Completion, pre fs.SpecFile, preOK bool, post fs.SpecFile, postOK bool) error {
-	preS := fs.SpecState{Files: make(map[fs.FD]fs.SpecFile, 1)}
-	postS := fs.SpecState{Files: make(map[fs.FD]fs.SpecFile, 1)}
-	// A read or write transition holds the descriptor for its whole
-	// length — through one apply on a co-located kernel, through the fd
-	// lock on a partitioned one — so the spec's locked precondition holds
-	// of the state it starts from.
-	pre.Locked = pre.Locked || op.Num != NumSeek
-	if preOK {
-		preS.Files[op.FD] = pre
-	}
-	if postOK {
-		postS.Files[op.FD] = post
-	}
+// stepOf is a checked entry as the descriptor transition it names.
+func stepOf(op *WriteOp) fs.StepOp {
+	kind := fs.StepSeek
 	switch op.Num {
 	case NumRead:
-		if uint64(len(c.Data)) != c.Val {
-			return fmt.Errorf("%d payload bytes for count %d", len(c.Data), c.Val)
-		}
-		return fs.ReadSpec(preS, postS, op.FD, op.Len, c.Data, c.Val)
+		kind = fs.StepRead
 	case NumWrite:
-		return fs.WriteSpec(preS, postS, op.FD, op.Data, c.Val)
+		kind = fs.StepWrite
+	case NumPread:
+		kind = fs.StepPread
 	}
-	return fs.SeekSpec(preS, postS, op.FD, op.Off, op.Whence, c.Val)
+	return fs.StepOp{Kind: kind, Len: op.Len, Data: op.Data, Off: op.Off, Whence: op.Whence}
 }
 
 // callWrite crosses the boundary with a mutating op.

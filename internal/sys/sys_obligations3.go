@@ -147,33 +147,35 @@ func registerEvenMoreObligations(g *verifier.Registry) {
 				if e != EOK {
 					return fmt.Errorf("open: %v", e)
 				}
-				var size, offset uint64
+				// The model is the spec's descriptor, advanced by fs.Step.
+				model := fs.SpecFile{Locked: true}
+				var contents *fs.PageFile
 				for i := 0; i < 300; i++ {
+					var op fs.StepOp
+					var e Errno
 					switch r.Intn(3) {
 					case 0:
-						n := uint64(r.Intn(100))
-						data := make([]byte, n)
-						if _, e := s.Write(fd, data); e != EOK {
-							return fmt.Errorf("write: %v", e)
-						}
-						offset += n
-						if n > 0 && offset > size { // a zero-length write past EOF does not grow
-							size = offset
-						}
+						op = fs.StepOp{Kind: fs.StepWrite, Data: make([]byte, r.Intn(100))}
+						_, e = s.Write(fd, op.Data)
 					case 1:
-						target := uint64(r.Intn(300))
-						if _, e := s.Seek(fd, int64(target), fs.SeekSet); e != EOK {
-							return fmt.Errorf("seek: %v", e)
-						}
-						offset = target
+						op = fs.StepOp{Kind: fs.StepSeek, Off: int64(r.Intn(300)), Whence: fs.SeekSet}
+						_, e = s.Seek(fd, op.Off, op.Whence)
 					default:
 						st, e := s.Stat("/grow")
 						if e != EOK {
 							return fmt.Errorf("stat: %v", e)
 						}
-						if st.Size != size {
-							return fmt.Errorf("iter %d: stat size %d, model %d", i, st.Size, size)
+						if st.Size != model.Size() {
+							return fmt.Errorf("iter %d: stat size %d, model %d", i, st.Size, model.Size())
 						}
+						continue
+					}
+					if e != EOK {
+						return fmt.Errorf("iter %d: %v", i, e)
+					}
+					var err error
+					if model, err = model.Advance(op, &contents); err != nil {
+						return fmt.Errorf("iter %d: model: %w", i, err)
 					}
 				}
 				return nil
