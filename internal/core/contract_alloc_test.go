@@ -32,14 +32,16 @@ func allocPerRequest(runs int, f func()) uint64 {
 }
 
 // TestContractCheckAllocationBudget is the cost guard for the copy-free
-// views: with the contract on, a checked request allocates a small
-// constant plus, for a write, the copy-on-write clone of the page it
-// touches and of the file's pointer array — not the file (17.5 KB per
-// checked seek+write of a 16 KiB file while contents were one flat
-// array), and not four deep copies of every open file (≈ 66 KB before
-// views became snapshots). A checked batch pays per descriptor run what a
-// checked write does, plus the replay model's clone of the pages the run
-// writes; a checked pread, its witness. Beside them, an mmap/munmap pair:
+// views: with the contract on, a checked request allocates what the
+// unchecked one does. A write still copies the page it touches and the
+// file's pointer array before a view's pre-image, but into a page and an
+// array an earlier write retired and every view has given back — not
+// fresh ones (5 040 B per checked seek+write before views were given
+// back), not the file (17.5 KB while contents were one flat array), and
+// not four deep copies of every open file (≈ 66 KB before views became
+// snapshots). A checked batch pays only the replay model's clone of the
+// pages its run writes (the model shares the witness's pages, so it keeps
+// nothing for reuse); a checked pread, nothing. Beside them, an mmap/munmap pair:
 // its three page-table and data frames reuse the backing arrays their
 // zeroing retired (12.8 KB per pair before hw/mem recycled them). Runs
 // under -short too: it is the tier-1 pin on the benchmark's
@@ -125,28 +127,30 @@ func TestContractCheckAllocationBudget(t *testing.T) {
 		t.Logf("shards=%d: seek+read %d B/request, seek+write %d B/request, mmap+munmap %d B/request, "+
 			"17-op batch check %d B in %.1f objects, checked pread %d B in %.1f objects",
 			shards, read, write, mmapPair, batch, batchObjs, preadBytes, preadObjs)
-		if read >= 4<<10 {
-			t.Errorf("shards=%d: checked seek+read allocates %d B per request, budget 4 KiB", shards, read)
+		if read >= 3<<9 {
+			t.Errorf("shards=%d: checked seek+read allocates %d B per request, budget 1.5 KiB", shards, read)
 		}
-		if write >= 6<<10 {
-			t.Errorf("shards=%d: checked seek+write allocates %d B per request, budget 6 KiB", shards, write)
+		if write >= 1<<10 {
+			t.Errorf("shards=%d: checked seek+write allocates %d B per request, budget 1 KiB", shards, write)
 		}
 		if mmapPair >= 2<<10 {
 			t.Errorf("shards=%d: mmap+munmap allocates %d B per pair, budget 2 KiB", shards, mmapPair)
 		}
-		// The two budgets below are what the witnesses cost, on both kernels:
-		// one witness per run, built once (sys.ComposeWitness reuses the
-		// contents step's), plus the replay model's page clones for the
-		// batch; the pread's own witness. A second witness allocation would
-		// add an object and 128 B; the byte bounds leave 32 B for the noise
-		// of subtracting two means.
+		// The two budgets below are what checking costs, on both kernels:
+		// for the batch, the replay model's clone of the page its run writes
+		// and of the page array (4 288 B in 3 objects, where 8 704 B in 7
+		// also paid the witness, the handler's witness vector and the
+		// kernel's own clones); for the pread, its request frame alone (272
+		// B in 3 with two witnesses). A witness allocation would add an
+		// object and 144 B; the byte bounds leave 32 B for the noise of
+		// subtracting two means.
 		const noise = 32
-		if batch > 8704+noise || batchObjs > 7 {
-			t.Errorf("shards=%d: checking a 17-op batch allocates %d B in %.1f objects, budget 8 704 B in 7",
+		if batch > 4288+noise || batchObjs > 3 {
+			t.Errorf("shards=%d: checking a 17-op batch allocates %d B in %.1f objects, budget 4 288 B in 3",
 				shards, batch, batchObjs)
 		}
-		if preadBytes > 272+noise || preadObjs > 3 {
-			t.Errorf("shards=%d: a checked cache-hit Pread allocates %d B in %.1f objects, budget 272 B in 3",
+		if preadBytes > 16+noise || preadObjs > 1 {
+			t.Errorf("shards=%d: a checked cache-hit Pread allocates %d B in %.1f objects, budget 16 B in 1",
 				shards, preadBytes, preadObjs)
 		}
 		if err := h.ContractErr(); err != nil {

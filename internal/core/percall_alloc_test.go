@@ -13,10 +13,15 @@ import (
 // is the register frame alone, and a combiner pass allocates nothing. So
 // an unchecked seek is its encoded request (12 B in a 16-B object: 3
 // objects and 168 B when the tail was fixed-width and every reply a
-// buffer), and a checked one adds only its witness. A decoded path is one
-// object, its string (two when the decoder copied it twice). Counts, not times:
-// deterministic, so it runs under -short as the tier-1 pin on
-// syscall_mix's allocs_per_op.
+// buffer). A checked call allocates what an unchecked one does: its
+// witness comes back by value into slots the handler and the handle
+// reuse (a 128-B object per witness before), and once checked its views
+// are given back, so a warm checked write clones its pre-image into a
+// page an earlier write retired — a seek+write is its two request frames
+// (5 040 B in 6 objects before), a seek+read those and the read's reply
+// buffer and payload. A decoded path is one object, its string (two when
+// the decoder copied it twice). Counts, not times: deterministic, so it
+// runs under -short as the tier-1 pin on syscall_mix's allocs_per_op.
 func TestPerCallAllocationBudget(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		s, err := Boot(Config{Cores: 2, Shards: shards})
@@ -49,6 +54,20 @@ func TestPerCallAllocationBudget(t *testing.T) {
 				fail("seek", e)
 			}
 		}
+		buf, checkedSeek := make([]byte, 512), seek(h)
+		seekWrite := func() {
+			checkedSeek()
+			_, e := h.Write(fd, buf)
+			fail("write", e)
+		}
+		seekRead := func() {
+			checkedSeek()
+			_, e := h.Read(fd, buf)
+			fail("read", e)
+		}
+		for range 4 { // warm: the first writes after the views allocate
+			seekWrite()
+		}
 		reopen := func() {
 			fail("close", h.Close(fd))
 			var e sys.Errno
@@ -66,7 +85,9 @@ func TestPerCallAllocationBudget(t *testing.T) {
 			bytes   uint64 // 0: objects only
 		}{
 			{"unchecked seek", seek(raw), 1, 32},
-			{"checked seek", seek(h), 2, 160},
+			{"checked seek", checkedSeek, 1, 32},
+			{"checked seek+write", seekWrite, 2, 0},
+			{"checked seek+read", seekRead, 4, 0},
 			{"close+open", reopen, 5, 0},
 			{"stat", stat, 4, 0},
 		} {

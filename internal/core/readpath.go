@@ -74,14 +74,13 @@ func (s *System) unpinFrames(frames []mem.PAddr) {
 
 // preadResolve resolves a descriptor to (ino, flags) with one
 // replica-local read — the only kernel crossing a cache-hit pread pays.
-func (h *handler) preadResolve(pid proc.PID, fd fs.FD) (fs.Ino, int, sys.Resp) {
+// It returns the errno alone, not a response: a Resp carries a witness
+// by value, and the hit path copies what it returns.
+func (h *handler) preadResolve(pid proc.PID, fd fs.FD) (fs.Ino, int, sys.Errno) {
 	h.ctxMu.Lock()
 	g := h.procReadOn(h.s.ProcShardOf(pid), sys.ReadOp{Num: sys.NumFDGet, PID: pid, FD: fd})
 	h.ctxMu.Unlock()
-	if g.Errno != sys.EOK {
-		return 0, 0, g
-	}
-	return g.Ino, int(g.Val), sys.Resp{Errno: sys.EOK}
+	return g.Ino, int(g.Val), g.Errno
 }
 
 // fsRead runs one replica-local read against the owner of op.Ino (the
@@ -125,11 +124,14 @@ func (h *handler) preadFill(pid proc.PID) pcache.Filler {
 // read is made again in the window the closing snapshot opens. Only when
 // writes land in preadWindows windows in a row is the read served from
 // the owner instead, in one transition that is its own witness
-// (NumFsReadAt's) — sys.contract.pread_owner_reads counts those.
+// (NumFsReadAt's) — sys.contract.pread_owner_reads counts those. A
+// snapshot the read does not return is given back, but only once the
+// next one is taken: while it is held its page array cannot be reused,
+// so Same cannot mistake a reused array for an unchanged one.
 func (h *handler) pread(op sys.ReadOp, dst []byte) sys.Resp {
-	ino, flags, r := h.preadResolve(op.PID, op.FD)
-	if r.Errno != sys.EOK {
-		return r
+	ino, flags, e := h.preadResolve(op.PID, op.FD)
+	if e != sys.EOK {
+		return sys.Resp{Errno: e}
 	}
 	if flags&fs.OWrOnly != 0 {
 		return sys.Resp{Errno: sys.EPERM}
@@ -146,18 +148,22 @@ func (h *handler) pread(op sys.ReadOp, dst []byte) sys.Resp {
 		}
 		n, e := h.s.pcacheFor(ino).ReadAt(ino, op.Off, dst, h.preadFill(op.PID), h.core)
 		if e != sys.EOK {
+			pre.Witness.Release()
 			return sys.Resp{Errno: e}
 		}
-		r = sys.Resp{Errno: sys.EOK, Val: uint64(n), Data: dst[:n]}
 		if !op.Witness {
-			return r
+			return sys.Resp{Errno: sys.EOK, Val: uint64(n), Data: dst[:n]}
 		}
+		r := sys.Resp{Errno: sys.EOK, Val: uint64(n), Data: dst[:n]}
 		post := h.fsRead(snap)
-		if w := pre.Witness[0]; w.PreOK == post.Witness[0].PreOK && w.Pre.Contents.Same(post.Witness[0].Pre.Contents) {
+		if w := pre.Witness; w.PreOK == post.Witness.PreOK && w.Pre.Contents.Same(post.Witness.Pre.Contents) {
+			post.Witness.Release()
 			r.Witness = pre.Witness
 			return r
 		}
+		pre.Witness.Release()
 		if window == preadWindows {
+			post.Witness.Release()
 			obs.ContractPreadOwnerReads.Add(uint32(h.core), 1)
 			r = h.fsRead(sys.ReadOp{Num: sys.NumFsReadAt, PID: op.PID, Ino: ino, Off: op.Off, Len: op.Len, Witness: true})
 			if r.Errno == sys.EOK && !reply {
@@ -167,6 +173,7 @@ func (h *handler) pread(op sys.ReadOp, dst []byte) sys.Resp {
 		}
 		pre = post
 	}
+	pre.Witness.Release()
 	return sys.Resp{Errno: pre.Errno}
 }
 
@@ -208,9 +215,9 @@ func (h *handler) preadMap(op sys.WriteOp) sys.Resp {
 		return sys.Resp{Errno: sys.EINVAL}
 	}
 	off := uint64(op.Off)
-	ino, flags, r := h.preadResolve(op.PID, op.FD)
-	if r.Errno != sys.EOK {
-		return r
+	ino, flags, e := h.preadResolve(op.PID, op.FD)
+	if e != sys.EOK {
+		return sys.Resp{Errno: e}
 	}
 	if flags&fs.OWrOnly != 0 {
 		return sys.Resp{Errno: sys.EPERM}

@@ -559,25 +559,32 @@ type handler struct {
 	fsCtx   *nr.ShardedThread[sys.ReadOp, sys.WriteOp, sys.Resp]
 
 	// wits are the last witnessed crossing's witnesses, kept for the one
-	// Sys handle this handler serves: they point into kernel memory, so
-	// they do not cross the boundary as bytes (TakeWitness).
+	// Sys handle this handler serves: they are views of kernel memory, so
+	// they do not cross the boundary as bytes (TakeWitness). The slot is
+	// reused: the handle holds itself for a witnessed crossing and takes
+	// its witnesses before the next one.
 	witMu sync.Mutex
 	wits  []sys.Witness
 }
 
 // TakeWitness implements sys.Witnesser.
-func (h *handler) TakeWitness() []sys.Witness {
+func (h *handler) TakeWitness(into []sys.Witness) []sys.Witness {
 	h.witMu.Lock()
 	defer h.witMu.Unlock()
-	ws := h.wits
-	h.wits = nil
-	return ws
+	into = append(into, h.wits...)
+	clear(h.wits)
+	h.wits = h.wits[:0]
+	return into
 }
 
-// keepWitness keeps a witnessed crossing's witnesses for TakeWitness.
-func (h *handler) keepWitness(ws []sys.Witness) {
+// keepWitness keeps a witnessed per-call crossing's witness, if it has
+// one, for TakeWitness.
+func (h *handler) keepWitness(w sys.Witness) {
 	h.witMu.Lock()
-	h.wits = ws
+	h.wits = h.wits[:0]
+	if w.N > 0 {
+		h.wits = append(h.wits, w)
+	}
 	h.witMu.Unlock()
 }
 
@@ -719,7 +726,7 @@ func (h *handler) syscall(frame marshal.SyscallFrame, payload []byte) (marshal.R
 // the completion queue in submission order. Non-batchable ops complete
 // individually with ENOSYS — a bad entry must not poison its neighbours'
 // completions. The witnesses the steps and preads return are kept
-// together, one slice for the crossing.
+// together, in the handler's witness slot.
 //
 // Sync entries are the group-commit hook: they are pulled out of the
 // state-machine run and served with ONE durability action after every
@@ -766,7 +773,9 @@ func (h *handler) batch(frame marshal.SyscallFrame, payload []byte) (marshal.Ret
 	}
 	var wits []sys.Witness
 	if nWit > 0 {
-		wits = make([]sys.Witness, 0, nWit)
+		h.witMu.Lock()
+		wits, h.wits = h.wits[:0], nil
+		h.witMu.Unlock()
 	}
 	if len(steps) > 0 {
 		h.ctxMu.Lock()
@@ -805,7 +814,9 @@ func (h *handler) batch(frame marshal.SyscallFrame, payload []byte) (marshal.Ret
 		wits = sys.CompleteStep(ops, comps, i, &ops[i], r, wits)
 	}
 	if nWit > 0 {
-		h.keepWitness(wits)
+		h.witMu.Lock()
+		h.wits = wits
+		h.witMu.Unlock()
 	}
 	// Socket entries in submission order, after the file ops: socket and
 	// file state are disjoint, so this preserves every per-object order.

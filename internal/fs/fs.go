@@ -471,6 +471,7 @@ func (f *FS) WriteAt(ino Ino, off uint64, p []byte) (int, error) {
 	if cloned.Pages > 0 {
 		obs.FSCowClones.Add(f.obsShard, uint64(cloned.Pages))
 		obs.FSCowCloneBytes.Add(f.obsShard, uint64(cloned.Bytes))
+		obs.FSCowReused.Add(f.obsShard, uint64(cloned.Reused))
 	}
 	obs.FSWriteLatency.Since(f.obsShard, t0)
 	f.record(Mutation{Kind: MutWrite, Ino: ino, Off: off, Data: p})

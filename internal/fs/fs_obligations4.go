@@ -38,8 +38,11 @@ func pageBiased(r *rand.Rand, limit uint64) uint64 {
 // every kind of mutation on a few multi-page files reached through
 // aliased descriptors — offsets and lengths drawn to the page
 // boundaries, holes, shrinks to mid-page — and after each mutation
-// compares every view taken so far against a deep copy made when it was
-// taken. It also holds the copy-on-write to its cost: an overwrite of at
+// compares every view not yet given back against a deep copy made when
+// it was taken and the mutated file against its twin (below), then gives
+// a few back in a seeded order: the files reuse what those pinned, and
+// must not touch what the others still hold, nor let a reused page's old
+// bytes show. It also holds the copy-on-write to its cost: an overwrite of at
 // most a page that follows a view replaces at most two pages, and every
 // page outside the window keeps its identity from the view before to
 // the view after. A twin filesystem applies the same mutations and is
@@ -186,6 +189,7 @@ func checkViewIsImmutableSnapshot(r *rand.Rand, steps int) error {
 			if replaced > 2 {
 				return fmt.Errorf("step %d: a %d-byte overwrite replaced %d pages", step, len(payload), replaced)
 			}
+			post.Release()
 		case 5:
 			what = "grow"
 			off := size
@@ -243,6 +247,21 @@ func checkViewIsImmutableSnapshot(r *rand.Rand, steps int) error {
 		if err := intact(fmt.Sprintf("step %d (%s on inode %d)", step, what, ino)); err != nil {
 			return err
 		}
+		if !viewed.FS().inodes[ino].file.Peek().Equal(twin.FS().inodes[ino].file.Peek()) {
+			return fmt.Errorf("step %d (%s on inode %d): contents differ from the never-viewed twin's", step, what, ino)
+		}
+		// Give each view back with even odds, in a seeded order, so a file
+		// reuses what the views given back pinned while others still hold
+		// theirs.
+		kept := snaps[:0]
+		for _, s := range snaps {
+			if r.Intn(2) == 0 {
+				s.view.Release()
+				continue
+			}
+			kept = append(kept, s)
+		}
+		snaps = kept
 	}
 
 	if !Equal(viewed.FS(), twin.FS()) {

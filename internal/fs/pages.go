@@ -20,8 +20,15 @@ import (
 //   - Only the PageFile that allocated or cloned a page since its last
 //     view may write it, and only under the exclusion its owner provides
 //     (the replica write lock for an inode).
-//   - Nobody frees a page: the collector retires it when the last
-//     page array referencing it is dropped.
+//   - A view is given back (Pages.Release) once its holder is done with
+//     it. What a mutation replaces while a view may hold it — a page it
+//     clones, the page array own copies — is retired in the file's
+//     current epoch and handed out again, to a later clone or own copy,
+//     only once every view that could hold it has been given back (the
+//     epoch rule at PageFile.advance), and never with its old bytes past
+//     what the new use writes. A view nobody gives back only keeps its
+//     file allocating as it would without reuse; the collector frees
+//     whatever a file does not keep.
 //
 // A page is the []byte of what has been written of it, up to its highest
 // written byte: whatever a page covers past its length reads as zero and
@@ -85,6 +92,9 @@ func samePage(x, y []byte) bool { return len(x) == len(y) && (len(x) == 0 || &x[
 type Pages struct {
 	pages [][]byte // len == pagesFor(size); nothing is stored past size
 	size  uint64
+	// pin counts this view in its file's epoch (PageFile.View); nil for
+	// a value no view handed out.
+	pin *atomic.Int64
 }
 
 // PagesOf returns b's bytes as a page sequence (a copy).
@@ -155,6 +165,17 @@ func (c Pages) Same(d Pages) bool {
 	return c.size == d.size && len(c.pages) == len(d.pages) && (len(c.pages) == 0 || &c.pages[0] == &d.pages[0])
 }
 
+// Release gives a view back: its holder reads it no more, nor anything
+// made from it (FileOf). A view is released at most once; a value no
+// view handed out (the zero value, Peek, PagesOf) releases nothing. A
+// view never released only costs reuse: its file allocates what it
+// would have reused.
+func (c Pages) Release() {
+	if c.pin != nil && c.pin.Add(-1) < 0 {
+		panic("fs: a view released twice")
+	}
+}
+
 // EqualBytes reports whether c holds b at off; off+len(b) must lie
 // within c.
 func (c Pages) EqualBytes(off uint64, b []byte) bool {
@@ -204,18 +225,82 @@ type PageFile struct {
 	// writable in place, exactly when it is not the memory viewed holds
 	// at its index: it was allocated or cloned after the array was copied,
 	// and no view has been taken since (or shared would be set again).
-	// Neither field is file state: Equal, SaveStamped and the journal
-	// never see them.
+	// None of the fields below is file state either: Equal, SaveStamped
+	// and the journal never see them.
 	viewed [][]byte
+
+	// Giving views back. epoch is advanced by mutators only; a view
+	// counts itself in pins[epoch&1] and uncounts itself on Release, from
+	// any goroutine. retired is what this file replaced while a view could
+	// hold it, kept for reuse (nil until the first such replacement); a
+	// file made by FileOf shares memory it did not allocate, so it keeps
+	// none (borrowed).
+	epoch    uint32
+	pins     [2]atomic.Int64
+	borrowed bool
+	retired  *retired
 }
 
-// Cloned is what a mutation had to copy because a view held it.
-type Cloned struct{ Pages, Bytes int }
+// Cloned is what a mutation had to copy because a view held it: pages,
+// the bytes they stored, and how many of the pages were copied into a
+// page retired earlier rather than a fresh one.
+type Cloned struct{ Pages, Bytes, Reused int }
+
+// maxRetired bounds the pages, and separately the page arrays, a file
+// keeps for reuse.
+const maxRetired = 4
+
+// retired is the memory a file replaced while a view could hold it, each
+// piece with the epoch it was replaced in.
+type retired struct {
+	pages  [maxRetired]slot[[]byte]
+	arrays [maxRetired]slot[[][]byte]
+}
+
+// slot is a piece of retired memory, whole to its capacity, and the
+// epoch it was retired in; the zero slot is empty.
+type slot[S any] struct {
+	mem S
+	at  uint32
+}
+
+// keep puts mem, retired in epoch now, in an empty slot, or in place of
+// the piece retired longest ago (which the collector then frees).
+func keep[S ~[]E, E any](slots []slot[S], mem S, now uint32) {
+	k := 0
+	for i := range slots {
+		if slots[i].mem == nil {
+			k = i
+			break
+		}
+		if now-slots[i].at > now-slots[k].at {
+			k = i
+		}
+	}
+	slots[k] = slot[S]{mem: mem[:cap(mem)], at: now}
+}
+
+// reuse takes from slots a piece of capacity at least n that every view
+// able to hold it has given back — retired two epochs before now or
+// earlier (PageFile.advance) — or returns nil. The piece comes back
+// whole, its old contents in it: the caller overwrites or zeroes every
+// byte of it.
+func reuse[S ~[]E, E any](slots []slot[S], n int, now uint32) S {
+	for i := range slots {
+		if s := slots[i]; cap(s.mem) >= n && now-s.at >= 2 {
+			slots[i] = slot[S]{}
+			return s.mem
+		}
+	}
+	return nil
+}
 
 // FileOf returns a file whose contents start as c, in O(1): it shares
-// every page of c and clones the ones it comes to write.
+// every page of c and clones the ones it comes to write. It keeps
+// nothing for reuse — what it replaces is c's — so c must stay
+// unreleased while the file is in use.
 func FileOf(c Pages) *PageFile {
-	f := &PageFile{pages: c.pages, size: c.size}
+	f := &PageFile{pages: c.pages, size: c.size, borrowed: true}
 	f.shared.Store(true)
 	return f
 }
@@ -235,12 +320,15 @@ func (f *PageFile) Size() uint64 { return f.size }
 
 // View returns the contents as an immutable snapshot at zero copy: the
 // page array itself, marked shared so no later mutation writes the
-// array or a page in it.
+// array or a page in it, and counted in the current epoch until its
+// holder gives it back (Pages.Release).
 func (f *PageFile) View() Pages {
 	if len(f.pages) > 0 && !f.shared.Load() {
 		f.shared.Store(true)
 	}
-	return Pages{pages: f.pages, size: f.size}
+	pin := &f.pins[f.epoch&1]
+	pin.Add(1)
+	return Pages{pages: f.pages, size: f.size, pin: pin}
 }
 
 // Peek returns the current contents without freezing them: a later
@@ -250,12 +338,55 @@ func (f *PageFile) View() Pages {
 // replay model — never for a value that outlives that exclusion.
 func (f *PageFile) Peek() Pages { return Pages{pages: f.pages, size: f.size} }
 
-// own makes the page array private to the file — cloning it if a view
-// holds it — and at least n slots long.
+// advance begins a mutation: when every view of the previous epoch has
+// been given back, the epoch moves on. Views are only taken under a lock
+// that excludes mutators, so the epoch rule holds: at epoch e, every view
+// of an epoch up to e-2 has been given back (advancing to e+1 needs the
+// views of e-1 gone — pins[(e-1)&1] counts no older ones, by the rule at
+// e). What this file replaced in epoch k can be held only by views of
+// epochs up to k — a later view cannot reach it — so it is free again
+// from epoch k+2 on (reuse). The epoch may wrap: an age read modulo 2^32
+// is at least 2 only when the true age is.
+func (f *PageFile) advance() {
+	if f.pins[(f.epoch-1)&1].Load() == 0 {
+		f.epoch++
+	}
+}
+
+// retire keeps mem, which this mutation replaced while a view could hold
+// it, for reuse once no view can.
+func (f *PageFile) retire(pages [][]byte, page []byte) {
+	if f.borrowed {
+		return
+	}
+	if f.retired == nil {
+		f.retired = new(retired)
+	}
+	if pages != nil {
+		keep(f.retired.arrays[:], pages, f.epoch)
+	}
+	if page != nil {
+		keep(f.retired.pages[:], page, f.epoch)
+	}
+}
+
+// own makes the page array private to the file — copying it, into an
+// array retired earlier when one is free, if a view holds it — and at
+// least n slots long.
 func (f *PageFile) own(n int) {
 	if f.shared.Load() {
 		f.viewed = f.pages
-		f.pages = append(make([][]byte, 0, max(n, len(f.pages))), f.pages...)
+		m := max(n, len(f.pages))
+		var a [][]byte
+		if f.retired != nil {
+			a = reuse(f.retired.arrays[:], m, f.epoch)
+		}
+		if a == nil {
+			a = make([][]byte, m)
+		}
+		f.pages = a[:copy(a, f.pages)]
+		clear(a[len(f.pages):]) // a reused array's stale pages
+		f.retire(f.viewed, nil)
 		f.shared.Store(false)
 	}
 	if n > len(f.pages) {
@@ -284,6 +415,7 @@ func (f *PageFile) WriteAt(off uint64, p []byte) (cloned Cloned, err error) {
 		return cloned, fmt.Errorf("%w: write of %d bytes at %d", ErrFileTooBig, len(p), off)
 	}
 	first, last := int(off/PageSize), int((end-1)/PageSize)
+	f.advance()
 	f.own(last + 1)
 	// The holes this write lands in are filled from one allocation, so a
 	// whole-file write costs one slab however many pages it spans.
@@ -306,17 +438,29 @@ func (f *PageFile) WriteAt(off uint64, p []byte) (cloned Cloned, err error) {
 		case !held && b <= cap(pg):
 			pg = pg[:max(b, len(pg))] // in place, into zeroed spare capacity if longer
 		default:
-			// Reallocate: a view may hold the page, or it must grow past
+			// Reallocate: a view may hold the page — cloned then into a
+			// page retired earlier when one is free — or it must grow past
 			// its capacity (amortized as append would).
 			n, room := max(b, len(pg)), 0
 			if n > len(pg) {
 				room = min(PageSize, 2*len(pg))
 			}
-			c := make([]byte, n, max(n, room))
+			var c []byte
+			if held && f.retired != nil {
+				if c = reuse(f.retired.pages[:], n, f.epoch); c != nil {
+					clear(c[len(pg):]) // its old bytes, past what the copy writes
+					c = c[:n]
+					cloned.Reused++
+				}
+			}
+			if c == nil {
+				c = make([]byte, n, max(n, room))
+			}
 			copy(c, pg)
 			if held {
 				cloned.Pages++
 				cloned.Bytes += len(pg)
+				f.retire(nil, pg)
 			}
 			pg = c
 		}
@@ -336,6 +480,7 @@ func (f *PageFile) Truncate(size uint64) error {
 		return fmt.Errorf("%w: truncate to %d", ErrFileTooBig, size)
 	}
 	n := pagesFor(size)
+	f.advance()
 	switch {
 	case size < f.size:
 		// A view keeps its own longer header over the same array, so a

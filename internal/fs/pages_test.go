@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"github.com/verified-os/vnros/internal/obs"
 )
 
 // flatFile is the file representation the page array replaced — one
@@ -54,11 +56,19 @@ func edgy(r *rand.Rand) uint64 {
 
 // TestPagesMatchFlatOracle drives random write / truncate / read / view
 // sequences through the filesystem and the flat oracle: every read,
-// every Stat.Size and every earlier view (against the deep copy taken
-// with it) must agree. Views are also taken concurrently under a read
-// lock and checked after it is released, as the kernel's readers do —
-// run under -race, a write through a page a view holds is a data race.
+// every Stat.Size and every view not yet given back (against the deep
+// copy taken with it) must agree. Views are given back in a seeded order
+// between mutations, so the file reuses the pages and arrays they pinned
+// while others are still held: a reuse too early shows as a held view
+// that changed, a reused page's stale bytes as a read or a view that
+// disagrees with the oracle. Views are also taken concurrently under a
+// read lock, checked after it is released and then given back, as the
+// kernel's readers do — run under -race, a write through a page a view
+// holds is a data race.
 func TestPagesMatchFlatOracle(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	reused0 := obs.FSCowReused.Load()
 	for seed := int64(1); seed <= 8; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		tb := NewFDTable(New())
@@ -96,6 +106,7 @@ func TestPagesMatchFlatOracle(t *testing.T) {
 						t.Errorf("seed %d reader %d: view diverges from the oracle after the lock was released", seed, g)
 						return
 					}
+					view.Release()
 				}
 			}(g)
 		}
@@ -189,12 +200,25 @@ func TestPagesMatchFlatOracle(t *testing.T) {
 					t.Fatalf("seed %d step %d: view %d changed after it was taken", seed, step, i)
 				}
 			}
+			// Give views back in a seeded order: now one, now all.
+			for n := r.Intn(3); n > 0 && len(snaps) > 0; n-- {
+				if r.Intn(8) == 0 {
+					n = len(snaps)
+				}
+				k := r.Intn(len(snaps))
+				snaps[k].view.Release()
+				snaps = append(snaps[:k], snaps[k+1:]...)
+			}
 		}
 		close(stop)
 		wg.Wait()
 		if c, _ := f.Contents(ino); !bytes.Equal(c.Bytes(), oracle.data) {
 			t.Fatalf("seed %d: final contents diverge from the oracle", seed)
 		}
+	}
+	t.Logf("%d clones went into pages given back", obs.FSCowReused.Load()-reused0)
+	if obs.FSCowReused.Load() == reused0 {
+		t.Error("no clone went into a page given back: the reuse path was never exercised")
 	}
 }
 

@@ -16,10 +16,19 @@ import (
 // writer mutates under the write lock. Run under -race — a write through
 // a viewed array is a data race against the reader comparing it.
 func TestViewIsImmutableSnapshot(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	reused := obs.FSCowReused.Load()
 	for seed := int64(1); seed <= 32; seed++ {
 		if err := checkViewIsImmutableSnapshot(rand.New(rand.NewSource(seed)), 300); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+	}
+	// The obligation is only as strong as the reuse it provokes.
+	reused = obs.FSCowReused.Load() - reused
+	t.Logf("%d clones went into pages given back", reused)
+	if reused == 0 {
+		t.Error("no clone went into a page given back: the reuse path was never exercised")
 	}
 
 	var lock sync.RWMutex // stands in for the NR replica lock

@@ -22,6 +22,14 @@ type DataStructure[Rd any, Wr any, Resp any] interface {
 	DispatchWrite(op Wr) Resp
 }
 
+// Discarder is implemented by a data structure whose responses hold
+// something to give back: a replica hands it every response nobody reads
+// — an entry another replica's thread issued, which this replica applies
+// only to stay a copy.
+type Discarder[Resp any] interface {
+	Discard(Resp)
+}
+
 // MaxThreadsPerReplica bounds the flat-combining slots per replica.
 const MaxThreadsPerReplica = 256
 
@@ -77,6 +85,8 @@ type Replica[Rd any, Wr any, Resp any] struct {
 	// while applying log entries.
 	lock sync.RWMutex
 	ds   DataStructure[Rd, Wr, Resp]
+	// discard is ds when it is a Discarder, else nil.
+	discard Discarder[Resp]
 
 	// combiner serializes log application for this replica.
 	combiner sync.Mutex
@@ -147,6 +157,7 @@ func New[Rd any, Wr any, Resp any](opts Options, create func() DataStructure[Rd,
 	n := &NR[Rd, Wr, Resp]{log: newLog[Wr](opts.LogSize), shardTag: opts.ShardTag}
 	for i := 0; i < opts.Replicas; i++ {
 		r := &Replica[Rd, Wr, Resp]{nr: n, id: uint32(i), ds: create()}
+		r.discard, _ = r.ds.(Discarder[Resp])
 		n.replicas = append(n.replicas, r)
 		n.log.appliedTails = append(n.log.appliedTails, &r.applied)
 		n.log.helpers = append(n.log.helpers, r.helpSync)
@@ -463,8 +474,9 @@ func (r *Replica[Rd, Wr, Resp]) combine() {
 	}
 }
 
-// applyUpTo applies log entries [applied, target) to the local replica.
-// Caller holds r.combiner.
+// applyUpTo applies log entries [applied, target) to the local replica,
+// depositing the responses of this replica's entries and discarding the
+// rest (Discarder). Caller holds r.combiner.
 func (r *Replica[Rd, Wr, Resp]) applyUpTo(target uint64) {
 	cur := r.applied.Load()
 	if cur >= target {
@@ -494,6 +506,8 @@ func (r *Replica[Rd, Wr, Resp]) applyUpTo(target uint64) {
 				c.resp = resp
 				c.st.Store(slotDone)
 			}
+		} else if r.discard != nil {
+			r.discard.Discard(resp)
 		}
 	}
 	r.applied.Store(cur)

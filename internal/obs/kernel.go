@@ -57,9 +57,12 @@ var (
 	FSMetaOps      = NewCounter("fs.meta_ops") // create/unlink/mkdir/rmdir/link/rename
 	// Copy-on-write file contents: a mutation that follows a view()
 	// clones the pages it touches (the one copy the zero-copy views
-	// leave) — how many pages, and how many bytes they stored.
+	// leave) — how many pages, and how many bytes they stored; and how
+	// many of those clones went into a page retired earlier, given back
+	// by every view that could hold it, instead of a fresh allocation.
 	FSCowClones     = NewCounter("fs.cow_clones")
 	FSCowCloneBytes = NewCounter("fs.cow_clone_bytes")
+	FSCowReused     = NewCounter("fs.cow_reused")
 
 	// §3 contract checker (internal/sys), striped by the handle's core:
 	// transitions checked against a witness taken at their linearization

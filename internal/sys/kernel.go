@@ -124,6 +124,11 @@ func (k *Kernel) descriptor(pid proc.PID, fd fs.FD) (*fs.OpenFile, Errno) {
 	return of, EOK
 }
 
+// Discard implements nr.Discarder: a response nobody reads — a write
+// applied on a replica other than its issuer's — gives its witness's
+// views back, so the file they pin reuses on that replica too.
+func (k *Kernel) Discard(r Resp) { r.Witness.Release() }
+
 // DispatchWrite implements nr.DataStructure: the mutating syscalls.
 // The kernel.apply kstat counts once per replica per logged op (R× the
 // syscall count with R replicas) — the ratio against the syscall-level

@@ -475,8 +475,16 @@ type Witness struct {
 	// At and N name the entries the witness covers, [At, At+N) of the
 	// crossing's vector (a per-call crossing is the vector of one): the
 	// kernel sets N, the entries its transition applied, and the handler
-	// sets At. (32 bits each keep a witness in a 128-byte allocation.)
+	// sets At.
 	At, N int32
+}
+
+// Release gives back the views the witness holds (fs.Pages.Release),
+// once nothing reads it any more, and empties it.
+func (w *Witness) Release() {
+	w.Pre.Contents.Release()
+	w.Post.Contents.Release()
+	*w = Witness{}
 }
 
 // Resp is the kernel response for either kind.
@@ -513,12 +521,14 @@ type Resp struct {
 	// last entry.
 	Run []RunResult
 
-	// Witness answers WriteOp.Witness (and a pread's ReadOp.Witness): one
-	// element, the transition's. Never marshalled — its contents are
-	// snapshots of kernel memory, not bytes to copy: the handler keeps it
-	// for its handle and Sys takes it through Witnesser. A slice, so a
-	// per-call crossing's is handed over as it is.
-	Witness []Witness
+	// Witness answers WriteOp.Witness (and a pread's ReadOp.Witness): the
+	// transition's, by value, so taking it allocates nothing; N is 0 when
+	// there is none. Never marshalled — its contents are views of kernel
+	// memory, not bytes to copy: the handler keeps it for its handle, Sys
+	// takes it through Witnesser and gives its views back once checked,
+	// and a replica whose response nobody reads gives them back at once
+	// (Kernel.Discard).
+	Witness Witness
 }
 
 // ok returns a success response with a value.

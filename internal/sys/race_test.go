@@ -25,10 +25,10 @@ func (l *lockedHandler) Syscall(frame marshal.SyscallFrame, payload []byte) (mar
 }
 
 // TakeWitness implements Witnesser under the same lock.
-func (l *lockedHandler) TakeWitness() []Witness {
+func (l *lockedHandler) TakeWitness(into []Witness) []Witness {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.h.TakeWitness()
+	return l.h.TakeWitness(into)
 }
 
 // TestEnableContractConcurrentWithSyscalls is the regression test for

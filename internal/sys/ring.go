@@ -177,6 +177,7 @@ func (s *Sys) submitChunk(ops []Op) ([]Completion, Errno) {
 	var wits []Witness
 	if checking {
 		wits = s.takeWitness()
+		defer s.releaseWitness()
 	}
 	comps, errno, err := DecodeBatchResp(ret, out)
 	if err != nil {
@@ -344,7 +345,7 @@ func BatchSteps(ops []WriteOp) (steps []WriteOp, at []int) {
 // CompleteStep answers the entries of ops a step applied, from its
 // response r: comps[i] onward, one per entry — every entry of a run
 // failing alike when the run could not take its descriptor. The step's
-// witness, placed at entry i, is appended to wits.
+// witness, if it has one, placed at entry i, is appended to wits.
 func CompleteStep(ops []WriteOp, comps []Completion, i int, step *WriteOp, r Resp, wits []Witness) []Witness {
 	if step.Num != NumFDRun {
 		comps[i] = BatchCompletion(ops[i], r)
@@ -357,9 +358,9 @@ func CompleteStep(ops []WriteOp, comps []Completion, i int, step *WriteOp, r Res
 			comps[i+k] = Completion{Op: ops[i+k].Num, Errno: e.Errno, Val: e.Val, Data: e.Data}
 		}
 	}
-	for _, w := range r.Witness {
-		w.At = int32(i)
-		wits = append(wits, w)
+	if r.Witness.N > 0 {
+		r.Witness.At = int32(i)
+		wits = append(wits, r.Witness)
 	}
 	return wits
 }

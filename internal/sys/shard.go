@@ -253,10 +253,9 @@ func (k *Kernel) fdRun(op *WriteOp) Resp {
 // Whence, Len, Data) are the entry's, and the response itself carries
 // the result.
 func (k *Kernel) fsRun(op *WriteOp, num uint64, ino fs.Ino, flags int, cur uint64) Resp {
-	var ws []Witness
+	var w Witness
 	if op.Witness {
-		ws = make([]Witness, 1)
-		ws[0].Pre.Contents, ws[0].PreOK = k.fs.Contents(ino)
+		w.Pre.Contents, w.PreOK = k.fs.Contents(ino)
 	}
 	var e RunResult
 	var res []RunResult
@@ -268,10 +267,10 @@ func (k *Kernel) fsRun(op *WriteOp, num uint64, ino fs.Ino, flags int, cur uint6
 			res[i], cur = k.runEntry(ino, flags, cur, op.Run.Ops[i].Num, &op.Run.Ops[i])
 		}
 	}
-	if ws != nil {
-		ws[0].Post.Contents, ws[0].PostOK = k.fs.Contents(ino)
+	if op.Witness {
+		w.Post.Contents, w.PostOK = k.fs.Contents(ino)
 	}
-	return Resp{Errno: e.Errno, Val: e.Val, Data: e.Data, Off: cur, Run: res, Witness: ws}
+	return Resp{Errno: e.Errno, Val: e.Val, Data: e.Data, Off: cur, Run: res, Witness: w}
 }
 
 // ComposeWitness gives r its witness when op asks for one: the one
@@ -279,8 +278,8 @@ func (k *Kernel) fsRun(op *WriteOp, num uint64, ino fs.Ino, flags int, cur uint6
 // the transition took it — nil when it was not open, and then it is on
 // neither side — and postOff the offset the transition stored. The
 // contents half is the witness r already carries from its contents step
-// (fsRun's or the owner's NumFsReadAt), whose slice is filled in place,
-// or none when the transition never reached the contents. The halves are
+// (fsRun's or the owner's NumFsReadAt), filled in place, or none when
+// the transition never reached the contents. The halves are
 // adjacent states of one descriptor because the transition holds it from
 // taking pre to the store: inside one apply on a co-located kernel
 // (fdRun), under the fd lock from the lock step to the unlock step on a
@@ -289,10 +288,7 @@ func ComposeWitness(op *WriteOp, pre *fs.OpenFile, postOff uint64, r *Resp) {
 	if !op.Witness {
 		return
 	}
-	if len(r.Witness) == 0 {
-		r.Witness = make([]Witness, 1)
-	}
-	w := &r.Witness[0]
+	w := &r.Witness
 	w.N = op.Entries()
 	w.PreOK, w.PostOK = pre != nil, pre != nil
 	if pre != nil {
@@ -377,14 +373,13 @@ func (k *Kernel) detach(op WriteOp) Resp {
 // ino's contents as of this read, the same snapshot on both sides (a
 // read changes nothing) — the owner shard's half of a read or seek
 // witness, and a pread's witness on a kernel that reads in one apply.
+// Each side is a view of its own, given back on its own.
 func (k *Kernel) contentsWitness(op ReadOp, ino fs.Ino, r Resp) Resp {
 	if op.Witness {
-		ws := make([]Witness, 1)
-		w := &ws[0]
+		w := &r.Witness
 		w.Pre.Contents, w.PreOK = k.fs.Contents(ino)
-		w.Post.Contents, w.PostOK = w.Pre.Contents, w.PreOK
+		w.Post.Contents, w.PostOK = k.fs.Contents(ino)
 		w.N = 1
-		r.Witness = ws
 	}
 	return r
 }

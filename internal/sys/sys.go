@@ -23,12 +23,13 @@ type Handler interface {
 
 // Witnesser is implemented by handlers that can hand over the witnesses
 // of the crossing they just served (Resp.Witness travels unmarshalled: it
-// is a snapshot of kernel memory, not bytes to copy). Every checked call
-// and batch entry is checked against one.
+// is a view of kernel memory, not bytes to copy). Every checked call and
+// batch entry is checked against one.
 type Witnesser interface {
-	// TakeWitness returns and clears the last witnessed crossing's
-	// witnesses, each naming the entries it covers.
-	TakeWitness() []Witness
+	// TakeWitness appends the last witnessed crossing's witnesses, each
+	// naming the entries it covers, to into and clears them: the caller
+	// now holds their views, and gives them back (Witness.Release).
+	TakeWitness(into []Witness) []Witness
 }
 
 // DestHandler is implemented by handlers that take the caller's buffer
@@ -65,9 +66,14 @@ type DestHandler interface {
 // `&mut self`, so two calls on one handle can never overlap. Go cannot
 // say that statically, so Read, Write, Seek, Pread and each crossing of a
 // batch hold the handle for the whole call: the handler keeps one witness
-// slot per handle. They hold it with the contract off too, so a call that
-// started unchecked cannot overlap the first checked one after
-// EnableContract.
+// slot per handle, and so does the handle (wits). They hold it with the
+// contract off too, so a call that started unchecked cannot overlap the
+// first checked one after EnableContract.
+//
+// A checked call allocates what an unchecked one does: the witness comes
+// back by value, into slots both sides reuse, and once checked its views
+// are given back, so the file they pin reuses what its next write
+// replaces (fs.PageFile).
 type Sys struct {
 	pid proc.PID
 	h   Handler
@@ -90,8 +96,10 @@ type Sys struct {
 	mu       sync.Mutex
 	cerr     error
 	// call is held by Read, Write, Seek, Pread and a batch crossing for
-	// the whole call (see the type comment).
+	// the whole call (see the type comment); wits, the witnesses taken of
+	// the crossing, with it.
 	call sync.Mutex
+	wits []Witness
 }
 
 // CorePinned is implemented by handlers that pin the handle to one
@@ -142,19 +150,32 @@ func (s *Sys) recordViolation(err error) {
 // checking reports whether the contract is on.
 func (s *Sys) checking() bool { return s.contract.Load() }
 
-// takeWitness hands over the witnesses of the crossing just made.
+// takeWitness hands over the witnesses of the crossing just made, into
+// the handle's slot. The caller holds s.call, and gives them back with
+// releaseWitness.
 func (s *Sys) takeWitness() []Witness {
-	if s.wit == nil {
-		return nil
+	if s.wit != nil {
+		s.wits = s.wit.TakeWitness(s.wits[:0])
 	}
-	return s.wit.TakeWitness()
+	return s.wits
+}
+
+// releaseWitness gives back the views of the witnesses takeWitness
+// handed over: nothing reads them after the check.
+func (s *Sys) releaseWitness() {
+	for i := range s.wits {
+		s.wits[i].Release()
+	}
+	s.wits = s.wits[:0]
 }
 
 // checkCall checks a per-call crossing — the vector of one entry — when
-// it asked for a witness.
-func (s *Sys) checkCall(op WriteOp, c Completion) {
+// it asked for a witness. op is a pointer so that an unchecked call, the
+// hot path with the contract off, copies nothing.
+func (s *Sys) checkCall(op *WriteOp, c Completion) {
 	if op.Witness {
-		s.checkWitnessed([]WriteOp{op}, []Completion{c}, s.takeWitness())
+		s.checkWitnessed([]WriteOp{*op}, []Completion{c}, s.takeWitness())
+		s.releaseWitness()
 	}
 }
 
@@ -164,7 +185,8 @@ func (s *Sys) checkCall(op WriteOp, c Completion) {
 // by at most one, since it changed nothing — and each witness is checked
 // over the entries it covers (Witness.check). A kernel that delivers no
 // witness has broken the contract as surely as one that delivers wrong
-// bytes. The first violation is recorded.
+// bytes. The first violation is recorded, formatted before the caller
+// gives the witnesses' views back.
 func (s *Sys) checkWitnessed(ops []WriteOp, comps []Completion, ws []Witness) {
 	// A batch's preads complete, and are witnessed, after its other entries.
 	slices.SortFunc(ws, func(a, b Witness) int { return int(a.At - b.At) })
@@ -345,7 +367,7 @@ func (s *Sys) Read(fd fs.FD, buffer []byte) (uint64, Errno) {
 	op := WriteOp{Num: NumRead, FD: fd, Len: uint64(len(buffer)), Witness: s.checking()}
 	r := s.callWrite(op)
 	n := copy(buffer, r.Data)
-	s.checkCall(op, Completion{Op: NumRead, Errno: r.Errno, Val: r.Val, Data: buffer[:n]})
+	s.checkCall(&op, Completion{Op: NumRead, Errno: r.Errno, Val: r.Val, Data: buffer[:n]})
 	if r.Errno != EOK {
 		return 0, r.Errno
 	}
@@ -375,8 +397,10 @@ func (s *Sys) Pread(fd fs.FD, buffer []byte, off uint64) (uint64, Errno) {
 		copy(buffer, r.Data)
 	}
 	n := min(r.Val, uint64(len(buffer)))
-	s.checkCall(WriteOp{Num: NumPread, FD: fd, Len: op.Len, Off: int64(off), Witness: op.Witness},
-		Completion{Op: NumPread, Errno: r.Errno, Val: r.Val, Data: buffer[:n]})
+	if op.Witness {
+		s.checkCall(&WriteOp{Num: NumPread, FD: fd, Len: op.Len, Off: int64(off), Witness: true},
+			Completion{Op: NumPread, Errno: r.Errno, Val: r.Val, Data: buffer[:n]})
+	}
 	if r.Errno != EOK {
 		return 0, r.Errno
 	}
@@ -411,7 +435,7 @@ func (s *Sys) Write(fd fs.FD, data []byte) (uint64, Errno) {
 	defer s.call.Unlock()
 	op := WriteOp{Num: NumWrite, FD: fd, Data: data, Witness: s.checking()}
 	r := s.callWrite(op)
-	s.checkCall(op, Completion{Op: NumWrite, Errno: r.Errno, Val: r.Val})
+	s.checkCall(&op, Completion{Op: NumWrite, Errno: r.Errno, Val: r.Val})
 	if r.Errno != EOK {
 		return 0, r.Errno
 	}
@@ -424,7 +448,7 @@ func (s *Sys) Seek(fd fs.FD, off int64, whence int) (uint64, Errno) {
 	defer s.call.Unlock()
 	op := WriteOp{Num: NumSeek, FD: fd, Off: off, Whence: whence, Witness: s.checking()}
 	r := s.callWrite(op)
-	s.checkCall(op, Completion{Op: NumSeek, Errno: r.Errno, Val: r.Val})
+	s.checkCall(&op, Completion{Op: NumSeek, Errno: r.Errno, Val: r.Val})
 	if r.Errno != EOK {
 		return 0, r.Errno
 	}

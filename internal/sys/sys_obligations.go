@@ -323,10 +323,19 @@ type directHandler struct {
 }
 
 // TakeWitness implements Witnesser.
-func (h *directHandler) TakeWitness() []Witness {
-	w := h.witness
-	h.witness = nil
-	return w
+func (h *directHandler) TakeWitness(into []Witness) []Witness {
+	into = append(into, h.witness...)
+	clear(h.witness)
+	h.witness = h.witness[:0]
+	return into
+}
+
+// keep keeps a witnessed per-call crossing's witness for TakeWitness.
+func (h *directHandler) keep(w Witness) {
+	h.witness = h.witness[:0]
+	if w.N > 0 {
+		h.witness = append(h.witness, w)
+	}
 }
 
 // Syscall implements Handler.
@@ -343,7 +352,7 @@ func (h *directHandler) Syscall(frame marshal.SyscallFrame, payload []byte) (mar
 			}
 		}
 		steps, at := BatchSteps(ops)
-		var wits []Witness
+		wits := h.witness[:0]
 		for j := range steps {
 			wits = CompleteStep(ops, comps, at[j], &steps[j], h.k.DispatchWrite(steps[j]), wits)
 		}
@@ -357,7 +366,7 @@ func (h *directHandler) Syscall(frame marshal.SyscallFrame, payload []byte) (mar
 		}
 		resp := h.k.DispatchRead(op)
 		if op.Witness {
-			h.witness = resp.Witness
+			h.keep(resp.Witness)
 		}
 		return EncodeResp(resp)
 	}
@@ -370,7 +379,7 @@ func (h *directHandler) Syscall(frame marshal.SyscallFrame, payload []byte) (mar
 	}
 	resp := h.k.DispatchWrite(op)
 	if op.Witness {
-		h.witness = resp.Witness
+		h.keep(resp.Witness)
 	}
 	return EncodeResp(resp)
 }
