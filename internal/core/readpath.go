@@ -74,12 +74,15 @@ func (s *System) unpinFrames(frames []mem.PAddr) {
 
 // preadResolve resolves a descriptor to (ino, flags) with one
 // replica-local read — the only kernel crossing a cache-hit pread pays.
-// It returns the errno alone, not a response: a Resp carries a witness
-// by value, and the hit path copies what it returns.
+// The kernel answers into the handler's resolve slot, and the resolver
+// returns the three scalars it needs, not a response: a Resp is 360
+// bytes, and the hit path would copy it through every frame back.
 func (h *handler) preadResolve(pid proc.PID, fd fs.FD) (fs.Ino, int, sys.Errno) {
 	h.ctxMu.Lock()
-	g := h.procReadOn(h.s.ProcShardOf(pid), sys.ReadOp{Num: sys.NumFDGet, PID: pid, FD: fd})
-	h.ctxMu.Unlock()
+	defer h.ctxMu.Unlock()
+	h.resolveOp = sys.ReadOp{Num: sys.NumFDGet, PID: pid, FD: fd}
+	g := &h.resolved
+	h.procReadInto(h.s.ProcShardOf(pid), &h.resolveOp, g)
 	return g.Ino, int(g.Val), g.Errno
 }
 
@@ -102,9 +105,10 @@ func (h *handler) preadFill(pid proc.PID) pcache.Filler {
 	}
 }
 
-// pread serves NumPread: descriptor resolve, permission check, then the
-// cache read, delivered into dst — the caller's own buffer when the call
-// crossed through SyscallInto, so a hit is one copy, frame to buffer. A
+// pread serves NumPread into *out: descriptor resolve, permission check,
+// then the cache read, delivered into dst — the caller's own buffer when
+// the call crossed through SyscallInto, so a hit is one copy, frame to
+// buffer, and what crosses back is the (value, errno) pair. A
 // nil dst is the reply form (an encoded reply, or a batch completion,
 // carries the bytes): the buffer is allocated here, and because op.Len
 // is then the only bound and comes from the frame, it is first clamped
@@ -128,13 +132,15 @@ func (h *handler) preadFill(pid proc.PID) pcache.Filler {
 // snapshot the read does not return is given back, but only once the
 // next one is taken: while it is held its page array cannot be reused,
 // so Same cannot mistake a reused array for an unchanged one.
-func (h *handler) pread(op sys.ReadOp, dst []byte) sys.Resp {
+func (h *handler) pread(op *sys.ReadOp, dst []byte, out *sys.Resp) {
 	ino, flags, e := h.preadResolve(op.PID, op.FD)
 	if e != sys.EOK {
-		return sys.Resp{Errno: e}
+		*out = sys.Resp{Errno: e}
+		return
 	}
 	if flags&fs.OWrOnly != 0 {
-		return sys.Resp{Errno: sys.EPERM}
+		*out = sys.Resp{Errno: sys.EPERM}
+		return
 	}
 	reply := dst == nil
 	snap := sys.ReadOp{Num: sys.NumFsStatIno, PID: op.PID, Ino: ino, Witness: op.Witness}
@@ -149,32 +155,48 @@ func (h *handler) pread(op sys.ReadOp, dst []byte) sys.Resp {
 		n, e := h.s.pcacheFor(ino).ReadAt(ino, op.Off, dst, h.preadFill(op.PID), h.core)
 		if e != sys.EOK {
 			pre.Witness.Release()
-			return sys.Resp{Errno: e}
+			*out = sys.Resp{Errno: e}
+			return
 		}
+		*out = sys.Resp{Errno: sys.EOK, Val: uint64(n), Data: dst[:n]}
 		if !op.Witness {
-			return sys.Resp{Errno: sys.EOK, Val: uint64(n), Data: dst[:n]}
+			return
 		}
-		r := sys.Resp{Errno: sys.EOK, Val: uint64(n), Data: dst[:n]}
 		post := h.fsRead(snap)
 		if w := pre.Witness; w.PreOK == post.Witness.PreOK && w.Pre.Contents.Same(post.Witness.Pre.Contents) {
 			post.Witness.Release()
-			r.Witness = pre.Witness
-			return r
+			out.Witness = pre.Witness
+			return
 		}
 		pre.Witness.Release()
 		if window == preadWindows {
 			post.Witness.Release()
 			obs.ContractPreadOwnerReads.Add(uint32(h.core), 1)
-			r = h.fsRead(sys.ReadOp{Num: sys.NumFsReadAt, PID: op.PID, Ino: ino, Off: op.Off, Len: op.Len, Witness: true})
-			if r.Errno == sys.EOK && !reply {
-				r.Data = dst[:copy(dst, r.Data)]
+			*out = h.fsRead(sys.ReadOp{Num: sys.NumFsReadAt, PID: op.PID, Ino: ino, Off: op.Off, Len: op.Len, Witness: true})
+			if out.Errno == sys.EOK && !reply {
+				out.Data = dst[:copy(dst, out.Data)]
 			}
-			return r
+			return
 		}
 		pre = post
 	}
 	pre.Witness.Release()
-	return sys.Resp{Errno: pre.Errno}
+	*out = sys.Resp{Errno: pre.Errno}
+}
+
+// preadReply is pread's reply form (an encoded reply, or a batch
+// completion): the bytes travel in the response. It is kept out of its
+// callers so that the response and the op it takes by value live in its
+// frame only while it runs, not in the syscall and batch frames: those
+// run on the submission ring's drainer, a goroutine started per batch on
+// a minimum stack, and a few hundred bytes more there make every batch
+// grow its stack (ring_sync ×0.79 when this was inlined).
+//
+//go:noinline
+func (h *handler) preadReply(op sys.ReadOp) sys.Resp {
+	var r sys.Resp
+	h.pread(&op, nil, &r)
+	return r
 }
 
 // preadWindows bounds the cache reads a witnessed pread makes before the
@@ -188,20 +210,22 @@ const preadWindows = 4
 func (h *handler) SyscallInto(frame marshal.SyscallFrame, payload []byte, dst []byte) marshal.RetFrame {
 	t0 := obs.Start()
 	h.pollInterrupts()
-	r := sys.Resp{Errno: sys.EINVAL}
+	ret := marshal.RetFrame{Errno: uint64(sys.EINVAL)}
 	if op, err := sys.DecodeRead(frame, payload); err == nil && op.Num == sys.NumPread {
 		// The frame's length is the caller's word; the buffer is the bound.
 		// (An empty buffer degenerates to the reply form with nothing to
 		// carry: the descriptor is still checked.)
 		op.Len = min(op.Len, uint64(len(dst)))
-		r = h.pread(op, dst[:op.Len])
+		var r sys.Resp
+		h.pread(&op, dst[:op.Len], &r)
 		if op.Witness {
 			h.keepWitness(r.Witness)
 		}
+		ret = marshal.RetFrame{Value: r.Val, Errno: uint64(r.Errno)}
 	}
 	obs.Syscalls.Observe(frame.Num, uint32(h.core), t0)
 	obs.KernelTrace.Emit(obs.KindSyscall, frame.Num, uint64(h.core))
-	return marshal.RetFrame{Value: r.Val, Errno: uint64(r.Errno)}
+	return ret
 }
 
 // preadMap serves NumPreadMap, the zero-copy tier: pin the cached page

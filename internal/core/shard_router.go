@@ -196,6 +196,13 @@ func (h *handler) procReadOn(shard int, op sys.ReadOp) sys.Resp {
 	return r
 }
 
+// procReadInto is procReadOn answering into *out.
+func (h *handler) procReadInto(shard int, op *sys.ReadOp, out *sys.Resp) {
+	t0 := h.shardStart()
+	h.procCtx.ExecuteReadOnInto(shard, op, out)
+	h.shardDone(obs.ProcShardSlot(shard), t0)
+}
+
 func (h *handler) fsExecOn(shard int, op sys.WriteOp) sys.Resp {
 	t0 := h.shardStart()
 	r := h.fsCtx.ExecuteOn(shard, op)

@@ -558,6 +558,15 @@ type handler struct {
 	procCtx *nr.ShardedThread[sys.ReadOp, sys.WriteOp, sys.Resp]
 	fsCtx   *nr.ShardedThread[sys.ReadOp, sys.WriteOp, sys.Resp]
 
+	// resolveOp and resolved are the descriptor resolve's op and answer
+	// slot (preadResolve, under ctxMu): the kernel writes its response
+	// there in place. They live here because the answer crosses an
+	// interface, so a slot on the resolver's stack would escape and
+	// allocate a response per read. A resolve's answer holds no pointers,
+	// so the slot keeps nothing reachable.
+	resolveOp sys.ReadOp
+	resolved  sys.Resp
+
 	// wits are the last witnessed crossing's witnesses, kept for the one
 	// Sys handle this handler serves: they are views of kernel memory, so
 	// they do not cross the boundary as bytes (TakeWitness). The slot is
@@ -642,7 +651,7 @@ func (h *handler) syscall(frame marshal.SyscallFrame, payload []byte) (marshal.R
 		// Pread goes through the page cache: a cache hit never enters an
 		// NR instance (readpath.go).
 		if op.Num == sys.NumPread {
-			r := h.pread(op, nil)
+			r := h.preadReply(op)
 			if op.Witness {
 				h.keepWitness(r.Witness)
 			}
@@ -804,10 +813,10 @@ func (h *handler) batch(frame marshal.SyscallFrame, payload []byte) (marshal.Ret
 	for _, i := range preadIdx {
 		var r sys.Resp
 		if ops[i].Num == sys.NumPread {
-			r = h.pread(sys.ReadOp{
+			r = h.preadReply(sys.ReadOp{
 				Num: sys.NumPread, PID: ops[i].PID, FD: ops[i].FD,
 				Len: ops[i].Len, Off: uint64(ops[i].Off), Witness: ops[i].Witness,
-			}, nil)
+			})
 		} else {
 			r = h.preadMap(ops[i])
 		}

@@ -9,6 +9,11 @@
 // All accesses are bounds- and alignment-checked; a violation is a
 // simulated machine-check (returned as an error, never a panic) so that
 // verification conditions can probe illegal behaviour.
+//
+// Memory is locked where a frame lives: a fixed number of stripes, each
+// with its own readers-writer lock, frames and counters, so cores that
+// touch different frames mostly meet at no lock at all. An access to one
+// frame is atomic; a Read or Write spanning frames is atomic per frame.
 package mem
 
 import (
@@ -16,6 +21,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // PAddr is a physical byte address in the simulated machine.
@@ -63,34 +69,64 @@ func (e *AccessError) Error() string {
 	return fmt.Sprintf("mem: illegal %s at %v len=%d: %s", e.Op, e.Addr, e.Len, e.Reason)
 }
 
-// PhysMem is the sparse simulated physical memory: a map from frame base
-// address to the frame's backing bytes. Frames are materialized lazily on
+// PhysMem is the sparse simulated physical memory: maps, one per lock
+// stripe, from frame base address to the frame's backing bytes. Frames are materialized lazily on
 // first touch and read as zero before that, matching how the simulated
 // firmware hands the OS zeroed RAM.
 //
-// PhysMem is safe for concurrent use; each access takes a read or write
-// lock, so an access costs a lock round trip, a counter and a frame
-// lookup whatever its length. A walk pays that per word, four words a
-// translation, as hardware does; anything that scans whole page tables
-// (the interpretation function, the pt invariant) reads a table at a time
-// with ReadFrame — per word, this lock was 42 % of a verifier run.
+// PhysMem is safe for concurrent use. It is locked where a frame lives:
+// the frames are spread over Stripes stripes by frame number, and each
+// stripe has its own readers-writer lock, frame map and access counters,
+// so two cores touching frames of different stripes share no lock and no
+// counter. An access to one frame takes one stripe's lock, so it costs a
+// lock round trip, a counter and a frame lookup whatever its length, and
+// is atomic: Read64, Write64, CompareAndSwap64, ReadFrame and ZeroFrame
+// each see or leave the frame whole. A walk pays that per word, four
+// words a translation, as hardware does; anything that scans whole page
+// tables (the interpretation function, the pt invariant) reads a table at
+// a time with ReadFrame — per word, the lock was 42 % of a verifier run.
+// A Read or Write that spans frames takes their stripes one frame at a
+// time, so it is atomic per frame and not as a whole; every kernel caller
+// splits its accesses at frame boundaries anyway.
 //
 // The zero value is a memory of size 0; use New.
 type PhysMem struct {
-	mu     sync.RWMutex
-	frames map[PAddr][]byte
-	size   PAddr // one past the last valid address
+	stripes [Stripes]stripe
+	size    PAddr // one past the last valid address
 
 	// spare holds the cleared backing arrays of frames ZeroFrame retired
 	// (at most maxSpare), which frameFor hands to the next frames
 	// materialized: a frame that is zeroed and touched again — every
 	// page-table frame of an mmap/munmap pair — reuses its array instead
-	// of allocating one.
-	spare [][]byte
+	// of allocating one. spareMu is taken, inside a stripe's write lock,
+	// only when a frame is materialized or retired.
+	spareMu sync.Mutex
+	spare   [][]byte
+}
+
+// Stripes is the number of lock stripes of a PhysMem; frame number f
+// lives in stripe f mod Stripes.
+const Stripes = 16
+
+// stripe is one lock domain of a PhysMem, padded to a cache line of its
+// own so that two stripes' locks and counters never share a line.
+type stripe struct {
+	stripeState
+	_ [cacheLine - unsafe.Sizeof(stripeState{})%cacheLine]byte
+}
+
+const cacheLine = 64
+
+type stripeState struct {
+	mu sync.RWMutex
+	// frames maps a frame base to its backing array; nil until the
+	// stripe's first frame is materialized, so New allocates no maps.
+	frames map[PAddr][]byte
 
 	// reads and writes are monotonically increasing access counters,
 	// used by the hardware-spec verification conditions to assert that
 	// the MMU model really touched memory the expected number of times.
+	// An access counts once, in the stripe of its first frame.
 	reads  atomic.Uint64
 	writes atomic.Uint64
 }
@@ -111,18 +147,25 @@ func New(size PAddr) *PhysMem {
 		size = MaxPAddr
 	}
 	rounded := (size + PageSize - 1) &^ (PageSize - 1)
-	return &PhysMem{
-		frames: make(map[PAddr][]byte),
-		size:   rounded,
-	}
+	return &PhysMem{size: rounded}
 }
 
 // Size returns one past the largest valid physical address.
 func (m *PhysMem) Size() PAddr { return m.size }
 
-// Stats returns a snapshot of the access counters.
+// Stats returns the access counters summed over the stripes.
 func (m *PhysMem) Stats() Stats {
-	return Stats{Reads: m.reads.Load(), Writes: m.writes.Load()}
+	var st Stats
+	for i := range m.stripes {
+		st.Reads += m.stripes[i].reads.Load()
+		st.Writes += m.stripes[i].writes.Load()
+	}
+	return st
+}
+
+// stripeOf returns the stripe of the frame containing addr.
+func (m *PhysMem) stripeOf(addr PAddr) *stripe {
+	return &m.stripes[(addr>>PageShift)%Stripes]
 }
 
 func (m *PhysMem) check(op string, addr PAddr, n int) error {
@@ -136,19 +179,25 @@ func (m *PhysMem) check(op string, addr PAddr, n int) error {
 	return nil
 }
 
-// frameFor returns the backing slice for the frame containing addr,
-// materializing it if needed. Callers must hold mu for writing when
-// create is true, and at least for reading otherwise.
-func (m *PhysMem) frameFor(addr PAddr, create bool) []byte {
+// frameFor returns the backing slice for the frame containing addr, which
+// lives in s, materializing it if needed. Callers must hold s.mu for
+// writing when create is true, and at least for reading otherwise.
+func (m *PhysMem) frameFor(s *stripe, addr PAddr, create bool) []byte {
 	base := addr.FrameBase()
-	f := m.frames[base]
+	f := s.frames[base]
 	if f == nil && create {
+		m.spareMu.Lock()
 		if n := len(m.spare); n > 0 {
 			f, m.spare = m.spare[n-1], m.spare[:n-1]
-		} else {
+		}
+		m.spareMu.Unlock()
+		if f == nil {
 			f = make([]byte, PageSize)
 		}
-		m.frames[base] = f
+		if s.frames == nil {
+			s.frames = make(map[PAddr][]byte)
+		}
+		s.frames[base] = f
 	}
 	return f
 }
@@ -162,10 +211,11 @@ func (m *PhysMem) Read64(addr PAddr) (uint64, error) {
 	if err := m.check("read64", addr, 8); err != nil {
 		return 0, err
 	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	m.reads.Add(1)
-	f := m.frameFor(addr, false)
+	s := m.stripeOf(addr)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	s.reads.Add(1)
+	f := m.frameFor(s, addr, false)
 	if f == nil {
 		return 0, nil // untouched RAM reads as zero
 	}
@@ -182,9 +232,9 @@ const FrameWords = PageSize / WordSize
 // ever touched; an untouched frame (or one ZeroFrame reclaimed) fills out
 // with zeroes. It is one access: one read in Stats, and one snapshot of
 // the frame — no store lands between two of its words. The words are
-// copied out under the lock and not lent, because ZeroFrame retires a
-// frame's backing array into spare, where the next frame materialized
-// takes it. On error out is left as it was.
+// copied out under the stripe's lock and not lent, because ZeroFrame
+// retires a frame's backing array into spare, where the next frame
+// materialized takes it. On error out is left as it was.
 func (m *PhysMem) ReadFrame(base PAddr, out *[FrameWords]uint64) (touched bool, err error) {
 	if !base.IsPageAligned() {
 		return false, &AccessError{Op: "readframe", Addr: base, Len: PageSize, Reason: "unaligned frame"}
@@ -192,10 +242,11 @@ func (m *PhysMem) ReadFrame(base PAddr, out *[FrameWords]uint64) (touched bool, 
 	if err := m.check("readframe", base, PageSize); err != nil {
 		return false, err
 	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	m.reads.Add(1)
-	f := m.frames[base]
+	s := m.stripeOf(base)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	s.reads.Add(1)
+	f := s.frames[base]
 	if f == nil {
 		*out = [FrameWords]uint64{}
 		return false, nil
@@ -215,10 +266,11 @@ func (m *PhysMem) Write64(addr PAddr, v uint64) error {
 	if err := m.check("write64", addr, 8); err != nil {
 		return err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.writes.Add(1)
-	f := m.frameFor(addr, true)
+	s := m.stripeOf(addr)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.writes.Add(1)
+	f := m.frameFor(s, addr, true)
 	off := addr.FrameOffset()
 	binary.LittleEndian.PutUint64(f[off:off+8], v)
 	return nil
@@ -236,70 +288,68 @@ func (m *PhysMem) CompareAndSwap64(addr PAddr, old, new uint64) (bool, error) {
 	if err := m.check("cas64", addr, 8); err != nil {
 		return false, err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	s := m.stripeOf(addr)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	off := addr.FrameOffset()
-	f := m.frameFor(addr, false)
+	f := m.frameFor(s, addr, false)
 	var cur uint64
 	if f != nil {
 		cur = binary.LittleEndian.Uint64(f[off : off+8])
 	}
 	if cur != old {
-		m.reads.Add(1)
+		s.reads.Add(1)
 		return false, nil
 	}
-	m.writes.Add(1)
+	s.writes.Add(1)
 	if f == nil {
-		f = m.frameFor(addr, true)
+		f = m.frameFor(s, addr, true)
 	}
 	binary.LittleEndian.PutUint64(f[off:off+8], new)
 	return true, nil
 }
 
-// Read copies len(p) bytes starting at addr into p. On error p is left
-// as it was.
+// Read copies len(p) bytes starting at addr into p. It is one access in
+// Stats. Each frame it spans is read under that frame's stripe lock, so
+// the bytes of one frame are one snapshot; two frames may be read either
+// side of a store. On error p is left as it was.
 func (m *PhysMem) Read(addr PAddr, p []byte) error {
 	if err := m.check("read", addr, len(p)); err != nil {
 		return err
 	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	m.reads.Add(1)
+	m.stripeOf(addr).reads.Add(1)
 	for n := 0; n < len(p); {
-		off := (addr + PAddr(n)).FrameOffset()
-		chunk := PageSize - int(off)
-		if rem := len(p) - n; chunk > rem {
-			chunk = rem
-		}
-		f := m.frameFor(addr+PAddr(n), false)
-		if f == nil {
-			for i := 0; i < chunk; i++ {
-				p[n+i] = 0
-			}
+		a := addr + PAddr(n)
+		off := a.FrameOffset()
+		chunk := min(PageSize-int(off), len(p)-n)
+		s := m.stripeOf(a)
+		s.mu.RLock()
+		if f := m.frameFor(s, a, false); f == nil {
+			clear(p[n : n+chunk])
 		} else {
-			copy(p[n:n+chunk], f[off:off+uint64(chunk)])
+			copy(p[n:n+chunk], f[off:])
 		}
+		s.mu.RUnlock()
 		n += chunk
 	}
 	return nil
 }
 
-// Write copies p into physical memory starting at addr.
+// Write copies p into physical memory starting at addr. It is one access
+// in Stats, and atomic per frame as Read is.
 func (m *PhysMem) Write(addr PAddr, p []byte) error {
 	if err := m.check("write", addr, len(p)); err != nil {
 		return err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.writes.Add(1)
+	m.stripeOf(addr).writes.Add(1)
 	for n := 0; n < len(p); {
-		off := (addr + PAddr(n)).FrameOffset()
-		chunk := PageSize - int(off)
-		if rem := len(p) - n; chunk > rem {
-			chunk = rem
-		}
-		f := m.frameFor(addr+PAddr(n), true)
-		copy(f[off:off+uint64(chunk)], p[n:n+chunk])
+		a := addr + PAddr(n)
+		off := a.FrameOffset()
+		chunk := min(PageSize-int(off), len(p)-n)
+		s := m.stripeOf(a)
+		s.mu.Lock()
+		copy(m.frameFor(s, a, true)[off:], p[n:n+chunk])
+		s.mu.Unlock()
 		n += chunk
 	}
 	return nil
@@ -316,25 +366,33 @@ func (m *PhysMem) ZeroFrame(base PAddr) error {
 	if err := m.check("write", base, PageSize); err != nil {
 		return err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.writes.Add(1)
+	s := m.stripeOf(base)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.writes.Add(1)
 	// Dropping the backing restores the "reads as zero" lazy state; the
 	// array is cleared here so a frame that draws it from spare starts
 	// zeroed.
-	if f := m.frames[base]; f != nil {
-		delete(m.frames, base)
+	if f := s.frames[base]; f != nil {
+		delete(s.frames, base)
+		m.spareMu.Lock()
 		if len(m.spare) < maxSpare {
 			clear(f)
 			m.spare = append(m.spare, f)
 		}
+		m.spareMu.Unlock()
 	}
 	return nil
 }
 
 // TouchedFrames returns the number of frames that have been materialized.
 func (m *PhysMem) TouchedFrames() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.frames)
+	n := 0
+	for i := range m.stripes {
+		s := &m.stripes[i]
+		s.mu.RLock()
+		n += len(s.frames)
+		s.mu.RUnlock()
+	}
+	return n
 }

@@ -2,7 +2,9 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -139,6 +141,9 @@ func TestOutOfBoundsRejected(t *testing.T) {
 	}
 }
 
+// A Read or Write that spans frames is atomic per frame, not as a whole:
+// it takes each frame's stripe lock in turn. Single-threaded, the round
+// trip is exact either way.
 func TestCrossFrameReadWrite(t *testing.T) {
 	m := New(1 << 20)
 	data := make([]byte, 3*PageSize)
@@ -350,6 +355,188 @@ func TestConcurrentAccessIsSafe(t *testing.T) {
 	}
 	for g := 0; g < 8; g++ {
 		<-done
+	}
+}
+
+// Goroutines read, write, compare-and-swap and zero frames at once, in
+// the same stripes and in different ones, with frame-spanning Reads and
+// Writes among them. Each goroutine owns a set of 64-byte cells spread
+// over frames every goroutine touches (two goroutines' cells share
+// frames, and frames f and f+Stripes share a stripe), the cells straddling
+// each frame boundary (its spanning reads and writes), and two adjacent
+// frames of its own (whole-frame reads, spanning writes and zeroing). It
+// checks its own bytes as it goes; at the end every frame must equal the
+// sequential model all of them kept, and Stats must count exactly the
+// calls made. Concurrent ReadFrames of shared frames read every cell, so
+// an access that stores outside its stripe's lock is a race. Run with
+// -race -cpu 2.
+func TestStripedAccessMatchesSequentialModel(t *testing.T) {
+	const (
+		workers = 8
+		shared  = 2 * Stripes // frames every worker touches
+		frames  = shared + 2*workers
+		cell    = 64
+		perF    = PageSize / cell
+		iters   = 1500
+	)
+	m := New(frames * PageSize)
+	model := make([]byte, frames*PageSize)
+	// owner of a shared cell: the cells either side of boundary f+1 belong
+	// to worker f%workers, the rest round-robin.
+	owner := func(c int) int {
+		f, i := c/perF, c%perF
+		switch {
+		case i == perF-1 && f < shared-1:
+			return f % workers
+		case i == 0 && f > 0:
+			return (f - 1) % workers
+		}
+		return c % workers
+	}
+	var reads, writes [workers]uint64
+	done := make(chan struct{})
+	for g := 0; g < workers; g++ {
+		go func(g int) {
+			defer func() { done <- struct{}{} }()
+			rng := rand.New(rand.NewSource(int64(g)))
+			var cells, bounds []int // own cells; own boundaries (frame index f+1)
+			for c := 0; c < shared*perF; c++ {
+				if owner(c) == g {
+					cells = append(cells, c)
+				}
+			}
+			for f := 1; f < shared; f++ {
+				if (f-1)%workers == g {
+					bounds = append(bounds, f)
+				}
+			}
+			own := PAddr(shared+2*g) * PageSize // two frames of its own
+			word := func() PAddr {
+				return PAddr(cells[rng.Intn(len(cells))]*cell + rng.Intn(cell/WordSize)*WordSize)
+			}
+			fail := func(format string, args ...any) {
+				t.Errorf("worker %d: "+format, append([]any{g}, args...)...)
+			}
+			for i := 0; i < iters; i++ {
+				switch op := rng.Intn(9); op {
+				case 0: // Write64 to an own word of a shared frame
+					a, v := word(), rng.Uint64()
+					if err := m.Write64(a, v); err != nil {
+						fail("Write64: %v", err)
+						return
+					}
+					binary.LittleEndian.PutUint64(model[a:], v)
+					writes[g]++
+				case 1: // Read64 of an own word
+					a := word()
+					v, err := m.Read64(a)
+					reads[g]++
+					if err != nil || v != binary.LittleEndian.Uint64(model[a:]) {
+						fail("Read64(%v) = %#x, %v; model %#x", a, v, err, binary.LittleEndian.Uint64(model[a:]))
+						return
+					}
+				case 2: // compare-and-swap: a stale old value loses, the model's wins
+					a := word()
+					cur := binary.LittleEndian.Uint64(model[a:])
+					if ok, err := m.CompareAndSwap64(a, cur^1, 7); err != nil || ok {
+						fail("CAS(%v) with a stale old value: %t, %v", a, ok, err)
+						return
+					}
+					reads[g]++
+					v := rng.Uint64()
+					if ok, err := m.CompareAndSwap64(a, cur, v); err != nil || !ok {
+						fail("CAS(%v) with the current value: %t, %v", a, ok, err)
+						return
+					}
+					binary.LittleEndian.PutUint64(model[a:], v)
+					writes[g]++
+				case 3, 4: // spanning Write / Read across an own boundary
+					a := PAddr(bounds[rng.Intn(len(bounds))])*PageSize - cell
+					if op == 3 {
+						p := make([]byte, 2*cell)
+						rng.Read(p)
+						if err := m.Write(a, p); err != nil {
+							fail("Write: %v", err)
+							return
+						}
+						copy(model[a:], p)
+						writes[g]++
+						break
+					}
+					p := make([]byte, 2*cell)
+					if err := m.Read(a, p); err != nil || !bytes.Equal(p, model[a:a+2*cell]) {
+						fail("spanning Read(%v) differs from the model (%v)", a, err)
+						return
+					}
+					reads[g]++
+				case 5: // frame read of a shared frame: own cells must match
+					f := rng.Intn(shared)
+					var words [FrameWords]uint64
+					if _, err := m.ReadFrame(PAddr(f)*PageSize, &words); err != nil {
+						fail("ReadFrame: %v", err)
+						return
+					}
+					reads[g]++
+					for i, w := range &words {
+						a := f*PageSize + i*WordSize
+						if owner(a/cell) == g && w != binary.LittleEndian.Uint64(model[a:]) {
+							fail("ReadFrame word %#x = %#x, model %#x", a, w, binary.LittleEndian.Uint64(model[a:]))
+							return
+						}
+					}
+				case 6: // spanning Write across the own frames' boundary
+					a := own + PAddr(rng.Intn(PageSize))
+					p := make([]byte, 1+rng.Intn(PageSize))
+					rng.Read(p)
+					if err := m.Write(a, p); err != nil {
+						fail("Write: %v", err)
+						return
+					}
+					copy(model[a:], p)
+					writes[g]++
+				case 7: // ZeroFrame of an own frame
+					f := own + PAddr(rng.Intn(2))*PageSize
+					if err := m.ZeroFrame(f); err != nil {
+						fail("ZeroFrame: %v", err)
+						return
+					}
+					clear(model[f : f+PageSize])
+					writes[g]++
+				case 8: // spanning Read of both own frames
+					p := make([]byte, 2*PageSize)
+					if err := m.Read(own, p); err != nil || !bytes.Equal(p, model[own:own+2*PageSize]) {
+						fail("Read of the own frames differs from the model (%v)", err)
+						return
+					}
+					reads[g]++
+				}
+			}
+		}(g)
+	}
+	for g := 0; g < workers; g++ {
+		<-done
+	}
+	if t.Failed() {
+		return
+	}
+	var want Stats
+	for g := 0; g < workers; g++ {
+		want.Reads += reads[g]
+		want.Writes += writes[g]
+	}
+	if got := m.Stats(); got != want {
+		t.Fatalf("Stats = %+v, the workers made %+v", got, want)
+	}
+	for f := 0; f < frames; f++ {
+		var words [FrameWords]uint64
+		if _, err := m.ReadFrame(PAddr(f)*PageSize, &words); err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range &words {
+			if a := f*PageSize + i*WordSize; w != binary.LittleEndian.Uint64(model[a:]) {
+				t.Fatalf("frame %d word %d = %#x, model %#x", f, i, w, binary.LittleEndian.Uint64(model[a:]))
+			}
+		}
 	}
 }
 

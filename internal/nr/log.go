@@ -11,6 +11,12 @@
 // (the combiner) batches the pending operations of its peers — and reads
 // through a per-replica readers-writer lock.
 //
+// A read is ThreadContext.ExecuteReadInto(op *Rd, out *Resp): the
+// response is written into a slot the caller owns, by the data structure
+// itself when it implements InPlaceReader (the kernel does), so a large
+// response is not copied back through every frame. ExecuteRead(op) Resp
+// is the same read for a caller that takes the answer by value.
+//
 // The package is the Go port of the algorithm IronSync verified (§4.3):
 // the linearizability obligation for NR instances is discharged by the
 // checker in internal/lin, registered as VCs in obligations.go.

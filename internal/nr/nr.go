@@ -22,6 +22,18 @@ type DataStructure[Rd any, Wr any, Resp any] interface {
 	DispatchWrite(op Wr) Resp
 }
 
+// InPlaceReader is implemented by a data structure that answers a read
+// into a slot the caller owns instead of returning the response by
+// value. ExecuteReadInto hands such a data structure the op and the slot
+// by pointer, so a response is written once, where the caller reads it,
+// and not copied back through every frame between them. A data structure
+// without it is served by DispatchRead.
+type InPlaceReader[Rd any, Resp any] interface {
+	// DispatchReadInto executes a read-only operation and writes its
+	// response to *out. It must keep neither pointer.
+	DispatchReadInto(op *Rd, out *Resp)
+}
+
 // Discarder is implemented by a data structure whose responses hold
 // something to give back: a replica hands it every response nobody reads
 // — an entry another replica's thread issued, which this replica applies
@@ -85,6 +97,8 @@ type Replica[Rd any, Wr any, Resp any] struct {
 	// while applying log entries.
 	lock sync.RWMutex
 	ds   DataStructure[Rd, Wr, Resp]
+	// inPlace is ds when it is an InPlaceReader, else nil.
+	inPlace InPlaceReader[Rd, Resp]
 	// discard is ds when it is a Discarder, else nil.
 	discard Discarder[Resp]
 
@@ -157,6 +171,7 @@ func New[Rd any, Wr any, Resp any](opts Options, create func() DataStructure[Rd,
 	n := &NR[Rd, Wr, Resp]{log: newLog[Wr](opts.LogSize), shardTag: opts.ShardTag}
 	for i := 0; i < opts.Replicas; i++ {
 		r := &Replica[Rd, Wr, Resp]{nr: n, id: uint32(i), ds: create()}
+		r.inPlace, _ = r.ds.(InPlaceReader[Rd, Resp])
 		r.discard, _ = r.ds.(Discarder[Resp])
 		n.replicas = append(n.replicas, r)
 		n.log.appliedTails = append(n.log.appliedTails, &r.applied)
@@ -352,8 +367,36 @@ func (c *ThreadContext[Rd, Wr, Resp]) executeRun(ops []Wr) []Resp {
 
 // ExecuteRead performs a read-only operation against the local replica
 // after syncing it to the log tail observed at invocation — the NR
-// linearizability condition for reads.
+// linearizability condition for reads — and returns its response by
+// value. It is ExecuteReadInto for a caller that keeps no slot for the
+// answer.
 func (c *ThreadContext[Rd, Wr, Resp]) ExecuteRead(op Rd) Resp {
+	r := c.readSynced()
+	r.lock.RLock()
+	resp := r.ds.DispatchRead(op)
+	r.lock.RUnlock()
+	return resp
+}
+
+// ExecuteReadInto is ExecuteRead answering in place: the response is
+// written to *out, which the caller owns — by the data structure itself
+// when it is an InPlaceReader. Since the data structure sits behind an
+// interface, op and out escape: a caller on the hot path passes storage
+// it keeps (a handler's slot), not its own stack.
+func (c *ThreadContext[Rd, Wr, Resp]) ExecuteReadInto(op *Rd, out *Resp) {
+	r := c.readSynced()
+	r.lock.RLock()
+	if r.inPlace != nil {
+		r.inPlace.DispatchReadInto(op, out)
+	} else {
+		*out = r.ds.DispatchRead(*op)
+	}
+	r.lock.RUnlock()
+}
+
+// readSynced brings the thread's replica up to the log tail observed at
+// invocation and returns it: the wait every read makes before it runs.
+func (c *ThreadContext[Rd, Wr, Resp]) readSynced() *Replica[Rd, Wr, Resp] {
 	r := c.r
 	horizon := r.nr.log.Tail()
 	if r.applied.Load() >= horizon {
@@ -371,10 +414,7 @@ func (c *ThreadContext[Rd, Wr, Resp]) ExecuteRead(op Rd) Resp {
 			runtime.Gosched()
 		}
 	}
-	r.lock.RLock()
-	resp := r.ds.DispatchRead(op)
-	r.lock.RUnlock()
-	return resp
+	return r
 }
 
 // combine is the flat-combining pass. Caller holds r.combiner.

@@ -45,6 +45,43 @@ func (s *kvStore) DispatchWrite(op kvWrite) kvResp {
 	return kvResp{val: old, ok: ok}
 }
 
+// inPlaceKV is kvStore answering reads in place. Its DispatchRead
+// answers wrong, so a read served by it instead of DispatchReadInto shows.
+type inPlaceKV struct{ kvStore }
+
+func (s *inPlaceKV) DispatchRead(kvRead) kvResp { return kvResp{val: ^uint64(0)} }
+
+func (s *inPlaceKV) DispatchReadInto(op *kvRead, out *kvResp) {
+	out.val, out.ok = s.m[op.key]
+}
+
+// ExecuteReadInto answers in place through an InPlaceReader and through
+// DispatchRead for any other data structure, after syncing to the tail
+// as ExecuteRead does: a write on one replica is seen by a read on the
+// other either way.
+func TestExecuteReadInto(t *testing.T) {
+	for name, create := range map[string]func() DataStructure[kvRead, kvWrite, kvResp]{
+		"in place": func() DataStructure[kvRead, kvWrite, kvResp] {
+			return &inPlaceKV{kvStore{m: make(map[uint64]uint64)}}
+		},
+		"by value": newKV,
+	} {
+		n := New(Options{Replicas: 2}, create)
+		w, r := n.MustRegister(0), n.MustRegister(1)
+		w.Execute(kvWrite{key: 3, val: 30})
+		op, out := kvRead{key: 3}, kvResp{val: 7}
+		r.ExecuteReadInto(&op, &out)
+		if out != (kvResp{val: 30, ok: true}) {
+			t.Errorf("%s: read %+v, want {30 true}", name, out)
+		}
+		op = kvRead{key: 4}
+		r.ExecuteReadInto(&op, &out)
+		if out != (kvResp{}) {
+			t.Errorf("%s: read of a missing key %+v, want the zero response", name, out)
+		}
+	}
+}
+
 func TestSingleThreadedBasics(t *testing.T) {
 	n := New(Options{Replicas: 2}, newKV)
 	c := n.MustRegister(0)

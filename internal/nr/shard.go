@@ -107,6 +107,12 @@ func (t *ShardedThread[Rd, Wr, Resp]) ExecuteReadOn(shard int, op Rd) Resp {
 	return t.ctxs[shard].ExecuteRead(op)
 }
 
+// ExecuteReadOnInto is ExecuteReadOn answering into *out
+// (ThreadContext.ExecuteReadInto).
+func (t *ShardedThread[Rd, Wr, Resp]) ExecuteReadOnInto(shard int, op *Rd, out *Resp) {
+	t.ctxs[shard].ExecuteReadInto(op, out)
+}
+
 // ExecuteBatchOn runs a vector of mutating operations contiguously on an
 // explicit shard's log (PR 2's ExecuteBatch semantics, per shard: the
 // half-ring invariant is enforced by each shard's own combiner passes

@@ -451,8 +451,17 @@ func (k *Kernel) munmap(op WriteOp) Resp {
 	return Resp{Errno: EOK, Freed: freed}
 }
 
-// DispatchRead implements nr.DataStructure: the read-only syscalls.
+// DispatchRead implements nr.DataStructure: DispatchReadInto for a
+// caller that takes the response by value.
 func (k *Kernel) DispatchRead(op ReadOp) Resp {
+	var r Resp
+	k.DispatchReadInto(&op, &r)
+	return r
+}
+
+// DispatchReadInto implements nr.InPlaceReader: the read-only syscalls,
+// each answered by writing *out, the caller's slot.
+func (k *Kernel) DispatchReadInto(op *ReadOp, out *Resp) {
 	obs.KernelApplies.Count(op.Num, k.obsShard)
 	switch op.Num {
 	case NumPread:
@@ -461,50 +470,63 @@ func (k *Kernel) DispatchRead(op ReadOp) Resp {
 		// serve it via ExecuteRead plus the page cache instead of the
 		// write log.
 		of, e := k.descriptor(op.PID, op.FD)
-		if of == nil {
-			return Resp{Errno: e}
+		switch {
+		case of == nil:
+			*out = Resp{Errno: e}
+		case of.Flags&fs.OWrOnly != 0:
+			*out = fail(fs.ErrPermission)
+		default:
+			*out = k.readAt(of.Ino, op.Off, op.Len, nil)
+			k.contentsWitness(op, of.Ino, out)
 		}
-		if of.Flags&fs.OWrOnly != 0 {
-			return fail(fs.ErrPermission)
-		}
-		return k.contentsWitness(op, of.Ino, k.readAt(of.Ino, op.Off, op.Len, nil))
 
 	case NumStat:
 		st, err := k.fs.StatPath(op.Path)
 		if err != nil {
-			return fail(err)
+			*out = fail(err)
+		} else {
+			*out = Resp{Errno: EOK, Stat: st, Val: st.Size}
 		}
-		return Resp{Errno: EOK, Stat: st, Val: st.Size}
 
 	case NumReadDir:
 		ents, err := k.fs.ReadDir(op.Path)
 		if err != nil {
-			return fail(err)
+			*out = fail(err)
+		} else {
+			*out = Resp{Errno: EOK, Entries: ents}
 		}
-		return Resp{Errno: EOK, Entries: ents}
 
 	case NumGetPID:
 		if _, err := k.procs.Get(op.PID); err != nil {
-			return fail(err)
+			*out = fail(err)
+		} else {
+			*out = ok(uint64(op.PID))
 		}
-		return ok(uint64(op.PID))
 
 	case NumMemResolve:
-		as := k.spaces[op.PID]
-		if as == nil {
-			return Resp{Errno: ESRCH}
-		}
-		m, found := as.Resolve(op.VA)
-		if !found {
-			return Resp{Errno: EFAULT}
-		}
-		return Resp{Errno: EOK, Val: uint64(m.Frame) + uint64(op.VA)%m.PageSize}
+		*out = k.memResolve(op.PID, op.VA)
 
 	case NumSockTabGet:
-		return k.dispatchSockRead(op)
+		*out = k.dispatchSockRead(op)
+
+	default:
+		// Internal cross-shard protocol ops (sharded composition; shard.go).
+		k.dispatchShardRead(op, out)
 	}
-	// Internal cross-shard protocol ops (sharded composition; shard.go).
-	return k.dispatchShardRead(op)
+}
+
+// memResolve serves NumMemResolve: the physical address va translates
+// to in pid's address space.
+func (k *Kernel) memResolve(pid proc.PID, va mmu.VAddr) Resp {
+	as := k.spaces[pid]
+	if as == nil {
+		return Resp{Errno: ESRCH}
+	}
+	m, found := as.Resolve(va)
+	if !found {
+		return Resp{Errno: EFAULT}
+	}
+	return Resp{Errno: EOK, Val: uint64(m.Frame) + uint64(va)%m.PageSize}
 }
 
 // UserRead copies process-virtual memory into p through the hardware

@@ -369,54 +369,58 @@ func (k *Kernel) detach(op WriteOp) Resp {
 	return Resp{Errno: EOK, Freed: freed, Unpinned: unpinned}
 }
 
-// contentsWitness attaches a contents witness to r when op asks for one:
+// contentsWitness attaches a contents witness to *r when op asks for one:
 // ino's contents as of this read, the same snapshot on both sides (a
 // read changes nothing) — the owner shard's half of a read or seek
 // witness, and a pread's witness on a kernel that reads in one apply.
 // Each side is a view of its own, given back on its own.
-func (k *Kernel) contentsWitness(op ReadOp, ino fs.Ino, r Resp) Resp {
+func (k *Kernel) contentsWitness(op *ReadOp, ino fs.Ino, r *Resp) {
 	if op.Witness {
 		w := &r.Witness
 		w.Pre.Contents, w.PreOK = k.fs.Contents(ino)
 		w.Post.Contents, w.PostOK = k.fs.Contents(ino)
 		w.N = 1
 	}
-	return r
 }
 
 // dispatchShardRead serves the internal read-only protocol ops
-// (DispatchRead's default arm).
-func (k *Kernel) dispatchShardRead(op ReadOp) Resp {
+// (DispatchReadInto's default arm) into *out.
+func (k *Kernel) dispatchShardRead(op *ReadOp, out *Resp) {
 	switch op.Num {
 	case NumFDGet:
-		of, e := k.descriptor(op.PID, op.FD)
-		if of == nil {
-			return Resp{Errno: e}
+		if of, e := k.descriptor(op.PID, op.FD); of == nil {
+			*out = Resp{Errno: e}
+		} else {
+			*out = fdScalars(of)
 		}
-		return fdScalars(of)
 
 	case NumFsLookup:
-		ino, err := k.fs.Lookup(op.Path)
-		if err != nil {
-			return fail(err)
+		if ino, err := k.fs.Lookup(op.Path); err != nil {
+			*out = fail(err)
+		} else {
+			*out = Resp{Errno: EOK, Val: uint64(ino), Ino: ino}
 		}
-		return Resp{Errno: EOK, Val: uint64(ino), Ino: ino}
 
 	case NumFsStatIno:
-		st, err := k.fs.StatIno(op.Ino)
-		if err != nil {
-			return k.contentsWitness(op, op.Ino, fail(err))
+		if st, err := k.fs.StatIno(op.Ino); err != nil {
+			*out = fail(err)
+		} else {
+			*out = Resp{Errno: EOK, Stat: st, Val: st.Size}
 		}
-		return k.contentsWitness(op, op.Ino, Resp{Errno: EOK, Stat: st, Val: st.Size})
+		k.contentsWitness(op, op.Ino, out)
 
 	case NumFsReadAt:
-		return k.contentsWitness(op, op.Ino, k.readAt(op.Ino, op.Off, op.Len, op.Dst))
+		*out = k.readAt(op.Ino, op.Off, op.Len, op.Dst)
+		k.contentsWitness(op, op.Ino, out)
 
 	case NumProcHasTable:
-		if _, ok := k.fds[op.PID]; !ok {
-			return Resp{Errno: ESRCH}
+		if _, found := k.fds[op.PID]; !found {
+			*out = Resp{Errno: ESRCH}
+		} else {
+			*out = ok(0)
 		}
-		return ok(0)
+
+	default:
+		*out = Resp{Errno: ENOSYS}
 	}
-	return Resp{Errno: ENOSYS}
 }

@@ -87,7 +87,7 @@ func (k *Kernel) dispatchSockWrite(op WriteOp) Resp {
 }
 
 // dispatchSockRead serves the socket-table read-only ops.
-func (k *Kernel) dispatchSockRead(op ReadOp) Resp {
+func (k *Kernel) dispatchSockRead(op *ReadOp) Resp {
 	switch op.Num {
 	case NumSockTabGet:
 		ent, okE := k.socks.socks[op.PID][op.Sock]

@@ -387,22 +387,24 @@ func (s *Sys) Pread(fd fs.FD, buffer []byte, off uint64) (uint64, Errno) {
 	s.call.Lock()
 	defer s.call.Unlock()
 	op := ReadOp{Num: NumPread, PID: s.pid, FD: fd, Len: uint64(len(buffer)), Off: off, Witness: s.checking()}
-	var r Resp
+	var val uint64
+	var e Errno
 	if s.dest != nil {
 		frame, payload := EncodeRead(op)
 		ret := s.dest.SyscallInto(frame, payload, buffer)
-		r = Resp{Errno: Errno(ret.Errno), Val: ret.Value}
+		val, e = ret.Value, Errno(ret.Errno)
 	} else {
-		r = s.callRead(op)
+		r := s.callRead(op)
 		copy(buffer, r.Data)
+		val, e = r.Val, r.Errno
 	}
-	n := min(r.Val, uint64(len(buffer)))
+	n := min(val, uint64(len(buffer)))
 	if op.Witness {
 		s.checkCall(&WriteOp{Num: NumPread, FD: fd, Len: op.Len, Off: int64(off), Witness: true},
-			Completion{Op: NumPread, Errno: r.Errno, Val: r.Val, Data: buffer[:n]})
+			Completion{Op: NumPread, Errno: e, Val: val, Data: buffer[:n]})
 	}
-	if r.Errno != EOK {
-		return 0, r.Errno
+	if e != EOK {
+		return 0, e
 	}
 	return n, EOK
 }
