@@ -25,12 +25,11 @@ import (
 // states that were never adjacent (a spurious violation within a few
 // hundred ops, a batch or a pread's included). With the witness captured
 // at the transition — a call's, or a batch run's, in the apply; a pread's
-// around its read — there is nothing between pre and post, on either
-// kernel, so every handle's ContractErr stays nil. Preads stay inside one
-// page: a multi-page pread is atomic only page-wise (pcache.ReadAt), and
-// most of them must be checked on the bytes the cache served, not on the
-// owner's re-read that follows a write landing in every window. Run under
-// -race at GOMAXPROCS=2.
+// in its read — there is nothing between pre and post, on either
+// kernel, so every handle's ContractErr stays nil. A pread is one
+// replica-local read on the owner shard, checked against the contents
+// that read saw; TestPreadIsOneFileState covers preads spanning pages.
+// Run under -race at GOMAXPROCS=2.
 func TestCrossHandleContractSoundness(t *testing.T) {
 	obs.Reset()
 	obs.Enable()
@@ -64,7 +63,6 @@ func TestCrossHandleContractSoundness(t *testing.T) {
 			}
 
 			const ops = 400
-			owner0 := obs.ContractPreadOwnerReads.Load()
 			var wg sync.WaitGroup
 			for i, h := range hs {
 				fd := shared // every handle but 2 uses the one descriptor
@@ -99,11 +97,6 @@ func TestCrossHandleContractSoundness(t *testing.T) {
 				if err := h.ContractErr(); err != nil {
 					t.Errorf("handle %d: %v", i, err)
 				}
-			}
-			if owner := obs.ContractPreadOwnerReads.Load() - owner0; owner > ops/4 {
-				t.Errorf("%d of %d preads served by the owner, not checked on cache bytes", owner, ops)
-			} else {
-				t.Logf("%d of %d preads served by the owner", owner, ops)
 			}
 			if err := s.CheckReplicaAgreement(); err != nil {
 				t.Error(err)

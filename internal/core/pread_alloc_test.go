@@ -11,69 +11,88 @@ import (
 )
 
 // TestPreadHitAllocationBudget pins the one-copy read: a page-sized
-// cache-hit Pread through the destination crossing allocates a small
-// constant — the miss filler, 16 B in one object — and no page-sized
-// buffer (≈ 9.3 KB in 5 objects when the bytes travelled in an encoded
-// reply) and no response: the descriptor resolve is answered in the
+// Pread through the destination crossing allocates its encoded request,
+// 16 B in one object, and no page-sized buffer (≈ 9.3 KB in 5 objects
+// when the bytes travelled in an encoded reply) and no response: the
+// descriptor resolve and the owner-shard read both answer in the
 // handler's slot, and a 360-B sys.Resp that escaped to the heap instead
-// blows the byte budget. Runs under -short too: it is the tier-1 pin on
-// read_hot's alloc_bytes_per_op.
+// blows the byte budget. A read of a file four times the page cache
+// costs what a read of a hot one does, because a copying read does not
+// go through the cache: it has nothing to miss. Runs under -short too:
+// it is the tier-1 pin on read_hot's and read_cold's alloc_bytes_per_op.
 func TestPreadHitAllocationBudget(t *testing.T) {
-	for _, shards := range []int{0, 2} {
-		s, err := Boot(Config{Cores: 2, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := s.Init()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fd, e := h.Open("/hot", sys.OCreate|sys.ORdWr)
-		if e != sys.EOK {
-			t.Fatal(e)
-		}
-		contents := bytes.Repeat([]byte{0x5a}, 4*pcache.PageSize)
-		if _, e := h.Write(fd, contents); e != sys.EOK {
-			t.Fatal(e)
-		}
-		// The budget is the crossing's own: an unchecked handle, as the
-		// benchmark's readers hold (a checked Pread adds its two views).
-		raw, err := s.RawSysOn(h.PID(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, pcache.PageSize)
-		hit := func() {
-			if n, e := raw.Pread(fd, buf, pcache.PageSize); e != sys.EOK || n != pcache.PageSize {
-				t.Fatalf("shards=%d pread: n=%d %v", shards, n, e)
+	for _, row := range []struct {
+		name  string
+		pages int
+	}{
+		{"hot", 4},
+		{"cold", 4 * pcache.DefaultMaxPages},
+	} {
+		contents := make([]byte, row.pages*pcache.PageSize)
+		rand.New(rand.NewSource(int64(row.pages))).Read(contents)
+		for _, shards := range []int{0, 2} {
+			s, err := Boot(Config{Cores: 2, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		hit() // fill
-		bytesPer := allocPerRequest(200, hit)
-		objects := testing.AllocsPerRun(200, hit)
-		t.Logf("shards=%d: cache-hit 4 KiB Pread allocates %d B in %.1f objects", shards, bytesPer, objects)
-		if bytesPer > 64 {
-			t.Errorf("shards=%d: cache-hit Pread allocates %d B per call, budget 64 B", shards, bytesPer)
-		}
-		if objects > 4 {
-			t.Errorf("shards=%d: cache-hit Pread allocates %.1f objects per call, budget 4", shards, objects)
-		}
-		if !bytes.Equal(buf, contents[:pcache.PageSize]) {
-			t.Errorf("shards=%d: pread bytes diverge", shards)
-		}
-		if err := h.ContractErr(); err != nil {
-			t.Errorf("shards=%d: %v", shards, err)
+			h, err := s.Init()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fd, e := h.Open("/f", sys.OCreate|sys.ORdWr)
+			if e != sys.EOK {
+				t.Fatal(e)
+			}
+			if _, e := h.Write(fd, contents); e != sys.EOK {
+				t.Fatal(e)
+			}
+			// The budget is the crossing's own: an unchecked handle, as the
+			// benchmark's readers hold (a checked Pread adds its two views).
+			raw, err := s.RawSysOn(h.PID(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, pcache.PageSize)
+			next := 1
+			read := func() {
+				off := next * pcache.PageSize
+				next = (next + 1) % row.pages
+				if row.name == "hot" {
+					next = 1 // the same page, round and round
+				}
+				if n, e := raw.Pread(fd, buf, uint64(off)); e != sys.EOK || n != pcache.PageSize {
+					t.Fatalf("%s shards=%d pread at %d: n=%d %v", row.name, shards, off, n, e)
+				}
+				if !bytes.Equal(buf, contents[off:off+pcache.PageSize]) {
+					t.Fatalf("%s shards=%d: pread at %d: bytes diverge", row.name, shards, off)
+				}
+			}
+			bytesPer := allocPerRequest(200, read)
+			objects := testing.AllocsPerRun(200, read)
+			t.Logf("%s shards=%d: 4 KiB Pread of a %d-page file allocates %d B in %.1f objects",
+				row.name, shards, row.pages, bytesPer, objects)
+			if bytesPer > 16 {
+				t.Errorf("%s shards=%d: Pread allocates %d B per call, budget 16 B", row.name, shards, bytesPer)
+			}
+			if objects > 1 {
+				t.Errorf("%s shards=%d: Pread allocates %.1f objects per call, budget 1", row.name, shards, objects)
+			}
+			if err := h.ContractErr(); err != nil {
+				t.Errorf("%s shards=%d: %v", row.name, shards, err)
+			}
 		}
 	}
 }
 
-// TestPreadMissAllocationBudget pins the miss path the same way: a
-// page-aligned 4 KiB Pread that misses — of a file larger than the
-// cache, read page after page, so once warm every call also evicts —
-// fills straight into the caller's buffer and reuses the evicted page's
-// frame, so it allocates no page-sized buffer (≈ 3 KB per call when the
-// apply allocated the reply it copied from). The tier-1 pin on
-// read_cold's alloc_bytes_per_op.
+// TestPreadMissAllocationBudget pins the cache's fill path, which only
+// the zero-copy tier takes: a PreadMap of a page-aligned 4 KiB page that
+// misses — of a file larger than the cache, mapped page after page and
+// unmapped at once, so once warm every call also evicts — fills through
+// the handler's fill page, which the cache installs the frame from, and
+// reuses the evicted page's frame, so it allocates no page-sized buffer
+// (4.5 KB in 15 objects when the fill went through the cache's own
+// stage): what it allocates is the two crossings' frames and the logged
+// map and unmap transitions.
 func TestPreadMissAllocationBudget(t *testing.T) {
 	const pages = pcache.DefaultMaxPages + 256
 	contents := make([]byte, pages*pcache.PageSize)
@@ -87,7 +106,12 @@ func TestPreadMissAllocationBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, err := s.RawSysOn(h.PID(), 0)
+		// A mapping needs an address space, which init has not.
+		child, e := h.Spawn("mapper")
+		if e != sys.EOK {
+			t.Fatal(e)
+		}
+		raw, err := s.RawSysOn(child, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,18 +122,26 @@ func TestPreadMissAllocationBudget(t *testing.T) {
 		if _, e := raw.Write(fd, contents); e != sys.EOK {
 			t.Fatal(e)
 		}
-		buf := make([]byte, pcache.PageSize)
+		page := make([]byte, pcache.PageSize)
 		next := 0
+		check := false
 		miss := func() {
 			off := next * pcache.PageSize
 			next = (next + 1) % pages
-			if n, e := raw.Pread(fd, buf, uint64(off)); e != sys.EOK || n != pcache.PageSize {
-				t.Fatalf("shards=%d pread at %d: n=%d %v", shards, off, n, e)
+			va, n, e := raw.PreadMap(fd, uint64(off))
+			if e != sys.EOK || n != pcache.PageSize {
+				t.Fatalf("shards=%d pread_map at %d: n=%d %v", shards, off, n, e)
 			}
-			if !bytes.Equal(buf, contents[off:off+pcache.PageSize]) {
-				t.Fatalf("shards=%d: pread at %d: bytes diverge", shards, off)
+			if check {
+				if e := raw.MemRead(va, page); e != sys.EOK || !bytes.Equal(page, contents[off:off+pcache.PageSize]) {
+					t.Fatalf("shards=%d: mapping of %d: %v, or bytes diverge", shards, off, e)
+				}
+			}
+			if e := raw.PreadUnmap(va); e != sys.EOK {
+				t.Fatalf("shards=%d pread_unmap: %v", shards, e)
 			}
 		}
+		check = true
 		for i := 0; i < pages; i++ {
 			miss() // warm: fill the cache to its bound
 		}
@@ -124,16 +156,17 @@ func TestPreadMissAllocationBudget(t *testing.T) {
 		m, ev := obs.PCacheMisses.Load()-m0, obs.PCacheEvictions.Load()-e0
 		obs.Disable()
 		if m != counted || ev != counted {
-			t.Fatalf("shards=%d: %d reads made %d misses and %d evictions, want one each per read", shards, counted, m, ev)
+			t.Fatalf("shards=%d: %d maps made %d misses and %d evictions, want one each per map", shards, counted, m, ev)
 		}
+		check = false
 		bytesPer := allocPerRequest(200, miss)
 		objects := testing.AllocsPerRun(200, miss)
-		t.Logf("shards=%d: cache-miss 4 KiB Pread allocates %d B in %.1f objects", shards, bytesPer, objects)
+		t.Logf("shards=%d: a PreadMap miss and its unmap allocate %d B in %.1f objects", shards, bytesPer, objects)
 		if bytesPer > 512 {
-			t.Errorf("shards=%d: cache-miss Pread allocates %d B per call, budget 512 B", shards, bytesPer)
+			t.Errorf("shards=%d: a PreadMap miss and its unmap allocate %d B, budget 512 B", shards, bytesPer)
 		}
-		if objects > 4 {
-			t.Errorf("shards=%d: cache-miss Pread allocates %.1f objects per call, budget 4", shards, objects)
+		if objects > 14 {
+			t.Errorf("shards=%d: a PreadMap miss and its unmap allocate %.1f objects, budget 14", shards, objects)
 		}
 	}
 }

@@ -10,23 +10,21 @@ import (
 	"github.com/verified-os/vnros/internal/sys"
 )
 
-// This file is the core half of the sharded page cache (internal/
-// pcache): the pread family's dispatch, the cache's frame source over
-// the shared data-frame allocator, and the boot/teardown wiring that
-// keeps cache-owned frames out of the buddy allocator while readers or
-// mappings can still reach them.
+// This file is the pread family's dispatch and the core half of the
+// page cache (internal/pcache): the cache's frame source over the shared
+// data-frame allocator, and the routing that keeps cache-owned frames out
+// of the buddy allocator while mappings can still reach them.
 //
-// The read-path contract: a pread resolves its descriptor with one
-// replica-local ExecuteRead (NumFDGet — never the write log), then
-// serves bytes from the per-fs-shard cache. Cache hits copy out under
-// an epoch pin without touching any NR instance; misses fill with one
-// more ExecuteRead (NumFsReadAt) against the inode's owner shard, which
-// reads the file straight into the page the cache lends it (the
-// caller's own, for a page-aligned page-sized read) — so a miss copies
-// file → buffer → frame and allocates nothing page-sized. Writers
-// invalidate through the fs Invalidator hook as their mutation applies,
-// before the write returns — so a pread that starts after a write
-// completes can never serve the overwritten bytes.
+// The read-path contract (PAPER.md §4.1): a copying pread is two
+// replica-local reads and never the write log — NumFDGet on the
+// process's shard resolves the descriptor, then one NumFsReadAt on the
+// inode's owner shard reads the file straight into the caller's buffer
+// under that replica's read lock. The fs replica already holds every
+// file's pages (fs.PageFile), so the copy is file → buffer, and a read
+// of any length observes one state of the file. Only the zero-copy tier
+// (PreadMap) goes through the cache, whose frames it aliases into the
+// caller's vspace; writers invalidate those pages through the fs
+// Invalidator hook as their mutation applies, before the write returns.
 
 // cacheFrames adapts the system's shared data-frame allocator and
 // physical memory to pcache.FrameSource. Its frames are not zeroed
@@ -72,116 +70,51 @@ func (s *System) unpinFrames(frames []mem.PAddr) {
 	}
 }
 
-// preadResolve resolves a descriptor to (ino, flags) with one
-// replica-local read — the only kernel crossing a cache-hit pread pays.
-// The kernel answers into the handler's resolve slot, and the resolver
-// returns the three scalars it needs, not a response: a Resp is 360
-// bytes, and the hit path would copy it through every frame back.
-func (h *handler) preadResolve(pid proc.PID, fd fs.FD) (fs.Ino, int, sys.Errno) {
-	h.ctxMu.Lock()
-	defer h.ctxMu.Unlock()
-	h.resolveOp = sys.ReadOp{Num: sys.NumFDGet, PID: pid, FD: fd}
-	g := &h.resolved
-	h.procReadInto(h.s.ProcShardOf(pid), &h.resolveOp, g)
+// resolveLocked resolves a descriptor to (ino, flags) with one
+// replica-local read (ctxMu held). The kernel answers into the handler's
+// read slot, and the resolver returns the three scalars it needs, not a
+// response: a Resp is 360 bytes, and the read path would copy it through
+// every frame back.
+func (h *handler) resolveLocked(pid proc.PID, fd fs.FD) (fs.Ino, int, sys.Errno) {
+	h.readOp = sys.ReadOp{Num: sys.NumFDGet, PID: pid, FD: fd}
+	g := &h.readAns
+	h.procReadInto(h.s.ProcShardOf(pid), &h.readOp, g)
 	return g.Ino, int(g.Val), g.Errno
 }
 
-// fsRead runs one replica-local read against the owner of op.Ino (the
-// authoritative contents and size).
-func (h *handler) fsRead(op sys.ReadOp) sys.Resp {
+// pread serves NumPread into *out: the descriptor resolve, the
+// permission check, then one NumFsReadAt on the inode's owner shard, a
+// replica-local read that writes dst — the caller's own buffer when the
+// call crossed through SyscallInto, so the read is one copy, file to
+// buffer, and what crosses back is the (value, errno) pair. A nil dst is
+// the reply form (an encoded reply, or a batch completion, carries the
+// bytes): the apply allocates the buffer, clamped to what the file can
+// supply from op.Off. Both reads answer in the handler's slot (a slot
+// on this stack would escape through the replica's interface), and no
+// descriptor lock is taken — a positioned read neither reads nor writes
+// the offset.
+//
+// The read is one transition, so however many pages it spans it returns
+// the file as of one point of the owner's log, and a witnessed pread is
+// the same transition asked for its witness: the file's contents as of
+// that point, on both sides (sys.Kernel.contentsWitness).
+func (h *handler) pread(op *sys.ReadOp, dst []byte, out *sys.Resp) {
 	h.ctxMu.Lock()
 	defer h.ctxMu.Unlock()
-	return h.fsReadOn(h.s.FsShardOf(op.Ino), op)
-}
-
-// preadFill returns the Filler backing cache misses: one ExecuteRead of
-// the page against the inode's owner (the authoritative contents), which
-// writes the page the cache lends it — p is always a whole page.
-func (h *handler) preadFill(pid proc.PID) pcache.Filler {
-	return func(ino fs.Ino, off uint64, p []byte) (int, sys.Errno) {
-		r := h.fsRead(sys.ReadOp{Num: sys.NumFsReadAt, PID: pid, Ino: ino, Off: off, Len: uint64(len(p)),
-			Dst: (*[pcache.PageSize]byte)(p)})
-		return int(r.Val), r.Errno
+	ino, flags, e := h.resolveLocked(op.PID, op.FD)
+	if e == sys.EOK && flags&fs.OWrOnly != 0 {
+		e = sys.EPERM
 	}
-}
-
-// pread serves NumPread into *out: descriptor resolve, permission check,
-// then the cache read, delivered into dst — the caller's own buffer when
-// the call crossed through SyscallInto, so a hit is one copy, frame to
-// buffer, and what crosses back is the (value, errno) pair. A
-// nil dst is the reply form (an encoded reply, or a batch completion,
-// carries the bytes): the buffer is allocated here, and because op.Len
-// is then the only bound and comes from the frame, it is first clamped
-// to what the file can supply — one more replica-local read, which the
-// destination form never pays. No descriptor lock is taken — a
-// positioned read neither reads nor writes the offset, so there is no
-// descriptor state to race on; concurrent writes to the same file are
-// handled by the cache's invalidation protocol (page-wise read
-// atomicity, as documented on pcache.ReadAt).
-//
-// A witnessed pread is bracketed by two snapshots of the file's contents
-// from the owner shard, the read's linearization point lying between
-// them: its witness. The check needs them to be one snapshot — nothing
-// wrote the file in between, so the bytes the cache served must be its;
-// when a write landed inside the window, the bytes may be any state
-// between (several writes leave one neither side shows), so the cache
-// read is made again in the window the closing snapshot opens. Only when
-// writes land in preadWindows windows in a row is the read served from
-// the owner instead, in one transition that is its own witness
-// (NumFsReadAt's) — sys.contract.pread_owner_reads counts those. A
-// snapshot the read does not return is given back, but only once the
-// next one is taken: while it is held its page array cannot be reused,
-// so Same cannot mistake a reused array for an unchanged one.
-func (h *handler) pread(op *sys.ReadOp, dst []byte, out *sys.Resp) {
-	ino, flags, e := h.preadResolve(op.PID, op.FD)
 	if e != sys.EOK {
 		*out = sys.Resp{Errno: e}
 		return
 	}
-	if flags&fs.OWrOnly != 0 {
-		*out = sys.Resp{Errno: sys.EPERM}
-		return
-	}
-	reply := dst == nil
-	snap := sys.ReadOp{Num: sys.NumFsStatIno, PID: op.PID, Ino: ino, Witness: op.Witness}
-	var pre sys.Resp
-	if reply || op.Witness {
-		pre = h.fsRead(snap)
-	}
-	for window := 1; pre.Errno == sys.EOK; window++ {
-		if reply {
-			dst = make([]byte, sys.ClampReadLen(op.Len, op.Off, pre.Stat.Size))
-		}
-		n, e := h.s.pcacheFor(ino).ReadAt(ino, op.Off, dst, h.preadFill(op.PID), h.core)
-		if e != sys.EOK {
-			pre.Witness.Release()
-			*out = sys.Resp{Errno: e}
-			return
-		}
-		*out = sys.Resp{Errno: sys.EOK, Val: uint64(n), Data: dst[:n]}
-		if !op.Witness {
-			return
-		}
-		post := h.fsRead(snap)
-		if w := pre.Witness; w.PreOK == post.Witness.PreOK && w.Pre.Contents.Same(post.Witness.Pre.Contents) {
-			post.Witness.Release()
-			out.Witness = pre.Witness
-			return
-		}
-		pre.Witness.Release()
-		if window == preadWindows {
-			post.Witness.Release()
-			obs.ContractPreadOwnerReads.Add(uint32(h.core), 1)
-			*out = h.fsRead(sys.ReadOp{Num: sys.NumFsReadAt, PID: op.PID, Ino: ino, Off: op.Off, Len: op.Len, Witness: true})
-			if out.Errno == sys.EOK && !reply {
-				out.Data = dst[:copy(dst, out.Data)]
-			}
-			return
-		}
-		pre = post
-	}
-	pre.Witness.Release()
-	*out = sys.Resp{Errno: pre.Errno}
+	h.readOp = sys.ReadOp{Num: sys.NumFsReadAt, PID: op.PID, Ino: ino, Off: op.Off, Len: op.Len, Witness: op.Witness, Dst: dst}
+	r := &h.readAns
+	h.fsReadInto(h.s.FsShardOf(ino), &h.readOp, r)
+	*out = sys.Resp{Errno: r.Errno, Val: r.Val, Data: r.Data, Witness: r.Witness}
+	// The slot must not keep the caller's buffer or the witness's views.
+	h.readOp.Dst, r.Data, r.Witness = nil, nil, sys.Witness{}
 }
 
 // preadReply is pread's reply form (an encoded reply, or a batch
@@ -198,10 +131,6 @@ func (h *handler) preadReply(op sys.ReadOp) sys.Resp {
 	h.pread(&op, nil, &r)
 	return r
 }
-
-// preadWindows bounds the cache reads a witnessed pread makes before the
-// owner serves it: a file written without pause cannot starve it.
-const preadWindows = 4
 
 // SyscallInto implements sys.DestHandler: the boundary crossing whose
 // result lands in the caller's buffer instead of a reply payload. Only
@@ -229,43 +158,60 @@ func (h *handler) SyscallInto(frame marshal.SyscallFrame, payload []byte, dst []
 }
 
 // preadMap serves NumPreadMap, the zero-copy tier: pin the cached page
-// covering the page-aligned offset (populating it through the copying
-// path if absent), then run the logged mapping transition that aliases
-// the frame read-only into the caller's vspace. Resp.Val is the mapping
-// VA; Resp.Stat.Size is the page's valid byte count.
+// covering the page-aligned offset (filling it if absent), then run the
+// logged mapping transition that aliases the frame read-only into the
+// caller's vspace. Resp.Val is the mapping VA; Resp.Stat.Size is the
+// page's valid byte count.
 func (h *handler) preadMap(op sys.WriteOp) sys.Resp {
-	s := h.s
 	if op.Off < 0 || uint64(op.Off)%pcache.PageSize != 0 {
 		return sys.Resp{Errno: sys.EINVAL}
 	}
-	off := uint64(op.Off)
-	ino, flags, e := h.preadResolve(op.PID, op.FD)
+	h.ctxMu.Lock()
+	ino, flags, e := h.resolveLocked(op.PID, op.FD)
+	if e == sys.EOK && flags&fs.OWrOnly != 0 {
+		e = sys.EPERM
+	}
+	var frame mem.PAddr
+	var n uint32
+	if e == sys.EOK {
+		frame, n, e = h.pinPageLocked(op.PID, ino, uint64(op.Off))
+	}
+	h.ctxMu.Unlock()
 	if e != sys.EOK {
 		return sys.Resp{Errno: e}
 	}
-	if flags&fs.OWrOnly != 0 {
-		return sys.Resp{Errno: sys.EPERM}
-	}
-	cache := s.pcacheFor(ino)
-	frame, n, ok := cache.MapPage(ino, off, h.core)
-	if !ok {
-		// Miss: populate the page through the copying path (which fills
-		// and inserts the whole page), then pin it. A second failure
-		// means an invalidation raced us — the caller may retry.
-		var one [1]byte
-		if _, e := cache.ReadAt(ino, off, one[:], h.preadFill(op.PID), h.core); e != sys.EOK {
-			return sys.Resp{Errno: e}
-		}
-		if frame, n, ok = cache.MapPage(ino, off, h.core); !ok {
-			return sys.Resp{Errno: sys.EAGAIN}
-		}
-	}
 	mr := h.procExec(sys.WriteOp{Num: sys.NumPageMap, PID: op.PID, Frames: []mem.PAddr{frame}})
 	if mr.Errno != sys.EOK {
-		cache.UnmapFrame(frame) // drop the pin; the mapping never existed
+		h.s.pcacheFor(ino).UnmapFrame(frame) // drop the pin; the mapping never existed
 		return mr
 	}
 	return sys.Resp{Errno: sys.EOK, Val: mr.Val, Stat: fs.Stat{Ino: ino, Size: uint64(n)}}
+}
+
+// pinPageLocked pins ino's cached page at off for a mapping (ctxMu held).
+// A miss fills the page through the cache — one NumFsReadAt on the
+// owner shard into the handler's fill page, which the cache installs
+// the frame from — and pins it then; a second failure means an
+// invalidation raced the fill, and the caller may retry (EAGAIN).
+func (h *handler) pinPageLocked(pid proc.PID, ino fs.Ino, off uint64) (mem.PAddr, uint32, sys.Errno) {
+	cache := h.s.pcacheFor(ino)
+	if frame, n, ok := cache.MapPage(ino, off, h.core); ok {
+		return frame, n, sys.EOK
+	}
+	if h.fillPage == nil {
+		h.fillPage = new([pcache.PageSize]byte)
+	}
+	fill := func(ino fs.Ino, off uint64, p []byte) (int, sys.Errno) {
+		r := h.fsReadOn(h.s.FsShardOf(ino), sys.ReadOp{Num: sys.NumFsReadAt, PID: pid, Ino: ino, Off: off, Len: uint64(len(p)), Dst: p})
+		return int(r.Val), r.Errno
+	}
+	if _, e := cache.ReadAt(ino, off, h.fillPage[:], fill, h.core); e != sys.EOK {
+		return 0, 0, e
+	}
+	if frame, n, ok := cache.MapPage(ino, off, h.core); ok {
+		return frame, n, sys.EOK
+	}
+	return 0, 0, sys.EAGAIN
 }
 
 // preadUnmap serves NumPreadUnmap: the logged unmap transition returns

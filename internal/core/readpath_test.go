@@ -4,18 +4,23 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/verified-os/vnros/internal/fs"
 	"github.com/verified-os/vnros/internal/hw/mmu"
+	"github.com/verified-os/vnros/internal/marshal"
 	"github.com/verified-os/vnros/internal/obs"
 	"github.com/verified-os/vnros/internal/pcache"
 	"github.com/verified-os/vnros/internal/sys"
 )
 
-// TestPreadServesFromCache checks the perf claim behind the read path:
-// the first pread of a page misses and fills, repeats hit — visible in
-// both the cache's residency and the pcache.hit counter.
+// TestPreadServesFromCache checks what the page cache is for: the
+// zero-copy tier. The first PreadMap of a page misses and fills, repeats
+// hit — visible in the cache's residency and in the pcache.hit counter —
+// and a write invalidates, so the next mapping misses and shows the new
+// bytes. A copying Pread beside them agrees and never enters the cache.
 func TestPreadServesFromCache(t *testing.T) {
 	for _, shards := range []int{0, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -27,12 +32,18 @@ func TestPreadServesFromCache(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// A mapping needs an address space, which init has not.
+			c, err := s.SpawnHandle(initSys, "mapper")
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.EnableContract()
 			contents := bytes.Repeat([]byte{7}, 2*pcache.PageSize)
-			fd, e := initSys.Open("/hot.dat", fs.OCreate|fs.ORdWr)
+			fd, e := c.Open("/hot.dat", fs.OCreate|fs.ORdWr)
 			if e != sys.EOK {
 				t.Fatalf("open: %v", e)
 			}
-			if _, e := initSys.Write(fd, contents); e != sys.EOK {
+			if _, e := c.Write(fd, contents); e != sys.EOK {
 				t.Fatalf("write: %v", e)
 			}
 
@@ -41,44 +52,67 @@ func TestPreadServesFromCache(t *testing.T) {
 			hits0 := obs.PCacheHits.Load()
 			misses0 := obs.PCacheMisses.Load()
 			buf := make([]byte, pcache.PageSize)
+			mapped := func(what string, want []byte) {
+				t.Helper()
+				va, n, e := c.PreadMap(fd, 0)
+				if e != sys.EOK || n != pcache.PageSize {
+					t.Fatalf("%s: pread_map: n=%d %v", what, n, e)
+				}
+				if e := c.MemRead(va, buf); e != sys.EOK || !bytes.Equal(buf, want) {
+					t.Fatalf("%s: mapped bytes diverge (%v)", what, e)
+				}
+				if e := c.PreadUnmap(va); e != sys.EOK {
+					t.Fatalf("%s: pread_unmap: %v", what, e)
+				}
+			}
 			for i := 0; i < 8; i++ {
-				if n, e := initSys.Pread(fd, buf, 0); e != sys.EOK || n != uint64(len(buf)) {
-					t.Fatalf("pread %d: n=%d %v", i, n, e)
-				}
-				if !bytes.Equal(buf, contents[:len(buf)]) {
-					t.Fatalf("pread %d bytes diverge", i)
-				}
+				mapped(fmt.Sprintf("map %d", i), contents[:len(buf)])
 			}
 			if hits := obs.PCacheHits.Load() - hits0; hits < 7 {
-				t.Errorf("pcache.hit = %d after 8 preads of one page, want >= 7", hits)
+				t.Errorf("pcache.hit = %d after 8 maps of one page, want >= 7", hits)
 			}
-			if misses := obs.PCacheMisses.Load() - misses0; misses < 1 {
-				t.Errorf("pcache.miss = %d, want >= 1 (first read fills)", misses)
+			if misses := obs.PCacheMisses.Load() - misses0; misses != 1 {
+				t.Errorf("pcache.miss = %d, want 1 (the first map fills)", misses)
+			}
+			resident := 0
+			for i := 0; i < s.NumShards(); i++ {
+				n, _, _ := s.PCache(i).Stats()
+				resident += n
+			}
+			if resident != 1 {
+				t.Errorf("%d pages resident after mapping one, want 1", resident)
 			}
 
-			// A write through the logged path invalidates; the next pread
+			// A copying read is served by the owner replica: the cache sees
+			// neither a hit nor a miss.
+			hits1, misses1 := obs.PCacheHits.Load(), obs.PCacheMisses.Load()
+			if n, e := c.Pread(fd, buf, pcache.PageSize); e != sys.EOK || n != uint64(len(buf)) {
+				t.Fatalf("pread: n=%d %v", n, e)
+			}
+			if !bytes.Equal(buf, contents[pcache.PageSize:]) {
+				t.Fatal("pread bytes diverge")
+			}
+			if obs.PCacheHits.Load() != hits1 || obs.PCacheMisses.Load() != misses1 {
+				t.Error("a copying pread went through the page cache")
+			}
+
+			// A write through the logged path invalidates; the next mapping
 			// misses and refills with the new bytes.
-			if _, e := initSys.Seek(fd, 0, fs.SeekSet); e != sys.EOK {
+			if _, e := c.Seek(fd, 0, fs.SeekSet); e != sys.EOK {
 				t.Fatalf("seek: %v", e)
 			}
 			fresh := bytes.Repeat([]byte{9}, pcache.PageSize)
-			if _, e := initSys.Write(fd, fresh); e != sys.EOK {
+			if _, e := c.Write(fd, fresh); e != sys.EOK {
 				t.Fatalf("overwrite: %v", e)
 			}
-			misses1 := obs.PCacheMisses.Load()
-			if n, e := initSys.Pread(fd, buf, 0); e != sys.EOK || n != uint64(len(buf)) {
-				t.Fatalf("pread after write: n=%d %v", n, e)
-			}
-			if !bytes.Equal(buf, fresh) {
-				t.Fatal("pread after write served stale bytes")
-			}
+			mapped("map after write", fresh)
 			if obs.PCacheMisses.Load() == misses1 {
-				t.Error("pread after invalidation did not miss")
+				t.Error("pread_map after invalidation did not miss")
 			}
-			if e := initSys.Close(fd); e != sys.EOK {
+			if e := c.Close(fd); e != sys.EOK {
 				t.Fatalf("close: %v", e)
 			}
-			if err := initSys.ContractErr(); err != nil {
+			if err := c.ContractErr(); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -192,10 +226,9 @@ func TestBatchPreadObservesBatchWrites(t *testing.T) {
 // bytes the file can supply from the offset before allocating, so the
 // hostile frame reads to EOF like an honest oversized buffer would. The
 // destination forms allocate nothing and are bounded by the destination:
-// a Pread by the caller's buffer (below), and the cache fill's
-// NumFsReadAt by the page it lends the apply in ReadOp.Dst
-// (sys.TestFsReadAtIntoPageClampsHostileLengths sends that one these
-// lengths and more).
+// a Pread by the caller's buffer (below), which its NumFsReadAt lends
+// the apply in ReadOp.Dst (sys.TestFsReadAtIntoPageClampsHostileLengths
+// sends that one these lengths and more).
 // NumMemRead took the same word to make() before any mapping check; its
 // range is now checked against the caller's mappings first, so the
 // hostile frame is the EFAULT an honest read off the end of a mapping is.
@@ -318,12 +351,13 @@ func TestHostileReadLengthIsClamped(t *testing.T) {
 }
 
 // TestWorkingSetStaysResident is the composed residency check: 512 pages
-// over 32 files on the two-shard kernel (two caches of 1024 pages), read
-// round and round while writes invalidate 5 % of the pages between
-// passes. A pass may miss exactly the pages invalidated since the last
-// one — for as many rounds as it takes the dead pages to outnumber the
-// cache bound several times over, which is where a bound that counted
-// them began evicting live pages (read_hot's 0.75 hit ratio).
+// over 32 files on the two-shard kernel (two caches of 1024 pages),
+// mapped and unmapped round and round through PreadMap while writes
+// invalidate 5 % of the pages between passes. A pass may miss exactly the
+// pages invalidated since the last one — for as many rounds as it takes
+// the dead pages to outnumber the cache bound several times over, which
+// is where a bound that counted them began evicting live pages
+// (read_hot's 0.75 hit ratio, when copying reads still filled the cache).
 func TestWorkingSetStaysResident(t *testing.T) {
 	const files, filePages, rounds = 32, 16, 96
 	s, err := Boot(Config{Cores: 2, Shards: 2})
@@ -334,7 +368,12 @@ func TestWorkingSetStaysResident(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := s.RawSysOn(initSys.PID(), 0)
+	// A mapping needs an address space, which init has not.
+	child, e := initSys.Spawn("mapper")
+	if e != sys.EOK {
+		t.Fatal(e)
+	}
+	h, err := s.RawSysOn(child, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,11 +398,18 @@ func TestWorkingSetStaysResident(t *testing.T) {
 		m0 := obs.PCacheMisses.Load()
 		for f := range fds {
 			for p := 0; p < filePages; p++ {
-				if n, e := h.Pread(fds[f], buf, uint64(p)*pcache.PageSize); e != sys.EOK || n != pcache.PageSize {
-					t.Fatalf("pread file %d page %d: n=%d %v", f, p, n, e)
+				va, n, e := h.PreadMap(fds[f], uint64(p)*pcache.PageSize)
+				if e != sys.EOK || n != pcache.PageSize {
+					t.Fatalf("pread_map file %d page %d: n=%d %v", f, p, n, e)
+				}
+				if e := h.MemRead(va, buf); e != sys.EOK {
+					t.Fatalf("mapped read file %d page %d: %v", f, p, e)
 				}
 				if buf[0] != byte(f+p) || buf[pcache.PageSize-1] != byte(f+p) {
 					t.Fatalf("file %d page %d: wrong bytes", f, p)
+				}
+				if e := h.PreadUnmap(va); e != sys.EOK {
+					t.Fatalf("pread_unmap file %d page %d: %v", f, p, e)
 				}
 			}
 		}
@@ -409,5 +455,116 @@ func TestWorkingSetStaysResident(t *testing.T) {
 	}
 	if got := obs.PCacheResident[0].Load() + obs.PCacheResident[1].Load(); got != files*filePages {
 		t.Errorf("pcache.resident gauges sum to %d, want %d", got, files*filePages)
+	}
+}
+
+// witnessedReply is replyOnly that still witnesses: a checked Sys over it
+// crosses with encoded replies and checks them.
+type witnessedReply struct{ h *handler }
+
+func (p witnessedReply) Syscall(frame marshal.SyscallFrame, payload []byte) (marshal.RetFrame, []byte) {
+	return p.h.Syscall(frame, payload)
+}
+
+func (p witnessedReply) TakeWitness(into []sys.Witness) []sys.Witness { return p.h.TakeWitness(into) }
+
+// TestPreadIsOneFileState: a Pread spanning pages returns the file as of
+// one point, never pages of two states. A writer overwrites a 4-page file
+// with all-0xAA, then all-0x55, one Write each, while 16 KiB Preads race
+// it — into the caller's buffer and in an encoded reply, through checked
+// and raw handles — and each must come back uniform.
+func TestPreadIsOneFileState(t *testing.T) {
+	const size, reads = 4 * pcache.PageSize, 200
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s, err := Boot(Config{Cores: 2, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			initSys, err := s.Init()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pid := initSys.PID()
+			fd, e := initSys.Open("/flip", fs.OCreate|fs.ORdWr)
+			if e != sys.EOK {
+				t.Fatal(e)
+			}
+			states := [2][]byte{bytes.Repeat([]byte{0xaa}, size), bytes.Repeat([]byte{0x55}, size)}
+			if _, e := initSys.Write(fd, states[0]); e != sys.EOK {
+				t.Fatal(e)
+			}
+			rawDest, err := s.RawSysOn(pid, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writer, err := s.RawSysOn(pid, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var replies [2]*sys.Sys
+			for i := range replies {
+				h, err := s.newHandler(s.pickCore())
+				if err != nil {
+					t.Fatal(err)
+				}
+				replies[i] = sys.NewSys(pid, witnessedReply{h})
+			}
+			replies[0].EnableContract()
+			readers := map[string]*sys.Sys{
+				"checked destination": initSys, "raw destination": rawDest,
+				"checked reply": replies[0], "raw reply": replies[1],
+			}
+
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				wfd, e := writer.Open("/flip", sys.ORdWr)
+				if e != sys.EOK {
+					t.Errorf("writer open: %v", e)
+					return
+				}
+				for i := 1; !stop.Load(); i++ {
+					if _, e := writer.Seek(wfd, 0, fs.SeekSet); e != sys.EOK {
+						t.Errorf("writer seek: %v", e)
+						return
+					}
+					if _, e := writer.Write(wfd, states[i%2]); e != sys.EOK {
+						t.Errorf("writer write: %v", e)
+						return
+					}
+				}
+			}()
+			var rg sync.WaitGroup
+			for name, r := range readers {
+				rg.Add(1)
+				go func() {
+					defer rg.Done()
+					buf := make([]byte, size)
+					for i := 0; i < reads; i++ {
+						n, e := r.Pread(fd, buf, 0)
+						if e != sys.EOK || n != size {
+							t.Errorf("%s pread %d: n=%d %v", name, i, n, e)
+							return
+						}
+						if !bytes.Equal(buf, states[0]) && !bytes.Equal(buf, states[1]) {
+							t.Errorf("%s pread %d: bytes of two file states (%d of 0xaa, %d of 0x55)",
+								name, i, bytes.Count(buf, states[0][:1]), bytes.Count(buf, states[1][:1]))
+							return
+						}
+					}
+				}()
+			}
+			rg.Wait()
+			stop.Store(true)
+			wg.Wait()
+			for name, r := range readers {
+				if err := r.ContractErr(); err != nil {
+					t.Errorf("%s: %v", name, err)
+				}
+			}
+		})
 	}
 }

@@ -60,10 +60,9 @@ import (
 // Two more tests are bookkeeping, not dispatch: newHandler registers a
 // thread once per group (co-located there is one), and shardStart /
 // shardDone sample nr.shard.ops only where there is a shard dimension.
-// One more serving path is chosen by the contract, on both kernels alike:
-// a checked pread that sees a write land in every window it brackets is
-// served by one NumFsReadAt on the owner instead of the cache
-// (handler.pread, counted by sys.contract.pread_owner_reads).
+// The pread family is not forked either: a copying pread is a resolve on
+// the process's shard and one NumFsReadAt on the inode's owner shard on
+// both kernels (handler.pread), even where one replica holds both.
 //
 // Cross-shard ordering rules (each rule keeps a half-done protocol
 // observationally equivalent to some single-kernel state):
@@ -215,6 +214,13 @@ func (h *handler) fsReadOn(shard int, op sys.ReadOp) sys.Resp {
 	r := h.fsCtx.ExecuteReadOn(shard, op)
 	h.shardDone(obs.FsShardSlot(shard), t0)
 	return r
+}
+
+// fsReadInto is fsReadOn answering into *out.
+func (h *handler) fsReadInto(shard int, op *sys.ReadOp, out *sys.Resp) {
+	t0 := h.shardStart()
+	h.fsCtx.ExecuteReadOnInto(shard, op, out)
+	h.shardDone(obs.FsShardSlot(shard), t0)
 }
 
 // nsBroadcast applies a namespace mutation to every filesystem shard in

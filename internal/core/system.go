@@ -123,9 +123,9 @@ type System struct {
 	dataMu    sync.Mutex
 	dataAlloc *mm.Buddy
 
-	// pcaches is the sharded page cache behind the pread family: one
-	// cache per filesystem shard (index = fs shard). Every replica's FS
-	// carries the matching cache as its Invalidator (see readpath.go).
+	// pcaches is the sharded page cache behind PreadMap: one cache per
+	// filesystem shard (index = fs shard). Every replica's FS carries the
+	// matching cache as its Invalidator (see readpath.go).
 	pcaches []*pcache.Cache
 
 	// Devices.
@@ -558,14 +558,20 @@ type handler struct {
 	procCtx *nr.ShardedThread[sys.ReadOp, sys.WriteOp, sys.Resp]
 	fsCtx   *nr.ShardedThread[sys.ReadOp, sys.WriteOp, sys.Resp]
 
-	// resolveOp and resolved are the descriptor resolve's op and answer
-	// slot (preadResolve, under ctxMu): the kernel writes its response
+	// readOp and readAns are the op and answer slot of the pread
+	// family's replica-local reads (the descriptor resolve, then a
+	// pread's NumFsReadAt; under ctxMu): the kernel writes its response
 	// there in place. They live here because the answer crosses an
-	// interface, so a slot on the resolver's stack would escape and
-	// allocate a response per read. A resolve's answer holds no pointers,
-	// so the slot keeps nothing reachable.
-	resolveOp sys.ReadOp
-	resolved  sys.Resp
+	// interface, so a slot on the reader's stack would escape and
+	// allocate a response per read. handler.pread clears what the slot
+	// holds of the caller's buffer and the witness, so it keeps nothing
+	// reachable.
+	readOp  sys.ReadOp
+	readAns sys.Resp
+	// fillPage is the page a PreadMap miss reads the file into and the
+	// cache installs its frame from (under ctxMu; allocated at the
+	// handler's first miss).
+	fillPage *[pcache.PageSize]byte
 
 	// wits are the last witnessed crossing's witnesses, kept for the one
 	// Sys handle this handler serves: they are views of kernel memory, so
@@ -648,8 +654,7 @@ func (h *handler) syscall(frame marshal.SyscallFrame, payload []byte) (marshal.R
 		if err != nil {
 			return sys.EncodeResp(sys.Resp{Errno: sys.EINVAL})
 		}
-		// Pread goes through the page cache: a cache hit never enters an
-		// NR instance (readpath.go).
+		// Pread is two replica-local reads, never the log (readpath.go).
 		if op.Num == sys.NumPread {
 			r := h.preadReply(op)
 			if op.Witness {
@@ -758,8 +763,8 @@ func (h *handler) batch(frame marshal.SyscallFrame, payload []byte) (marshal.Ret
 		switch {
 		case sys.IsBatchableOp(ops[i].Num):
 		case ops[i].Num == sys.NumPread || ops[i].Num == sys.NumPreadMap:
-			// Served from the page cache after the logged run below (see
-			// sys.OpPread for the ordering contract).
+			// Served after the logged run below (see sys.OpPread for the
+			// ordering contract).
 			preadIdx = append(preadIdx, i)
 			if ops[i].Witness {
 				nWit++
@@ -809,7 +814,7 @@ func (h *handler) batch(frame marshal.SyscallFrame, payload []byte) (marshal.Ret
 	}
 	// Pread entries complete after every logged op of the batch has
 	// applied, so they observe all of the batch's writes. Outside ctxMu:
-	// the cache path takes the thread context per kernel crossing.
+	// the pread family takes it itself.
 	for _, i := range preadIdx {
 		var r sys.Resp
 		if ops[i].Num == sys.NumPread {

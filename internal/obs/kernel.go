@@ -67,28 +67,22 @@ var (
 	// §3 contract checker (internal/sys), striped by the handle's core:
 	// transitions checked against a witness taken at their linearization
 	// point (a batch's descriptor run counts once), and violations
-	// recorded on any checked path. pread_owner_reads
-	// counts the checked preads (internal/core) whose bytes came from the
-	// owner shard instead of the page cache, because a write landed in
-	// every window the cache read was bracketed by.
-	ContractWitnessed       = NewCounter("sys.contract.witnessed")
-	ContractViolations      = NewCounter("sys.contract.violations")
-	ContractPreadOwnerReads = NewCounter("sys.contract.pread_owner_reads")
+	// recorded on any checked path.
+	ContractWitnessed  = NewCounter("sys.contract.witnessed")
+	ContractViolations = NewCounter("sys.contract.violations")
 
-	// Page cache (internal/pcache), striped by fs shard. Hits are served
-	// lock-free under an epoch pin; misses fall through to the
+	// Page cache (internal/pcache, PreadMap's pages), striped by fs
+	// shard. Hits are pages found resident (a mapping pinned, or bytes
+	// copied out under an epoch pin); misses fall through to the
 	// authoritative fs read. Invalidations count writer-published kills
 	// (one per overlapping write/truncate, however many pages died);
-	// evictions count capacity-pressure retirements. copy_bytes is what
-	// the copying tier delivered into callers' buffers, hit or miss;
-	// resident is each cache's live page count (by fs shard, the
-	// monolith's one cache as fs0), so hit ratio x residency is readable
-	// from `vnros stats`.
+	// evictions count capacity-pressure retirements; resident is each
+	// cache's live page count (by fs shard, the monolith's one cache as
+	// fs0), so hit ratio x residency is readable from `vnros stats`.
 	PCacheHits          = NewCounter("pcache.hit")
 	PCacheMisses        = NewCounter("pcache.miss")
 	PCacheInvalidations = NewCounter("pcache.invalidations")
 	PCacheEvictions     = NewCounter("pcache.evictions")
-	PCacheCopyBytes     = NewCounter("pcache.copy_bytes")
 	PCacheResident      = newFsShardGauges("pcache.resident")
 
 	// NR read-path discipline (nr.ExecuteRead), striped by replica. A

@@ -1,14 +1,17 @@
-// Package pcache is the sharded page cache behind the zero-copy read
-// path: one Cache per filesystem shard, holding page-granular copies of
-// file contents in frames of the shared physical memory, with
-// epoch-based (RCU-style) read snapshots.
+// Package pcache is the cache behind PreadMap, the zero-copy read tier:
+// one Cache per filesystem shard, holding page-granular copies of file
+// contents in frames of the shared physical memory, so that a page can
+// be aliased read-only into a vspace. A copying read does not come here:
+// the owner fs replica already holds every file's pages, and reads them
+// into the caller's buffer (internal/core's handler.pread).
 //
 // The concurrency discipline, and why it is safe:
 //
 //   - Readers never take a lock on the hit path. Pin publishes the
 //     current epoch into a per-reader slot (one padded word, scanned by
 //     reclaimers), the page lookup runs against a lock-free map, the
-//     bytes are copied out of the frame, and Unpin clears the slot.
+//     bytes are copied out of the frame (ReadAt) or the page's map count
+//     is taken (MapPage), and Unpin clears the slot.
 //
 //   - Writers invalidate in three ordered steps: bump the inode's
 //     version (so in-flight fills can never install stale bytes), mark
@@ -36,6 +39,13 @@
 // every invalidation that completed before the insert — and a stale
 // page can exist only in the window where its write has not yet
 // returned, which any linearization may order either way.
+//
+// The fills are PreadMap's misses (ReadAt of the whole page), and ReadAt
+// is also a public, concurrent API that the benchmark's probes drive
+// directly. Its hit path reads frame bytes holding no other claim on the
+// frame than its pin, which is why the epochs stay: MapPage alone would
+// not need them, since its map count, taken before it rechecks dead,
+// keeps the frame from reclamation by itself.
 //
 // Residency is the write side's invariant, kept under mu: the eviction
 // order and the per-inode index hold exactly the resident pages — a page
@@ -89,9 +99,9 @@ type FrameSource interface {
 // Filler performs the authoritative read that backs a cache miss: read
 // up to len(p) bytes of ino at off, returning the count. p is always one
 // whole page (len(p) == PageSize) — the caller's own page or the cache's
-// stage — so a filler may lend it whole to a read that takes a page. It
-// runs replica-locally (nr.ExecuteRead) on the inode's owner shard.
-// Reads beyond EOF return 0, not an error, mirroring fs.ReadAt.
+// stage — so a filler may lend it whole to the read. In the kernel it is
+// one replica-local NumFsReadAt on the inode's owner shard. Reads beyond
+// EOF return 0, not an error, mirroring fs.ReadAt.
 type Filler func(ino fs.Ino, off uint64, p []byte) (int, sys.Errno)
 
 // pageKey addresses one cached page.
@@ -232,12 +242,11 @@ func (c *Cache) minPinned() uint64 {
 // pages are copied out lock-free under an epoch pin; missing pages are
 // filled from the authoritative read and inserted (version-validated).
 // It returns the byte count (0 at EOF), mirroring fs.ReadAt semantics.
+// PreadMap fills a missing page with it; no copying pread calls it.
 //
 // A read spanning multiple pages assembles per-page, so under a racing
-// writer it can observe a mix of pre- and post-write pages — the same
-// page-wise atomicity Linux gives concurrent pread/write; each page is
-// individually consistent and the §3 contract is checked per
-// linearizable page transition.
+// writer it can observe a mix of pre- and post-write pages: each page is
+// individually consistent, the read as a whole is not.
 func (c *Cache) ReadAt(ino fs.Ino, off uint64, p []byte, fill Filler, hint int) (int, sys.Errno) {
 	total, errno := 0, sys.EOK
 	for total < len(p) {
@@ -256,7 +265,6 @@ func (c *Cache) ReadAt(ino fs.Ino, off uint64, p []byte, fill Filler, hint int) 
 			break // EOF inside this page
 		}
 	}
-	obs.PCacheCopyBytes.Add(uint32(c.shard), uint64(total))
 	return total, errno
 }
 

@@ -467,7 +467,7 @@ func (k *Kernel) DispatchReadInto(op *ReadOp, out *Resp) {
 	case NumPread:
 		// Positioned read: no descriptor lock and no offset mutation —
 		// that independence from descriptor state is what lets the core
-		// serve it via ExecuteRead plus the page cache instead of the
+		// serve it with replica-local reads (ExecuteRead) instead of the
 		// write log.
 		of, e := k.descriptor(op.PID, op.FD)
 		switch {

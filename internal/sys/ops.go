@@ -70,9 +70,9 @@ const (
 
 	// NumPread is the positioned read: read Len bytes at absolute
 	// offset Off without touching the descriptor's offset. Because it
-	// mutates no kernel state it is a ReadOp — core serves it from the
-	// sharded page cache (cache hits never cross the combiner) with a
-	// replica-local fill on miss.
+	// mutates no kernel state it is a ReadOp — core serves it with a
+	// replica-local descriptor resolve and one replica-local NumFsReadAt
+	// on the inode's owner shard, never crossing the combiner.
 	NumPread
 
 	// NumPreadMap / NumPreadUnmap are the zero-copy tier: a page-aligned
@@ -450,12 +450,14 @@ type ReadOp struct {
 	// contents snapshot beside the result (the owner shard's half of a
 	// witness).
 	Witness bool
-	// Dst on NumFsReadAt is a page the caller lends the read: up to a page
-	// of the file lands in it, and the reply's Data aliases it, instead of
-	// in a buffer the apply allocates. The apply runs on the caller's
-	// goroutine (ExecuteRead), so the page is written before the call
-	// returns and never after. A pointer, so ReadOp stays comparable.
-	Dst *[mmu.L1PageSize]byte
+	// Dst on NumFsReadAt is the buffer the caller lends the read: up to
+	// len(Dst) bytes of the file land in it, and the reply's Data aliases
+	// it, instead of in a buffer the apply allocates — a copying pread's
+	// destination, of any length, is filled in the one replica-local
+	// apply. The apply runs on the caller's goroutine (ExecuteRead), so
+	// the buffer is written before the call returns and never after, and
+	// nothing past the count is written. A nil Dst is the reply form.
+	Dst []byte
 }
 
 // Witness is the §3 abstraction of the one descriptor a checked

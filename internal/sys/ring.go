@@ -52,10 +52,11 @@ func OpRead(fd fs.FD, n uint64) Op { return Op{w: WriteOp{Num: NumRead, FD: fd, 
 func OpWrite(fd fs.FD, data []byte) Op { return Op{w: WriteOp{Num: NumWrite, FD: fd, Data: data}} }
 
 // OpPread enqueues pread(fd, n, off): a positioned read that leaves the
-// descriptor offset untouched. In a batch the kernel serves it from the
-// page cache after the batch's logged ops complete, so it observes every
-// write in the same batch (earlier or later — positioned reads carry no
-// submission-order guarantee against their own batch's writes).
+// descriptor offset untouched. In a batch the kernel serves it with
+// replica-local reads after the batch's logged ops complete, so it
+// observes every write in the same batch (earlier or later — positioned
+// reads carry no submission-order guarantee against their own batch's
+// writes).
 func OpPread(fd fs.FD, n, off uint64) Op {
 	return Op{w: WriteOp{Num: NumPread, FD: fd, Len: n, Off: int64(off)}}
 }

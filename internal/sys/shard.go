@@ -334,13 +334,13 @@ func (k *Kernel) runEntry(ino fs.Ino, flags int, cur, num uint64, e *WriteOp) (R
 
 // readAt is the positioned read every path that copies file bytes out
 // of the kernel ends in: up to want bytes of ino from off, into the
-// caller's page dst when it lent one (at most a page, nothing
+// caller's buffer dst when it lent one (at most len(dst), nothing
 // allocated), else into a reply buffer clamped to what the file can
 // supply.
-func (k *Kernel) readAt(ino fs.Ino, off, want uint64, dst *[mmu.L1PageSize]byte) Resp {
+func (k *Kernel) readAt(ino fs.Ino, off, want uint64, dst []byte) Resp {
 	var buf []byte
 	if dst != nil {
-		buf = dst[:min(want, mmu.L1PageSize)]
+		buf = dst[:min(want, uint64(len(dst)))]
 	} else {
 		buf = k.replyBuf(ino, off, want)
 	}

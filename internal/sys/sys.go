@@ -376,13 +376,13 @@ func (s *Sys) Read(fd fs.FD, buffer []byte) (uint64, Errno) {
 
 // Pread reads up to len(buffer) bytes at the absolute offset off,
 // without moving the descriptor's offset. Because it mutates no kernel
-// state it travels as a read op: cache hits are served from the sharded
-// page cache without crossing the NR combiner. A DestHandler is handed
-// buffer itself, so a hit costs one copy (cached frame to buffer) and the
-// reply carries no data; any other handler returns the bytes in an
-// encoded reply. In contract mode the frame's witness bit asks for the
-// file's contents on either side of the read, and what was delivered into
-// buffer must match one of them (a positioned read_spec).
+// state it travels as a read op, served by replica-local reads without
+// crossing the NR combiner. A DestHandler is handed buffer itself, so
+// the read costs one copy (file to buffer) and the reply carries no
+// data; any other handler returns the bytes in an encoded reply. In
+// contract mode the frame's witness bit asks for the file's contents as
+// the read saw them, and what was delivered into buffer must match them
+// (a positioned read_spec).
 func (s *Sys) Pread(fd fs.FD, buffer []byte, off uint64) (uint64, Errno) {
 	s.call.Lock()
 	defer s.call.Unlock()

@@ -46,8 +46,12 @@ func RegisterObligations(g *verifier.Registry) {
 			}},
 		verifier.Obligation{Module: "sys", Name: "readop-round-trip", Kind: verifier.KindRoundTrip,
 			Check: func(r *rand.Rand) error {
+				// Compared by pointer: ReadOp holds a slice (Dst), so it is
+				// not comparable, and boxing two values per iteration would
+				// allocate them.
+				var op, got ReadOp
 				for i := 0; i < 1000; i++ {
-					op := ReadOp{
+					op = ReadOp{
 						Num:  uint64(r.Intn(40)),
 						PID:  proc.PID(r.Uint64()),
 						FD:   fs.FD(r.Uint64()),
@@ -60,11 +64,11 @@ func RegisterObligations(g *verifier.Registry) {
 						Witness: r.Intn(2) == 0,
 					}
 					frame, payload := EncodeRead(op)
-					got, err := DecodeRead(frame, payload)
-					if err != nil {
+					var err error
+					if got, err = DecodeRead(frame, payload); err != nil {
 						return err
 					}
-					if got != op {
+					if !reflect.DeepEqual(&got, &op) {
 						return fmt.Errorf("read op round trip mismatch")
 					}
 				}

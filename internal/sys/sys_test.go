@@ -286,7 +286,7 @@ func TestFsReadAtIntoPageClampsHostileLengths(t *testing.T) {
 			for i := range page {
 				page[i] = 0xee
 			}
-			r := k.DispatchRead(ReadOp{Num: NumFsReadAt, Ino: st.Ino, Off: off, Len: ln, Dst: &page})
+			r := k.DispatchRead(ReadOp{Num: NumFsReadAt, Ino: st.Ino, Off: off, Len: ln, Dst: page[:]})
 			want := min(ln, mmu.L1PageSize, ClampReadLen(ln, off, size))
 			if r.Errno != EOK || r.Val != want || uint64(len(r.Data)) != want {
 				t.Errorf("off %d, Len %d: errno=%v n=%d (%d bytes of data), want %d", off, ln, r.Errno, r.Val, len(r.Data), want)

@@ -30,10 +30,11 @@
 // an optional OnComplete callback. Sys.Submit and Sys.SubmitWait are
 // shorthands over the same path.
 //
-// Positioned reads (Sys.Pread, OpPread in a batch) are served from a
-// sharded page cache with epoch-based snapshots: a cache hit never
-// crosses the kernel's operation-log combiner. Sys.PreadMap is the
-// zero-copy tier — it maps the cached page read-only into the caller's
+// Positioned reads (Sys.Pread, OpPread in a batch) are replica-local
+// reads of the file's owner replica, into the caller's buffer: they
+// never cross the kernel's operation-log combiner, and one read returns
+// one state of the file. Sys.PreadMap is the zero-copy tier — it maps a
+// page of the sharded page cache read-only into the caller's
 // address space and returns the mapping's base VA; release it with
 // Sys.PreadUnmap. See DESIGN.md, "The zero-copy read path", for when a
 // read returns a mapping versus bytes.
@@ -208,8 +209,8 @@ func OpClose(fd FD) Op                      { return sys.OpClose(fd) }
 func OpRead(fd FD, n uint64) Op             { return sys.OpRead(fd, n) }
 func OpWrite(fd FD, data []byte) Op         { return sys.OpWrite(fd, data) }
 
-// OpPread enqueues a positioned read served from the page cache after
-// the batch's logged ops complete; the descriptor offset is untouched.
+// OpPread enqueues a positioned read served after the batch's logged
+// ops complete; the descriptor offset is untouched.
 func OpPread(fd FD, n, off uint64) Op { return sys.OpPread(fd, n, off) }
 
 // OpPreadMap enqueues the zero-copy positioned read: the completion's
