@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"time"
 
 	"github.com/verified-os/vnros/internal/netstack"
 	"github.com/verified-os/vnros/internal/obs"
@@ -29,12 +28,11 @@ import (
 //     identical table. A send's admission is a replica-local read of the
 //     table: it mutates nothing, so it never enters the log.
 //   - Receive stays device-local: the queue is fed by interrupts, which
-//     are not log entries. A blocking receive parks on a per-socket
-//     wait queue rung by the stack's delivery doorbell — a
-//     completion-style wakeup instead of a poll loop — with a pump
-//     goroutine draining the interrupt controller while anyone is
-//     parked (otherwise a parked core's pending IRQs would starve:
-//     interrupt delivery normally rides syscall entry).
+//     are not log entries. The NIC's raise is taken at once, on the
+//     goroutine that delivered the frame (dev.Dispatcher is the
+//     controller's interrupt line), so nothing polls for it. A blocking
+//     receive parks on a per-socket wait queue rung by the stack's
+//     delivery doorbell — a completion-style wakeup.
 //
 // A batch's socket entries take this same path (sockEntry), after the
 // batch's file ops and outside its ctxMu section.
@@ -171,15 +169,6 @@ func (s *System) sockRecv(h *handler, op sys.WriteOp) sys.Resp {
 	}
 	block := op.Flags&sys.SockRecvBlock != 0
 	for {
-		// Drain pending interrupts before concluding the queue is
-		// empty: the calling core always, the rest only when the
-		// controller reports pending work somewhere.
-		s.Dispatcher.Poll(h.core)
-		if s.Dispatcher.HasPending() {
-			for c := 0; c < s.cfg.Cores; c++ {
-				s.Dispatcher.Poll(c)
-			}
-		}
 		r, err := ds.sock.TryRecv()
 		if err == nil {
 			return sys.Resp{Errno: sys.EOK, Val: uint64(r.From), TID: sched.TID(r.FromPort), Data: r.Payload}
@@ -194,9 +183,7 @@ func (s *System) sockRecv(h *handler, op sys.WriteOp) sys.Resp {
 			return sys.Resp{Errno: sys.ErrnoFromError(err)}
 		}
 		obs.NetRecvParks.Add(uint32(h.core), 1)
-		s.netPumpAdd()
 		ds.wq.Wait(ticket)
-		s.netPumpDone()
 		obs.NetRecvWakes.Add(uint32(h.core), 1)
 	}
 }
@@ -216,46 +203,4 @@ func (s *System) sockClose(h *handler, op sys.WriteOp) sys.Resp {
 	}
 	obs.NetSockCloses.Add(uint32(h.core), 1)
 	return tr
-}
-
-// ---- the receive pump ----
-
-// netPumpAdd registers a parked receiver and ensures the pump runs.
-func (s *System) netPumpAdd() {
-	s.pumpMu.Lock()
-	s.pumpWaiters++
-	if !s.pumpRunning {
-		s.pumpRunning = true
-		go s.netPump()
-	}
-	s.pumpMu.Unlock()
-}
-
-func (s *System) netPumpDone() {
-	s.pumpMu.Lock()
-	s.pumpWaiters--
-	s.pumpMu.Unlock()
-}
-
-// netPump drains the interrupt controller while receivers are parked.
-// Interrupt delivery normally rides syscall entry; a core parked inside
-// a blocking receive makes no syscalls, and the frame that would wake
-// it may sit as a pending IRQ on any core. The pump polls every core
-// until the last waiter unparks, then exits.
-func (s *System) netPump() {
-	for {
-		s.pumpMu.Lock()
-		active := s.pumpWaiters > 0
-		if !active {
-			s.pumpRunning = false
-		}
-		s.pumpMu.Unlock()
-		if !active {
-			return
-		}
-		for c := 0; c < s.cfg.Cores; c++ {
-			s.Dispatcher.Poll(c)
-		}
-		time.Sleep(20 * time.Microsecond)
-	}
 }

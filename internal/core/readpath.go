@@ -134,11 +134,10 @@ func (h *handler) preadReply(op sys.ReadOp) sys.Resp {
 
 // SyscallInto implements sys.DestHandler: the boundary crossing whose
 // result lands in the caller's buffer instead of a reply payload. Only
-// the positioned read has a destination; it gets the same interrupt
-// drain and kstat probe as Syscall.
+// the positioned read has a destination; it gets the same kstat probe
+// as Syscall.
 func (h *handler) SyscallInto(frame marshal.SyscallFrame, payload []byte, dst []byte) marshal.RetFrame {
 	t0 := obs.Start()
-	h.pollInterrupts()
 	ret := marshal.RetFrame{Errno: uint64(sys.EINVAL)}
 	if op, err := sys.DecodeRead(frame, payload); err == nil && op.Num == sys.NumPread {
 		// The frame's length is the caller's word; the buffer is the bound.

@@ -146,12 +146,6 @@ type System struct {
 	sockMu  sync.Mutex
 	sockets map[proc.PID]map[uint64]*devSock
 
-	// The receive pump: polls the interrupt controller while blocking
-	// receivers are parked on their doorbells (netops.go).
-	pumpMu      sync.Mutex
-	pumpWaiters int
-	pumpRunning bool
-
 	// Process bookkeeping.
 	procMu    sync.Mutex
 	nextCore  int
@@ -228,14 +222,13 @@ func Boot(cfg Config) (*System, error) {
 	if s.TimerDrv, err = dev.NewTimerDriver(m.Timer, s.Dispatcher); err != nil {
 		return nil, err
 	}
+	// The dispatcher is the controller's interrupt line, so a frame is
+	// taken by the stack on the goroutine that delivered it: the stack
+	// goes in before the NIC goes on the wire.
+	s.Net = netstack.NewStack(s.NICDrv)
 	if cfg.Network != nil {
 		cfg.Network.Attach(m.NIC)
 	}
-	s.Net = netstack.NewStack(s.NICDrv)
-	// The NIC interrupt path must run; poll from a dedicated pump when
-	// frames arrive. In this simulation, delivery raises the IRQ
-	// synchronously, so polling after attach suffices; the runtime also
-	// polls on every syscall (see handler).
 
 	// Shared data-frame allocator.
 	dataFrames := uint64(cfg.MemBytes-dataRegionOff) / mem.PageSize
@@ -618,27 +611,9 @@ func (h *handler) Syscall(frame marshal.SyscallFrame, payload []byte) (marshal.R
 	return ret, out
 }
 
-// pollInterrupts drains pending device interrupts before entering the
-// kernel proper (the simulation's interrupt delivery point). The calling
-// core is always polled; the all-core sweep — needed because the
-// interrupt controller load-balances lines round-robin and an idle
-// core's pending queue would otherwise starve — runs only when the
-// controller reports something pending anywhere (one atomic load), not
-// as an unconditional per-syscall cores-length scan.
-func (h *handler) pollInterrupts() {
-	s := h.s
-	s.Dispatcher.Poll(h.core)
-	if s.Dispatcher.HasPending() {
-		for c := 0; c < s.cfg.Cores; c++ {
-			s.Dispatcher.Poll(c)
-		}
-	}
-}
-
 // syscall is the uninstrumented dispatch body.
 func (h *handler) syscall(frame marshal.SyscallFrame, payload []byte) (marshal.RetFrame, []byte) {
 	s := h.s
-	h.pollInterrupts()
 
 	// The internal cross-shard protocol ops never cross the user
 	// boundary; a hand-rolled frame carrying one is rejected here.

@@ -20,9 +20,14 @@ import (
 	"github.com/verified-os/vnros/internal/hw/mem"
 )
 
-// Dispatcher routes IRQs to registered handlers. Handlers run on the
-// polling core's context (the simulation has no true asynchrony: the
-// kernel loop calls Poll).
+// Dispatcher is the interrupt controller's interrupt line: it routes
+// IRQs to registered handlers as they are raised. NewDispatcher
+// connects it as the controller's sink, so a raise drains the core it
+// landed on, on the raising goroutine, and the handler has run before
+// Raise returns unless another goroutine draining that core took it
+// first. No lock is held across a handler, so a handler may raise again
+// (a loopback echo re-enters the dispatcher); a raiser must hold none
+// of the locks a handler takes.
 type Dispatcher struct {
 	mu       sync.Mutex
 	ic       *machine.InterruptController
@@ -30,14 +35,12 @@ type Dispatcher struct {
 	counts   [machine.NumIRQs]uint64
 }
 
-// NewDispatcher wraps an interrupt controller.
+// NewDispatcher connects a dispatcher to an interrupt controller.
 func NewDispatcher(ic *machine.InterruptController) *Dispatcher {
-	return &Dispatcher{ic: ic}
+	d := &Dispatcher{ic: ic}
+	ic.Connect(d.drain)
+	return d
 }
-
-// HasPending reports whether any core has an undelivered IRQ (one
-// atomic load; see InterruptController.HasPending).
-func (d *Dispatcher) HasPending() bool { return d.ic.HasPending() }
 
 // Handle registers (or replaces) the handler for an IRQ line.
 func (d *Dispatcher) Handle(irq int, h func()) error {
@@ -50,14 +53,12 @@ func (d *Dispatcher) Handle(irq int, h func()) error {
 	return nil
 }
 
-// Poll drains pending interrupts for core, invoking handlers. Returns
-// the number handled.
-func (d *Dispatcher) Poll(core int) int {
-	n := 0
+// drain takes core's pending interrupts, invoking their handlers.
+func (d *Dispatcher) drain(core int) {
 	for {
 		irq := d.ic.Pending(core)
 		if irq < 0 {
-			return n
+			return
 		}
 		d.mu.Lock()
 		h := d.handlers[irq]
@@ -66,7 +67,6 @@ func (d *Dispatcher) Poll(core int) int {
 		if h != nil {
 			h()
 		}
-		n++
 	}
 }
 

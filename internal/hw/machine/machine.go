@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"github.com/verified-os/vnros/internal/hw/mem"
 	"github.com/verified-os/vnros/internal/hw/mmu"
@@ -85,18 +84,17 @@ type Core struct {
 }
 
 // InterruptController routes device interrupts to cores: a per-core
-// pending bitmask with round-robin delivery of device IRQs.
+// pending bitmask with round-robin delivery of device IRQs. A raise
+// latches the line's pending bit on its core and then, outside the
+// controller's lock, signals the sink (internal/dev's Dispatcher) with
+// that core. With no sink connected the bit stays latched until Pending
+// takes it.
 type InterruptController struct {
 	mu      sync.Mutex
 	pending []uint32 // per-core bitmask
 	next    int      // round-robin cursor for device IRQs
 	masked  uint32   // globally masked IRQ lines
-
-	// npend counts pending IRQ bits across all cores, maintained under
-	// mu but readable without it: HasPending is the hot-path "anything
-	// to deliver anywhere?" probe the syscall entry uses to decide
-	// whether a full per-core drain sweep is worth taking.
-	npend atomic.Int32
+	sink    func(core int)
 }
 
 // NewInterruptController creates a controller for n cores.
@@ -104,45 +102,49 @@ func NewInterruptController(n int) *InterruptController {
 	return &InterruptController{pending: make([]uint32, n)}
 }
 
+// Connect installs the sink a raise signals with the core it latched
+// on. The sink runs on the raising goroutine with no controller lock
+// held, so it may take Pending and raise again.
+func (ic *InterruptController) Connect(sink func(core int)) {
+	ic.mu.Lock()
+	defer ic.mu.Unlock()
+	ic.sink = sink
+}
+
 // Raise asserts an IRQ line; it is delivered to one core (round-robin),
 // unless masked.
 func (ic *InterruptController) Raise(irq int) {
 	ic.mu.Lock()
-	defer ic.mu.Unlock()
 	if irq < 0 || irq >= NumIRQs || ic.masked&(1<<uint(irq)) != 0 {
+		ic.mu.Unlock()
 		return
 	}
 	core := ic.next % len(ic.pending)
 	ic.next++
-	if ic.pending[core]&(1<<uint(irq)) == 0 {
-		ic.npend.Add(1)
-	}
-	ic.pending[core] |= 1 << uint(irq)
+	ic.latch(core, irq)
 }
 
 // RaiseOn asserts an IRQ on a specific core (IPIs, timer per-core
 // ticks).
 func (ic *InterruptController) RaiseOn(core, irq int) {
 	ic.mu.Lock()
-	defer ic.mu.Unlock()
-	if irq < 0 || irq >= NumIRQs || core < 0 || core >= len(ic.pending) {
+	if irq < 0 || irq >= NumIRQs || core < 0 || core >= len(ic.pending) || ic.masked&(1<<uint(irq)) != 0 {
+		ic.mu.Unlock()
 		return
 	}
-	if ic.masked&(1<<uint(irq)) != 0 {
-		return
-	}
-	if ic.pending[core]&(1<<uint(irq)) == 0 {
-		ic.npend.Add(1)
-	}
-	ic.pending[core] |= 1 << uint(irq)
+	ic.latch(core, irq)
 }
 
-// HasPending reports whether any core has an undelivered IRQ. One
-// atomic load, no lock: the syscall path polls only the calling core
-// and takes the all-core sweep only when this returns true, so an IRQ
-// parked on an idle core is still delivered without every syscall
-// paying a cores-length locked scan.
-func (ic *InterruptController) HasPending() bool { return ic.npend.Load() > 0 }
+// latch sets irq's pending bit on core, releases mu (held on entry) and
+// signals the sink.
+func (ic *InterruptController) latch(core, irq int) {
+	ic.pending[core] |= 1 << uint(irq)
+	sink := ic.sink
+	ic.mu.Unlock()
+	if sink != nil {
+		sink(core)
+	}
+}
 
 // Pending returns and clears the highest-priority (lowest-numbered)
 // pending IRQ for a core, or -1.
@@ -159,7 +161,6 @@ func (ic *InterruptController) Pending(core int) int {
 	for irq := 0; irq < NumIRQs; irq++ {
 		if p&(1<<uint(irq)) != 0 {
 			ic.pending[core] &^= 1 << uint(irq)
-			ic.npend.Add(-1)
 			return irq
 		}
 	}

@@ -110,10 +110,9 @@ const ringChunk = 64
 
 // subRing is the per-core submission queue: batches a process submits
 // queue here, in order, and one drainer goroutine (spawned on demand,
-// exiting when the queue empties — the receive-pump lifecycle) carries
-// them across the boundary. One submission stream per Sys handle, and
-// each handle is pinned to one core, so nothing crosses cores before
-// the NR combiner.
+// exiting when the queue empties) carries them across the boundary. One
+// submission stream per Sys handle, and each handle is pinned to one
+// core, so nothing crosses cores before the NR combiner.
 type subRing struct {
 	mu      sync.Mutex
 	q       []*Batch
@@ -297,7 +296,7 @@ func (b *Batch) readyFor(n int) bool {
 // ringEnqueue queues a prepared batch on the per-core submission ring,
 // starting the drainer if it is idle. The drainer exits when the queue
 // empties (no idle goroutine per process), and a new submission
-// restarts it — the same on-demand lifecycle as the receive pump.
+// restarts it.
 func (s *Sys) ringEnqueue(b *Batch) {
 	s.ring.mu.Lock()
 	s.ring.q = append(s.ring.q, b)

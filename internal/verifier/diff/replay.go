@@ -126,45 +126,11 @@ type replayState struct {
 // observation to the log. Only harness errors (spawn plumbing) return a
 // non-nil error; syscall errnos are observations, not failures.
 func replayOp(s *core.System, initSys *sys.Sys, st *replayState, rep *Replay, op Op) error {
-	logf := func(format string, args ...any) {
-		rep.Log = append(rep.Log, fmt.Sprintf(format, args...))
+	if applyFileOp(initSys, st.fds, "", rep, op) {
+		return nil
 	}
+	logf := rep.logger("")
 	switch op.Kind {
-	case OpOpen:
-		fd, e := initSys.Open(op.Path, op.Flags)
-		if e == sys.EOK {
-			st.fds[op.Slot] = fd
-		}
-		logf("open[%d] %s: fd=%d %v", op.Slot, op.Path, fd, e)
-	case OpClose:
-		e := initSys.Close(st.fds[op.Slot])
-		st.fds[op.Slot] = invalidFD
-		logf("close[%d]: %v", op.Slot, e)
-	case OpRead:
-		buf := make([]byte, op.N)
-		n, e := initSys.Read(st.fds[op.Slot], buf)
-		logf("read[%d] %d: n=%d sum=%x %v", op.Slot, op.N, n, sum(buf[:n]), e)
-	case OpWrite:
-		n, e := initSys.Write(st.fds[op.Slot], op.Data)
-		logf("write[%d] %d: n=%d %v", op.Slot, len(op.Data), n, e)
-	case OpSeek:
-		pos, e := initSys.Seek(st.fds[op.Slot], op.Off, op.Whence)
-		logf("seek[%d] %d,%d: pos=%d %v", op.Slot, op.Off, op.Whence, pos, e)
-	case OpPread:
-		buf := make([]byte, op.N)
-		n, e := initSys.Pread(st.fds[op.Slot], buf, uint64(op.Off))
-		logf("pread[%d] %d@%d: n=%d sum=%x %v", op.Slot, op.N, op.Off, n, sum(buf[:n]), e)
-	case OpTruncate:
-		e := initSys.Truncate(st.fds[op.Slot], uint64(op.Off))
-		logf("truncate[%d] %d: %v", op.Slot, op.Off, e)
-	case OpMkdir:
-		logf("mkdir %s: %v", op.Path, initSys.Mkdir(op.Path))
-	case OpUnlink:
-		logf("unlink %s: %v", op.Path, initSys.Unlink(op.Path))
-	case OpRename:
-		logf("rename %s %s: %v", op.Path, op.Path2, initSys.Rename(op.Path, op.Path2))
-	case OpSync:
-		logf("sync: %v", initSys.Sync())
 	case OpSpawn:
 		return replaySpawn(s, initSys, rep, op)
 	case OpSockBind:
@@ -195,13 +161,65 @@ func replayOp(s *core.System, initSys *sys.Sys, st *replayState, rep *Replay, op
 	return nil
 }
 
+// logger returns a printf that appends one observation, prefixed, to
+// the log.
+func (rep *Replay) logger(prefix string) func(format string, args ...any) {
+	return func(format string, args ...any) {
+		rep.Log = append(rep.Log, prefix+fmt.Sprintf(format, args...))
+	}
+}
+
+// applyFileOp executes one file op through sc on the fd slots fds,
+// logging its observation under prefix. It reports false, doing
+// nothing, for an op that is not a file op (spawn and socket ops).
+func applyFileOp(sc *sys.Sys, fds []fs.FD, prefix string, rep *Replay, op Op) bool {
+	logf := rep.logger(prefix)
+	switch op.Kind {
+	case OpOpen:
+		fd, e := sc.Open(op.Path, op.Flags)
+		if e == sys.EOK {
+			fds[op.Slot] = fd
+		}
+		logf("open[%d] %s: fd=%d %v", op.Slot, op.Path, fd, e)
+	case OpClose:
+		e := sc.Close(fds[op.Slot])
+		fds[op.Slot] = invalidFD
+		logf("close[%d]: %v", op.Slot, e)
+	case OpRead:
+		buf := make([]byte, op.N)
+		n, e := sc.Read(fds[op.Slot], buf)
+		logf("read[%d] %d: n=%d sum=%x %v", op.Slot, op.N, n, sum(buf[:n]), e)
+	case OpWrite:
+		n, e := sc.Write(fds[op.Slot], op.Data)
+		logf("write[%d] %d: n=%d %v", op.Slot, len(op.Data), n, e)
+	case OpSeek:
+		pos, e := sc.Seek(fds[op.Slot], op.Off, op.Whence)
+		logf("seek[%d] %d,%d: pos=%d %v", op.Slot, op.Off, op.Whence, pos, e)
+	case OpPread:
+		buf := make([]byte, op.N)
+		n, e := sc.Pread(fds[op.Slot], buf, uint64(op.Off))
+		logf("pread[%d] %d@%d: n=%d sum=%x %v", op.Slot, op.N, op.Off, n, sum(buf[:n]), e)
+	case OpTruncate:
+		logf("truncate[%d] %d: %v", op.Slot, op.Off, sc.Truncate(fds[op.Slot], uint64(op.Off)))
+	case OpMkdir:
+		logf("mkdir %s: %v", op.Path, sc.Mkdir(op.Path))
+	case OpUnlink:
+		logf("unlink %s: %v", op.Path, sc.Unlink(op.Path))
+	case OpRename:
+		logf("rename %s %s: %v", op.Path, op.Path2, sc.Rename(op.Path, op.Path2))
+	case OpSync:
+		logf("sync: %v", sc.Sync())
+	default:
+		return false
+	}
+	return true
+}
+
 // replaySpawn runs the child script in a spawned process (its own fd
 // slots), waits for it, and reaps it — sequentially, so PIDs, exit
-// codes, and all child observations are deterministic.
+// codes, and all child observations are deterministic. The generator
+// puts only file ops in a child's script.
 func replaySpawn(s *core.System, initSys *sys.Sys, rep *Replay, op Op) error {
-	logf := func(format string, args ...any) {
-		rep.Log = append(rep.Log, fmt.Sprintf(format, args...))
-	}
 	done := make(chan struct{})
 	_, err := s.Run(initSys, "difftracechild", func(p *core.Process) int {
 		defer close(done)
@@ -210,44 +228,7 @@ func replaySpawn(s *core.System, initSys *sys.Sys, rep *Replay, op Op) error {
 			cfds[i] = invalidFD
 		}
 		for _, c := range op.Child {
-			switch c.Kind {
-			case OpOpen:
-				fd, e := p.Sys.Open(c.Path, c.Flags)
-				if e == sys.EOK {
-					cfds[c.Slot] = fd
-				}
-				logf("child open[%d] %s: fd=%d %v", c.Slot, c.Path, fd, e)
-			case OpClose:
-				e := p.Sys.Close(cfds[c.Slot])
-				cfds[c.Slot] = invalidFD
-				logf("child close[%d]: %v", c.Slot, e)
-			case OpRead:
-				buf := make([]byte, c.N)
-				n, e := p.Sys.Read(cfds[c.Slot], buf)
-				logf("child read[%d] %d: n=%d sum=%x %v", c.Slot, c.N, n, sum(buf[:n]), e)
-			case OpWrite:
-				n, e := p.Sys.Write(cfds[c.Slot], c.Data)
-				logf("child write[%d] %d: n=%d %v", c.Slot, len(c.Data), n, e)
-			case OpSeek:
-				pos, e := p.Sys.Seek(cfds[c.Slot], c.Off, c.Whence)
-				logf("child seek[%d] %d,%d: pos=%d %v", c.Slot, c.Off, c.Whence, pos, e)
-			case OpPread:
-				buf := make([]byte, c.N)
-				n, e := p.Sys.Pread(cfds[c.Slot], buf, uint64(c.Off))
-				logf("child pread[%d] %d@%d: n=%d sum=%x %v", c.Slot, c.N, c.Off, n, sum(buf[:n]), e)
-			case OpTruncate:
-				logf("child truncate[%d] %d: %v", c.Slot, c.Off, p.Sys.Truncate(cfds[c.Slot], uint64(c.Off)))
-			case OpMkdir:
-				logf("child mkdir %s: %v", c.Path, p.Sys.Mkdir(c.Path))
-			case OpUnlink:
-				logf("child unlink %s: %v", c.Path, p.Sys.Unlink(c.Path))
-			case OpRename:
-				logf("child rename %s %s: %v", c.Path, c.Path2, p.Sys.Rename(c.Path, c.Path2))
-			case OpSync:
-				logf("child sync: %v", p.Sys.Sync())
-			default:
-				// Generator never puts spawn/socket ops in children.
-			}
+			applyFileOp(p.Sys, cfds, "child ", rep, c)
 		}
 		return op.Code
 	})
@@ -257,7 +238,7 @@ func replaySpawn(s *core.System, initSys *sys.Sys, rep *Replay, op Op) error {
 	<-done
 	s.WaitAll()
 	res, e := initSys.Wait()
-	logf("wait: pid=%d code=%d %v", res.PID, res.ExitCode, e)
+	rep.logger("")("wait: pid=%d code=%d %v", res.PID, res.ExitCode, e)
 	return nil
 }
 
