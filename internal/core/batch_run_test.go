@@ -168,14 +168,3 @@ func TestBatchRunIsAtomicPerDescriptor(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestShardedBatchRefinesMonolithicBatch runs the VC
-// core:sharded-batch-refines-monolithic-batch over more seeds than one
-// verifier pass draws.
-func TestShardedBatchRefinesMonolithicBatch(t *testing.T) {
-	for seed := int64(1); seed <= 24; seed++ {
-		if err := shardBatchRefinementCheck(rand.New(rand.NewSource(seed))); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-	}
-}

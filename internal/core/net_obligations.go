@@ -22,26 +22,13 @@ func registerNetObligations(g *verifier.Registry) {
 	g.Register(
 		verifier.Obligation{Module: "core", Name: "socket-refines-connection-spec", Kind: verifier.KindRefinement,
 			Check: func(r *rand.Rand) error {
-				if err := sockSpecRun(r, 0); err != nil {
-					return fmt.Errorf("monolithic: %w", err)
-				}
-				return sockSpecRunErr(sockSpecRun(r, 2), "sharded")
+				return forShards([]int{0, 2}, func(n int) error { return sockSpecRun(r, n) })
 			}},
 		verifier.Obligation{Module: "core", Name: "socket-table-matches-device", Kind: verifier.KindInvariant,
 			Check: func(r *rand.Rand) error {
-				if err := sockTableAgreementRun(r, 0); err != nil {
-					return fmt.Errorf("monolithic: %w", err)
-				}
-				return sockSpecRunErr(sockTableAgreementRun(r, 2), "sharded")
+				return forShards([]int{0, 2}, func(n int) error { return sockTableAgreementRun(r, n) })
 			}},
 	)
-}
-
-func sockSpecRunErr(err error, mode string) error {
-	if err != nil {
-		return fmt.Errorf("%s: %w", mode, err)
-	}
-	return nil
 }
 
 // sockSpecRun drives one process through a random socket-op sequence,

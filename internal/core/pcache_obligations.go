@@ -33,17 +33,15 @@ func registerPCacheObligations(g *verifier.Registry) {
 	g.Register(
 		verifier.Obligation{Module: "core", Name: "read-mapping-refines-copy", Kind: verifier.KindRefinement,
 			Check: func(r *rand.Rand) error {
-				if err := readMappingWorkload(r, Config{Cores: 2, MemBytes: 256 << 20}); err != nil {
-					return fmt.Errorf("monolithic: %w", err)
-				}
-				return readMappingWorkload(r, Config{Cores: 4, Shards: 4, MemBytes: 256 << 20})
+				return forShards([]int{0, 4}, func(n int) error {
+					return readMappingWorkload(r, Config{Cores: max(2, n), Shards: n, MemBytes: 256 << 20})
+				})
 			}},
 		verifier.Obligation{Module: "core", Name: "pread-refines-sequential-read", Kind: verifier.KindRefinement,
 			Check: func(r *rand.Rand) error {
-				if err := preadAgreementWorkload(r, Config{Cores: 2, MemBytes: 256 << 20}); err != nil {
-					return fmt.Errorf("monolithic: %w", err)
-				}
-				return preadAgreementWorkload(r, Config{Cores: 4, Shards: 4, MemBytes: 256 << 20})
+				return forShards([]int{0, 4}, func(n int) error {
+					return preadAgreementWorkload(r, Config{Cores: max(2, n), Shards: n, MemBytes: 256 << 20})
+				})
 			}},
 	)
 }

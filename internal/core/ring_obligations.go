@@ -22,11 +22,8 @@ func registerRingWaitObligations(g *verifier.Registry) {
 		verifier.Obligation{Module: "core", Name: "ring-wait-no-lost-wakeup", Kind: verifier.KindModelCheck,
 			Budget: func(r *rand.Rand, budget int) error {
 				for b := 0; b < budget; b++ {
-					if err := ringWaitRun(r, 0); err != nil {
-						return fmt.Errorf("monolithic: %w", err)
-					}
-					if err := ringWaitRun(r, 2); err != nil {
-						return fmt.Errorf("sharded: %w", err)
+					if err := forShards([]int{0, 2}, func(n int) error { return ringWaitRun(r, n) }); err != nil {
+						return err
 					}
 				}
 				return nil

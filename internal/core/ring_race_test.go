@@ -38,7 +38,7 @@ func TestRingConcurrentSubmit(t *testing.T) {
 				// Async submit, then a scalar syscall on the same handle
 				// while the batch may still be in flight — the handler
 				// must serialize the NR context underneath.
-				b := p.Sys.Submit(ops)
+				b := p.Sys.SubmitOpts(ops, sys.SubmitOptions{})
 				if _, e := p.Sys.GetPID(); e != sys.EOK {
 					errs <- fmt.Errorf("getpid during batch: %v", e)
 					return 1

@@ -79,19 +79,12 @@ func TestShardedFileSyscalls(t *testing.T) {
 	if st, e = initSys.Stat("/d/f"); e != sys.EOK || st.Size != 5 {
 		t.Fatalf("stat after truncate: %+v %v", st, e)
 	}
-	// Append resolves EOF on the owner shard. Use an uncontracted handle:
-	// write_spec models a cursor write, so an OAppend write is outside
-	// the per-descriptor contract in monolithic mode too.
-	ah, err := s.newHandler(s.pickCore())
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := sys.NewSys(proc.InitPID, ah)
-	afd, e := raw.Open("/d/f", fs.OWrOnly|fs.OAppend)
+	// Append resolves EOF on the owner shard.
+	afd, e := initSys.Open("/d/f", fs.OWrOnly|fs.OAppend)
 	if e != sys.EOK {
 		t.Fatalf("open append: %v", e)
 	}
-	if _, e := raw.Write(afd, []byte("++")); e != sys.EOK {
+	if _, e := initSys.Write(afd, []byte("++")); e != sys.EOK {
 		t.Fatalf("append: %v", e)
 	}
 	if st, e = initSys.Stat("/d/f"); e != sys.EOK || st.Size != 7 {
@@ -117,7 +110,7 @@ func TestShardedFileSyscalls(t *testing.T) {
 	if e := initSys.Close(fd); e != sys.EOK {
 		t.Fatalf("close: %v", e)
 	}
-	if e := raw.Close(afd); e != sys.EOK {
+	if e := initSys.Close(afd); e != sys.EOK {
 		t.Fatalf("close append fd: %v", e)
 	}
 	if err := initSys.ContractErr(); err != nil {

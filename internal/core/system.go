@@ -538,7 +538,7 @@ type handler struct {
 	s    *System
 	core int
 	// ctxMu serializes use of the NR thread context: an asynchronous
-	// batch submission (Sys.Submit) crosses the boundary from its own
+	// batch submission (Batch.Submit) crosses the boundary from its own
 	// goroutine, so a process's batch and its scalar syscalls can arrive
 	// concurrently on the same handler. Local ops (futex, sockets, raw
 	// memory) stay outside the mutex — FutexWait blocks, and holding

@@ -57,7 +57,7 @@ const (
 	NumMemCAS
 
 	// NumBatch carries a vector of batchable write ops (the submission
-	// ring, Sys.Submit): core decodes it and drains the vector through
+	// ring, Batch.Submit): core decodes it and drains the vector through
 	// one NR combiner round (sharded: three per descriptor run).
 	NumBatch
 

@@ -162,7 +162,7 @@ func TestSubmitBatchFlow(t *testing.T) {
 
 func TestSubmitEmptyAndAsync(t *testing.T) {
 	_, s := newSysPair(t)
-	if comps, err := s.Submit(nil).Wait(); err != ErrBatchEmpty || comps != nil {
+	if comps, err := s.SubmitOpts(nil, SubmitOptions{}).Wait(); err != ErrBatchEmpty || comps != nil {
 		t.Errorf("empty submit = %v, %v (want ErrBatchEmpty)", comps, err)
 	}
 	// Async: the caller may do work between Submit and Wait.
@@ -170,7 +170,7 @@ func TestSubmitEmptyAndAsync(t *testing.T) {
 	if e != EOK {
 		t.Fatal(e)
 	}
-	b := s.Submit([]Op{OpWrite(fd, []byte("deferred"))})
+	b := s.SubmitOpts([]Op{OpWrite(fd, []byte("deferred"))}, SubmitOptions{})
 	comps, err := b.Wait()
 	if err != nil || comps[0].Errno != EOK || comps[0].Val != 8 {
 		t.Fatalf("async batch: %+v %v", comps, err)

@@ -354,14 +354,10 @@ func (s *Sys) drain(b *Batch) {
 	b.finish(EOK)
 }
 
-// Submit enqueues ops with default options (blocking reap) and crosses
-// the boundary asynchronously; reap the returned Batch with Wait. Kept
-// as the PR-2 API shape: a thin wrapper over NewBatch/Add/Submit.
-func (s *Sys) Submit(ops []Op) *Batch { return s.SubmitOpts(ops, SubmitOptions{}) }
-
-// SubmitOpts is Submit with explicit options (wait mode, completion
-// callback). Submission errors are deferred to Wait, which reports them
-// as the batch-level error.
+// SubmitOpts enqueues ops with the given options (wait mode, completion
+// callback) and crosses the boundary asynchronously; reap the returned
+// Batch with Wait. Submission errors are deferred to Wait, which
+// reports them as the batch-level error.
 func (s *Sys) SubmitOpts(ops []Op, opts SubmitOptions) *Batch {
 	b := s.NewBatch(opts).Add(ops...)
 	if len(ops) == 0 {

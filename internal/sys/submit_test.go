@@ -30,8 +30,8 @@ func TestBatchMisuseEmptySubmit(t *testing.T) {
 	if err := s.NewBatch(SubmitOptions{}).Submit(); err != ErrBatchEmpty {
 		t.Fatalf("empty submit: %v, want ErrBatchEmpty", err)
 	}
-	if comps, err := s.Submit(nil).Wait(); err != ErrBatchEmpty || comps != nil {
-		t.Fatalf("empty Submit().Wait() = %v, %v, want ErrBatchEmpty", comps, err)
+	if comps, err := s.SubmitOpts(nil, SubmitOptions{}).Wait(); err != ErrBatchEmpty || comps != nil {
+		t.Fatalf("empty SubmitOpts().Wait() = %v, %v, want ErrBatchEmpty", comps, err)
 	}
 }
 

@@ -18,10 +18,14 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
-// TestOneTraceDifferential runs the full kernel matrix (monolith,
-// sharded, both crash-recovered) on a handful of fixed seeds.
+// TestOneTraceDifferential runs the full kernel matrix (every shape of
+// shapes, each crash-recovered) on a handful of fixed seeds.
 func TestOneTraceDifferential(t *testing.T) {
-	for _, seed := range []int64{1, 7919, 39595} {
+	seeds := []int64{7919, 39595}
+	for seed := int64(1); seed <= 24; seed++ {
+		seeds = append(seeds, seed)
+	}
+	for _, seed := range seeds {
 		if err := oneTraceDifferential(seed, 40); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -52,22 +56,15 @@ func TestDiffLinesDetects(t *testing.T) {
 }
 
 // TestReplayCapturesState checks the replayer produces a non-trivial
-// observation log and state capture, and that recovery reproduces the
-// live durable file state on a monolithic kernel.
+// observation log, state capture and recovered file state on a
+// co-located kernel.
 func TestReplayCapturesState(t *testing.T) {
-	tr := Generate(7, 30)
-	rep, sys, err := Run(kernelConfig(0), tr)
+	rep, err := Observe(0, Generate(7, 30))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Log) == 0 || len(rep.State) == 0 {
-		t.Fatalf("empty observations: %d log, %d state lines", len(rep.Log), len(rep.State))
-	}
-	rec, err := RecoverFiles(sys, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := DiffLines("live", rep.Files, "recovered", rec); err != nil {
-		t.Fatalf("synced file state did not survive recovery: %v", err)
+	if len(rep.Log) == 0 || len(rep.State) == 0 || len(rep.Recovered) == 0 {
+		t.Fatalf("empty observations: %d log, %d state, %d recovered lines",
+			len(rep.Log), len(rep.State), len(rep.Recovered))
 	}
 }

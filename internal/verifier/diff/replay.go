@@ -23,12 +23,14 @@ const invalidFD = fs.FD(1 << 20)
 
 // Replay is one kernel's full observation of a trace: the per-op log,
 // the final observable state (file tree + contents, fd offsets, port
-// table), and the durable subset (files only — what must survive a
-// crash given the trace's trailing Sync).
+// table), the durable subset (files only — what must survive a crash
+// given the trace's trailing Sync), and the files a crash-recovered
+// reboot of the kernel reads back.
 type Replay struct {
-	Log   []string
-	State []string
-	Files []string
+	Log       []string
+	State     []string
+	Files     []string
+	Recovered []string
 }
 
 // kernelConfig builds the boot config for one differential kernel:
@@ -46,11 +48,29 @@ func kernelConfig(shards int) core.Config {
 	}
 }
 
-// Run boots a kernel, replays the trace, captures the observable state,
+// Observe replays the trace on a kernel with the given shard count,
+// then crashes it (no shutdown — the disk is simply frozen) and reboots
+// it through WAL recovery: the durable file state must survive
+// byte-for-byte.
+func Observe(shards int, tr Trace) (*Replay, error) {
+	rep, s, err := run(kernelConfig(shards), tr)
+	if err != nil {
+		return nil, err
+	}
+	if rep.Recovered, err = recoverFiles(s, shards); err != nil {
+		return nil, fmt.Errorf("trace seed %d: %w", tr.Seed, err)
+	}
+	if err := DiffLines("live", rep.Files, "recovered", rep.Recovered); err != nil {
+		return nil, fmt.Errorf("trace seed %d: synced state lost or ghosted across a crash: %w", tr.Seed, err)
+	}
+	return rep, nil
+}
+
+// run boots a kernel, replays the trace, captures the observable state,
 // and runs the kernel's own self-checks (contract, replica agreement,
 // structural invariants). The returned System is still live — the
 // caller may "crash" it by booting a recovery kernel from its disk.
-func Run(cfg core.Config, tr Trace) (*Replay, *core.System, error) {
+func run(cfg core.Config, tr Trace) (*Replay, *core.System, error) {
 	s, err := core.Boot(cfg)
 	if err != nil {
 		return nil, nil, err
@@ -88,9 +108,9 @@ func Run(cfg core.Config, tr Trace) (*Replay, *core.System, error) {
 	return rep, s, nil
 }
 
-// RecoverFiles "reboots" a crashed kernel from disk (WAL replay) and
+// recoverFiles "reboots" a crashed kernel from disk (WAL replay) and
 // captures the durable file state.
-func RecoverFiles(crashed *core.System, shards int) ([]string, error) {
+func recoverFiles(crashed *core.System, shards int) ([]string, error) {
 	cfg := kernelConfig(shards)
 	cfg.RestoreFS = true
 	cfg.BootDisk = crashed.BlockDev
@@ -207,18 +227,91 @@ func applyFileOp(sc *sys.Sys, fds []fs.FD, prefix string, rep *Replay, op Op) bo
 		logf("unlink %s: %v", op.Path, sc.Unlink(op.Path))
 	case OpRename:
 		logf("rename %s %s: %v", op.Path, op.Path2, sc.Rename(op.Path, op.Path2))
+	case OpLink:
+		logf("link %s %s: %v", op.Path, op.Path2, sc.Link(op.Path, op.Path2))
+	case OpRmdir:
+		logf("rmdir %s: %v", op.Path, sc.Rmdir(op.Path))
+	case OpStat:
+		st, e := sc.Stat(op.Path)
+		logf("stat %s: kind=%v size=%d nlink=%d %v", op.Path, st.Kind, st.Size, st.Nlink, e)
+	case OpReadDir:
+		ents, e := sc.ReadDir(op.Path)
+		names := make([]string, len(ents))
+		for i, ent := range ents {
+			names[i] = ent.Name
+		}
+		logf("readdir %s: %v %v", op.Path, names, e)
 	case OpSync:
 		logf("sync: %v", sc.Sync())
+	case OpBatch:
+		replayBatch(sc, fds, logf, op.Ops)
 	default:
 		return false
 	}
 	return true
 }
 
+// replayBatch submits ops as one ring batch on the descriptors the
+// slots hold now and logs every completion. A slot an entry opens or
+// closes takes its new value only after the batch: no entry uses a
+// descriptor opened in its own batch.
+func replayBatch(sc *sys.Sys, fds []fs.FD, logf func(string, ...any), ops []Op) {
+	b := sc.NewBatch(sys.SubmitOptions{})
+	for _, op := range ops {
+		b.Add(op.ringOp(fds))
+	}
+	var comps []sys.Completion
+	err := b.Submit()
+	if err == nil {
+		comps, err = b.Wait()
+	}
+	logf("batch %d: %v", len(ops), err)
+	for i, c := range comps {
+		logf("  %d %s: %v val=%d sum=%x", i, sys.OpName(c.Op), c.Errno, c.Val, sum(c.Data))
+		switch {
+		case ops[i].Kind == OpClose:
+			fds[ops[i].Slot] = invalidFD
+		case ops[i].Kind == OpOpen && c.Errno == sys.EOK:
+			fds[ops[i].Slot] = fs.FD(c.Val)
+		}
+	}
+}
+
+// ringOp is op as a batch entry on the descriptors fds holds.
+func (op Op) ringOp(fds []fs.FD) sys.Op {
+	switch op.Kind {
+	case OpOpen:
+		return sys.OpOpen(op.Path, op.Flags)
+	case OpClose:
+		return sys.OpClose(fds[op.Slot])
+	case OpRead:
+		return sys.OpRead(fds[op.Slot], op.N)
+	case OpWrite:
+		return sys.OpWrite(fds[op.Slot], op.Data)
+	case OpSeek:
+		return sys.OpSeek(fds[op.Slot], op.Off, op.Whence)
+	case OpPread:
+		return sys.OpPread(fds[op.Slot], op.N, uint64(op.Off))
+	case OpTruncate:
+		return sys.OpTruncate(fds[op.Slot], uint64(op.Off))
+	case OpMkdir:
+		return sys.OpMkdir(op.Path)
+	case OpUnlink:
+		return sys.OpUnlink(op.Path)
+	case OpRename:
+		return sys.OpRename(op.Path, op.Path2)
+	case OpLink:
+		return sys.OpLink(op.Path, op.Path2)
+	case OpRmdir:
+		return sys.OpRmdir(op.Path)
+	}
+	panic(fmt.Sprintf("diff: %s is not a batch entry", op.Kind))
+}
+
 // replaySpawn runs the child script in a spawned process (its own fd
 // slots), waits for it, and reaps it — sequentially, so PIDs, exit
 // codes, and all child observations are deterministic. The generator
-// puts only file ops in a child's script.
+// puts only file ops and batches in a child's script.
 func replaySpawn(s *core.System, initSys *sys.Sys, rep *Replay, op Op) error {
 	done := make(chan struct{})
 	_, err := s.Run(initSys, "difftracechild", func(p *core.Process) int {
@@ -227,7 +320,7 @@ func replaySpawn(s *core.System, initSys *sys.Sys, rep *Replay, op Op) error {
 		for i := range cfds {
 			cfds[i] = invalidFD
 		}
-		for _, c := range op.Child {
+		for _, c := range op.Ops {
 			applyFileOp(p.Sys, cfds, "child ", rep, c)
 		}
 		return op.Code

@@ -1,14 +1,18 @@
 // Package diff is the differential verification harness: it generates
 // randomized syscall traces and replays each one against multiple
-// implementations of the same kernel specification — the monolithic
-// single-NR kernel, the sharded kernel, and their WAL-crash-recovered
-// reboots — then diffs every observable: per-op results, the file tree
-// and contents, the caller's descriptor table, the reaped process tree,
-// and the bound-port table. Any divergence is a refinement violation
-// caught end-to-end, converting the per-subsystem refinement VCs into
-// one continuously fuzzed whole-system property (the separation-kernel
-// survey's cross-implementation differential checking, applied to our
-// own kernels).
+// implementations of the same kernel specification — the kernel matrix
+// (shapes): the co-located single-NR kernel (Shards 0) and the kernel
+// partitioned over 2 and 4 shards, each journaled and each rebooted
+// from its crashed disk — then diffs every observable against Shards
+// 0's: per-op results (ring batches completion by completion), the file
+// tree and contents, the caller's descriptor table, the reaped process
+// tree, the bound-port table, and the recovered files. This is the one
+// place the same syscalls are replayed on several kernel shapes. Any
+// divergence is a refinement violation caught end-to-end, converting
+// the per-subsystem refinement VCs into one continuously fuzzed
+// whole-system property (the separation-kernel survey's
+// cross-implementation differential checking, applied to our own
+// kernels).
 //
 // Traces are pure data: the generator consumes randomness, the replayer
 // consumes none, so the same Trace replays bit-identically on every
@@ -41,8 +45,13 @@ const (
 	OpMkdir
 	OpUnlink
 	OpRename
+	OpLink
+	OpRmdir
+	OpStat
+	OpReadDir
 	OpSync
-	OpSpawn // run Child ops in a spawned process, exit Code, reap it
+	OpBatch // submit Ops as one ring batch and wait for it
+	OpSpawn // run Ops in a spawned process, exit Code, reap it
 	OpSockBind
 	OpSockPing // send to the slot's own bound port, then blocking-recv
 	OpSockClose
@@ -52,7 +61,8 @@ var opNames = map[OpKind]string{
 	OpOpen: "open", OpClose: "close", OpRead: "read", OpWrite: "write",
 	OpSeek: "seek", OpPread: "pread", OpTruncate: "truncate",
 	OpMkdir: "mkdir", OpUnlink: "unlink", OpRename: "rename",
-	OpSync: "sync", OpSpawn: "spawn", OpSockBind: "sockbind",
+	OpLink: "link", OpRmdir: "rmdir", OpStat: "stat", OpReadDir: "readdir",
+	OpSync: "sync", OpBatch: "batch", OpSpawn: "spawn", OpSockBind: "sockbind",
 	OpSockPing: "sockping", OpSockClose: "sockclose",
 }
 
@@ -74,7 +84,7 @@ type Op struct {
 	Flags  sys.OpenFlag // open flags
 	Port   sys.Port     // sockbind port
 	Code   int          // spawn: child exit code
-	Child  []Op         // spawn: the child's script (no nested spawns)
+	Ops    []Op         // batch: its entries; spawn: the child's script
 }
 
 // Trace is one generated syscall script plus the slot/port geometry the
@@ -91,10 +101,11 @@ type Trace struct {
 // collisions (EEXIST, EADDRINUSE, EBADF) happen often enough to diff
 // the error paths too.
 const (
-	genFDSlots = 5
-	genSkSlots = 3
-	genDirs    = 2
-	genFiles   = 6
+	genFDSlots  = 5
+	genSkSlots  = 3
+	genDirs     = 2
+	genFiles    = 4
+	genBatchMax = 24
 )
 
 func genPorts() []sys.Port { return []sys.Port{7300, 7301, 7302} }
@@ -104,9 +115,14 @@ func genPorts() []sys.Port { return []sys.Port{7300, 7301, 7302} }
 func Generate(seed int64, n int) Trace {
 	r := rand.New(rand.NewSource(seed))
 	tr := Trace{Seed: seed, FDSlots: genFDSlots, SkSlots: genSkSlots, Ports: genPorts()}
-	// A deterministic preamble so most ops land on existing objects.
+	// A deterministic preamble so most ops land on existing objects: the
+	// directories, and a file open in every slot but the last two.
 	for d := 0; d < genDirs; d++ {
 		tr.Ops = append(tr.Ops, Op{Kind: OpMkdir, Path: dirPath(d)})
+	}
+	for slot := 0; slot < genFDSlots-2; slot++ {
+		tr.Ops = append(tr.Ops, Op{Kind: OpOpen, Slot: slot,
+			Path: fmt.Sprintf("%s/f%d", dirPath(slot%genDirs), slot), Flags: sys.OCreate | sys.ORdWr})
 	}
 	tr.Ops = append(tr.Ops, genOps(r, n, true)...)
 	tr.Ops = append(tr.Ops, Op{Kind: OpSync})
@@ -115,8 +131,19 @@ func Generate(seed int64, n int) Trace {
 
 func dirPath(d int) string { return fmt.Sprintf("/d%d", d) }
 
+// anyDir is one of the preamble's directories or one of two that come
+// and go.
+func anyDir(r *rand.Rand) string { return dirPath(r.Intn(genDirs + 2)) }
+
+// filePath is a file in one of the preamble's directories, or one time
+// in eight in a directory that exists only while a namespace op has
+// made it (ENOENT otherwise).
 func filePath(r *rand.Rand) string {
-	return fmt.Sprintf("%s/f%d", dirPath(r.Intn(genDirs)), r.Intn(genFiles))
+	d := r.Intn(genDirs)
+	if r.Intn(8) == 0 {
+		d = genDirs
+	}
+	return fmt.Sprintf("%s/f%d", dirPath(d), r.Intn(genFiles))
 }
 
 func payload(r *rand.Rand, n int) []byte {
@@ -125,52 +152,28 @@ func payload(r *rand.Rand, n int) []byte {
 	return p
 }
 
-// genOps emits about n random ops; spawn is only allowed at the top
-// level (children get a flat file-op script of their own).
-func genOps(r *rand.Rand, n int, allowSpawn bool) []Op {
+// genOps emits about n random ops; spawn and socket ops are only
+// generated at the top level (children get a file-op script of their
+// own).
+func genOps(r *rand.Rand, n int, top bool) []Op {
 	var ops []Op
 	for i := 0; i < n; i++ {
-		switch k := r.Intn(20); {
-		case k < 4: // open
-			flags := sys.ORdWr
-			if r.Intn(2) == 0 {
-				flags |= sys.OCreate
-			}
-			if r.Intn(6) == 0 {
-				flags |= sys.OTrunc
-			}
-			if r.Intn(8) == 0 {
-				flags |= sys.OAppend
-			}
-			ops = append(ops, Op{Kind: OpOpen, Slot: r.Intn(genFDSlots), Path: filePath(r), Flags: flags})
-		case k < 8: // write
-			ops = append(ops, Op{Kind: OpWrite, Slot: r.Intn(genFDSlots), Data: payload(r, 600)})
-		case k < 11: // read
-			ops = append(ops, Op{Kind: OpRead, Slot: r.Intn(genFDSlots), N: uint64(1 + r.Intn(400))})
-		case k < 13: // seek
-			ops = append(ops, Op{Kind: OpSeek, Slot: r.Intn(genFDSlots),
-				Off: int64(r.Intn(300)) - 100, Whence: r.Intn(3)})
-		case k < 15: // pread
-			ops = append(ops, Op{Kind: OpPread, Slot: r.Intn(genFDSlots),
-				N: uint64(1 + r.Intn(300)), Off: int64(r.Intn(500))})
-		case k == 15: // close
-			ops = append(ops, Op{Kind: OpClose, Slot: r.Intn(genFDSlots)})
-		case k == 16: // namespace churn
-			switch r.Intn(4) {
-			case 0:
-				ops = append(ops, Op{Kind: OpTruncate, Slot: r.Intn(genFDSlots), Off: int64(r.Intn(400))})
-			case 1:
-				ops = append(ops, Op{Kind: OpUnlink, Path: filePath(r)})
-			case 2:
-				ops = append(ops, Op{Kind: OpRename, Path: filePath(r), Path2: filePath(r)})
-			default:
-				ops = append(ops, Op{Kind: OpMkdir, Path: fmt.Sprintf("/d%d", r.Intn(genDirs+2))})
-			}
+		switch k := r.Intn(24); {
+		case k < 17:
+			ops = append(ops, genFileOp(r, r.Intn(genFDSlots)))
 		case k == 17: // sync mid-trace
 			ops = append(ops, Op{Kind: OpSync})
-		case k == 18 && allowSpawn: // spawn a child with its own script
+		case k == 18:
+			ops = append(ops, Op{Kind: OpStat, Path: filePath(r)})
+		case k == 19:
+			ops = append(ops, Op{Kind: OpReadDir, Path: anyDir(r)})
+		case k < 22:
+			ops = append(ops, genBatch(r))
+		case !top:
+			ops = append(ops, genFileOp(r, r.Intn(genFDSlots)))
+		case k == 22: // spawn a child with its own script
 			ops = append(ops, Op{Kind: OpSpawn, Code: r.Intn(64),
-				Child: genOps(r, 3+r.Intn(6), false)})
+				Ops: genOps(r, 3+r.Intn(6), false)})
 		default: // socket ops
 			slot := r.Intn(genSkSlots)
 			switch r.Intn(3) {
@@ -187,13 +190,79 @@ func genOps(r *rand.Rand, n int, allowSpawn bool) []Op {
 	return ops
 }
 
+// genFileOp draws one op a batch can carry; descriptor ops use slot.
+// Opens are read-only or write-only one time in two, so EPERM entries
+// land mid-run; a write is empty one time in eight; a seek's whence is
+// invalid one time in four.
+func genFileOp(r *rand.Rand, slot int) Op {
+	switch k := r.Intn(17); {
+	case k < 3:
+		flags := []sys.OpenFlag{sys.ORdWr, sys.ORdWr, sys.ORdOnly, sys.OWrOnly}[r.Intn(4)]
+		if r.Intn(4) != 0 {
+			flags |= sys.OCreate
+		}
+		if r.Intn(3) == 0 && flags&sys.ORdOnly == 0 {
+			flags |= sys.OTrunc
+		}
+		if r.Intn(4) == 0 {
+			flags |= sys.OAppend
+		}
+		return Op{Kind: OpOpen, Slot: slot, Path: filePath(r), Flags: flags}
+	case k < 7:
+		data := payload(r, 600)
+		if r.Intn(8) == 0 {
+			data = data[:0]
+		}
+		return Op{Kind: OpWrite, Slot: slot, Data: data}
+	case k < 10:
+		return Op{Kind: OpRead, Slot: slot, N: uint64(1 + r.Intn(400))}
+	case k < 12:
+		return Op{Kind: OpSeek, Slot: slot, Off: int64(r.Intn(300)) - 100, Whence: r.Intn(4)}
+	case k < 14:
+		return Op{Kind: OpPread, Slot: slot, N: uint64(1 + r.Intn(300)), Off: int64(r.Intn(500))}
+	case k == 14:
+		return Op{Kind: OpClose, Slot: slot}
+	case k == 15:
+		return Op{Kind: OpTruncate, Slot: slot, Off: int64(r.Intn(400))}
+	}
+	switch r.Intn(6) { // namespace churn
+	case 0:
+		return Op{Kind: OpUnlink, Path: filePath(r)}
+	case 1:
+		return Op{Kind: OpRename, Path: filePath(r), Path2: filePath(r)}
+	case 2:
+		return Op{Kind: OpLink, Path: filePath(r), Path2: filePath(r)}
+	case 3:
+		return Op{Kind: OpRmdir, Path: anyDir(r)}
+	default:
+		return Op{Kind: OpMkdir, Path: anyDir(r)}
+	}
+}
+
+// genBatch draws a batch of 1 to genBatchMax file ops. An entry
+// usually stays on the previous entry's descriptor slot, so descriptor
+// runs form, and sometimes moves, so they break.
+func genBatch(r *rand.Rand) Op {
+	ops := make([]Op, 1+r.Intn(genBatchMax))
+	slot := r.Intn(genFDSlots)
+	for i := range ops {
+		if r.Intn(10) < 3 {
+			slot = r.Intn(genFDSlots)
+		}
+		ops[i] = genFileOp(r, slot)
+	}
+	return Op{Kind: OpBatch, Ops: ops}
+}
+
 // Render prints a trace op compactly for divergence reports.
 func (o Op) Render() string {
 	switch o.Kind {
 	case OpOpen:
 		return fmt.Sprintf("open[%d] %s flags=%#x", o.Slot, o.Path, int(o.Flags))
+	case OpBatch:
+		return fmt.Sprintf("batch ops=%d", len(o.Ops))
 	case OpSpawn:
-		return fmt.Sprintf("spawn code=%d ops=%d", o.Code, len(o.Child))
+		return fmt.Sprintf("spawn code=%d ops=%d", o.Code, len(o.Ops))
 	case OpSockBind:
 		return fmt.Sprintf("sockbind[%d] port=%d", o.Slot, o.Port)
 	default:

@@ -27,8 +27,9 @@
 // returns a Batch whose Wait/WaitN reap the completion queue under the
 // chosen WaitMode — WaitBlock parks on the CQ doorbell, WaitSpin
 // busy-polls, WaitPoll returns ErrBatchPending for event loops — with
-// an optional OnComplete callback. Sys.Submit and Sys.SubmitWait are
-// shorthands over the same path.
+// an optional OnComplete callback. Sys.NewBatch(opts).Add(ops...)
+// builds the same batch step by step, and Sys.SubmitWait is the
+// synchronous shorthand over the same path.
 //
 // Positioned reads (Sys.Pread, OpPread in a batch) are replica-local
 // reads of the file's owner replica, into the caller's buffer: they
@@ -91,7 +92,7 @@ type (
 	// OpenFlag is the typed flag set of Sys.Open; invalid combinations
 	// are rejected before the boundary crossing.
 	OpenFlag = sys.OpenFlag
-	// Op is one entry of a batched submission (Sys.Submit).
+	// Op is one entry of a batched submission (Sys.NewBatch).
 	Op = sys.Op
 	// Batch is an in-flight batched submission; reap it with Wait/WaitN.
 	Batch = sys.Batch
@@ -202,7 +203,7 @@ func Boot(cfg Config) (*System, error) { return core.Boot(cfg) }
 // to the typed OpenFlag set.
 func FlagsFromInt(flags int) OpenFlag { return sys.FlagsFromInt(flags) }
 
-// Submission-queue entry constructors (see Sys.Submit). Each enqueues
+// Submission-queue entry constructors (see Sys.NewBatch). Each enqueues
 // one syscall; the completion's Val carries the scalar result.
 func OpOpen(path string, flags OpenFlag) Op { return sys.OpOpen(path, flags) }
 func OpClose(fd FD) Op                      { return sys.OpClose(fd) }
