@@ -201,62 +201,65 @@ func (t *tamperHandler) Syscall(frame marshal.SyscallFrame, payload []byte) (mar
 func TestWitnessedContractCatchesBrokenKernel(t *testing.T) {
 	untouched := func(uint64, *sys.Resp) bool { return false }
 	pread := func(s *sys.Sys, fd fs.FD) sys.Errno { _, e := s.Pread(fd, make([]byte, 6), 2); return e }
+	read := func(s *sys.Sys, fd fs.FD) sys.Errno { _, e := s.Read(fd, make([]byte, 9)); return e }
+	wrongBytes := func(dst []byte, ret *marshal.RetFrame) { dst[0] ^= 0xff }
 	faults := []struct {
 		name   string
 		tamper func(num uint64, r *sys.Resp) bool
 		call   func(s *sys.Sys, fd fs.FD) sys.Errno
-		into   func(dst []byte, ret *marshal.RetFrame)
+		// into tampers with the destination crossing of the call, whose
+		// violation must name op.
+		into func(dst []byte, ret *marshal.RetFrame)
+		op   string
 	}{
-		{name: "wrong bytes in the pread destination", tamper: untouched, call: pread,
-			into: func(dst []byte, ret *marshal.RetFrame) { dst[0] ^= 0xff }},
+		{name: "wrong bytes in the pread destination", tamper: untouched, call: pread, into: wrongBytes, op: "pread"},
 		{name: "short count from the pread destination crossing", tamper: untouched, call: pread,
-			into: func(dst []byte, ret *marshal.RetFrame) { ret.Value-- }},
-		{"corrupted read data",
-			func(num uint64, r *sys.Resp) bool {
-				if num != sys.NumRead || r.Errno != sys.EOK || len(r.Data) == 0 {
-					return false
-				}
-				r.Data[0] ^= 0xff
-				return true
-			},
-			func(s *sys.Sys, fd fs.FD) sys.Errno { _, e := s.Read(fd, make([]byte, 9)); return e }, nil},
-		{"short write count",
-			func(num uint64, r *sys.Resp) bool {
+			into: func(dst []byte, ret *marshal.RetFrame) { ret.Value-- }, op: "pread"},
+		// A per-call read crosses with its destination too: the logged
+		// read carries the caller's buffer to the issuer replica's apply.
+		{name: "wrong bytes in the read destination", tamper: untouched, call: read, into: wrongBytes, op: "read"},
+		{name: "short count from the read destination crossing", tamper: untouched, call: read,
+			into: func(dst []byte, ret *marshal.RetFrame) { ret.Value-- }, op: "read"},
+		{name: "long count from the read destination crossing", tamper: untouched,
+			call: func(s *sys.Sys, fd fs.FD) sys.Errno { _, e := s.Read(fd, make([]byte, 16)); return e },
+			into: func(dst []byte, ret *marshal.RetFrame) { ret.Value++ }, op: "read"},
+		{name: "short write count",
+			tamper: func(num uint64, r *sys.Resp) bool {
 				if num != sys.NumWrite || r.Errno != sys.EOK || r.Val != 4 {
 					return false
 				}
 				r.Val--
 				return true
 			},
-			func(s *sys.Sys, fd fs.FD) sys.Errno { _, e := s.Write(fd, []byte("more")); return e }, nil},
-		{"seek applied but reported failed",
-			func(num uint64, r *sys.Resp) bool {
+			call: func(s *sys.Sys, fd fs.FD) sys.Errno { _, e := s.Write(fd, []byte("more")); return e }},
+		{name: "seek applied but reported failed",
+			tamper: func(num uint64, r *sys.Resp) bool {
 				if num != sys.NumSeek || r.Errno != sys.EOK || r.Val != 5 {
 					return false
 				}
 				*r = sys.Resp{Errno: sys.EIO}
 				return true
 			},
-			func(s *sys.Sys, fd fs.FD) sys.Errno {
+			call: func(s *sys.Sys, fd fs.FD) sys.Errno {
 				if _, e := s.Seek(fd, 5, fs.SeekSet); e != sys.EIO {
 					return sys.EINVAL
 				}
 				return sys.EOK
-			}, nil},
-		{"write applied but reported failed",
-			func(num uint64, r *sys.Resp) bool {
+			}},
+		{name: "write applied but reported failed",
+			tamper: func(num uint64, r *sys.Resp) bool {
 				if num != sys.NumWrite || r.Errno != sys.EOK || r.Val != 3 {
 					return false
 				}
 				*r = sys.Resp{Errno: sys.EIO}
 				return true
 			},
-			func(s *sys.Sys, fd fs.FD) sys.Errno {
+			call: func(s *sys.Sys, fd fs.FD) sys.Errno {
 				if _, e := s.Write(fd, []byte("xyz")); e != sys.EIO {
 					return sys.EINVAL
 				}
 				return sys.EOK
-			}, nil},
+			}},
 	}
 	for _, shards := range []int{0, 2} {
 		for _, f := range faults {
@@ -266,8 +269,8 @@ func TestWitnessedContractCatchesBrokenKernel(t *testing.T) {
 			}
 			if err := sh.ContractErr(); err == nil {
 				t.Errorf("shards=%d: contract checker missed %s", shards, f.name)
-			} else if f.into != nil && !strings.Contains(err.Error(), "pread") {
-				t.Errorf("shards=%d %s: the violation does not name pread: %v", shards, f.name, err)
+			} else if f.into != nil && !strings.HasPrefix(err.Error(), f.op+"(") {
+				t.Errorf("shards=%d %s: the violation does not name %s: %v", shards, f.name, f.op, err)
 			}
 		}
 	}

@@ -111,7 +111,7 @@ func (h *handler) sockEntry(op sys.WriteOp) sys.Completion {
 func (h *handler) tabExec(op sys.WriteOp) sys.Resp {
 	h.ctxMu.Lock()
 	defer h.ctxMu.Unlock()
-	return h.procExecOn(0, op)
+	return *h.procExecOn(0, &op)
 }
 
 // sockBind: device first (resolving the concrete port — ephemeral binds

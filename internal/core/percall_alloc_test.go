@@ -18,9 +18,11 @@ import (
 // reuse (a 128-B object per witness before), and once checked its views
 // are given back, so a warm checked write clones its pre-image into a
 // page an earlier write retired — a seek+write is its two request frames
-// (5 040 B in 6 objects before), a seek+read those and the read's reply
-// buffer and payload. A decoded path is one object, its string (two when
-// the decoder copied it twice). Counts, not times: deterministic, so it
+// (5 040 B in 6 objects before), and so is a seek+read: the read crosses
+// with the caller's buffer, which the issuer replica's apply fills, so it
+// has no reply buffer and no reply payload (4 objects, 1 104 B, while the
+// bytes came back in a reply). A decoded path is one object, its string
+// (two when the decoder copied it twice). Counts, not times: deterministic, so it
 // runs under -short as the tier-1 pin on syscall_mix's allocs_per_op.
 func TestPerCallAllocationBudget(t *testing.T) {
 	for _, shards := range []int{0, 2} {
@@ -87,7 +89,7 @@ func TestPerCallAllocationBudget(t *testing.T) {
 			{"unchecked seek", seek(raw), 1, 32},
 			{"checked seek", checkedSeek, 1, 32},
 			{"checked seek+write", seekWrite, 2, 0},
-			{"checked seek+read", seekRead, 4, 0},
+			{"checked seek+read", seekRead, 2, 0},
 			{"close+open", reopen, 5, 0},
 			{"stat", stat, 4, 0},
 		} {

@@ -133,13 +133,17 @@ func (h *handler) preadReply(op sys.ReadOp) sys.Resp {
 }
 
 // SyscallInto implements sys.DestHandler: the boundary crossing whose
-// result lands in the caller's buffer instead of a reply payload. Only
-// the positioned read has a destination; it gets the same kstat probe
-// as Syscall.
+// result lands in the caller's buffer instead of a reply payload. The
+// two copying reads have a destination: a pread fills it in its
+// replica-local read, a read rides the log with it and only the issuer
+// replica's apply fills it (handler.logged). Both get the same kstat
+// probe as Syscall.
 func (h *handler) SyscallInto(frame marshal.SyscallFrame, payload []byte, dst []byte) marshal.RetFrame {
 	t0 := obs.Start()
 	ret := marshal.RetFrame{Errno: uint64(sys.EINVAL)}
-	if op, err := sys.DecodeRead(frame, payload); err == nil && op.Num == sys.NumPread {
+	if frame.Num == sys.NumRead {
+		ret, _ = h.logged(frame, payload, dst, true)
+	} else if op, err := sys.DecodeRead(frame, payload); err == nil && op.Num == sys.NumPread {
 		// The frame's length is the caller's word; the buffer is the bound.
 		// (An empty buffer degenerates to the reply form with nothing to
 		// carry: the descriptor is still checked.)

@@ -45,12 +45,12 @@ func openWritten(t *testing.T, h *sys.Sys, path string) fs.FD {
 
 // TestReplicasGiveViewsBack: on a kernel with two replicas every write
 // applies on both, and the replica that did not issue it answers nobody
-// — nr hands that response to the kernel's Discard, which gives its
-// witness's views back. So two checked handles on the two replicas,
-// taking turns on one descriptor, each allocate per seek+write what one
-// handle on a one-replica kernel does: both replicas reuse the pages
-// their writes retire. (Without Discard the second replica's views stay
-// pinned and it clones a fresh page per write.)
+// — nr applies the entry with no slot, and the kernel then takes no
+// witness, so that replica pins no view. So two checked handles on the
+// two replicas, taking turns on one descriptor, each allocate per
+// seek+write what one handle on a one-replica kernel does: both replicas
+// reuse the pages their writes retire. (A replica that took a witness
+// nobody reads and kept its views would clone a fresh page per write.)
 func TestReplicasGiveViewsBack(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		s, err := Boot(Config{Cores: 28, Shards: shards})

@@ -173,7 +173,11 @@ func (h *handler) shardDone(slot uint64, t0 time.Time) {
 	}
 }
 
-func (h *handler) procExecOn(shard int, op sys.WriteOp) sys.Resp {
+// procExecOn and fsExecOn run one transition on a shard of either group
+// and return its answer where the issuer's replica wrote it: the
+// handler's thread slot on that shard (nr.ThreadContext.ExecuteInto),
+// valid until the handler's next call on the same shard.
+func (h *handler) procExecOn(shard int, op *sys.WriteOp) *sys.Resp {
 	t0 := h.shardStart()
 	r := h.procCtx.ExecuteOn(shard, op)
 	h.shardDone(obs.ProcShardSlot(shard), t0)
@@ -185,7 +189,7 @@ func (h *handler) procExecOn(shard int, op sys.WriteOp) sys.Resp {
 func (h *handler) procExec(op sys.WriteOp) sys.Resp {
 	h.ctxMu.Lock()
 	defer h.ctxMu.Unlock()
-	return h.procExecOn(h.s.ProcShardOf(op.PID), op)
+	return *h.procExecOn(h.s.ProcShardOf(op.PID), &op)
 }
 
 func (h *handler) procReadOn(shard int, op sys.ReadOp) sys.Resp {
@@ -202,7 +206,7 @@ func (h *handler) procReadInto(shard int, op *sys.ReadOp, out *sys.Resp) {
 	h.shardDone(obs.ProcShardSlot(shard), t0)
 }
 
-func (h *handler) fsExecOn(shard int, op sys.WriteOp) sys.Resp {
+func (h *handler) fsExecOn(shard int, op *sys.WriteOp) *sys.Resp {
 	t0 := h.shardStart()
 	r := h.fsCtx.ExecuteOn(shard, op)
 	h.shardDone(obs.FsShardSlot(shard), t0)
@@ -228,20 +232,18 @@ func (h *handler) fsReadInto(shard int, op *sys.ReadOp, out *sys.Resp) {
 // replicated namespaces identical (including deterministic inode
 // numbering: every allocation runs on every shard in the same order).
 // Namespace ops fail atomically, so a shard-0 failure means no shard
-// mutated and the broadcast stops there with the common verdict.
-func (h *handler) nsBroadcast(op sys.WriteOp) sys.Resp {
+// mutated and the broadcast stops there with the common verdict. The
+// verdict is shard 0's slot, which the other shards' steps leave alone.
+func (h *handler) nsBroadcast(op *sys.WriteOp) *sys.Resp {
 	s := h.s
 	s.nsMu.Lock()
 	defer s.nsMu.Unlock()
-	var resp sys.Resp
-	for i := 0; i < s.fsNR.NumShards(); i++ {
-		r := h.fsExecOn(i, op)
-		if i == 0 {
-			resp = r
-			if r.Errno != sys.EOK {
-				return resp
-			}
-		}
+	resp := h.fsExecOn(0, op)
+	if resp.Errno != sys.EOK {
+		return resp
+	}
+	for i := 1; i < s.fsNR.NumShards(); i++ {
+		h.fsExecOn(i, op)
 	}
 	return resp
 }
@@ -270,8 +272,11 @@ func (s *System) recordShardGauges(rep int) {
 // ---- top-level dispatch ----
 
 // shardWrite routes one mutating syscall per the shard-key map
-// (ctxMu held).
-func (h *handler) shardWrite(op sys.WriteOp) sys.Resp {
+// (ctxMu held) and returns its answer in place: the issuer slot the last
+// step's replica wrote it into, or the handler's own slot (ans, readAns)
+// for an answer the router composes. Either stays valid until the
+// handler's next call.
+func (h *handler) shardWrite(op *sys.WriteOp) *sys.Resp {
 	s := h.s
 	if !s.sharded() {
 		// Rule 0: one transition on the one instance; the partitioned
@@ -305,7 +310,14 @@ func (h *handler) shardWrite(op sys.WriteOp) sys.Resp {
 	case sys.NumKill:
 		return h.shardKill(op)
 	}
-	return sys.Resp{Errno: sys.ENOSYS}
+	return h.answer(sys.Resp{Errno: sys.ENOSYS})
+}
+
+// answer keeps a response the router composed in the handler's answer
+// slot and returns it in place, like a step's issuer slot.
+func (h *handler) answer(r sys.Resp) *sys.Resp {
+	h.ans = r
+	return &h.ans
 }
 
 // shardReadDispatch routes one read-only syscall (takes ctxMu itself).
@@ -340,10 +352,11 @@ func (h *handler) shardReadDispatch(op sys.ReadOp) sys.Resp {
 
 // fdLock acquires a descriptor on the proc shard, retrying while a
 // concurrent protocol holds it. It returns the descriptor as locked — its
-// inode, offset and open flags — beside the lock step's response.
-func (h *handler) fdLock(procShard int, pid proc.PID, fd fs.FD) (fs.OpenFile, sys.Resp) {
+// inode, offset and open flags — beside the lock step's response, in the
+// proc shard's slot.
+func (h *handler) fdLock(procShard int, pid proc.PID, fd fs.FD) (fs.OpenFile, *sys.Resp) {
 	for {
-		lk := h.procExecOn(procShard, sys.WriteOp{Num: sys.NumFDLock, PID: pid, FD: fd})
+		lk := h.procExecOn(procShard, &sys.WriteOp{Num: sys.NumFDLock, PID: pid, FD: fd})
 		if lk.Errno != sys.EAGAIN {
 			return fs.OpenFile{Ino: lk.Ino, Offset: lk.Off, Flags: int(lk.Val)}, lk
 		}
@@ -354,21 +367,21 @@ func (h *handler) fdLock(procShard int, pid proc.PID, fd fs.FD) (fs.OpenFile, sy
 // fdUnlock releases the descriptor, publishing off as its offset, and
 // returns the offset the proc shard stored.
 func (h *handler) fdUnlock(procShard int, pid proc.PID, fd fs.FD, off uint64) uint64 {
-	return h.procExecOn(procShard, sys.WriteOp{Num: sys.NumFDUnlock, PID: pid, FD: fd, Len: off}).Off
+	return h.procExecOn(procShard, &sys.WriteOp{Num: sys.NumFDUnlock, PID: pid, FD: fd, Len: off}).Off
 }
 
 // shardOpen: flags check (pure), descriptor-table existence (proc
 // shard), resolve or create (fs group), kind/truncate on the owner,
 // descriptor install (proc shard). Mirrors FDTable.Open's order, so the
 // errno priorities match the monolithic kernel.
-func (h *handler) shardOpen(op sys.WriteOp) sys.Resp {
+func (h *handler) shardOpen(op *sys.WriteOp) *sys.Resp {
 	s := h.s
 	if e := sys.OpenFlag(op.Flags).Validate(); e != sys.EOK {
-		return sys.Resp{Errno: e}
+		return h.answer(sys.Resp{Errno: e})
 	}
 	ps := s.ProcShardOf(op.PID)
 	if r := h.procReadOn(ps, sys.ReadOp{Num: sys.NumProcHasTable, PID: op.PID}); r.Errno != sys.EOK {
-		return r
+		return h.answer(r)
 	}
 	var ino fs.Ino
 	lr := h.fsReadOn(s.fsPathShard(op.Path), sys.ReadOp{Num: sys.NumFsLookup, PID: op.PID, Path: op.Path})
@@ -376,12 +389,12 @@ func (h *handler) shardOpen(op sys.WriteOp) sys.Resp {
 	case lr.Errno == sys.EOK:
 		ino = lr.Ino
 	case lr.Errno == sys.ENOENT && op.Flags&fs.OCreate != 0:
-		cr := h.nsBroadcast(sys.WriteOp{Num: sys.NumFsCreate, PID: op.PID, Path: op.Path})
+		cr := h.nsBroadcast(&sys.WriteOp{Num: sys.NumFsCreate, PID: op.PID, Path: op.Path})
 		if cr.Errno == sys.EEXIST {
 			// Lost a create race since the lookup; adopt the winner.
 			lr = h.fsReadOn(s.fsPathShard(op.Path), sys.ReadOp{Num: sys.NumFsLookup, PID: op.PID, Path: op.Path})
 			if lr.Errno != sys.EOK {
-				return lr
+				return h.answer(lr)
 			}
 			ino = lr.Ino
 		} else if cr.Errno != sys.EOK {
@@ -390,44 +403,51 @@ func (h *handler) shardOpen(op sys.WriteOp) sys.Resp {
 			ino = cr.Ino
 		}
 	default:
-		return lr
+		return h.answer(lr)
 	}
 	owner := s.FsShardOf(ino)
 	st := h.fsReadOn(owner, sys.ReadOp{Num: sys.NumFsStatIno, PID: op.PID, Ino: ino})
 	if st.Errno != sys.EOK {
-		return st
+		return h.answer(st)
 	}
 	if st.Stat.Kind == fs.KindDir && op.Flags&(fs.OWrOnly|fs.ORdWr|fs.OTrunc|fs.OAppend) != 0 {
-		return sys.Resp{Errno: sys.EISDIR}
+		return h.answer(sys.Resp{Errno: sys.EISDIR})
 	}
 	if op.Flags&fs.OTrunc != 0 {
-		if tr := h.fsExecOn(owner, sys.WriteOp{Num: sys.NumFsTruncate, PID: op.PID, Ino: ino, Len: 0}); tr.Errno != sys.EOK {
+		if tr := h.fsExecOn(owner, &sys.WriteOp{Num: sys.NumFsTruncate, PID: op.PID, Ino: ino, Len: 0}); tr.Errno != sys.EOK {
 			return tr
 		}
 	}
-	return h.procExecOn(ps, sys.WriteOp{Num: sys.NumFDOpen, PID: op.PID, Ino: ino, Flags: op.Flags})
+	return h.procExecOn(ps, &sys.WriteOp{Num: sys.NumFDOpen, PID: op.PID, Ino: ino, Flags: op.Flags})
 }
 
 // shardReadData: NumRead = FDLock → owner ReadAt → FDUnlock(new offset),
 // with the witness built (sys.ComposeWitness) from the lock step's
 // descriptor, the owner's contents snapshot and the offset the unlock
-// stored.
-func (h *handler) shardReadData(op sys.WriteOp) sys.Resp {
+// stored. The owner's read is replica-local, on this goroutine, into the
+// handler's read slot: straight into the caller's buffer when the op
+// carries it (op.Data, a per-call read's destination), else into a reply
+// buffer.
+func (h *handler) shardReadData(op *sys.WriteOp) *sys.Resp {
 	s := h.s
 	ps := s.ProcShardOf(op.PID)
 	pre, lk := h.fdLock(ps, op.PID, op.FD)
 	if lk.Errno != sys.EOK {
-		sys.ComposeWitness(&op, nil, 0, &lk)
+		sys.ComposeWitness(op, nil, 0, lk)
 		return lk
 	}
-	r := sys.Resp{Errno: sys.EPERM}
+	r := &h.readAns
 	if pre.Flags&fs.OWrOnly == 0 {
-		r = h.fsReadOn(s.FsShardOf(pre.Ino), sys.ReadOp{
-			Num: sys.NumFsReadAt, PID: op.PID, Ino: pre.Ino, Off: pre.Offset, Len: op.Len, Witness: op.Witness,
-		})
+		h.readOp = sys.ReadOp{
+			Num: sys.NumFsReadAt, PID: op.PID, Ino: pre.Ino, Off: pre.Offset, Len: op.Len, Witness: op.Witness, Dst: op.Data,
+		}
+		h.fsReadInto(s.FsShardOf(pre.Ino), &h.readOp, r)
+		h.readOp.Dst = nil
+	} else {
+		*r = sys.Resp{Errno: sys.EPERM}
 	}
 	// A failed read has moved nothing: its Val is 0.
-	sys.ComposeWitness(&op, &pre, h.fdUnlock(ps, op.PID, op.FD, pre.Offset+r.Val), &r)
+	sys.ComposeWitness(op, &pre, h.fdUnlock(ps, op.PID, op.FD, pre.Offset+r.Val), r)
 	return r
 }
 
@@ -439,20 +459,22 @@ func (h *handler) shardReadData(op sys.WriteOp) sys.Resp {
 // the entry's (sys.Kernel.fsRun) — or a batch's NumFDRun step; the inode,
 // open flags and cursor the lock step returns are filled in here. A
 // failed lock fails every entry alike.
-func (h *handler) shardRun(op sys.WriteOp) sys.Resp {
+func (h *handler) shardRun(op *sys.WriteOp) *sys.Resp {
 	s := h.s
 	ps := s.ProcShardOf(op.PID)
 	pre, lk := h.fdLock(ps, op.PID, op.FD)
 	if lk.Errno != sys.EOK {
-		sys.ComposeWitness(&op, nil, 0, &lk)
+		sys.ComposeWitness(op, nil, 0, lk)
 		return lk
 	}
 	obs.ShardFDRuns.Add(uint32(h.core), 1)
 	obs.ShardFDRunOps.Add(uint32(h.core), uint64(op.Entries()))
-	run := op
+	run := &h.runOp
+	*run = *op
 	run.Num, run.Code, run.Ino, run.Flags, run.Size = sys.NumFsRun, int(op.Num), pre.Ino, uint64(pre.Flags), pre.Offset
 	r := h.fsExecOn(s.FsShardOf(pre.Ino), run)
-	sys.ComposeWitness(&op, &pre, h.fdUnlock(ps, op.PID, op.FD, r.Off), &r)
+	run.Data, run.Run = nil, nil
+	sys.ComposeWitness(op, &pre, h.fdUnlock(ps, op.PID, op.FD, r.Off), r)
 	return r
 }
 
@@ -460,13 +482,13 @@ func (h *handler) shardRun(op sys.WriteOp) sys.Resp {
 // refuses a locked descriptor (retried here, like fdLock) so a seek
 // never lands inside another handle's run. SeekEnd needs the owner's
 // size, so it takes the descriptor like a data op: a one-entry run.
-func (h *handler) shardSeek(op sys.WriteOp) sys.Resp {
+func (h *handler) shardSeek(op *sys.WriteOp) *sys.Resp {
 	if op.Whence == fs.SeekEnd {
 		return h.shardRun(op)
 	}
 	ps := h.s.ProcShardOf(op.PID)
 	for {
-		r := h.procExecOn(ps, sys.WriteOp{
+		r := h.procExecOn(ps, &sys.WriteOp{
 			Num: sys.NumFDSeek, PID: op.PID, FD: op.FD,
 			Whence: op.Whence, Off: op.Off, Witness: op.Witness,
 		})
@@ -478,58 +500,55 @@ func (h *handler) shardSeek(op sys.WriteOp) sys.Resp {
 }
 
 // shardTruncate: resolve the descriptor's inode, truncate on the owner.
-func (h *handler) shardTruncate(op sys.WriteOp) sys.Resp {
+func (h *handler) shardTruncate(op *sys.WriteOp) *sys.Resp {
 	s := h.s
 	g := h.procReadOn(s.ProcShardOf(op.PID), sys.ReadOp{Num: sys.NumFDGet, PID: op.PID, FD: op.FD})
 	if g.Errno != sys.EOK {
-		return g
+		return h.answer(g)
 	}
-	return h.fsExecOn(s.FsShardOf(g.Ino), sys.WriteOp{Num: sys.NumFsTruncate, PID: op.PID, Ino: g.Ino, Len: op.Len})
+	return h.fsExecOn(s.FsShardOf(g.Ino), &sys.WriteOp{Num: sys.NumFsTruncate, PID: op.PID, Ino: g.Ino, Len: op.Len})
 }
 
 // shardSpawn: tree first (shard 0 allocates the PID), resources second
 // (the child's shard), with tree rollback when the attach fails.
-func (h *handler) shardSpawn(op sys.WriteOp) sys.Resp {
+func (h *handler) shardSpawn(op *sys.WriteOp) *sys.Resp {
 	s := h.s
-	tr := h.procExecOn(0, sys.WriteOp{Num: sys.NumProcSpawn, PID: op.PID, Name: op.Name})
+	tr := h.procExecOn(0, &sys.WriteOp{Num: sys.NumProcSpawn, PID: op.PID, Name: op.Name})
 	if tr.Errno != sys.EOK {
 		return tr
 	}
 	child := proc.PID(tr.Val)
-	at := h.procExecOn(s.ProcShardOf(child), sys.WriteOp{Num: sys.NumProcAttach, PID: op.PID, Target: child})
+	at := h.procExecOn(s.ProcShardOf(child), &sys.WriteOp{Num: sys.NumProcAttach, PID: op.PID, Target: child})
 	if at.Errno != sys.EOK {
-		_ = h.procExecOn(0, sys.WriteOp{Num: sys.NumProcUnspawn, PID: op.PID, Target: child})
-		return at
+		at := *at
+		h.procExecOn(0, &sys.WriteOp{Num: sys.NumProcUnspawn, PID: op.PID, Target: child})
+		return h.answer(at)
 	}
-	return sys.Resp{Errno: sys.EOK, Val: uint64(child)}
+	return h.answer(sys.Resp{Errno: sys.EOK, Val: uint64(child)})
 }
 
 // shardExit: resources first (victim's shard), tree last (shard 0) —
 // see the ordering rules at the top of the file. op.PID is the victim.
-func (h *handler) shardExit(op sys.WriteOp) sys.Resp {
+func (h *handler) shardExit(op *sys.WriteOp) *sys.Resp {
 	s := h.s
-	dt := h.procExecOn(s.ProcShardOf(op.PID), sys.WriteOp{Num: sys.NumProcDetach, PID: op.PID, Target: op.PID})
+	dt := *h.procExecOn(s.ProcShardOf(op.PID), &sys.WriteOp{Num: sys.NumProcDetach, PID: op.PID, Target: op.PID})
 	if dt.Errno != sys.EOK {
-		return dt
+		return h.answer(dt)
 	}
-	tr := h.procExecOn(0, sys.WriteOp{Num: sys.NumProcExit, PID: op.PID, Code: op.Code})
-	if tr.Errno != sys.EOK {
+	if tr := h.procExecOn(0, &sys.WriteOp{Num: sys.NumProcExit, PID: op.PID, Code: op.Code}); tr.Errno != sys.EOK {
 		return tr
 	}
-	return sys.Resp{Errno: sys.EOK, Freed: dt.Freed, Unpinned: dt.Unpinned}
+	return h.answer(sys.Resp{Errno: sys.EOK, Freed: dt.Freed, Unpinned: dt.Unpinned})
 }
 
 // shardKill: SIGKILL composes as the victim's exit; other signals are a
 // tree-only transition on shard 0.
-func (h *handler) shardKill(op sys.WriteOp) sys.Resp {
+func (h *handler) shardKill(op *sys.WriteOp) *sys.Resp {
 	if op.Sig == proc.SIGKILL {
 		if op.Target == proc.InitPID {
-			return sys.Resp{Errno: sys.EPERM}
+			return h.answer(sys.Resp{Errno: sys.EPERM})
 		}
-		victim := op
-		victim.PID = op.Target
-		victim.Code = 128 + int(proc.SIGKILL)
-		return h.shardExit(victim)
+		return h.shardExit(&sys.WriteOp{Num: sys.NumExit, PID: op.Target, Code: 128 + int(proc.SIGKILL)})
 	}
 	return h.procExecOn(0, op)
 }

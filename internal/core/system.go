@@ -551,6 +551,17 @@ type handler struct {
 	procCtx *nr.ShardedThread[sys.ReadOp, sys.WriteOp, sys.Resp]
 	fsCtx   *nr.ShardedThread[sys.ReadOp, sys.WriteOp, sys.Resp]
 
+	// op is the decode slot of a logged per-call syscall, runOp the
+	// owner-shard step a partitioned kernel's descriptor run sends, and
+	// ans the answer slot of a response the router composes itself (all
+	// under ctxMu). A logged op crosses nr by pointer and is answered in
+	// the issuer's slot, which the reply is encoded from, so a per-call
+	// crossing copies neither the op nor its response through the frames
+	// between the boundary and the kernel.
+	op    sys.WriteOp
+	runOp sys.WriteOp
+	ans   sys.Resp
+
 	// readOp and readAns are the op and answer slot of the pread
 	// family's replica-local reads (the descriptor resolve, then a
 	// pread's NumFsReadAt; under ctxMu): the kernel writes its response
@@ -611,98 +622,155 @@ func (h *handler) Syscall(frame marshal.SyscallFrame, payload []byte) (marshal.R
 	return ret, out
 }
 
-// syscall is the uninstrumented dispatch body.
+// syscall is the uninstrumented dispatch body. It only picks the path:
+// the batch drain runs under this frame on the submission ring's
+// drainer, a goroutine started per batch on a minimum stack, so
+// whatever a path needs lives in its own frame, not here.
 func (h *handler) syscall(frame marshal.SyscallFrame, payload []byte) (marshal.RetFrame, []byte) {
-	s := h.s
-
-	// The internal cross-shard protocol ops never cross the user
-	// boundary; a hand-rolled frame carrying one is rejected here.
-	if sys.IsInternalOp(frame.Num) {
-		return sys.EncodeResp(sys.Resp{Errno: sys.EINVAL})
-	}
-
-	if frame.Num == sys.NumBatch {
-		return h.batch(frame, payload)
-	}
-	if sys.IsReadOp(frame.Num) {
-		op, err := sys.DecodeRead(frame, payload)
-		if err != nil {
-			return sys.EncodeResp(sys.Resp{Errno: sys.EINVAL})
-		}
-		// Pread is two replica-local reads, never the log (readpath.go).
-		if op.Num == sys.NumPread {
-			r := h.preadReply(op)
-			if op.Witness {
-				h.keepWitness(r.Witness)
-			}
-			return sys.EncodeResp(r)
-		}
-		return sys.EncodeResp(h.shardReadDispatch(op))
-	}
-	op, err := sys.DecodeWrite(frame, payload)
-	if err != nil {
-		return sys.EncodeResp(sys.Resp{Errno: sys.EINVAL})
-	}
 	switch {
+	case sys.IsInternalOp(frame.Num):
+		// The internal cross-shard protocol ops never cross the user
+		// boundary; a hand-rolled frame carrying one is rejected here.
+		return errnoReply(sys.EINVAL)
+	case frame.Num == sys.NumBatch:
+		return h.batch(frame, payload)
+	case sys.IsReadOp(frame.Num):
+		return h.readSyscall(frame, payload)
+	case sys.IsSockOp(frame.Num), sys.IsLocalOp(frame.Num),
+		frame.Num == sys.NumPreadMap, frame.Num == sys.NumPreadUnmap:
+		return h.coreSyscall(frame, payload)
+	}
+	return h.logged(frame, payload, nil, false)
+}
+
+// errnoReply is the reply of a call that failed with e: the register
+// frame alone.
+func errnoReply(e sys.Errno) (marshal.RetFrame, []byte) {
+	return marshal.RetFrame{Errno: uint64(e)}, nil
+}
+
+// readSyscall serves a read-only syscall: replica-local reads, never the
+// log.
+func (h *handler) readSyscall(frame marshal.SyscallFrame, payload []byte) (marshal.RetFrame, []byte) {
+	op, err := sys.DecodeRead(frame, payload)
+	if err != nil {
+		return errnoReply(sys.EINVAL)
+	}
+	// Pread is two replica-local reads (readpath.go).
+	if op.Num == sys.NumPread {
+		r := h.preadReply(op)
+		if op.Witness {
+			h.keepWitness(r.Witness)
+		}
+		return sys.EncodeRespFrom(&r)
+	}
+	r := h.shardReadDispatch(op)
+	return sys.EncodeRespFrom(&r)
+}
+
+// coreSyscall serves the syscalls core sequences itself around (or
+// instead of) a kernel transition: sockets, the local ops, and the
+// zero-copy pread tier.
+func (h *handler) coreSyscall(frame marshal.SyscallFrame, payload []byte) (marshal.RetFrame, []byte) {
+	op, err := sys.DecodeWrite(frame, payload)
+	var r sys.Resp
+	switch {
+	case err != nil:
+		return errnoReply(sys.EINVAL)
 	case sys.IsSockOp(op.Num):
 		// Socket ops split across the determinism line: the table half is
 		// a transition or read on process shard 0, the device half stays
 		// core-local. See netops.go.
-		return sys.EncodeResp(s.sockOp(h, op))
+		r = h.s.sockOp(h, op)
 	case sys.IsLocalOp(op.Num):
-		return sys.EncodeResp(s.localOp(h, op))
+		r = h.s.localOp(h, op)
 	case op.Num == sys.NumPreadMap:
-		// The zero-copy pread tier coordinates the page-cache pin with
-		// the logged mapping transition itself.
-		return sys.EncodeResp(h.preadMap(op))
-	case op.Num == sys.NumPreadUnmap:
-		return sys.EncodeResp(h.preadUnmap(op))
+		// The zero-copy pread tier coordinates the page-cache pin with the
+		// logged mapping transition itself.
+		r = h.preadMap(op)
+	default:
+		r = h.preadUnmap(op)
 	}
-	// The one logged-write path: the core-side work around the routed
-	// transition (shardWrite) — mmap's frame attach before it, the
-	// witness, freed-frame return and local process cleanup after it.
-	//
+	return sys.EncodeRespFrom(&r)
+}
+
+// logged serves a logged per-call syscall: the one logged-write path,
+// the core-side work around the routed transition (shardWrite) — mmap's
+// frame attach before it, the witness, freed-frame return and local
+// process cleanup after it. The op is decoded into the handler's slot
+// and the reply encoded straight from the slot the issuer's replica
+// answered into. With into set the call crossed through SyscallInto: the
+// op is a read, dst the caller's buffer, which rides in the logged op
+// (op.Data) for the issuer's apply to fill, and the reply is the register
+// frame alone.
+func (h *handler) logged(frame marshal.SyscallFrame, payload []byte, dst []byte, into bool) (marshal.RetFrame, []byte) {
+	s := h.s
+	h.ctxMu.Lock()
+	op := &h.op
+	if err := sys.DecodeWriteInto(frame, payload, op); err != nil {
+		h.ctxMu.Unlock()
+		return errnoReply(sys.EINVAL)
+	}
+	if into {
+		// The frame's length is the caller's word; the buffer is the bound.
+		op.Len = min(op.Len, uint64(len(dst)))
+		op.Data = dst[:op.Len]
+	}
 	// mmap: attach data frames from the shared pool before logging, so
 	// every replica maps the same physical pages.
 	if op.Num == sys.NumMMap {
 		if op.Size == 0 || op.Size%mmu.L1PageSize != 0 {
-			return sys.EncodeResp(sys.Resp{Errno: sys.EINVAL})
+			h.ctxMu.Unlock()
+			return errnoReply(sys.EINVAL)
 		}
 		frames, err := s.allocDataFrames(op.Size / mmu.L1PageSize)
 		if err != nil {
-			return sys.EncodeResp(sys.Resp{Errno: sys.ENOMEM})
+			h.ctxMu.Unlock()
+			return errnoReply(sys.ENOMEM)
 		}
 		op.Frames = frames
 	}
-	h.ctxMu.Lock()
-	resp := h.shardWrite(op)
-	h.ctxMu.Unlock()
+	r := h.shardWrite(op)
 	if op.Witness {
-		h.keepWitness(resp.Witness)
+		h.keepWitness(r.Witness)
 	}
-	if resp.Errno != sys.EOK {
-		if op.Num == sys.NumMMap {
-			s.freeDataFrames(op.Frames)
+	var ret marshal.RetFrame
+	var out []byte
+	if into {
+		ret = marshal.RetFrame{Value: r.Val, Errno: uint64(r.Errno)}
+		// The handler's slots keep no reference to the caller's buffer.
+		// (The log entry keeps one, like a write's payload, until its slot
+		// is lapped; no replica writes through it after this apply.)
+		op.Data, r.Data = nil, nil
+	} else {
+		ret, out = sys.EncodeRespFrom(r)
+	}
+	num, pid, target, sig, frames := op.Num, op.PID, op.Target, op.Sig, op.Frames
+	errno, freed, unpinned := r.Errno, r.Freed, r.Unpinned
+	h.ctxMu.Unlock()
+	if errno != sys.EOK {
+		if num == sys.NumMMap {
+			s.freeDataFrames(frames)
 		}
-		return sys.EncodeResp(resp)
+		return ret, out
 	}
 	// munmap/exit return the data frames they released; give them back
 	// to the shared pool exactly once (here, on the calling path).
 	// Cache-owned frames behind pread mappings come back separately in
 	// Unpinned and return to their cache, never the pool.
-	if len(resp.Freed) > 0 {
-		s.freeDataFrames(resp.Freed)
+	if len(freed) > 0 {
+		s.freeDataFrames(freed)
 	}
-	if len(resp.Unpinned) > 0 {
-		s.unpinFrames(resp.Unpinned)
+	if len(unpinned) > 0 {
+		s.unpinFrames(unpinned)
 	}
-	if op.Num == sys.NumExit {
-		s.cleanupProcessLocal(op.PID)
+	if num == sys.NumExit {
+		s.cleanupProcessLocal(pid)
 	}
-	if op.Num == sys.NumKill && op.Sig == proc.SIGKILL {
-		s.cleanupProcessLocal(op.Target)
+	if num == sys.NumKill && sig == proc.SIGKILL {
+		s.cleanupProcessLocal(target)
 	}
-	return sys.EncodeResp(resp)
+	return ret, out
 }
 
 // batch drains one submission-queue vector in as few NR combiner rounds
@@ -774,7 +842,7 @@ func (h *handler) batch(frame marshal.SyscallFrame, payload []byte) (marshal.Ret
 			// its protocol: a run is lock, one owner-shard entry, unlock
 			// (shard_router.go); any other entry its per-call protocol.
 			for j := range steps {
-				wits = sys.CompleteStep(ops, comps, at[j], &steps[j], h.shardWrite(steps[j]), wits)
+				wits = sys.CompleteStep(ops, comps, at[j], &steps[j], *h.shardWrite(&steps[j]), wits)
 			}
 		} else {
 			// Rule 0 (shard_router.go): every key maps to the one instance,

@@ -11,11 +11,16 @@
 // (the combiner) batches the pending operations of its peers — and reads
 // through a per-replica readers-writer lock.
 //
-// A read is ThreadContext.ExecuteReadInto(op *Rd, out *Resp): the
-// response is written into a slot the caller owns, by the data structure
-// itself when it implements InPlaceReader (the kernel does), so a large
-// response is not copied back through every frame. ExecuteRead(op) Resp
-// is the same read for a caller that takes the answer by value.
+// Both kinds answer in place. A read is ThreadContext.ExecuteReadInto(op
+// *Rd, out *Resp): the response is written into a slot the caller owns,
+// by the data structure itself when it implements InPlaceReader (the
+// kernel does), so a large response is not copied back through every
+// frame. A write is ThreadContext.ExecuteInto(op *Wr) *Resp: a combiner
+// applies each log entry, read by reference, into its issuer's slot
+// through InPlaceWriter (the kernel again), and on every other replica
+// with no slot at all — that replica's answer would be read by nobody,
+// so it is never composed. ExecuteRead(op) Resp and Execute(op) Resp are
+// the same calls for a caller that takes the answer by value.
 //
 // The package is the Go port of the algorithm IronSync verified (§4.3):
 // the linearizability obligation for NR instances is discharged by the
@@ -176,11 +181,11 @@ func (s *stallTimer) done(replica uint32) {
 	}
 }
 
-// publish writes the operation into slot idx and marks it readable.
-func (l *log[Wr]) publish(idx uint64, op Wr, replica, ctx uint32, selfHelp func(target uint64)) {
+// publish copies the operation into slot idx and marks it readable.
+func (l *log[Wr]) publish(idx uint64, op *Wr, replica, ctx uint32, selfHelp func(target uint64)) {
 	l.waitForSpace(idx, replica, selfHelp)
 	s := &l.slots[idx&l.mask]
-	s.op = op
+	s.op = *op
 	s.replica = replica
 	s.ctx = ctx
 	s.seq.Store(idx + 1)
@@ -188,12 +193,14 @@ func (l *log[Wr]) publish(idx uint64, op Wr, replica, ctx uint32, selfHelp func(
 
 // read returns the entry at logical index idx for a replica that has
 // applied everything below it, spinning until the entry has been
-// published. The combiner that reserved idx may itself be stalled in
+// published. The op is returned by reference, where it sits in the
+// ring: the slot is not reused until every replica has applied it, and
+// this replica is still applying it. The combiner that reserved idx may itself be stalled in
 // waitForSpace on this very replica's applied tail — a long apply run
 // otherwise publishes its progress only when it ends — so before waiting
 // the replica's progress so far is made visible: the lowest unpublished
 // index then never waits on a replica that waits on it.
-func (l *log[Wr]) read(idx uint64, applied *atomic.Uint64) (Wr, uint32, uint32) {
+func (l *log[Wr]) read(idx uint64, applied *atomic.Uint64) (*Wr, uint32, uint32) {
 	s := &l.slots[idx&l.mask]
 	if s.seq.Load() != idx+1 {
 		applied.Store(idx)
@@ -201,5 +208,5 @@ func (l *log[Wr]) read(idx uint64, applied *atomic.Uint64) (Wr, uint32, uint32) 
 			runtime.Gosched()
 		}
 	}
-	return s.op, s.replica, s.ctx
+	return &s.op, s.replica, s.ctx
 }

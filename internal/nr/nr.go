@@ -34,12 +34,34 @@ type InPlaceReader[Rd any, Resp any] interface {
 	DispatchReadInto(op *Rd, out *Resp)
 }
 
-// Discarder is implemented by a data structure whose responses hold
-// something to give back: a replica hands it every response nobody reads
-// — an entry another replica's thread issued, which this replica applies
-// only to stay a copy.
-type Discarder[Resp any] interface {
-	Discard(Resp)
+// InPlaceWriter is implemented by a data structure that applies a log
+// entry into its issuer's slot instead of returning the response by
+// value. Every replica applies every entry, but only the issuer's
+// replica has a thread waiting for the answer: there out is that
+// thread's slot (ThreadContext.ExecuteInto), and on every other replica
+// out is nil — the entry is applied to keep the copy identical and
+// answered with nothing, so a response that would be thrown away is
+// never composed. The entry is read where it sits in the log, by
+// reference. A data structure without it is served by DispatchWrite, its
+// response copied into the slot or dropped.
+type InPlaceWriter[Wr any, Resp any] interface {
+	// DispatchWriteInto applies a mutating operation and, when out is
+	// non-nil, writes its response to *out. It must keep neither pointer,
+	// and must change the state alike whether out is nil or not.
+	DispatchWriteInto(op *Wr, out *Resp)
+}
+
+// byValue is the InPlaceWriter of a data structure that answers by
+// value: its response is copied into the slot, or dropped when there is
+// none. It keeps the response's temporary out of the combiner's frame.
+type byValue[Rd any, Wr any, Resp any] struct {
+	ds DataStructure[Rd, Wr, Resp]
+}
+
+func (b byValue[Rd, Wr, Resp]) DispatchWriteInto(op *Wr, out *Resp) {
+	if r := b.ds.DispatchWrite(*op); out != nil {
+		*out = r
+	}
 }
 
 // MaxThreadsPerReplica bounds the flat-combining slots per replica.
@@ -97,10 +119,10 @@ type Replica[Rd any, Wr any, Resp any] struct {
 	// while applying log entries.
 	lock sync.RWMutex
 	ds   DataStructure[Rd, Wr, Resp]
-	// inPlace is ds when it is an InPlaceReader, else nil.
+	// inPlace is ds when it is an InPlaceReader, else nil. writer is ds
+	// when it is an InPlaceWriter, else ds served by value (byValue).
 	inPlace InPlaceReader[Rd, Resp]
-	// discard is ds when it is a Discarder, else nil.
-	discard Discarder[Resp]
+	writer  InPlaceWriter[Wr, Resp]
 
 	// combiner serializes log application for this replica.
 	combiner sync.Mutex
@@ -172,7 +194,10 @@ func New[Rd any, Wr any, Resp any](opts Options, create func() DataStructure[Rd,
 	for i := 0; i < opts.Replicas; i++ {
 		r := &Replica[Rd, Wr, Resp]{nr: n, id: uint32(i), ds: create()}
 		r.inPlace, _ = r.ds.(InPlaceReader[Rd, Resp])
-		r.discard, _ = r.ds.(Discarder[Resp])
+		r.writer, _ = r.ds.(InPlaceWriter[Wr, Resp])
+		if r.writer == nil {
+			r.writer = byValue[Rd, Wr, Resp]{r.ds}
+		}
 		n.replicas = append(n.replicas, r)
 		n.log.appliedTails = append(n.log.appliedTails, &r.applied)
 		n.log.helpers = append(n.log.helpers, r.helpSync)
@@ -277,15 +302,26 @@ func (n *NR[Rd, Wr, Resp]) MustRegister(i int) *ThreadContext[Rd, Wr, Resp] {
 	return c
 }
 
-// Execute performs a mutating operation and returns its response once
+// ExecuteInto performs a mutating operation and returns its response once
 // the operation has been applied at this thread's replica. The
 // linearization point is the operation's position in the shared log.
-func (c *ThreadContext[Rd, Wr, Resp]) Execute(op Wr) Resp {
-	c.op = op
+//
+// The response is answered in place: it is the thread's slot, written
+// by whichever combiner applied the entry on this replica — through
+// InPlaceWriter when the data structure implements it — and valid until
+// the thread's next call. *op is copied into the slot before it is
+// published, so op may live on the caller's stack.
+func (c *ThreadContext[Rd, Wr, Resp]) ExecuteInto(op *Wr) *Resp {
+	c.op = *op
 	c.st.Store(slotPending)
 	c.awaitDone()
 	c.st.Store(slotEmpty)
-	return c.resp
+	return &c.resp
+}
+
+// Execute is ExecuteInto for a caller that takes the response by value.
+func (c *ThreadContext[Rd, Wr, Resp]) Execute(op Wr) Resp {
+	return *c.ExecuteInto(&op)
 }
 
 // awaitDone drives the combiner until this slot's pending submission
@@ -483,11 +519,11 @@ func (r *Replica[Rd, Wr, Resp]) combine() {
 				// Multi-op submission: contiguous run tagged with the
 				// same slot; applyUpTo deposits responses positionally.
 				for j := range c.ops {
-					lg.publish(idx, c.ops[j], r.id, c.id, selfHelp)
+					lg.publish(idx, &c.ops[j], r.id, c.id, selfHelp)
 					idx++
 				}
 			} else {
-				lg.publish(idx, c.op, r.id, c.id, selfHelp)
+				lg.publish(idx, &c.op, r.id, c.id, selfHelp)
 				idx++
 			}
 		}
@@ -515,8 +551,9 @@ func (r *Replica[Rd, Wr, Resp]) combine() {
 }
 
 // applyUpTo applies log entries [applied, target) to the local replica,
-// depositing the responses of this replica's entries and discarding the
-// rest (Discarder). Caller holds r.combiner.
+// each read where it sits in the log. An entry this replica's thread
+// issued is answered into that thread's slot; any other is applied and
+// answered with nothing (InPlaceWriter). Caller holds r.combiner.
 func (r *Replica[Rd, Wr, Resp]) applyUpTo(target uint64) {
 	cur := r.applied.Load()
 	if cur >= target {
@@ -529,25 +566,31 @@ func (r *Replica[Rd, Wr, Resp]) applyUpTo(target uint64) {
 	r.lock.Lock()
 	for ; cur < target; cur++ {
 		op, rep, ctx := lg.read(cur, &r.applied)
-		resp := r.ds.DispatchWrite(op)
+		var c *ThreadContext[Rd, Wr, Resp]
+		var out *Resp
 		if rep == r.id {
-			c := ctxs[ctx]
+			c = ctxs[ctx]
 			if c.ops != nil {
-				// Entries of a multi-op submission arrive in log order,
-				// which is submission order; slotDone only once the
-				// whole run has been deposited, so the owner never
-				// observes a partially filled response vector.
-				c.resps[c.filled] = resp
-				c.filled++
-				if int(c.filled) == len(c.ops) {
-					c.st.Store(slotDone)
-				}
+				out = &c.resps[c.filled]
 			} else {
-				c.resp = resp
+				out = &c.resp
+			}
+		}
+		r.writer.DispatchWriteInto(op, out)
+		if c == nil {
+			continue
+		}
+		if c.ops != nil {
+			// Entries of a multi-op submission arrive in log order,
+			// which is submission order; slotDone only once the whole
+			// run has been answered, so the owner never observes a
+			// partially filled response vector.
+			c.filled++
+			if int(c.filled) == len(c.ops) {
 				c.st.Store(slotDone)
 			}
-		} else if r.discard != nil {
-			r.discard.Discard(resp)
+		} else {
+			c.st.Store(slotDone)
 		}
 	}
 	r.applied.Store(cur)

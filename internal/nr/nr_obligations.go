@@ -18,7 +18,7 @@ func RegisterObligations(g *verifier.Registry) {
 	registerMoreObligations(g)
 	g.Register(
 		verifier.Obligation{Module: "nr", Name: "histories-linearizable", Kind: verifier.KindLinearizability,
-			Check: func(r *rand.Rand) error { return checkLinearizable(r) }},
+			Check: func(r *rand.Rand) error { return checkLinearizable(r, newOblKV) }},
 		verifier.Obligation{Module: "nr", Name: "replicas-converge", Kind: verifier.KindInvariant,
 			Check: func(r *rand.Rand) error {
 				n := New(Options{Replicas: 3}, newOblKV)
@@ -191,10 +191,10 @@ func (s *oblKV) DispatchWrite(op oblW) oblResp {
 	return oblResp{v: old, ok: ok}
 }
 
-// checkLinearizable records a small concurrent history and checks it
-// with the Wing–Gong checker.
-func checkLinearizable(r *rand.Rand) error {
-	n := New(Options{Replicas: 2}, newOblKV)
+// checkLinearizable records a small concurrent history over create's
+// data structure and checks it with the Wing–Gong checker.
+func checkLinearizable(r *rand.Rand, create func() DataStructure[oblR, oblW, oblResp]) error {
+	n := New(Options{Replicas: 2}, create)
 	type opIn struct {
 		read bool
 		w    oblW

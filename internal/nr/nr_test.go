@@ -2,6 +2,7 @@ package nr
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -79,6 +80,94 @@ func TestExecuteReadInto(t *testing.T) {
 		if out != (kvResp{}) {
 			t.Errorf("%s: read of a missing key %+v, want the zero response", name, out)
 		}
+	}
+}
+
+// recordingKV is kvStore applying writes in place (InPlaceWriter) and
+// recording, per applied entry, the slot it was handed. Its DispatchWrite
+// answers wrong, so an entry served by it instead of DispatchWriteInto
+// shows.
+type recordingKV struct {
+	kvStore
+	outs []*kvResp
+}
+
+func (s *recordingKV) DispatchWrite(kvWrite) kvResp { return kvResp{val: ^uint64(0)} }
+
+func (s *recordingKV) DispatchWriteInto(op *kvWrite, out *kvResp) {
+	s.outs = append(s.outs, out)
+	if r := s.kvStore.DispatchWrite(*op); out != nil {
+		*out = r
+	}
+}
+
+// TestWritesAnsweredInIssuerSlot: with two replicas every entry is
+// applied on both, and an InPlaceWriter is handed the issuer's slot —
+// ThreadContext.resp for a single op, resps[i] inside a run — on the
+// issuer's replica and nil on the other. A data structure without the
+// interface is answered through DispatchWrite, the same answers.
+func TestWritesAnsweredInIssuerSlot(t *testing.T) {
+	recs := make([]*recordingKV, 0, 2)
+	n := New(Options{Replicas: 2}, func() DataStructure[kvRead, kvWrite, kvResp] {
+		r := &recordingKV{kvStore: kvStore{m: make(map[uint64]uint64)}}
+		recs = append(recs, r)
+		return r
+	})
+	c0, c1 := n.MustRegister(0), n.MustRegister(1)
+	var want [2][]*kvResp // per replica, the slot each entry must get, in log order
+	own := func(c *ThreadContext[kvRead, kvWrite, kvResp], out *kvResp) {
+		want[c.r.id] = append(want[c.r.id], out)
+		want[1-c.r.id] = append(want[1-c.r.id], nil)
+	}
+	if r := c0.ExecuteInto(&kvWrite{key: 1, val: 10}); r != &c0.resp || *r != (kvResp{}) {
+		t.Fatalf("first write answered %p %+v, want the issuer's slot %p, zero", r, *r, &c0.resp)
+	}
+	own(c0, &c0.resp)
+	if r := c1.Execute(kvWrite{key: 1, val: 11}); r != (kvResp{val: 10, ok: true}) {
+		t.Fatalf("second write answered %+v", r)
+	}
+	own(c1, &c1.resp)
+	// A run's entries are answered at resps[i] of the issuer's vector,
+	// which ExecuteBatch copies out: each entry's slot holds its answer,
+	// and no two share one.
+	resps := c0.ExecuteBatch([]kvWrite{{key: 2, val: 20}, {key: 1, val: 12}})
+	if resps[0] != (kvResp{}) || resps[1] != (kvResp{val: 11, ok: true}) {
+		t.Fatalf("batch answered %+v", resps)
+	}
+	n.Replica(0).Sync()
+	n.Replica(1).Sync()
+	for rep, rec := range recs {
+		if len(rec.outs) != 4 {
+			t.Fatalf("replica %d applied %d entries, want 4", rep, len(rec.outs))
+		}
+		for i, out := range rec.outs[:2] {
+			if out != want[rep][i] {
+				t.Errorf("replica %d entry %d handed %p, want %p", rep, i, out, want[rep][i])
+			}
+		}
+		for i, out := range rec.outs[2:4] {
+			if (out == nil) != (rep != 0) {
+				t.Errorf("replica %d batch entry %d handed %p", rep, i, out)
+			} else if out != nil && *out != resps[i] {
+				t.Errorf("replica %d batch entry %d handed a slot holding %+v, want resps[%d] %+v", rep, i, *out, i, resps[i])
+			}
+		}
+	}
+	if rec := recs[0]; rec.outs[2] == rec.outs[3] {
+		t.Errorf("both batch entries were handed the same slot %p", rec.outs[2])
+	}
+
+	// The by-value fallback: the same history, answered by DispatchWrite.
+	n = New(Options{Replicas: 2}, newKV)
+	c0, c1 = n.MustRegister(0), n.MustRegister(1)
+	if r := *c0.ExecuteInto(&kvWrite{key: 1, val: 10}); r != (kvResp{}) {
+		t.Fatalf("by value: first write answered %+v", r)
+	}
+	if r := c1.Execute(kvWrite{key: 1, val: 11}); r != (kvResp{val: 10, ok: true}) {
+		t.Fatalf("by value: second write answered %+v", r)
+	}
+	if r := c0.ExecuteBatch([]kvWrite{{key: 2, val: 20}, {key: 1, val: 12}}); r[0] != (kvResp{}) || r[1] != (kvResp{val: 11, ok: true}) {
+		t.Fatalf("by value: batch answered %+v", r)
 	}
 }
 
@@ -325,5 +414,35 @@ func TestObligationsAllPass(t *testing.T) {
 	}
 	if len(rep.Results) < 10 {
 		t.Fatalf("only %d nr VCs", len(rep.Results))
+	}
+}
+
+// inPlaceOblKV is the linearizability VC's map applying writes in place.
+// Its DispatchWrite answers wrong, so an entry it serves by value shows.
+type inPlaceOblKV struct{ oblKV }
+
+func (s *inPlaceOblKV) DispatchWrite(oblW) oblResp { return oblResp{v: ^uint64(0)} }
+
+func (s *inPlaceOblKV) DispatchWriteInto(op *oblW, out *oblResp) {
+	if r := s.oblKV.DispatchWrite(*op); out != nil {
+		*out = r
+	}
+}
+
+// TestHistoriesLinearizableBothWriteForms runs nr:histories-linearizable's
+// check over an InPlaceWriter and over a by-value data structure: the
+// responses an issuer reads from its slot linearize either way.
+func TestHistoriesLinearizableBothWriteForms(t *testing.T) {
+	for name, create := range map[string]func() DataStructure[oblR, oblW, oblResp]{
+		"in place": func() DataStructure[oblR, oblW, oblResp] {
+			return &inPlaceOblKV{oblKV{m: make(map[uint64]uint64)}}
+		},
+		"by value": newOblKV,
+	} {
+		for seed := range int64(20) {
+			if err := checkLinearizable(rand.New(rand.NewSource(seed)), create); err != nil {
+				t.Fatalf("%s, seed %d: %v", name, seed, err)
+			}
+		}
 	}
 }

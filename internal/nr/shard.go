@@ -97,9 +97,11 @@ func (t *ShardedThread[Rd, Wr, Resp]) ExecuteRead(key uint64, op Rd) Resp {
 // ExecuteOn runs a mutating operation on an explicit shard index —
 // the escape hatch cross-shard protocols use to address a step at a
 // specific shard (e.g. the process tree pinned to shard 0, or a
-// namespace broadcast visiting every shard in order).
-func (t *ShardedThread[Rd, Wr, Resp]) ExecuteOn(shard int, op Wr) Resp {
-	return t.ctxs[shard].Execute(op)
+// namespace broadcast visiting every shard in order). The response is
+// the shard's thread slot (ThreadContext.ExecuteInto), valid until the
+// thread's next call on that shard.
+func (t *ShardedThread[Rd, Wr, Resp]) ExecuteOn(shard int, op *Wr) *Resp {
+	return t.ctxs[shard].ExecuteInto(op)
 }
 
 // ExecuteReadOn runs a read-only operation on an explicit shard index.

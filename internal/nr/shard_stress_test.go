@@ -46,7 +46,7 @@ func TestShardedStress(t *testing.T) {
 				}
 				// Explicit-shard ops (the router's broadcast path).
 				sh := i % shards
-				ctx.ExecuteOn(sh, kvWrite{key: uint64(w), val: uint64(i)})
+				ctx.ExecuteOn(sh, &kvWrite{key: uint64(w), val: uint64(i)})
 				ctx.ExecuteReadOn(sh, kvRead{key: uint64(w)})
 				if i%16 == 0 {
 					ops := []kvWrite{

@@ -21,7 +21,10 @@ import (
 // exactly — is discharged for this codec by VCs in sys_obligations.go.
 
 // EncodeWrite packs a WriteOp for the boundary crossing.
-func EncodeWrite(op WriteOp) (marshal.SyscallFrame, []byte) {
+func EncodeWrite(op WriteOp) (marshal.SyscallFrame, []byte) { return encodeWrite(&op) }
+
+// encodeWrite is EncodeWrite of an op the caller keeps.
+func encodeWrite(op *WriteOp) (marshal.SyscallFrame, []byte) {
 	frame := marshal.SyscallFrame{Num: op.Num}
 	frame.Args[0] = uint64(op.PID)
 	frame.Args[1] = uint64(op.FD)
@@ -30,9 +33,9 @@ func EncodeWrite(op WriteOp) (marshal.SyscallFrame, []byte) {
 	frame.Args[4] = op.Size
 	frame.Args[5] = uint64(op.TID)
 
-	m, size := writeTail(&op)
+	m, size := writeTail(op)
 	e := marshal.NewEncoder(make([]byte, 0, size))
-	encodeWriteTail(e, &op, m)
+	encodeWriteTail(e, op, m)
 	return frame, e.Bytes()
 }
 
@@ -187,7 +190,15 @@ func decodeWriteTail(d *marshal.Decoder, op *WriteOp) {
 
 // DecodeWrite unpacks a WriteOp on the kernel side.
 func DecodeWrite(frame marshal.SyscallFrame, payload []byte) (WriteOp, error) {
-	op := WriteOp{
+	var op WriteOp
+	err := DecodeWriteInto(frame, payload, &op)
+	return op, err
+}
+
+// DecodeWriteInto is DecodeWrite into a slot the caller keeps: every
+// field of *op is overwritten, and a failed decode leaves it zero.
+func DecodeWriteInto(frame marshal.SyscallFrame, payload []byte, op *WriteOp) error {
+	*op = WriteOp{
 		Num:  frame.Num,
 		PID:  proc.PID(frame.Args[0]),
 		FD:   fs.FD(frame.Args[1]),
@@ -197,11 +208,12 @@ func DecodeWrite(frame marshal.SyscallFrame, payload []byte) (WriteOp, error) {
 		TID:  sched.TID(frame.Args[5]),
 	}
 	d := marshal.NewDecoder(payload)
-	decodeWriteTail(d, &op)
+	decodeWriteTail(d, op)
 	if err := d.Finish(); err != nil {
-		return WriteOp{}, fmt.Errorf("sys: write op decode: %w", err)
+		*op = WriteOp{}
+		return fmt.Errorf("sys: write op decode: %w", err)
 	}
-	return op, nil
+	return nil
 }
 
 // EncodeRead packs a ReadOp. The witness bit rides in the sixth
@@ -245,7 +257,11 @@ func DecodeRead(frame marshal.SyscallFrame, payload []byte) (ReadOp, error) {
 // EncodeResp packs a Resp for the return crossing. A reply that carries
 // nothing past its errno and value is the register frame alone, with no
 // payload; any other is one allocation of exactly its encoded size.
-func EncodeResp(r Resp) (marshal.RetFrame, []byte) {
+func EncodeResp(r Resp) (marshal.RetFrame, []byte) { return EncodeRespFrom(&r) }
+
+// EncodeRespFrom is EncodeResp of a response where it already sits — the
+// issuer's slot the kernel answered into — without copying it.
+func EncodeRespFrom(r *Resp) (marshal.RetFrame, []byte) {
 	ret := marshal.RetFrame{Value: r.Val, Errno: uint64(r.Errno)}
 	if len(r.Data) == 0 && r.Stat == (fs.Stat{}) && len(r.Entries) == 0 &&
 		r.Wait == (proc.WaitResult{}) && r.TID == 0 && r.Sig == 0 && !r.SigOK && len(r.Freed) == 0 {

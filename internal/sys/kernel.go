@@ -124,17 +124,58 @@ func (k *Kernel) descriptor(pid proc.PID, fd fs.FD) (*fs.OpenFile, Errno) {
 	return of, EOK
 }
 
-// Discard implements nr.Discarder: a response nobody reads — a write
-// applied on a replica other than its issuer's — gives its witness's
-// views back, so the file they pin reuses on that replica too.
-func (k *Kernel) Discard(r Resp) { r.Witness.Release() }
-
-// DispatchWrite implements nr.DataStructure: the mutating syscalls.
-// The kernel.apply kstat counts once per replica per logged op (R× the
-// syscall count with R replicas) — the ratio against the syscall-level
-// counts is exactly the replication amplification.
+// DispatchWrite implements nr.DataStructure: DispatchWriteInto for a
+// caller that takes the response by value.
 func (k *Kernel) DispatchWrite(op WriteOp) Resp {
+	var r Resp
+	k.DispatchWriteInto(&op, &r)
+	return r
+}
+
+// DispatchWriteInto implements nr.InPlaceWriter: the mutating syscalls,
+// each applied to this replica and answered by writing *out, the
+// issuer's slot. out is nil on every replica but the issuer's, and then
+// the state changes alike and nothing is composed: no witness is taken
+// (so no view is pinned), no reply buffer is allocated, and a read moves
+// its cursor by its count without copying a byte — in particular, never
+// into a destination the op carries, which only the issuer's apply
+// writes. The kernel.apply kstat counts once per replica per logged op
+// (R× the syscall count with R replicas) — the ratio against the
+// syscall-level counts is exactly the replication amplification.
+func (k *Kernel) DispatchWriteInto(op *WriteOp, out *Resp) {
 	obs.KernelApplies.Count(op.Num, k.obsShard)
+	switch op.Num {
+	case NumRead, NumWrite, NumSeek, NumFDRun:
+		k.fdRun(op, out)
+	case NumFsRun:
+		k.fsRun(op, uint64(op.Code), op.Ino, int(op.Flags), op.Size, out)
+	case NumFDLock:
+		k.fdLock(op, out)
+	case NumFDUnlock:
+		k.fdUnlock(op, out)
+	case NumFDSeek:
+		k.fdSeek(op, out)
+	default:
+		k.scalarWrite(op, out)
+	}
+}
+
+// scalarWrite applies every other mutating syscall — one whose answer is
+// a handful of scalars or frame lists — and copies the answer into out
+// when there is one. It is its own frame, not inlined: the answer's
+// temporary would otherwise sit in DispatchWriteInto's frame on every
+// apply, deepening the descriptor arms' stacks too, and a batch applies
+// on a ring drainer goroutine that starts on a small stack.
+//
+//go:noinline
+func (k *Kernel) scalarWrite(op *WriteOp, out *Resp) {
+	if r := k.dispatchWrite(op); out != nil {
+		*out = r
+	}
+}
+
+// dispatchWrite serves the mutating syscalls scalarWrite applies.
+func (k *Kernel) dispatchWrite(op *WriteOp) Resp {
 	switch op.Num {
 	case NumOpen:
 		// Re-validate the flag set kernel-side: Sys.Open already rejects
@@ -162,9 +203,6 @@ func (k *Kernel) DispatchWrite(op WriteOp) Resp {
 			return fail(err)
 		}
 		return ok(0)
-
-	case NumRead, NumWrite, NumSeek, NumFDRun:
-		return k.fdRun(&op)
 
 	case NumMkdir:
 		if _, err := k.fs.Mkdir(op.Path); err != nil {
@@ -225,10 +263,10 @@ func (k *Kernel) DispatchWrite(op WriteOp) Resp {
 			if op.Target == proc.InitPID {
 				return Resp{Errno: EPERM}
 			}
-			target := op
+			target := *op
 			target.PID = op.Target
 			target.Code = 128 + int(proc.SIGKILL)
-			return k.exit(target)
+			return k.exit(&target)
 		}
 		if err := k.procs.Kill(op.Target, op.Sig); err != nil {
 			return fail(err)
@@ -318,7 +356,7 @@ func (k *Kernel) replyBuf(ino fs.Ino, off, want uint64) []byte {
 }
 
 // spawn creates the process plus its kernel resources.
-func (k *Kernel) spawn(op WriteOp) Resp {
+func (k *Kernel) spawn(op *WriteOp) Resp {
 	pid, err := k.procs.Spawn(op.PID, op.Name)
 	if err != nil {
 		return fail(err)
@@ -344,7 +382,7 @@ func (k *Kernel) spawn(op WriteOp) Resp {
 // exit tears down a process: its resources (detach), then the tree
 // transition that also drops its socket rows (exitTree) — the two
 // halves the sharded kernel runs on the victim's shard and shard 0.
-func (k *Kernel) exit(op WriteOp) Resp {
+func (k *Kernel) exit(op *WriteOp) Resp {
 	r := k.detach(op)
 	if r.Errno != EOK {
 		return r
@@ -357,7 +395,7 @@ func (k *Kernel) exit(op WriteOp) Resp {
 
 // exitTree is exit's process-shard-0 half: zombie, reparent, signal,
 // and the socket rows, which live with the tree (socktab.go).
-func (k *Kernel) exitTree(op WriteOp) Resp {
+func (k *Kernel) exitTree(op *WriteOp) Resp {
 	if err := k.procs.Exit(op.PID, op.Code); err != nil {
 		return fail(err)
 	}
@@ -391,7 +429,7 @@ func (k *Kernel) teardownVSpace(pid proc.PID) (freed, unpinned []mem.PAddr) {
 }
 
 // mmap reserves virtual space and maps the caller-provided frames.
-func (k *Kernel) mmap(op WriteOp) Resp {
+func (k *Kernel) mmap(op *WriteOp) Resp {
 	vs := k.vs[op.PID]
 	as := k.spaces[op.PID]
 	if vs == nil || as == nil {
@@ -427,7 +465,7 @@ func (k *Kernel) mmap(op WriteOp) Resp {
 // mappings are not munmap-able: their frames belong to the page cache,
 // and only PreadUnmap knows to return them as Unpinned rather than
 // Freed.
-func (k *Kernel) munmap(op WriteOp) Resp {
+func (k *Kernel) munmap(op *WriteOp) Resp {
 	vs := k.vs[op.PID]
 	as := k.spaces[op.PID]
 	if vs == nil || as == nil {

@@ -343,7 +343,12 @@ type WriteOp struct {
 	Num uint64
 	PID proc.PID
 
-	// File syscalls.
+	// File syscalls. Data is a write's payload — or, on a per-call
+	// NumRead, the caller's buffer, the read's destination: the kernel
+	// side attaches it after the decode (a read's row carries no Data, so
+	// it never crosses the wire), and only the issuer replica's apply
+	// writes it, at most Len bytes and nothing past the count
+	// (Kernel.DispatchWriteInto). A nil Data is the reply form.
 	FD     fs.FD
 	Flags  uint64
 	Whence int
@@ -528,8 +533,8 @@ type Resp struct {
 	// there is none. Never marshalled — its contents are views of kernel
 	// memory, not bytes to copy: the handler keeps it for its handle, Sys
 	// takes it through Witnesser and gives its views back once checked,
-	// and a replica whose response nobody reads gives them back at once
-	// (Kernel.Discard).
+	// and a replica whose response nobody reads takes none
+	// (Kernel.DispatchWriteInto with no slot).
 	Witness Witness
 }
 

@@ -47,9 +47,11 @@ const (
 	TargetFsOwner
 )
 
-// dispatchShardWrite serves the internal mutating protocol ops
-// (DispatchWrite's default arm).
-func (k *Kernel) dispatchShardWrite(op WriteOp) Resp {
+// dispatchShardWrite serves the internal mutating protocol ops answered
+// with scalars (dispatchWrite's default arm); the descriptor protocol's
+// steps — NumFDLock, NumFsRun, NumFDUnlock, NumFDSeek — are
+// DispatchWriteInto's own arms.
+func (k *Kernel) dispatchShardWrite(op *WriteOp) Resp {
 	switch op.Num {
 	case NumFDOpen:
 		t, e := k.fdTable(op.PID)
@@ -57,61 +59,6 @@ func (k *Kernel) dispatchShardWrite(op WriteOp) Resp {
 			return Resp{Errno: e}
 		}
 		return ok(uint64(t.Attach(op.Ino, int(op.Flags))))
-
-	case NumFDLock:
-		of, e := k.descriptor(op.PID, op.FD)
-		switch {
-		case of == nil:
-			return Resp{Errno: e}
-		case of.Locked:
-			// Another core holds the descriptor across its two-step data
-			// op; the router retries. Deterministic: the lock state is a
-			// function of this shard's log prefix.
-			return Resp{Errno: EAGAIN}
-		}
-		of.Locked = true
-		return fdScalars(of)
-
-	case NumFDUnlock:
-		of, e := k.descriptor(op.PID, op.FD)
-		switch {
-		case of == nil:
-			return Resp{Errno: e}
-		case !of.Locked:
-			return fail(fs.ErrNotLocked)
-		}
-		of.Offset = op.Len
-		of.Locked = false
-		// Off is the offset as stored — the post-state half of a composed
-		// witness, read back inside this apply.
-		return Resp{Errno: EOK, Off: of.Offset}
-
-	case NumFDSeek:
-		of, e := k.descriptor(op.PID, op.FD)
-		switch {
-		case of == nil:
-			r := Resp{Errno: e}
-			ComposeWitness(&op, nil, 0, &r)
-			return r
-		case of.Locked:
-			// A read or write protocol holds the descriptor and will
-			// publish its own offset at unlock; repositioning now would be
-			// overwritten. The router retries, like NumFDLock.
-			return Resp{Errno: EAGAIN}
-		}
-		pre := *of
-		// SeekEnd needs the owner shard's size: the router runs it as a
-		// one-entry NumFsRun under the descriptor lock instead.
-		r := fail(fs.ErrInval)
-		if op.Whence != fs.SeekEnd {
-			if n, err := k.fs.SeekCursor(of.Ino, of.Offset, op.Off, op.Whence); err != nil {
-				r = fail(err)
-			} else {
-				of.Offset, r = n, ok(n)
-			}
-		}
-		ComposeWitness(&op, &pre, of.Offset, &r)
-		return r
 
 	case NumProcSpawn:
 		pid, err := k.procs.Spawn(op.PID, op.Name)
@@ -145,9 +92,9 @@ func (k *Kernel) dispatchShardWrite(op WriteOp) Resp {
 	case NumProcDetach:
 		// The resource half of exit; the monolithic exit is this
 		// followed by exitTree, NumProcExit's body.
-		detach := op
+		detach := *op
 		detach.PID = op.Target
-		return k.detach(detach)
+		return k.detach(&detach)
 
 	case NumProcExit:
 		return k.exitTree(op)
@@ -158,9 +105,6 @@ func (k *Kernel) dispatchShardWrite(op WriteOp) Resp {
 			return fail(err)
 		}
 		return Resp{Errno: EOK, Val: uint64(ino), Ino: ino}
-
-	case NumFsRun:
-		return k.fsRun(&op, uint64(op.Code), op.Ino, int(op.Flags), op.Size)
 
 	case NumFsTruncate:
 		if err := k.fs.Truncate(op.Ino, op.Len); err != nil {
@@ -215,62 +159,167 @@ func (k *Kernel) dispatchShardWrite(op WriteOp) Resp {
 	return Resp{Errno: ENOSYS}
 }
 
+// fdLock serves NumFDLock, the first step of a partitioned kernel's
+// descriptor run, answered into out (nil on a replica that answers
+// nobody, DispatchWriteInto): the descriptor locked, reported by its
+// inode, offset and open flags.
+func (k *Kernel) fdLock(op *WriteOp, out *Resp) {
+	of, e := k.descriptor(op.PID, op.FD)
+	if of != nil {
+		if of.Locked {
+			// Another core holds the descriptor across its two-step data
+			// op; the router retries. Deterministic: the lock state is a
+			// function of this shard's log prefix.
+			e = EAGAIN
+		} else {
+			of.Locked = true
+		}
+	}
+	switch {
+	case out == nil:
+	case e != EOK:
+		*out = Resp{Errno: e}
+	default:
+		*out = fdScalars(of)
+	}
+}
+
+// fdUnlock serves NumFDUnlock, the last step of a descriptor run: the
+// cursor the run ends at (op.Len) is stored and the descriptor unlocked.
+// Off answers the offset as stored — the post-state half of a composed
+// witness, read back inside this apply.
+func (k *Kernel) fdUnlock(op *WriteOp, out *Resp) {
+	of, e := k.descriptor(op.PID, op.FD)
+	if of != nil {
+		if of.Locked {
+			of.Offset = op.Len
+			of.Locked = false
+		} else {
+			e = ErrnoFromError(fs.ErrNotLocked)
+		}
+	}
+	switch {
+	case out == nil:
+	case e != EOK:
+		*out = Resp{Errno: e}
+	default:
+		*out = Resp{Errno: EOK, Off: of.Offset}
+	}
+}
+
+// fdSeek serves NumFDSeek, a partitioned kernel's SeekSet/SeekCur: one
+// transition on the descriptor's process shard, answered into out (nil
+// on a replica that answers nobody, DispatchWriteInto).
+func (k *Kernel) fdSeek(op *WriteOp, out *Resp) {
+	of, e := k.descriptor(op.PID, op.FD)
+	switch {
+	case of == nil:
+		if out != nil {
+			*out = Resp{Errno: e}
+			ComposeWitness(op, nil, 0, out)
+		}
+		return
+	case of.Locked:
+		// A read or write protocol holds the descriptor and will publish
+		// its own offset at unlock; repositioning now would be
+		// overwritten. The router retries, like NumFDLock.
+		if out != nil {
+			*out = Resp{Errno: EAGAIN}
+		}
+		return
+	}
+	pre := *of
+	// SeekEnd needs the owner shard's size: the router runs it as a
+	// one-entry NumFsRun under the descriptor lock instead.
+	r := fail(fs.ErrInval)
+	if op.Whence != fs.SeekEnd {
+		if n, err := k.fs.SeekCursor(of.Ino, of.Offset, op.Off, op.Whence); err != nil {
+			r = fail(err)
+		} else {
+			of.Offset, r = n, ok(n)
+		}
+	}
+	if out != nil {
+		*out = r
+		ComposeWitness(op, &pre, of.Offset, out)
+	}
+}
+
 // fdRun is the one descriptor transition of a co-located kernel — a
 // per-call read, write or seek, or a batch's NumFDRun: resolve the
 // descriptor, apply its entries (fsRun; a per-call op is its own single
 // entry, numbered by op.Num) and store the cursor, all in one apply, so
 // nothing lands between the two sides of its witness. The inode, open
-// flags and cursor are the descriptor's, never the frame's.
-func (k *Kernel) fdRun(op *WriteOp) Resp {
+// flags and cursor are the descriptor's, never the frame's. It answers
+// into out, or composes nothing when out is nil (DispatchWriteInto).
+func (k *Kernel) fdRun(op *WriteOp, out *Resp) {
 	of, e := k.descriptor(op.PID, op.FD)
 	if of == nil {
-		r := Resp{Errno: e}
-		ComposeWitness(op, nil, 0, &r)
-		return r
+		if out != nil {
+			*out = Resp{Errno: e}
+			ComposeWitness(op, nil, 0, out)
+		}
+		return
 	}
-	pre := *of
-	r := k.fsRun(op, op.Num, of.Ino, of.Flags, of.Offset)
-	of.Offset = r.Off
-	ComposeWitness(op, &pre, of.Offset, &r)
-	return r
+	var pre fs.OpenFile
+	if out != nil {
+		pre = *of
+	}
+	of.Offset = k.fsRun(op, op.Num, of.Ino, of.Flags, of.Offset, out)
+	if out != nil {
+		ComposeWitness(op, &pre, of.Offset, out)
+	}
 }
 
 // fsRun applies a run of a descriptor's entries in order against ino,
 // threading its cursor from cur under its open flags the way the
-// descriptor itself would move. On a partitioned kernel this is a
-// NumFsRun on the inode's owner shard, whose Ino, Flags and Size carry
-// them: the router holds the descriptor locked on its process shard from
-// before this apply until it publishes the returned cursor, so it cannot
-// move otherwise. On a co-located kernel fdRun runs this body inside the
-// one transition that resolves the descriptor and stores its cursor. The
-// run itself never fails; each entry reports its own errno. A witnessed
-// run returns the contents half of its witness: the inode's contents
-// before its first entry and after its last.
+// descriptor itself would move, and returns the cursor after the last.
+// On a partitioned kernel this is a NumFsRun on the inode's owner shard,
+// whose Ino, Flags and Size carry them: the router holds the descriptor
+// locked on its process shard from before this apply until it publishes
+// the returned cursor, so it cannot move otherwise. On a co-located
+// kernel fdRun runs this body inside the one transition that resolves
+// the descriptor and stores its cursor. The run itself never fails; each
+// entry reports its own errno. A witnessed run answers with the contents
+// half of its witness: the inode's contents before its first entry and
+// after its last.
 //
 // The entries are op.Run.Ops, answered in Resp.Run. Without a Run the op
 // is its own single entry — a per-call read, write or seek, which then
 // allocates no run: num is its syscall number, its file fields (Off,
 // Whence, Len, Data) are the entry's, and the response itself carries
-// the result.
-func (k *Kernel) fsRun(op *WriteOp, num uint64, ino fs.Ino, flags int, cur uint64) Resp {
-	var w Witness
+// the result. With out nil the run is applied and answered with nothing:
+// no contents are taken and no result vector is built.
+func (k *Kernel) fsRun(op *WriteOp, num uint64, ino fs.Ino, flags int, cur uint64, out *Resp) uint64 {
+	if out == nil {
+		if op.Run == nil {
+			_, cur = k.runEntry(ino, flags, cur, num, op, false)
+		} else {
+			for i := range op.Run.Ops {
+				_, cur = k.runEntry(ino, flags, cur, op.Run.Ops[i].Num, &op.Run.Ops[i], false)
+			}
+		}
+		return cur
+	}
+	*out = Resp{}
+	w := &out.Witness
 	if op.Witness {
 		w.Pre.Contents, w.PreOK = k.fs.Contents(ino)
 	}
 	var e RunResult
-	var res []RunResult
 	if op.Run == nil {
-		e, cur = k.runEntry(ino, flags, cur, num, op)
+		e, cur = k.runEntry(ino, flags, cur, num, op, true)
 	} else {
-		res = make([]RunResult, len(op.Run.Ops))
+		out.Run = make([]RunResult, len(op.Run.Ops))
 		for i := range op.Run.Ops {
-			res[i], cur = k.runEntry(ino, flags, cur, op.Run.Ops[i].Num, &op.Run.Ops[i])
+			out.Run[i], cur = k.runEntry(ino, flags, cur, op.Run.Ops[i].Num, &op.Run.Ops[i], true)
 		}
 	}
 	if op.Witness {
 		w.Post.Contents, w.PostOK = k.fs.Contents(ino)
 	}
-	return Resp{Errno: e.Errno, Val: e.Val, Data: e.Data, Off: cur, Run: res, Witness: w}
+	out.Errno, out.Val, out.Data, out.Off = e.Errno, e.Val, e.Data, cur
+	return cur
 }
 
 // ComposeWitness gives r its witness when op asks for one: the one
@@ -308,14 +357,38 @@ func fdScalars(of *fs.OpenFile) Resp {
 // is the fs cursor operation fs.FDTable's Read, Write and Seek apply, so
 // SeekEnd and appends resolve against the size as of this entry, and a
 // failed entry leaves the cursor where it was.
-func (k *Kernel) runEntry(ino fs.Ino, flags int, cur, num uint64, e *WriteOp) (RunResult, uint64) {
+//
+// A read answered (answer set) lands in e.Data when the entry carries
+// the caller's buffer there — a per-call read's destination: at most
+// len(e.Data) bytes, and nothing past the count — and otherwise in a
+// reply buffer clamped to what the file can supply. Unanswered, it
+// copies nothing: fs.ReadCursor with no buffer decides its errno, and
+// the cursor moves by the count the answered read returns, the same
+// clamp of the same length.
+func (k *Kernel) runEntry(ino fs.Ino, flags int, cur, num uint64, e *WriteOp, answer bool) (RunResult, uint64) {
 	var r RunResult
 	var err error
 	switch num {
 	case NumRead:
-		buf := k.replyBuf(ino, cur, e.Len)
+		want := e.Len
+		if e.Data != nil {
+			want = min(want, uint64(len(e.Data)))
+		}
+		var buf []byte
+		switch {
+		case !answer:
+		case e.Data != nil:
+			buf = e.Data[:want]
+		default:
+			buf = k.replyBuf(ino, cur, want)
+		}
 		if r.Val, cur, err = k.fs.ReadCursor(ino, flags, cur, buf); err == nil {
-			r.Data = buf[:r.Val]
+			if answer {
+				r.Data = buf[:r.Val]
+			} else if st, err := k.fs.StatIno(ino); err == nil {
+				r.Val = ClampReadLen(want, cur, st.Size)
+				cur += r.Val
+			}
 		}
 	case NumWrite:
 		r.Val, cur, err = k.fs.WriteCursor(ino, flags, cur, e.Data)
@@ -355,7 +428,7 @@ func (k *Kernel) readAt(ino fs.Ino, off, want uint64, dst []byte) Resp {
 // mappings, page table) without touching the process tree. Frames
 // behind pread mappings are cache-owned and travel in Unpinned, not
 // Freed (see preadMapTag).
-func (k *Kernel) detach(op WriteOp) Resp {
+func (k *Kernel) detach(op *WriteOp) Resp {
 	pid := op.PID
 	freed, unpinned := k.teardownVSpace(pid)
 	if as := k.spaces[pid]; as != nil {

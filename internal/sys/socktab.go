@@ -48,7 +48,7 @@ func newSockTab() *sockTab {
 }
 
 // dispatchSockWrite serves the socket-table mutating ops.
-func (k *Kernel) dispatchSockWrite(op WriteOp) Resp {
+func (k *Kernel) dispatchSockWrite(op *WriteOp) Resp {
 	t := k.socks
 	switch op.Num {
 	case NumSockTabBind:

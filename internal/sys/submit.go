@@ -310,7 +310,7 @@ func (s *Sys) ringEnqueue(b *Batch) {
 // ringDrain serves the submission queue in order: one batch at a time,
 // one goroutine per ring, so a process's batches execute in submission
 // order and the boundary crossing always happens from the handle's own
-// (per-core) submission stream.
+// (per-core) submission stream. The ring's running flag is set for it.
 func (s *Sys) ringDrain() {
 	for {
 		s.ring.mu.Lock()
@@ -367,10 +367,15 @@ func (s *Sys) SubmitOpts(ops []Op, opts SubmitOptions) *Batch {
 	return b
 }
 
-// SubmitWait is the synchronous form: submit and reap on the calling
-// goroutine, skipping the ring handoff (the cheaper path when nothing
-// overlaps the batch). Kept with the PR-2 signature — the batch-level
-// error surfaces as an Errno — as a thin wrapper over the new API.
+// SubmitWait is the synchronous form: submit and reap. It keeps the
+// ring's order like any submission — a batch queued on the handle before
+// it executes before it — and skips the ring handoff only when nothing
+// overlaps: with the ring idle and empty, the calling goroutine claims
+// it and carries the batch across itself, and a batch submitted
+// meanwhile queues behind it and is handed to a drainer after. Otherwise
+// the batch is enqueued and waited for. Kept with the PR-2 signature —
+// the batch-level error surfaces as an Errno — as a thin wrapper over
+// the new API.
 func (s *Sys) SubmitWait(ops []Op) ([]Completion, Errno) {
 	if len(ops) == 0 {
 		return nil, EOK
@@ -379,8 +384,23 @@ func (s *Sys) SubmitWait(ops []Op) ([]Completion, Errno) {
 	if err := b.prepare(); err != nil {
 		return nil, errnoOf(err)
 	}
-	s.drain(b)
-	comps, err := b.Wait() // already done: returns without waiting
+	s.ring.mu.Lock()
+	if s.ring.running || len(s.ring.q) > 0 {
+		s.ring.mu.Unlock()
+		s.ringEnqueue(b)
+	} else {
+		s.ring.running = true
+		s.ring.mu.Unlock()
+		s.drain(b)
+		s.ring.mu.Lock()
+		if len(s.ring.q) > 0 {
+			go s.ringDrain()
+		} else {
+			s.ring.running = false
+		}
+		s.ring.mu.Unlock()
+	}
+	comps, err := b.Wait()
 	return comps, errnoOf(err)
 }
 

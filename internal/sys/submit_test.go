@@ -1,6 +1,7 @@
 package sys
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -322,5 +323,41 @@ func TestWaitNPartialReap(t *testing.T) {
 	all, err := b.Wait()
 	if err != nil || len(all) != n {
 		t.Fatalf("final wait: %d comps, %v", len(all), err)
+	}
+}
+
+// TestSubmitWaitKeepsSubmissionOrder: a process's batches execute in
+// submission order, a synchronous one included. A polled batch is still
+// queued on the handle's ring (at GOMAXPROCS 1 its drainer has not run)
+// when SubmitWait is called on the same handle; the SubmitWait batch must
+// apply after it, so the file ends with the second write.
+func TestSubmitWaitKeepsSubmissionOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := range 20 {
+		_, s := newSysPair(t)
+		fd, e := s.Open("/order", OCreate|ORdWr)
+		if e != EOK {
+			t.Fatal(e)
+		}
+		first := s.SubmitOpts([]Op{OpSeek(fd, 0, 0), OpWrite(fd, []byte("AAAA"))}, SubmitOptions{Wait: WaitPoll})
+		if _, e := s.SubmitWait([]Op{OpSeek(fd, 0, 0), OpWrite(fd, []byte("BBBB"))}); e != EOK {
+			t.Fatal(e)
+		}
+		for !first.Done() {
+			runtime.Gosched()
+		}
+		if _, err := first.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 4)
+		if _, e := s.Pread(fd, buf, 0); e != EOK {
+			t.Fatal(e)
+		}
+		if string(buf) != "BBBB" {
+			t.Fatalf("run %d: the file reads %q: SubmitWait overtook the batch queued before it", i, buf)
+		}
+		if err := s.ContractErr(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -37,9 +37,12 @@ type Witnesser interface {
 // appear at known kernel addresses") instead of marshalling. The kernel
 // writes at most len(dst) bytes into dst and nothing past the count it
 // returns; the reply is the register frame alone (errno and count), with
-// no payload to allocate, encode or copy out of. Pread crosses this way
-// when it can. dst is the handler's until the call returns — one handle
-// is one thread of control, and the buffer is the call's `&mut` borrow.
+// no payload to allocate, encode or copy out of. Pread and Read cross
+// this way when they can. dst is the handler's until the call returns —
+// one handle is one thread of control, and the buffer is the call's
+// `&mut` borrow — and nothing writes it after: a logged read carries it
+// to every replica, but only the issuer's apply writes it
+// (Kernel.DispatchWriteInto).
 type DestHandler interface {
 	SyscallInto(frame marshal.SyscallFrame, payload []byte, dst []byte) marshal.RetFrame
 }
@@ -320,13 +323,30 @@ func stepOf(op *WriteOp) fs.StepOp {
 // callWrite crosses the boundary with a mutating op.
 func (s *Sys) callWrite(op WriteOp) Resp {
 	op.PID = s.pid
-	frame, payload := EncodeWrite(op)
+	frame, payload := encodeWrite(&op)
 	ret, out := s.h.Syscall(frame, payload)
 	r, err := DecodeResp(ret, out)
 	if err != nil {
 		return Resp{Errno: EINVAL}
 	}
 	return r
+}
+
+// callScalar crosses the boundary with a mutating op whose answer is its
+// value and errno — a write or a seek: a reply that is the register
+// frame alone is read off the frame, with no response to decode into.
+func (s *Sys) callScalar(op *WriteOp) (uint64, Errno) {
+	op.PID = s.pid
+	frame, payload := encodeWrite(op)
+	ret, out := s.h.Syscall(frame, payload)
+	if len(out) == 0 {
+		return ret.Value, Errno(ret.Errno)
+	}
+	r, err := DecodeResp(ret, out)
+	if err != nil {
+		return 0, EINVAL
+	}
+	return r.Val, r.Errno
 }
 
 // callRead crosses the boundary with a read-only op.
@@ -358,20 +378,34 @@ func (s *Sys) Close(fd fs.FD) Errno {
 }
 
 // Read reads up to len(buffer) bytes at the descriptor's offset,
-// returning the count — the paper's worked example. In contract mode
-// the call is checked against read_spec over the witnessed transition
-// and the bytes delivered into buffer.
+// returning the count — the paper's worked example. Like Pread, a
+// DestHandler is handed buffer itself: the logged read carries it to the
+// kernel, whose issuer replica's apply reads the file straight into it,
+// so the call costs one copy (file to buffer) and the reply is the
+// register frame alone; any other handler returns the bytes in an
+// encoded reply. In contract mode the call is checked against read_spec
+// over the witnessed transition and the bytes delivered into buffer.
 func (s *Sys) Read(fd fs.FD, buffer []byte) (uint64, Errno) {
 	s.call.Lock()
 	defer s.call.Unlock()
-	op := WriteOp{Num: NumRead, FD: fd, Len: uint64(len(buffer)), Witness: s.checking()}
-	r := s.callWrite(op)
-	n := copy(buffer, r.Data)
-	s.checkCall(&op, Completion{Op: NumRead, Errno: r.Errno, Val: r.Val, Data: buffer[:n]})
-	if r.Errno != EOK {
-		return 0, r.Errno
+	op := WriteOp{Num: NumRead, PID: s.pid, FD: fd, Len: uint64(len(buffer)), Witness: s.checking()}
+	var val, n uint64
+	var e Errno
+	if s.dest != nil {
+		frame, payload := encodeWrite(&op)
+		ret := s.dest.SyscallInto(frame, payload, buffer)
+		val, e = ret.Value, Errno(ret.Errno)
+		n = min(val, uint64(len(buffer)))
+	} else {
+		r := s.callWrite(op)
+		val, e = r.Val, r.Errno
+		n = uint64(copy(buffer, r.Data))
 	}
-	return uint64(n), EOK
+	s.checkCall(&op, Completion{Op: NumRead, Errno: e, Val: val, Data: buffer[:n]})
+	if e != EOK {
+		return 0, e
+	}
+	return n, EOK
 }
 
 // Pread reads up to len(buffer) bytes at the absolute offset off,
@@ -436,12 +470,12 @@ func (s *Sys) Write(fd fs.FD, data []byte) (uint64, Errno) {
 	s.call.Lock()
 	defer s.call.Unlock()
 	op := WriteOp{Num: NumWrite, FD: fd, Data: data, Witness: s.checking()}
-	r := s.callWrite(op)
-	s.checkCall(&op, Completion{Op: NumWrite, Errno: r.Errno, Val: r.Val})
-	if r.Errno != EOK {
-		return 0, r.Errno
+	val, e := s.callScalar(&op)
+	s.checkCall(&op, Completion{Op: NumWrite, Errno: e, Val: val})
+	if e != EOK {
+		return 0, e
 	}
-	return r.Val, EOK
+	return val, EOK
 }
 
 // Seek repositions the descriptor offset.
@@ -449,12 +483,12 @@ func (s *Sys) Seek(fd fs.FD, off int64, whence int) (uint64, Errno) {
 	s.call.Lock()
 	defer s.call.Unlock()
 	op := WriteOp{Num: NumSeek, FD: fd, Off: off, Whence: whence, Witness: s.checking()}
-	r := s.callWrite(op)
-	s.checkCall(&op, Completion{Op: NumSeek, Errno: r.Errno, Val: r.Val})
-	if r.Errno != EOK {
-		return 0, r.Errno
+	val, e := s.callScalar(&op)
+	s.checkCall(&op, Completion{Op: NumSeek, Errno: e, Val: val})
+	if e != EOK {
+		return 0, e
 	}
-	return r.Val, EOK
+	return val, EOK
 }
 
 // Truncate resizes the file behind fd.

@@ -71,6 +71,8 @@ func (o Obligation) ID() string { return o.Module + ":" + o.Name }
 type Registry struct {
 	mu   sync.Mutex
 	obls []Obligation
+	// ids[i] is obls[i].ID(), computed once at registration.
+	ids  []string
 	seen map[string]bool
 }
 
@@ -83,24 +85,33 @@ func (g *Registry) Register(obls ...Obligation) {
 		g.seen = make(map[string]bool)
 	}
 	for _, o := range obls {
+		id := o.ID()
 		if o.Check == nil && o.Budget == nil {
-			panic("verifier: obligation " + o.ID() + " has nil Check and nil Budget")
+			panic("verifier: obligation " + id + " has nil Check and nil Budget")
 		}
-		if g.seen[o.ID()] {
-			panic("verifier: duplicate obligation " + o.ID())
+		if g.seen[id] {
+			panic("verifier: duplicate obligation " + id)
 		}
-		g.seen[o.ID()] = true
+		g.seen[id] = true
 		g.obls = append(g.obls, o)
+		g.ids = append(g.ids, id)
 	}
 }
 
-// Obligations returns the registered obligations sorted by ID.
+// Obligations returns the registered obligations sorted by ID. The sort
+// compares the IDs computed at registration, so it builds no string.
 func (g *Registry) Obligations() []Obligation {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := make([]Obligation, len(g.obls))
-	copy(out, g.obls)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
+	order := make([]int, len(g.obls))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(i, j int) bool { return g.ids[order[i]] < g.ids[order[j]] })
+	out := make([]Obligation, len(order))
+	for i, k := range order {
+		out[i] = g.obls[k]
+	}
 	return out
 }
 
