@@ -1,7 +1,7 @@
-// Command vnros-bench regenerates the paper's evaluation artifacts:
-// Figure 1a (VC time CDF), Figures 1b/1c (map/unmap latency vs cores,
-// verified vs unverified), Tables 1 and 2 (with the derived vnros
-// column), and the DESIGN.md ablations.
+// Command vnros-bench regenerates Figures 1b/1c of the paper's
+// evaluation (map/unmap latency vs cores, verified vs unverified) and
+// the DESIGN.md ablations. Figure 1a is vnros-verify's CDF; Tables 1
+// and 2 are `vnros -tables`.
 package main
 
 import (
@@ -10,23 +10,25 @@ import (
 	"os"
 	"strings"
 
-	vnros "github.com/verified-os/vnros"
-	"github.com/verified-os/vnros/internal/core"
 	"github.com/verified-os/vnros/internal/experiments"
-	"github.com/verified-os/vnros/internal/relwork"
 )
 
 func main() {
-	fig := flag.String("fig", "", "figure to regenerate: 1a, 1b, 1c (empty with -all unset: all)")
-	table := flag.Int("table", 0, "table to print: 1 or 2")
+	fig := flag.String("fig", "", "figure to regenerate: 1b or 1c")
 	ablations := flag.Bool("ablations", false, "run the DESIGN.md ablations")
 	all := flag.Bool("all", false, "run everything")
 	ops := flag.Int("ops", 200, "operations per core for figures 1b/1c")
 	cores := flag.String("cores", "1,8,16,24,28", "comma-separated core counts")
-	seed := flag.Int64("seed", 2026, "VC seed for figure 1a")
 	flag.Parse()
 
-	if *fig == "" && *table == 0 && !*ablations {
+	switch *fig {
+	case "", "1b", "1c":
+	default:
+		fmt.Fprintf(os.Stderr, "vnros-bench: no figure %q: -fig takes 1b or 1c "+
+			"(Figure 1a is `vnros-verify`; Tables 1-2 are `vnros -tables`)\n", *fig)
+		os.Exit(2)
+	}
+	if *fig == "" && !*ablations {
 		*all = true
 	}
 	coreCounts, err := parseCores(*cores)
@@ -34,14 +36,6 @@ func main() {
 		fatal(err)
 	}
 
-	if *all || *fig == "1a" {
-		rep := experiments.Fig1a(core.RegisterAllObligations, *seed)
-		fmt.Print(experiments.RenderCDF(rep))
-		if len(rep.Failed()) > 0 {
-			fatal(fmt.Errorf("%d verification conditions failed", len(rep.Failed())))
-		}
-		fmt.Println()
-	}
 	if *all || *fig == "1b" {
 		s, err := experiments.Fig1b(coreCounts, *ops)
 		if err != nil {
@@ -57,21 +51,6 @@ func main() {
 		}
 		fmt.Print(s.Render())
 		fmt.Println()
-	}
-	if *all || *table == 1 || *table == 2 {
-		system, err := vnros.Boot(vnros.Config{Cores: 2})
-		if err != nil {
-			fatal(err)
-		}
-		self := system.Components.Derive("vnros")
-		if *all || *table == 1 {
-			fmt.Print(relwork.RenderTable1(self))
-			fmt.Println()
-		}
-		if *all || *table == 2 {
-			fmt.Print(relwork.RenderTable2(self))
-			fmt.Println()
-		}
 	}
 	if *all || *ablations {
 		out, err := experiments.RenderAblations()

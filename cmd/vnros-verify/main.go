@@ -5,10 +5,10 @@
 //
 // The suite discharges on a worker pool (-j, default GOMAXPROCS); per-VC
 // seeds depend only on -seed and the VC's ID, so the ledger is
-// byte-identical at every job count. -incremental skips VCs whose
-// module's input hash is unchanged since the last green run (advisory —
-// CI runs -force); -fuzzbudget scales the sweep VCs' iteration and
-// trace counts; -json writes the machine-readable timing ledger.
+// byte-identical at every job count. Every run discharges every VC it
+// selects; -fuzzbudget scales the sweep VCs' iteration and trace counts;
+// -json writes the machine-readable timing ledger, the only file a run
+// writes.
 package main
 
 import (
@@ -28,9 +28,6 @@ func main() {
 	module := flag.String("module", "", "restrict to one module (e.g. pt, fs)")
 	jobs := flag.Int("j", 0, "worker count; 0 means GOMAXPROCS")
 	fuzzBudget := flag.Int("fuzzbudget", 1, "iteration/trace multiplier for sweep VCs (clamped to >= 1)")
-	incremental := flag.Bool("incremental", false,
-		"skip VCs whose module inputs are unchanged since the last green run (advisory)")
-	force := flag.Bool("force", false, "ignore the incremental cache and run everything")
 	jsonOut := flag.Bool("json", false, "write the per-VC timing ledger as JSON")
 	jsonFile := flag.String("jsonfile", "BENCH_verify.json", "path for the -json ledger")
 	cdf := flag.Bool("cdf", true, "print the Figure 1a CDF")
@@ -51,35 +48,11 @@ func main() {
 	if *verbose {
 		opts.Progress = func(r verifier.Result) {
 			status := "ok"
-			switch {
-			case r.Skipped:
-				status = "skipped (cached)"
-			case r.Err != nil:
+			if r.Err != nil {
 				status = "FAIL: " + r.Err.Error()
 			}
 			fmt.Printf("  [%-15s] %-45s %10v %s\n",
 				r.Obligation.Kind, r.Obligation.ID(), r.Duration.Round(1000), status)
-		}
-	}
-
-	// Incremental skipping: a VC may be elided when its module's input
-	// hash (sources of its package plus transitive repo-internal imports)
-	// matches the cache of the last green run at the same seed and
-	// budget. The skip is advisory; -force clears it.
-	var hashes map[string]string
-	if *incremental && !*force {
-		cache, err := verifier.LoadCache(verifier.CachePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vnros-verify: cache:", err)
-			os.Exit(1)
-		}
-		hashes, err = verifier.ModuleHashes(".", modules)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vnros-verify: hashing module inputs:", err)
-			os.Exit(1)
-		}
-		opts.Skip = func(o verifier.Obligation) bool {
-			return cache.Skippable(o.Module, hashes[o.Module], *seed, clampBudget(*fuzzBudget))
 		}
 	}
 
@@ -107,25 +80,6 @@ func main() {
 			fmt.Printf("  %s: %v\n", f.Obligation.ID(), f.Err)
 		}
 		os.Exit(1)
-	}
-
-	// A green, unfiltered run refreshes the incremental manifest; module
-	// hashes of skipped modules are unchanged by construction, so the
-	// cache stays sound whether or not this run skipped anything.
-	if *module == "" {
-		if hashes == nil {
-			var err error
-			hashes, err = verifier.ModuleHashes(".", modules)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "vnros-verify: hashing module inputs:", err)
-				os.Exit(1)
-			}
-		}
-		c := verifier.Cache{Version: 1, Seed: *seed, FuzzBudget: clampBudget(*fuzzBudget), Modules: hashes}
-		if err := c.Save(verifier.CachePath); err != nil {
-			fmt.Fprintln(os.Stderr, "vnros-verify: saving cache:", err)
-			os.Exit(1)
-		}
 	}
 
 	if *timing {
@@ -175,12 +129,7 @@ func renderFooter(rep *verifier.Report) string {
 // the working set for deciding which sweeps to parallelize or trim as
 // the suite grows (ROADMAP, "scale the verifier").
 func renderTiming(rep *verifier.Report) string {
-	results := make([]verifier.Result, 0, len(rep.Results))
-	for _, r := range rep.Results {
-		if !r.Skipped {
-			results = append(results, r)
-		}
-	}
+	results := append([]verifier.Result(nil), rep.Results...)
 	sort.SliceStable(results, func(i, j int) bool {
 		return results[i].Duration > results[j].Duration
 	})

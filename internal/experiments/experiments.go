@@ -1,7 +1,8 @@
-// Package experiments regenerates every table and figure from the
-// paper's evaluation (§5), plus the ablations DESIGN.md calls out.
-// cmd/vnros-bench prints them; everything this repository measures
-// beyond the paper's artifacts lives in bench/.
+// Package experiments regenerates Figures 1b and 1c of the paper's
+// evaluation (§5), plus the ablations DESIGN.md calls out.
+// cmd/vnros-bench prints them. Figure 1a is cmd/vnros-verify's CDF,
+// Tables 1–2 are `vnros -tables`, and everything this repository
+// measures beyond the paper's artifacts lives in bench/.
 package experiments
 
 import (
@@ -13,7 +14,6 @@ import (
 	"github.com/verified-os/vnros/internal/hw/mem"
 	"github.com/verified-os/vnros/internal/hw/mmu"
 	"github.com/verified-os/vnros/internal/pt"
-	"github.com/verified-os/vnros/internal/verifier"
 )
 
 // PaperCores is the core counts of Figures 1b/1c (the authors' 2×14
@@ -222,39 +222,5 @@ func (s Series) Render() string {
 			float64(v.Mean.Nanoseconds())/1000,
 			ratio)
 	}
-	return b.String()
-}
-
-// Fig1a runs the full VC suite and returns the report whose CDF is the
-// figure.
-func Fig1a(register func(*verifier.Registry), seed int64) *verifier.Report {
-	g := &verifier.Registry{}
-	register(g)
-	return g.Run(verifier.Options{Seed: seed})
-}
-
-// RenderCDF prints the Figure 1a series: cumulative fraction of VCs
-// verified within each duration.
-func RenderCDF(rep *verifier.Report) string {
-	var b strings.Builder
-	b.WriteString("Figure 1a: CDF of verification condition times\n")
-	fmt.Fprintf(&b, "verification conditions: %d, total: %v, max: %v\n",
-		len(rep.Results), rep.Total.Round(time.Millisecond), rep.Max().Round(time.Microsecond))
-	fmt.Fprintf(&b, "%14s %10s\n", "time", "fraction")
-	cdf := rep.CDF()
-	if len(cdf) == 0 {
-		b.WriteString("  (no verification conditions ran)\n")
-		return b.String()
-	}
-	// Print ~20 evenly spaced points plus the max.
-	step := len(cdf) / 20
-	if step == 0 {
-		step = 1
-	}
-	for i := 0; i < len(cdf); i += step {
-		fmt.Fprintf(&b, "%14v %10.3f\n", cdf[i].Duration.Round(time.Microsecond), cdf[i].Fraction)
-	}
-	last := cdf[len(cdf)-1]
-	fmt.Fprintf(&b, "%14v %10.3f\n", last.Duration.Round(time.Microsecond), last.Fraction)
 	return b.String()
 }

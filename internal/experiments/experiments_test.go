@@ -6,7 +6,6 @@ import (
 
 	"github.com/verified-os/vnros/internal/hw/mmu"
 	"github.com/verified-os/vnros/internal/pt"
-	"github.com/verified-os/vnros/internal/verifier"
 )
 
 func TestMapLatencySmall(t *testing.T) {
@@ -42,19 +41,6 @@ func TestSeriesRender(t *testing.T) {
 	}
 	if len(s.Verified) != 2 || len(s.Unverified) != 2 {
 		t.Fatalf("series sizes wrong")
-	}
-}
-
-func TestFig1aCDF(t *testing.T) {
-	rep := Fig1a(func(g *verifier.Registry) {
-		pt.RegisterObligations(g)
-	}, 7)
-	if len(rep.Failed()) != 0 {
-		t.Fatalf("failures: %v", rep.Failed())
-	}
-	out := RenderCDF(rep)
-	if !strings.Contains(out, "Figure 1a") || !strings.Contains(out, "1.000") {
-		t.Errorf("cdf render:\n%s", out)
 	}
 }
 

@@ -202,9 +202,14 @@ func skipString(line string, i int) int {
 	return i
 }
 
-// Count walks the module tree rooted at root and produces per-module
-// line statistics for all Go files.
+// Count walks the Go module rooted at root (which must hold a go.mod)
+// and produces per-module line statistics for all its Go files. Like
+// `go list ./...`, it does not descend into a subdirectory that holds
+// its own go.mod: that is another module, not this one's code.
 func Count(root string) (Stats, error) {
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		return Stats{}, fmt.Errorf("%s is not a module root: %w", root, err)
+	}
 	st := Stats{PerModule: make(map[string]ModuleStats)}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -214,6 +219,11 @@ func Count(root string) (Stats, error) {
 		if d.IsDir() {
 			if name == ".git" || name == "testdata" || name == "vendor" {
 				return filepath.SkipDir
+			}
+			if path != root {
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
 			}
 			return nil
 		}

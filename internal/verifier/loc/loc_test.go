@@ -90,7 +90,14 @@ func TestCountTree(t *testing.T) {
 	writeFile(t, dir, "internal/pt/map_test.go", "package pt\nimport \"testing\"\nfunc TestA(t *testing.T) {}\n")
 	writeFile(t, dir, "internal/nr/log.go", "package nr\nvar X = 0\n")
 	writeFile(t, dir, ".git/objects/junk.go", "not counted")
+	// A nested module is another module's code, as for `go list ./...`.
+	writeFile(t, dir, "bench/go.mod", "module example.com/x/bench\n")
+	writeFile(t, dir, "bench/internal/pt/probe.go", "package pt\nvar P = 1\n")
 
+	if st, err := Count(dir); err == nil {
+		t.Fatalf("Count of a directory without go.mod = %+v, want an error", st)
+	}
+	writeFile(t, dir, "go.mod", "module example.com/x\n")
 	st, err := Count(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -108,6 +115,9 @@ func TestCountTree(t *testing.T) {
 	}
 	if pt.Ratio() < 0.6 || pt.Ratio() > 0.7 {
 		t.Errorf("ratio = %f", pt.Ratio())
+	}
+	if len(st.PerModule) != 2 {
+		t.Errorf("modules = %v, want only pt and nr", st.PerModule)
 	}
 }
 
@@ -143,5 +153,29 @@ func TestCountOnThisRepo(t *testing.T) {
 	tot := st.Totals()
 	if tot.Impl == 0 || tot.Proof == 0 {
 		t.Errorf("suspicious totals on real repo: %+v", tot)
+	}
+	// Module root is the root-level files only: bench/ holds its own
+	// go.mod and is not counted.
+	files, err := filepath.Glob(filepath.Join(root, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want ModuleStats
+	for _, f := range files {
+		n, err := CountFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch Classify(filepath.Base(f)) {
+		case CategoryTest:
+			want.Test += n
+		case CategoryProof:
+			want.Proof += n
+		default:
+			want.Impl += n
+		}
+	}
+	if got := st.Module("root"); got != want {
+		t.Errorf("module root = %+v, want the root-level files' %+v", got, want)
 	}
 }

@@ -133,7 +133,7 @@ func TestPoolOverlapsBlockedVCs(t *testing.T) {
 	}
 }
 
-// TestSkipHook checks the incremental hook: skipped VCs are recorded as
+// TestSkipHook checks the Options.Skip hook: skipped VCs are recorded as
 // Skipped (not passed, not failed, excluded from the CDF) and their
 // checks never run.
 func TestSkipHook(t *testing.T) {

@@ -143,9 +143,8 @@ type Result struct {
 	Obligation Obligation
 	Duration   time.Duration
 	Err        error
-	// Skipped marks a VC elided by the incremental cache (Options.Skip):
-	// its module's inputs are unchanged since the last green run. A
-	// skipped VC is neither passed nor failed.
+	// Skipped marks a VC the caller's Options.Skip predicate elided. A
+	// skipped VC is neither passed nor failed, and has no duration.
 	Skipped bool
 }
 
@@ -171,7 +170,7 @@ func (r *Report) Failed() []Result {
 	return out
 }
 
-// Skipped returns the results elided by the incremental cache.
+// Skipped returns the results elided by Options.Skip.
 func (r *Report) Skipped() []Result {
 	var out []Result
 	for _, res := range r.Results {
@@ -222,7 +221,7 @@ type CDFPoint struct {
 
 // CDF returns the cumulative distribution of VC times, the series
 // plotted in Figure 1a. Skipped VCs are excluded — their zero durations
-// are cache hits, not verification times. Empty when no VC ran.
+// are not verification times. Empty when no VC ran.
 func (r *Report) CDF() []CDFPoint {
 	ds := make([]time.Duration, 0, len(r.Results))
 	for _, res := range r.Results {
@@ -274,8 +273,10 @@ type Options struct {
 	// FuzzBudget scales the iteration/trace counts of obligations with a
 	// Budget hook; values < 1 are clamped to 1 (the standard sweep).
 	FuzzBudget int
-	// Skip, if non-nil, elides obligations for which it returns true,
-	// recording them as Skipped — the incremental cache's hook.
+	// Skip, if non-nil, is a caller-supplied predicate: obligations for
+	// which it returns true are not discharged and are recorded as
+	// Skipped. The one caller is bench/'s verify_all workload, which
+	// splits the one serial module off the pool run.
 	Skip func(Obligation) bool
 	// Progress, if non-nil, is called after each VC completes, in
 	// completion order (serialized; never concurrently).
