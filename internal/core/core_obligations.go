@@ -65,7 +65,7 @@ func RegisterObligations(g *verifier.Registry) {
 	registerEvenMoreObligations(g)
 	registerShardObligations(g)
 	registerNetObligations(g)
-	registerRingWaitObligations(g)
+	registerRingReapObligations(g)
 	registerPCacheObligations(g)
 	g.Register(
 		verifier.Obligation{Module: "core", Name: "end-to-end-contract-holds", Kind: verifier.KindRefinement,

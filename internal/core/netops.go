@@ -94,16 +94,11 @@ func (s *System) sockOp(h *handler, op sys.WriteOp) sys.Resp {
 
 // sockEntry completes one batched socket entry through the scalar path.
 // A batched receive never blocks: SockRecvBlock is cleared, so an empty
-// queue completes EAGAIN instead of parking the batch drain. The
-// completion packs a received datagram's source as (from<<16)|fromPort.
+// queue completes EAGAIN instead of parking the batch's reaper. A
+// received datagram's source is the packed Val a per-call reply carries.
 func (h *handler) sockEntry(op sys.WriteOp) sys.Completion {
 	op.Flags &^= sys.SockRecvBlock
-	r := h.s.sockOp(h, op)
-	c := sys.BatchCompletion(op, r)
-	if op.Num == sys.NumSockRecv && r.Errno == sys.EOK {
-		c.Val = r.Val<<16 | uint64(uint16(r.TID))
-	}
-	return c
+	return sys.BatchCompletion(op, h.s.sockOp(h, op))
 }
 
 // tabExec applies one socket-table transition on process shard 0 (takes
@@ -171,14 +166,14 @@ func (s *System) sockRecv(h *handler, op sys.WriteOp) sys.Resp {
 	for {
 		r, err := ds.sock.TryRecv()
 		if err == nil {
-			return sys.Resp{Errno: sys.EOK, Val: uint64(r.From), TID: sched.TID(r.FromPort), Data: r.Payload}
+			return recvResp(r)
 		}
 		if !errors.Is(err, netstack.ErrWouldBlock) || !block {
 			return sys.Resp{Errno: sys.ErrnoFromError(err)}
 		}
 		ticket := ds.wq.Prepare()
 		if r, err = ds.sock.TryRecv(); err == nil {
-			return sys.Resp{Errno: sys.EOK, Val: uint64(r.From), TID: sched.TID(r.FromPort), Data: r.Payload}
+			return recvResp(r)
 		} else if !errors.Is(err, netstack.ErrWouldBlock) {
 			return sys.Resp{Errno: sys.ErrnoFromError(err)}
 		}
@@ -186,6 +181,13 @@ func (s *System) sockRecv(h *handler, op sys.WriteOp) sys.Resp {
 		ds.wq.Wait(ticket)
 		obs.NetRecvWakes.Add(uint32(h.core), 1)
 	}
+}
+
+// recvResp is a received datagram's reply: the payload, and its source
+// packed into Val (sys.SockFrom.Pack).
+func recvResp(r netstack.Received) sys.Resp {
+	from := sys.SockFrom{Addr: r.From, Port: sys.Port(r.FromPort)}
+	return sys.Resp{Errno: sys.EOK, Val: from.Pack(), Data: r.Payload}
 }
 
 // sockClose: the table transition is the authoritative verdict — a

@@ -108,3 +108,62 @@ func TestPerCallAllocationBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchAllocationBudget pins the objects a warm ring_sync-shaped
+// batch allocates with the contract on, on both kernels: a seek and
+// sixteen 256 B writes, one descriptor run. A batch crosses on its
+// reaper, so what it allocates is the crossing — the Batch, the request
+// vector, the frames both ways, the completions and the run's check —
+// with no goroutine and no doorbell: 16 objects on the monolith and 14
+// on Shards 2, where a per-batch drainer goroutine made it 22 and 20.
+// SubmitWait is SubmitOpts(...).Wait(), so the two allocate alike.
+func TestBatchAllocationBudget(t *testing.T) {
+	for shards, budget := range map[int]float64{0: 16, 2: 14} {
+		s, err := Boot(Config{Cores: 2, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := s.Init()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fd, e := h.Open("/batch", sys.OCreate|sys.ORdWr)
+		if e != sys.EOK {
+			t.Fatal(e)
+		}
+		ops := []sys.Op{sys.OpSeek(fd, 0, fs.SeekSet)}
+		for range 16 {
+			ops = append(ops, sys.OpWrite(fd, make([]byte, 256)))
+		}
+		check := func(comps []sys.Completion, err error) {
+			if err != nil || len(comps) != len(ops) {
+				t.Fatalf("shards=%d: batch: %d completions, %v", shards, len(comps), err)
+			}
+			for _, c := range comps {
+				if c.Errno != sys.EOK {
+					t.Fatalf("shards=%d: batch entry: %v", shards, c.Errno)
+				}
+			}
+		}
+		submitWait := func() {
+			comps, e := h.SubmitWait(ops)
+			check(comps, e.Err())
+		}
+		submitOpts := func() { check(h.SubmitOpts(ops, sys.SubmitOptions{}).Wait()) }
+		for range 4 { // warm: the first writes after the views allocate
+			submitWait()
+		}
+		sw, so := testing.AllocsPerRun(200, submitWait), testing.AllocsPerRun(200, submitOpts)
+		t.Logf("shards=%d: a 17-op batch allocates %.1f objects (SubmitWait), %.1f (SubmitOpts+Wait), %d B",
+			shards, sw, so, allocPerRequest(200, submitWait))
+		if sw > budget {
+			t.Errorf("shards=%d: a 17-op batch allocates %.1f objects, budget %.0f", shards, sw, budget)
+		}
+		if sw != so {
+			t.Errorf("shards=%d: SubmitWait allocates %.1f objects, SubmitOpts(...).Wait() %.1f", shards, sw, so)
+		}
+		if err := h.ContractErr(); err != nil {
+			t.Errorf("shards=%d: %v", shards, err)
+		}
+	}
+}

@@ -118,14 +118,7 @@ func (h *handler) pread(op *sys.ReadOp, dst []byte, out *sys.Resp) {
 }
 
 // preadReply is pread's reply form (an encoded reply, or a batch
-// completion): the bytes travel in the response. It is kept out of its
-// callers so that the response and the op it takes by value live in its
-// frame only while it runs, not in the syscall and batch frames: those
-// run on the submission ring's drainer, a goroutine started per batch on
-// a minimum stack, and a few hundred bytes more there make every batch
-// grow its stack (ring_sync ×0.79 when this was inlined).
-//
-//go:noinline
+// completion): the bytes travel in the response.
 func (h *handler) preadReply(op sys.ReadOp) sys.Resp {
 	var r sys.Resp
 	h.pread(&op, nil, &r)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -9,20 +10,29 @@ import (
 	"github.com/verified-os/vnros/internal/verifier"
 )
 
-// registerRingWaitObligations: the completion-driven reap path composed
-// with the real kernel. The sys-level ring-wait-no-lost-wakeup VC
-// sweeps the park/post interleavings against a direct handler; this one
-// re-discharges the end-to-end form — blocking waiters, partial WaitN
-// reaps, and completion callbacks racing real combiner drains — on the
-// monolithic and the sharded kernel, per the §4.3 compose-per-service
-// methodology (the wake path is a new service; it gets its own
-// obligation in every composition it ships in).
-func registerRingWaitObligations(g *verifier.Registry) {
+// registerRingReapObligations: a batch crosses on its reaper, composed
+// with the real kernel. The sys-level ring-reapers-fifo-exactly-once VC
+// sweeps reaper arrival orders against a gated direct handler; this one
+// discharges the end-to-end form — several processes queueing batches
+// and reaping them out of order from two goroutines per handle, against
+// real combiner rounds — on the monolithic and the sharded kernel, per
+// the §4.3 compose-per-service methodology.
+func registerRingReapObligations(g *verifier.Registry) {
 	g.Register(
-		verifier.Obligation{Module: "core", Name: "ring-wait-no-lost-wakeup", Kind: verifier.KindModelCheck,
+		verifier.Obligation{Module: "core", Name: "ring-reapers-fifo-exactly-once", Kind: verifier.KindModelCheck,
 			Budget: func(r *rand.Rand, budget int) error {
 				for b := 0; b < budget; b++ {
-					if err := forShards([]int{0, 2}, func(n int) error { return ringWaitRun(r, n) }); err != nil {
+					if err := forShards([]int{0, 2}, func(n int) error {
+						s, err := Boot(Config{Cores: 4, MemBytes: 256 << 20, Shards: n})
+						if err != nil {
+							return err
+						}
+						initSys, err := s.Init()
+						if err != nil {
+							return err
+						}
+						return ringReapRun(s, initSys, 3, 4, r.Int63())
+					}); err != nil {
 						return err
 					}
 				}
@@ -31,81 +41,22 @@ func registerRingWaitObligations(g *verifier.Registry) {
 	)
 }
 
-// ringWaitRun drives several processes through blocking-wait batches
-// with partial reaps on one kernel: every submitted op must complete
-// exactly once (counted through the completion callback), every parked
-// waiter must wake, and the contract and replica-agreement checks must
-// hold afterwards.
-func ringWaitRun(r *rand.Rand, shards int) error {
-	s, err := Boot(Config{Cores: 4, MemBytes: 256 << 20, Shards: shards})
-	if err != nil {
-		return err
-	}
-	initSys, err := s.Init()
-	if err != nil {
-		return err
-	}
-	const procs = 3
-	const rounds = 4
-	seed := r.Int63()
+// ringReapRun runs procs children of initSys on s, each queueing
+// batches batches of one-byte writes on a file of its own and then
+// reaping them out of order from two goroutines (reapOutOfOrder);
+// afterwards the contract and replica agreement must hold.
+func ringReapRun(s *System, initSys *sys.Sys, procs, batches int, seed int64) error {
 	errs := make(chan error, procs)
-	var submitted, completed sync.Map // pid → op counts via callback
 	for w := 0; w < procs; w++ {
-		w := w
-		_, err := s.Run(initSys, fmt.Sprintf("waiter%d", w), func(p *Process) int {
-			rr := rand.New(rand.NewSource(seed + int64(w)))
-			fail := func(f string, a ...any) int {
-				errs <- fmt.Errorf("waiter %d: "+f, append([]any{w}, a...)...)
-				return 1
+		_, err := s.Run(initSys, fmt.Sprintf("reaper%d", w), func(p *Process) int {
+			err := reapOutOfOrder(p.Sys, rand.New(rand.NewSource(seed+int64(w))), fmt.Sprintf("/reap%d-%d", seed, w), batches)
+			if err == nil {
+				err = p.Sys.ContractErr()
 			}
-			fd, e := p.Sys.Open(fmt.Sprintf("/w%d", w), sys.OCreate|sys.ORdWr)
-			if e != sys.EOK {
-				return fail("open: %v", e)
+			if err != nil {
+				err = fmt.Errorf("reaper %d: %w", w, err)
 			}
-			subTotal, cbTotal := 0, 0
-			for round := 0; round < rounds; round++ {
-				n := 8 + rr.Intn(120) // some batches span multiple chunks
-				ops := make([]sys.Op, n)
-				for i := range ops {
-					ops[i] = sys.OpWrite(fd, []byte{byte(i)})
-				}
-				cb := make(chan int, 1)
-				b := p.Sys.NewBatch(sys.SubmitOptions{Wait: sys.WaitBlock,
-					OnComplete: func(comps []sys.Completion, err error) { cb <- len(comps) }}).Add(ops...)
-				if err := b.Submit(); err != nil {
-					return fail("submit: %v", err)
-				}
-				subTotal += n
-				// Partial reap first: at least half must be deliverable
-				// before the batch is done, without consuming it.
-				half := n / 2
-				part, err := b.WaitN(half)
-				if err != nil {
-					return fail("waitN(%d): %v", half, err)
-				}
-				if len(part) < half {
-					return fail("waitN(%d) returned %d completions", half, len(part))
-				}
-				comps, err := b.Wait()
-				if err != nil {
-					return fail("wait: %v", err)
-				}
-				if len(comps) != n {
-					return fail("round %d: %d of %d completions", round, len(comps), n)
-				}
-				for i, c := range comps {
-					if c.Errno != sys.EOK || c.Val != 1 {
-						return fail("round %d op %d: errno %v val %d", round, i, c.Errno, c.Val)
-					}
-				}
-				if _, err := b.Wait(); err != sys.ErrBatchReaped {
-					return fail("second reap: %v", err)
-				}
-				cbTotal += <-cb
-			}
-			submitted.Store(w, subTotal)
-			completed.Store(w, cbTotal)
-			errs <- nil
+			errs <- err
 			return 0
 		})
 		if err != nil {
@@ -118,15 +69,66 @@ func ringWaitRun(r *rand.Rand, shards int) error {
 		}
 	}
 	s.WaitAll()
-	for w := 0; w < procs; w++ {
-		sub, _ := submitted.Load(w)
-		got, _ := completed.Load(w)
-		if sub != got {
-			return fmt.Errorf("waiter %d: %v ops submitted, %v delivered via callback", w, sub, got)
-		}
-	}
 	if err := initSys.ContractErr(); err != nil {
 		return fmt.Errorf("contract: %w", err)
 	}
 	return s.CheckReplicaAgreement()
+}
+
+// reapOutOfOrder queues n batches of 8–127 one-byte writes on a new
+// file at path, then two goroutines on the handle reap them, each its
+// half in a shuffled order. Every Wait must return its own batch, and
+// the file must hold every write exactly once, in submission order.
+func reapOutOfOrder(sc *sys.Sys, r *rand.Rand, path string, n int) error {
+	fd, e := sc.Open(path, sys.OCreate|sys.ORdWr)
+	if e != sys.EOK {
+		return fmt.Errorf("open: %v", e)
+	}
+	var want []byte
+	bs := make([]*sys.Batch, n)
+	for b := range bs {
+		ops := make([]sys.Op, 8+r.Intn(120))
+		for i := range ops {
+			d := []byte{byte(r.Intn(256))}
+			ops[i] = sys.OpWrite(fd, d)
+			want = append(want, d...)
+		}
+		bs[b] = sc.SubmitOpts(ops, sys.SubmitOptions{})
+	}
+	order := r.Perm(n)
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	for _, mine := range [][]int{order[:n/2], order[n/2:]} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, b := range mine {
+				comps, err := bs[b].Wait()
+				if err != nil || len(comps) != bs[b].Len() {
+					errs <- fmt.Errorf("batch %d: %d completions for %d ops, %v", b, len(comps), bs[b].Len(), err)
+					return
+				}
+				for i, c := range comps {
+					if c.Errno != sys.EOK || c.Val != 1 {
+						errs <- fmt.Errorf("batch %d op %d: %v val %d", b, i, c.Errno, c.Val)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	if err := <-errs; err != nil {
+		return err
+	}
+	got := make([]byte, len(want)+1)
+	m, e := sc.Pread(fd, got, 0)
+	if e != sys.EOK || !bytes.Equal(got[:m], want) {
+		return fmt.Errorf("the file holds %d bytes (%v), not the %d writes once each in submission order", m, e, len(want))
+	}
+	if e := sc.Close(fd); e != sys.EOK {
+		return fmt.Errorf("close: %v", e)
+	}
+	return nil
 }

@@ -9,9 +9,8 @@ import (
 )
 
 // TestRingConcurrentSubmit is the ring's -race stress: multiple
-// processes on different cores/replicas, each draining batched
-// submissions while some also interleave scalar syscalls and async
-// batches on the same handle. Afterwards every replica must agree and
+// processes on different cores/replicas, each reaping batched
+// submissions with a scalar syscall between each submit and its Wait. Afterwards every replica must agree and
 // no contract may have tripped.
 func TestRingConcurrentSubmit(t *testing.T) {
 	s, initSys := bootTest(t, 28) // two replicas
@@ -35,9 +34,8 @@ func TestRingConcurrentSubmit(t *testing.T) {
 					ops = append(ops, sys.OpWrite(fd, []byte(fmt.Sprintf("r%d-i%d;", r, i))))
 				}
 				ops = append(ops, sys.OpSeek(fd, 0, fs.SeekSet), sys.OpRead(fd, 32))
-				// Async submit, then a scalar syscall on the same handle
-				// while the batch may still be in flight — the handler
-				// must serialize the NR context underneath.
+				// Submit, then a scalar syscall on the same handle before
+				// the batch's reaper carries it across.
 				b := p.Sys.SubmitOpts(ops, sys.SubmitOptions{})
 				if _, e := p.Sys.GetPID(); e != sys.EOK {
 					errs <- fmt.Errorf("getpid during batch: %v", e)
@@ -86,6 +84,21 @@ func TestRingConcurrentSubmit(t *testing.T) {
 	if err := s.CheckKernelInvariants(); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestRingReapStress: four processes per kernel each queue batches and
+// reap them out of order from two goroutines on their handle, three
+// times over, with the contract on (ringReapRun). Runs under -race in
+// CI: the reapers of one handle share its queue and its witness slot.
+func TestRingReapStress(t *testing.T) {
+	forEachKernelMode(t, func(t *testing.T, shards int) {
+		s, initSys := bootMode(t, shards)
+		for round := int64(0); round < 3; round++ {
+			if err := ringReapRun(s, initSys, 4, 6, round); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestRingBatchContractEndToEnd drives a batch through the real NR

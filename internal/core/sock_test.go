@@ -564,3 +564,46 @@ func TestSockShardedCrossMachineEcho(t *testing.T) {
 		}
 	}
 }
+
+// TestSockSourceIs48Bits: a received datagram's source has one encoding,
+// the address above the port in Val, per call and in a batch. A NICAddr
+// wider than sys.NetAddrBits is refused at boot, and the largest one
+// that fits reads the same both ways.
+func TestSockSourceIs48Bits(t *testing.T) {
+	if _, err := Boot(Config{Cores: 2, MemBytes: 256 << 20, NICAddr: 1 << sys.NetAddrBits}); err == nil {
+		t.Fatal("Boot accepted a NICAddr wider than 48 bits")
+	}
+	const far = 1<<sys.NetAddrBits - 1
+	wire := netstack.NewNetwork()
+	sa, err := Boot(Config{Cores: 2, MemBytes: 256 << 20, NICAddr: far, Network: wire})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := Boot(Config{Cores: 2, MemBytes: 256 << 20, NICAddr: 0xB, Network: wire})
+	if err != nil {
+		t.Fatal(err)
+	}
+	initA, _ := sa.Init()
+	initB, _ := sb.Init()
+	recv, e := initB.SockBind(7001)
+	if e != sys.EOK {
+		t.Fatal(e)
+	}
+	send, e := initA.SockBind(7002)
+	if e != sys.EOK {
+		t.Fatal(e)
+	}
+	for range 2 { // the wire delivers before SockSend returns
+		if _, e := initA.SockSend(send, 0xB, 7001, []byte("far")); e != sys.EOK {
+			t.Fatal(e)
+		}
+	}
+	want := sys.SockFrom{Addr: far, Port: 7002}
+	if _, addr, port, e := initB.SockRecv(recv); e != sys.EOK || (sys.SockFrom{Addr: addr, Port: port}) != want {
+		t.Fatalf("per call: source %#x:%d (%v), want %#x:%d", addr, port, e, want.Addr, want.Port)
+	}
+	comps, e := initB.SubmitWait([]sys.Op{sys.OpSockRecv(recv)})
+	if e != sys.EOK || comps[0].Errno != sys.EOK || comps[0].SockFrom() != want {
+		t.Fatalf("in a batch: %+v (%v), want source %#x:%d", comps, e, want.Addr, want.Port)
+	}
+}

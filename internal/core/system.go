@@ -45,7 +45,8 @@ type Config struct {
 	MemBytes mem.PAddr
 	// DiskBlocks sizes the disk (default 1<<16 blocks).
 	DiskBlocks uint64
-	// NICAddr is this machine's network address.
+	// NICAddr is this machine's network address, at most 48 bits
+	// (sys.NetAddrBits).
 	NICAddr uint64
 	// Network, if non-nil, attaches the machine to a virtual switch.
 	Network *netstack.Network
@@ -183,6 +184,9 @@ func Boot(cfg Config) (*System, error) {
 	}
 	if cfg.NICAddr == 0 {
 		cfg.NICAddr = 0x02_00_00_00_00_01
+	}
+	if cfg.NICAddr >= 1<<sys.NetAddrBits {
+		return nil, fmt.Errorf("core: NICAddr %#x is wider than %d bits (a received datagram's source packs it above its port)", cfg.NICAddr, sys.NetAddrBits)
 	}
 	if dataRegionOff+((64)<<20) > cfg.MemBytes {
 		return nil, fmt.Errorf("core: need at least %d MiB of memory", (dataRegionOff+(64<<20))>>20)
@@ -537,12 +541,13 @@ func (s *System) freeDataFrames(frames []mem.PAddr) {
 type handler struct {
 	s    *System
 	core int
-	// ctxMu serializes use of the NR thread context: an asynchronous
-	// batch submission (Batch.Submit) crosses the boundary from its own
-	// goroutine, so a process's batch and its scalar syscalls can arrive
-	// concurrently on the same handler. Local ops (futex, sockets, raw
-	// memory) stay outside the mutex — FutexWait blocks, and holding
-	// ctxMu across it would deadlock the process's other traffic.
+	// ctxMu serializes use of the NR thread context: a process's calls
+	// can arrive concurrently on its handler — a batch crosses on
+	// whichever goroutine reaps it, and only Read, Write, Seek, Pread and
+	// a batch's reaper hold the handle, so an Open or a GetPID on another
+	// goroutine can overlap them. Local ops (futex, sockets, raw memory)
+	// stay outside the mutex — FutexWait blocks, and holding ctxMu across
+	// it would deadlock the process's other traffic.
 	ctxMu sync.Mutex
 
 	// Thread handles across every shard of each group — one shared
@@ -622,10 +627,8 @@ func (h *handler) Syscall(frame marshal.SyscallFrame, payload []byte) (marshal.R
 	return ret, out
 }
 
-// syscall is the uninstrumented dispatch body. It only picks the path:
-// the batch drain runs under this frame on the submission ring's
-// drainer, a goroutine started per batch on a minimum stack, so
-// whatever a path needs lives in its own frame, not here.
+// syscall is the uninstrumented dispatch body. It only picks the path;
+// whatever a path needs lives in its own frame.
 func (h *handler) syscall(frame marshal.SyscallFrame, payload []byte) (marshal.RetFrame, []byte) {
 	switch {
 	case sys.IsInternalOp(frame.Num):

@@ -31,19 +31,10 @@ var (
 	// DispatchRead), once per replica per op, indexed by sys.Num*.
 	KernelApplies = NewOpStats("kernel.apply", MaxSyscallOps)
 
-	// Batched submission ring (sys.Submit / core batch dispatch), once
-	// per submitted batch.
+	// Batched submission ring (core's batch dispatch), once per batch
+	// crossing.
 	SyscallBatchSize    = NewHist("syscall.batch_size", UnitCount)    // ops per batch
 	SyscallBatchLatency = NewHist("syscall.batch_latency", UnitNanos) // full batch round
-
-	// Completion-driven reaping (sys.Batch.Wait/WaitN), striped by the
-	// waiter's core. ring.wait_parks vs ring.wait_spins is the
-	// wait-mode discipline made observable: a blocking wait must park
-	// (parks ≥ 1, spins = 0), never burn the core.
-	RingWaitParks    = NewCounter("ring.wait_parks")    // blocking waits that parked on the CQ doorbell
-	RingWaitWakes    = NewCounter("ring.wait_wakes")    // doorbell wakeups delivered to waiters
-	RingWaitSpins    = NewCounter("ring.wait_spins")    // spin-mode poll iterations
-	RingChunksPosted = NewCounter("ring.chunks_posted") // partial completion posts (doorbell rings mid-batch)
 
 	// Scheduler (internal/sched).
 	SchedDispatches = NewCounter("sched.dispatches") // successful PickNext

@@ -162,12 +162,7 @@ func (k *Kernel) DispatchWriteInto(op *WriteOp, out *Resp) {
 
 // scalarWrite applies every other mutating syscall — one whose answer is
 // a handful of scalars or frame lists — and copies the answer into out
-// when there is one. It is its own frame, not inlined: the answer's
-// temporary would otherwise sit in DispatchWriteInto's frame on every
-// apply, deepening the descriptor arms' stacks too, and a batch applies
-// on a ring drainer goroutine that starts on a small stack.
-//
-//go:noinline
+// when there is one.
 func (k *Kernel) scalarWrite(op *WriteOp, out *Resp) {
 	if r := k.dispatchWrite(op); out != nil {
 		*out = r

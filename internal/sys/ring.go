@@ -156,16 +156,13 @@ func BatchCompletion(op WriteOp, r Resp) Completion {
 	return Completion{Op: op.Num, Errno: r.Errno, Val: r.Val, Data: r.Data}
 }
 
-// submitChunk carries one submission-queue segment across the boundary
-// in a single NumBatch frame and checks the §3 contract over it. It holds
-// the handle for the crossing, like a per-call Read or Write: the
+// crossBatch carries one batch across the boundary in a single NumBatch
+// frame and checks the §3 contract over it. Its reaper holds the handle
+// (s.call) for the crossing, as a per-call Read or Write does: the
 // handler's witness slot is one per handle, and a batch's witnesses are
 // taken as it returns. Ops are assumed boundary-validated (see
-// Batch.Submit); the ring drainer in submit.go feeds segments of at most
-// ringChunk ops through here.
-func (s *Sys) submitChunk(ops []Op) ([]Completion, Errno) {
-	s.call.Lock()
-	defer s.call.Unlock()
+// Batch.Submit).
+func (s *Sys) crossBatch(ops []Op) ([]Completion, Errno) {
 	checking := s.checking()
 	ws := make([]WriteOp, len(ops))
 	for i, op := range ops {

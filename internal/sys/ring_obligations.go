@@ -1,10 +1,12 @@
 package sys
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
+	"time"
 
 	"github.com/verified-os/vnros/internal/fs"
 	"github.com/verified-os/vnros/internal/marshal"
@@ -12,18 +14,27 @@ import (
 	"github.com/verified-os/vnros/internal/verifier"
 )
 
-// gatedBatchHandler wraps a handler and holds every NumBatch crossing
-// until a token arrives on gate — the instrument that places a
-// completion post at a chosen point of a waiter's park protocol (and
-// that tests reuse to freeze batches in flight deterministically).
+// gatedBatchHandler wraps a handler, holds every NumBatch crossing
+// until a token arrives on gate, and logs the payload of every batched
+// op it lets through, in order: the instrument that freezes batches in
+// flight while reapers arrive.
 type gatedBatchHandler struct {
 	inner Handler
 	gate  chan struct{}
+
+	mu      sync.Mutex
+	crossed [][]byte
 }
 
 func (g *gatedBatchHandler) Syscall(frame marshal.SyscallFrame, payload []byte) (marshal.RetFrame, []byte) {
 	if frame.Num == NumBatch {
 		<-g.gate
+		ops, _ := DecodeBatch(frame, payload)
+		g.mu.Lock()
+		for _, op := range ops {
+			g.crossed = append(g.crossed, op.Data)
+		}
+		g.mu.Unlock()
 	}
 	return g.inner.Syscall(frame, payload)
 }
@@ -147,142 +158,128 @@ func registerRingObligations(g *verifier.Registry) {
 				}
 				return nil
 			}},
-		verifier.Obligation{Module: "sys", Name: "ring-wait-no-lost-wakeup", Kind: verifier.KindModelCheck,
-			Check: func(r *rand.Rand) error {
-				// The CQ doorbell's lost-wakeup obligation, checked as an
-				// explicit interleaving sweep: drive the completion post
-				// into every window of the park protocol —
-				//
-				//   postStage -1: before the waiter calls Wait at all
-				//   parkStagePrepared: after the doorbell ticket is taken,
-				//     before the ready re-check
-				//   parkStageParking: after the re-check said "not ready",
-				//     immediately before the park
-				//
-				// — and require that Wait always returns the full
-				// completion queue. The parking window is the classic
-				// lost-wakeup race; the WaitQueue ticket protocol must
-				// make the park a no-op when the post already rang the
-				// bell. Exactly-once delivery rides along: every op
-				// completes once, and a second reap is refused.
-				for _, postStage := range []int{-1, parkStagePrepared, parkStageParking} {
-					if err := ringWaitSweep(r, postStage); err != nil {
-						return fmt.Errorf("post at stage %d: %w", postStage, err)
-					}
-				}
-				return ringWaitChunked(r)
-			}},
+		verifier.Obligation{Module: "sys", Name: "ring-reapers-fifo-exactly-once", Kind: verifier.KindModelCheck,
+			Check: ringReapSweep},
 	)
 }
 
-// ringWaitSweep runs one park/post interleaving: a gated kernel holds
-// the batch in flight, the waiter advances to the target stage of its
-// park protocol, the gate opens and the completion post fully runs,
-// and only then does the waiter proceed.
-func ringWaitSweep(r *rand.Rand, postStage int) error {
+// ringReapSweep: a batch crosses on its reaper. Batches A, B and C are
+// queued on one gated handle and reapers arrive in every order of the
+// three, alone and with a second reaper on one of them, while the gate
+// lets the crossings through at random points between arrivals. Every
+// op must cross exactly once, in submission order, each Wait must return
+// its own batch, and every other reap of it ErrBatchReaped.
+func ringReapSweep(r *rand.Rand) error {
 	k := newTestKernel()
-	gate := make(chan struct{}, 1)
-	s := NewSys(proc.InitPID, &gatedBatchHandler{inner: &directHandler{k: k}, gate: gate})
-
-	fd, e := s.Open("/doorbell", OCreate|ORdWr)
-	if e != EOK {
-		return fmt.Errorf("open: %v", e)
-	}
-	n := 1 + r.Intn(8)
-	ops := make([]Op, n)
-	for i := range ops {
-		ops[i] = OpWrite(fd, randBytes(r, 1+r.Intn(16)))
-	}
-
-	posted := make(chan struct{})
-	b := s.NewBatch(SubmitOptions{Wait: WaitBlock, OnComplete: func([]Completion, error) { close(posted) }}).Add(ops...)
-	release := func() {
-		gate <- struct{}{}
-		<-posted // the post (completions + doorbell ring) has fully run
-	}
-	var once sync.Once
-	if postStage >= 0 {
-		b.parkHook = func(stage int) {
-			if stage == postStage {
-				once.Do(release)
+	for _, perm := range [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		for dup := -1; dup < 3; dup++ {
+			order := perm
+			if dup >= 0 {
+				at := r.Intn(len(perm) + 1)
+				order = append(append(append([]int{}, perm[:at]...), dup), perm[at:]...)
+			}
+			if err := ringReapRun(r, k, order); err != nil {
+				return fmt.Errorf("reapers %v: %w", order, err)
 			}
 		}
-	}
-	if err := b.Submit(); err != nil {
-		return fmt.Errorf("submit: %v", err)
-	}
-	if postStage < 0 {
-		once.Do(release)
-	}
-
-	comps, err := b.Wait()
-	if err != nil {
-		return fmt.Errorf("wait: %v", err)
-	}
-	if len(comps) != n {
-		return fmt.Errorf("wait returned %d of %d completions", len(comps), n)
-	}
-	for i, c := range comps {
-		if c.Errno != EOK || c.Val != uint64(len(ops[i].w.Data)) {
-			return fmt.Errorf("completion %d: errno %v val %d, want %d bytes written", i, c.Errno, c.Val, len(ops[i].w.Data))
-		}
-	}
-	if _, err := b.Wait(); err != ErrBatchReaped {
-		return fmt.Errorf("second reap: %v, want ErrBatchReaped", err)
 	}
 	return nil
 }
 
-// ringWaitChunked checks the mid-batch doorbell: on a batch longer than
-// one submission chunk, a WaitN for the first chunk must return as soon
-// as that chunk posts — while the rest of the batch is still gated —
-// and the final Wait must deliver every completion exactly once.
-func ringWaitChunked(r *rand.Rand) error {
-	k := newTestKernel()
-	gate := make(chan struct{}, 1)
-	s := NewSys(proc.InitPID, &gatedBatchHandler{inner: &directHandler{k: k}, gate: gate})
-
-	fd, e := s.Open("/chunks", OCreate|ORdWr)
+// ringReapRun queues three batches on a fresh gated handle over k and
+// starts a reaper per entry of order (a batch index). After each arrival
+// the gate lets through a random number of the crossings the reapers so
+// far will make, and the rest after the last one.
+func ringReapRun(r *rand.Rand, k *Kernel, order []int) error {
+	g := &gatedBatchHandler{inner: &directHandler{k: k}, gate: make(chan struct{})}
+	s := NewSys(proc.InitPID, g)
+	fd, e := s.Open(fmt.Sprintf("/reap%d", r.Int63()), OCreate|ORdWr)
 	if e != EOK {
 		return fmt.Errorf("open: %v", e)
 	}
-	n := ringChunk + 1 + r.Intn(ringChunk-1)
-	ops := make([]Op, n)
-	for i := range ops {
-		ops[i] = OpWrite(fd, []byte{byte(i)})
+	var batches [3]*Batch
+	var want [][]byte
+	for b := range batches {
+		ops := make([]Op, 1+r.Intn(4))
+		for i := range ops {
+			// Batch b's writes are b+1 bytes long: a completion's count
+			// names its batch.
+			d := bytes.Repeat([]byte{byte(b<<4 | i)}, b+1)
+			ops[i] = OpWrite(fd, d)
+			want = append(want, d)
+		}
+		batches[b] = s.SubmitOpts(ops, SubmitOptions{})
 	}
-	b := s.NewBatch(SubmitOptions{Wait: WaitBlock}).Add(ops...)
-	if err := b.Submit(); err != nil {
-		return fmt.Errorf("submit: %v", err)
+	type reaped struct {
+		b     int
+		comps []Completion
+		err   error
 	}
-
-	gate <- struct{}{} // first chunk only; the second crossing stays held
-	comps, err := b.WaitN(ringChunk)
-	if err != nil {
-		return fmt.Errorf("waitN: %v", err)
+	results := make(chan reaped, len(order))
+	// A reaper that crosses too little or too much leaves a send on the
+	// gate or a reaper at it waiting: the deadline turns that into an
+	// error (its goroutines stay parked).
+	deadline := time.After(10 * time.Second)
+	crossed, will := 0, 0
+	release := func(n int) error {
+		for ; n > 0; n-- {
+			select {
+			case g.gate <- struct{}{}:
+				crossed++
+			case <-deadline:
+				return fmt.Errorf("%d crossings, want %d", crossed, will)
+			}
+		}
+		return nil
 	}
-	if len(comps) < ringChunk || len(comps) >= n {
-		return fmt.Errorf("waitN(%d) returned %d completions on a gated %d-op batch", ringChunk, len(comps), n)
-	}
-	if b.Done() {
-		return fmt.Errorf("batch done with its second chunk still gated")
-	}
-
-	gate <- struct{}{}
-	all, err := b.Wait()
-	if err != nil {
-		return fmt.Errorf("final wait: %v", err)
-	}
-	if len(all) != n {
-		return fmt.Errorf("final wait returned %d of %d completions", len(all), n)
-	}
-	for i, c := range all {
-		if c.Errno != EOK || c.Val != 1 {
-			return fmt.Errorf("completion %d: errno %v val %d", i, c.Errno, c.Val)
+	for _, b := range order {
+		go func() {
+			comps, err := batches[b].Wait()
+			results <- reaped{b, comps, err}
+		}()
+		// A reaper crosses every queued batch up to its own, so the
+		// reapers started so far make this many crossings in all.
+		will = max(will, b+1)
+		if err := release(r.Intn(will - crossed + 1)); err != nil {
+			return err
 		}
 	}
-	if _, err := b.WaitN(1); err != ErrBatchReaped {
-		return fmt.Errorf("waitN after reap: %v, want ErrBatchReaped", err)
+	if err := release(will - crossed); err != nil {
+		return err
+	}
+	var got [3]int
+	for range order {
+		var res reaped
+		select {
+		case res = <-results:
+		case <-deadline:
+			return fmt.Errorf("a reaper never returned after %d crossings", crossed)
+		}
+		switch {
+		case res.err == ErrBatchReaped:
+			continue
+		case res.err != nil:
+			return fmt.Errorf("batch %d: %v", res.b, res.err)
+		case len(res.comps) != batches[res.b].Len():
+			return fmt.Errorf("batch %d: %d completions for %d ops", res.b, len(res.comps), batches[res.b].Len())
+		}
+		for i, c := range res.comps {
+			if c.Errno != EOK || c.Val != uint64(res.b+1) {
+				return fmt.Errorf("batch %d completion %d: %v val %d, not this batch's write", res.b, i, c.Errno, c.Val)
+			}
+		}
+		got[res.b]++
+	}
+	for b, n := range got {
+		if n != 1 {
+			return fmt.Errorf("batch %d returned by %d reapers", b, n)
+		}
+		if _, err := batches[b].Wait(); err != ErrBatchReaped {
+			return fmt.Errorf("batch %d reaped again: %v, want ErrBatchReaped", b, err)
+		}
+	}
+	if !reflect.DeepEqual(g.crossed, want) {
+		return fmt.Errorf("crossed %x, submitted %x", g.crossed, want)
 	}
 	return nil
 }

@@ -165,7 +165,7 @@ func TestSubmitEmptyAndAsync(t *testing.T) {
 	if comps, err := s.SubmitOpts(nil, SubmitOptions{}).Wait(); err != ErrBatchEmpty || comps != nil {
 		t.Errorf("empty submit = %v, %v (want ErrBatchEmpty)", comps, err)
 	}
-	// Async: the caller may do work between Submit and Wait.
+	// Submit, then Wait: the batch crosses at its Wait.
 	fd, e := s.Open("/async", OCreate|ORdWr)
 	if e != EOK {
 		t.Fatal(e)
@@ -424,7 +424,7 @@ func errorsAs(err error, target *Errno) bool {
 }
 
 func TestSubmitConcurrentWithScalars(t *testing.T) {
-	// One Sys handle, scalar calls and async batches in flight together:
+	// One Sys handle, scalar calls and batches from several goroutines:
 	// handler-level serialization (lockedHandler here, ctxMu in core)
 	// must keep this safe. The -race CI lane runs this package.
 	k := newTestKernel()

@@ -36,14 +36,26 @@ func (s SockID) Validate() Errno {
 	return EOK
 }
 
+// NetAddrBits is the width of a machine address: a received datagram's
+// source travels in one word, its address above its 16-bit port
+// (SockFrom.Pack), so core.Boot refuses a wider NICAddr.
+const NetAddrBits = 48
+
 // SockFrom is the source of a received datagram.
 type SockFrom struct {
 	Addr NetAddr
 	Port Port
 }
 
+// Pack is the one encoding of a received datagram's source: the Val of
+// a NumSockRecv reply, per call or in a batch, is the address above the
+// port.
+func (f SockFrom) Pack() uint64 { return uint64(f.Addr)<<16 | uint64(f.Port) }
+
+func unpackSockFrom(v uint64) SockFrom {
+	return SockFrom{Addr: NetAddr(v >> 16), Port: Port(uint16(v))}
+}
+
 // SockFrom unpacks a receive completion's Val into the datagram's
 // typed source. Only meaningful on NumSockRecv completions.
-func (c Completion) SockFrom() SockFrom {
-	return SockFrom{Addr: NetAddr(c.Val >> 16), Port: Port(uint16(c.Val))}
-}
+func (c Completion) SockFrom() SockFrom { return unpackSockFrom(c.Val) }

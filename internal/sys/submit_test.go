@@ -1,18 +1,15 @@
 package sys
 
 import (
-	"runtime"
+	"math/rand"
 	"testing"
-	"time"
 
-	"github.com/verified-os/vnros/internal/obs"
 	"github.com/verified-os/vnros/internal/proc"
 )
 
 // The batch lifecycle misuse matrix: every wrong transition fails
-// deterministically with its own sentinel, with no waiting and no
-// crossing. Run under -race in CI (the concurrent-wait case exercises
-// the claim CAS).
+// deterministically with its own sentinel, with no crossing. Run under
+// -race in CI (the concurrent-wait case has two reapers on one batch).
 
 func TestBatchMisuseWaitBeforeSubmit(t *testing.T) {
 	_, s := newSysPair(t)
@@ -55,223 +52,75 @@ func TestBatchMisuseDoubleSubmitAndWait(t *testing.T) {
 	if _, err := b.Wait(); err != ErrBatchReaped {
 		t.Fatalf("double wait: %v, want ErrBatchReaped", err)
 	}
-	if _, err := b.WaitN(1); err != ErrBatchReaped {
-		t.Fatalf("waitN after reap: %v, want ErrBatchReaped", err)
-	}
 	if err := b.Submit(); err != ErrBatchReaped {
 		t.Fatalf("submit after wait: %v, want ErrBatchReaped", err)
 	}
 }
 
-func TestBatchMisuseWaitNRange(t *testing.T) {
-	_, s := newSysPair(t)
-	fd, e := s.Open("/range", OCreate|ORdWr)
-	if e != EOK {
-		t.Fatal(e)
-	}
-	b := s.NewBatch(SubmitOptions{}).Add(OpWrite(fd, []byte("x")))
-	if err := b.Submit(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.WaitN(2); err != ErrWaitRange {
-		t.Fatalf("waitN beyond the batch: %v, want ErrWaitRange", err)
-	}
-	if _, err := b.WaitN(-1); err != ErrWaitRange {
-		t.Fatalf("waitN(-1): %v, want ErrWaitRange", err)
-	}
-	if _, err := b.Wait(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Two goroutines racing into Wait on the same batch: exactly one wins
-// the reaper claim, the loser fails deterministically with
-// ErrBatchBusy. The gate holds the batch in flight and the park hook
-// signals once the winner holds the claim, so the loser's attempt is
-// ordered after it — no timing assumptions.
+// Two goroutines reaping the same batch: the one that carries it across
+// returns its completions, and the other, waiting behind it on the
+// handle, gets ErrBatchReaped. The second starts only once the gate
+// has let the first into its crossing, so the order is fixed without
+// timing.
 func TestBatchMisuseConcurrentWait(t *testing.T) {
 	k := newTestKernel()
-	gate := make(chan struct{}, 1)
-	s := NewSys(proc.InitPID, &gatedBatchHandler{inner: &directHandler{k: k}, gate: gate})
+	g := &gatedBatchHandler{inner: &directHandler{k: k}, gate: make(chan struct{})}
+	s := NewSys(proc.InitPID, g)
 	fd, e := s.Open("/conc", OCreate|ORdWr)
 	if e != EOK {
 		t.Fatal(e)
 	}
-	b := s.NewBatch(SubmitOptions{Wait: WaitBlock}).Add(OpWrite(fd, []byte("race")))
-	claimed := make(chan struct{})
-	var once bool
-	b.parkHook = func(stage int) {
-		if stage == parkStagePrepared && !once {
-			once = true
-			close(claimed)
-		}
-	}
+	b := s.NewBatch(SubmitOptions{}).Add(OpWrite(fd, []byte("race")))
 	if err := b.Submit(); err != nil {
 		t.Fatal(err)
 	}
-	winner := make(chan error, 1)
-	go func() {
+	type reaped struct {
+		comps []Completion
+		err   error
+	}
+	results := make(chan reaped, 2)
+	reap := func() {
 		comps, err := b.Wait()
-		if err == nil && len(comps) != 1 {
-			err = ErrBatchEmpty
-		}
-		winner <- err
-	}()
-	<-claimed // the goroutine holds the reaper claim and is in its park protocol
-	if _, err := b.Wait(); err != ErrBatchBusy {
-		t.Fatalf("concurrent wait: %v, want ErrBatchBusy", err)
+		results <- reaped{comps, err}
 	}
-	gate <- struct{}{}
-	if err := <-winner; err != nil {
-		t.Fatalf("winner: %v", err)
-	}
-}
-
-// A blocking wait must park on the CQ doorbell, never burn the core:
-// with the batch held in flight, the waiter records at least one park
-// and zero spin iterations — the scheduler-idle assertion the CI
-// wait-mode job keys on.
-func TestBlockingWaitParksDoesNotSpin(t *testing.T) {
-	obs.Reset()
-	obs.Enable()
-	defer obs.Disable()
-	k := newTestKernel()
-	gate := make(chan struct{}, 1)
-	s := NewSys(proc.InitPID, &gatedBatchHandler{inner: &directHandler{k: k}, gate: gate})
-	fd, e := s.Open("/park", OCreate|ORdWr)
-	if e != EOK {
-		t.Fatal(e)
-	}
-	b := s.NewBatch(SubmitOptions{Wait: WaitBlock}).Add(OpWrite(fd, []byte("zzz")))
-	parked := make(chan struct{})
-	var signalled bool
-	b.parkHook = func(stage int) {
-		if stage == parkStageParking && !signalled {
-			signalled = true
-			close(parked)
-		}
-	}
-	if err := b.Submit(); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := b.Wait()
-		done <- err
-	}()
-	<-parked // the waiter is past its re-check, committed to parking
-	gate <- struct{}{}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if parks := obs.RingWaitParks.Load(); parks == 0 {
-		t.Fatal("blocking wait completed without parking on the doorbell")
-	}
-	if spins := obs.RingWaitSpins.Load(); spins != 0 {
-		t.Fatalf("blocking wait burned the core: %d spin iterations", spins)
-	}
-	if wakes := obs.RingWaitWakes.Load(); wakes == 0 {
-		t.Fatal("parked waiter saw no doorbell wake")
-	}
-}
-
-// Poll mode never waits: while the batch is gated in flight, Wait
-// reports ErrBatchPending with whatever has posted; after completion it
-// reaps normally.
-func TestWaitPollMode(t *testing.T) {
-	k := newTestKernel()
-	gate := make(chan struct{}, 1)
-	s := NewSys(proc.InitPID, &gatedBatchHandler{inner: &directHandler{k: k}, gate: gate})
-	fd, e := s.Open("/poll", OCreate|ORdWr)
-	if e != EOK {
-		t.Fatal(e)
-	}
-	b := s.NewBatch(SubmitOptions{Wait: WaitPoll}).Add(OpWrite(fd, []byte("p")))
-	if err := b.Submit(); err != nil {
-		t.Fatal(err)
-	}
-	if comps, err := b.Wait(); err != ErrBatchPending || len(comps) != 0 {
-		t.Fatalf("poll on gated batch: %v, %v, want ErrBatchPending", comps, err)
-	}
-	gate <- struct{}{}
-	deadline := time.After(5 * time.Second)
-	for !b.Done() {
-		select {
-		case <-deadline:
-			t.Fatal("batch never completed")
+	go reap()
+	g.gate <- struct{}{} // the first reaper is crossing (the gate took the token)
+	go reap()
+	var won, lost int
+	for range 2 {
+		switch r := <-results; {
+		case r.err == ErrBatchReaped:
+			lost++
+		case r.err == nil && len(r.comps) == 1 && r.comps[0].Val == 4:
+			won++
 		default:
+			t.Fatalf("reaper: %v, %v", r.comps, r.err)
 		}
 	}
-	comps, err := b.Wait()
-	if err != nil || len(comps) != 1 || comps[0].Errno != EOK {
-		t.Fatalf("poll reap after completion: %v, %v", comps, err)
-	}
-	if _, err := b.Wait(); err != ErrBatchReaped {
-		t.Fatalf("second poll reap: %v, want ErrBatchReaped", err)
+	if won != 1 || lost != 1 {
+		t.Fatalf("%d reapers got the batch and %d ErrBatchReaped, want 1 and 1", won, lost)
 	}
 }
 
-// Spin mode reaps correctly (and is the mode that is allowed to burn
-// the core — the latency/efficiency trade the bench quantifies).
-func TestWaitSpinMode(t *testing.T) {
-	_, s := newSysPair(t)
-	fd, e := s.Open("/spin", OCreate|ORdWr)
-	if e != EOK {
-		t.Fatal(e)
-	}
-	b := s.SubmitOpts([]Op{OpWrite(fd, []byte("fast")), OpRead(fd, 4)}, SubmitOptions{Wait: WaitSpin})
-	comps, err := b.Wait()
-	if err != nil || len(comps) != 2 {
-		t.Fatalf("spin wait: %v, %v", comps, err)
-	}
-	if comps[0].Errno != EOK || comps[0].Val != 4 {
-		t.Fatalf("spin write completion: %+v", comps[0])
+// TestReapersFIFOExactlyOnce runs the ring-reapers-fifo-exactly-once
+// sweep over several seeds (under -race in CI).
+func TestReapersFIFOExactlyOnce(t *testing.T) {
+	for seed := range int64(4) {
+		if err := ringReapSweep(rand.New(rand.NewSource(seed))); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 	}
 }
 
-// The completion callback fires exactly once, from the drainer, with
-// the full completion queue — and composes with a normal Wait.
-func TestSubmitCallback(t *testing.T) {
-	_, s := newSysPair(t)
-	fd, e := s.Open("/cb", OCreate|ORdWr)
-	if e != EOK {
-		t.Fatal(e)
-	}
-	got := make(chan int, 2)
-	b := s.SubmitOpts([]Op{OpWrite(fd, []byte("one")), OpWrite(fd, []byte("two"))},
-		SubmitOptions{OnComplete: func(comps []Completion, err error) {
-			if err != nil {
-				got <- -1
-				return
-			}
-			got <- len(comps)
-		}})
-	if comps, err := b.Wait(); err != nil || len(comps) != 2 {
-		t.Fatalf("wait: %v, %v", comps, err)
-	}
-	if n := <-got; n != 2 {
-		t.Fatalf("callback saw %d completions, want 2", n)
-	}
-	select {
-	case n := <-got:
-		t.Fatalf("callback fired twice (second: %d)", n)
-	default:
-	}
-}
-
-// A validation failure (bad open flags) surfaces through Submit, the
-// callback, and Wait consistently — and SubmitWait's legacy Errno
-// surface still reports it as EINVAL.
+// A validation failure (bad open flags) surfaces through Submit and
+// Wait consistently — and SubmitWait's Errno surface reports it as
+// EINVAL.
 func TestSubmitValidationFailure(t *testing.T) {
 	_, s := newSysPair(t)
 	bad := []Op{OpOpen("/x", OWrOnly|ORdWr)}
-	cbErr := make(chan error, 1)
-	b := s.NewBatch(SubmitOptions{OnComplete: func(_ []Completion, err error) { cbErr <- err }}).Add(bad...)
-	if err := b.Submit(); err == nil {
-		t.Fatal("submit accepted invalid open flags")
-	}
-	if err := <-cbErr; errnoOf(err) != EINVAL {
-		t.Fatalf("callback error: %v, want EINVAL", err)
+	b := s.NewBatch(SubmitOptions{}).Add(bad...)
+	if err := b.Submit(); errnoOf(err) != EINVAL {
+		t.Fatalf("submit: %v, want EINVAL", err)
 	}
 	if _, err := b.Wait(); errnoOf(err) != EINVAL {
 		t.Fatalf("wait error: %v, want EINVAL", err)
@@ -292,72 +141,33 @@ func TestSubmitValidationFailure(t *testing.T) {
 	}
 }
 
-// WaitN returns early on a chunked batch while later chunks are still
-// in flight, and the final Wait delivers everything exactly once.
-func TestWaitNPartialReap(t *testing.T) {
-	k := newTestKernel()
-	gate := make(chan struct{}, 1)
-	s := NewSys(proc.InitPID, &gatedBatchHandler{inner: &directHandler{k: k}, gate: gate})
-	fd, e := s.Open("/partial", OCreate|ORdWr)
+// TestSubmitWaitKeepsSubmissionOrder: a batch crosses on its reaper,
+// and a handle's batches cross in submission order. A submitted batch
+// has not crossed before anything waits; SubmitWait on the same handle
+// carries it across first, so the file ends with the second write, and
+// the first batch's own Wait then returns its completions.
+func TestSubmitWaitKeepsSubmissionOrder(t *testing.T) {
+	_, s := newSysPair(t)
+	fd, e := s.Open("/order", OCreate|ORdWr)
 	if e != EOK {
 		t.Fatal(e)
 	}
-	n := ringChunk + 16
-	ops := make([]Op, n)
-	for i := range ops {
-		ops[i] = OpWrite(fd, []byte{byte(i)})
+	first := s.SubmitOpts([]Op{OpSeek(fd, 0, 0), OpWrite(fd, []byte("AAAA"))}, SubmitOptions{})
+	buf := make([]byte, 4)
+	if n, e := s.Pread(fd, buf, 0); e != EOK || n != 0 {
+		t.Fatalf("before any Wait the file reads %d bytes (%v): the batch crossed at Submit", n, e)
 	}
-	b := s.NewBatch(SubmitOptions{Wait: WaitBlock}).Add(ops...)
-	if err := b.Submit(); err != nil {
+	if _, e := s.SubmitWait([]Op{OpSeek(fd, 0, 0), OpWrite(fd, []byte("BBBB"))}); e != EOK {
+		t.Fatal(e)
+	}
+	if _, e := s.Pread(fd, buf, 0); e != EOK || string(buf) != "BBBB" {
+		t.Fatalf("the file reads %q (%v): SubmitWait overtook the batch queued before it", buf, e)
+	}
+	comps, err := first.Wait()
+	if err != nil || len(comps) != 2 || comps[1].Val != 4 {
+		t.Fatalf("first batch: %v, %v", comps, err)
+	}
+	if err := s.ContractErr(); err != nil {
 		t.Fatal(err)
-	}
-	gate <- struct{}{} // first chunk only
-	part, err := b.WaitN(ringChunk)
-	if err != nil {
-		t.Fatalf("waitN: %v", err)
-	}
-	if len(part) < ringChunk || len(part) >= n {
-		t.Fatalf("waitN(%d) = %d completions on a half-gated %d-op batch", ringChunk, len(part), n)
-	}
-	gate <- struct{}{}
-	all, err := b.Wait()
-	if err != nil || len(all) != n {
-		t.Fatalf("final wait: %d comps, %v", len(all), err)
-	}
-}
-
-// TestSubmitWaitKeepsSubmissionOrder: a process's batches execute in
-// submission order, a synchronous one included. A polled batch is still
-// queued on the handle's ring (at GOMAXPROCS 1 its drainer has not run)
-// when SubmitWait is called on the same handle; the SubmitWait batch must
-// apply after it, so the file ends with the second write.
-func TestSubmitWaitKeepsSubmissionOrder(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	for i := range 20 {
-		_, s := newSysPair(t)
-		fd, e := s.Open("/order", OCreate|ORdWr)
-		if e != EOK {
-			t.Fatal(e)
-		}
-		first := s.SubmitOpts([]Op{OpSeek(fd, 0, 0), OpWrite(fd, []byte("AAAA"))}, SubmitOptions{Wait: WaitPoll})
-		if _, e := s.SubmitWait([]Op{OpSeek(fd, 0, 0), OpWrite(fd, []byte("BBBB"))}); e != EOK {
-			t.Fatal(e)
-		}
-		for !first.Done() {
-			runtime.Gosched()
-		}
-		if _, err := first.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, 4)
-		if _, e := s.Pread(fd, buf, 0); e != EOK {
-			t.Fatal(e)
-		}
-		if string(buf) != "BBBB" {
-			t.Fatalf("run %d: the file reads %q: SubmitWait overtook the batch queued before it", i, buf)
-		}
-		if err := s.ContractErr(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }

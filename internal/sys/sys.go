@@ -67,8 +67,8 @@ type DestHandler interface {
 //
 // One handle is one thread of control. The paper's Sys methods take
 // `&mut self`, so two calls on one handle can never overlap. Go cannot
-// say that statically, so Read, Write, Seek, Pread and each crossing of a
-// batch hold the handle for the whole call: the handler keeps one witness
+// say that statically, so Read, Write, Seek, Pread and a batch's reaper
+// hold the handle for the whole call: the handler keeps one witness
 // slot per handle, and so does the handle (wits). They hold it with the
 // contract off too, so a call that started unchecked cannot overlap the
 // first checked one after EnableContract.
@@ -86,28 +86,28 @@ type Sys struct {
 	dest DestHandler
 
 	// core is the core the handle's kernel handler is pinned to (0 when
-	// the handler doesn't expose one) — the stripe for ring and contract
-	// obs counters and the documentation of the per-core ring placement.
+	// the handler doesn't expose one), the stripe of its contract obs
+	// counters.
 	core uint32
-	// ring is this handle's submission ring (see submit.go). The handler
-	// pins the handle to one core, so this is the per-core ring.
-	ring subRing
 
 	// contract is set by EnableContract; mu guards cerr, the first
 	// violation.
 	contract atomic.Bool
 	mu       sync.Mutex
 	cerr     error
-	// call is held by Read, Write, Seek, Pread and a batch crossing for
-	// the whole call (see the type comment); wits, the witnesses taken of
-	// the crossing, with it.
+	// call is held by Read, Write, Seek, Pread, Submit and a batch's
+	// reaper for the whole call (see the type comment); wits, the
+	// witnesses taken of the crossing, with it.
 	call sync.Mutex
 	wits []Witness
+	// ring is the handle's submitted batches that have not crossed yet,
+	// oldest first (under call; see submit.go).
+	ring []*Batch
 }
 
 // CorePinned is implemented by handlers that pin the handle to one
-// core (internal/core's per-process handler does); the submission ring
-// uses it to stripe its observability counters by core.
+// core (internal/core's per-process handler does); the handle stripes
+// its contract counters by it.
 type CorePinned interface {
 	Core() int
 }
@@ -651,17 +651,10 @@ func (s *Sys) SockSend(sock SockID, addr NetAddr, port Port, payload []byte) (ui
 	return r.Val, r.Errno
 }
 
-// SockRecv receives one datagram without blocking (EAGAIN when empty).
-// The source address and port are returned through resp fields.
+// SockRecv receives one datagram without blocking (EAGAIN when empty),
+// with its source.
 func (s *Sys) SockRecv(sock SockID) (payload []byte, from NetAddr, fromPort Port, e Errno) {
-	if e := sock.Validate(); e != EOK {
-		return nil, 0, 0, e
-	}
-	r := s.callWrite(WriteOp{Num: NumSockRecv, Sock: uint64(sock)})
-	if r.Errno != EOK {
-		return nil, 0, 0, r.Errno
-	}
-	return r.Data, NetAddr(r.Val), Port(uint16(r.TID)), EOK
+	return s.sockRecv(sock, 0)
 }
 
 // SockRecvBlocking receives one datagram, parking the calling core's
@@ -669,14 +662,21 @@ func (s *Sys) SockRecv(sock SockID) (payload []byte, from NetAddr, fromPort Port
 // the socket closes — a single boundary crossing, not an EAGAIN poll
 // loop over every core.
 func (s *Sys) SockRecvBlocking(sock SockID) ([]byte, NetAddr, Port, Errno) {
+	return s.sockRecv(sock, SockRecvBlock)
+}
+
+// sockRecv crosses with a NumSockRecv; the reply's Val is the source,
+// packed as in a batch's completion (SockFrom.Pack).
+func (s *Sys) sockRecv(sock SockID, flags uint64) ([]byte, NetAddr, Port, Errno) {
 	if e := sock.Validate(); e != EOK {
 		return nil, 0, 0, e
 	}
-	r := s.callWrite(WriteOp{Num: NumSockRecv, Sock: uint64(sock), Flags: SockRecvBlock})
+	r := s.callWrite(WriteOp{Num: NumSockRecv, Sock: uint64(sock), Flags: flags})
 	if r.Errno != EOK {
 		return nil, 0, 0, r.Errno
 	}
-	return r.Data, NetAddr(r.Val), Port(uint16(r.TID)), EOK
+	f := unpackSockFrom(r.Val)
+	return r.Data, f.Addr, f.Port, EOK
 }
 
 // SockClose releases a socket.

@@ -22,14 +22,12 @@
 // specification relations (read_spec and friends) through the kernel's
 // view abstraction; violations surface via Sys.ContractErr.
 //
-// Batched file ops go through the completion-driven submission ring:
-// Sys.SubmitOpts enqueues a vector of Ops on the per-core ring and
-// returns a Batch whose Wait/WaitN reap the completion queue under the
-// chosen WaitMode — WaitBlock parks on the CQ doorbell, WaitSpin
-// busy-polls, WaitPoll returns ErrBatchPending for event loops — with
-// an optional OnComplete callback. Sys.NewBatch(opts).Add(ops...)
-// builds the same batch step by step, and Sys.SubmitWait is the
-// synchronous shorthand over the same path.
+// Batched file ops go through the submission ring: Sys.SubmitOpts
+// queues a vector of Ops on the handle and returns a Batch, and the
+// batch crosses the boundary at its Wait, on the waiting goroutine,
+// after every batch the handle queued before it.
+// Sys.NewBatch(opts).Add(ops...) builds the same batch step by step,
+// and Sys.SubmitWait is the synchronous shorthand over the same path.
 //
 // Positioned reads (Sys.Pread, OpPread in a batch) are replica-local
 // reads of the file's owner replica, into the caller's buffer: they
@@ -94,14 +92,14 @@ type (
 	OpenFlag = sys.OpenFlag
 	// Op is one entry of a batched submission (Sys.NewBatch).
 	Op = sys.Op
-	// Batch is an in-flight batched submission; reap it with Wait/WaitN.
+	// Batch is a batched submission; it crosses, and is reaped, at Wait.
 	Batch = sys.Batch
 	// Completion is one completion-queue entry of a drained batch.
 	Completion = sys.Completion
-	// SubmitOptions selects the wait mode and completion callback of a
-	// submission (Sys.SubmitOpts / Sys.NewBatch).
+	// SubmitOptions configures a submission (Sys.SubmitOpts /
+	// Sys.NewBatch).
 	SubmitOptions = sys.SubmitOptions
-	// WaitMode is a batch's reap discipline: block, spin, or poll.
+	// WaitMode is a batch's reap discipline; WaitBlock is the one mode.
 	WaitMode = sys.WaitMode
 	// Port is a typed socket port number.
 	Port = sys.Port
@@ -112,25 +110,16 @@ type (
 	SockFrom = sys.SockFrom
 )
 
-// Wait modes (SubmitOptions.Wait).
-const (
-	// WaitBlock parks the waiter on the batch's CQ doorbell (default).
-	WaitBlock = sys.WaitBlock
-	// WaitSpin busy-polls completions for latency-critical callers.
-	WaitSpin = sys.WaitSpin
-	// WaitPoll never waits: Wait returns ErrBatchPending while in flight.
-	WaitPoll = sys.WaitPoll
-)
+// WaitBlock is the reap mode of every batch (SubmitOptions.Wait): Wait
+// returns once the batch has crossed.
+const WaitBlock = sys.WaitBlock
 
-// Batch lifecycle errors (Batch.Submit/Wait/WaitN).
+// Batch lifecycle errors (Batch.Submit/Wait).
 var (
 	ErrBatchEmpty        = sys.ErrBatchEmpty
 	ErrBatchNotSubmitted = sys.ErrBatchNotSubmitted
 	ErrBatchSubmitted    = sys.ErrBatchSubmitted
 	ErrBatchReaped       = sys.ErrBatchReaped
-	ErrBatchBusy         = sys.ErrBatchBusy
-	ErrBatchPending      = sys.ErrBatchPending
-	ErrWaitRange         = sys.ErrWaitRange
 )
 
 // Open flags (typed; untyped constant combinations like OCreate|ORdWr
