@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"github.com/verified-os/vnros/internal/fs"
 	"github.com/verified-os/vnros/internal/sys"
 	"github.com/verified-os/vnros/internal/verifier"
 )
@@ -16,9 +17,16 @@ import (
 // discharges the end-to-end form — several processes queueing batches
 // and reaping them out of order from two goroutines per handle, against
 // real combiner rounds — on the monolithic and the sharded kernel, per
-// the §4.3 compose-per-service methodology.
+// the §4.3 compose-per-service methodology. ring-lagging-replica-reuse
+// discharges the ownership rule that lets a batch's buffers be reused:
+// a replica that applies a batch after its handle and handler have
+// reused every buffer it crossed in still applies that batch's bytes.
 func registerRingReapObligations(g *verifier.Registry) {
 	g.Register(
+		verifier.Obligation{Module: "core", Name: "ring-lagging-replica-reuse", Kind: verifier.KindRefinement,
+			Check: func(r *rand.Rand) error {
+				return forShards([]int{0, 2}, func(n int) error { return laggingReplicaRun(n, r) })
+			}},
 		verifier.Obligation{Module: "core", Name: "ring-reapers-fifo-exactly-once", Kind: verifier.KindModelCheck,
 			Budget: func(r *rand.Rand, budget int) error {
 				for b := 0; b < budget; b++ {
@@ -131,4 +139,74 @@ func reapOutOfOrder(sc *sys.Sys, r *rand.Rand, path string, n int) error {
 		return fmt.Errorf("close: %v", e)
 	}
 	return nil
+}
+
+// laggingReplicaRun boots a two-replica kernel on the given shards, with
+// a writer handle on core 0 and a reader handle on the second replica's
+// first core. The writer writes batch A — a seek and sixteen 64-byte
+// writes — and then batch B, the next 1 KiB, from the same payload
+// slices overwritten with B's bytes: B crosses in the request vector and
+// encode buffer A crossed in, and is decoded and folded into the
+// handler's buffers A was. Only then does the reader pread the file, so
+// its replica applies A's and B's log entries after all of that reuse.
+// It must read A's bytes and then B's, and the contract and replica
+// agreement must hold.
+func laggingReplicaRun(shards int, r *rand.Rand) error {
+	s, err := Boot(Config{Cores: 2 * CoresPerNode, Shards: shards})
+	if err != nil {
+		return err
+	}
+	if s.NumReplicas() != 2 {
+		return fmt.Errorf("%d replicas, want 2", s.NumReplicas())
+	}
+	init, err := s.Init()
+	if err != nil {
+		return err
+	}
+	var hs [2]*sys.Sys
+	for i, core := range []int{0, CoresPerNode} {
+		if hs[i], err = s.RawSysOn(init.PID(), core); err != nil {
+			return err
+		}
+		hs[i].EnableContract()
+	}
+	writer, reader := hs[0], hs[1]
+	fd, e := writer.Open("/lagging", sys.OCreate|sys.ORdWr)
+	if e != sys.EOK {
+		return fmt.Errorf("open: %v", e)
+	}
+	bufs := make([][]byte, 16)
+	for i := range bufs {
+		bufs[i] = make([]byte, 64)
+	}
+	var want []byte
+	for b := 0; b < 2; b++ {
+		ops := []sys.Op{sys.OpSeek(fd, int64(b*len(bufs)*64), fs.SeekSet)}
+		for _, buf := range bufs {
+			r.Read(buf)
+			want = append(want, buf...)
+			ops = append(ops, sys.OpWrite(fd, buf))
+		}
+		comps, e := writer.SubmitWait(ops)
+		if e != sys.EOK {
+			return fmt.Errorf("batch %d: %v", b, e)
+		}
+		for i, c := range comps {
+			if c.Errno != sys.EOK {
+				return fmt.Errorf("batch %d op %d: %v", b, i, c.Errno)
+			}
+		}
+	}
+	got := make([]byte, len(want)+1)
+	m, e := reader.Pread(fd, got, 0)
+	if e != sys.EOK || !bytes.Equal(got[:m], want) {
+		return fmt.Errorf("the lagging replica read %d bytes (%v), not batch A's %d and then batch B's %d",
+			m, e, len(want)/2, len(want)/2)
+	}
+	for i, h := range hs {
+		if err := h.ContractErr(); err != nil {
+			return fmt.Errorf("handle %d: %w", i, err)
+		}
+	}
+	return s.CheckReplicaAgreement()
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"github.com/verified-os/vnros/internal/fs"
@@ -96,6 +97,21 @@ func TestRingReapStress(t *testing.T) {
 		for round := int64(0); round < 3; round++ {
 			if err := ringReapRun(s, initSys, 4, 6, round); err != nil {
 				t.Fatal(err)
+			}
+		}
+	})
+}
+
+// TestLaggingReplicaAppliesReusedBatches runs the
+// ring-lagging-replica-reuse VC (laggingReplicaRun) on both kernels over
+// a few seeds: a replica that applies two batches after the handle and
+// the handler have reused every buffer the first crossed in reads the
+// first batch's bytes and then the second's.
+func TestLaggingReplicaAppliesReusedBatches(t *testing.T) {
+	forEachKernelMode(t, func(t *testing.T, shards int) {
+		for seed := int64(0); seed < 3; seed++ {
+			if err := laggingReplicaRun(shards, rand.New(rand.NewSource(seed))); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
 			}
 		}
 	})

@@ -47,7 +47,7 @@ import (
 //   - read dispatch (shardReadDispatch): one replica-local read vs
 //     lookup-then-owner for stat.
 //   - batch drain (handler.batch): the same steps on both (a descriptor
-//     run folds into one, sys.BatchSteps), as one ExecuteBatch vs each
+//     run folds into one, sys.Steps.Fold), as one ExecuteBatch vs each
 //     step's protocol.
 //   - journal-less durability (snapshotFS): one filesystem is snapshotted
 //     whole; a partitioned kernel has no cut without the journal group

@@ -9,6 +9,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/verified-os/vnros/internal/dev"
@@ -582,6 +583,20 @@ type handler struct {
 	// handler's first miss).
 	fillPage *[pcache.PageSize]byte
 
+	// batchMu serializes batch and covers its whole use of the buffers
+	// below, which every batch reuses: the vector the request is decoded
+	// into, the steps it folds into, the answers of a co-located
+	// kernel's ExecuteBatch — whose Run vectors fsRun answers into again —
+	// and the completions. A handler can serve more than one handle, and
+	// a batch's reaper holds only its own. The log copies what an entry
+	// borrows of the decoded vector (sys.WriteOp.Lent), so nothing keeps
+	// these buffers once the batch has returned.
+	batchMu    sync.Mutex
+	batchOps   []sys.WriteOp
+	batchSteps sys.Steps
+	batchResps []sys.Resp
+	batchComps []sys.Completion
+
 	// wits are the last witnessed crossing's witnesses, kept for the one
 	// Sys handle this handler serves: they are views of kernel memory, so
 	// they do not cross the boundary as bytes (TakeWitness). The slot is
@@ -778,7 +793,7 @@ func (h *handler) logged(frame marshal.SyscallFrame, payload []byte, dst []byte,
 
 // batch drains one submission-queue vector in as few NR combiner rounds
 // as the kernel's shape allows: decode, fence off anything
-// non-batchable, fold the file ops into their steps (sys.BatchSteps: a
+// non-batchable, fold the file ops into their steps (sys.Steps.Fold: a
 // descriptor run is one) and apply them — as one ExecuteBatch on a
 // co-located kernel (one log reservation for the whole vector) or,
 // partitioned, each by its protocol, three rounds per run; preads and
@@ -797,11 +812,17 @@ func (h *handler) logged(frame marshal.SyscallFrame, payload []byte, dst []byte,
 // round trip each.
 func (h *handler) batch(frame marshal.SyscallFrame, payload []byte) (marshal.RetFrame, []byte) {
 	t0 := obs.Start()
-	ops, err := sys.DecodeBatch(frame, payload)
+	h.batchMu.Lock()
+	defer h.batchMu.Unlock()
+	ops, err := sys.DecodeBatchInto(frame, payload, h.batchOps)
+	h.batchOps = ops
 	if err != nil {
 		return sys.EncodeBatchResp(nil, sys.EINVAL)
 	}
-	comps := make([]sys.Completion, len(ops))
+	// Every entry is completed below: by its step, or as a pread, socket,
+	// sync or unbatchable entry.
+	comps := slices.Grow(h.batchComps[:0], len(ops))[:len(ops)]
+	h.batchComps = comps
 	var preadIdx, sockIdx []int
 	syncIdx := make([]int, 0, 1)
 	nWit := 0
@@ -825,7 +846,9 @@ func (h *handler) batch(frame marshal.SyscallFrame, payload []byte) (marshal.Ret
 			comps[i] = sys.Completion{Op: ops[i].Num, Errno: sys.ENOSYS}
 		}
 	}
-	steps, at := sys.BatchSteps(ops)
+	st := &h.batchSteps
+	st.Fold(ops)
+	steps, at := st.Ops, st.At
 	for j := range steps {
 		if steps[j].Witness {
 			nWit++
@@ -852,8 +875,13 @@ func (h *handler) batch(frame marshal.SyscallFrame, payload []byte) (marshal.Ret
 			// so the batch's steps are one combiner round on it — a single
 			// ExecuteBatch vector in submission order, where the
 			// partitioned kernel above sequences rounds per shard key.
-			for j, r := range h.procCtx.ExecuteBatchOn(0, steps) {
-				wits = sys.CompleteStep(ops, comps, at[j], &steps[j], r, wits)
+			h.batchResps = h.procCtx.ExecuteBatchOn(0, steps, h.batchResps)
+			for j := range h.batchResps {
+				r := &h.batchResps[j]
+				wits = sys.CompleteStep(ops, comps, at[j], &steps[j], *r, wits)
+				// The answer's run vector stays for the next batch; its
+				// witness views are the handle's now.
+				r.Witness = sys.Witness{}
 			}
 		}
 		h.ctxMu.Unlock()

@@ -31,6 +31,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"github.com/verified-os/vnros/internal/obs"
 )
@@ -41,9 +42,94 @@ import (
 // pass uses: half the ring is eight full MaxBatchOps submissions, or one
 // op from every one of MaxThreadsPerReplica threads four times over. A
 // kernel WriteOp entry is 264 bytes, so the default ring is 0.54 MB per
-// instance, and an applied op's payload stays reachable only until the
-// tail laps its slot 2 048 ops later.
+// instance at boot. On a log of more than one replica, what an entry
+// lends (Owner) is copied into a store its slot owns, allocated at the
+// slot's first such entry and reused each time the tail laps the slot:
+// a slot keeps at most SlotBytes, so an instance at the default size
+// keeps at most 32 MiB of stores, and only as much of that as its
+// entries have needed.
 const DefaultLogSize = 1 << 11
+
+// SlotBytes bounds the store a log slot keeps (SlotStore): an entry
+// that lends more — its vector's entries at their size and its bytes —
+// is copied into a store of its own, which is dropped once the slot is
+// lapped. A descriptor run of 17 kernel entries and 4 KiB of writes is
+// 8.3 KiB.
+const SlotBytes = 16 << 10
+
+// Owner is implemented, through its pointer, by a log entry type whose
+// entries may reference memory their issuer lends only until its call
+// returns — a vector it reuses for its next call — while a replica that
+// lags applies the entry later. On a log with more than one replica,
+// publish makes the slot's copy of such an entry reference copies in a
+// store the slot owns instead. The slot is reused only once every
+// replica has applied its entry (waitForSpace), and so is the store:
+// that is the rule that lets an issuer reuse what it lends. Anything the
+// entry does not report is left where it is, read by reference — in
+// particular a destination only the issuer's apply writes, which must
+// be the issuer's own.
+type Owner[Wr any] interface {
+	// Lent is how much lent memory the entry references: the length of
+	// a vector of entries, and bytes; zero for both when it references
+	// none, and then Own is not called.
+	Lent() (entries, bytes int)
+	// Own copies the lent memory into st (SlotStore.Vector,
+	// SlotStore.Bytes) and points the entry at the copies. st has room
+	// for exactly what Lent reported.
+	Own(st *SlotStore[Wr])
+}
+
+// SlotStore is the storage a log slot owns for what its entry lends
+// (Owner): a vector of entries and bytes. It is allocated at the slot's
+// first entry that lends anything — nothing at boot — and reused, grown
+// where an entry needs more, every time the slot is.
+type SlotStore[Wr any] struct {
+	vec []Wr
+	buf []byte
+}
+
+// Vector copies v into the store and returns the copy, by a pointer the
+// store owns. An entry has one vector.
+func (st *SlotStore[Wr]) Vector(v []Wr) *[]Wr {
+	st.vec = append(st.vec[:0], v...)
+	return &st.vec
+}
+
+// Bytes copies b into the store and returns the copy; nil stays nil.
+func (st *SlotStore[Wr]) Bytes(b []byte) []byte {
+	if b == nil {
+		return nil
+	}
+	n := len(st.buf)
+	st.buf = append(st.buf, b...)
+	return st.buf[n:len(st.buf):len(st.buf)]
+}
+
+// reserve empties the store for an entry that lends the given vector
+// length and bytes. A store too small for it grows to the larger of what
+// it had and what the entry needs, or to exactly the entry's needs where
+// that larger store would pass SlotBytes.
+func (st *SlotStore[Wr]) reserve(entries, bytes int) {
+	if cap(st.vec) < entries || cap(st.buf) < bytes {
+		v, b := max(cap(st.vec), entries), max(cap(st.buf), bytes)
+		if slotSize[Wr](v, b) > SlotBytes {
+			v, b = entries, bytes
+		}
+		if cap(st.vec) != v {
+			st.vec = make([]Wr, 0, v)
+		}
+		if cap(st.buf) != b {
+			st.buf = make([]byte, 0, b)
+		}
+	}
+	st.vec, st.buf = st.vec[:0], st.buf[:0]
+}
+
+// slotSize is the size of a store for a vector of entries and bytes.
+func slotSize[Wr any](entries, bytes int) int {
+	var zero Wr
+	return entries*int(unsafe.Sizeof(zero)) + bytes
+}
 
 // entry is one slot of the shared log ring.
 type entry[Wr any] struct {
@@ -74,6 +160,11 @@ type log[Wr any] struct {
 	// with no active threads would never apply entries and the ring
 	// could never be reused (producers would deadlock on a full log).
 	helpers []func(target uint64)
+	// stores are the slots' stores (Owner), indexed like slots: the
+	// vector is allocated at the log's first entry that lends anything,
+	// and a slot's store at the slot's first. A slot's element is touched
+	// only by whoever is publishing into the slot.
+	stores atomic.Pointer[[]*SlotStore[Wr]]
 }
 
 func newLog[Wr any](size int) *log[Wr] {
@@ -181,14 +272,47 @@ func (s *stallTimer) done(replica uint32) {
 	}
 }
 
-// publish copies the operation into slot idx and marks it readable.
+// publish copies the operation into slot idx — what it lends into the
+// slot's store (Owner) — and marks it readable.
 func (l *log[Wr]) publish(idx uint64, op *Wr, replica, ctx uint32, selfHelp func(target uint64)) {
 	l.waitForSpace(idx, replica, selfHelp)
 	s := &l.slots[idx&l.mask]
 	s.op = *op
+	// With one replica the issuer's own apply is the entry's only one,
+	// done before its call returns: nothing outlives the loan.
+	if o, ok := any(&s.op).(Owner[Wr]); ok && len(l.appliedTails) > 1 {
+		if n, b := o.Lent(); n > 0 || b > 0 {
+			o.Own(l.store(idx, n, b))
+		}
+	}
 	s.replica = replica
 	s.ctx = ctx
 	s.seq.Store(idx + 1)
+}
+
+// store returns slot idx's store, reserved for an entry that lends the
+// given vector length and bytes — or, past SlotBytes, a store of the
+// entry's own. The caller is publishing into the slot, so every replica
+// has applied the entry that used the store before.
+func (l *log[Wr]) store(idx uint64, entries, bytes int) *SlotStore[Wr] {
+	if slotSize[Wr](entries, bytes) > SlotBytes {
+		st := new(SlotStore[Wr])
+		st.reserve(entries, bytes)
+		return st
+	}
+	stores := l.stores.Load()
+	if stores == nil {
+		v := make([]*SlotStore[Wr], len(l.slots))
+		l.stores.CompareAndSwap(nil, &v)
+		stores = l.stores.Load()
+	}
+	st := (*stores)[idx&l.mask]
+	if st == nil {
+		st = new(SlotStore[Wr])
+		(*stores)[idx&l.mask] = st
+	}
+	st.reserve(entries, bytes)
+	return st
 }
 
 // read returns the entry at logical index idx for a replica that has

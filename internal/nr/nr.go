@@ -3,6 +3,7 @@ package nr
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -377,28 +378,32 @@ func (c *ThreadContext[Rd, Wr, Resp]) ExecuteBatch(ops []Wr) []Resp {
 	if len(ops) == 0 {
 		return nil
 	}
+	return c.ExecuteBatchInto(ops, nil)
+}
+
+// ExecuteBatchInto is ExecuteBatch answering in place, into out's
+// storage: the responses are out[:len(ops)], grown where out is too
+// short, and each op is answered in the element an earlier batch's
+// answer left there, so a data structure that answers in place
+// (InPlaceWriter) may reuse what that answer holds.
+func (c *ThreadContext[Rd, Wr, Resp]) ExecuteBatchInto(ops []Wr, out []Resp) []Resp {
+	out = slices.Grow(out[:0], len(ops))[:len(ops)]
 	max := c.r.nr.MaxBatchOps()
-	out := make([]Resp, 0, len(ops))
 	for start := 0; start < len(ops); start += max {
-		end := start + max
-		if end > len(ops) {
-			end = len(ops)
-		}
-		out = append(out, c.executeRun(ops[start:end])...)
+		end := min(start+max, len(ops))
+		c.executeRun(ops[start:end], out[start:end])
 	}
 	return out
 }
 
-func (c *ThreadContext[Rd, Wr, Resp]) executeRun(ops []Wr) []Resp {
+func (c *ThreadContext[Rd, Wr, Resp]) executeRun(ops []Wr, resps []Resp) {
 	c.ops = ops
-	c.resps = make([]Resp, len(ops))
+	c.resps = resps
 	c.filled = 0
 	c.st.Store(slotPending)
 	c.awaitDone()
 	c.st.Store(slotEmpty)
-	resps := c.resps
 	c.ops, c.resps = nil, nil
-	return resps
 }
 
 // ExecuteRead performs a read-only operation against the local replica

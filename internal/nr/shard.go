@@ -119,7 +119,8 @@ func (t *ShardedThread[Rd, Wr, Resp]) ExecuteReadOnInto(shard int, op *Rd, out *
 // explicit shard's log (PR 2's ExecuteBatch semantics, per shard: the
 // half-ring invariant is enforced by each shard's own combiner passes
 // and MaxBatchOps, so splitting the log across shards leaves the
-// invariant intact shard-by-shard).
-func (t *ShardedThread[Rd, Wr, Resp]) ExecuteBatchOn(shard int, ops []Wr) []Resp {
-	return t.ctxs[shard].ExecuteBatch(ops)
+// invariant intact shard-by-shard), answering into out's storage
+// (ThreadContext.ExecuteBatchInto).
+func (t *ShardedThread[Rd, Wr, Resp]) ExecuteBatchOn(shard int, ops []Wr, out []Resp) []Resp {
+	return t.ctxs[shard].ExecuteBatchInto(ops, out)
 }

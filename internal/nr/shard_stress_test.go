@@ -53,7 +53,7 @@ func TestShardedStress(t *testing.T) {
 						{key: uint64(w*7 + 1), val: uint64(i)},
 						{key: uint64(w*7 + 2), val: uint64(i)},
 					}
-					if resps := ctx.ExecuteBatchOn(sh, ops); len(resps) != len(ops) {
+					if resps := ctx.ExecuteBatchOn(sh, ops, nil); len(resps) != len(ops) {
 						t.Errorf("batch returned %d resps for %d ops", len(resps), len(ops))
 					}
 				}

@@ -1,10 +1,12 @@
 package sys
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
 	"reflect"
+	"slices"
 
 	"github.com/verified-os/vnros/internal/fs"
 	"github.com/verified-os/vnros/internal/hw/mem"
@@ -33,9 +35,9 @@ func encodeWrite(op *WriteOp) (marshal.SyscallFrame, []byte) {
 	frame.Args[4] = op.Size
 	frame.Args[5] = uint64(op.TID)
 
-	m, size := writeTail(op)
+	_, size := writeTail(op)
 	e := marshal.NewEncoder(make([]byte, 0, size))
-	encodeWriteTail(e, op, m)
+	encodeWriteTail(e, op)
 	return frame, e.Bytes()
 }
 
@@ -162,14 +164,24 @@ func writeTail(op *WriteOp) (m uint32, size int) {
 
 // encodeWriteTail appends the overflow/variable-length fields of a
 // WriteOp — everything that does not fit the six-register frame — as its
-// presence mask m and then the fields m names. The scalar syscall path
-// and the batch path share it so the two encodings cannot drift.
-func encodeWriteTail(e *marshal.Encoder, op *WriteOp, m uint32) {
+// presence mask and then the fields it names, in one walk of the op's
+// row: the mask's word is appended first and filled in once the walk
+// has found the non-zero fields (the mask writeTail computes). The
+// scalar syscall path and the batch path share it so the two encodings
+// cannot drift.
+func encodeWriteTail(e *marshal.Encoder, op *WriteOp) {
+	at := len(e.Bytes())
+	e.U32(0)
 	v := reflect.ValueOf(op).Elem()
-	e.U32(m)
-	for ; m != 0; m &= m - 1 {
-		tailFields[bits.TrailingZeros32(m)].enc(e, v)
+	var m uint32
+	for b := lookup(op.Num).tail; b != 0; b &= b - 1 {
+		i := bits.TrailingZeros32(b)
+		if f := &tailFields[i]; !v.Field(f.index).IsZero() {
+			m |= 1 << i
+			f.enc(e, v)
+		}
 	}
+	binary.LittleEndian.PutUint32(e.Bytes()[at:], m)
 }
 
 // decodeWriteTail is the inverse of encodeWriteTail: an absent field
@@ -302,17 +314,23 @@ const (
 // EncodeBatch packs a submission vector for one NumBatch crossing. The
 // process identity travels once in the frame — DecodeBatch stamps it
 // onto every op, so a batch cannot smuggle operations on behalf of
-// another process.
+// another process. The payload is one allocation of exactly its size.
 func EncodeBatch(pid proc.PID, ops []WriteOp) (marshal.SyscallFrame, []byte) {
-	frame := marshal.SyscallFrame{Num: NumBatch}
-	frame.Args[0] = uint64(pid)
-	frame.Args[1] = uint64(len(ops))
 	size := 4
 	for i := range ops {
 		_, n := writeTail(&ops[i])
 		size += batchOpHead + n
 	}
-	e := marshal.NewEncoder(make([]byte, 0, size))
+	return appendBatch(make([]byte, 0, size), pid, ops)
+}
+
+// appendBatch is EncodeBatch into buf's storage, which it reuses, grown
+// as it goes: each op's tail is walked once.
+func appendBatch(buf []byte, pid proc.PID, ops []WriteOp) (marshal.SyscallFrame, []byte) {
+	frame := marshal.SyscallFrame{Num: NumBatch}
+	frame.Args[0] = uint64(pid)
+	frame.Args[1] = uint64(len(ops))
+	e := marshal.NewEncoder(buf)
 	e.U32(uint32(len(ops)))
 	for i := range ops {
 		op := &ops[i]
@@ -322,44 +340,54 @@ func EncodeBatch(pid proc.PID, ops []WriteOp) (marshal.SyscallFrame, []byte) {
 		e.U64(op.Len)
 		e.U64(op.Size)
 		e.U64(uint64(op.TID))
-		m, _ := writeTail(op)
-		encodeWriteTail(e, op, m)
+		encodeWriteTail(e, op)
 	}
 	return frame, e.Bytes()
 }
 
 // DecodeBatch unpacks a NumBatch submission on the kernel side.
 func DecodeBatch(frame marshal.SyscallFrame, payload []byte) ([]WriteOp, error) {
+	return DecodeBatchInto(frame, payload, nil)
+}
+
+// DecodeBatchInto is DecodeBatch into ops's storage, which it reuses,
+// grown where it is too short: every op it returns is overwritten
+// whole. On an error it returns ops emptied, for the next decode. The
+// ops' bytes alias payload.
+func DecodeBatchInto(frame marshal.SyscallFrame, payload []byte, ops []WriteOp) ([]WriteOp, error) {
+	ops = ops[:0]
 	if frame.Num != NumBatch {
-		return nil, fmt.Errorf("sys: batch decode: frame num %d is not NumBatch", frame.Num)
+		return ops, fmt.Errorf("sys: batch decode: frame num %d is not NumBatch", frame.Num)
 	}
 	pid := proc.PID(frame.Args[0])
 	d := marshal.NewDecoder(payload)
 	n := d.U32()
 	if uint64(n) != frame.Args[1] {
-		return nil, fmt.Errorf("sys: batch decode: frame count %d != payload count %d",
+		return ops, fmt.Errorf("sys: batch decode: frame count %d != payload count %d",
 			frame.Args[1], n)
 	}
 	if uint64(n)*(batchOpHead+4) > uint64(len(payload)) {
 		// Every encoded op is at least its register words and its tail's
 		// mask; a count the payload cannot hold is corrupt, not merely
 		// truncated, and must not size the vector.
-		return nil, fmt.Errorf("sys: batch decode: count %d exceeds payload", n)
+		return ops, fmt.Errorf("sys: batch decode: count %d exceeds payload", n)
 	}
-	ops := make([]WriteOp, n)
+	ops = slices.Grow(ops, int(n))[:n]
 	for i := uint32(0); i < n && d.Err() == nil; i++ {
 		op := &ops[i]
-		op.PID = pid
-		op.Num = d.U64()
-		op.FD = fs.FD(d.U64())
-		op.VA = mmu.VAddr(d.U64())
-		op.Len = d.U64()
-		op.Size = d.U64()
-		op.TID = sched.TID(d.U64())
+		*op = WriteOp{
+			PID:  pid,
+			Num:  d.U64(),
+			FD:   fs.FD(d.U64()),
+			VA:   mmu.VAddr(d.U64()),
+			Len:  d.U64(),
+			Size: d.U64(),
+			TID:  sched.TID(d.U64()),
+		}
 		decodeWriteTail(d, op)
 	}
 	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("sys: batch decode: %w", err)
+		return ops[:0], fmt.Errorf("sys: batch decode: %w", err)
 	}
 	return ops, nil
 }

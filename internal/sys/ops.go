@@ -6,6 +6,7 @@ import (
 	"github.com/verified-os/vnros/internal/fs"
 	"github.com/verified-os/vnros/internal/hw/mem"
 	"github.com/verified-os/vnros/internal/hw/mmu"
+	"github.com/verified-os/vnros/internal/nr"
 	"github.com/verified-os/vnros/internal/proc"
 	"github.com/verified-os/vnros/internal/sched"
 )
@@ -179,7 +180,7 @@ const (
 	// opBatchable: may ride in a NumBatch submission. These are the
 	// file-state transitions, with no core-side handling (no frame
 	// allocation, no process lifecycle, no blocking), so a kernel applies
-	// them in one combiner round (ring.go's BatchSteps).
+	// them in one combiner round (ring.go's Steps.Fold).
 	opBatchable opProps = 1 << iota
 	// opRun: can be an entry of a run (NumFsRun, NumFDRun), touching
 	// nothing but one descriptor's cursor and its inode's contents.
@@ -400,9 +401,9 @@ type WriteOp struct {
 	// boundary).
 	Ino fs.Ino
 
-	// Run is a multi-entry NumFsRun's or NumFDRun's payload
-	// (Kernel.fsRun) — internal, never marshalled, and behind a pointer so
-	// the op stays the size the regrouping above bought.
+	// Run is a batch's descriptor run, the entries a NumFsRun or NumFDRun
+	// applies (Kernel.fsRun) — internal, never marshalled, and behind a
+	// pointer so the op stays the size the regrouping above bought.
 	Run *FsRun
 }
 
@@ -410,18 +411,46 @@ type WriteOp struct {
 // or itself.
 func (op *WriteOp) Entries() int32 {
 	if op.Run != nil {
-		return int32(len(op.Run.Ops))
+		return int32(len(*op.Run))
 	}
 	return 1
 }
 
+// Lent implements nr.Owner. A run is the only memory a logged op borrows
+// for no longer than its call: its entries are the vector the handler
+// decoded the batch into and its writes' bytes the handle's encode
+// buffer, and both reuse them for their next batch, while a replica that
+// lags applies the entry after this one has returned. Every other
+// reference an op carries is its own crossing's — a per-call write's
+// payload, decoded from a request encoded for that call, or strings,
+// which are copies — or a per-call read's destination, the caller's
+// buffer, which its issuer's apply must fill in place and so must not
+// be copied.
+func (op *WriteOp) Lent() (entries, bytes int) {
+	if op.Run == nil {
+		return 0, 0
+	}
+	for i := range *op.Run {
+		bytes += len((*op.Run)[i].Data)
+	}
+	return len(*op.Run), bytes
+}
+
+// Own implements nr.Owner: the slot's copy of a run entry points at the
+// slot's own copies of the run and its writes' bytes.
+func (op *WriteOp) Own(st *nr.SlotStore[WriteOp]) {
+	run := st.Vector(*op.Run)
+	for i := range *run {
+		(*run)[i].Data = st.Bytes((*run)[i].Data)
+	}
+	op.Run = (*FsRun)(run)
+}
+
 // FsRun is what a NumFsRun or NumFDRun from a batch applies: consecutive
 // read/write/seek entries on a single descriptor, in submission order.
-// Ops aliases the decoded submission vector (no copy) and is immutable
-// once the op is logged — every replica applies the same slice.
-type FsRun struct {
-	Ops []WriteOp
-}
+// It aliases the decoded submission vector, which the handler reuses for
+// its next batch, so the log copies it into the entry's slot (Own).
+type FsRun []WriteOp
 
 // RunResult is one run entry's outcome, the part of a Resp a completion
 // carries. A failed entry has only its Errno set.
@@ -523,9 +552,11 @@ type Resp struct {
 	// marshalled: mapping teardown is core-internal.
 	Unpinned []mem.PAddr
 
-	// Run answers a multi-entry NumFsRun or NumFDRun: one result per
-	// entry, in order; Off beside it is the descriptor's cursor after the
-	// last entry.
+	// Run answers a NumFsRun or NumFDRun that carries a Run: one result
+	// per entry, in order; Off beside it is the descriptor's cursor after
+	// the last entry. Kernel.fsRun answers into the vector the slot's
+	// previous answer left here, so a slot reused for run after run (the
+	// handler's batch answers) allocates none.
 	Run []RunResult
 
 	// Witness answers WriteOp.Witness (and a pread's ReadOp.Witness): the

@@ -2,6 +2,7 @@ package sys
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/verified-os/vnros/internal/fs"
 )
@@ -14,9 +15,9 @@ import (
 // reservation, one combine pass); on the sharded kernel one owner-shard
 // round per descriptor run, between the lock and unlock rounds on the
 // process shard — and the completions come back as an ordered completion
-// queue. Both kernels fold the vector into the same steps (BatchSteps):
+// queue. Both kernels fold the vector into the same steps (Steps.Fold):
 // a descriptor run, adjacent reads, writes and seeks on one descriptor,
-// is one transition.
+// or a lone write, is one transition.
 //
 // Contract checking stays on, with the per-call mechanism: a checked
 // batch's read, write, seek and pread entries ask for witnesses, the
@@ -160,17 +161,25 @@ func BatchCompletion(op WriteOp, r Resp) Completion {
 // frame and checks the §3 contract over it. Its reaper holds the handle
 // (s.call) for the crossing, as a per-call Read or Write does: the
 // handler's witness slot is one per handle, and a batch's witnesses are
-// taken as it returns. Ops are assumed boundary-validated (see
-// Batch.Submit).
+// taken as it returns. The request vector and its encoding are the
+// handle's, reused from one batch to the next under s.call: nothing
+// keeps them once the crossing has returned, since the log copies what a
+// logged entry borrows of them (WriteOp.Lent). Ops are assumed
+// boundary-validated (see Batch.Submit).
 func (s *Sys) crossBatch(ops []Op) ([]Completion, Errno) {
 	checking := s.checking()
-	ws := make([]WriteOp, len(ops))
-	for i, op := range ops {
-		ws[i] = op.w
-		ws[i].PID = s.pid
-		ws[i].Witness = checking && checked(op.w.Num)
+	ws := s.batchOps[:0]
+	for _, op := range ops {
+		w := op.w
+		w.PID = s.pid
+		w.Witness = checking && checked(op.w.Num)
+		ws = append(ws, w)
 	}
-	frame, payload := EncodeBatch(s.pid, ws)
+	// The handle keeps the vector, not the caller's payloads in it.
+	defer clear(ws)
+	s.batchOps = ws
+	frame, payload := appendBatch(s.batchBuf, s.pid, ws)
+	s.batchBuf = payload[:0]
 	ret, out := s.h.Syscall(frame, payload)
 	var wits []Witness
 	if checking {
@@ -179,6 +188,7 @@ func (s *Sys) crossBatch(ops []Op) ([]Completion, Errno) {
 	}
 	comps, errno, err := DecodeBatchResp(ret, out)
 	if err != nil {
+		s.recordViolation(fmt.Errorf("batch of %d ops: undecodable completion queue: %w", len(ws), err))
 		return nil, EINVAL
 	}
 	if errno != EOK {
@@ -310,35 +320,58 @@ func runEnd(ops []WriteOp, i int) int {
 	return j
 }
 
-// BatchSteps folds a submission vector's batchable entries into the
-// transitions a kernel applies for them, in submission order: a
-// descriptor run of two or more entries is one NumFDRun step — one
-// transition on a co-located kernel, the Run protocol on a partitioned
-// one — and any other batchable entry is a step of its own, its per-call
-// syscall. at[j] is the index of step j's first entry.
-func BatchSteps(ops []WriteOp) (steps []WriteOp, at []int) {
-	n := 0
-	for i := 0; i < len(ops); i = runEnd(ops, i) {
-		if IsBatchableOp(ops[i].Num) {
-			n++
-		}
-	}
-	steps, at = make([]WriteOp, 0, n), make([]int, 0, n)
+// Steps is a submission vector folded into the transitions a kernel
+// applies for its batchable entries (Fold), kept in storage a handler
+// reuses from one batch to the next.
+type Steps struct {
+	// Ops are the steps, in submission order, and At[j] the index of
+	// step j's first entry.
+	Ops []WriteOp
+	At  []int
+	// runs are the steps' runs, which Ops[j].Run points into.
+	runs []FsRun
+}
+
+// Fold folds ops's batchable entries into s, in submission order: a
+// descriptor run of two or more entries, or a lone write, is one
+// NumFDRun step — one transition on a co-located kernel, the Run
+// protocol on a partitioned one — and any other batchable entry is a
+// step of its own, its per-call syscall. A write always rides in a run
+// because a run is what the log copies (WriteOp.Lent): its bytes alias
+// the crossing's request, which the handle reuses. The steps alias ops.
+func (s *Steps) Fold(ops []WriteOp) {
+	n, runs := 0, 0
 	for i, j := 0, 0; i < len(ops); i = j {
 		j = runEnd(ops, i)
 		switch {
-		case j-i > 1:
-			steps = append(steps, WriteOp{Num: NumFDRun, PID: ops[i].PID, FD: ops[i].FD,
-				Witness: ops[i].Witness, Run: &FsRun{Ops: ops[i:j]}})
+		case isRun(ops, i, j):
+			runs++
+			n++
 		case IsBatchableOp(ops[i].Num):
-			steps = append(steps, ops[i])
+			n++
+		}
+	}
+	// Grown before any step points into it: appends within capacity
+	// never move a run.
+	s.Ops, s.At, s.runs = slices.Grow(s.Ops[:0], n), slices.Grow(s.At[:0], n), slices.Grow(s.runs[:0], runs)
+	for i, j := 0, 0; i < len(ops); i = j {
+		j = runEnd(ops, i)
+		switch {
+		case isRun(ops, i, j):
+			s.runs = append(s.runs, ops[i:j])
+			s.Ops = append(s.Ops, WriteOp{Num: NumFDRun, PID: ops[i].PID, FD: ops[i].FD,
+				Witness: ops[i].Witness, Run: &s.runs[len(s.runs)-1]})
+		case IsBatchableOp(ops[i].Num):
+			s.Ops = append(s.Ops, ops[i])
 		default:
 			continue
 		}
-		at = append(at, i)
+		s.At = append(s.At, i)
 	}
-	return steps, at
 }
+
+// isRun reports whether ops[i:j], a runEnd span, is a NumFDRun step.
+func isRun(ops []WriteOp, i, j int) bool { return j-i > 1 || ops[i].Num == NumWrite }
 
 // CompleteStep answers the entries of ops a step applied, from its
 // response r: comps[i] onward, one per entry — every entry of a run
@@ -348,7 +381,7 @@ func CompleteStep(ops []WriteOp, comps []Completion, i int, step *WriteOp, r Res
 	if step.Num != NumFDRun {
 		comps[i] = BatchCompletion(ops[i], r)
 	} else {
-		for k := range step.Run.Ops {
+		for k := range *step.Run {
 			e := RunResult{Errno: r.Errno}
 			if r.Errno == EOK {
 				e = r.Run[k]

@@ -32,7 +32,8 @@ func (g *gatedBatchHandler) Syscall(frame marshal.SyscallFrame, payload []byte) 
 		ops, _ := DecodeBatch(frame, payload)
 		g.mu.Lock()
 		for _, op := range ops {
-			g.crossed = append(g.crossed, op.Data)
+			// A copy: the payload is the handle's, reused by its next batch.
+			g.crossed = append(g.crossed, bytes.Clone(op.Data))
 		}
 		g.mu.Unlock()
 	}

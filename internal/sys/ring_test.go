@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -458,5 +459,68 @@ func TestSubmitConcurrentWithScalars(t *testing.T) {
 	}
 	if err := s.ContractErr(); err != nil {
 		t.Fatalf("contract violation on a correct kernel: %v", err)
+	}
+}
+
+// replyHandler answers every crossing with one fixed reply: a stub
+// kernel that allocates nothing.
+type replyHandler struct {
+	ret marshal.RetFrame
+	out []byte
+}
+
+func (h *replyHandler) Syscall(marshal.SyscallFrame, []byte) (marshal.RetFrame, []byte) {
+	return h.ret, h.out
+}
+
+// ringSyncOps is a ring_sync-shaped batch: a seek and sixteen 256 B
+// writes on fd, and the completion queue a kernel answers it with.
+func ringSyncOps(fd fs.FD) ([]Op, []Completion) {
+	ops := []Op{OpSeek(fd, 0, fs.SeekSet)}
+	comps := []Completion{{Op: NumSeek}}
+	for range 16 {
+		ops = append(ops, OpWrite(fd, make([]byte, 256)))
+		comps = append(comps, Completion{Op: NumWrite, Val: 256})
+	}
+	return ops, comps
+}
+
+// TestCrossBatchAllocatesOnlyItsCompletions pins the handle's half of a
+// warm batch crossing: the request vector and its encoding are the
+// handle's, reused by every batch, so against a kernel that allocates
+// nothing a crossing allocates one object, the completion queue it
+// returns.
+func TestCrossBatchAllocatesOnlyItsCompletions(t *testing.T) {
+	ops, comps := ringSyncOps(3)
+	ret, out := EncodeBatchResp(comps, EOK)
+	s := NewSys(proc.InitPID, &replyHandler{ret: ret, out: out})
+	cross := func() {
+		s.call.Lock()
+		got, e := s.crossBatch(ops)
+		s.call.Unlock()
+		if e != EOK || len(got) != len(ops) {
+			t.Fatalf("crossing: %d completions, %v", len(got), e)
+		}
+	}
+	cross()
+	if n := testing.AllocsPerRun(100, cross); n != 1 {
+		t.Errorf("a warm crossing allocates %.0f objects, want 1: its completion queue", n)
+	}
+}
+
+// TestUndecodableCompletionsAreAViolation: a kernel whose completion
+// queue does not decode has broken the batch's contract, as one that
+// answers the wrong number of completions has. The batch fails with
+// EINVAL and the handle records a violation naming it.
+func TestUndecodableCompletionsAreAViolation(t *testing.T) {
+	ops, comps := ringSyncOps(3)
+	ret, out := EncodeBatchResp(comps, EOK)
+	s := NewSys(proc.InitPID, &replyHandler{ret: ret, out: out[:len(out)-5]})
+	if got, e := s.SubmitWait(ops); e != EINVAL || got != nil {
+		t.Fatalf("a truncated completion queue: %d completions, %v; want none and EINVAL", len(got), e)
+	}
+	err := s.ContractErr()
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("batch of %d ops", len(ops))) {
+		t.Fatalf("ContractErr = %v, want a violation naming the batch of %d ops", err, len(ops))
 	}
 }

@@ -1,6 +1,8 @@
 package sys
 
 import (
+	"slices"
+
 	"github.com/verified-os/vnros/internal/fs"
 	"github.com/verified-os/vnros/internal/hw/mem"
 	"github.com/verified-os/vnros/internal/hw/mmu"
@@ -284,7 +286,8 @@ func (k *Kernel) fdRun(op *WriteOp, out *Resp) {
 // half of its witness: the inode's contents before its first entry and
 // after its last.
 //
-// The entries are op.Run.Ops, answered in Resp.Run. Without a Run the op
+// The entries are op.Run, answered in Resp.Run — in the vector out held
+// before, which is reused when it is long enough. Without a Run the op
 // is its own single entry — a per-call read, write or seek, which then
 // allocates no run: num is its syscall number, its file fields (Off,
 // Whence, Len, Data) are the entry's, and the response itself carries
@@ -295,12 +298,14 @@ func (k *Kernel) fsRun(op *WriteOp, num uint64, ino fs.Ino, flags int, cur uint6
 		if op.Run == nil {
 			_, cur = k.runEntry(ino, flags, cur, num, op, false)
 		} else {
-			for i := range op.Run.Ops {
-				_, cur = k.runEntry(ino, flags, cur, op.Run.Ops[i].Num, &op.Run.Ops[i], false)
+			for i := range *op.Run {
+				e := &(*op.Run)[i]
+				_, cur = k.runEntry(ino, flags, cur, e.Num, e, false)
 			}
 		}
 		return cur
 	}
+	res := out.Run
 	*out = Resp{}
 	w := &out.Witness
 	if op.Witness {
@@ -310,9 +315,10 @@ func (k *Kernel) fsRun(op *WriteOp, num uint64, ino fs.Ino, flags int, cur uint6
 	if op.Run == nil {
 		e, cur = k.runEntry(ino, flags, cur, num, op, true)
 	} else {
-		out.Run = make([]RunResult, len(op.Run.Ops))
-		for i := range op.Run.Ops {
-			out.Run[i], cur = k.runEntry(ino, flags, cur, op.Run.Ops[i].Num, &op.Run.Ops[i], true)
+		out.Run = slices.Grow(res[:0], len(*op.Run))[:len(*op.Run)]
+		for i := range *op.Run {
+			ent := &(*op.Run)[i]
+			out.Run[i], cur = k.runEntry(ino, flags, cur, ent.Num, ent, true)
 		}
 	}
 	if op.Witness {

@@ -16,7 +16,10 @@ import (
 
 // Handler is the kernel side of the syscall boundary: internal/core's
 // replicated kernel implements it. The two byte slices are the
-// marshalled argument and result payloads — nothing else crosses.
+// marshalled argument and result payloads — nothing else crosses. The
+// argument payload is lent for the call only: a batch's is the handle's
+// encode buffer, which its next batch reuses, so a handler that keeps
+// any of it past its return keeps a copy.
 type Handler interface {
 	Syscall(frame marshal.SyscallFrame, payload []byte) (marshal.RetFrame, []byte)
 }
@@ -103,6 +106,10 @@ type Sys struct {
 	// ring is the handle's submitted batches that have not crossed yet,
 	// oldest first (under call; see submit.go).
 	ring []*Batch
+	// batchOps and batchBuf are the request vector and encode buffer a
+	// batch crosses in, reused by every batch (under call; crossBatch).
+	batchOps []WriteOp
+	batchBuf []byte
 }
 
 // CorePinned is implemented by handlers that pin the handle to one

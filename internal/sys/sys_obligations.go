@@ -314,7 +314,7 @@ func (b *frameBump) take(n int) []mem.PAddr {
 
 // directHandler dispatches through the codec to a single kernel. It
 // drains a batch the way core's co-located kernel does — the vector's
-// BatchSteps, a descriptor run being one NumFDRun transition — so what a
+// Steps.Fold, a descriptor run being one NumFDRun transition — so what a
 // batch runs is pinned against per-call dispatch (batch-refines-
 // sequential), and it witnesses every checked call and step.
 type directHandler struct {
@@ -355,7 +355,9 @@ func (h *directHandler) Syscall(frame marshal.SyscallFrame, payload []byte) (mar
 				comps[i] = Completion{Op: op.Num, Errno: ENOSYS}
 			}
 		}
-		steps, at := BatchSteps(ops)
+		var st Steps
+		st.Fold(ops)
+		steps, at := st.Ops, st.At
 		wits := h.witness[:0]
 		for j := range steps {
 			wits = CompleteStep(ops, comps, at[j], &steps[j], h.k.DispatchWrite(steps[j]), wits)

@@ -335,11 +335,11 @@ func TestFsRunCursorOverflowIsEFBIG(t *testing.T) {
 	if r := k.DispatchWrite(one); r.Errno != EFBIG || r.Off != cur {
 		t.Errorf("single-entry run: %v, cursor %#x; want EFBIG at %#x", r.Errno, r.Off, cur)
 	}
-	run.Run = &FsRun{Ops: []WriteOp{
+	run.Run = &FsRun{
 		{Num: NumWrite, Data: []byte("xyz")},
 		{Num: NumSeek, Off: 0, Whence: fs.SeekSet},
 		{Num: NumWrite, Data: []byte("ok")},
-	}}
+	}
 	r := k.DispatchWrite(run)
 	if r.Errno != EOK || len(r.Run) != 3 || r.Run[0].Errno != EFBIG || r.Run[2].Errno != EOK || r.Off != 2 {
 		t.Errorf("run: %v, results %+v, cursor %d", r.Errno, r.Run, r.Off)
