@@ -2,10 +2,13 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"github.com/verified-os/vnros/internal/fs"
 	"github.com/verified-os/vnros/internal/nr"
+	"github.com/verified-os/vnros/internal/proc"
 	"github.com/verified-os/vnros/internal/sys"
 )
 
@@ -184,4 +187,85 @@ func TestBatchAllocationBudget(t *testing.T) {
 			t.Errorf("%s: %v", mode, err)
 		}
 	}
+}
+
+// TestBatchKeepsBoundedBuffers: the buffers a handler reuses from one
+// batch to the next keep nothing of the batch they served — not the
+// handle's payload, not the read results, not witness views — and none
+// keeps more than nr.SlotBytes, on both kernels. A batch of a hundred
+// 1 KiB writes leaves no decode vector behind it, and a small batch
+// with reads in its run after it leaves every buffer empty.
+func TestBatchKeepsBoundedBuffers(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		s, err := Boot(Config{Cores: 2, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hd, err := s.pinnedHandler(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sys.NewSys(proc.InitPID, hd)
+		h.EnableContract()
+		fd, e := h.Open("/batch", sys.OCreate|sys.ORdWr)
+		if e != sys.EOK {
+			t.Fatal(e)
+		}
+		submit := func(ops []sys.Op) {
+			comps, e := h.SubmitWait(ops)
+			if e != sys.EOK || len(comps) != len(ops) {
+				t.Fatalf("shards=%d: batch: %d completions, %v", shards, len(comps), e)
+			}
+			for _, c := range comps {
+				if c.Errno != sys.EOK {
+					t.Fatalf("shards=%d: batch entry: %v", shards, c.Errno)
+				}
+			}
+		}
+		var big []sys.Op
+		for range 100 {
+			big = append(big, sys.OpWrite(fd, make([]byte, 1<<10)))
+		}
+		submit(big)
+		if hd.batchOps != nil {
+			t.Errorf("shards=%d: after a %d-op batch the handler keeps a %d-op decode vector", shards, len(big), cap(hd.batchOps))
+		}
+		submit([]sys.Op{sys.OpSeek(fd, 0, fs.SeekSet), sys.OpRead(fd, 512),
+			sys.OpWrite(fd, make([]byte, 256)), sys.OpRead(fd, 512)})
+		for name, held := range map[string]bool{
+			"decode vector": heldSomething(hd.batchOps),
+			"steps":         heldSomething(hd.batchSteps.Ops) || heldSomething(hd.batchSteps.At),
+			"completions":   heldSomething(hd.batchComps),
+		} {
+			if held {
+				t.Errorf("shards=%d: the handler's %s keeps what its last batch held", shards, name)
+			}
+		}
+		kept := cap(hd.batchResps) * int(unsafe.Sizeof(sys.Resp{}))
+		for _, r := range hd.batchResps[:cap(hd.batchResps)] {
+			kept += cap(r.Run) * int(unsafe.Sizeof(sys.RunResult{}))
+			run := r.Run
+			r.Run = nil
+			if heldSomething(run) || !reflect.ValueOf(r).IsZero() {
+				t.Errorf("shards=%d: the handler's answers keep what its last batch held", shards)
+			}
+		}
+		if kept > nr.SlotBytes {
+			t.Errorf("shards=%d: the handler's answers keep %d B, over %d", shards, kept, nr.SlotBytes)
+		}
+		if err := h.ContractErr(); err != nil {
+			t.Errorf("shards=%d: %v", shards, err)
+		}
+	}
+}
+
+// heldSomething reports whether any element of v's storage, past its
+// length too, is not its zero value.
+func heldSomething[T any](v []T) bool {
+	for _, e := range v[:cap(v)] {
+		if !reflect.ValueOf(e).IsZero() {
+			return true
+		}
+	}
+	return false
 }

@@ -590,7 +590,8 @@ type handler struct {
 	// and the completions. A handler can serve more than one handle, and
 	// a batch's reaper holds only its own. The log copies what an entry
 	// borrows of the decoded vector (sys.WriteOp.Lent), so nothing keeps
-	// these buffers once the batch has returned.
+	// these buffers once the batch has returned, and batch leaves them
+	// holding nothing of it, each at most nr.SlotBytes (recycleBatch).
 	batchMu    sync.Mutex
 	batchOps   []sys.WriteOp
 	batchSteps sys.Steps
@@ -814,6 +815,7 @@ func (h *handler) batch(frame marshal.SyscallFrame, payload []byte) (marshal.Ret
 	t0 := obs.Start()
 	h.batchMu.Lock()
 	defer h.batchMu.Unlock()
+	defer h.recycleBatch()
 	ops, err := sys.DecodeBatchInto(frame, payload, h.batchOps)
 	h.batchOps = ops
 	if err != nil {
@@ -876,12 +878,8 @@ func (h *handler) batch(frame marshal.SyscallFrame, payload []byte) (marshal.Ret
 			// ExecuteBatch vector in submission order, where the
 			// partitioned kernel above sequences rounds per shard key.
 			h.batchResps = h.procCtx.ExecuteBatchOn(0, steps, h.batchResps)
-			for j := range h.batchResps {
-				r := &h.batchResps[j]
-				wits = sys.CompleteStep(ops, comps, at[j], &steps[j], *r, wits)
-				// The answer's run vector stays for the next batch; its
-				// witness views are the handle's now.
-				r.Witness = sys.Witness{}
+			for j, r := range h.batchResps {
+				wits = sys.CompleteStep(ops, comps, at[j], &steps[j], r, wits)
 			}
 		}
 		h.ctxMu.Unlock()
@@ -924,6 +922,17 @@ func (h *handler) batch(frame marshal.SyscallFrame, payload []byte) (marshal.Ret
 	obs.SyscallBatchLatency.Since(uint32(h.core), t0)
 	obs.KernelTrace.Emit(obs.KindBatch, uint64(len(ops)), uint64(h.core))
 	return sys.EncodeBatchResp(comps, sys.EOK)
+}
+
+// recycleBatch readies the handler's batch buffers for its next batch
+// (sys.Recycle): they keep nothing of the batch just answered — its
+// payload, its read results, its witness views — and none keeps more
+// than nr.SlotBytes. The completions are the reply's by then, encoded.
+func (h *handler) recycleBatch() {
+	h.batchOps = sys.Recycle(h.batchOps)
+	h.batchSteps.Recycle()
+	h.batchResps = sys.RecycleResps(h.batchResps)
+	h.batchComps = sys.Recycle(h.batchComps)
 }
 
 // cleanupProcessLocal tears down core-side state (sockets, futexes).

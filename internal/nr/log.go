@@ -165,9 +165,14 @@ type log[Wr any] struct {
 	// and a slot's store at the slot's first. A slot's element is touched
 	// only by whoever is publishing into the slot.
 	stores atomic.Pointer[[]*SlotStore[Wr]]
+	// lends is whether publish copies what an entry lends: its type is
+	// an Owner and the log has more than one replica. With one, the
+	// issuer's own apply is the entry's only one, done before its call
+	// returns, so nothing outlives the loan. Fixed when the log is made.
+	lends bool
 }
 
-func newLog[Wr any](size int) *log[Wr] {
+func newLog[Wr any](size, replicas int) *log[Wr] {
 	if size <= 0 {
 		size = DefaultLogSize
 	}
@@ -176,7 +181,8 @@ func newLog[Wr any](size int) *log[Wr] {
 	for n < size {
 		n <<= 1
 	}
-	return &log[Wr]{slots: make([]entry[Wr], n), mask: uint64(n - 1)}
+	_, owner := any((*Wr)(nil)).(Owner[Wr])
+	return &log[Wr]{slots: make([]entry[Wr], n), mask: uint64(n - 1), lends: owner && replicas > 1}
 }
 
 // Tail returns the current reservation tail: the linearization horizon a
@@ -278,9 +284,8 @@ func (l *log[Wr]) publish(idx uint64, op *Wr, replica, ctx uint32, selfHelp func
 	l.waitForSpace(idx, replica, selfHelp)
 	s := &l.slots[idx&l.mask]
 	s.op = *op
-	// With one replica the issuer's own apply is the entry's only one,
-	// done before its call returns: nothing outlives the loan.
-	if o, ok := any(&s.op).(Owner[Wr]); ok && len(l.appliedTails) > 1 {
+	if l.lends {
+		o := any(&s.op).(Owner[Wr])
 		if n, b := o.Lent(); n > 0 || b > 0 {
 			o.Own(l.store(idx, n, b))
 		}

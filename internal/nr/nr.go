@@ -191,7 +191,7 @@ func New[Rd any, Wr any, Resp any](opts Options, create func() DataStructure[Rd,
 		opts.Replicas = 1
 	}
 	instances.Add(1)
-	n := &NR[Rd, Wr, Resp]{log: newLog[Wr](opts.LogSize), shardTag: opts.ShardTag}
+	n := &NR[Rd, Wr, Resp]{log: newLog[Wr](opts.LogSize, opts.Replicas), shardTag: opts.ShardTag}
 	for i := 0; i < opts.Replicas; i++ {
 		r := &Replica[Rd, Wr, Resp]{nr: n, id: uint32(i), ds: create()}
 		r.inPlace, _ = r.ds.(InPlaceReader[Rd, Resp])

@@ -188,3 +188,29 @@ func TestDestinationReachesIssuerApply(t *testing.T) {
 		})
 	}
 }
+
+// TestOneReplicaLogCopiesNothing: on a one-replica log the issuer's own
+// apply is an entry's only one, done before its call returns, so what an
+// op lends is applied where it lies and the log allocates no store; the
+// issuer may still reuse what it lends. A second replica turns the copy
+// on (TestSlotStoreReusedAfterEveryReplica).
+func TestOneReplicaLogCopiesNothing(t *testing.T) {
+	n := New(Options{Replicas: 1, LogSize: 8}, newLentLog)
+	c := n.MustRegister(0)
+	payload := make([]byte, 0, 64)
+	run := []lentOp{{}}
+	for id := range 4 * len(n.log.slots) {
+		run[0] = lentOp{id: id + 1000, payload: idPayload(nil, id+1000)}
+		if got := c.Execute(lentOp{id: id, payload: idPayload(payload, id), run: run}); got != id {
+			t.Fatalf("op %d answered %d", id, got)
+		}
+	}
+	if n.log.lends || n.log.stores.Load() != nil {
+		t.Error("a one-replica log copied what its ops lend")
+	}
+	n.Replica(0).Inspect(func(ds DataStructure[struct{}, lentOp, int]) {
+		if l := ds.(*lentLog); len(l.bad) > 0 {
+			t.Errorf("%d ops applied with stale payloads, first: %s", len(l.bad), l.bad[0])
+		}
+	})
+}

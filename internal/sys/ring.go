@@ -3,8 +3,10 @@ package sys
 import (
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"github.com/verified-os/vnros/internal/fs"
+	"github.com/verified-os/vnros/internal/nr"
 )
 
 // This file is the batched syscall submission ring — an io_uring-shaped
@@ -162,10 +164,10 @@ func BatchCompletion(op WriteOp, r Resp) Completion {
 // (s.call) for the crossing, as a per-call Read or Write does: the
 // handler's witness slot is one per handle, and a batch's witnesses are
 // taken as it returns. The request vector and its encoding are the
-// handle's, reused from one batch to the next under s.call: nothing
-// keeps them once the crossing has returned, since the log copies what a
-// logged entry borrows of them (WriteOp.Lent). Ops are assumed
-// boundary-validated (see Batch.Submit).
+// handle's, reused from one batch to the next under s.call (Recycle):
+// nothing keeps them once the crossing has returned, since the log
+// copies what a logged entry borrows of them (WriteOp.Lent). Ops are
+// assumed boundary-validated (see Batch.Submit).
 func (s *Sys) crossBatch(ops []Op) ([]Completion, Errno) {
 	checking := s.checking()
 	ws := s.batchOps[:0]
@@ -175,11 +177,8 @@ func (s *Sys) crossBatch(ops []Op) ([]Completion, Errno) {
 		w.Witness = checking && checked(op.w.Num)
 		ws = append(ws, w)
 	}
-	// The handle keeps the vector, not the caller's payloads in it.
-	defer clear(ws)
-	s.batchOps = ws
 	frame, payload := appendBatch(s.batchBuf, s.pid, ws)
-	s.batchBuf = payload[:0]
+	defer func() { s.batchOps, s.batchBuf = Recycle(ws), Recycle(payload) }()
 	ret, out := s.h.Syscall(frame, payload)
 	var wits []Witness
 	if checking {
@@ -206,6 +205,39 @@ func (s *Sys) crossBatch(ops []Op) ([]Completion, Errno) {
 		}
 	}
 	return comps, EOK
+}
+
+// Recycle readies a batch buffer for the next batch to reuse: it clears
+// what v held, so the buffer keeps nothing a batch referenced (the
+// caller's payloads, the read results), and returns it empty — or nil
+// when its storage is over nr.SlotBytes, the bound a log slot's store
+// keeps to, so one large batch does not pin its buffers for the life of
+// the handle or handler that reuses them.
+func Recycle[T any](v []T) []T {
+	var zero T
+	if cap(v)*int(unsafe.Sizeof(zero)) > nr.SlotBytes {
+		return nil
+	}
+	clear(v)
+	return v[:0]
+}
+
+// RecycleResps is Recycle for a vector of answers that keeps each
+// answer's Run vector, recycled, for Kernel.fsRun to answer into again:
+// the answers and their Run vectors together keep at most nr.SlotBytes.
+func RecycleResps(rs []Resp) []Resp {
+	all := rs[:cap(rs)]
+	n := cap(rs) * int(unsafe.Sizeof(Resp{}))
+	for i := range all {
+		n += cap(all[i].Run) * int(unsafe.Sizeof(RunResult{}))
+	}
+	if n > nr.SlotBytes {
+		return nil
+	}
+	for i := range all {
+		all[i] = Resp{Run: Recycle(all[i].Run)}
+	}
+	return rs[:0]
 }
 
 // Writev writes the buffers in order through one batch submission,
@@ -368,6 +400,12 @@ func (s *Steps) Fold(ops []WriteOp) {
 		}
 		s.At = append(s.At, i)
 	}
+}
+
+// Recycle readies s for the next Fold (the package's Recycle, for each
+// of its vectors).
+func (s *Steps) Recycle() {
+	s.Ops, s.At, s.runs = Recycle(s.Ops), Recycle(s.At), Recycle(s.runs)
 }
 
 // isRun reports whether ops[i:j], a runEnd span, is a NumFDRun step.

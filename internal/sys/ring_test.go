@@ -10,6 +10,7 @@ import (
 
 	"github.com/verified-os/vnros/internal/fs"
 	"github.com/verified-os/vnros/internal/marshal"
+	"github.com/verified-os/vnros/internal/nr"
 	"github.com/verified-os/vnros/internal/proc"
 )
 
@@ -522,5 +523,56 @@ func TestUndecodableCompletionsAreAViolation(t *testing.T) {
 	err := s.ContractErr()
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("batch of %d ops", len(ops))) {
 		t.Fatalf("ContractErr = %v, want a violation naming the batch of %d ops", err, len(ops))
+	}
+}
+
+// heldNothing reports whether every element of v's storage, past its
+// length too, is its zero value: a recycled buffer that keeps nothing a
+// batch referenced.
+func heldNothing[T any](v []T) bool {
+	for _, e := range v[:cap(v)] {
+		if !reflect.ValueOf(e).IsZero() {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCrossBatchKeepsBoundedBuffers: the request vector and encode
+// buffer a handle reuses keep nothing of the batch they carried — not
+// the caller's payloads — and a batch over nr.SlotBytes does not pin
+// its buffers for the next one: after a batch of a hundred 1 KiB writes
+// the handle keeps neither, and a small batch after it keeps both, small.
+func TestCrossBatchKeepsBoundedBuffers(t *testing.T) {
+	h := &replyHandler{}
+	s := NewSys(proc.InitPID, h)
+	cross := func(ops []Op, comps []Completion) {
+		h.ret, h.out = EncodeBatchResp(comps, EOK)
+		s.call.Lock()
+		got, e := s.crossBatch(ops)
+		s.call.Unlock()
+		if e != EOK || len(got) != len(ops) {
+			t.Fatalf("crossing: %d completions, %v", len(got), e)
+		}
+	}
+	var big []Op
+	var bigComps []Completion
+	for range 100 {
+		big = append(big, OpWrite(3, make([]byte, 1<<10)))
+		bigComps = append(bigComps, Completion{Op: NumWrite, Val: 1 << 10})
+	}
+	cross(big, bigComps)
+	if s.batchOps != nil || s.batchBuf != nil {
+		t.Errorf("after a %d-op batch the handle keeps a %d-op vector and a %d B buffer, want neither",
+			len(big), cap(s.batchOps), cap(s.batchBuf))
+	}
+	small, comps := ringSyncOps(3)
+	cross(small, comps)
+	if cap(s.batchOps) < len(small) || len(s.batchOps) != 0 || !heldNothing(s.batchOps) {
+		t.Errorf("after a %d-op batch the handle's vector is %d of %d, holding its entries: %v",
+			len(small), len(s.batchOps), cap(s.batchOps), !heldNothing(s.batchOps))
+	}
+	if cap(s.batchBuf) == 0 || cap(s.batchBuf) > nr.SlotBytes {
+		t.Errorf("after a small batch the handle keeps a %d B encode buffer, want (0, %d]", cap(s.batchBuf), nr.SlotBytes)
 	}
 }
