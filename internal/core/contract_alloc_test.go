@@ -140,17 +140,18 @@ func TestContractCheckAllocationBudget(t *testing.T) {
 		// for the batch, the replay model's clone of the page its run writes
 		// and of the page array (4 288 B in 3 objects, where 8 704 B in 7
 		// also paid the witness, the handler's witness vector and the
-		// kernel's own clones); for the pread, its request frame alone (272
-		// B in 3 with two witnesses). A witness allocation would add an
-		// object and 144 B; the byte bounds leave 32 B for the noise of
+		// kernel's own clones); for the pread, nothing: its request is the
+		// handle's request buffer (its own 16 B request frame before, 272 B
+		// in 3 objects with two witnesses). A witness allocation would add
+		// an object and 144 B; the byte bounds leave 32 B for the noise of
 		// subtracting two means.
 		const noise = 32
 		if batch > 4288+noise || batchObjs > 3 {
 			t.Errorf("shards=%d: checking a 17-op batch allocates %d B in %.1f objects, budget 4 288 B in 3",
 				shards, batch, batchObjs)
 		}
-		if preadBytes > 16+noise || preadObjs > 1 {
-			t.Errorf("shards=%d: a checked cache-hit Pread allocates %d B in %.1f objects, budget 16 B in 1",
+		if preadBytes > noise || preadObjs > 0 {
+			t.Errorf("shards=%d: a checked cache-hit Pread allocates %d B in %.1f objects, budget 0 B in 0",
 				shards, preadBytes, preadObjs)
 		}
 		if err := h.ContractErr(); err != nil {

@@ -15,20 +15,27 @@ import (
 // TestPerCallAllocationBudget pins what one per-call crossing allocates,
 // in objects, on both kernels: a crossing carries only the fields the
 // call has (the masked write tail), a reply of nothing but errno and value
-// is the register frame alone, and a combiner pass allocates nothing. So
-// an unchecked seek is its encoded request (12 B in a 16-B object: 3
-// objects and 168 B when the tail was fixed-width and every reply a
-// buffer). A checked call allocates what an unchecked one does: its
-// witness comes back by value into slots the handler and the handle
-// reuse (a 128-B object per witness before), and once checked its views
-// are given back, so a warm checked write clones its pre-image into a
-// page an earlier write retired — a seek+write is its two request frames
-// (5 040 B in 6 objects before), and so is a seek+read: the read crosses
-// with the caller's buffer, which the issuer replica's apply fills, so it
-// has no reply buffer and no reply payload (4 objects, 1 104 B, while the
-// bytes came back in a reply). A decoded path is one object, its string
-// (two when the decoder copied it twice). Counts, not times: deterministic, so it
-// runs under -short as the tier-1 pin on syscall_mix's allocs_per_op.
+// is the register frame alone, and a combiner pass allocates nothing.
+// A call that holds the handle encodes its request into the handle's
+// request buffer, so a warm seek, checked or not, allocates nothing (its
+// own 12 B request in a 16-B object before; 3 objects and 168 B when the
+// tail was fixed-width and every reply a buffer). A write's request
+// lends its bytes to the log past the call, so it stays an allocation
+// of its own: 524 B for 512 B of data, in a 576-B object. A checked
+// call allocates what an unchecked one does: its witness comes back by
+// value into slots the handler and the handle reuse (a 128-B object per
+// witness before), and once checked its views are given back, so a warm
+// checked write clones its pre-image into a page an earlier write
+// retired — a seek+write is the write's request (two request frames
+// before the seek reused the handle's buffer, 5 040 B in 6 objects
+// before views were given back), and a seek+read is nothing: the read
+// crosses with the caller's buffer, which the issuer replica's apply
+// fills, so it has no reply buffer and no reply payload (4 objects,
+// 1 104 B, while the bytes came back in a reply). Calls that do not
+// hold the handle (open, close, stat) still encode into their own
+// allocation; a decoded path is one object, its string (two when the
+// decoder copied it twice). Counts, not times: deterministic, so it runs
+// under -short as the tier-1 pin on syscall_mix's allocs_per_op.
 func TestPerCallAllocationBudget(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		s, err := Boot(Config{Cores: 2, Shards: shards})
@@ -91,10 +98,10 @@ func TestPerCallAllocationBudget(t *testing.T) {
 			objects float64
 			bytes   uint64 // 0: objects only
 		}{
-			{"unchecked seek", seek(raw), 1, 32},
-			{"checked seek", checkedSeek, 1, 32},
-			{"checked seek+write", seekWrite, 2, 0},
-			{"checked seek+read", seekRead, 2, 0},
+			{"unchecked seek", seek(raw), 0, 0},
+			{"checked seek", checkedSeek, 0, 0},
+			{"checked seek+write", seekWrite, 1, 576},
+			{"checked seek+read", seekRead, 0, 0},
 			{"close+open", reopen, 5, 0},
 			{"stat", stat, 4, 0},
 		} {
@@ -117,7 +124,7 @@ func TestPerCallAllocationBudget(t *testing.T) {
 // TestBatchAllocationBudget pins what a warm ring_sync-shaped batch
 // allocates with the contract on, on both kernels, with one replica and
 // with two: a seek and sixteen 256 B writes, one descriptor run. The
-// handle reuses its request vector and encode buffer, and the handler
+// handle reuses its request vector and request buffer, and the handler
 // its decode vector, steps, completions and run results, because the
 // log keeps its own copy of a run where a replica could apply it after
 // the batch returns (nr.Owner): what is left is the Batch, the

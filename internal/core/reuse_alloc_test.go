@@ -10,11 +10,13 @@ import (
 	"github.com/verified-os/vnros/internal/sys"
 )
 
-// seekWriteBudget is what a warm checked seek+write allocates: its two
-// request frames (TestPerCallAllocationBudget). A view that is never
-// given back stops its file's reuse for good, and every later checked
-// write then clones its pre-image into a fresh page: a third object.
-const seekWriteBudget = 2
+// seekWriteBudget is what a warm checked seek+write allocates: the
+// write's request, which lends its bytes to the log (the seek's is the
+// handle's request buffer; TestPerCallAllocationBudget). A view that is
+// never given back stops its file's reuse for good, and every later
+// checked write then clones its pre-image into a fresh page: a second
+// object.
+const seekWriteBudget = 1
 
 // seekWriter returns a checked seek+write of 512 B at 1 KiB through s,
 // failing t on an errno.

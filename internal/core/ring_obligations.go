@@ -146,7 +146,7 @@ func reapOutOfOrder(sc *sys.Sys, r *rand.Rand, path string, n int) error {
 // first core. The writer writes batch A — a seek and sixteen 64-byte
 // writes — and then batch B, the next 1 KiB, from the same payload
 // slices overwritten with B's bytes: B crosses in the request vector and
-// encode buffer A crossed in, and is decoded and folded into the
+// request buffer A crossed in, and is decoded and folded into the
 // handler's buffers A was. Only then does the reader pread the file, so
 // its replica applies A's and B's log entries after all of that reuse.
 // It must read A's bytes and then B's, and the contract and replica

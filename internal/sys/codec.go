@@ -22,11 +22,19 @@ import (
 // The §3 marshalling obligation — arguments and results round-trip
 // exactly — is discharged for this codec by VCs in sys_obligations.go.
 
-// EncodeWrite packs a WriteOp for the boundary crossing.
+// EncodeWrite packs a WriteOp for the boundary crossing, into one
+// allocation of exactly its size.
 func EncodeWrite(op WriteOp) (marshal.SyscallFrame, []byte) { return encodeWrite(&op) }
 
 // encodeWrite is EncodeWrite of an op the caller keeps.
 func encodeWrite(op *WriteOp) (marshal.SyscallFrame, []byte) {
+	_, size := writeTail(op)
+	return appendWrite(make([]byte, 0, size), op)
+}
+
+// appendWrite is encodeWrite into buf's storage, which it reuses, grown
+// as it goes.
+func appendWrite(buf []byte, op *WriteOp) (marshal.SyscallFrame, []byte) {
 	frame := marshal.SyscallFrame{Num: op.Num}
 	frame.Args[0] = uint64(op.PID)
 	frame.Args[1] = uint64(op.FD)
@@ -34,9 +42,7 @@ func encodeWrite(op *WriteOp) (marshal.SyscallFrame, []byte) {
 	frame.Args[3] = op.Len
 	frame.Args[4] = op.Size
 	frame.Args[5] = uint64(op.TID)
-
-	_, size := writeTail(op)
-	e := marshal.NewEncoder(make([]byte, 0, size))
+	e := marshal.NewEncoder(buf)
 	encodeWriteTail(e, op)
 	return frame, e.Bytes()
 }
@@ -228,9 +234,16 @@ func DecodeWriteInto(frame marshal.SyscallFrame, payload []byte, op *WriteOp) er
 	return nil
 }
 
-// EncodeRead packs a ReadOp. The witness bit rides in the sixth
-// register, so an unchecked read pays nothing for it.
+// EncodeRead packs a ReadOp, into one allocation of exactly its size.
+// The witness bit rides in the sixth register, so an unchecked read pays
+// nothing for it.
 func EncodeRead(op ReadOp) (marshal.SyscallFrame, []byte) {
+	return appendRead(make([]byte, 0, 4+len(op.Path)+8), &op)
+}
+
+// appendRead is EncodeRead into buf's storage, which it reuses, grown as
+// it goes.
+func appendRead(buf []byte, op *ReadOp) (marshal.SyscallFrame, []byte) {
 	frame := marshal.SyscallFrame{Num: op.Num}
 	frame.Args[0] = uint64(op.PID)
 	frame.Args[1] = uint64(op.FD)
@@ -240,7 +253,7 @@ func EncodeRead(op ReadOp) (marshal.SyscallFrame, []byte) {
 	if op.Witness {
 		frame.Args[5] = 1
 	}
-	e := marshal.NewEncoder(make([]byte, 0, 4+len(op.Path)+8))
+	e := marshal.NewEncoder(buf)
 	e.String(op.Path)
 	e.U64(op.Off)
 	return frame, e.Bytes()

@@ -418,8 +418,8 @@ func (op *WriteOp) Entries() int32 {
 
 // Lent implements nr.Owner. A run is the only memory a logged op borrows
 // for no longer than its call: its entries are the vector the handler
-// decoded the batch into and its writes' bytes the handle's encode
-// buffer, and both reuse them for their next batch, while a replica that
+// decoded the batch into and its writes' bytes the handle's request
+// buffer, and both reuse them for their next call, while a replica that
 // lags applies the entry after this one has returned. Every other
 // reference an op carries is its own crossing's — a per-call write's
 // payload, decoded from a request encoded for that call, or strings,

@@ -163,9 +163,10 @@ func BatchCompletion(op WriteOp, r Resp) Completion {
 // frame and checks the §3 contract over it. Its reaper holds the handle
 // (s.call) for the crossing, as a per-call Read or Write does: the
 // handler's witness slot is one per handle, and a batch's witnesses are
-// taken as it returns. The request vector and its encoding are the
-// handle's, reused from one batch to the next under s.call (Recycle):
-// nothing keeps them once the crossing has returned, since the log
+// taken as it returns. The request vector is the handle's, reused from
+// one batch to the next under s.call, and the batch is encoded into the
+// handle's request buffer, which per-call crossings share (Recycle):
+// nothing keeps either once the crossing has returned, since the log
 // copies what a logged entry borrows of them (WriteOp.Lent). Ops are
 // assumed boundary-validated (see Batch.Submit).
 func (s *Sys) crossBatch(ops []Op) ([]Completion, Errno) {
@@ -177,8 +178,8 @@ func (s *Sys) crossBatch(ops []Op) ([]Completion, Errno) {
 		w.Witness = checking && checked(op.w.Num)
 		ws = append(ws, w)
 	}
-	frame, payload := appendBatch(s.batchBuf, s.pid, ws)
-	defer func() { s.batchOps, s.batchBuf = Recycle(ws), Recycle(payload) }()
+	frame, payload := appendBatch(s.req, s.pid, ws)
+	defer func() { s.batchOps, s.req = Recycle(ws), Recycle(payload) }()
 	ret, out := s.h.Syscall(frame, payload)
 	var wits []Witness
 	if checking {
@@ -207,12 +208,13 @@ func (s *Sys) crossBatch(ops []Op) ([]Completion, Errno) {
 	return comps, EOK
 }
 
-// Recycle readies a batch buffer for the next batch to reuse: it clears
-// what v held, so the buffer keeps nothing a batch referenced (the
-// caller's payloads, the read results), and returns it empty — or nil
-// when its storage is over nr.SlotBytes, the bound a log slot's store
-// keeps to, so one large batch does not pin its buffers for the life of
-// the handle or handler that reuses them.
+// Recycle readies a reused buffer — a batch's, or the handle's request
+// buffer — for its next use: it clears what v held, so the buffer keeps
+// nothing a crossing referenced (the caller's payloads, the read
+// results), and returns it empty — or nil when its storage is over
+// nr.SlotBytes, the bound a log slot's store keeps to, so one large
+// batch does not pin its buffers for the life of the handle or handler
+// that reuses them.
 func Recycle[T any](v []T) []T {
 	var zero T
 	if cap(v)*int(unsafe.Sizeof(zero)) > nr.SlotBytes {

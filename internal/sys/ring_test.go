@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/verified-os/vnros/internal/fs"
 	"github.com/verified-os/vnros/internal/marshal"
@@ -538,7 +539,7 @@ func heldNothing[T any](v []T) bool {
 	return true
 }
 
-// TestCrossBatchKeepsBoundedBuffers: the request vector and encode
+// TestCrossBatchKeepsBoundedBuffers: the request vector and request
 // buffer a handle reuses keep nothing of the batch they carried — not
 // the caller's payloads — and a batch over nr.SlotBytes does not pin
 // its buffers for the next one: after a batch of a hundred 1 KiB writes
@@ -562,9 +563,9 @@ func TestCrossBatchKeepsBoundedBuffers(t *testing.T) {
 		bigComps = append(bigComps, Completion{Op: NumWrite, Val: 1 << 10})
 	}
 	cross(big, bigComps)
-	if s.batchOps != nil || s.batchBuf != nil {
+	if s.batchOps != nil || s.req != nil {
 		t.Errorf("after a %d-op batch the handle keeps a %d-op vector and a %d B buffer, want neither",
-			len(big), cap(s.batchOps), cap(s.batchBuf))
+			len(big), cap(s.batchOps), cap(s.req))
 	}
 	small, comps := ringSyncOps(3)
 	cross(small, comps)
@@ -572,7 +573,98 @@ func TestCrossBatchKeepsBoundedBuffers(t *testing.T) {
 		t.Errorf("after a %d-op batch the handle's vector is %d of %d, holding its entries: %v",
 			len(small), len(s.batchOps), cap(s.batchOps), !heldNothing(s.batchOps))
 	}
-	if cap(s.batchBuf) == 0 || cap(s.batchBuf) > nr.SlotBytes {
-		t.Errorf("after a small batch the handle keeps a %d B encode buffer, want (0, %d]", cap(s.batchBuf), nr.SlotBytes)
+	if cap(s.req) == 0 || cap(s.req) > nr.SlotBytes {
+		t.Errorf("after a small batch the handle keeps a %d B request buffer, want (0, %d]", cap(s.req), nr.SlotBytes)
+	}
+}
+
+// destStub is a stub kernel that allocates nothing and takes a read's
+// destination: a batch gets the fixed reply of its replyHandler, every
+// other crossing the register frame alone. It keeps the last request it
+// was lent, for the test to look at.
+type destStub struct {
+	replyHandler
+	lent []byte
+}
+
+func (h *destStub) Syscall(frame marshal.SyscallFrame, payload []byte) (marshal.RetFrame, []byte) {
+	h.lent = payload
+	if frame.Num == NumBatch {
+		return h.replyHandler.Syscall(frame, payload)
+	}
+	return marshal.RetFrame{}, nil
+}
+
+func (h *destStub) SyscallInto(frame marshal.SyscallFrame, payload []byte, dst []byte) marshal.RetFrame {
+	h.lent = payload
+	return marshal.RetFrame{Value: uint64(len(dst))}
+}
+
+// TestPerCallCrossingAllocatesNothing pins the handle's half of a
+// per-call crossing: against a kernel that allocates nothing, a warm
+// Seek, destination Read and destination Pread allocate nothing, because
+// each encodes its request into the handle's request buffer. A Write
+// allocates exactly its own request, the one request the kernel may keep
+// past the call (its Data). The buffer is the one a batch crosses in,
+// so after a Writev over nr.SlotBytes a Seek finds it dropped and
+// crosses in a buffer of its own size.
+func TestPerCallCrossingAllocatesNothing(t *testing.T) {
+	h := &destStub{}
+	s := NewSys(proc.InitPID, h)
+	const fd = 3
+	buf := make([]byte, 4096)
+	must := func(what string, n uint64, e Errno, want int) {
+		if e != EOK || n != uint64(want) {
+			t.Fatalf("%s: %d, %v; want %d", what, n, e, want)
+		}
+	}
+	seek := func() {
+		n, e := s.Seek(fd, 0, fs.SeekSet)
+		must("seek", n, e, 0)
+	}
+	for _, c := range []struct {
+		what string
+		f    func()
+	}{
+		{"seek", seek},
+		{"read", func() { n, e := s.Read(fd, buf); must("read", n, e, len(buf)) }},
+		{"pread", func() { n, e := s.Pread(fd, buf, 4096); must("pread", n, e, len(buf)) }},
+	} {
+		c.f()
+		if n := testing.AllocsPerRun(100, c.f); n != 0 {
+			t.Errorf("a warm %s allocates %.0f objects, want none", c.what, n)
+		}
+		if unsafe.SliceData(h.lent) != unsafe.SliceData(s.req) || len(s.req) != 0 || !heldNothing(s.req) {
+			t.Errorf("a %s's request is not the handle's request buffer, recycled after the call", c.what)
+		}
+	}
+	write := func() {
+		n, e := s.Write(fd, buf[:512])
+		must("write", n, e, 0)
+	}
+	write()
+	if n := testing.AllocsPerRun(100, write); n != 1 {
+		t.Errorf("a warm write allocates %.0f objects, want 1: its request", n)
+	}
+	if len(h.lent) != cap(h.lent) || unsafe.SliceData(h.lent) == unsafe.SliceData(s.req) {
+		t.Errorf("a write's request is %d B in a buffer of %d, the handle's: %v; want an exact one of its own",
+			len(h.lent), cap(h.lent), unsafe.SliceData(h.lent) == unsafe.SliceData(s.req))
+	}
+	var bufs [][]byte
+	var comps []Completion
+	for range 100 {
+		bufs = append(bufs, make([]byte, 1<<10))
+		comps = append(comps, Completion{Op: NumWrite, Val: 1 << 10})
+	}
+	h.ret, h.out = EncodeBatchResp(comps, EOK)
+	if n, e := s.Writev(fd, bufs); e != EOK || n != 100<<10 {
+		t.Fatalf("writev: %d, %v", n, e)
+	}
+	if s.req != nil {
+		t.Errorf("after a %d B Writev the handle keeps a %d B request buffer, want none", len(h.lent), cap(s.req))
+	}
+	seek()
+	if cap(h.lent) > 64 {
+		t.Errorf("a seek after a %d-op Writev crossed in a %d B buffer, want one of its own size", len(bufs), cap(h.lent))
 	}
 }

@@ -16,10 +16,15 @@ import (
 
 // Handler is the kernel side of the syscall boundary: internal/core's
 // replicated kernel implements it. The two byte slices are the
-// marshalled argument and result payloads — nothing else crosses. The
-// argument payload is lent for the call only: a batch's is the handle's
-// encode buffer, which its next batch reuses, so a handler that keeps
-// any of it past its return keeps a copy.
+// marshalled argument and result payloads — nothing else crosses. Every
+// argument payload is lent for the call only, except a per-call request
+// that carries Data (a write's, a MemWrite's, a SockSend's): the kernel
+// may keep those bytes — a logged write's NR log entry points at them
+// until every replica has applied it — so such a request is an
+// allocation of its own. A seek's, a read's, a pread's and a batch's
+// request is the handle's request buffer, which its next call reuses
+// and overwrites, so a handler that keeps any of a request past its
+// return keeps a copy.
 type Handler interface {
 	Syscall(frame marshal.SyscallFrame, payload []byte) (marshal.RetFrame, []byte)
 }
@@ -76,6 +81,17 @@ type DestHandler interface {
 // contract off too, so a call that started unchecked cannot overlap the
 // first checked one after EnableContract.
 //
+// The calls that hold the handle encode their request into its one
+// request buffer (req), reused by the next and recycled after each
+// crossing (Recycle): cleared, and dropped past nr.SlotBytes, so a large
+// batch does not pin its encoding. A write's request lends its bytes to
+// the NR log past the call, so it is the one request of these with an
+// allocation of its own. Every other call — Open, Close, Stat, MMap, the
+// process, socket and futex calls — does not hold the handle and encodes
+// into its own allocation too, because those may share one handle across
+// goroutines: a thread parked in SockRecvBlocking or FutexWait must not
+// stop a sibling's SockSend or FutexWake on the same handle.
+//
 // A checked call allocates what an unchecked one does: the witness comes
 // back by value, into slots both sides reuse, and once checked its views
 // are given back, so the file they pin reuses what its next write
@@ -100,16 +116,17 @@ type Sys struct {
 	cerr     error
 	// call is held by Read, Write, Seek, Pread, Submit and a batch's
 	// reaper for the whole call (see the type comment); wits, the
-	// witnesses taken of the crossing, with it.
+	// witnesses taken of the crossing, and req, the request buffer, with
+	// it.
 	call sync.Mutex
 	wits []Witness
+	req  []byte
 	// ring is the handle's submitted batches that have not crossed yet,
 	// oldest first (under call; see submit.go).
 	ring []*Batch
-	// batchOps and batchBuf are the request vector and encode buffer a
-	// batch crosses in, reused by every batch (under call; crossBatch).
+	// batchOps is the request vector a batch crosses in, reused by every
+	// batch (under call; crossBatch).
 	batchOps []WriteOp
-	batchBuf []byte
 }
 
 // CorePinned is implemented by handlers that pin the handle to one
@@ -327,45 +344,63 @@ func stepOf(op *WriteOp) fs.StepOp {
 	return fs.StepOp{Kind: kind, Len: op.Len, Data: op.Data, Off: op.Off, Whence: op.Whence}
 }
 
-// callWrite crosses the boundary with a mutating op.
-func (s *Sys) callWrite(op WriteOp) Resp {
+// request encodes op for the crossing of a call that holds the handle
+// (s.call) into the handle's request buffer, which release recycles —
+// except a request that lends bytes, a write's Data: the NR log entry
+// points at them until every replica has applied it, so that request is
+// an allocation of its own, of exactly its size.
+func (s *Sys) request(op *WriteOp) (marshal.SyscallFrame, []byte) {
 	op.PID = s.pid
-	frame, payload := encodeWrite(&op)
-	ret, out := s.h.Syscall(frame, payload)
+	if len(op.Data) > 0 {
+		return encodeWrite(op)
+	}
+	var frame marshal.SyscallFrame
+	frame, s.req = appendWrite(s.req, op)
+	return frame, s.req
+}
+
+// release ends a call that holds the handle: nothing keeps its request
+// past the call (Handler), so the request buffer is recycled for the
+// next, and the handle unlocked.
+func (s *Sys) release() {
+	s.req = Recycle(s.req)
+	s.call.Unlock()
+}
+
+// reply decodes a reply; one that does not decode is EINVAL.
+func reply(ret marshal.RetFrame, out []byte) Resp {
 	r, err := DecodeResp(ret, out)
 	if err != nil {
 		return Resp{Errno: EINVAL}
 	}
 	return r
+}
+
+// callWrite crosses the boundary with a mutating op of a call that does
+// not hold the handle.
+func (s *Sys) callWrite(op WriteOp) Resp {
+	op.PID = s.pid
+	return reply(s.h.Syscall(encodeWrite(&op)))
 }
 
 // callScalar crosses the boundary with a mutating op whose answer is its
-// value and errno — a write or a seek: a reply that is the register
-// frame alone is read off the frame, with no response to decode into.
+// value and errno — a write or a seek, which hold the handle: a reply
+// that is the register frame alone is read off the frame, with no
+// response to decode into.
 func (s *Sys) callScalar(op *WriteOp) (uint64, Errno) {
-	op.PID = s.pid
-	frame, payload := encodeWrite(op)
-	ret, out := s.h.Syscall(frame, payload)
+	ret, out := s.h.Syscall(s.request(op))
 	if len(out) == 0 {
 		return ret.Value, Errno(ret.Errno)
 	}
-	r, err := DecodeResp(ret, out)
-	if err != nil {
-		return 0, EINVAL
-	}
+	r := reply(ret, out)
 	return r.Val, r.Errno
 }
 
-// callRead crosses the boundary with a read-only op.
+// callRead crosses the boundary with a read-only op of a call that does
+// not hold the handle.
 func (s *Sys) callRead(op ReadOp) Resp {
 	op.PID = s.pid
-	frame, payload := EncodeRead(op)
-	ret, out := s.h.Syscall(frame, payload)
-	r, err := DecodeResp(ret, out)
-	if err != nil {
-		return Resp{Errno: EINVAL}
-	}
-	return r
+	return reply(s.h.Syscall(EncodeRead(op)))
 }
 
 // Open opens (or with OCreate creates) path. Invalid flag combinations
@@ -394,17 +429,17 @@ func (s *Sys) Close(fd fs.FD) Errno {
 // over the witnessed transition and the bytes delivered into buffer.
 func (s *Sys) Read(fd fs.FD, buffer []byte) (uint64, Errno) {
 	s.call.Lock()
-	defer s.call.Unlock()
-	op := WriteOp{Num: NumRead, PID: s.pid, FD: fd, Len: uint64(len(buffer)), Witness: s.checking()}
+	defer s.release()
+	op := WriteOp{Num: NumRead, FD: fd, Len: uint64(len(buffer)), Witness: s.checking()}
+	frame, payload := s.request(&op)
 	var val, n uint64
 	var e Errno
 	if s.dest != nil {
-		frame, payload := encodeWrite(&op)
 		ret := s.dest.SyscallInto(frame, payload, buffer)
 		val, e = ret.Value, Errno(ret.Errno)
 		n = min(val, uint64(len(buffer)))
 	} else {
-		r := s.callWrite(op)
+		r := reply(s.h.Syscall(frame, payload))
 		val, e = r.Val, r.Errno
 		n = uint64(copy(buffer, r.Data))
 	}
@@ -426,16 +461,17 @@ func (s *Sys) Read(fd fs.FD, buffer []byte) (uint64, Errno) {
 // (a positioned read_spec).
 func (s *Sys) Pread(fd fs.FD, buffer []byte, off uint64) (uint64, Errno) {
 	s.call.Lock()
-	defer s.call.Unlock()
+	defer s.release()
 	op := ReadOp{Num: NumPread, PID: s.pid, FD: fd, Len: uint64(len(buffer)), Off: off, Witness: s.checking()}
+	var frame marshal.SyscallFrame
+	frame, s.req = appendRead(s.req, &op)
 	var val uint64
 	var e Errno
 	if s.dest != nil {
-		frame, payload := EncodeRead(op)
-		ret := s.dest.SyscallInto(frame, payload, buffer)
+		ret := s.dest.SyscallInto(frame, s.req, buffer)
 		val, e = ret.Value, Errno(ret.Errno)
 	} else {
-		r := s.callRead(op)
+		r := reply(s.h.Syscall(frame, s.req))
 		copy(buffer, r.Data)
 		val, e = r.Val, r.Errno
 	}
@@ -475,7 +511,7 @@ func (s *Sys) PreadUnmap(va mmu.VAddr) Errno {
 // Write writes data at the descriptor's offset.
 func (s *Sys) Write(fd fs.FD, data []byte) (uint64, Errno) {
 	s.call.Lock()
-	defer s.call.Unlock()
+	defer s.release()
 	op := WriteOp{Num: NumWrite, FD: fd, Data: data, Witness: s.checking()}
 	val, e := s.callScalar(&op)
 	s.checkCall(&op, Completion{Op: NumWrite, Errno: e, Val: val})
@@ -488,7 +524,7 @@ func (s *Sys) Write(fd fs.FD, data []byte) (uint64, Errno) {
 // Seek repositions the descriptor offset.
 func (s *Sys) Seek(fd fs.FD, off int64, whence int) (uint64, Errno) {
 	s.call.Lock()
-	defer s.call.Unlock()
+	defer s.release()
 	op := WriteOp{Num: NumSeek, FD: fd, Off: off, Whence: whence, Witness: s.checking()}
 	val, e := s.callScalar(&op)
 	s.checkCall(&op, Completion{Op: NumSeek, Errno: e, Val: val})
