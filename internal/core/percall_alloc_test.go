@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"github.com/verified-os/vnros/internal/fs"
+	"github.com/verified-os/vnros/internal/hw/mmu"
 	"github.com/verified-os/vnros/internal/nr"
 	"github.com/verified-os/vnros/internal/proc"
 	"github.com/verified-os/vnros/internal/sys"
@@ -16,7 +17,7 @@ import (
 // in objects, on both kernels: a crossing carries only the fields the
 // call has (the masked write tail), a reply of nothing but errno and value
 // is the register frame alone, and a combiner pass allocates nothing.
-// A call that holds the handle encodes its request into the handle's
+// Every call that cannot park encodes its request into the handle's
 // request buffer, so a warm seek, checked or not, allocates nothing (its
 // own 12 B request in a 16-B object before; 3 objects and 168 B when the
 // tail was fixed-width and every reply a buffer). A write's request
@@ -31,11 +32,16 @@ import (
 // before views were given back), and a seek+read is nothing: the read
 // crosses with the caller's buffer, which the issuer replica's apply
 // fills, so it has no reply buffer and no reply payload (4 objects,
-// 1 104 B, while the bytes came back in a reply). Calls that do not
-// hold the handle (open, close, stat) still encode into their own
-// allocation; a decoded path is one object, its string (two when the
-// decoder copied it twice). Counts, not times: deterministic, so it runs
-// under -short as the tier-1 pin on syscall_mix's allocs_per_op.
+// 1 104 B, while the bytes came back in a reply). A path is split on the
+// lookup's stack, so an open or a stat is its decoded path — the one
+// string the kernel keeps of the request — and a stat its reply (close
+// and open 5 objects and stat 4 while each had a request of its own and
+// a split slice). An mmap+munmap pair is the mmap's frame vector, which
+// the log entry points at: the page table keeps its walk on the stack
+// and its directories' bookkeeping by value, and the munmap answers with
+// the frames it freed in its slot's kept vector, which never crosses
+// (12 objects, 280 B before). Counts, not times: deterministic, so it
+// runs under -short as the tier-1 pin on syscall_mix's allocs_per_op.
 func TestPerCallAllocationBudget(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		s, err := Boot(Config{Cores: 2, Shards: shards})
@@ -92,6 +98,15 @@ func TestPerCallAllocationBudget(t *testing.T) {
 			_, e := h.Stat("/percall")
 			fail("stat", e)
 		}
+		m, err := s.SpawnHandle(h, "mapper") // init has no address space
+		if err != nil {
+			t.Fatal(err)
+		}
+		mmapPair := func() {
+			va, e := m.MMap(mmu.L1PageSize)
+			fail("mmap", e)
+			fail("munmap", m.MUnmap(va))
+		}
 		for _, c := range []struct {
 			what    string
 			f       func()
@@ -102,8 +117,9 @@ func TestPerCallAllocationBudget(t *testing.T) {
 			{"checked seek", checkedSeek, 0, 0},
 			{"checked seek+write", seekWrite, 1, 576},
 			{"checked seek+read", seekRead, 0, 0},
-			{"close+open", reopen, 5, 0},
-			{"stat", stat, 4, 0},
+			{"close+open", reopen, 2, 0},
+			{"stat", stat, 2, 0},
+			{"mmap+munmap", mmapPair, 1, 16}, // an 8-B vector, 16 B under -race
 		} {
 			objs := testing.AllocsPerRun(200, c.f)
 			b := allocPerRequest(200, c.f)

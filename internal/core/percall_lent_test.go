@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"github.com/verified-os/vnros/internal/fs"
+	"github.com/verified-os/vnros/internal/hw/mmu"
 	"github.com/verified-os/vnros/internal/marshal"
 	"github.com/verified-os/vnros/internal/sys"
 )
@@ -44,16 +46,17 @@ func poisonRequest(frame marshal.SyscallFrame, payload []byte) {
 	}
 }
 
-// TestPerCallRequestIsLentForTheCall: a seek's, a read's, a pread's and
-// a batch's request are lent to the kernel for the call only — the
-// handle reuses its request buffer for the next call — so nothing the
-// kernel keeps may point into them. On a two-replica kernel, on both
+// TestPerCallRequestIsLentForTheCall: the request of every call that
+// cannot park, and a batch's, is lent to the kernel for the call only —
+// the handle reuses its request buffer for the next call — so nothing the
+// kernel keeps may point into it. On a two-replica kernel, on both
 // kernels, a checked handle on replica 0 whose every request is poisoned
 // once its call returns seeks, reads, preads and writes, per call and
-// through batches; replica 1 applies all of it only afterwards, when a
-// checked handle on it preads and reads the file back. Both must read
-// what was written, the contract must hold on both handles, and the
-// replicas must agree.
+// through batches, and opens, closes and stats files, and a sibling
+// process on the same handler maps and unmaps; replica 1 applies all of
+// it only afterwards, when a checked handle on it preads and reads the
+// file back and stats the files. Both must read what was written, the
+// contract must hold on both handles, and the replicas must agree.
 func TestPerCallRequestIsLentForTheCall(t *testing.T) {
 	const size, rounds = 16 << 10, 8
 	r := rand.New(rand.NewSource(43))
@@ -89,8 +92,22 @@ func TestPerCallRequestIsLentForTheCall(t *testing.T) {
 				t.Fatalf("shards=%d %s: %d, %v; want %d", shards, what, n, e, want)
 			}
 		}
+		child, e := init.Spawn("mapper") // init has no address space
+		if e != sys.EOK {
+			t.Fatal(e)
+		}
+		m := sys.NewSys(child, poisoningHandler{hd})
 		got := make([]byte, 1<<10)
-		for range rounds {
+		for round := range rounds {
+			path := fmt.Sprintf("/lent%d", round)
+			f, e := w.Open(path, sys.OCreate|sys.ORdWr)
+			fail("open", uint64(f), e, int(f))
+			fail("close", 0, w.Close(f), 0)
+			st, e := w.Stat(path)
+			fail("stat", st.Size, e, 0)
+			va, e := m.MMap(uint64(1+round%3) * mmu.L1PageSize)
+			fail("mmap", 0, e, 0)
+			fail("munmap", 0, m.MUnmap(va), 0)
 			off := r.Intn(size - len(got))
 			ops := []sys.Op{sys.OpSeek(fd, int64(off), fs.SeekSet)}
 			for range 4 {
@@ -149,6 +166,11 @@ func TestPerCallRequestIsLentForTheCall(t *testing.T) {
 		fail("replica 1 read", n, e, size)
 		if !bytes.Equal(all, want) {
 			t.Errorf("shards=%d: replica 1 reads bytes that diverge from what was written", shards)
+		}
+		for round := range rounds {
+			if _, e := other.Stat(fmt.Sprintf("/lent%d", round)); e != sys.EOK {
+				t.Errorf("shards=%d: replica 1 stats /lent%d: %v", shards, round, e)
+			}
 		}
 		for i, h := range []*sys.Sys{w, other} {
 			if err := h.ContractErr(); err != nil {

@@ -503,7 +503,9 @@ func (s *System) NumReplicas() int { return s.cfg.Replicas }
 // allocDataFrames grabs n zeroed user-data frames from the shared pool
 // for a user's mmap. n comes from the user: a count the pool cannot hold
 // is refused before anything is sized by it. (The page cache takes its
-// frames from the same pool unzeroed, through cacheFrames.)
+// frames from the same pool unzeroed, through cacheFrames.) The vector
+// is an allocation of its own, of exactly n: the logged mmap's entry
+// points at it until every replica has applied it, like a write's Data.
 func (s *System) allocDataFrames(n uint64) ([]mem.PAddr, error) {
 	s.dataMu.Lock()
 	defer s.dataMu.Unlock()
@@ -543,12 +545,12 @@ type handler struct {
 	s    *System
 	core int
 	// ctxMu serializes use of the NR thread context: a process's calls
-	// can arrive concurrently on its handler — a batch crosses on
-	// whichever goroutine reaps it, and only Read, Write, Seek, Pread and
-	// a batch's reaper hold the handle, so an Open or a GetPID on another
-	// goroutine can overlap them. Local ops (futex, sockets, raw memory)
-	// stay outside the mutex — FutexWait blocks, and holding ctxMu across
-	// it would deadlock the process's other traffic.
+	// can arrive concurrently on its handler — a handler can serve more
+	// than one handle, and a call that may park (FutexWait, SockRecv)
+	// holds no handle, so it can overlap its own handle's other calls.
+	// Local ops (futex, sockets, raw memory) stay outside the mutex —
+	// FutexWait blocks, and holding ctxMu across it would deadlock the
+	// process's other traffic.
 	ctxMu sync.Mutex
 
 	// Thread handles across every shard of each group — one shared
@@ -764,21 +766,22 @@ func (h *handler) logged(frame marshal.SyscallFrame, payload []byte, dst []byte,
 	} else {
 		ret, out = sys.EncodeRespFrom(r)
 	}
+	// munmap/exit return the data frames they released; give them back
+	// to the shared pool exactly once (here, on the calling path), while
+	// the slot is still this call's: the next call on it reuses the
+	// vector. Cache-owned frames behind pread mappings come back
+	// separately in Unpinned and return to their cache, never the pool.
+	if r.Errno == sys.EOK && len(r.Freed) > 0 {
+		s.freeDataFrames(r.Freed)
+	}
 	num, pid, target, sig, frames := op.Num, op.PID, op.Target, op.Sig, op.Frames
-	errno, freed, unpinned := r.Errno, r.Freed, r.Unpinned
+	errno, unpinned := r.Errno, r.Unpinned
 	h.ctxMu.Unlock()
 	if errno != sys.EOK {
 		if num == sys.NumMMap {
 			s.freeDataFrames(frames)
 		}
 		return ret, out
-	}
-	// munmap/exit return the data frames they released; give them back
-	// to the shared pool exactly once (here, on the calling path).
-	// Cache-owned frames behind pread mappings come back separately in
-	// Unpinned and return to their cache, never the pool.
-	if len(freed) > 0 {
-		s.freeDataFrames(freed)
 	}
 	if len(unpinned) > 0 {
 		s.unpinFrames(unpinned)

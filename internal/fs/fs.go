@@ -100,34 +100,46 @@ func (f *FS) get(ino Ino) (*Inode, error) {
 
 // SplitPath normalizes an absolute path into components, resolving "."
 // and "..". Every component follows a separator, so the result is
-// presized to their count: a lookup at any depth allocates one slice.
+// presized to their count: a split at any depth allocates one slice.
 func SplitPath(path string) ([]string, error) {
+	return appendPath(make([]string, 0, strings.Count(path, "/")), path)
+}
+
+// lookupDepth is the number of components a lookup splits a path into on
+// its own stack; a deeper path grows onto the heap.
+const lookupDepth = 16
+
+// appendPath is SplitPath appending the components to dst, whose storage
+// it reuses, grown where it is too short; a ".." pops only what this
+// call appended.
+func appendPath(dst []string, path string) ([]string, error) {
 	if !strings.HasPrefix(path, "/") {
 		return nil, fmt.Errorf("%w: path %q not absolute", ErrInval, path)
 	}
-	comps := make([]string, 0, strings.Count(path, "/"))
+	base := len(dst)
 	for rest, more := path[1:], true; more; {
 		var c string
 		c, rest, more = strings.Cut(rest, "/")
 		switch c {
 		case "", ".":
 		case "..":
-			if len(comps) > 0 {
-				comps = comps[:len(comps)-1]
+			if len(dst) > base {
+				dst = dst[:len(dst)-1]
 			}
 		default:
 			if len(c) > MaxNameLen {
 				return nil, fmt.Errorf("%w: %q", ErrNameTooLong, c)
 			}
-			comps = append(comps, c)
+			dst = append(dst, c)
 		}
 	}
-	return comps, nil
+	return dst, nil
 }
 
 // Lookup resolves an absolute path to an inode number.
 func (f *FS) Lookup(path string) (Ino, error) {
-	comps, err := SplitPath(path)
+	var buf [lookupDepth]string
+	comps, err := appendPath(buf[:0], path)
 	if err != nil {
 		return 0, err
 	}
@@ -152,7 +164,8 @@ func (f *FS) Lookup(path string) (Ino, error) {
 // lookupParent resolves the parent directory of path and the final
 // component name.
 func (f *FS) lookupParent(path string) (*Inode, string, error) {
-	comps, err := SplitPath(path)
+	var buf [lookupDepth]string
+	comps, err := appendPath(buf[:0], path)
 	if err != nil {
 		return nil, "", err
 	}

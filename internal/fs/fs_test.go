@@ -90,6 +90,45 @@ func TestSplitPathAllocatesOnce(t *testing.T) {
 	}
 }
 
+// TestLookupAllocatesNothing: a lookup splits its path into an array on
+// its own stack, so resolving a path, or its parent, allocates nothing;
+// a path deeper than the array still resolves.
+func TestLookupAllocatesNothing(t *testing.T) {
+	f := New()
+	deep := ""
+	for range lookupDepth + 4 {
+		deep += "/d"
+		if _, err := f.Mkdir(deep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shallow := deep[:2*(lookupDepth-1)] // its child has lookupDepth components
+	for _, p := range []string{"/", "/d", "/d/./d/../d//d", shallow} {
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := f.Lookup(p); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("Lookup(%q) allocates %.0f times, want 0", p, n)
+		}
+	}
+	child := shallow + "/x"
+	if n := testing.AllocsPerRun(100, func() {
+		if _, name, err := f.lookupParent(child); err != nil || name != "x" {
+			t.Fatalf("lookupParent: %q, %v", name, err)
+		}
+	}); n != 0 {
+		t.Errorf("lookupParent allocates %.0f times, want 0", n)
+	}
+	want, err := f.Lookup(deep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := f.Lookup(deep + "/../d"); err != nil || got != want {
+		t.Errorf("Lookup of a %d-deep path: %d, %v; want %d", lookupDepth+5, got, err, want)
+	}
+}
+
 func TestRmdir(t *testing.T) {
 	f := New()
 	if _, err := f.Mkdir("/d"); err != nil {

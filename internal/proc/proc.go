@@ -11,6 +11,7 @@ package proc
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -30,6 +31,29 @@ const (
 	SIGUSR1 Signal = 10
 	SIGCHLD Signal = 17
 )
+
+// SigSet is a set of signals, a bit per signal number. Delivering and
+// taking a signal allocates nothing, so an exit's SIGCHLD costs its
+// transition no allocation inside the NR combiner pass that applies it.
+type SigSet [4]uint64
+
+// Add puts sig in the set.
+func (s *SigSet) Add(sig Signal) { s[sig/64] |= 1 << (sig % 64) }
+
+// Has reports whether sig is in the set.
+func (s SigSet) Has(sig Signal) bool { return s[sig/64]&(1<<(sig%64)) != 0 }
+
+// takeLowest removes the lowest signal in the set and returns it.
+func (s *SigSet) takeLowest() (Signal, bool) {
+	for i, w := range s {
+		if w != 0 {
+			b := bits.TrailingZeros64(w)
+			s[i] &^= 1 << b
+			return Signal(i*64 + b), true
+		}
+	}
+	return 0, false
+}
 
 // State is a process's lifecycle state.
 type State uint8
@@ -63,7 +87,7 @@ type Process struct {
 	State    State
 	ExitCode int
 	Children map[PID]bool
-	Pending  map[Signal]bool // pending signals
+	Pending  SigSet // pending signals
 	Name     string
 }
 
@@ -78,7 +102,7 @@ func NewTable() *Table {
 	t := &Table{procs: make(map[PID]*Process), next: InitPID + 1}
 	t.procs[InitPID] = &Process{
 		PID: InitPID, Parent: 0, Children: make(map[PID]bool),
-		Pending: make(map[Signal]bool), Name: "init",
+		Name: "init",
 	}
 	return t
 }
@@ -104,7 +128,7 @@ func (t *Table) Spawn(parent PID, name string) (PID, error) {
 	t.next++
 	t.procs[pid] = &Process{
 		PID: pid, Parent: parent, Children: make(map[PID]bool),
-		Pending: make(map[Signal]bool), Name: name,
+		Name: name,
 	}
 	pp.Children[pid] = true
 	return pid, nil
@@ -132,10 +156,10 @@ func (t *Table) Exit(pid PID, code int) error {
 		cp.Parent = InitPID
 		initP.Children[c] = true
 	}
-	p.Children = make(map[PID]bool)
+	clear(p.Children)
 	// Notify the parent.
 	if pp := t.procs[p.Parent]; pp != nil && pp.State == StateRunning {
-		pp.Pending[SIGCHLD] = true
+		pp.Pending.Add(SIGCHLD)
 	}
 	return nil
 }
@@ -191,7 +215,7 @@ func (t *Table) Kill(pid PID, sig Signal) error {
 		}
 		return t.Exit(pid, 128+int(SIGKILL))
 	}
-	p.Pending[sig] = true
+	p.Pending.Add(sig)
 	return nil
 }
 
@@ -202,16 +226,8 @@ func (t *Table) TakeSignal(pid PID) (Signal, bool, error) {
 	if err != nil {
 		return 0, false, err
 	}
-	if len(p.Pending) == 0 {
-		return 0, false, nil
-	}
-	sigs := make([]Signal, 0, len(p.Pending))
-	for s := range p.Pending {
-		sigs = append(sigs, s)
-	}
-	sort.Slice(sigs, func(i, j int) bool { return sigs[i] < sigs[j] })
-	delete(p.Pending, sigs[0])
-	return sigs[0], true, nil
+	sig, ok := p.Pending.takeLowest()
+	return sig, ok, nil
 }
 
 // Get returns a copy of the process entry.
@@ -224,10 +240,6 @@ func (t *Table) Get(pid PID) (Process, error) {
 	cp.Children = make(map[PID]bool, len(p.Children))
 	for c := range p.Children {
 		cp.Children[c] = true
-	}
-	cp.Pending = make(map[Signal]bool, len(p.Pending))
-	for s := range p.Pending {
-		cp.Pending[s] = true
 	}
 	return cp, nil
 }

@@ -44,7 +44,7 @@ func TestExitWaitFlow(t *testing.T) {
 	}
 	// Parent got SIGCHLD.
 	pi, _ := tb.Get(InitPID)
-	if !pi.Pending[SIGCHLD] {
+	if !pi.Pending.Has(SIGCHLD) {
 		t.Error("no SIGCHLD pending on parent")
 	}
 	res, err := tb.Wait(InitPID)
@@ -122,5 +122,39 @@ func TestObligationsAllPass(t *testing.T) {
 	rep := g.Run(verifier.Options{Seed: 31})
 	for _, f := range rep.Failed() {
 		t.Errorf("VC %s failed: %v", f.Obligation.ID(), f.Err)
+	}
+}
+
+// TestSignalsTakenLowestFirst: pending signals are a set, taken lowest
+// number first across the whole signal range, and delivering one — an
+// exit's SIGCHLD to its parent included — or taking one allocates
+// nothing.
+func TestSignalsTakenLowestFirst(t *testing.T) {
+	tb := NewTable()
+	a, _ := tb.Spawn(InitPID, "a")
+	for _, sig := range []Signal{200, SIGTERM, 64, SIGUSR1, 63, SIGTERM} {
+		if err := tb.Kill(a, sig); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, want := range []Signal{SIGUSR1, SIGTERM, 63, 64, 200} {
+		if sig, ok, err := tb.TakeSignal(a); err != nil || !ok || sig != want {
+			t.Fatalf("TakeSignal = %d, %v, %v; want %d", sig, ok, err, want)
+		}
+	}
+	if _, ok, _ := tb.TakeSignal(a); ok {
+		t.Fatal("a signal left after taking every one")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		_ = tb.Kill(a, SIGUSR1)
+		_, _, _ = tb.TakeSignal(a)
+	}); n != 0 {
+		t.Errorf("delivering and taking a signal allocates %.0f objects", n)
+	}
+	if err := tb.Exit(a, 0); err != nil {
+		t.Fatal(err)
+	}
+	if sig, ok, _ := tb.TakeSignal(InitPID); !ok || sig != SIGCHLD {
+		t.Errorf("init took %d, %v after its child exited; want SIGCHLD", sig, ok)
 	}
 }

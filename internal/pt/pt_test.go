@@ -438,3 +438,38 @@ func TestDestroyReleasesEverything(t *testing.T) {
 		t.Fatalf("outstanding after destroy = %d", src.Outstanding())
 	}
 }
+
+// TestWarmMapUnmapAllocatesNothing pins the Figure 1b/c hot path: a warm
+// map and unmap of one page into an empty space — which builds three
+// directories and frees them again — allocates nothing on either
+// variant. Unmap records its path in a fixed array and Verified's ghost
+// table set holds its bookkeeping by value, so with ghost checks off the
+// two variants do the same work, as Verified's doc claims.
+func TestWarmMapUnmapAllocatesNothing(t *testing.T) {
+	pm := mem.New(64 << 20)
+	ver, err := NewVerified(pm, NewSimpleFrameSource(pm, 0x1000, 8<<20), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unver, err := NewUnverified(pm, NewSimpleFrameSource(pm, 8<<20, 16<<20), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, as := range map[string]AddressSpace{"verified": ver, "unverified": unver} {
+		va, frame := mmu.VAddr(0x4000_0000), mem.PAddr(0x300_0000)
+		pair := func() {
+			if err := as.Map(va, frame, mmu.L1PageSize, mmu.Flags{Writable: true}); err != nil {
+				t.Fatalf("%s: map: %v", name, err)
+			}
+			if got, err := as.Unmap(va); err != nil || got != frame {
+				t.Fatalf("%s: unmap = %v, %v", name, got, err)
+			}
+		}
+		if n := testing.AllocsPerRun(100, pair); n != 0 {
+			t.Errorf("%s: a warm map+unmap allocates %.1f objects, want 0", name, n)
+		}
+		if _, ok := as.Resolve(va); ok {
+			t.Errorf("%s: %v still mapped after the pairs", name, va)
+		}
+	}
+}

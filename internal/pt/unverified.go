@@ -97,14 +97,12 @@ func (u *Unverified) Unmap(va mmu.VAddr) (mem.PAddr, error) {
 	if !va.IsCanonical() {
 		return 0, fmt.Errorf("%w: %v", ErrNonCanonical, va)
 	}
-	type step struct {
-		table mem.PAddr
-		level int
-	}
-	var path []step
+	var path [mmu.Levels]pathStep
+	depth := 0
 	table := u.root
 	for level := mmu.Levels; level >= 1; level-- {
-		path = append(path, step{table, level})
+		path[depth] = pathStep{table, level}
+		depth++
 		slot := mmu.EntryAddr(table, va, level)
 		raw, err := u.m.Read64(slot)
 		if err != nil {
@@ -125,7 +123,7 @@ func (u *Unverified) Unmap(va mmu.VAddr) (mem.PAddr, error) {
 			u.mapped--
 			u.inval(va)
 			// Free empty directories bottom-up.
-			for i := len(path) - 1; i >= 1; i-- {
+			for i := depth - 1; i >= 1; i-- {
 				if u.live[path[i].table] > 0 {
 					break
 				}

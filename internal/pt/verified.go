@@ -26,7 +26,9 @@ type Verified struct {
 	// tables tracks the page-table frames owned by this address space
 	// (root excluded), with a live-entry count per directory frame so
 	// unmap can free empties. This mirrors NrOS's per-space frame list.
-	tables map[mem.PAddr]*tableInfo
+	// Held by value, like Unverified.live: a directory built and freed
+	// by a map/unmap pair costs no object.
+	tables map[mem.PAddr]tableInfo
 
 	// mapped counts live leaf mappings, used by invariants.
 	mapped int
@@ -64,7 +66,7 @@ func NewVerified(m *mem.PhysMem, frames FrameSource, inval InvalidateFunc) (*Ver
 		frames:   frames,
 		root:     root,
 		inval:    inval,
-		tables:   make(map[mem.PAddr]*tableInfo),
+		tables:   make(map[mem.PAddr]tableInfo),
 		obsShard: obs.NextShard(),
 	}, nil
 }
@@ -102,13 +104,14 @@ func (v *Verified) writeEntry(table mem.PAddr, va mmu.VAddr, e mmu.Entry) error 
 	if err := v.m.Write64(mmu.EntryAddr(table, va, e.Level), e.Raw); err != nil {
 		return err
 	}
-	if info := v.tables[table]; info != nil {
+	if info, ok := v.tables[table]; ok {
 		switch {
 		case !old.Present() && e.Present():
 			info.live++
 		case old.Present() && !e.Present():
 			info.live--
 		}
+		v.tables[table] = info
 	}
 	return nil
 }
@@ -134,7 +137,7 @@ func (v *Verified) descend(table mem.PAddr, va mmu.VAddr, level int) (mem.PAddr,
 	// A fresh directory must read as all-non-present: FrameSource
 	// guarantees zeroed frames; the invariant re-checks this under
 	// ghost checks.
-	v.tables[sub] = &tableInfo{level: level - 1}
+	v.tables[sub] = tableInfo{level: level - 1}
 	if err := v.writeEntry(table, va, mmu.MakeTable(level, sub)); err != nil {
 		return 0, err
 	}
@@ -193,8 +196,8 @@ func (v *Verified) Map(va mmu.VAddr, frame mem.PAddr, size uint64, flags mmu.Fla
 	return nil
 }
 
-// walkPath records the slot path from the root to the leaf entry
-// covering va, for unmap's cleanup phase.
+// pathStep is one slot of the path from the root to the leaf entry
+// covering va, recorded for unmap's cleanup phase.
 type pathStep struct {
 	table mem.PAddr
 	level int
@@ -213,14 +216,17 @@ func (v *Verified) Unmap(va mmu.VAddr) (mem.PAddr, error) {
 	}
 	t0 := obs.Start()
 
-	// Phase 1: locate the leaf and record the path.
-	var path []pathStep
+	// Phase 1: locate the leaf and record the path (at most one step
+	// per level, so it lives on the stack).
+	var path [mmu.Levels]pathStep
+	depth := 0
 	table := v.root
 	var leaf mmu.Entry
 	var leafTable mem.PAddr
 	level := mmu.Levels
 	for {
-		path = append(path, pathStep{table: table, level: level})
+		path[depth] = pathStep{table: table, level: level}
+		depth++
 		e, err := v.readEntry(table, va, level)
 		if err != nil {
 			return 0, err
@@ -253,10 +259,10 @@ func (v *Verified) Unmap(va mmu.VAddr) (mem.PAddr, error) {
 	v.inval(va)
 
 	// Phase 4: free now-empty directories bottom-up (never the root).
-	for i := len(path) - 1; i >= 1; i-- {
+	for i := depth - 1; i >= 1; i-- {
 		step := path[i]
-		info := v.tables[step.table]
-		if info == nil || info.live > 0 {
+		info, ok := v.tables[step.table]
+		if !ok || info.live > 0 {
 			break
 		}
 		parent := path[i-1]

@@ -9,7 +9,6 @@ import (
 	"slices"
 
 	"github.com/verified-os/vnros/internal/fs"
-	"github.com/verified-os/vnros/internal/hw/mem"
 	"github.com/verified-os/vnros/internal/hw/mmu"
 	"github.com/verified-os/vnros/internal/marshal"
 	"github.com/verified-os/vnros/internal/proc"
@@ -281,7 +280,9 @@ func DecodeRead(frame marshal.SyscallFrame, payload []byte) (ReadOp, error) {
 
 // EncodeResp packs a Resp for the return crossing. A reply that carries
 // nothing past its errno and value is the register frame alone, with no
-// payload; any other is one allocation of exactly its encoded size.
+// payload; any other is one allocation of exactly its encoded size. The
+// kernel-side fields (Freed, Unpinned, Ino, Off, Run, Witness) never
+// cross.
 func EncodeResp(r Resp) (marshal.RetFrame, []byte) { return EncodeRespFrom(&r) }
 
 // EncodeRespFrom is EncodeResp of a response where it already sits — the
@@ -289,10 +290,10 @@ func EncodeResp(r Resp) (marshal.RetFrame, []byte) { return EncodeRespFrom(&r) }
 func EncodeRespFrom(r *Resp) (marshal.RetFrame, []byte) {
 	ret := marshal.RetFrame{Value: r.Val, Errno: uint64(r.Errno)}
 	if len(r.Data) == 0 && r.Stat == (fs.Stat{}) && len(r.Entries) == 0 &&
-		r.Wait == (proc.WaitResult{}) && r.TID == 0 && r.Sig == 0 && !r.SigOK && len(r.Freed) == 0 {
+		r.Wait == (proc.WaitResult{}) && r.TID == 0 && r.Sig == 0 && !r.SigOK {
 		return ret, nil
 	}
-	size := 63 + len(r.Data) + 8*len(r.Freed) // fixed-width fields and length prefixes
+	size := 59 + len(r.Data) // fixed-width fields and length prefixes
 	for i := range r.Entries {
 		size += 13 + len(r.Entries[i].Name)
 	}
@@ -309,10 +310,6 @@ func EncodeRespFrom(r *Resp) (marshal.RetFrame, []byte) {
 	e.U64(uint64(r.TID))
 	e.U8(uint8(r.Sig))
 	e.Bool(r.SigOK)
-	e.U32(uint32(len(r.Freed)))
-	for _, f := range r.Freed {
-		e.U64(uint64(f))
-	}
 	return ret, e.Bytes()
 }
 
@@ -480,10 +477,6 @@ func DecodeResp(ret marshal.RetFrame, payload []byte) (Resp, error) {
 	r.TID = sched.TID(d.U64())
 	r.Sig = proc.Signal(d.U8())
 	r.SigOK = d.Bool()
-	fn := d.U32()
-	for i := uint32(0); i < fn && d.Err() == nil; i++ {
-		r.Freed = append(r.Freed, mem.PAddr(d.U64()))
-	}
 	if err := d.Finish(); err != nil {
 		return Resp{}, fmt.Errorf("sys: resp decode: %w", err)
 	}

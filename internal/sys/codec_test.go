@@ -1,6 +1,7 @@
 package sys
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -49,7 +50,11 @@ func respShapes() []Resp {
 		{Entries: []fs.DirEntry{{Name: "x", Ino: 9, Kind: fs.KindFile}}},
 		{Wait: proc.WaitResult{PID: 7, ExitCode: -1}},
 		{TID: 8, Sig: 9, SigOK: true},
-		{Errno: ENOENT, Freed: []mem.PAddr{0x3000}},
+		{
+			Errno: EAGAIN, Val: 10, Data: []byte("all"), Stat: fs.Stat{Ino: 11, Size: 12, Nlink: 1},
+			Entries: []fs.DirEntry{{Name: "y", Ino: 13, Kind: fs.KindDir}, {Name: "zz", Ino: 14}},
+			Wait:    proc.WaitResult{PID: 15}, TID: 16, Sig: 17, SigOK: true,
+		},
 	}
 }
 
@@ -162,8 +167,9 @@ func TestMalformedTailIsAnError(t *testing.T) {
 }
 
 // TestDatalessRepliesAreTheFrame: the calls syscall_mix makes most —
-// open, write, seek, close, mmap — answer with an errno and a value, so
-// their replies cross as the register frame alone.
+// open, write, seek, close, mmap, munmap — answer with an errno and a
+// value, so their replies cross as the register frame alone: a munmap's
+// freed frames are core's to return and never cross.
 func TestDatalessRepliesAreTheFrame(t *testing.T) {
 	k, frames := newTestKernelFrames()
 	h := &directHandler{k: k, frames: frames}
@@ -181,7 +187,26 @@ func TestDatalessRepliesAreTheFrame(t *testing.T) {
 	call(WriteOp{Num: NumWrite, FD: fd, Data: []byte("data")})
 	call(WriteOp{Num: NumSeek, FD: fd, Off: 1})
 	call(WriteOp{Num: NumClose, FD: fd})
-	call(WriteOp{Num: NumMMap, Size: mmu.L1PageSize})
+	base := call(WriteOp{Num: NumMMap, Size: 2 * mmu.L1PageSize}).Value
+	call(WriteOp{Num: NumMUnmap, VA: mmu.VAddr(base)})
+}
+
+// TestFreedNeverCrosses: the frames a munmap or an exit frees are the
+// kernel's to hand back to core, not the process's to see — a physical
+// address is an observation of the machine. Whatever else a reply
+// carries, its Freed adds no byte to the encoding and never decodes.
+func TestFreedNeverCrosses(t *testing.T) {
+	for _, r := range append(respShapes(), Resp{Errno: EOK, Val: 1}) {
+		_, want := EncodeResp(r)
+		r.Freed = []mem.PAddr{0x3000, 0x5000}
+		ret, out := EncodeResp(r)
+		if !bytes.Equal(out, want) {
+			t.Errorf("%+v: Freed adds %d bytes to the reply", r, len(out)-len(want))
+		}
+		if got, err := DecodeResp(ret, out); err != nil || got.Freed != nil {
+			t.Errorf("%+v decodes with Freed %v (%v)", r, got.Freed, err)
+		}
+	}
 }
 
 // FuzzDecodeWrite: whatever the number and the bytes, DecodeWrite returns

@@ -142,8 +142,17 @@ func (k *Kernel) DispatchWrite(op WriteOp) Resp {
 // writes. The kernel.apply kstat counts once per replica per logged op
 // (R× the syscall count with R replicas) — the ratio against the
 // syscall-level counts is exactly the replication amplification.
+//
+// The slot keeps its Freed vector across every answer, empty unless the
+// answer frees frames, so a munmap appends into the storage the last one
+// left there and a warm one allocates nothing; the issuer returns the
+// frames before anything else may use its slot.
 func (k *Kernel) DispatchWriteInto(op *WriteOp, out *Resp) {
 	obs.KernelApplies.Count(op.Num, k.obsShard)
+	var freed []mem.PAddr
+	if out != nil {
+		freed = out.Freed[:0]
+	}
 	switch op.Num {
 	case NumRead, NumWrite, NumSeek, NumFDRun:
 		k.fdRun(op, out)
@@ -155,8 +164,15 @@ func (k *Kernel) DispatchWriteInto(op *WriteOp, out *Resp) {
 		k.fdUnlock(op, out)
 	case NumFDSeek:
 		k.fdSeek(op, out)
+	case NumMUnmap:
+		if r := k.munmap(op, freed, out != nil); out != nil {
+			*out = r
+		}
 	default:
 		k.scalarWrite(op, out)
+	}
+	if out != nil && out.Freed == nil {
+		out.Freed = freed
 	}
 }
 
@@ -277,9 +293,6 @@ func (k *Kernel) dispatchWrite(op *WriteOp) Resp {
 
 	case NumMMap:
 		return k.mmap(op)
-
-	case NumMUnmap:
-		return k.munmap(op)
 
 	case NumThreadAdd:
 		if err := k.rq.Add(op.TID, op.Pri); err != nil {
@@ -456,11 +469,14 @@ func (k *Kernel) mmap(op *WriteOp) Resp {
 	return ok(uint64(base))
 }
 
-// munmap removes a region, returning its data frames in Freed. Pread
+// munmap removes a region, answering with its data frames in Freed,
+// appended to freed — the empty vector the answer slot kept. Without
+// collect (a replica that is not the issuer's) the region is unmapped
+// alike and no frame is collected: only the issuer returns them. Pread
 // mappings are not munmap-able: their frames belong to the page cache,
 // and only PreadUnmap knows to return them as Unpinned rather than
 // Freed.
-func (k *Kernel) munmap(op *WriteOp) Resp {
+func (k *Kernel) munmap(op *WriteOp, freed []mem.PAddr, collect bool) Resp {
 	vs := k.vs[op.PID]
 	as := k.spaces[op.PID]
 	if vs == nil || as == nil {
@@ -473,13 +489,14 @@ func (k *Kernel) munmap(op *WriteOp) Resp {
 	if err != nil {
 		return fail(err)
 	}
-	var freed []mem.PAddr
 	for off := uint64(0); off < region.Len; off += mmu.L1PageSize {
 		frame, err := as.Unmap(region.Base + mmu.VAddr(off))
 		if err != nil {
 			return fail(fmt.Errorf("munmap: %w", err))
 		}
-		freed = append(freed, frame)
+		if collect {
+			freed = append(freed, frame)
+		}
 	}
 	return Resp{Errno: EOK, Freed: freed}
 }

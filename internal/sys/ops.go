@@ -188,6 +188,11 @@ const (
 	// opChecked: contract-checked against a witness, per call or batched,
 	// so its request carries the witness bit.
 	opChecked
+	// opParks: the call may park its caller until another thread acts —
+	// a futex wait, a blocking receive — so it holds no handle (Sys):
+	// a sibling on the same handle must be able to make the call that
+	// wakes it.
+	opParks
 )
 
 // opRow is one op as the kernel knows it: its display name (obs records
@@ -247,11 +252,11 @@ var opTable = [MaxInternalOpNum + 1]opRow{
 	NumThreadWake:  row("thread_wake", classLogged, 0, TargetProcTree),
 	NumThreadExit:  row("thread_exit", classLogged, 0, TargetProcTree),
 	NumPickNext:    row("picknext", classLogged, 0, TargetProcTree, "Core"),
-	NumFutexWait:   row("futex_wait", classLocal, 0, TargetLocal, "Word"),
+	NumFutexWait:   row("futex_wait", classLocal, opParks, TargetLocal, "Word"),
 	NumFutexWake:   row("futex_wake", classLocal, 0, TargetLocal),
 	NumSockBind:    row("sock_bind", classSock, 0, TargetLocal, "Port", "Word"),
 	NumSockSend:    row("sock_send", classSock, 0, TargetLocal, "Data", "Sock", "Addr", "Port"),
-	NumSockRecv:    row("sock_recv", classSock, 0, TargetLocal, "Flags", "Sock"),
+	NumSockRecv:    row("sock_recv", classSock, opParks, TargetLocal, "Flags", "Sock"),
 	NumSockClose:   row("sock_close", classSock, 0, TargetLocal, "Sock"),
 	NumMemRead:     row("mem_read", classLocal, 0, TargetLocal),
 	NumMemWrite:    row("mem_write", classLocal, 0, TargetLocal, "Data"),
@@ -320,6 +325,10 @@ func IsRunOp(num uint64) bool { return lookup(num).props&opRun != 0 }
 
 // checked reports whether num is contract-checked: read, write, seek, pread.
 func checked(num uint64) bool { return lookup(num).props&opChecked != 0 }
+
+// parks reports whether num may park its caller: a futex wait, and a
+// receive, which parks when it asks to block (SockRecvBlock).
+func parks(num uint64) bool { return lookup(num).props&opParks != 0 }
 
 // ClassifyWrite maps a mutating syscall to its shard target. Socket ops
 // classify local: the dispatcher intercepts them before routing.
@@ -537,7 +546,10 @@ type Resp struct {
 	SigOK   bool
 
 	// Freed frames from munmap/exit, for the caller to return to the
-	// shared allocator (only meaningful on one replica's response).
+	// shared allocator (only meaningful on one replica's response). Never
+	// marshalled: the frames are core's to return, and their physical
+	// addresses are not the process's to see. A munmap appends them into
+	// the vector its slot kept (Kernel.DispatchWriteInto).
 	Freed []mem.PAddr
 
 	// Internal cross-shard protocol results only (never marshalled):

@@ -602,12 +602,14 @@ func (h *destStub) SyscallInto(frame marshal.SyscallFrame, payload []byte, dst [
 
 // TestPerCallCrossingAllocatesNothing pins the handle's half of a
 // per-call crossing: against a kernel that allocates nothing, a warm
-// Seek, destination Read and destination Pread allocate nothing, because
-// each encodes its request into the handle's request buffer. A Write
-// allocates exactly its own request, the one request the kernel may keep
-// past the call (its Data). The buffer is the one a batch crosses in,
-// so after a Writev over nr.SlotBytes a Seek finds it dropped and
-// crosses in a buffer of its own size.
+// Seek, destination Read and destination Pread allocate nothing, and nor
+// do an Open, a Close, a Stat, an MMap and an MUnmap — none of them can
+// park, so each holds the handle and encodes its request into the
+// handle's request buffer. A Write allocates exactly its own request,
+// the one request the kernel may keep past the call (its Data). The
+// buffer is the one a batch crosses in, so after a Writev over
+// nr.SlotBytes a Seek finds it dropped and crosses in a buffer of its
+// own size.
 func TestPerCallCrossingAllocatesNothing(t *testing.T) {
 	h := &destStub{}
 	s := NewSys(proc.InitPID, h)
@@ -629,6 +631,11 @@ func TestPerCallCrossingAllocatesNothing(t *testing.T) {
 		{"seek", seek},
 		{"read", func() { n, e := s.Read(fd, buf); must("read", n, e, len(buf)) }},
 		{"pread", func() { n, e := s.Pread(fd, buf, 4096); must("pread", n, e, len(buf)) }},
+		{"open", func() { _, e := s.Open("/a/b", ORdWr); must("open", 0, e, 0) }},
+		{"close", func() { must("close", 0, s.Close(fd), 0) }},
+		{"stat", func() { _, e := s.Stat("/a/b"); must("stat", 0, e, 0) }},
+		{"mmap", func() { _, e := s.MMap(4096); must("mmap", 0, e, 0) }},
+		{"munmap", func() { must("munmap", 0, s.MUnmap(UserVABase), 0) }},
 	} {
 		c.f()
 		if n := testing.AllocsPerRun(100, c.f); n != 0 {
@@ -666,5 +673,88 @@ func TestPerCallCrossingAllocatesNothing(t *testing.T) {
 	seek()
 	if cap(h.lent) > 64 {
 		t.Errorf("a seek after a %d-op Writev crossed in a %d B buffer, want one of its own size", len(bufs), cap(h.lent))
+	}
+}
+
+// holdProbe is a stub kernel that records, per syscall number, whether
+// the handle was held across the crossing: a sibling's TryLock fails
+// exactly when it is.
+type holdProbe struct {
+	s    *Sys
+	held map[uint64]bool
+}
+
+func (h *holdProbe) Syscall(frame marshal.SyscallFrame, payload []byte) (marshal.RetFrame, []byte) {
+	free := h.s.call.TryLock()
+	if free {
+		h.s.call.Unlock()
+	}
+	h.held[frame.Num] = !free
+	return marshal.RetFrame{}, nil
+}
+
+// TestOnlyParkingCallsLeaveTheHandle: every call holds its handle for
+// the crossing, but a call that may park — its op row says so — holds
+// nothing, so a sibling on the same handle can make the call that wakes
+// it. Only a futex wait and a receive may park.
+func TestOnlyParkingCallsLeaveTheHandle(t *testing.T) {
+	h := &holdProbe{held: map[uint64]bool{}}
+	s := NewSys(proc.InitPID, h)
+	h.s = s
+	const fd, sock, va = 3, SockID(1), UserVABase
+	buf := make([]byte, 8)
+	s.Open("/f", ORdWr)
+	s.Close(fd)
+	s.Read(fd, buf)
+	s.Pread(fd, buf, 0)
+	s.Write(fd, buf)
+	s.Seek(fd, 0, fs.SeekSet)
+	s.Truncate(fd, 0)
+	s.Sync()
+	s.Mkdir("/d")
+	s.Unlink("/f")
+	s.Rmdir("/d")
+	s.Rename("/f", "/g")
+	s.Link("/f", "/g")
+	s.Stat("/f")
+	s.ReadDir("/")
+	s.PreadMap(fd, 0)
+	s.PreadUnmap(va)
+	s.Spawn("child")
+	s.Wait()
+	s.Kill(2, proc.SIGTERM)
+	s.TakeSignal()
+	s.GetPID()
+	s.MMap(4096)
+	s.MUnmap(va)
+	s.MemResolve(va)
+	s.FutexWait(va, 0)
+	s.FutexWake(va, 1)
+	s.MemRead(va, buf)
+	s.MemWrite(va, buf)
+	s.MemCAS32(va, 0, 1)
+	s.SockBind(80)
+	s.SockSend(sock, 1, 80, buf)
+	s.SockRecv(sock)
+	s.SockRecvBlocking(sock)
+	s.SockClose(sock)
+	s.Exit(0)
+	for num, held := range h.held {
+		if held == parks(num) {
+			t.Errorf("%s: handle held across the crossing %v, may park %v", OpName(num), held, parks(num))
+		}
+	}
+	for _, num := range []uint64{NumFutexWait, NumSockRecv} {
+		if h.held[num] || !parks(num) {
+			t.Errorf("%s parks without leaving the handle", OpName(num))
+		}
+	}
+	// Every wire row crossed but a batch and the scheduler's, which no
+	// method of Sys makes.
+	for num := uint64(0); num <= MaxOpNum; num++ {
+		sched := num >= NumThreadAdd && num <= NumPickNext
+		if _, crossed := h.held[num]; !crossed && opTable[num].class != classNone && num != NumBatch && !sched {
+			t.Errorf("%s never crossed", OpName(num))
+		}
 	}
 }

@@ -21,10 +21,10 @@ import (
 // that carries Data (a write's, a MemWrite's, a SockSend's): the kernel
 // may keep those bytes — a logged write's NR log entry points at them
 // until every replica has applied it — so such a request is an
-// allocation of its own. A seek's, a read's, a pread's and a batch's
-// request is the handle's request buffer, which its next call reuses
-// and overwrites, so a handler that keeps any of a request past its
-// return keeps a copy.
+// allocation of its own. Every other request of a call that cannot park
+// (all but a futex wait and a receive), and every batch's, is the
+// handle's request buffer, which its next call reuses and overwrites, so
+// a handler that keeps any of a request past its return keeps a copy.
 type Handler interface {
 	Syscall(frame marshal.SyscallFrame, payload []byte) (marshal.RetFrame, []byte)
 }
@@ -75,22 +75,23 @@ type DestHandler interface {
 //
 // One handle is one thread of control. The paper's Sys methods take
 // `&mut self`, so two calls on one handle can never overlap. Go cannot
-// say that statically, so Read, Write, Seek, Pread and a batch's reaper
-// hold the handle for the whole call: the handler keeps one witness
-// slot per handle, and so does the handle (wits). They hold it with the
-// contract off too, so a call that started unchecked cannot overlap the
-// first checked one after EnableContract.
+// say that statically, so a call holds the handle for the whole call
+// unless it may park: the handler keeps one witness slot per handle, and
+// so does the handle (wits). Calls hold it with the contract off too, so
+// a call that started unchecked cannot overlap the first checked one
+// after EnableContract. A call that may park — FutexWait and SockRecv,
+// whose op rows say so (opParks) — holds nothing: a thread parked in
+// FutexWait or SockRecvBlocking waits for a sibling's FutexWake or
+// SockSend on the same handle, and must not stop it. (A batched receive
+// never blocks, so a batch's reaper holds the handle.)
 //
-// The calls that hold the handle encode their request into its one
+// A call that holds the handle encodes its request into the handle's one
 // request buffer (req), reused by the next and recycled after each
 // crossing (Recycle): cleared, and dropped past nr.SlotBytes, so a large
-// batch does not pin its encoding. A write's request lends its bytes to
-// the NR log past the call, so it is the one request of these with an
-// allocation of its own. Every other call — Open, Close, Stat, MMap, the
-// process, socket and futex calls — does not hold the handle and encodes
-// into its own allocation too, because those may share one handle across
-// goroutines: a thread parked in SockRecvBlocking or FutexWait must not
-// stop a sibling's SockSend or FutexWake on the same handle.
+// batch does not pin its encoding. A request that carries Data — a
+// write's, a MemWrite's, a SockSend's — lends its bytes to the kernel
+// past the call, so it is an allocation of its own, and so is the
+// request of a call that may park.
 //
 // A checked call allocates what an unchecked one does: the witness comes
 // back by value, into slots both sides reuse, and once checked its views
@@ -114,10 +115,10 @@ type Sys struct {
 	contract atomic.Bool
 	mu       sync.Mutex
 	cerr     error
-	// call is held by Read, Write, Seek, Pread, Submit and a batch's
-	// reaper for the whole call (see the type comment); wits, the
-	// witnesses taken of the crossing, and req, the request buffer, with
-	// it.
+	// call is held by every call that cannot park, Submit and a batch's
+	// reaper included, for the whole call (see the type comment); wits,
+	// the witnesses taken of the crossing, and req, the request buffer,
+	// with it.
 	call sync.Mutex
 	wits []Witness
 	req  []byte
@@ -359,6 +360,14 @@ func (s *Sys) request(op *WriteOp) (marshal.SyscallFrame, []byte) {
 	return frame, s.req
 }
 
+// readRequest is request of a read-only op, which lends no bytes.
+func (s *Sys) readRequest(op *ReadOp) (marshal.SyscallFrame, []byte) {
+	op.PID = s.pid
+	var frame marshal.SyscallFrame
+	frame, s.req = appendRead(s.req, op)
+	return frame, s.req
+}
+
 // release ends a call that holds the handle: nothing keeps its request
 // past the call (Handler), so the request buffer is recycled for the
 // next, and the handle unlocked.
@@ -376,11 +385,16 @@ func reply(ret marshal.RetFrame, out []byte) Resp {
 	return r
 }
 
-// callWrite crosses the boundary with a mutating op of a call that does
-// not hold the handle.
+// callWrite crosses the boundary with a mutating op: holding the handle
+// unless the op may park, when its request is an allocation of its own.
 func (s *Sys) callWrite(op WriteOp) Resp {
-	op.PID = s.pid
-	return reply(s.h.Syscall(encodeWrite(&op)))
+	if parks(op.Num) {
+		op.PID = s.pid
+		return reply(s.h.Syscall(encodeWrite(&op)))
+	}
+	s.call.Lock()
+	defer s.release()
+	return reply(s.h.Syscall(s.request(&op)))
 }
 
 // callScalar crosses the boundary with a mutating op whose answer is its
@@ -396,11 +410,12 @@ func (s *Sys) callScalar(op *WriteOp) (uint64, Errno) {
 	return r.Val, r.Errno
 }
 
-// callRead crosses the boundary with a read-only op of a call that does
-// not hold the handle.
+// callRead crosses the boundary with a read-only op, holding the handle:
+// no read parks.
 func (s *Sys) callRead(op ReadOp) Resp {
-	op.PID = s.pid
-	return reply(s.h.Syscall(EncodeRead(op)))
+	s.call.Lock()
+	defer s.release()
+	return reply(s.h.Syscall(s.readRequest(&op)))
 }
 
 // Open opens (or with OCreate creates) path. Invalid flag combinations
@@ -462,16 +477,15 @@ func (s *Sys) Read(fd fs.FD, buffer []byte) (uint64, Errno) {
 func (s *Sys) Pread(fd fs.FD, buffer []byte, off uint64) (uint64, Errno) {
 	s.call.Lock()
 	defer s.release()
-	op := ReadOp{Num: NumPread, PID: s.pid, FD: fd, Len: uint64(len(buffer)), Off: off, Witness: s.checking()}
-	var frame marshal.SyscallFrame
-	frame, s.req = appendRead(s.req, &op)
+	op := ReadOp{Num: NumPread, FD: fd, Len: uint64(len(buffer)), Off: off, Witness: s.checking()}
+	frame, payload := s.readRequest(&op)
 	var val uint64
 	var e Errno
 	if s.dest != nil {
-		ret := s.dest.SyscallInto(frame, s.req, buffer)
+		ret := s.dest.SyscallInto(frame, payload, buffer)
 		val, e = ret.Value, Errno(ret.Errno)
 	} else {
-		r := reply(s.h.Syscall(frame, s.req))
+		r := reply(s.h.Syscall(frame, payload))
 		copy(buffer, r.Data)
 		val, e = r.Val, r.Errno
 	}

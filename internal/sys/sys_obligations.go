@@ -545,21 +545,12 @@ func randomResp(r *rand.Rand) Resp {
 		func() { resp.TID = sched.TID(r.Uint64()) },
 		func() { resp.Sig = proc.Signal(r.Intn(256)) },
 		func() { resp.SigOK = true },
-		func() { resp.Freed = randFrames(r, 1+r.Intn(3)) },
 	} {
 		if r.Intn(2) == 0 {
 			fill()
 		}
 	}
 	return resp
-}
-
-func randFrames(r *rand.Rand, n int) []mem.PAddr {
-	f := make([]mem.PAddr, n)
-	for i := range f {
-		f[i] = mem.PAddr(r.Uint64())
-	}
-	return f
 }
 
 func randPath(r *rand.Rand) string {
@@ -587,9 +578,6 @@ func normalizeResp(r Resp) Resp {
 	}
 	if len(r.Entries) == 0 {
 		r.Entries = nil
-	}
-	if len(r.Freed) == 0 {
-		r.Freed = nil
 	}
 	return r
 }
