@@ -130,16 +130,17 @@ func run(cores, shards int, tables, stats bool) error {
 			done <- fmt.Errorf("mapper mmap: %v", e)
 			return 1
 		}
-		if e := p.Sys.MemWrite(base, []byte("virtual memory works")); e != vnros.EOK {
+		msg := []byte("virtual memory works")
+		if e := p.Sys.MemWrite(base, msg); e != vnros.EOK {
 			done <- fmt.Errorf("mapper write: %v", e)
 			return 1
 		}
-		pa, e := p.Sys.MemResolve(base)
-		if e != vnros.EOK {
-			done <- fmt.Errorf("mapper resolve: %v", e)
+		got := make([]byte, len(msg))
+		if e := p.Sys.MemRead(base, got); e != vnros.EOK {
+			done <- fmt.Errorf("mapper read: %v", e)
 			return 1
 		}
-		system.Printf("mapper(pid %d): va %#x -> pa %#x\n", p.PID, uint64(base), pa)
+		system.Printf("mapper(pid %d): va %#x reads back %q\n", p.PID, uint64(base), got)
 		_ = p.Sys.MUnmap(base)
 		done <- nil
 		return 0

@@ -16,7 +16,7 @@ import (
 // each call encoded its own), there is no page-sized buffer (≈ 9.3 KB
 // in 5 objects when the bytes travelled in an encoded reply) and no
 // response: the descriptor resolve and the owner-shard read both answer
-// in the handler's slot, and a 360-B sys.Resp that escaped to the heap
+// in the handler's slot, and a 352-B sys.Resp that escaped to the heap
 // instead blows the budget. A read of a file four times the page cache
 // costs what a read of a hot one does, because a copying read does not
 // go through the cache: it has nothing to miss. Runs under -short too:

@@ -1,8 +1,9 @@
 // Package sched implements the kernel scheduler — "a scheduler (to run
 // processes)" from the paper's §1 component list. The run queue is a
 // sequential data structure (per-priority FIFO queues) designed for NR
-// replication (§4.1): all mutating operations are deterministic, and
-// the kernel replicates one scheduler instance per node.
+// replication (§4.1): all mutating operations are deterministic, and a
+// VC replicates it through NR. No kernel replica holds one: core places
+// processes on cores round-robin.
 //
 // The spec (sched_spec.go) defines the abstract scheduling contract:
 // every thread is in exactly one state, ready threads of the highest

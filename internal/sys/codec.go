@@ -12,7 +12,6 @@ import (
 	"github.com/verified-os/vnros/internal/hw/mmu"
 	"github.com/verified-os/vnros/internal/marshal"
 	"github.com/verified-os/vnros/internal/proc"
-	"github.com/verified-os/vnros/internal/sched"
 )
 
 // This file is the syscall wire codec: ops travel as a register frame
@@ -40,7 +39,6 @@ func appendWrite(buf []byte, op *WriteOp) (marshal.SyscallFrame, []byte) {
 	frame.Args[2] = uint64(op.VA)
 	frame.Args[3] = op.Len
 	frame.Args[4] = op.Size
-	frame.Args[5] = uint64(op.TID)
 	e := marshal.NewEncoder(buf)
 	encodeWriteTail(e, op)
 	return frame, e.Bytes()
@@ -61,8 +59,8 @@ type tailField struct {
 
 var tailFields = [...]tailField{
 	field("Flags"), field("Whence"), field("Off"), field("Code"), field("Sig"), field("Target"),
-	field("Pri"), field("Core"), field("Path"), field("Path2"), field("Name"), field("Data"),
-	field("Sock"), field("Addr"), field("Port"), field("Word"), field("Witness"),
+	field("Path"), field("Path2"), field("Name"), field("Data"), field("Sock"), field("Addr"),
+	field("Port"), field("Word"), field("Witness"),
 }
 
 // tailDefined is every presence bit; a mask with any other bit set is a
@@ -222,7 +220,6 @@ func DecodeWriteInto(frame marshal.SyscallFrame, payload []byte, op *WriteOp) er
 		VA:   mmu.VAddr(frame.Args[2]),
 		Len:  frame.Args[3],
 		Size: frame.Args[4],
-		TID:  sched.TID(frame.Args[5]),
 	}
 	d := marshal.NewDecoder(payload)
 	decodeWriteTail(d, op)
@@ -246,9 +243,7 @@ func appendRead(buf []byte, op *ReadOp) (marshal.SyscallFrame, []byte) {
 	frame := marshal.SyscallFrame{Num: op.Num}
 	frame.Args[0] = uint64(op.PID)
 	frame.Args[1] = uint64(op.FD)
-	frame.Args[2] = uint64(op.VA)
 	frame.Args[3] = op.Len
-	frame.Args[4] = uint64(op.TID)
 	if op.Witness {
 		frame.Args[5] = 1
 	}
@@ -264,9 +259,7 @@ func DecodeRead(frame marshal.SyscallFrame, payload []byte) (ReadOp, error) {
 		Num:     frame.Num,
 		PID:     proc.PID(frame.Args[0]),
 		FD:      fs.FD(frame.Args[1]),
-		VA:      mmu.VAddr(frame.Args[2]),
 		Len:     frame.Args[3],
-		TID:     sched.TID(frame.Args[4]),
 		Witness: frame.Args[5] != 0,
 	}
 	d := marshal.NewDecoder(payload)
@@ -290,10 +283,10 @@ func EncodeResp(r Resp) (marshal.RetFrame, []byte) { return EncodeRespFrom(&r) }
 func EncodeRespFrom(r *Resp) (marshal.RetFrame, []byte) {
 	ret := marshal.RetFrame{Value: r.Val, Errno: uint64(r.Errno)}
 	if len(r.Data) == 0 && r.Stat == (fs.Stat{}) && len(r.Entries) == 0 &&
-		r.Wait == (proc.WaitResult{}) && r.TID == 0 && r.Sig == 0 && !r.SigOK {
+		r.Wait == (proc.WaitResult{}) && r.Sig == 0 && !r.SigOK {
 		return ret, nil
 	}
-	size := 59 + len(r.Data) // fixed-width fields and length prefixes
+	size := 51 + len(r.Data) // fixed-width fields and length prefixes
 	for i := range r.Entries {
 		size += 13 + len(r.Entries[i].Name)
 	}
@@ -307,17 +300,16 @@ func EncodeRespFrom(r *Resp) (marshal.RetFrame, []byte) {
 		e.U8(uint8(ent.Kind))
 	}
 	e.U64(uint64(r.Wait.PID)).I64(int64(r.Wait.ExitCode))
-	e.U64(uint64(r.TID))
 	e.U8(uint8(r.Sig))
 	e.Bool(r.SigOK)
 	return ret, e.Bytes()
 }
 
-// An encoded batch entry is its six register words (batchOpHead) and its
+// An encoded batch entry is its five register words (batchOpHead) and its
 // write tail; an encoded completion is three words and its data's length
 // prefix (batchCompSize) and then the data.
 const (
-	batchOpHead   = 48
+	batchOpHead   = 40
 	batchCompSize = 28
 )
 
@@ -349,7 +341,6 @@ func appendBatch(buf []byte, pid proc.PID, ops []WriteOp) (marshal.SyscallFrame,
 		e.U64(uint64(op.VA))
 		e.U64(op.Len)
 		e.U64(op.Size)
-		e.U64(uint64(op.TID))
 		encodeWriteTail(e, op)
 	}
 	return frame, e.Bytes()
@@ -392,7 +383,6 @@ func DecodeBatchInto(frame marshal.SyscallFrame, payload []byte, ops []WriteOp) 
 			VA:   mmu.VAddr(d.U64()),
 			Len:  d.U64(),
 			Size: d.U64(),
-			TID:  sched.TID(d.U64()),
 		}
 		decodeWriteTail(d, op)
 	}
@@ -474,7 +464,6 @@ func DecodeResp(ret marshal.RetFrame, payload []byte) (Resp, error) {
 		})
 	}
 	r.Wait = proc.WaitResult{PID: proc.PID(d.U64()), ExitCode: int(d.I64())}
-	r.TID = sched.TID(d.U64())
 	r.Sig = proc.Signal(d.U8())
 	r.SigOK = d.Bool()
 	if err := d.Finish(); err != nil {

@@ -34,8 +34,8 @@ func writeShapes() []WriteOp {
 		{Num: NumSockSend, PID: 1, Sock: 14, Addr: 15, Port: 16, Data: []byte{1, 2}},
 		{Num: NumSockBind, PID: 1, Port: 16, Word: 17},
 		{
-			Num: MaxInternalOpNum + 1, PID: 1, FD: 2, VA: 3, Len: 4, Size: 5, TID: 6,
-			Flags: 7, Whence: 1, Off: -8, Code: 9, Sig: 10, Target: 11, Pri: 12, Core: 13,
+			Num: MaxInternalOpNum + 1, PID: 1, FD: 2, VA: 3, Len: 4, Size: 5,
+			Flags: 7, Whence: 1, Off: -8, Code: 9, Sig: 10, Target: 11,
 			Path: "/p", Path2: "/q", Name: "n", Data: []byte{1, 2},
 			Sock: 14, Addr: 15, Port: 16, Word: 17, Witness: true,
 		},
@@ -49,11 +49,11 @@ func respShapes() []Resp {
 		{Stat: fs.Stat{Ino: 4, Kind: fs.KindDir, Size: 5, Nlink: 2}},
 		{Entries: []fs.DirEntry{{Name: "x", Ino: 9, Kind: fs.KindFile}}},
 		{Wait: proc.WaitResult{PID: 7, ExitCode: -1}},
-		{TID: 8, Sig: 9, SigOK: true},
+		{Sig: 9, SigOK: true},
 		{
 			Errno: EAGAIN, Val: 10, Data: []byte("all"), Stat: fs.Stat{Ino: 11, Size: 12, Nlink: 1},
 			Entries: []fs.DirEntry{{Name: "y", Ino: 13, Kind: fs.KindDir}, {Name: "zz", Ino: 14}},
-			Wait:    proc.WaitResult{PID: 15}, TID: 16, Sig: 17, SigOK: true,
+			Wait:    proc.WaitResult{PID: 15}, Sig: 17, SigOK: true,
 		},
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"github.com/verified-os/vnros/internal/obs"
 	"github.com/verified-os/vnros/internal/proc"
 	"github.com/verified-os/vnros/internal/pt"
-	"github.com/verified-os/vnros/internal/sched"
 )
 
 // User virtual address-space layout.
@@ -36,7 +35,6 @@ type Kernel struct {
 	fs     *fs.FS
 	fds    map[proc.PID]*fs.FDTable
 	procs  *proc.Table
-	rq     *sched.RunQueue
 	vs     map[proc.PID]*mm.VSpace
 	spaces map[proc.PID]*pt.Verified
 	socks  *sockTab
@@ -59,7 +57,6 @@ func NewKernel(pmem *mem.PhysMem, tables pt.FrameSource) *Kernel {
 		fs:       fs.New(),
 		fds:      make(map[proc.PID]*fs.FDTable),
 		procs:    proc.NewTable(),
-		rq:       sched.NewRunQueue(),
 		vs:       make(map[proc.PID]*mm.VSpace),
 		spaces:   make(map[proc.PID]*pt.Verified),
 		socks:    newSockTab(),
@@ -76,9 +73,6 @@ func (k *Kernel) FS() *fs.FS { return k.fs }
 
 // Procs exposes the process table for invariant checks (tests only).
 func (k *Kernel) Procs() *proc.Table { return k.procs }
-
-// RunQueue exposes the scheduler (core's dispatcher).
-func (k *Kernel) RunQueue() *sched.RunQueue { return k.rq }
 
 // Root returns the page-table root of a process's address space.
 func (k *Kernel) Root(pid proc.PID) (mem.PAddr, bool) {
@@ -294,45 +288,6 @@ func (k *Kernel) dispatchWrite(op *WriteOp) Resp {
 	case NumMMap:
 		return k.mmap(op)
 
-	case NumThreadAdd:
-		if err := k.rq.Add(op.TID, op.Pri); err != nil {
-			return fail(err)
-		}
-		return ok(uint64(op.TID))
-
-	case NumThreadYield:
-		if err := k.rq.Yield(op.TID); err != nil {
-			return fail(err)
-		}
-		return ok(0)
-
-	case NumThreadBlock:
-		if err := k.rq.Block(op.TID); err != nil {
-			return fail(err)
-		}
-		return ok(0)
-
-	case NumThreadWake:
-		if err := k.rq.Wake(op.TID); err != nil {
-			return fail(err)
-		}
-		return ok(0)
-
-	case NumThreadExit:
-		if err := k.rq.Exit(op.TID); err != nil {
-			return fail(err)
-		}
-		if err := k.rq.Reap(op.TID); err != nil {
-			return fail(err)
-		}
-		return ok(0)
-
-	case NumPickNext:
-		tid, err := k.rq.PickNext(op.Core)
-		if err != nil {
-			return fail(err)
-		}
-		return Resp{Errno: EOK, Val: uint64(tid), TID: tid}
 	case NumSockTabBind, NumSockTabClose:
 		return k.dispatchSockWrite(op)
 	}
@@ -363,28 +318,44 @@ func (k *Kernel) replyBuf(ino fs.Ino, off, want uint64) []byte {
 	return make([]byte, ClampReadLen(want, off, st.Size))
 }
 
-// spawn creates the process plus its kernel resources.
+// spawn creates a process: the tree step, then its resources (attach),
+// and the tree step rolled back (unspawn) when they cannot be made — the
+// halves the sharded kernel runs on shard 0 and on the child's shard.
 func (k *Kernel) spawn(op *WriteOp) Resp {
 	pid, err := k.procs.Spawn(op.PID, op.Name)
 	if err != nil {
 		return fail(err)
 	}
+	if r := k.attach(pid); r.Errno != EOK {
+		k.unspawn(op.PID, pid)
+		return r
+	}
+	return ok(uint64(pid))
+}
+
+// attach gives pid its kernel resources: an address space, its verified
+// page table and a descriptor table.
+func (k *Kernel) attach(pid proc.PID) Resp {
 	vs, err := mm.NewVSpace(UserVABase, UserVATop)
 	if err != nil {
 		return fail(err)
 	}
 	as, err := pt.NewVerified(k.pmem, k.tables, nil)
 	if err != nil {
-		// Roll back the process entry to keep replicas consistent (the
-		// same failure happens deterministically on every replica).
-		_ = k.procs.Exit(pid, -1)
-		_, _ = k.procs.Wait(op.PID)
 		return fail(err)
 	}
 	k.fds[pid] = fs.NewFDTable(k.fs)
 	k.vs[pid] = vs
 	k.spaces[pid] = as
 	return ok(uint64(pid))
+}
+
+// unspawn rolls back the tree step of parent's spawn of child: the child
+// exits and its parent reaps it. The same failure happens
+// deterministically on every replica, so the replicas stay alike.
+func (k *Kernel) unspawn(parent, child proc.PID) {
+	_ = k.procs.Exit(child, -1)
+	_, _ = k.procs.Wait(parent)
 }
 
 // exit tears down a process: its resources (detach), then the tree
@@ -553,9 +524,6 @@ func (k *Kernel) DispatchReadInto(op *ReadOp, out *Resp) {
 			*out = ok(uint64(op.PID))
 		}
 
-	case NumMemResolve:
-		*out = k.memResolve(op.PID, op.VA)
-
 	case NumSockTabGet:
 		*out = k.dispatchSockRead(op)
 
@@ -563,20 +531,6 @@ func (k *Kernel) DispatchReadInto(op *ReadOp, out *Resp) {
 		// Internal cross-shard protocol ops (sharded composition; shard.go).
 		k.dispatchShardRead(op, out)
 	}
-}
-
-// memResolve serves NumMemResolve: the physical address va translates
-// to in pid's address space.
-func (k *Kernel) memResolve(pid proc.PID, va mmu.VAddr) Resp {
-	as := k.spaces[pid]
-	if as == nil {
-		return Resp{Errno: ESRCH}
-	}
-	m, found := as.Resolve(va)
-	if !found {
-		return Resp{Errno: EFAULT}
-	}
-	return Resp{Errno: EOK, Val: uint64(m.Frame) + uint64(va)%m.PageSize}
 }
 
 // UserRead copies process-virtual memory into p through the hardware

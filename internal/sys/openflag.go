@@ -7,8 +7,7 @@ import "github.com/verified-os/vnros/internal/fs"
 // combinations are rejected at the API surface (Validate) and so that
 // user programs cannot pass an arbitrary int where a flag set is
 // expected. Untyped constant expressions like OCreate|ORdWr convert
-// implicitly, so existing call sites keep compiling; code holding bare
-// int flags migrates through FlagsFromInt.
+// implicitly, so existing call sites keep compiling.
 type OpenFlag uint64
 
 const (
@@ -42,7 +41,3 @@ func (f OpenFlag) Validate() Errno {
 	}
 	return EOK
 }
-
-// FlagsFromInt is the compatibility shim for callers still holding the
-// pre-typed bare-int flags.
-func FlagsFromInt(flags int) OpenFlag { return OpenFlag(flags) }

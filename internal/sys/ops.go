@@ -8,7 +8,6 @@ import (
 	"github.com/verified-os/vnros/internal/hw/mmu"
 	"github.com/verified-os/vnros/internal/nr"
 	"github.com/verified-os/vnros/internal/proc"
-	"github.com/verified-os/vnros/internal/sched"
 )
 
 // Syscall numbers. These are the wire ABI: the user-side Sys handle
@@ -37,14 +36,6 @@ const (
 
 	NumMMap
 	NumMUnmap
-	NumMemResolve
-
-	NumThreadAdd
-	NumThreadYield
-	NumThreadBlock
-	NumThreadWake
-	NumThreadExit
-	NumPickNext
 
 	// Handled outside the replicated kernel state (core):
 	NumFutexWait
@@ -224,48 +215,41 @@ func row(name string, class opClass, props opProps, target ShardTarget, fields .
 // wire ABI up to MaxOpNum and the internal ops above it. The classifiers
 // below and the codec's per-op tail are lookups into it.
 var opTable = [MaxInternalOpNum + 1]opRow{
-	NumOpen:        row("open", classLogged, opBatchable, TargetCompose, "Flags", "Path"),
-	NumClose:       row("close", classLogged, opBatchable, TargetProcKey),
-	NumRead:        row("read", classLogged, opBatchable|opRun|opChecked, TargetCompose),
-	NumWrite:       row("write", classLogged, opBatchable|opRun|opChecked, TargetCompose, "Data"),
-	NumSeek:        row("seek", classLogged, opBatchable|opRun|opChecked, TargetCompose, "Whence", "Off"),
-	NumStat:        row("stat", classRead, 0, TargetCompose, "Path"),
-	NumMkdir:       row("mkdir", classLogged, opBatchable, TargetFsNS, "Path"),
-	NumUnlink:      row("unlink", classLogged, opBatchable, TargetFsNS, "Path"),
-	NumRmdir:       row("rmdir", classLogged, opBatchable, TargetFsNS, "Path"),
-	NumRename:      row("rename", classLogged, opBatchable, TargetFsNS, "Path", "Path2"),
-	NumLink:        row("link", classLogged, opBatchable, TargetFsNS, "Path", "Path2"),
-	NumReadDir:     row("readdir", classRead, 0, TargetFsPath, "Path"),
-	NumTruncate:    row("truncate", classLogged, opBatchable, TargetCompose),
-	NumSpawn:       row("spawn", classLogged, 0, TargetCompose, "Name"),
-	NumWaitPID:     row("waitpid", classLogged, 0, TargetProcTree),
-	NumExit:        row("exit", classLogged, 0, TargetCompose, "Code"),
-	NumKill:        row("kill", classLogged, 0, TargetCompose, "Sig", "Target"),
-	NumGetPID:      row("getpid", classRead, 0, TargetProcTree),
-	NumTakeSignal:  row("takesignal", classLogged, 0, TargetProcTree),
-	NumMMap:        row("mmap", classLogged, 0, TargetProcKey),
-	NumMUnmap:      row("munmap", classLogged, 0, TargetProcKey),
-	NumMemResolve:  row("memresolve", classRead, 0, TargetProcKey),
-	NumThreadAdd:   row("thread_add", classLogged, 0, TargetProcTree, "Pri"),
-	NumThreadYield: row("thread_yield", classLogged, 0, TargetProcTree),
-	NumThreadBlock: row("thread_block", classLogged, 0, TargetProcTree),
-	NumThreadWake:  row("thread_wake", classLogged, 0, TargetProcTree),
-	NumThreadExit:  row("thread_exit", classLogged, 0, TargetProcTree),
-	NumPickNext:    row("picknext", classLogged, 0, TargetProcTree, "Core"),
-	NumFutexWait:   row("futex_wait", classLocal, opParks, TargetLocal, "Word"),
-	NumFutexWake:   row("futex_wake", classLocal, 0, TargetLocal),
-	NumSockBind:    row("sock_bind", classSock, 0, TargetLocal, "Port", "Word"),
-	NumSockSend:    row("sock_send", classSock, 0, TargetLocal, "Data", "Sock", "Addr", "Port"),
-	NumSockRecv:    row("sock_recv", classSock, opParks, TargetLocal, "Flags", "Sock"),
-	NumSockClose:   row("sock_close", classSock, 0, TargetLocal, "Sock"),
-	NumMemRead:     row("mem_read", classLocal, 0, TargetLocal),
-	NumMemWrite:    row("mem_write", classLocal, 0, TargetLocal, "Data"),
-	NumMemCAS:      row("mem_cas", classLocal, 0, TargetLocal, "Word"),
-	NumBatch:       row("batch", classLogged, 0, TargetCompose),
-	NumSync:        row("sync", classLocal, 0, TargetLocal),
-	NumPread:       row("pread", classRead, opChecked, TargetCompose, "Off"),
-	NumPreadMap:    row("pread_map", classLogged, 0, TargetCompose, "Off"),
-	NumPreadUnmap:  row("pread_unmap", classLogged, 0, TargetCompose),
+	NumOpen:       row("open", classLogged, opBatchable, TargetCompose, "Flags", "Path"),
+	NumClose:      row("close", classLogged, opBatchable, TargetProcKey),
+	NumRead:       row("read", classLogged, opBatchable|opRun|opChecked, TargetCompose),
+	NumWrite:      row("write", classLogged, opBatchable|opRun|opChecked, TargetCompose, "Data"),
+	NumSeek:       row("seek", classLogged, opBatchable|opRun|opChecked, TargetCompose, "Whence", "Off"),
+	NumStat:       row("stat", classRead, 0, TargetCompose, "Path"),
+	NumMkdir:      row("mkdir", classLogged, opBatchable, TargetFsNS, "Path"),
+	NumUnlink:     row("unlink", classLogged, opBatchable, TargetFsNS, "Path"),
+	NumRmdir:      row("rmdir", classLogged, opBatchable, TargetFsNS, "Path"),
+	NumRename:     row("rename", classLogged, opBatchable, TargetFsNS, "Path", "Path2"),
+	NumLink:       row("link", classLogged, opBatchable, TargetFsNS, "Path", "Path2"),
+	NumReadDir:    row("readdir", classRead, 0, TargetFsPath, "Path"),
+	NumTruncate:   row("truncate", classLogged, opBatchable, TargetCompose),
+	NumSpawn:      row("spawn", classLogged, 0, TargetCompose, "Name"),
+	NumWaitPID:    row("waitpid", classLogged, 0, TargetProcTree),
+	NumExit:       row("exit", classLogged, 0, TargetCompose, "Code"),
+	NumKill:       row("kill", classLogged, 0, TargetCompose, "Sig", "Target"),
+	NumGetPID:     row("getpid", classRead, 0, TargetProcTree),
+	NumTakeSignal: row("takesignal", classLogged, 0, TargetProcTree),
+	NumMMap:       row("mmap", classLogged, 0, TargetProcKey),
+	NumMUnmap:     row("munmap", classLogged, 0, TargetProcKey),
+	NumFutexWait:  row("futex_wait", classLocal, opParks, TargetLocal, "Word"),
+	NumFutexWake:  row("futex_wake", classLocal, 0, TargetLocal),
+	NumSockBind:   row("sock_bind", classSock, 0, TargetLocal, "Port", "Word"),
+	NumSockSend:   row("sock_send", classSock, 0, TargetLocal, "Data", "Sock", "Addr", "Port"),
+	NumSockRecv:   row("sock_recv", classSock, opParks, TargetLocal, "Flags", "Sock"),
+	NumSockClose:  row("sock_close", classSock, 0, TargetLocal, "Sock"),
+	NumMemRead:    row("mem_read", classLocal, 0, TargetLocal),
+	NumMemWrite:   row("mem_write", classLocal, 0, TargetLocal, "Data"),
+	NumMemCAS:     row("mem_cas", classLocal, 0, TargetLocal, "Word"),
+	NumBatch:      row("batch", classLogged, 0, TargetCompose),
+	NumSync:       row("sync", classLocal, 0, TargetLocal),
+	NumPread:      row("pread", classRead, opChecked, TargetCompose, "Off"),
+	NumPreadMap:   row("pread_map", classLogged, 0, TargetCompose, "Off"),
+	NumPreadUnmap: row("pread_unmap", classLogged, 0, TargetCompose),
 
 	NumFDOpen:      row("fd_open", classInternal, 0, TargetProcKey),
 	NumFDLock:      row("fd_lock", classInternal, 0, TargetProcKey),
@@ -382,19 +366,15 @@ type WriteOp struct {
 	Size   uint64
 	Frames []mem.PAddr
 
-	// Scheduler syscalls (Pri sits with the other sub-word fields below).
-	TID  sched.TID
-	Core int
-
 	// Socket and futex syscalls (handled by internal/core outside the
 	// replicated state; carried in the same op container so they share
 	// the codec and its round-trip obligations).
 	Sock uint64
 	Addr uint64
 
-	// The sub-word fields share two words: every logged entry is a
-	// WriteOp, so a field in an 8-byte slot of its own is paid for 1<<16
-	// times per NR instance (TestWriteOpDoesNotGrow).
+	// The sub-word fields share one word: every logged entry is a
+	// WriteOp, so a field in an 8-byte slot of its own is paid for in
+	// every slot of every NR log (TestWriteOpDoesNotGrow).
 	Port uint16
 	// Witness asks the kernel to capture the descriptor's §3 abstraction
 	// on both sides of this transition, while the transition holds the
@@ -402,7 +382,6 @@ type WriteOp struct {
 	// a checked batch's entries; one bit on the wire.
 	Witness bool
 	Sig     proc.Signal
-	Pri     sched.Priority
 	Word    uint32
 
 	// Ino addresses an inode directly — internal cross-shard ops only
@@ -476,9 +455,7 @@ type ReadOp struct {
 	PID  proc.PID
 	FD   fs.FD
 	Path string
-	VA   mmu.VAddr
 	Len  uint64
-	TID  sched.TID
 
 	// Off is the absolute offset of a positioned read. NumPread carries
 	// it across the wire; the internal cross-shard read ops reuse it.
@@ -541,7 +518,6 @@ type Resp struct {
 	Stat    fs.Stat
 	Entries []fs.DirEntry
 	Wait    proc.WaitResult
-	TID     sched.TID
 	Sig     proc.Signal
 	SigOK   bool
 

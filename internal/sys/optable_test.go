@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -18,7 +19,8 @@ import (
 // answered, if only with an errno, and never with ENOSYS. And every
 // request a Sys method or a ring Op constructor builds sets only the
 // register fields and the tail fields its row carries, so per-op decode
-// never refuses an honest call.
+// never refuses an honest call. A submission entry's request carries
+// every field the entry does.
 func TestOpTable(t *testing.T) {
 	for num := uint64(1); num <= MaxInternalOpNum; num++ {
 		o := lookup(num)
@@ -43,8 +45,30 @@ func TestOpTable(t *testing.T) {
 		}
 	}
 
+	var e sqe
+	ev := reflect.ValueOf(&e).Elem()
+	for i := 0; i < ev.NumField(); i++ {
+		switch f := ev.Field(i); f.Kind() {
+		case reflect.String:
+			f.SetString("s")
+		case reflect.Slice:
+			f.SetBytes([]byte{1})
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(-1 - i))
+		default:
+			f.SetUint(uint64(1 + i))
+		}
+	}
+	w := reflect.ValueOf(e.request(7))
+	for i := 0; i < ev.NumField(); i++ {
+		name := ev.Type().Field(i).Name
+		if got := w.FieldByName(name); !got.IsValid() || !reflect.DeepEqual(got.Interface(), ev.Field(i).Interface()) {
+			t.Errorf("sqe.request drops or changes %s", name)
+		}
+	}
+
 	nums := tableNums(t)
-	registers := map[string]bool{"Num": true, "PID": true, "FD": true, "VA": true, "Len": true, "Size": true, "TID": true}
+	registers := map[string]bool{"Num": true, "PID": true, "FD": true, "VA": true, "Len": true, "Size": true}
 	fset := token.NewFileSet()
 	for _, file := range []string{"sys.go", "ring.go", "submit.go"} {
 		f, err := parser.ParseFile(fset, file, nil, 0)
@@ -58,7 +82,7 @@ func TestOpTable(t *testing.T) {
 			}
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				lit, ok := n.(*ast.CompositeLit)
-				if !ok || !isIdent(lit.Type, "WriteOp") {
+				if !ok || !isIdent(lit.Type, "WriteOp") && !isIdent(lit.Type, "sqe") {
 					return true
 				}
 				var num uint64

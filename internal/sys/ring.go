@@ -7,6 +7,7 @@ import (
 
 	"github.com/verified-os/vnros/internal/fs"
 	"github.com/verified-os/vnros/internal/nr"
+	"github.com/verified-os/vnros/internal/proc"
 )
 
 // This file is the batched syscall submission ring — an io_uring-shaped
@@ -28,11 +29,34 @@ import (
 // (checkWitnessed in sys.go), replaying only a run's interior states.
 
 // Op is one submission-queue entry. Ops are built by the Op*
-// constructors only — the wrapped WriteOp stays unexported so every Op
+// constructors only — the wrapped entry stays unexported so every Op
 // that can exist is batchable and well-formed. The byte and string
 // payloads are borrowed until the batch completes.
 type Op struct {
-	w WriteOp
+	w sqe
+}
+
+// sqe is what a submission entry carries: the WriteOp fields a batchable
+// row's request may set, and none of the kernel-side ones, so a vector of
+// entries is about half the size of the requests it becomes.
+type sqe struct {
+	Num         uint64
+	FD          fs.FD
+	Flags       uint64
+	Whence      int
+	Off         int64
+	Len         uint64
+	Path, Path2 string
+	Data        []byte
+	Sock, Addr  uint64
+	Port        uint16
+	Word        uint32
+}
+
+// request is the entry as the request pid submits.
+func (e *sqe) request(pid proc.PID) WriteOp {
+	return WriteOp{Num: e.Num, PID: pid, FD: e.FD, Flags: e.Flags, Whence: e.Whence, Off: e.Off, Len: e.Len,
+		Path: e.Path, Path2: e.Path2, Data: e.Data, Sock: e.Sock, Addr: e.Addr, Port: e.Port, Word: e.Word}
 }
 
 // Num returns the syscall number the entry encodes.
@@ -41,18 +65,18 @@ func (o Op) Num() uint64 { return o.w.Num }
 // OpOpen enqueues open(path, flags). The flag set is validated at
 // submission, like Sys.Open.
 func OpOpen(path string, flags OpenFlag) Op {
-	return Op{w: WriteOp{Num: NumOpen, Path: path, Flags: uint64(flags)}}
+	return Op{w: sqe{Num: NumOpen, Path: path, Flags: uint64(flags)}}
 }
 
 // OpClose enqueues close(fd).
-func OpClose(fd fs.FD) Op { return Op{w: WriteOp{Num: NumClose, FD: fd}} }
+func OpClose(fd fs.FD) Op { return Op{w: sqe{Num: NumClose, FD: fd}} }
 
 // OpRead enqueues read(fd, n); the bytes come back in the completion's
 // Data.
-func OpRead(fd fs.FD, n uint64) Op { return Op{w: WriteOp{Num: NumRead, FD: fd, Len: n}} }
+func OpRead(fd fs.FD, n uint64) Op { return Op{w: sqe{Num: NumRead, FD: fd, Len: n}} }
 
 // OpWrite enqueues write(fd, data).
-func OpWrite(fd fs.FD, data []byte) Op { return Op{w: WriteOp{Num: NumWrite, FD: fd, Data: data}} }
+func OpWrite(fd fs.FD, data []byte) Op { return Op{w: sqe{Num: NumWrite, FD: fd, Data: data}} }
 
 // OpPread enqueues pread(fd, n, off): a positioned read that leaves the
 // descriptor offset untouched. In a batch the kernel serves it with
@@ -61,68 +85,68 @@ func OpWrite(fd fs.FD, data []byte) Op { return Op{w: WriteOp{Num: NumWrite, FD:
 // reads carry no submission-order guarantee against their own batch's
 // writes).
 func OpPread(fd fs.FD, n, off uint64) Op {
-	return Op{w: WriteOp{Num: NumPread, FD: fd, Len: n, Off: int64(off)}}
+	return Op{w: sqe{Num: NumPread, FD: fd, Len: n, Off: int64(off)}}
 }
 
 // OpPreadMap enqueues the zero-copy positioned read: the completion's
 // Val is the mapping's base VA (release it with Sys.PreadUnmap).
 // EAGAIN completes the entry when no cached page is available.
 func OpPreadMap(fd fs.FD, off uint64) Op {
-	return Op{w: WriteOp{Num: NumPreadMap, FD: fd, Off: int64(off)}}
+	return Op{w: sqe{Num: NumPreadMap, FD: fd, Off: int64(off)}}
 }
 
 // OpSeek enqueues seek(fd, off, whence).
 func OpSeek(fd fs.FD, off int64, whence int) Op {
-	return Op{w: WriteOp{Num: NumSeek, FD: fd, Off: off, Whence: whence}}
+	return Op{w: sqe{Num: NumSeek, FD: fd, Off: off, Whence: whence}}
 }
 
 // OpTruncate enqueues truncate(fd, size).
 func OpTruncate(fd fs.FD, size uint64) Op {
-	return Op{w: WriteOp{Num: NumTruncate, FD: fd, Len: size}}
+	return Op{w: sqe{Num: NumTruncate, FD: fd, Len: size}}
 }
 
 // OpMkdir enqueues mkdir(path).
-func OpMkdir(path string) Op { return Op{w: WriteOp{Num: NumMkdir, Path: path}} }
+func OpMkdir(path string) Op { return Op{w: sqe{Num: NumMkdir, Path: path}} }
 
 // OpUnlink enqueues unlink(path).
-func OpUnlink(path string) Op { return Op{w: WriteOp{Num: NumUnlink, Path: path}} }
+func OpUnlink(path string) Op { return Op{w: sqe{Num: NumUnlink, Path: path}} }
 
 // OpRmdir enqueues rmdir(path).
-func OpRmdir(path string) Op { return Op{w: WriteOp{Num: NumRmdir, Path: path}} }
+func OpRmdir(path string) Op { return Op{w: sqe{Num: NumRmdir, Path: path}} }
 
 // OpRename enqueues rename(old, new).
-func OpRename(old, new string) Op { return Op{w: WriteOp{Num: NumRename, Path: old, Path2: new}} }
+func OpRename(old, new string) Op { return Op{w: sqe{Num: NumRename, Path: old, Path2: new}} }
 
 // OpLink enqueues link(old, new).
-func OpLink(old, new string) Op { return Op{w: WriteOp{Num: NumLink, Path: old, Path2: new}} }
+func OpLink(old, new string) Op { return Op{w: sqe{Num: NumLink, Path: old, Path2: new}} }
 
 // OpSync enqueues sync(). In a batch it acts as a group-commit marker:
 // the kernel applies every op of the batch, then makes the whole batch
 // durable with one journal flush before completing the sync entries.
-func OpSync() Op { return Op{w: WriteOp{Num: NumSync}} }
+func OpSync() Op { return Op{w: sqe{Num: NumSync}} }
 
 // OpSockBind enqueues sock_bind(port) with a receive budget (0 =
 // default); the completion's Val is the socket id. Port 0 requests an
 // ephemeral port.
 func OpSockBind(port Port, budget uint32) Op {
-	return Op{w: WriteOp{Num: NumSockBind, Port: uint16(port), Word: budget}}
+	return Op{w: sqe{Num: NumSockBind, Port: uint16(port), Word: budget}}
 }
 
 // OpSockSend enqueues sock_send(sock → addr:port); the completion's Val
 // is the accepted byte count. The socket id and destination port are
 // validated at submission, like open flags.
 func OpSockSend(sock SockID, addr NetAddr, port Port, payload []byte) Op {
-	return Op{w: WriteOp{Num: NumSockSend, Sock: uint64(sock), Addr: uint64(addr), Port: uint16(port), Data: payload}}
+	return Op{w: sqe{Num: NumSockSend, Sock: uint64(sock), Addr: uint64(addr), Port: uint16(port), Data: payload}}
 }
 
 // OpSockRecv enqueues a non-blocking receive; the completion's Data is
 // the datagram payload and Completion.SockFrom carries the source.
 // EAGAIN completes the entry when the queue is empty.
-func OpSockRecv(sock SockID) Op { return Op{w: WriteOp{Num: NumSockRecv, Sock: uint64(sock)}} }
+func OpSockRecv(sock SockID) Op { return Op{w: sqe{Num: NumSockRecv, Sock: uint64(sock)}} }
 
 // OpSockClose enqueues sock_close(sock); the completion's Val is the
 // released port.
-func OpSockClose(sock SockID) Op { return Op{w: WriteOp{Num: NumSockClose, Sock: uint64(sock)}} }
+func OpSockClose(sock SockID) Op { return Op{w: sqe{Num: NumSockClose, Sock: uint64(sock)}} }
 
 // validate is the boundary check run at batch submission: a
 // structurally invalid op fails the whole submission before a frame is
@@ -173,9 +197,8 @@ func (s *Sys) crossBatch(ops []Op) ([]Completion, Errno) {
 	checking := s.checking()
 	ws := s.batchOps[:0]
 	for _, op := range ops {
-		w := op.w
-		w.PID = s.pid
-		w.Witness = checking && checked(op.w.Num)
+		w := op.w.request(s.pid)
+		w.Witness = checking && checked(w.Num)
 		ws = append(ws, w)
 	}
 	frame, payload := appendBatch(s.req, s.pid, ws)

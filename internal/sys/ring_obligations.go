@@ -136,8 +136,7 @@ func registerRingObligations(g *verifier.Registry) {
 						return fmt.Errorf("batch submit: %v", e)
 					}
 					for i, op := range ops {
-						w := op.w
-						w.PID = proc.InitPID
+						w := op.w.request(proc.InitPID)
 						want := BatchCompletion(w, kSeq.DispatchWrite(w))
 						got := comps[i]
 						if len(want.Data) == 0 {

@@ -40,8 +40,7 @@ func TestBatchCodecRoundTripEveryOp(t *testing.T) {
 		if !IsBatchableOp(op.Num()) {
 			t.Fatalf("constructor produced non-batchable op %s", OpName(op.Num()))
 		}
-		ws[i] = op.w
-		ws[i].PID = 42
+		ws[i] = op.w.request(42)
 	}
 	frame, payload := EncodeBatch(42, ws)
 	got, err := DecodeBatch(frame, payload)
@@ -397,9 +396,6 @@ func TestOpenFlagValidate(t *testing.T) {
 	if r.Errno != EINVAL {
 		t.Errorf("kernel accepted ORdOnly|OTrunc: %v", r.Errno)
 	}
-	if FlagsFromInt(int(fs.OCreate|fs.ORdWr)) != OCreate|ORdWr {
-		t.Error("FlagsFromInt does not preserve bits")
-	}
 }
 
 func TestErrnoErr(t *testing.T) {
@@ -727,7 +723,6 @@ func TestOnlyParkingCallsLeaveTheHandle(t *testing.T) {
 	s.GetPID()
 	s.MMap(4096)
 	s.MUnmap(va)
-	s.MemResolve(va)
 	s.FutexWait(va, 0)
 	s.FutexWake(va, 1)
 	s.MemRead(va, buf)
@@ -749,11 +744,10 @@ func TestOnlyParkingCallsLeaveTheHandle(t *testing.T) {
 			t.Errorf("%s parks without leaving the handle", OpName(num))
 		}
 	}
-	// Every wire row crossed but a batch and the scheduler's, which no
-	// method of Sys makes.
+	// Every wire row crossed but a batch, which no method of Sys makes
+	// per call.
 	for num := uint64(0); num <= MaxOpNum; num++ {
-		sched := num >= NumThreadAdd && num <= NumPickNext
-		if _, crossed := h.held[num]; !crossed && opTable[num].class != classNone && num != NumBatch && !sched {
+		if _, crossed := h.held[num]; !crossed && opTable[num].class != classNone && num != NumBatch {
 			t.Errorf("%s never crossed", OpName(num))
 		}
 	}

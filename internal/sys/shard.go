@@ -6,8 +6,6 @@ import (
 	"github.com/verified-os/vnros/internal/fs"
 	"github.com/verified-os/vnros/internal/hw/mem"
 	"github.com/verified-os/vnros/internal/hw/mmu"
-	"github.com/verified-os/vnros/internal/mm"
-	"github.com/verified-os/vnros/internal/pt"
 )
 
 // This file is the kernel half of the sharded composition (§4.1): the
@@ -27,11 +25,11 @@ const (
 	// raw memory, sync) — same as the monolithic kernel.
 	TargetLocal ShardTarget = iota
 	// TargetProcKey: one op on the process shard owning op.PID
-	// (descriptor close, mmap/munmap, memresolve) — the child's, op.Target,
-	// for proc_attach.
+	// (descriptor close, mmap/munmap) — the child's, op.Target, for
+	// proc_attach.
 	TargetProcKey
 	// TargetProcTree: one op on process shard 0, which holds the global
-	// process tree and the run queue (waitpid, signals, thread ops).
+	// process tree (waitpid, signals).
 	TargetProcTree
 	// TargetFsNS: a namespace mutation, broadcast to every filesystem
 	// shard in ascending shard order under the router's namespace mutex
@@ -70,26 +68,12 @@ func (k *Kernel) dispatchShardWrite(op *WriteOp) Resp {
 		return ok(uint64(pid))
 
 	case NumProcUnspawn:
-		// Roll back a spawn whose resource attach failed elsewhere —
-		// the same exit+reap pair the monolithic spawn uses.
-		_ = k.procs.Exit(op.Target, -1)
-		_, _ = k.procs.Wait(op.PID)
+		// Roll back a spawn whose resource attach failed elsewhere.
+		k.unspawn(op.PID, op.Target)
 		return ok(0)
 
 	case NumProcAttach:
-		pid := op.Target
-		vs, err := mm.NewVSpace(UserVABase, UserVATop)
-		if err != nil {
-			return fail(err)
-		}
-		as, err := pt.NewVerified(k.pmem, k.tables, nil)
-		if err != nil {
-			return fail(err)
-		}
-		k.fds[pid] = fs.NewFDTable(k.fs)
-		k.vs[pid] = vs
-		k.spaces[pid] = as
-		return ok(uint64(pid))
+		return k.attach(op.Target)
 
 	case NumProcDetach:
 		// The resource half of exit; the monolithic exit is this

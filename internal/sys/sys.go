@@ -644,12 +644,6 @@ func (s *Sys) MUnmap(va mmu.VAddr) Errno {
 	return s.callWrite(WriteOp{Num: NumMUnmap, VA: va}).Errno
 }
 
-// MemResolve translates a user virtual address (diagnostics).
-func (s *Sys) MemResolve(va mmu.VAddr) (uint64, Errno) {
-	r := s.callRead(ReadOp{Num: NumMemResolve, VA: va})
-	return r.Val, r.Errno
-}
-
 // FutexWait blocks while the 32-bit word at va equals expected (the
 // §3/§4.1 futex the userspace mutex builds on). Served by core.
 func (s *Sys) FutexWait(va mmu.VAddr, expected uint32) Errno {

@@ -14,7 +14,6 @@ import (
 	"github.com/verified-os/vnros/internal/marshal"
 	"github.com/verified-os/vnros/internal/proc"
 	"github.com/verified-os/vnros/internal/pt"
-	"github.com/verified-os/vnros/internal/sched"
 	"github.com/verified-os/vnros/internal/verifier"
 )
 
@@ -55,9 +54,7 @@ func RegisterObligations(g *verifier.Registry) {
 						Num:  uint64(r.Intn(40)),
 						PID:  proc.PID(r.Uint64()),
 						FD:   fs.FD(r.Uint64()),
-						VA:   mmu.VAddr(r.Uint64()),
 						Len:  r.Uint64(),
-						TID:  sched.TID(r.Uint64()),
 						Path: randPath(r),
 						Off:  r.Uint64(),
 						// The one internal field the frame carries.
@@ -215,14 +212,11 @@ func RegisterObligations(g *verifier.Registry) {
 		verifier.Obligation{Module: "sys", Name: "mmap-memory-semantics", Kind: verifier.KindRefinement,
 			Check: func(r *rand.Rand) error {
 				k, dataFrames := newTestKernelFrames()
-				s := NewSys(proc.InitPID, &directHandler{k: k})
 				pidResp := k.DispatchWrite(WriteOp{Num: NumSpawn, PID: proc.InitPID, Name: "user"})
 				if pidResp.Errno != EOK {
 					return fmt.Errorf("spawn: %v", pidResp.Errno)
 				}
 				pid := proc.PID(pidResp.Val)
-				su := NewSys(pid, &directHandler{k: k})
-				_ = s
 
 				// mmap 4 pages with caller-provided frames (as core does).
 				frames := dataFrames.take(4)
@@ -244,10 +238,6 @@ func RegisterObligations(g *verifier.Registry) {
 				}
 				if !bytes.Equal(got, blob) {
 					return fmt.Errorf("user memory round trip mismatch")
-				}
-				// Resolve agrees with the walk.
-				if _, e := su.MemResolve(base); e != EOK {
-					return fmt.Errorf("resolve: %v", e)
 				}
 				// munmap returns all frames and unmaps.
 				resp = k.DispatchWrite(WriteOp{Num: NumMUnmap, PID: pid, VA: base})
@@ -312,7 +302,8 @@ func (b *frameBump) take(n int) []mem.PAddr {
 	return out
 }
 
-// directHandler dispatches through the codec to a single kernel. It
+// directHandler dispatches through the codec to a single kernel, and
+// serves a NumMemRead from the caller's address space as core does. It
 // drains a batch the way core's co-located kernel does — the vector's
 // Steps.Fold, a descriptor run being one NumFDRun transition — so what a
 // batch runs is pinned against per-call dispatch (batch-refines-
@@ -380,7 +371,11 @@ func (h *directHandler) Syscall(frame marshal.SyscallFrame, payload []byte) (mar
 	if err != nil {
 		return EncodeResp(Resp{Errno: EINVAL})
 	}
-	if op.Num == NumMMap && h.frames != nil {
+	switch {
+	case op.Num == NumMemRead:
+		data, e := h.k.UserReadN(op.PID, op.VA, op.Len)
+		return EncodeResp(Resp{Errno: e, Data: data})
+	case op.Num == NumMMap && h.frames != nil:
 		op.Frames = h.frames.take(int(op.Size / mmu.L1PageSize))
 	}
 	resp := h.k.DispatchWrite(op)
@@ -472,7 +467,6 @@ func randomWriteOp(r *rand.Rand) WriteOp {
 		VA:   mmu.VAddr(r.Uint64()),
 		Len:  r.Uint64(),
 		Size: r.Uint64(),
-		TID:  sched.TID(r.Uint64()),
 	}
 	for m := lookup(op.Num).tail; m != 0; m &= m - 1 {
 		if r.Intn(2) == 0 {
@@ -497,10 +491,6 @@ func randomTailField(r *rand.Rand, op *WriteOp, name string) {
 		op.Sig = proc.Signal(r.Intn(256))
 	case "Target":
 		op.Target = proc.PID(r.Uint64())
-	case "Pri":
-		op.Pri = sched.Priority(r.Intn(256))
-	case "Core":
-		op.Core = int(int32(r.Uint32()))
 	case "Path":
 		op.Path = randPath(r)
 	case "Path2":
@@ -542,7 +532,6 @@ func randomResp(r *rand.Rand) Resp {
 			}
 		},
 		func() { resp.Wait = proc.WaitResult{PID: proc.PID(r.Uint64()), ExitCode: int(int32(r.Uint32()))} },
-		func() { resp.TID = sched.TID(r.Uint64()) },
 		func() { resp.Sig = proc.Signal(r.Intn(256)) },
 		func() { resp.SigOK = true },
 	} {

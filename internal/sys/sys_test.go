@@ -178,15 +178,18 @@ func TestMMapThroughSys(t *testing.T) {
 	if base < UserVABase {
 		t.Fatalf("base = %v", base)
 	}
-	pa, e := su.MemResolve(base + 42)
-	if e != EOK || pa != uint64(frames[0])+42 {
-		t.Fatalf("resolve = %#x, %v", pa, e)
+	if e := k.UserWrite(pid, base+42, []byte("mapped")); e != EOK {
+		t.Fatal(e)
+	}
+	got := make([]byte, 6)
+	if e := su.MemRead(base+42, got); e != EOK || string(got) != "mapped" {
+		t.Fatalf("read back %q, %v", got, e)
 	}
 	if e := su.MUnmap(base); e != EOK {
 		t.Fatal(e)
 	}
-	if _, e := su.MemResolve(base); e != EFAULT {
-		t.Fatalf("resolve after munmap: %v", e)
+	if e := su.MemRead(base, got); e != EFAULT {
+		t.Fatalf("read after munmap: %v", e)
 	}
 }
 
@@ -219,33 +222,6 @@ func TestUserMemoryIsolation(t *testing.T) {
 	}
 	if string(b1) != "AAAA" || string(b2) != "BBBB" {
 		t.Fatalf("isolation broken: %q %q", b1, b2)
-	}
-}
-
-func TestThreadOps(t *testing.T) {
-	k, _ := newSysPair(t)
-	if r := k.DispatchWrite(WriteOp{Num: NumThreadAdd, TID: 1, Pri: 0}); r.Errno != EOK {
-		t.Fatal(r.Errno)
-	}
-	r := k.DispatchWrite(WriteOp{Num: NumPickNext, Core: 0})
-	if r.Errno != EOK || r.TID != 1 {
-		t.Fatalf("pick = %+v", r)
-	}
-	if r := k.DispatchWrite(WriteOp{Num: NumThreadBlock, TID: 1}); r.Errno != EOK {
-		t.Fatal(r.Errno)
-	}
-	if r := k.DispatchWrite(WriteOp{Num: NumThreadWake, TID: 1}); r.Errno != EOK {
-		t.Fatal(r.Errno)
-	}
-	r = k.DispatchWrite(WriteOp{Num: NumPickNext, Core: 1})
-	if r.Errno != EOK || r.TID != 1 {
-		t.Fatalf("re-pick = %+v", r)
-	}
-	if r := k.DispatchWrite(WriteOp{Num: NumThreadExit, TID: 1}); r.Errno != EOK {
-		t.Fatal(r.Errno)
-	}
-	if r := k.DispatchWrite(WriteOp{Num: NumPickNext, Core: 0}); r.Errno == EOK {
-		t.Fatal("pick from empty queue succeeded")
 	}
 }
 
@@ -419,10 +395,20 @@ func TestEncodersArePresized(t *testing.T) {
 // a field in a word of its own is paid for on every append. (It is no
 // longer paid in boot memory to speak of: a log is 2 048 slots, sized to
 // one combiner pass, where it was 65 536; core.TestBootAllocationBudget
-// pins that.) New sub-word fields go beside Port/Witness/Sig/Pri/Word;
-// anything larger goes behind a pointer, as Run does.
+// pins that.) The same holds for a Resp, which every slot answers into.
+// New sub-word fields go beside Port/Witness/Sig/Word; anything larger
+// goes behind a pointer, as Run does.
 func TestWriteOpDoesNotGrow(t *testing.T) {
-	if n := unsafe.Sizeof(WriteOp{}); n > 248 {
-		t.Fatalf("sys.WriteOp is %d bytes, budget 248", n)
+	for _, c := range []struct {
+		name   string
+		size   uintptr
+		budget uintptr
+	}{
+		{"WriteOp", unsafe.Sizeof(WriteOp{}), 224},
+		{"Resp", unsafe.Sizeof(Resp{}), 352},
+	} {
+		if c.size > c.budget {
+			t.Errorf("sys.%s is %d bytes, budget %d", c.name, c.size, c.budget)
+		}
 	}
 }

@@ -188,10 +188,6 @@ const InitPID = proc.InitPID
 // Boot builds and starts a simulated OS instance.
 func Boot(cfg Config) (*System, error) { return core.Boot(cfg) }
 
-// FlagsFromInt converts bare-int open flags (the pre-typed API shape)
-// to the typed OpenFlag set.
-func FlagsFromInt(flags int) OpenFlag { return sys.FlagsFromInt(flags) }
-
 // Submission-queue entry constructors (see Sys.NewBatch). Each enqueues
 // one syscall; the completion's Val carries the scalar result.
 func OpOpen(path string, flags OpenFlag) Op { return sys.OpOpen(path, flags) }
