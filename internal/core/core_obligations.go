@@ -19,7 +19,6 @@ import (
 	"github.com/verified-os/vnros/internal/proc"
 	"github.com/verified-os/vnros/internal/pt"
 	"github.com/verified-os/vnros/internal/relwork"
-	"github.com/verified-os/vnros/internal/sched"
 	"github.com/verified-os/vnros/internal/spec/sm"
 	"github.com/verified-os/vnros/internal/sys"
 	"github.com/verified-os/vnros/internal/ulib"
@@ -42,7 +41,6 @@ func RegisterAllObligations(g *verifier.Registry) {
 	mm.RegisterObligations(g)
 	marshal.RegisterObligations(g)
 	fs.RegisterObligations(g)
-	sched.RegisterObligations(g)
 	proc.RegisterObligations(g)
 	dev.RegisterObligations(g)
 	netstack.RegisterObligations(g)

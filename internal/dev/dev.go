@@ -100,41 +100,6 @@ func (c *Console) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// ReadLine consumes buffered input up to a newline (non-blocking; ok is
-// false if no full line is available yet, with consumed bytes kept).
-type lineReader struct {
-	buf []byte
-}
-
-// ConsoleReader accumulates serial input into lines.
-type ConsoleReader struct {
-	mu sync.Mutex
-	s  *machine.Serial
-	lr lineReader
-}
-
-// NewConsoleReader wraps the UART input side.
-func NewConsoleReader(s *machine.Serial) *ConsoleReader { return &ConsoleReader{s: s} }
-
-// ReadLine drains available input and returns a complete line without
-// its newline; ok is false if no full line has arrived.
-func (r *ConsoleReader) ReadLine() (string, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for {
-		b, any := r.s.RX()
-		if !any {
-			return "", false
-		}
-		if b == '\n' {
-			line := string(r.lr.buf)
-			r.lr.buf = r.lr.buf[:0]
-			return line, true
-		}
-		r.lr.buf = append(r.lr.buf, b)
-	}
-}
-
 // TimerDriver programs the platform timer and counts ticks delivered
 // through the dispatcher.
 type TimerDriver struct {

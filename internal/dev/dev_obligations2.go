@@ -9,9 +9,8 @@ import (
 )
 
 // registerMoreObligations is the second wave of driver VCs: console
-// byte fidelity, line-reader reassembly under fragmentation, timer
-// handler replacement, and block-driver serialization (no interleaved
-// request corruption).
+// byte fidelity, timer handler replacement, and block-driver
+// serialization (no interleaved request corruption).
 func registerMoreObligations(g *verifier.Registry) {
 	g.Register(
 		verifier.Obligation{Module: "dev", Name: "console-byte-fidelity", Kind: verifier.KindSafety,
@@ -34,45 +33,6 @@ func registerMoreObligations(g *verifier.Registry) {
 				}
 				if got := m.Serial.Output(); got != string(payload) {
 					return fmt.Errorf("console output diverged (%d vs %d bytes)", len(got), len(payload))
-				}
-				return nil
-			}},
-		verifier.Obligation{Module: "dev", Name: "console-reader-reassembles-lines", Kind: verifier.KindSafety,
-			Check: func(r *rand.Rand) error {
-				m := machine.New(machine.Config{})
-				rd := NewConsoleReader(m.Serial)
-				var want []string
-				var stream []byte
-				for i := 0; i < 30; i++ {
-					line := fmt.Sprintf("line-%d-%x", i, r.Uint32())
-					want = append(want, line)
-					stream = append(stream, line...)
-					stream = append(stream, '\n')
-				}
-				// Inject in random fragments, reading whenever possible.
-				var got []string
-				for off := 0; off < len(stream); {
-					n := 1 + r.Intn(16)
-					if off+n > len(stream) {
-						n = len(stream) - off
-					}
-					m.Serial.InjectInput(stream[off : off+n])
-					off += n
-					for {
-						line, ok := rd.ReadLine()
-						if !ok {
-							break
-						}
-						got = append(got, line)
-					}
-				}
-				if len(got) != len(want) {
-					return fmt.Errorf("reassembled %d lines, want %d", len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						return fmt.Errorf("line %d = %q, want %q", i, got[i], want[i])
-					}
 				}
 				return nil
 			}},

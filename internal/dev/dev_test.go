@@ -19,24 +19,6 @@ func TestConsoleWriter(t *testing.T) {
 	}
 }
 
-func TestConsoleReaderLines(t *testing.T) {
-	m := machine.New(machine.Config{})
-	r := NewConsoleReader(m.Serial)
-	m.Serial.InjectInput([]byte("hel"))
-	if _, ok := r.ReadLine(); ok {
-		t.Fatal("partial line returned")
-	}
-	m.Serial.InjectInput([]byte("lo\nworld\n"))
-	line, ok := r.ReadLine()
-	if !ok || line != "hello" {
-		t.Fatalf("line = %q %t", line, ok)
-	}
-	line, ok = r.ReadLine()
-	if !ok || line != "world" {
-		t.Fatalf("line2 = %q %t", line, ok)
-	}
-}
-
 func TestTimerDriverTicks(t *testing.T) {
 	m := machine.New(machine.Config{Cores: 1})
 	d := NewDispatcher(m.IC)

@@ -1,9 +1,9 @@
 // Package mm implements physical and virtual memory management: a buddy
-// frame allocator with per-node caches (the NrOS NCache design) and a
-// virtual address-space region manager. These are the "memory
-// management (physical memory, page tables)" components from the
-// paper's §1 list; page tables themselves live in internal/pt and pull
-// their table frames from this package through pt.FrameSource.
+// frame allocator and a virtual address-space region manager. These are
+// the "memory management (physical memory, page tables)" components
+// from the paper's §1 list. The buddy allocator serves the data frames
+// of mmap and the page cache; page tables live in internal/pt and take
+// their table frames from a pt.SimpleFrameSource per replica.
 package mm
 
 import (
@@ -30,8 +30,7 @@ var (
 
 // Buddy is a binary-buddy allocator over the frame range
 // [start, start+frames*PageSize). It is not safe for concurrent use;
-// the kernel replicates or shards it via NR, and per-core NCaches batch
-// requests in front of it.
+// the kernel's one data-frame pool holds it under a mutex.
 type Buddy struct {
 	m     *mem.PhysMem
 	start mem.PAddr
@@ -110,7 +109,7 @@ func (b *Buddy) removeFree(idx uint64, order int) bool {
 
 // AllocOrder allocates a block of 2^order contiguous frames and returns
 // its base address. The block is not zeroed (callers that hand frames
-// to the page table must zero them; NCache does).
+// to user memory must zero them; the kernel's mmap path does).
 func (b *Buddy) AllocOrder(order int) (mem.PAddr, error) {
 	if order < 0 || order > MaxOrder {
 		return 0, fmt.Errorf("%w: %d", ErrBadOrder, order)

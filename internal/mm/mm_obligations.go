@@ -11,8 +11,8 @@ import (
 
 // RegisterObligations registers the memory-management verification
 // conditions: buddy structural invariants under randomized workloads,
-// conservation (alloc/free round trips restore full coverage), NCache
-// zeroing and ownership, and VSpace disjointness.
+// conservation (alloc/free round trips restore full coverage), and
+// VSpace disjointness.
 func RegisterObligations(g *verifier.Registry) {
 	registerMoreObligations(g)
 	g.Register(
@@ -97,47 +97,6 @@ func RegisterObligations(g *verifier.Registry) {
 					return fmt.Errorf("foreign free accepted")
 				}
 				return nil
-			}},
-		verifier.Obligation{Module: "mm", Name: "ncache-zeroes-frames", Kind: verifier.KindSafety,
-			Check: func(r *rand.Rand) error {
-				pm := mem.New(16 << 20)
-				b, err := NewBuddy(pm, 0, 256)
-				if err != nil {
-					return err
-				}
-				c := NewNCache(pm, b, 16)
-				f, err := c.AllocFrame()
-				if err != nil {
-					return err
-				}
-				// Dirty it (a seed-chosen word and the last one), free it,
-				// re-alloc until we see it again: every frame handed out
-				// reads zero in all 512 words.
-				for _, a := range []mem.PAddr{f + mem.PAddr(r.Intn(mem.FrameWords))*mem.WordSize, f + mem.PageSize - mem.WordSize} {
-					if err := pm.Write64(a, 0xdead); err != nil {
-						return err
-					}
-				}
-				if err := c.FreeFrame(f); err != nil {
-					return err
-				}
-				var words, zero [mem.FrameWords]uint64
-				for i := 0; i < 64; i++ {
-					g, err := c.AllocFrame()
-					if err != nil {
-						return err
-					}
-					if _, err := pm.ReadFrame(g, &words); err != nil {
-						return err
-					}
-					if words != zero {
-						return fmt.Errorf("frame %v handed out dirty", g)
-					}
-					if g == f {
-						return nil
-					}
-				}
-				return nil // reuse not observed; zeroing held everywhere we looked
 			}},
 		verifier.Obligation{Module: "mm", Name: "vspace-disjoint-random", Kind: verifier.KindInvariant,
 			Check: func(r *rand.Rand) error {

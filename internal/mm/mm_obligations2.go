@@ -11,8 +11,7 @@ import (
 
 // registerMoreObligations is the second wave of memory-management VCs:
 // buddy worst-case fragmentation recovery, order-alignment guarantees,
-// NCache ownership discipline under churn, and VSpace first-fit
-// determinism.
+// and VSpace first-fit determinism.
 func registerMoreObligations(g *verifier.Registry) {
 	g.Register(
 		verifier.Obligation{Module: "mm", Name: "buddy-fragmentation-recovery", Kind: verifier.KindSafety,
@@ -72,46 +71,6 @@ func registerMoreObligations(g *verifier.Registry) {
 					}
 					if uint64(a-start)%(uint64(mem.PageSize)<<o) != 0 {
 						return fmt.Errorf("order-%d block at %v not size-aligned from base %v", o, a, start)
-					}
-				}
-				return b.CheckInvariant()
-			}},
-		verifier.Obligation{Module: "mm", Name: "ncache-ownership-discipline", Kind: verifier.KindSafety,
-			Check: func(r *rand.Rand) error {
-				pm := mem.New(32 << 20)
-				b, err := NewBuddy(pm, 0, 1024)
-				if err != nil {
-					return err
-				}
-				c := NewNCache(pm, b, 32)
-				handed := map[mem.PAddr]bool{}
-				var live []mem.PAddr
-				for i := 0; i < 2000; i++ {
-					if r.Intn(2) == 0 {
-						f, err := c.AllocFrame()
-						if err != nil {
-							continue
-						}
-						if handed[f] {
-							return fmt.Errorf("frame %v handed out twice", f)
-						}
-						handed[f] = true
-						live = append(live, f)
-					} else if len(live) > 0 {
-						j := r.Intn(len(live))
-						if err := c.FreeFrame(live[j]); err != nil {
-							return err
-						}
-						delete(handed, live[j])
-						live = append(live[:j], live[j+1:]...)
-					}
-				}
-				if c.Outstanding() != len(live) {
-					return fmt.Errorf("outstanding %d != live %d", c.Outstanding(), len(live))
-				}
-				for _, f := range live {
-					if err := c.FreeFrame(f); err != nil {
-						return err
 					}
 				}
 				return b.CheckInvariant()

@@ -158,70 +158,6 @@ func TestQuickBuddyNoOverlap(t *testing.T) {
 	}
 }
 
-func TestNCacheBatching(t *testing.T) {
-	pm := mem.New(16 << 20)
-	b, err := NewBuddy(pm, 0, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewNCache(pm, b, 16)
-	var frames []mem.PAddr
-	for i := 0; i < 8; i++ {
-		f, err := c.AllocFrame()
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames = append(frames, f)
-	}
-	refills, _ := c.RefillSpillCounts()
-	if refills != 1 {
-		t.Fatalf("refills = %d, want 1 (batched)", refills)
-	}
-	for _, f := range frames {
-		if err := c.FreeFrame(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c.Outstanding() != 0 {
-		t.Fatalf("outstanding = %d", c.Outstanding())
-	}
-	if err := c.FreeFrame(frames[0]); err == nil {
-		t.Fatal("double free accepted")
-	}
-}
-
-func TestNCacheSpillsToBuddy(t *testing.T) {
-	pm := mem.New(16 << 20)
-	b, err := NewBuddy(pm, 0, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewNCache(pm, b, 8)
-	var frames []mem.PAddr
-	for i := 0; i < 40; i++ {
-		f, err := c.AllocFrame()
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames = append(frames, f)
-	}
-	for _, f := range frames {
-		if err := c.FreeFrame(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, spills := c.RefillSpillCounts()
-	if spills == 0 {
-		t.Fatal("no spills despite 40 frees into cap-8 cache")
-	}
-	if c.CacheLen() > 8 {
-		t.Fatalf("cache overfull: %d", c.CacheLen())
-	}
-	if err := b.CheckInvariant(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestVSpaceReserveRelease(t *testing.T) {
 	v, err := NewVSpace(0x1000_0000, 0x1100_0000)
 	if err != nil {

@@ -5,15 +5,15 @@ import (
 	"strings"
 )
 
-// The kernel-wide metric set. Instrumented layers (nr, sys, core,
-// sched, fs, pt) reference these directly; keeping the declarations
-// here means one place documents what the kernel measures, and the
-// instrumented packages add only record calls.
+// The kernel-wide metric set. Instrumented layers (nr, sys, core, fs,
+// pt) reference these directly; keeping the declarations here means one
+// place documents what the kernel measures, and the instrumented
+// packages add only record calls.
 //
 // Metrics recorded inside the replicated state machine (kernel.apply,
-// sched.*, fs.*, pt.*) count per *application*, not per syscall: NR
-// applies every logged operation once per replica, so with R replicas
-// those totals are R× the syscall counts. The dispatch-boundary metrics
+// fs.*, pt.*) count per *application*, not per syscall: NR applies
+// every logged operation once per replica, so with R replicas those
+// totals are R× the syscall counts. The dispatch-boundary metrics
 // (syscall family, nr.*) count once per call.
 var (
 	// NR flat-combining log (internal/nr).
@@ -35,12 +35,6 @@ var (
 	// crossing.
 	SyscallBatchSize    = NewHist("syscall.batch_size", UnitCount)    // ops per batch
 	SyscallBatchLatency = NewHist("syscall.batch_latency", UnitNanos) // full batch round
-
-	// Scheduler (internal/sched).
-	SchedDispatches = NewCounter("sched.dispatches") // successful PickNext
-	SchedPreempts   = NewCounter("sched.preempts")   // Yield
-	SchedBlocks     = NewCounter("sched.blocks")
-	SchedWakes      = NewCounter("sched.wakes")
 
 	// Filesystem (internal/fs).
 	FSReadLatency  = NewHist("fs.read_latency", UnitNanos)
@@ -206,9 +200,7 @@ func newFsShardGauges(prefix string) []*Gauge {
 
 // Kernel trace event kinds.
 var (
-	KindSyscall   = RegisterKind("syscall")    // A=opcode, B=pid
-	KindDispatch  = RegisterKind("dispatch")   // A=tid, B=core
-	KindPreempt   = RegisterKind("preempt")    // A=tid
+	KindSyscall   = RegisterKind("syscall")    // A=opcode, B=core
 	KindPTMap     = RegisterKind("pt.map")     // A=va, B=frame
 	KindPTUnmap   = RegisterKind("pt.unmap")   // A=va, B=frame
 	KindFSMeta    = RegisterKind("fs.meta")    // A=op hash, B=ino

@@ -3,8 +3,8 @@
 // paper's refinement argument (§4.3–4.4) promises that NR's
 // flat-combining log and the syscall state machine behave as specified;
 // obs makes that behavior visible at runtime — combiner batch sizes,
-// log-full stalls, per-opcode syscall latencies, scheduler dispatches —
-// so perf work on the hot paths is measurable instead of guessed at.
+// log-full stalls, per-opcode syscall latencies, journal commits — so
+// perf work on the hot paths is measurable instead of guessed at.
 //
 // Design constraints, in priority order:
 //

@@ -11,8 +11,8 @@ import (
 
 // Event is one kernel trace record: a monotone sequence number, a
 // wall-clock timestamp, a kind id (registered via RegisterKind) and two
-// payload words whose meaning the kind defines (opcode and PID, TID and
-// core, VA and frame, ...).
+// payload words whose meaning the kind defines (opcode and core, VA and
+// frame, ...).
 type Event struct {
 	Seq  uint64
 	TS   int64 // UnixNano

@@ -7,10 +7,13 @@ import (
 )
 
 // SimpleFrameSource is a deterministic free-list frame allocator over a
-// physical address range, used by tests, the refinement harness, and
-// the benchmarks (the production kernel uses internal/mm's buddy
-// allocator instead). Frames are zeroed on allocation, as FrameSource
-// requires. Not safe for concurrent use — each NR replica owns its own.
+// physical address range. It is what the kernel's page tables allocate
+// from: core.Boot gives every kernel replica its own SimpleFrameSource
+// over a disjoint slice of the table region (internal/mm's buddy
+// allocator serves mmap and page-cache data frames, not tables). Tests,
+// the refinement harness and the benchmarks use it too. Frames are
+// zeroed on allocation, as FrameSource requires. Not safe for
+// concurrent use — each NR replica owns its own.
 type SimpleFrameSource struct {
 	m           *mem.PhysMem
 	next, end   mem.PAddr

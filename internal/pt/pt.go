@@ -44,8 +44,8 @@ var (
 	ErrHugeConflict = errors.New("pt: operation conflicts with huge page")
 )
 
-// FrameSource provides page-table frames. The kernel passes its frame
-// allocator (internal/mm); tests pass a simple free-list source.
+// FrameSource provides page-table frames. The kernel gives each replica
+// a SimpleFrameSource over its own slice of the table region.
 type FrameSource interface {
 	// AllocFrame returns a zeroed, page-aligned frame.
 	AllocFrame() (mem.PAddr, error)

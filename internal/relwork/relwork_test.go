@@ -59,7 +59,7 @@ func TestPublishedMatchesPaper(t *testing.T) {
 
 func TestDerivedColumn(t *testing.T) {
 	r := NewRegistry()
-	r.AddComponent(Component{Table2Row: "Scheduler", Package: "internal/sched", Checked: true})
+	r.AddComponent(Component{Table2Row: "Scheduler", Package: "internal/ulib", Checked: true})
 	r.AddComponent(Component{Table2Row: "Network stack", Package: "internal/netstack", Checked: true})
 	r.AddComponent(Component{Table2Row: "Complex drivers", Package: "internal/dev", Checked: false})
 	r.SetTable1("Specification refinement", Yes)
@@ -94,7 +94,7 @@ func TestCheckedDominatesPartial(t *testing.T) {
 
 func TestRenderIncludesAllColumns(t *testing.T) {
 	r := NewRegistry()
-	r.AddComponent(Component{Table2Row: "Scheduler", Package: "internal/sched", Checked: true})
+	r.AddComponent(Component{Table2Row: "Scheduler", Package: "internal/ulib", Checked: true})
 	self := r.Derive("vnros")
 	t1 := RenderTable1(self)
 	t2 := RenderTable2(self)

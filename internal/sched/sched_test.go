@@ -1,202 +1,109 @@
 package sched
 
 import (
-	"errors"
-	"reflect"
+	"bytes"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
-
-	"github.com/verified-os/vnros/internal/nr"
-	"github.com/verified-os/vnros/internal/verifier"
 )
 
-func TestAddPickLifecycle(t *testing.T) {
-	q := NewRunQueue()
-	if err := q.Add(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Add(1, 0); !errors.Is(err, ErrExists) {
-		t.Errorf("duplicate add: %v", err)
-	}
-	tid, err := q.PickNext(2)
-	if err != nil || tid != 1 {
-		t.Fatalf("pick = %d, %v", tid, err)
-	}
-	tcb, err := q.Get(1)
-	if err != nil || tcb.State != StateRunning || tcb.Core != 2 || tcb.Runs != 1 {
-		t.Fatalf("tcb = %+v, %v", tcb, err)
-	}
-	if _, err := q.PickNext(0); !errors.Is(err, ErrNoRunnable) {
-		t.Errorf("pick from empty: %v", err)
-	}
-	if err := q.Exit(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Reap(1); err != nil {
-		t.Fatal(err)
-	}
-	if q.Len() != 0 {
-		t.Errorf("len = %d", q.Len())
-	}
+// parked counts the goroutines asleep in a sync.Cond wait. Only this
+// package's tests run here, so every such goroutine is a WaitQueue
+// waiter.
+func parked() int {
+	buf := make([]byte, 1<<16)
+	return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("[sync.Cond.Wait"))
 }
 
-func TestStateTransitionGuards(t *testing.T) {
-	q := NewRunQueue()
-	_ = q.Add(1, 0)
-	if err := q.Yield(1); !errors.Is(err, ErrBadState) {
-		t.Errorf("yield ready: %v", err)
-	}
-	if err := q.Block(1); !errors.Is(err, ErrBadState) {
-		t.Errorf("block ready: %v", err)
-	}
-	if err := q.Wake(1); !errors.Is(err, ErrBadState) {
-		t.Errorf("wake ready: %v", err)
-	}
-	if err := q.Reap(1); !errors.Is(err, ErrBadState) {
-		t.Errorf("reap ready: %v", err)
-	}
-	if _, err := q.Get(99); !errors.Is(err, ErrNoThread) {
-		t.Errorf("get missing: %v", err)
-	}
-	if err := q.Exit(99); !errors.Is(err, ErrNoThread) {
-		t.Errorf("exit missing: %v", err)
-	}
+// release frees every parked waiter by hand rather than through Wake, so
+// a broken Wake fails the test instead of hanging it.
+func release(w *WaitQueue) {
+	w.mu.Lock()
+	w.seq++
+	w.mu.Unlock()
+	w.cond.Broadcast()
 }
 
-func TestYieldRoundRobin(t *testing.T) {
-	q := NewRunQueue()
-	for tid := TID(1); tid <= 3; tid++ {
-		_ = q.Add(tid, 2)
-	}
-	var order []TID
-	for i := 0; i < 6; i++ {
-		tid, err := q.PickNext(0)
-		if err != nil {
-			t.Fatal(err)
+// waitReturns reports whether Wait(ticket) returns without parking. A
+// waiter that parks instead is released before it returns false.
+func waitReturns(w *WaitQueue, ticket uint64) bool {
+	done := make(chan struct{})
+	go func() {
+		w.Wait(ticket)
+		close(done)
+	}()
+	for {
+		select {
+		case <-done:
+			return true
+		default:
 		}
-		order = append(order, tid)
-		if err := q.Yield(tid); err != nil {
-			t.Fatal(err)
+		if parked() > 0 {
+			release(w)
+			<-done
+			return false
 		}
-	}
-	want := []TID{1, 2, 3, 1, 2, 3}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v", order)
-		}
+		runtime.Gosched()
 	}
 }
 
-func TestPriorityPreemptsOrder(t *testing.T) {
-	q := NewRunQueue()
-	_ = q.Add(10, 3)
-	_ = q.Add(20, 1)
-	tid, _ := q.PickNext(0)
-	if tid != 20 {
-		t.Fatalf("picked %d", tid)
-	}
-	// A new high-priority arrival is dispatched before the low one.
-	_ = q.Add(30, 0)
-	tid, _ = q.PickNext(1)
-	if tid != 30 {
-		t.Fatalf("picked %d, want 30", tid)
-	}
-}
-
-func TestSetPriority(t *testing.T) {
-	q := NewRunQueue()
-	_ = q.Add(1, 3)
-	_ = q.Add(2, 3)
-	if err := q.SetPriority(2, 0); err != nil {
-		t.Fatal(err)
-	}
-	tid, _ := q.PickNext(0)
-	if tid != 2 {
-		t.Fatalf("boosted thread not dispatched first: %d", tid)
-	}
-	if err := q.CheckInvariant(); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.SetPriority(1, NumPriorities); !errors.Is(err, ErrBadState) {
-		t.Errorf("bad priority: %v", err)
-	}
-}
-
-func TestBlockWake(t *testing.T) {
-	q := NewRunQueue()
-	_ = q.Add(1, 0)
-	_ = q.Add(2, 0)
-	tid, _ := q.PickNext(0)
-	if err := q.Block(tid); err != nil {
-		t.Fatal(err)
-	}
-	// Only thread 2 is dispatchable now.
-	tid2, _ := q.PickNext(0)
-	if tid2 != 2 {
-		t.Fatalf("picked %d", tid2)
-	}
-	if err := q.Wake(1); err != nil {
-		t.Fatal(err)
-	}
-	tid3, err := q.PickNext(1)
-	if err != nil || tid3 != 1 {
-		t.Fatalf("woken pick = %d, %v", tid3, err)
-	}
-	if err := q.CheckInvariant(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEachVisitsWhatSnapshotHolds(t *testing.T) {
-	q := NewRunQueue()
-	for tid := TID(1); tid <= 5; tid++ {
-		_ = q.Add(tid, Priority(tid%NumPriorities))
-	}
-	tid, _ := q.PickNext(0)
-	_ = q.Block(tid)
-	want := q.Snapshot()
-	got := map[TID]TCB{}
-	q.Each(func(tid TID, tcb TCB) bool {
-		got[tid] = tcb
-		return true
-	})
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Each visited %v, Snapshot holds %v", got, want)
-	}
-	visits := 0
-	q.Each(func(TID, TCB) bool {
-		visits++
-		return false
-	})
-	if visits != 1 {
-		t.Fatalf("Each made %d visits after a false return, want 1", visits)
-	}
-}
-
-func TestNRQueueAdapters(t *testing.T) {
-	rep := nr.New(nr.Options{Replicas: 2}, func() nr.DataStructure[SchedRead, SchedWrite, SchedResp] {
-		return &NRQueue{Q: NewRunQueue()}
-	})
-	c := rep.MustRegister(0)
-	if resp := c.Execute(SchedWrite{Kind: "add", TID: 7, Pri: 1}); resp.Err != "" {
-		t.Fatal(resp.Err)
-	}
-	if resp := c.ExecuteRead(SchedRead{Kind: "ready-count"}); resp.Count != 1 {
-		t.Fatalf("ready-count = %d", resp.Count)
-	}
-	c2 := rep.MustRegister(1)
-	if resp := c2.Execute(SchedWrite{Kind: "pick", Core: 3}); resp.TID != 7 {
-		t.Fatalf("pick via replica 1 = %+v", resp)
-	}
-	if resp := c.ExecuteRead(SchedRead{Kind: "get", TID: 7}); resp.TCB.State != StateRunning {
-		t.Fatalf("get = %+v", resp)
-	}
-}
-
-func TestObligationsAllPass(t *testing.T) {
-	g := &verifier.Registry{}
-	RegisterObligations(g)
-	rep := g.Run(verifier.Options{Seed: 23})
-	for _, f := range rep.Failed() {
-		t.Errorf("VC %s failed: %v", f.Obligation.ID(), f.Err)
+func TestWaitQueue(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, w *WaitQueue)
+	}{
+		{"wake between prepare and wait returns at once", func(t *testing.T, w *WaitQueue) {
+			ticket := w.Prepare()
+			// The waker fires while the waiter re-checks its condition.
+			woke := make(chan struct{})
+			go func() {
+				w.Wake()
+				close(woke)
+			}()
+			<-woke
+			if !waitReturns(w, ticket) {
+				t.Fatal("Wait parked through a Wake that followed its Prepare")
+			}
+		}},
+		{"wake with no waiter is remembered by the ticket holder", func(t *testing.T, w *WaitQueue) {
+			ticket := w.Prepare()
+			w.Wake()
+			w.Wake()
+			if !waitReturns(w, ticket) {
+				t.Fatal("Wait parked through a Wake that had no waiter")
+			}
+			// The bell was remembered by the sequence, not banked: a
+			// ticket taken after it parks until the next Wake.
+			if waitReturns(w, w.Prepare()) {
+				t.Fatal("a ticket taken after the Wake returned without one")
+			}
+		}},
+		{"one wake releases every parked waiter", func(t *testing.T, w *WaitQueue) {
+			const waiters = 4
+			var wg sync.WaitGroup
+			var returned atomic.Int32
+			for range waiters {
+				ticket := w.Prepare()
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					w.Wait(ticket)
+					returned.Add(1)
+				}()
+			}
+			for parked() < waiters {
+				if returned.Load() > 0 {
+					release(w)
+					wg.Wait()
+					t.Fatal("a waiter returned before any Wake")
+				}
+				runtime.Gosched()
+			}
+			w.Wake()
+			wg.Wait() // a Wake that releases one waiter hangs here
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { tc.run(t, NewWaitQueue()) })
 	}
 }

@@ -1,3 +1,6 @@
+// Package sched holds WaitQueue, the doorbell a blocking socket receive
+// parks on until its device's interrupt handler rings it. Threads are
+// scheduled in user space, by internal/ulib's UScheduler.
 package sched
 
 import "sync"
