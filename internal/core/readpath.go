@@ -129,8 +129,8 @@ func (h *handler) preadReply(op sys.ReadOp) sys.Resp {
 // result lands in the caller's buffer instead of a reply payload. The
 // two copying reads have a destination: a pread fills it in its
 // replica-local read, a read rides the log with it and only the issuer
-// replica's apply fills it (handler.logged). Both get the same kstat
-// probe as Syscall.
+// replica's apply fills it (handler.logged). Both get the kstat probe
+// (observe).
 func (h *handler) SyscallInto(frame marshal.SyscallFrame, payload []byte, dst []byte) marshal.RetFrame {
 	t0 := obs.Start()
 	ret := marshal.RetFrame{Errno: uint64(sys.EINVAL)}
@@ -148,8 +148,7 @@ func (h *handler) SyscallInto(frame marshal.SyscallFrame, payload []byte, dst []
 		}
 		ret = marshal.RetFrame{Value: r.Val, Errno: uint64(r.Errno)}
 	}
-	obs.Syscalls.Observe(frame.Num, uint32(h.core), t0)
-	obs.KernelTrace.Emit(obs.KindSyscall, frame.Num, uint64(h.core))
+	h.observe(frame.Num, t0)
 	return ret
 }
 

@@ -6,17 +6,18 @@ import (
 	"testing"
 
 	"github.com/verified-os/vnros/internal/fs"
+	"github.com/verified-os/vnros/internal/nr"
 	"github.com/verified-os/vnros/internal/obs"
 	"github.com/verified-os/vnros/internal/sys"
 )
 
-// seekWriteBudget is what a warm checked seek+write allocates: the
-// write's request, which lends its bytes to the log (the seek's is the
-// handle's request buffer; TestPerCallAllocationBudget). A view that is
-// never given back stops its file's reuse for good, and every later
-// checked write then clones its pre-image into a fresh page: a second
-// object.
-const seekWriteBudget = 1
+// seekWriteBudget is what a warm checked seek+write allocates: nothing.
+// Both requests are the handle's request buffer, and the write's bytes
+// are lent to the log (TestPerCallAllocationBudget; the write's own
+// request was the one object until it was). A view that is never given
+// back stops its file's reuse for good, and every later checked write
+// then clones its pre-image into a fresh page: an object per write.
+const seekWriteBudget = 0
 
 // seekWriter returns a checked seek+write of 512 B at 1 KiB through s,
 // failing t on an errno.
@@ -53,6 +54,10 @@ func openWritten(t *testing.T, h *sys.Sys, path string) fs.FD {
 // seek+write what one handle on a one-replica kernel does: both replicas
 // reuse the pages their writes retire. (A replica that took a witness
 // nobody reads and kept its views would clone a fresh page per write.)
+// Warm means a lap of every log past boot: on two replicas the log
+// copies a write's bytes into its slot's store, allocated at the first
+// entry the slot carries that lends anything and reused on every later
+// lap.
 func TestReplicasGiveViewsBack(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		s, err := Boot(Config{Cores: 28, Shards: shards})
@@ -81,7 +86,7 @@ func TestReplicasGiveViewsBack(t *testing.T) {
 			turns[next]()
 			next ^= 1
 		}
-		for range 8 {
+		for range nr.DefaultLogSize {
 			turn()
 		}
 		if objs := testing.AllocsPerRun(200, turn); objs > seekWriteBudget {

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"time"
 
 	"github.com/verified-os/vnros/internal/dev"
 	"github.com/verified-os/vnros/internal/fs"
@@ -501,18 +502,19 @@ func (s *System) replicaOf(core int) int {
 func (s *System) NumReplicas() int { return s.cfg.Replicas }
 
 // allocDataFrames grabs n zeroed user-data frames from the shared pool
-// for a user's mmap. n comes from the user: a count the pool cannot hold
-// is refused before anything is sized by it. (The page cache takes its
-// frames from the same pool unzeroed, through cacheFrames.) The vector
-// is an allocation of its own, of exactly n: the logged mmap's entry
-// points at it until every replica has applied it, like a write's Data.
-func (s *System) allocDataFrames(n uint64) ([]mem.PAddr, error) {
+// for a user's mmap, appended to out's storage, which it reuses: the
+// handler's frame vector, lent to the logged mmap's entry like a
+// request's bytes (sys.WriteOp.Lent). n comes from the user: a count the
+// pool cannot hold is refused before anything is sized by it. (The page
+// cache takes its frames from the same pool unzeroed, through
+// cacheFrames.)
+func (s *System) allocDataFrames(n uint64, out []mem.PAddr) ([]mem.PAddr, error) {
 	s.dataMu.Lock()
 	defer s.dataMu.Unlock()
 	if st := s.dataAlloc.Stats(); n > st.TotalFrames-st.AllocatedFrames {
 		return nil, fmt.Errorf("%w: %d data frames requested", mm.ErrNoMemory, n)
 	}
-	out := make([]mem.PAddr, 0, n)
+	out = slices.Grow(out[:0], int(n))
 	for i := uint64(0); i < n; i++ {
 		f, err := s.dataAlloc.AllocOrder(0)
 		if err != nil {
@@ -569,6 +571,11 @@ type handler struct {
 	op    sys.WriteOp
 	runOp sys.WriteOp
 	ans   sys.Resp
+	// frames is the vector an mmap's data frames are attached to the op
+	// in (allocDataFrames; under ctxMu), reused by the next mmap: the log
+	// copies what the entry lends of it where a replica may apply it
+	// later, and it is dropped past nr.SlotBytes like a batch's buffers.
+	frames []mem.PAddr
 
 	// readOp and readAns are the op and answer slot of the pread
 	// family's replica-local reads (the descriptor resolve, then a
@@ -635,14 +642,20 @@ func (h *handler) keepWitness(w sys.Witness) {
 func (h *handler) Core() int { return h.core }
 
 // Syscall implements sys.Handler: the kernel side of the boundary. It
-// wraps the dispatch in the kstat probe — one count + latency sample
-// per syscall, indexed by opcode and striped by core.
+// wraps the dispatch in the kstat probe (observe).
 func (h *handler) Syscall(frame marshal.SyscallFrame, payload []byte) (marshal.RetFrame, []byte) {
 	t0 := obs.Start()
 	ret, out := h.syscall(frame, payload)
-	obs.Syscalls.Observe(frame.Num, uint32(h.core), t0)
-	obs.KernelTrace.Emit(obs.KindSyscall, frame.Num, uint64(h.core))
+	h.observe(frame.Num, t0)
 	return ret, out
+}
+
+// observe is the kstat probe every crossing gets, whichever way it
+// crossed: one count and latency sample per syscall, indexed by opcode
+// and striped by core, and a trace event.
+func (h *handler) observe(num uint64, t0 time.Time) {
+	obs.Syscalls.Observe(num, uint32(h.core), t0)
+	obs.KernelTrace.Emit(obs.KindSyscall, num, uint64(h.core))
 }
 
 // syscall is the uninstrumented dispatch body. It only picks the path;
@@ -656,7 +669,7 @@ func (h *handler) syscall(frame marshal.SyscallFrame, payload []byte) (marshal.R
 	case frame.Num == sys.NumBatch:
 		return h.batch(frame, payload)
 	case sys.IsReadOp(frame.Num):
-		return h.readSyscall(frame, payload)
+		return h.readSyscall(frame, payload, nil)
 	case sys.IsSockOp(frame.Num), sys.IsLocalOp(frame.Num),
 		frame.Num == sys.NumPreadMap, frame.Num == sys.NumPreadUnmap:
 		return h.coreSyscall(frame, payload)
@@ -671,8 +684,10 @@ func errnoReply(e sys.Errno) (marshal.RetFrame, []byte) {
 }
 
 // readSyscall serves a read-only syscall: replica-local reads, never the
-// log.
-func (h *handler) readSyscall(frame marshal.SyscallFrame, payload []byte) (marshal.RetFrame, []byte) {
+// log. The reply is encoded into reply's storage (sys.AppendResp): the
+// handle's reply buffer when the call crossed through SyscallReply, else
+// nil, and the reply is an allocation of its own.
+func (h *handler) readSyscall(frame marshal.SyscallFrame, payload, reply []byte) (marshal.RetFrame, []byte) {
 	op, err := sys.DecodeRead(frame, payload)
 	if err != nil {
 		return errnoReply(sys.EINVAL)
@@ -683,10 +698,23 @@ func (h *handler) readSyscall(frame marshal.SyscallFrame, payload []byte) (marsh
 		if op.Witness {
 			h.keepWitness(r.Witness)
 		}
-		return sys.EncodeRespFrom(&r)
+		return sys.AppendResp(reply, &r)
 	}
 	r := h.shardReadDispatch(op)
-	return sys.EncodeRespFrom(&r)
+	return sys.AppendResp(reply, &r)
+}
+
+// SyscallReply implements sys.ReplyHandler: a read-only syscall whose
+// reply lands in the buffer the handle lends. Any other crossing is
+// Syscall's, with a reply of its own.
+func (h *handler) SyscallReply(frame marshal.SyscallFrame, payload, reply []byte) (marshal.RetFrame, []byte) {
+	if !sys.IsReadOp(frame.Num) {
+		return h.Syscall(frame, payload)
+	}
+	t0 := obs.Start()
+	ret, out := h.readSyscall(frame, payload, reply)
+	h.observe(frame.Num, t0)
+	return ret, out
 }
 
 // coreSyscall serves the syscalls core sequences itself around (or
@@ -712,7 +740,7 @@ func (h *handler) coreSyscall(frame marshal.SyscallFrame, payload []byte) (marsh
 	default:
 		r = h.preadUnmap(op)
 	}
-	return sys.EncodeRespFrom(&r)
+	return sys.AppendResp(nil, &r)
 }
 
 // logged serves a logged per-call syscall: the one logged-write path,
@@ -744,12 +772,12 @@ func (h *handler) logged(frame marshal.SyscallFrame, payload []byte, dst []byte,
 			h.ctxMu.Unlock()
 			return errnoReply(sys.EINVAL)
 		}
-		frames, err := s.allocDataFrames(op.Size / mmu.L1PageSize)
+		frames, err := s.allocDataFrames(op.Size/mmu.L1PageSize, h.frames)
 		if err != nil {
 			h.ctxMu.Unlock()
 			return errnoReply(sys.ENOMEM)
 		}
-		op.Frames = frames
+		op.Frames, h.frames = frames, frames
 	}
 	r := h.shardWrite(op)
 	if op.Witness {
@@ -764,23 +792,28 @@ func (h *handler) logged(frame marshal.SyscallFrame, payload []byte, dst []byte,
 		// is lapped; no replica writes through it after this apply.)
 		op.Data, r.Data = nil, nil
 	} else {
-		ret, out = sys.EncodeRespFrom(r)
+		ret, out = sys.AppendResp(nil, r)
 	}
 	// munmap/exit return the data frames they released; give them back
 	// to the shared pool exactly once (here, on the calling path), while
 	// the slot is still this call's: the next call on it reuses the
 	// vector. Cache-owned frames behind pread mappings come back
 	// separately in Unpinned and return to their cache, never the pool.
+	// A failed mmap's frames go back while the frame vector is still this
+	// call's too.
 	if r.Errno == sys.EOK && len(r.Freed) > 0 {
 		s.freeDataFrames(r.Freed)
 	}
-	num, pid, target, sig, frames := op.Num, op.PID, op.Target, op.Sig, op.Frames
+	num, pid, target, sig := op.Num, op.PID, op.Target, op.Sig
 	errno, unpinned := r.Errno, r.Unpinned
+	if num == sys.NumMMap {
+		if errno != sys.EOK {
+			s.freeDataFrames(op.Frames)
+		}
+		h.frames = sys.Recycle(h.frames)
+	}
 	h.ctxMu.Unlock()
 	if errno != sys.EOK {
-		if num == sys.NumMMap {
-			s.freeDataFrames(frames)
-		}
 		return ret, out
 	}
 	if len(unpinned) > 0 {

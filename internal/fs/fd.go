@@ -38,9 +38,14 @@ type OpenFile struct {
 }
 
 // FDTable maps descriptors to open files. Like FS it is sequential.
+// The records Close releases are kept on a free list that Open and
+// Attach take from, so a warm open+close allocates nothing inside the
+// NR apply: nothing holds an *OpenFile past the apply that resolved it
+// (a witness and the sharded kernel's lock step take copies).
 type FDTable struct {
 	fs   *FS
 	open map[FD]*OpenFile
+	free []*OpenFile
 	next FD
 }
 
@@ -76,10 +81,23 @@ func (t *FDTable) Open(path string, flags int) (FD, error) {
 			return 0, err
 		}
 	}
+	return t.install(ino, flags), nil
+}
+
+// install gives ino a new descriptor opened with flags, in a record the
+// free list holds when it has one.
+func (t *FDTable) install(ino Ino, flags int) FD {
+	var of *OpenFile
+	if n := len(t.free); n > 0 {
+		of, t.free = t.free[n-1], t.free[:n-1]
+	} else {
+		of = new(OpenFile)
+	}
+	*of = OpenFile{Ino: ino, Flags: flags}
 	fd := t.next
 	t.next++
-	t.open[fd] = &OpenFile{Ino: ino, Flags: flags}
-	return fd, nil
+	t.open[fd] = of
+	return fd
 }
 
 // Get returns the open file for fd.
@@ -236,12 +254,14 @@ func (f *FS) SeekCursor(ino Ino, cur uint64, off int64, whence int) (uint64, err
 	return uint64(n), nil
 }
 
-// Close releases the descriptor.
+// Close releases the descriptor, and its record to the free list.
 func (t *FDTable) Close(fd FD) error {
-	if _, ok := t.open[fd]; !ok {
+	of, ok := t.open[fd]
+	if !ok {
 		return fmt.Errorf("%w: %d", ErrBadFD, fd)
 	}
 	delete(t.open, fd)
+	t.free = append(t.free, of)
 	return nil
 }
 

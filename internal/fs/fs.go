@@ -54,7 +54,11 @@ var (
 // MaxNameLen bounds a single path component.
 const MaxNameLen = 255
 
-// Inode is one filesystem object.
+// Inode is one filesystem object. A directory entry's name is cloned
+// where it is stored (Create, Mkdir, Link, Rename): a path the FS is
+// handed may alias a syscall request the caller reuses once the call has
+// returned (sys.Handler), and a map key over reused bytes would change
+// under the map.
 type Inode struct {
 	Ino      Ino
 	Kind     Kind
@@ -209,7 +213,7 @@ func (f *FS) Create(path string) (Ino, error) {
 	ino := f.next
 	f.next++
 	f.inodes[ino] = &Inode{Ino: ino, Kind: KindFile, Nlink: 1}
-	parent.Children[name] = ino
+	parent.Children[strings.Clone(name)] = ino
 	f.metaOp(ino)
 	f.record(Mutation{Kind: MutCreate, Path: path})
 	return ino, nil
@@ -233,7 +237,7 @@ func (f *FS) Mkdir(path string) (Ino, error) {
 	ino := f.next
 	f.next++
 	f.inodes[ino] = &Inode{Ino: ino, Kind: KindDir, Children: make(map[string]Ino), Nlink: 1}
-	parent.Children[name] = ino
+	parent.Children[strings.Clone(name)] = ino
 	f.metaOp(ino)
 	f.record(Mutation{Kind: MutMkdir, Path: path})
 	return ino, nil
@@ -316,7 +320,7 @@ func (f *FS) Link(oldpath, newpath string) error {
 	if _, ok := parent.Children[name]; ok {
 		return fmt.Errorf("%w: %q", ErrExist, newpath)
 	}
-	parent.Children[name] = ino
+	parent.Children[strings.Clone(name)] = ino
 	n.Nlink++
 	f.metaOp(ino)
 	f.record(Mutation{Kind: MutLink, Path: oldpath, Path2: newpath})
@@ -373,7 +377,7 @@ func (f *FS) Rename(oldpath, newpath string) error {
 			}
 		}
 	}
-	np.Children[nname] = ino
+	np.Children[strings.Clone(nname)] = ino
 	delete(op.Children, oname)
 	f.metaOp(ino)
 	f.record(Mutation{Kind: MutRename, Path: oldpath, Path2: newpath})

@@ -10,12 +10,7 @@ package fs
 // consulting the table's own filesystem — the second step of the
 // cross-shard open protocol, after the namespace shard has resolved or
 // created the inode. It mirrors Open's descriptor installation exactly.
-func (t *FDTable) Attach(ino Ino, flags int) FD {
-	fd := t.next
-	t.next++
-	t.open[fd] = &OpenFile{Ino: ino, Flags: flags}
-	return fd
-}
+func (t *FDTable) Attach(ino Ino, flags int) FD { return t.install(ino, flags) }
 
 // Contents returns a file's data as an immutable zero-copy snapshot
 // (see PageFile.View), or ok=false if the inode does not exist.

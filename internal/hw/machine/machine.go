@@ -71,7 +71,7 @@ func New(cfg Config) *Machine {
 		m.Cores = append(m.Cores, &Core{ID: i, MMU: mmu.New(m.Mem)})
 	}
 	m.Timer = &Timer{ic: m.IC}
-	m.Serial = &Serial{ic: m.IC}
+	m.Serial = &Serial{}
 	m.Disk = NewDisk(m.Mem, m.IC, cfg.DiskBlocks)
 	m.NIC = NewNIC(m.Mem, m.IC, cfg.NICAddr)
 	return m
@@ -233,13 +233,11 @@ func (t *Timer) Ticks() uint64 {
 	return t.ticks
 }
 
-// Serial is the console UART: an output log plus an input queue that
-// raises IRQSerial on arrival.
+// Serial is the console UART's output side: a log of what was written.
+// It has no input side — no driver reads the console.
 type Serial struct {
 	mu  sync.Mutex
-	ic  *InterruptController
 	out []byte
-	in  []byte
 }
 
 // TX writes one byte to the console.
@@ -254,26 +252,6 @@ func (s *Serial) Output() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return string(s.out)
-}
-
-// InjectInput simulates typed input, raising the serial interrupt.
-func (s *Serial) InjectInput(p []byte) {
-	s.mu.Lock()
-	s.in = append(s.in, p...)
-	s.mu.Unlock()
-	s.ic.Raise(IRQSerial)
-}
-
-// RX reads one input byte; ok is false when the queue is empty.
-func (s *Serial) RX() (byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.in) == 0 {
-		return 0, false
-	}
-	b := s.in[0]
-	s.in = s.in[1:]
-	return b, true
 }
 
 // DiskBlockSize is the device's sector size.

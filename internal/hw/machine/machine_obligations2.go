@@ -7,34 +7,10 @@ import (
 	"github.com/verified-os/vnros/internal/verifier"
 )
 
-// registerMoreObligations is the third platform wave: serial FIFO
-// ordering, IRQ masking windows, per-core IPI targeting, and disk
-// completion-queue ordering.
+// registerMoreObligations is the third platform wave: IRQ masking
+// windows, per-core IPI targeting, and disk completion-queue ordering.
 func registerMoreObligations(g *verifier.Registry) {
 	g.Register(
-		verifier.Obligation{Module: "hw/machine", Name: "serial-fifo-order", Kind: verifier.KindSafety,
-			Check: func(r *rand.Rand) error {
-				m := New(Config{})
-				var want []byte
-				for i := 0; i < 500; i++ {
-					b := byte(r.Intn(256))
-					if b == 0 {
-						b = 1
-					}
-					m.Serial.InjectInput([]byte{b})
-					want = append(want, b)
-				}
-				for i, w := range want {
-					got, ok := m.Serial.RX()
-					if !ok || got != w {
-						return fmt.Errorf("byte %d = %#x/%t, want %#x (FIFO broken)", i, got, ok, w)
-					}
-				}
-				if _, ok := m.Serial.RX(); ok {
-					return fmt.Errorf("phantom input byte")
-				}
-				return nil
-			}},
 		verifier.Obligation{Module: "hw/machine", Name: "irq-mask-window", Kind: verifier.KindSafety,
 			Check: func(r *rand.Rand) error {
 				ic := NewInterruptController(1)

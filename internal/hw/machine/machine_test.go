@@ -88,21 +88,6 @@ func TestSerialEcho(t *testing.T) {
 	if m.Serial.Output() != "boot: ok\n" {
 		t.Fatalf("output = %q", m.Serial.Output())
 	}
-	m.Serial.InjectInput([]byte("hi"))
-	if got := m.IC.Pending(0); got != IRQSerial {
-		t.Fatalf("no serial IRQ: %d", got)
-	}
-	b, ok := m.Serial.RX()
-	if !ok || b != 'h' {
-		t.Fatalf("rx = %c %t", b, ok)
-	}
-	b, _ = m.Serial.RX()
-	if b != 'i' {
-		t.Fatalf("rx2 = %c", b)
-	}
-	if _, ok := m.Serial.RX(); ok {
-		t.Fatal("phantom input")
-	}
 }
 
 func TestDiskDMARoundTrip(t *testing.T) {

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 )
 
 // Errors.
@@ -228,10 +229,10 @@ func (d *Decoder) BytesField() []byte {
 }
 
 // BytesFieldRef reads a length-prefixed byte string without copying:
-// the result aliases the decoder's buffer. Safe only when the buffer is
-// a per-crossing payload that is never mutated after encoding — the
-// syscall codec's Data fields qualify, since every crossing encodes
-// into a fresh buffer.
+// the result aliases the decoder's buffer, so it is valid only as long as
+// the buffer is left as it is. The syscall codec reads a request's bytes
+// this way: a request is lent to the kernel for its call, and whatever
+// the kernel keeps past the call it copies (see internal/sys).
 func (d *Decoder) BytesFieldRef() []byte {
 	n := d.U32()
 	if d.err != nil {
@@ -249,5 +250,15 @@ func (d *Decoder) BytesFieldRef() []byte {
 }
 
 // String reads a length-prefixed string. The conversion is the one copy:
-// the string never aliases the payload.
+// the string never aliases the payload, so a decoder whose buffer is
+// reused (a journal's chunk, a reply) may keep it.
 func (d *Decoder) String() string { return string(d.BytesFieldRef()) }
+
+// StringRef is String by reference, as BytesFieldRef is BytesField: the
+// string aliases the decoder's buffer, and is valid only as long as the
+// buffer is left as it is — a string keeps nothing stable by itself, so
+// a holder that outlives the buffer must clone it (strings.Clone).
+func (d *Decoder) StringRef() string {
+	p := d.BytesFieldRef()
+	return unsafe.String(unsafe.SliceData(p), len(p))
+}

@@ -141,3 +141,21 @@ func TestObligationsAllPass(t *testing.T) {
 		t.Errorf("VC %s failed: %v", f.Obligation.ID(), f.Err)
 	}
 }
+
+// TestStringRefAliasesTheBuffer: StringRef reads what String reads, but
+// over the decoder's buffer — a write to the buffer shows in it — while
+// String's copy stays as decoded; an empty string reads as "".
+func TestStringRefAliasesTheBuffer(t *testing.T) {
+	buf := NewEncoder(nil).String("name").String("name").String("").Bytes()
+	d := NewDecoder(buf)
+	ref, cp, empty := d.StringRef(), d.String(), d.StringRef()
+	if err := d.Finish(); err != nil || ref != "name" || cp != "name" || empty != "" {
+		t.Fatalf("decoded %q, %q, %q, %v", ref, cp, empty, err)
+	}
+	for i := range buf {
+		buf[i] = 'x'
+	}
+	if ref != "xxxx" || cp != "name" {
+		t.Errorf("after the buffer changed: StringRef reads %q (want the buffer's xxxx), String %q (want its copy)", ref, cp)
+	}
+}

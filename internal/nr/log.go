@@ -70,22 +70,24 @@ const SlotBytes = 16 << 10
 // be the issuer's own.
 type Owner[Wr any] interface {
 	// Lent is how much lent memory the entry references: the length of
-	// a vector of entries, and bytes; zero for both when it references
-	// none, and then Own is not called.
-	Lent() (entries, bytes int)
-	// Own copies the lent memory into st (SlotStore.Vector,
-	// SlotStore.Bytes) and points the entry at the copies. st has room
-	// for exactly what Lent reported.
+	// a vector of entries, words (8-byte scalars, Words) and bytes
+	// (Bytes, String); zero for all three when it references none, and
+	// then Own is not called.
+	Lent() (entries, words, bytes int)
+	// Own copies the lent memory into st (SlotStore.Vector, Words,
+	// SlotStore.Bytes, SlotStore.String) and points the entry at the
+	// copies. st has room for exactly what Lent reported.
 	Own(st *SlotStore[Wr])
 }
 
 // SlotStore is the storage a log slot owns for what its entry lends
-// (Owner): a vector of entries and bytes. It is allocated at the slot's
-// first entry that lends anything — nothing at boot — and reused, grown
-// where an entry needs more, every time the slot is.
+// (Owner): a vector of entries, words and bytes. It is allocated at the
+// slot's first entry that lends anything — nothing at boot — and reused,
+// grown where an entry needs more, every time the slot is.
 type SlotStore[Wr any] struct {
-	vec []Wr
-	buf []byte
+	vec   []Wr
+	words []uint64
+	buf   []byte
 }
 
 // Vector copies v into the store and returns the copy, by a pointer the
@@ -105,30 +107,59 @@ func (st *SlotStore[Wr]) Bytes(b []byte) []byte {
 	return st.buf[n:len(st.buf):len(st.buf)]
 }
 
+// String copies s into the store's bytes and returns the copy, a string
+// over them; "" stays "".
+func (st *SlotStore[Wr]) String(s string) string {
+	if s == "" {
+		return ""
+	}
+	n := len(st.buf)
+	st.buf = append(st.buf, s...)
+	return unsafe.String(&st.buf[n], len(s))
+}
+
+// Words copies v, a vector of 8-byte scalars, into st's words and returns
+// the copy; an empty vector comes back nil. (A function, not a method:
+// Go methods take no type parameters.)
+func Words[Wr any, T ~uint64](st *SlotStore[Wr], v []T) []T {
+	if len(v) == 0 {
+		return nil
+	}
+	n := len(st.words)
+	for _, w := range v {
+		st.words = append(st.words, uint64(w))
+	}
+	return unsafe.Slice((*T)(unsafe.Pointer(&st.words[n])), len(v))
+}
+
 // reserve empties the store for an entry that lends the given vector
-// length and bytes. A store too small for it grows to the larger of what
-// it had and what the entry needs, or to exactly the entry's needs where
-// that larger store would pass SlotBytes.
-func (st *SlotStore[Wr]) reserve(entries, bytes int) {
-	if cap(st.vec) < entries || cap(st.buf) < bytes {
-		v, b := max(cap(st.vec), entries), max(cap(st.buf), bytes)
-		if slotSize[Wr](v, b) > SlotBytes {
-			v, b = entries, bytes
+// length, words and bytes. A store too small for it grows to the larger
+// of what it had and what the entry needs, or to exactly the entry's
+// needs where that larger store would pass SlotBytes.
+func (st *SlotStore[Wr]) reserve(entries, words, bytes int) {
+	if cap(st.vec) < entries || cap(st.words) < words || cap(st.buf) < bytes {
+		v, w, b := max(cap(st.vec), entries), max(cap(st.words), words), max(cap(st.buf), bytes)
+		if slotSize[Wr](v, w, b) > SlotBytes {
+			v, w, b = entries, words, bytes
 		}
 		if cap(st.vec) != v {
 			st.vec = make([]Wr, 0, v)
+		}
+		if cap(st.words) != w {
+			st.words = make([]uint64, 0, w)
 		}
 		if cap(st.buf) != b {
 			st.buf = make([]byte, 0, b)
 		}
 	}
-	st.vec, st.buf = st.vec[:0], st.buf[:0]
+	st.vec, st.words, st.buf = st.vec[:0], st.words[:0], st.buf[:0]
 }
 
-// slotSize is the size of a store for a vector of entries and bytes.
-func slotSize[Wr any](entries, bytes int) int {
+// slotSize is the size of a store for a vector of entries, words and
+// bytes.
+func slotSize[Wr any](entries, words, bytes int) int {
 	var zero Wr
-	return entries*int(unsafe.Sizeof(zero)) + bytes
+	return entries*int(unsafe.Sizeof(zero)) + words*8 + bytes
 }
 
 // entry is one slot of the shared log ring.
@@ -286,8 +317,8 @@ func (l *log[Wr]) publish(idx uint64, op *Wr, replica, ctx uint32, selfHelp func
 	s.op = *op
 	if l.lends {
 		o := any(&s.op).(Owner[Wr])
-		if n, b := o.Lent(); n > 0 || b > 0 {
-			o.Own(l.store(idx, n, b))
+		if n, w, b := o.Lent(); n > 0 || w > 0 || b > 0 {
+			o.Own(l.store(idx, n, w, b))
 		}
 	}
 	s.replica = replica
@@ -296,13 +327,13 @@ func (l *log[Wr]) publish(idx uint64, op *Wr, replica, ctx uint32, selfHelp func
 }
 
 // store returns slot idx's store, reserved for an entry that lends the
-// given vector length and bytes — or, past SlotBytes, a store of the
-// entry's own. The caller is publishing into the slot, so every replica
-// has applied the entry that used the store before.
-func (l *log[Wr]) store(idx uint64, entries, bytes int) *SlotStore[Wr] {
-	if slotSize[Wr](entries, bytes) > SlotBytes {
+// given vector length, words and bytes — or, past SlotBytes, a store of
+// the entry's own. The caller is publishing into the slot, so every
+// replica has applied the entry that used the store before.
+func (l *log[Wr]) store(idx uint64, entries, words, bytes int) *SlotStore[Wr] {
+	if slotSize[Wr](entries, words, bytes) > SlotBytes {
 		st := new(SlotStore[Wr])
-		st.reserve(entries, bytes)
+		st.reserve(entries, words, bytes)
 		return st
 	}
 	stores := l.stores.Load()
@@ -316,7 +347,7 @@ func (l *log[Wr]) store(idx uint64, entries, bytes int) *SlotStore[Wr] {
 		st = new(SlotStore[Wr])
 		(*stores)[idx&l.mask] = st
 	}
-	st.reserve(entries, bytes)
+	st.reserve(entries, words, bytes)
 	return st
 }
 

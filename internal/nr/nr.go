@@ -343,10 +343,13 @@ func (c *ThreadContext[Rd, Wr, Resp]) awaitDone() {
 			obs.NRExecuteRetries.Add(c.r.id, 1)
 			continue
 		}
-		// Another thread is combining on our behalf; wait for it.
+		// Another thread is combining on our behalf; wait for it. Each
+		// yield is counted: a pass that stalls (a GC assist inside an
+		// apply, say) shows as every waiter's spins.
 		if c.st.Load() == slotDone {
 			return
 		}
+		obs.NRAwaitSpins.Add(c.r.id, 1)
 		runtime.Gosched()
 	}
 }

@@ -6,8 +6,10 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/verified-os/vnros/internal/lin"
+	"github.com/verified-os/vnros/internal/obs"
 )
 
 // seqLog is a sequential structure that records what it applies, in
@@ -182,4 +184,53 @@ func TestLogDoesNotPinPayloads(t *testing.T) {
 			10*ring, ring, grown, bound)
 	}
 	runtime.KeepAlive(n)
+}
+
+// heldLog is a structure whose apply of op 1 blocks until release is
+// closed: the thread whose pass applies it holds the replica's combiner
+// for as long as the test wants.
+type heldLog struct {
+	applying chan struct{}
+	release  chan struct{}
+}
+
+func (l *heldLog) DispatchRead(struct{}) int { return 0 }
+
+func (l *heldLog) DispatchWrite(op int) int {
+	if op == 1 {
+		close(l.applying)
+		<-l.release
+	}
+	return op
+}
+
+// TestWaiterSpinsAreCounted: while one thread's pass holds the combiner
+// (its apply blocks), a second thread on the same replica waits in
+// awaitDone, and each of its yields moves nr.await_spins; once the pass
+// ends, the waiter completes.
+func TestWaiterSpinsAreCounted(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	l := &heldLog{applying: make(chan struct{}), release: make(chan struct{})}
+	n := New(Options{Replicas: 1}, func() DataStructure[struct{}, int, int] { return l })
+	holder, waiter := n.MustRegister(0), n.MustRegister(0)
+	spins := obs.NRAwaitSpins.Load()
+	held := make(chan int)
+	go func() { held <- holder.Execute(1) }()
+	<-l.applying
+	waited := make(chan int)
+	go func() { waited <- waiter.Execute(2) }()
+	for deadline := time.Now().Add(10 * time.Second); obs.NRAwaitSpins.Load() == spins; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			close(l.release)
+			t.Fatal("a waiter behind a held pass never moved nr.await_spins")
+		}
+	}
+	close(l.release)
+	if got := <-held; got != 1 {
+		t.Errorf("the holder's op answered %d", got)
+	}
+	if got := <-waited; got != 2 {
+		t.Errorf("the waiter's op answered %d", got)
+	}
 }

@@ -8,27 +8,32 @@ import (
 	"unsafe"
 )
 
-// lentOp is a logged op that lends its payload and its run — a vector of
-// further ops with payloads of their own — only until its call returns,
-// as the kernel's descriptor runs do (Owner). dst is a destination only
-// the issuer's apply writes: not lent, so never copied.
+// lentOp is a logged op that lends its payload, its name, its words and
+// its run — a vector of further ops with payloads of their own — only
+// until its call returns, as the kernel's requests and descriptor runs
+// do (Owner). dst is a destination only the issuer's apply writes: not
+// lent, so never copied.
 type lentOp struct {
 	id      int
 	payload []byte
+	name    string
+	words   []uint64
 	run     []lentOp
 	dst     []byte
 }
 
-func (op *lentOp) Lent() (entries, n int) {
-	n = len(op.payload)
+func (op *lentOp) Lent() (entries, words, n int) {
+	n = len(op.payload) + len(op.name)
 	for i := range op.run {
 		n += len(op.run[i].payload)
 	}
-	return len(op.run), n
+	return len(op.run), len(op.words), n
 }
 
 func (op *lentOp) Own(st *SlotStore[lentOp]) {
 	op.payload = st.Bytes(op.payload)
+	op.name = st.String(op.name)
+	op.words = Words(st, op.words)
 	if op.run != nil {
 		op.run = *st.Vector(op.run)
 		for i := range op.run {
@@ -82,12 +87,24 @@ func (l *lentLog) DispatchWriteInto(op *lentOp, out *int) {
 	*out = op.id
 }
 
-// check notes o when its payload does not begin with its own.
+// check notes o when its payload does not begin with its own, or its
+// name or words are not its own.
 func (l *lentLog) check(o *lentOp) {
 	var want [64]byte
 	if o.payload != nil && (len(o.payload) < len(want) || !bytes.Equal(o.payload[:len(want)], idPayload(want[:0], o.id))) {
 		l.bad = append(l.bad, fmt.Sprintf("op %d applied with a payload of %d bytes, not its own", o.id, len(o.payload)))
 	}
+	if o.name != "" && o.name != string(idName(want[:0], o.id)) {
+		l.bad = append(l.bad, fmt.Sprintf("op %d applied with the name %q, not its own", o.id, o.name))
+	}
+	if o.words != nil && (len(o.words) != 3 || o.words[0] != uint64(o.id) || o.words[2] != ^uint64(o.id)) {
+		l.bad = append(l.bad, fmt.Sprintf("op %d applied with the words %v, not its own", o.id, o.words))
+	}
+}
+
+// idName is op id's name: "op" and its id, in decimal.
+func idName(dst []byte, id int) []byte {
+	return fmt.Appendf(dst[:0], "op%d", id)
 }
 
 // TestSlotStoreReusedAfterEveryReplica: an issuer that reuses the payload
@@ -106,12 +123,20 @@ func TestSlotStoreReusedAfterEveryReplica(t *testing.T) {
 	if n.log.stores.Load() != nil {
 		t.Fatal("an op that lends nothing allocated the log's stores")
 	}
-	payload := make([]byte, 0, 64)
+	payload, name, words := make([]byte, 0, 64), make([]byte, 0, 16), make([]uint64, 3)
 	run := make([]lentOp, 3)
 	runBufs := make([][]byte, len(run))
 	id := 0
 	issue := func() {
 		op := lentOp{id: id, payload: idPayload(payload, id)}
+		if id%3 == 0 {
+			// A name over a buffer the issuer reuses, and a reused vector
+			// of words.
+			nm := idName(name, id)
+			op.name = unsafe.String(unsafe.SliceData(nm), len(nm))
+			words[0], words[1], words[2] = uint64(id), 0, ^uint64(id)
+			op.words = words
+		}
 		id++
 		if id%2 == 0 {
 			for i := range run {
@@ -153,8 +178,8 @@ func TestSlotStoreReusedAfterEveryReplica(t *testing.T) {
 		})
 	}
 	for i, st := range *n.log.stores.Load() {
-		if st != nil && slotSize[lentOp](cap(st.vec), cap(st.buf)) > SlotBytes {
-			t.Errorf("slot %d keeps %d bytes, bound %d", i, slotSize[lentOp](cap(st.vec), cap(st.buf)), SlotBytes)
+		if st != nil && slotSize[lentOp](cap(st.vec), cap(st.words), cap(st.buf)) > SlotBytes {
+			t.Errorf("slot %d keeps %d bytes, bound %d", i, slotSize[lentOp](cap(st.vec), cap(st.words), cap(st.buf)), SlotBytes)
 		}
 	}
 }

@@ -22,6 +22,7 @@ var (
 	NRLogFullStalls  = NewCounter("nr.log_full_stalls")         // waitForSpace entries that had to wait
 	NRLogStallTime   = NewHist("nr.log_stall", UnitNanos)       // time spent waiting for ring space
 	NRExecuteRetries = NewCounter("nr.execute_retries")         // own combiner pass left the slot pending (half-ring bound)
+	NRAwaitSpins     = NewCounter("nr.await_spins")             // a waiter yielded while another thread's pass held its slot (awaitDone)
 
 	// Syscall dispatch boundary (internal/core handler), once per
 	// syscall, indexed by sys.Num*.

@@ -235,7 +235,7 @@ func TestSnapshotAndReset(t *testing.T) {
 
 func TestKernelMetricSetRegistered(t *testing.T) {
 	s := TakeSnapshot()
-	for _, name := range []string{"nr.log_full_stalls", "nr.execute_retries", "fs.meta_ops"} {
+	for _, name := range []string{"nr.log_full_stalls", "nr.execute_retries", "nr.await_spins", "fs.meta_ops"} {
 		if _, ok := s.Counters[name]; !ok {
 			t.Errorf("kernel counter %s not registered", name)
 		}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"strings"
 )
 
 // PID is a process identifier.
@@ -126,9 +127,11 @@ func (t *Table) Spawn(parent PID, name string) (PID, error) {
 	}
 	pid := t.next
 	t.next++
+	// The name is cloned: the caller's may alias a request buffer the
+	// syscall layer reuses once the call returns.
 	t.procs[pid] = &Process{
 		PID: pid, Parent: parent, Children: make(map[PID]bool),
-		Name: name,
+		Name: strings.Clone(name),
 	}
 	pp.Children[pid] = true
 	return pid, nil

@@ -106,12 +106,14 @@ func (f *tailField) enc(e *marshal.Encoder, op reflect.Value) {
 	}
 }
 
-// dec reads the field into op. Bytes are read by reference: the payload
-// is a per-crossing buffer (marshal.Decoder.BytesFieldRef).
+// dec reads the field into op. Bytes and strings are read by reference
+// (marshal.Decoder.BytesFieldRef, StringRef): the request is lent for the
+// call (Handler), so the op borrows them as its entry does (WriteOp.Lent),
+// and whatever the kernel keeps of them it clones where it stores it.
 func (f *tailField) dec(d *marshal.Decoder, op reflect.Value) {
 	switch v := op.Field(f.index); v.Kind() {
 	case reflect.String:
-		v.SetString(d.String())
+		v.SetString(d.StringRef())
 	case reflect.Slice:
 		v.SetBytes(d.BytesFieldRef())
 	case reflect.Bool:
@@ -253,7 +255,8 @@ func appendRead(buf []byte, op *ReadOp) (marshal.SyscallFrame, []byte) {
 	return frame, e.Bytes()
 }
 
-// DecodeRead unpacks a ReadOp.
+// DecodeRead unpacks a ReadOp. Its path is read by reference, like a
+// write's (tailField.dec): a read keeps nothing of it.
 func DecodeRead(frame marshal.SyscallFrame, payload []byte) (ReadOp, error) {
 	op := ReadOp{
 		Num:     frame.Num,
@@ -263,7 +266,7 @@ func DecodeRead(frame marshal.SyscallFrame, payload []byte) (ReadOp, error) {
 		Witness: frame.Args[5] != 0,
 	}
 	d := marshal.NewDecoder(payload)
-	op.Path = d.String()
+	op.Path = d.StringRef()
 	op.Off = d.U64()
 	if err := d.Finish(); err != nil {
 		return ReadOp{}, fmt.Errorf("sys: read op decode: %w", err)
@@ -276,11 +279,15 @@ func DecodeRead(frame marshal.SyscallFrame, payload []byte) (ReadOp, error) {
 // payload; any other is one allocation of exactly its encoded size. The
 // kernel-side fields (Freed, Unpinned, Ino, Off, Run, Witness) never
 // cross.
-func EncodeResp(r Resp) (marshal.RetFrame, []byte) { return EncodeRespFrom(&r) }
+func EncodeResp(r Resp) (marshal.RetFrame, []byte) { return AppendResp(nil, &r) }
 
-// EncodeRespFrom is EncodeResp of a response where it already sits — the
-// issuer's slot the kernel answered into — without copying it.
-func EncodeRespFrom(r *Resp) (marshal.RetFrame, []byte) {
+// AppendResp is EncodeResp of a response where it already sits — the
+// issuer's slot the kernel answered into — without copying it, into
+// buf's storage, which it reuses: a reply buffer the handle lends
+// (ReplyHandler), grown to the reply's exact size where it is too short,
+// or nil for a reply of its own. A reply that is the register frame
+// alone leaves buf untouched and returns no payload.
+func AppendResp(buf []byte, r *Resp) (marshal.RetFrame, []byte) {
 	ret := marshal.RetFrame{Value: r.Val, Errno: uint64(r.Errno)}
 	if len(r.Data) == 0 && r.Stat == (fs.Stat{}) && len(r.Entries) == 0 &&
 		r.Wait == (proc.WaitResult{}) && r.Sig == 0 && !r.SigOK {
@@ -290,7 +297,10 @@ func EncodeRespFrom(r *Resp) (marshal.RetFrame, []byte) {
 	for i := range r.Entries {
 		size += 13 + len(r.Entries[i].Name)
 	}
-	e := marshal.NewEncoder(make([]byte, 0, size))
+	if cap(buf) < size {
+		buf = make([]byte, 0, size)
+	}
+	e := marshal.NewEncoder(buf)
 	e.BytesField(r.Data)
 	e.U64(uint64(r.Stat.Ino)).U8(uint8(r.Stat.Kind)).U64(r.Stat.Size).I64(int64(r.Stat.Nlink))
 	e.U32(uint32(len(r.Entries)))

@@ -184,6 +184,14 @@ const (
 	// a sibling on the same handle must be able to make the call that
 	// wakes it.
 	opParks
+	// opAllocs: the kernel's apply of the row allocates even warm — it
+	// makes what the kernel keeps (an inode, a directory, a stored name,
+	// a process and its address space, a socket's row) or answers with a
+	// vector of its own. Every other logged row applies without
+	// allocating once warm (TestWarmApplyAllocations), so a combiner pass
+	// that carries only those cannot start a GC assist that stalls every
+	// thread waiting on the pass.
+	opAllocs
 )
 
 // opRow is one op as the kernel knows it: its display name (obs records
@@ -221,15 +229,15 @@ var opTable = [MaxInternalOpNum + 1]opRow{
 	NumWrite:      row("write", classLogged, opBatchable|opRun|opChecked, TargetCompose, "Data"),
 	NumSeek:       row("seek", classLogged, opBatchable|opRun|opChecked, TargetCompose, "Whence", "Off"),
 	NumStat:       row("stat", classRead, 0, TargetCompose, "Path"),
-	NumMkdir:      row("mkdir", classLogged, opBatchable, TargetFsNS, "Path"),
+	NumMkdir:      row("mkdir", classLogged, opBatchable|opAllocs, TargetFsNS, "Path"),
 	NumUnlink:     row("unlink", classLogged, opBatchable, TargetFsNS, "Path"),
 	NumRmdir:      row("rmdir", classLogged, opBatchable, TargetFsNS, "Path"),
-	NumRename:     row("rename", classLogged, opBatchable, TargetFsNS, "Path", "Path2"),
-	NumLink:       row("link", classLogged, opBatchable, TargetFsNS, "Path", "Path2"),
+	NumRename:     row("rename", classLogged, opBatchable|opAllocs, TargetFsNS, "Path", "Path2"),
+	NumLink:       row("link", classLogged, opBatchable|opAllocs, TargetFsNS, "Path", "Path2"),
 	NumReadDir:    row("readdir", classRead, 0, TargetFsPath, "Path"),
 	NumTruncate:   row("truncate", classLogged, opBatchable, TargetCompose),
-	NumSpawn:      row("spawn", classLogged, 0, TargetCompose, "Name"),
-	NumWaitPID:    row("waitpid", classLogged, 0, TargetProcTree),
+	NumSpawn:      row("spawn", classLogged, opAllocs, TargetCompose, "Name"),
+	NumWaitPID:    row("waitpid", classLogged, opAllocs, TargetProcTree),
 	NumExit:       row("exit", classLogged, 0, TargetCompose, "Code"),
 	NumKill:       row("kill", classLogged, 0, TargetCompose, "Sig", "Target"),
 	NumGetPID:     row("getpid", classRead, 0, TargetProcTree),
@@ -256,23 +264,23 @@ var opTable = [MaxInternalOpNum + 1]opRow{
 	NumFDUnlock:    row("fd_unlock", classInternal, 0, TargetProcKey),
 	NumFDSeek:      row("fd_seek", classInternal, 0, TargetProcKey),
 	NumFDRun:       row("fd_run", classInternal, 0, TargetCompose),
-	NumProcSpawn:   row("proc_spawn", classInternal, 0, TargetProcTree),
-	NumProcUnspawn: row("proc_unspawn", classInternal, 0, TargetProcTree),
-	NumProcAttach:  row("proc_attach", classInternal, 0, TargetProcKey),
+	NumProcSpawn:   row("proc_spawn", classInternal, opAllocs, TargetProcTree),
+	NumProcUnspawn: row("proc_unspawn", classInternal, opAllocs, TargetProcTree),
+	NumProcAttach:  row("proc_attach", classInternal, opAllocs, TargetProcKey),
 	NumProcDetach:  row("proc_detach", classInternal, 0, TargetProcKey),
 	NumProcExit:    row("proc_exit", classInternal, 0, TargetProcTree),
-	NumFsCreate:    row("fs_create", classInternal, 0, TargetFsNS),
+	NumFsCreate:    row("fs_create", classInternal, opAllocs, TargetFsNS),
 	NumFsRun:       row("fs_run", classInternal, 0, TargetFsOwner),
 	NumFsTruncate:  row("fs_truncate", classInternal, 0, TargetFsOwner),
 	NumPageMap:     row("page_map", classInternal, 0, TargetProcKey),
-	NumPageUnmap:   row("page_unmap", classInternal, 0, TargetProcKey),
+	NumPageUnmap:   row("page_unmap", classInternal, opAllocs, TargetProcKey),
 
 	NumFDGet:        row("fd_get", classInternal, 0, TargetProcKey),
 	NumFsLookup:     row("fs_lookup", classInternal, 0, TargetFsPath),
 	NumFsStatIno:    row("fs_statino", classInternal, 0, TargetFsOwner),
 	NumFsReadAt:     row("fs_readat", classInternal, 0, TargetFsOwner),
 	NumProcHasTable: row("proc_hastable", classInternal, 0, TargetProcKey),
-	NumSockTabBind:  row("socktab_bind", classInternal, 0, TargetProcTree),
+	NumSockTabBind:  row("socktab_bind", classInternal, opAllocs, TargetProcTree),
 	NumSockTabClose: row("socktab_close", classInternal, 0, TargetProcTree),
 	NumSockTabGet:   row("socktab_get", classInternal, 0, TargetProcTree),
 }
@@ -404,35 +412,68 @@ func (op *WriteOp) Entries() int32 {
 	return 1
 }
 
-// Lent implements nr.Owner. A run is the only memory a logged op borrows
-// for no longer than its call: its entries are the vector the handler
-// decoded the batch into and its writes' bytes the handle's request
-// buffer, and both reuse them for their next call, while a replica that
-// lags applies the entry after this one has returned. Every other
-// reference an op carries is its own crossing's — a per-call write's
-// payload, decoded from a request encoded for that call, or strings,
-// which are copies — or a per-call read's destination, the caller's
-// buffer, which its issuer's apply must fill in place and so must not
-// be copied.
-func (op *WriteOp) Lent() (entries, bytes int) {
-	if op.Run == nil {
-		return 0, 0
+// Lent implements nr.Owner. Every request is lent to the kernel for its
+// call only (Handler), so whatever a logged op decoded from one references
+// is lent too: its Data, paths and name (the decode reads them by
+// reference) — and so are a run, whose entries are the vector the
+// handler decoded the batch into, and an mmap's frame vector, which the
+// handler reuses. The issuer reuses all of these for its next call, while
+// a replica that lags applies the entry after this one has returned.
+// Two references are not lent: a per-call read's Data, the caller's
+// buffer, which its issuer's apply must fill in place and so must not be
+// copied; and the bytes of a request over nr.SlotBytes (ownsRequest),
+// which is an allocation of its own that the log may keep.
+func (op *WriteOp) Lent() (entries, words, bytes int) {
+	if !ownsRequest(op) {
+		bytes = lentBytes(op)
 	}
-	for i := range *op.Run {
-		bytes += len((*op.Run)[i].Data)
+	if op.Run != nil {
+		entries = len(*op.Run)
+		for i := range *op.Run {
+			bytes += len((*op.Run)[i].Data)
+		}
 	}
-	return len(*op.Run), bytes
+	return entries, len(op.Frames), bytes
 }
 
-// Own implements nr.Owner: the slot's copy of a run entry points at the
-// slot's own copies of the run and its writes' bytes.
+// Own implements nr.Owner: the slot's copy of an entry points at the
+// slot's own copies of what Lent reported — its bytes, paths and name,
+// its frame vector, and its run and the run's writes' bytes.
 func (op *WriteOp) Own(st *nr.SlotStore[WriteOp]) {
-	run := st.Vector(*op.Run)
-	for i := range *run {
-		(*run)[i].Data = st.Bytes((*run)[i].Data)
+	if !ownsRequest(op) {
+		op.Path, op.Path2, op.Name = st.String(op.Path), st.String(op.Path2), st.String(op.Name)
+		if op.Num != NumRead {
+			op.Data = st.Bytes(op.Data)
+		}
 	}
-	op.Run = (*FsRun)(run)
+	op.Frames = nr.Words(st, op.Frames)
+	if op.Run != nil {
+		run := st.Vector(*op.Run)
+		for i := range *run {
+			(*run)[i].Data = st.Bytes((*run)[i].Data)
+		}
+		op.Run = (*FsRun)(run)
+	}
 }
+
+// lentBytes is how many bytes op's request lends: its Data — but for a
+// per-call read's, the caller's buffer — paths and name.
+func lentBytes(op *WriteOp) int {
+	n := len(op.Path) + len(op.Path2) + len(op.Name)
+	if op.Num != NumRead {
+		n += len(op.Data)
+	}
+	return n
+}
+
+// ownsRequest reports whether op's request is one of its own rather than
+// the handle's request buffer: one that carries more than nr.SlotBytes
+// (Sys.request). The rule is op's own, so the kernel (Lent) computes it
+// from the decoded op exactly as the handle did from the one it encoded:
+// such a request is allocated once, at its exact size, and the log keeps
+// it by reference instead of copying it into a store of its own — one
+// allocation and one copy, not two of each.
+func ownsRequest(op *WriteOp) bool { return lentBytes(op) > nr.SlotBytes }
 
 // FsRun is what a NumFsRun or NumFDRun from a batch applies: consecutive
 // read/write/seek entries on a single descriptor, in submission order.

@@ -231,13 +231,16 @@ func (s *Sys) crossBatch(ops []Op) ([]Completion, Errno) {
 	return comps, EOK
 }
 
-// Recycle readies a reused buffer — a batch's, or the handle's request
-// buffer — for its next use: it clears what v held, so the buffer keeps
-// nothing a crossing referenced (the caller's payloads, the read
-// results), and returns it empty — or nil when its storage is over
-// nr.SlotBytes, the bound a log slot's store keeps to, so one large
-// batch does not pin its buffers for the life of the handle or handler
-// that reuses them.
+// Recycle readies a reused buffer — a batch's, the handle's request or
+// reply buffer, the handler's mmap frame vector — for its next use: it
+// clears what v held, so the buffer keeps nothing a crossing referenced
+// (the caller's payloads, the read results), and returns it empty — or
+// nil when its storage is over nr.SlotBytes, the bound a log slot's
+// store keeps to, so one large crossing does not pin its buffers for the
+// life of the handle or handler that reuses them. Every buffer it
+// readies is lent for one call at a time: where a replica could apply a
+// logged entry after its call, the log copies what the entry borrows of
+// it (WriteOp.Lent).
 func Recycle[T any](v []T) []T {
 	var zero T
 	if cap(v)*int(unsafe.Sizeof(zero)) > nr.SlotBytes {

@@ -599,10 +599,12 @@ func (h *destStub) SyscallInto(frame marshal.SyscallFrame, payload []byte, dst [
 // TestPerCallCrossingAllocatesNothing pins the handle's half of a
 // per-call crossing: against a kernel that allocates nothing, a warm
 // Seek, destination Read and destination Pread allocate nothing, and nor
-// do an Open, a Close, a Stat, an MMap and an MUnmap — none of them can
-// park, so each holds the handle and encodes its request into the
-// handle's request buffer. A Write allocates exactly its own request,
-// the one request the kernel may keep past the call (its Data). The
+// do a Write, an Open, a Close, a Stat, an MMap and an MUnmap — none of
+// them can park, so each holds the handle and encodes its request into
+// the handle's request buffer, which it lends to the kernel for the call
+// (a write's bytes too: the log copies what it keeps of them). A write
+// over nr.SlotBytes is the exception: it crosses in an exact request of
+// its own, which the log keeps by reference instead of copying. The
 // buffer is the one a batch crosses in, so after a Writev over
 // nr.SlotBytes a Seek finds it dropped and crosses in a buffer of its
 // own size.
@@ -627,6 +629,7 @@ func TestPerCallCrossingAllocatesNothing(t *testing.T) {
 		{"seek", seek},
 		{"read", func() { n, e := s.Read(fd, buf); must("read", n, e, len(buf)) }},
 		{"pread", func() { n, e := s.Pread(fd, buf, 4096); must("pread", n, e, len(buf)) }},
+		{"write", func() { n, e := s.Write(fd, buf[:512]); must("write", n, e, 0) }},
 		{"open", func() { _, e := s.Open("/a/b", ORdWr); must("open", 0, e, 0) }},
 		{"close", func() { must("close", 0, s.Close(fd), 0) }},
 		{"stat", func() { _, e := s.Stat("/a/b"); must("stat", 0, e, 0) }},
@@ -641,17 +644,18 @@ func TestPerCallCrossingAllocatesNothing(t *testing.T) {
 			t.Errorf("a %s's request is not the handle's request buffer, recycled after the call", c.what)
 		}
 	}
+	big := make([]byte, nr.SlotBytes+1)
 	write := func() {
-		n, e := s.Write(fd, buf[:512])
+		n, e := s.Write(fd, big)
 		must("write", n, e, 0)
 	}
 	write()
 	if n := testing.AllocsPerRun(100, write); n != 1 {
-		t.Errorf("a warm write allocates %.0f objects, want 1: its request", n)
+		t.Errorf("a warm %d B write allocates %.0f objects, want 1: its request", len(big), n)
 	}
 	if len(h.lent) != cap(h.lent) || unsafe.SliceData(h.lent) == unsafe.SliceData(s.req) {
-		t.Errorf("a write's request is %d B in a buffer of %d, the handle's: %v; want an exact one of its own",
-			len(h.lent), cap(h.lent), unsafe.SliceData(h.lent) == unsafe.SliceData(s.req))
+		t.Errorf("a %d B write's request is %d B in a buffer of %d, the handle's: %v; want an exact one of its own",
+			len(big), len(h.lent), cap(h.lent), unsafe.SliceData(h.lent) == unsafe.SliceData(s.req))
 	}
 	var bufs [][]byte
 	var comps []Completion

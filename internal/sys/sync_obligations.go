@@ -88,8 +88,10 @@ func registerSyncObligations(g *verifier.Registry) {
 			Check: func(r *rand.Rand) error {
 				// The op table's own consistency. The cross-shard protocol
 				// ops fill the rows strictly above the wire ABI and fit the
-				// obs opcode space; none is local, batchable or checked, and
-				// none carries a tail — they are never marshalled. A run
+				// obs opcode space; none is batchable, a run entry, checked
+				// or parking — opAllocs, a property of the apply, is the one
+				// they may have — and none carries a tail: they are never
+				// marshalled. A run
 				// entry is batchable, and a checked op is a run entry or the
 				// positioned read.
 				if MaxInternalOpNum >= obs.MaxSyscallOps {
@@ -102,7 +104,7 @@ func registerSyncObligations(g *verifier.Registry) {
 						return fmt.Errorf("op %d has no row", num)
 					case IsInternalOp(num) != (num > MaxOpNum):
 						return fmt.Errorf("op %s (%d) is on the wrong side of the wire ABI %d", o.name, num, MaxOpNum)
-					case IsInternalOp(num) && (o.props != 0 || o.tail != 0):
+					case IsInternalOp(num) && (o.props&^opAllocs != 0 || o.tail != 0):
 						return fmt.Errorf("internal op %s (%d) is wire-classified", o.name, num)
 					case IsRunOp(num) && !IsBatchableOp(num):
 						return fmt.Errorf("run entry %s (%d) is not batchable", o.name, num)

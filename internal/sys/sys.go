@@ -17,16 +17,29 @@ import (
 // Handler is the kernel side of the syscall boundary: internal/core's
 // replicated kernel implements it. The two byte slices are the
 // marshalled argument and result payloads — nothing else crosses. Every
-// argument payload is lent for the call only, except a per-call request
-// that carries Data (a write's, a MemWrite's, a SockSend's): the kernel
-// may keep those bytes — a logged write's NR log entry points at them
-// until every replica has applied it — so such a request is an
-// allocation of its own. Every other request of a call that cannot park
-// (all but a futex wait and a receive), and every batch's, is the
-// handle's request buffer, which its next call reuses and overwrites, so
-// a handler that keeps any of a request past its return keeps a copy.
+// argument payload is lent for the call only. The request of a call that
+// cannot park (all but a futex wait and a receive), and every batch's, is
+// the handle's request buffer, which its next call reuses and overwrites,
+// so a handler that keeps any of a request past its return keeps a copy:
+// the NR log copies what a logged entry borrows of it (WriteOp.Lent) on a
+// log of more than one replica, and the kernel clones what it stores (a
+// directory entry's name, a process's). Two requests are allocations of
+// their own, which nothing reuses: one that carries more than
+// nr.SlotBytes (ownsRequest), which the log keeps by reference rather
+// than copy, and the request of a call that may park.
 type Handler interface {
 	Syscall(frame marshal.SyscallFrame, payload []byte) (marshal.RetFrame, []byte)
+}
+
+// ReplyHandler is implemented by handlers that encode a reply into
+// storage the handle lends: SyscallReply is Syscall with the reply
+// payload, when there is one, appended to reply's storage — the handle's
+// reply buffer, grown where it is too short (AppendResp) — instead of an
+// allocation of its own. A read-only call (Stat, ReadDir, GetPID) crosses
+// this way when it can; the handle decodes the reply before its next call
+// reuses the buffer, and keeps nothing that aliases it.
+type ReplyHandler interface {
+	SyscallReply(frame marshal.SyscallFrame, payload, reply []byte) (marshal.RetFrame, []byte)
 }
 
 // Witnesser is implemented by handlers that can hand over the witnesses
@@ -88,10 +101,13 @@ type DestHandler interface {
 // A call that holds the handle encodes its request into the handle's one
 // request buffer (req), reused by the next and recycled after each
 // crossing (Recycle): cleared, and dropped past nr.SlotBytes, so a large
-// batch does not pin its encoding. A request that carries Data — a
-// write's, a MemWrite's, a SockSend's — lends its bytes to the kernel
-// past the call, so it is an allocation of its own, and so is the
-// request of a call that may park.
+// batch does not pin its encoding. Every such request is lent to the
+// kernel for the call (Handler) — a write's bytes, an open's path — but
+// one that carries more than nr.SlotBytes, which is an allocation of its
+// own at its exact size (ownsRequest), and so is the request of a call
+// that may park. A read-only call's reply lands in the handle's reply
+// buffer (resp) when the handler lends it one (ReplyHandler), recycled
+// like req.
 //
 // A checked call allocates what an unchecked one does: the witness comes
 // back by value, into slots both sides reuse, and once checked its views
@@ -101,9 +117,11 @@ type Sys struct {
 	pid proc.PID
 	h   Handler
 	// wit is h when it can witness (nil otherwise); dest is h when it
-	// takes a destination buffer.
-	wit  Witnesser
-	dest DestHandler
+	// takes a destination buffer, and replies when it encodes a reply
+	// into the handle's.
+	wit     Witnesser
+	dest    DestHandler
+	replies ReplyHandler
 
 	// core is the core the handle's kernel handler is pinned to (0 when
 	// the handler doesn't expose one), the stripe of its contract obs
@@ -117,11 +135,12 @@ type Sys struct {
 	cerr     error
 	// call is held by every call that cannot park, Submit and a batch's
 	// reaper included, for the whole call (see the type comment); wits,
-	// the witnesses taken of the crossing, and req, the request buffer,
-	// with it.
+	// the witnesses taken of the crossing, req, the request buffer, and
+	// resp, the reply buffer, with it.
 	call sync.Mutex
 	wits []Witness
 	req  []byte
+	resp []byte
 	// ring is the handle's submitted batches that have not crossed yet,
 	// oldest first (under call; see submit.go).
 	ring []*Batch
@@ -145,6 +164,7 @@ func NewSys(pid proc.PID, h Handler) *Sys {
 	}
 	s.wit, _ = h.(Witnesser)
 	s.dest, _ = h.(DestHandler)
+	s.replies, _ = h.(ReplyHandler)
 	return s
 }
 
@@ -346,13 +366,14 @@ func stepOf(op *WriteOp) fs.StepOp {
 }
 
 // request encodes op for the crossing of a call that holds the handle
-// (s.call) into the handle's request buffer, which release recycles —
-// except a request that lends bytes, a write's Data: the NR log entry
-// points at them until every replica has applied it, so that request is
-// an allocation of its own, of exactly its size.
+// (s.call) into the handle's request buffer, which release recycles and
+// which the request is lent to the kernel in for the call — except a
+// request over nr.SlotBytes (ownsRequest), an allocation of its own of
+// exactly its size: the log keeps it by reference, where it would copy a
+// lent one into a store it allocates.
 func (s *Sys) request(op *WriteOp) (marshal.SyscallFrame, []byte) {
 	op.PID = s.pid
-	if len(op.Data) > 0 {
+	if ownsRequest(op) {
 		return encodeWrite(op)
 	}
 	var frame marshal.SyscallFrame
@@ -369,10 +390,10 @@ func (s *Sys) readRequest(op *ReadOp) (marshal.SyscallFrame, []byte) {
 }
 
 // release ends a call that holds the handle: nothing keeps its request
-// past the call (Handler), so the request buffer is recycled for the
-// next, and the handle unlocked.
+// or its reply past the call (Handler, ReplyHandler), so the request and
+// reply buffers are recycled for the next, and the handle unlocked.
 func (s *Sys) release() {
-	s.req = Recycle(s.req)
+	s.req, s.resp = Recycle(s.req), Recycle(s.resp)
 	s.call.Unlock()
 }
 
@@ -410,12 +431,23 @@ func (s *Sys) callScalar(op *WriteOp) (uint64, Errno) {
 	return r.Val, r.Errno
 }
 
-// callRead crosses the boundary with a read-only op, holding the handle:
-// no read parks.
+// callRead crosses the boundary with a read-only op, holding the handle
+// (no read parks): its reply is encoded into the handle's reply buffer
+// when the handler lends it one (ReplyHandler). The answer may alias the
+// buffer only where a caller copies it before the next call: a stat's
+// and a pid's are scalars, and a listing's names are copies.
 func (s *Sys) callRead(op ReadOp) Resp {
 	s.call.Lock()
 	defer s.release()
-	return reply(s.h.Syscall(s.readRequest(&op)))
+	frame, payload := s.readRequest(&op)
+	if s.replies == nil {
+		return reply(s.h.Syscall(frame, payload))
+	}
+	ret, out := s.replies.SyscallReply(frame, payload, s.resp)
+	if len(out) > 0 {
+		s.resp = out
+	}
+	return reply(ret, out)
 }
 
 // Open opens (or with OCreate creates) path. Invalid flag combinations
